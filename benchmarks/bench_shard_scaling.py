@@ -16,6 +16,14 @@ batches clip to shard intervals, the fan-out balances) independent of
 the runner's core count; wall-clock per mix is reported alongside,
 ungated, because CI containers may pin this suite to one core.
 
+A third, **cross-shard update mix** -- one distinct-key ``MultiUpdate``
+per call, new keys anywhere in the domain, so most pairs cross a fence --
+measures the move wave.  Its gate is a *count*, read from the workers'
+own ``stats`` frame counters: a distinct-key ``MultiUpdate`` costs every
+involved shard **<= 4 frames** (sub-batch, take list, put list, forget
+list) however many pairs it moves.  Frames per call and wall-clock per
+shard count are reported alongside.
+
 Serial-oracle equality is asserted *in the bench*: every shard count's
 results are compared against a single-process database replaying the
 same sequence (insert row ids excepted -- a documented divergence).
@@ -40,6 +48,7 @@ from repro.workload.operations import (
     MultiInsert,
     MultiPointQuery,
     MultiRangeCount,
+    MultiUpdate,
 )
 
 SHARD_COUNTS = (1, 2, 4)
@@ -47,8 +56,12 @@ ROUNDS = 10
 BATCH = 512
 BLOCK_VALUES = 1_024
 PARTITIONS = 16
+UPDATE_BATCH = 128
 READ_GATE = 2.5
 WRITE_GATE = 1.5
+#: Frames one distinct-key ``MultiUpdate`` may cost each involved shard.
+FRAME_GATE = 4
+MIXES = ("read", "write", "update")
 
 
 def payload_for(keys: np.ndarray) -> np.ndarray:
@@ -93,15 +106,34 @@ def build_mixes(rng, key_domain: int):
     return read_rounds, write_rounds
 
 
+def build_update_rounds(rng, key_domain: int):
+    """One ``MultiUpdate`` per round, no key used twice within it: old
+    keys hit or miss, new keys land anywhere, most pairs cross shards."""
+    rounds = []
+    for _ in range(ROUNDS):
+        drawn = rng.choice(key_domain, 2 * UPDATE_BATCH, replace=False)
+        pairs = drawn.reshape(UPDATE_BATCH, 2).tolist()
+        rounds.append([MultiUpdate(pairs=tuple(map(tuple, pairs)))])
+    return rounds
+
+
 def ops_in(rounds) -> int:
     return sum(
-        len(op.keys) if hasattr(op, "keys") else len(op.bounds)
+        len(getattr(op, name))
         for ops in rounds
         for op in ops
+        for name in ("keys", "bounds", "pairs")
+        if hasattr(op, name)
     )
 
 
-def run_sharded(n_shards, keys, payload, read_rounds, write_rounds):
+def frames_served(database) -> np.ndarray:
+    """Per-shard data frames served so far (the worker ``stats`` count)."""
+    stats = database.stats()
+    return np.asarray([stats[shard]["frames"] for shard in sorted(stats)])
+
+
+def run_sharded(n_shards, keys, payload, mixes):
     """One shard count's full run; returns per-mix metrics + results."""
     constants = constants_for_block_values(BLOCK_VALUES)
     database = Database.sharded(
@@ -115,27 +147,32 @@ def run_sharded(n_shards, keys, payload, read_rounds, write_rounds):
     out = {}
     try:
         with database.session() as session:
-            for mix, rounds in (
-                ("read", read_rounds),
-                ("write", write_rounds),
-            ):
+            for mix, rounds in mixes.items():
                 simulated_ns = 0.0
-                start = time.perf_counter()
+                wall_s = 0.0
                 results = []
+                frames = []
+                served = frames_served(database)
                 for ops in rounds:
+                    start = time.perf_counter()
                     results.append(session.execute(ops).results)
+                    wall_s += time.perf_counter() - start
                     # The round runs concurrently across workers: its
                     # simulated latency is the slowest shard's cost.
                     simulated_ns += max(
                         counter.cost(constants)
                         for counter in session.last_shard_accesses.values()
                     )
-                wall_s = time.perf_counter() - start
+                    # Counted by the workers, read outside the timing.
+                    before, served = served, frames_served(database)
+                    frames.append(served - before)
                 out[mix] = {
                     "simulated_ns": simulated_ns,
                     "wall_s": wall_s,
                     "throughput_ops": ops_in(rounds)
                     / (simulated_ns / 1e9),
+                    "frames_per_call": float(np.sum(frames)) / len(rounds),
+                    "max_frames_per_shard": int(np.max(frames)),
                     "results": results,
                 }
     finally:
@@ -143,7 +180,7 @@ def run_sharded(n_shards, keys, payload, read_rounds, write_rounds):
     return out
 
 
-def run_oracle(keys, payload, read_rounds, write_rounds):
+def run_oracle(keys, payload, mixes):
     """Single-process replay of the same sequence: the equality oracle."""
     database = Database.from_rows(
         keys,
@@ -155,7 +192,7 @@ def run_oracle(keys, payload, read_rounds, write_rounds):
     )
     out = {}
     with database.session() as session:
-        for mix, rounds in (("read", read_rounds), ("write", write_rounds)):
+        for mix, rounds in mixes.items():
             out[mix] = [session.execute(ops).results for ops in rounds]
     return out
 
@@ -167,9 +204,9 @@ def normalize_rows(row_lists):
     ]
 
 
-def assert_oracle_equal(read_rounds, write_rounds, oracle, sharded):
+def assert_oracle_equal(mixes, oracle, sharded):
     """Results match the serial oracle exactly (insert row ids excepted)."""
-    for mix, rounds in (("read", read_rounds), ("write", write_rounds)):
+    for mix, rounds in mixes.items():
         for ops, want_round, got_round in zip(
             rounds, oracle[mix], sharded[mix]["results"], strict=True
         ):
@@ -188,7 +225,8 @@ def assert_oracle_equal(read_rounds, write_rounds, oracle, sharded):
 
 
 def test_shard_scaling(benchmark):
-    """Read mix >= 2.5x and write mix >= 1.5x at 4 shards vs 1."""
+    """Read mix >= 2.5x and write mix >= 1.5x at 4 shards vs 1; a
+    distinct-key MultiUpdate <= 4 frames per involved shard."""
     benchmark.pedantic(lambda: None, iterations=1, rounds=1)
     num_rows = int(os.environ.get("REPRO_BENCH_ROWS", 131_072))
     key_domain = num_rows * 2
@@ -196,14 +234,18 @@ def test_shard_scaling(benchmark):
     keys = rng.integers(0, key_domain, num_rows).astype(np.int64)
     payload = payload_for(keys)
     read_rounds, write_rounds = build_mixes(rng, key_domain)
+    mixes = dict(
+        zip(
+            MIXES,
+            (read_rounds, write_rounds, build_update_rounds(rng, key_domain)),
+        )
+    )
 
-    oracle = run_oracle(keys, payload, read_rounds, write_rounds)
+    oracle = run_oracle(keys, payload, mixes)
     runs = {}
     for n_shards in SHARD_COUNTS:
-        runs[n_shards] = run_sharded(
-            n_shards, keys, payload, read_rounds, write_rounds
-        )
-        assert_oracle_equal(read_rounds, write_rounds, oracle, runs[n_shards])
+        runs[n_shards] = run_sharded(n_shards, keys, payload, mixes)
+        assert_oracle_equal(mixes, oracle, runs[n_shards])
 
     print(f"\nShard scaling on {num_rows} rows, {ROUNDS} rounds of {BATCH}")
     speedups = {}
@@ -220,6 +262,14 @@ def test_shard_scaling(benchmark):
                 f"speedup {speedups[mix][n]:.2f}x"
             )
         print(f"  {mix:5s} gate at 4 shards: {gate}x")
+    for n in SHARD_COUNTS:
+        metrics = runs[n]["update"]
+        print(
+            f"  update x{n}: {metrics['frames_per_call']:5.1f} frames/call, "
+            f"max {metrics['max_frames_per_shard']} per shard  "
+            f"{metrics['wall_s'] * 1e3 / ROUNDS:7.2f}ms wall/call"
+        )
+    print(f"  update gate: <= {FRAME_GATE} frames per involved shard")
 
     payload_json = {
         "rows": num_rows,
@@ -239,7 +289,25 @@ def test_shard_scaling(benchmark):
             }
             for mix in ("read", "write")
         },
-        "gates": {"read": READ_GATE, "write": WRITE_GATE},
+        "update": {
+            str(n): {
+                "pairs_per_call": UPDATE_BATCH,
+                "frames_per_call": runs[n]["update"]["frames_per_call"],
+                "max_frames_per_shard": runs[n]["update"][
+                    "max_frames_per_shard"
+                ],
+                "wall_ms_per_call": runs[n]["update"]["wall_s"]
+                * 1e3
+                / ROUNDS,
+                "simulated_ns": runs[n]["update"]["simulated_ns"],
+            }
+            for n in SHARD_COUNTS
+        },
+        "gates": {
+            "read": READ_GATE,
+            "write": WRITE_GATE,
+            "update_frames_per_shard": FRAME_GATE,
+        },
     }
     out_path = os.environ.get("REPRO_BENCH_SHARD_JSON", "BENCH_shard.json")
     with open(out_path, "w") as handle:
@@ -247,3 +315,5 @@ def test_shard_scaling(benchmark):
 
     assert speedups["read"][4] >= READ_GATE
     assert speedups["write"][4] >= WRITE_GATE
+    for n in SHARD_COUNTS:
+        assert runs[n]["update"]["max_frames_per_shard"] <= FRAME_GATE

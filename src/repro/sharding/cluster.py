@@ -11,15 +11,23 @@ bulk arrays, and a frame lock so request/reply pairs never interleave.
 The cluster is deliberately separable from the data: ``attach`` can be
 sent repeatedly (property tests re-load fresh data into a long-lived
 pool instead of paying process spawn per example), and
-:meth:`ShardCluster.execute_round` is the only dispatch primitive -- send
-every shard its sub-batch, then collect every reply, so workers compute
+:meth:`ShardCluster.round` is the only dispatch primitive -- send every
+involved shard its frame, then collect every reply, so workers compute
 concurrently while the dispatcher blocks on the slowest one.
+:meth:`~ShardCluster.execute_round` (sub-batches), the move phases of
+:mod:`repro.sharding.database` (take / put / forget lists) and
+:meth:`~ShardCluster.request_all` (lifecycle verbs) are its callers.  A
+round always collects from every channel it sent to before it raises,
+whatever failed, so no reply is left in a socket for the next request to
+mistake for its own.
 
-Locking (registered in :data:`repro.discipline.LOCK_ORDER`): the cluster
-lock ``shard_state`` serializes rounds and lifecycle against each other;
-each channel's ``shard_channel`` lock serializes frames on that one
-socket.  ``shard_state`` ranks outside ``shard_channel``; neither is ever
-taken from a worker process.
+Locking (registered in :data:`repro.discipline.LOCK_ORDER`): a round
+reads the channel registry under the cluster lock ``shard_state``
+(lifecycle mutates it under the same lock), then sends and receives each
+frame under that channel's ``shard_channel`` lock.  ``shard_state`` ranks
+outside ``shard_channel`` and the two are never held together; neither
+is ever taken from a worker process.  A channel's arena is rewritten by
+every frame, so one dispatcher thread drives a cluster at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import multiprocessing
 import secrets
 import socket
 from dataclasses import dataclass
+from typing import Callable, Mapping
 
 from repro import discipline
 from repro.discipline import guarded_class
@@ -51,9 +60,19 @@ _SPAWN_TIMEOUT_S = 60.0
 _REQUEST_TIMEOUT_S = 120.0
 
 
+#: Builds one frame, encoding its bulk arrays through the receiving
+#: channel's arena writer.
+FrameBuilder = Callable[[codec.ArenaWriter], dict]
+
+
 @dataclass
 class ExecuteReply:
-    """One shard's decoded reply to an ``execute`` frame."""
+    """One shard's decoded reply to an ``execute`` or move-phase frame.
+
+    Every data verb answers in this one shape; a ``take`` reports its
+    ``(found mask, flat payload rows)`` as ``results``, ``put`` and
+    ``forget`` leave it empty.
+    """
 
     results: list
     errors: int
@@ -123,23 +142,22 @@ class ShardChannel:
             self._send(sock, frame)
             return self._recv(sock)
 
-    def send_execute(self, oplist) -> None:
-        """Encode and send an ``execute`` frame (reply read separately)."""
+    def send(self, build: FrameBuilder) -> None:
+        """Build and send one frame (reply read separately by :meth:`recv`)."""
         with self._lock:
-            sock = self._sock
-            writer = codec.ArenaWriter(self.arena)
-            self._send(
-                sock,
-                {"verb": "execute", "ops": codec.encode_ops(oplist, writer)},
-            )
+            self._send(self._sock, build(codec.ArenaWriter(self.arena)))
 
-    def recv_execute(self) -> ExecuteReply:
-        """Receive and decode the reply to :meth:`send_execute`."""
+    def recv(self) -> dict:
+        """Receive the raw reply to the last :meth:`send`."""
         with self._lock:
-            reply = self._recv(self._sock)
-        reader = codec.ArenaReader(self.arena)
+            return self._recv(self._sock)
+
+    def decode_reply(self, reply: dict) -> ExecuteReply:
+        """Decode a data verb's reply, resolving arrays from the arena."""
         return ExecuteReply(
-            results=codec.decode_results(reply["results"], reader),
+            results=codec.decode_results(
+                reply.get("results", ()), codec.ArenaReader(self.arena)
+            ),
             errors=int(reply.get("errors", 0)),
             accesses=_decode_counter(reply.get("accesses")),
             wall_ns=float(reply.get("wall_ns", 0.0)),
@@ -285,36 +303,67 @@ class ShardCluster:
             except KeyError:
                 raise ShardError(f"no channel for shard {shard}") from None
 
-    def request_all(self, frame: dict) -> dict[int, dict]:
-        """Send one verb frame to every shard; collect replies by shard."""
-        with self._lock:
-            channels = dict(self._channels)
-        return {
-            shard: channel.request(dict(frame))
-            for shard, channel in sorted(channels.items())
-        }
-
-    def execute_round(
-        self, shard_ops: dict[int, list]
-    ) -> dict[int, ExecuteReply]:
-        """Fan one round of per-shard sub-batches out and collect replies.
+    def round(
+        self, frames: Mapping[int, FrameBuilder]
+    ) -> dict[int, dict]:
+        """Send each involved shard its frame, then collect each raw reply.
 
         All sends complete before the first receive blocks, so every
-        involved worker executes concurrently; the round returns when the
-        slowest one replies.  Rounds are serialized on ``shard_state`` --
-        one in-flight round at a time keeps each arena single-writer.
+        involved worker runs concurrently; the round returns when the
+        slowest one replies.  A failure of any kind (dead worker,
+        rejected request, a frame that cannot be built) stops further
+        sends, but every channel already sent to is still drained before
+        the first error is raised -- an unread reply would answer that
+        channel's *next* request.
         """
         with self._lock:
             channels = {
                 shard: self._channels[shard]
-                for shard in shard_ops
+                for shard in frames
                 if shard in self._channels
             }
-        missing = set(shard_ops) - set(channels)
+        missing = set(frames) - set(channels)
         if missing:
             raise ShardError(f"no channel for shards {sorted(missing)}")
-        for shard, oplist in shard_ops.items():
-            channels[shard].send_execute(oplist)
+        error: Exception | None = None
+        sent = []
+        for shard, build in frames.items():
+            try:
+                channels[shard].send(build)
+            except Exception as exc:
+                error = exc
+                break
+            sent.append(shard)
+        replies = {}
+        for shard in sent:
+            try:
+                replies[shard] = channels[shard].recv()
+            except Exception as exc:
+                error = error or exc
+        if error is not None:
+            raise error
+        return replies
+
+    def request_all(self, frame: dict) -> dict[int, dict]:
+        """Send one verb frame to every shard; collect replies by shard."""
+        with self._lock:
+            shards = sorted(self._channels)
+        return self.round({shard: lambda _writer: frame for shard in shards})
+
+    def execute_round(
+        self, shard_ops: dict[int, list]
+    ) -> dict[int, ExecuteReply]:
+        """Fan one round of per-shard sub-batches out and collect replies."""
+        replies = self.round(
+            {
+                shard: lambda writer, oplist=oplist: {
+                    "verb": "execute",
+                    "ops": codec.encode_ops(oplist, writer),
+                }
+                for shard, oplist in shard_ops.items()
+            }
+        )
         return {
-            shard: channels[shard].recv_execute() for shard in shard_ops
+            shard: self.channel(shard).decode_reply(reply)
+            for shard, reply in replies.items()
         }

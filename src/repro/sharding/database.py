@@ -18,19 +18,42 @@ from the same rows would return, because
   worker, preserving submission order where it matters;
 * cross-shard range aggregates decompose exactly -- the shards partition
   the key space, so per-shard counts/sums add up to the serial answer;
-* cross-shard key updates are the one ordering hazard, so they drain the
-  pending round (a barrier), then move the row with a **two-phase
-  protocol**: the source logs ``[move_intent, delete]`` as one atomic WAL
-  record and replies with the payload, the target logs ``[move_commit,
-  insert]``, and the source logs ``[move_forget]`` once the dispatcher
-  has the target's ack.  A crash anywhere in that window leaves an
+* cross-shard key updates are the one ordering hazard, so they run in
+  **move waves**.  A wave is a maximal run of consecutive update pairs
+  (the pairs of ``MultiUpdate``s and scalar ``Update``s, in submission
+  order) whose old and new keys are pairwise distinct; it ends at the
+  first pair that reuses one of its keys and at the first operation of
+  another kind.  Distinct keys mean disjoint key multisets, so the pairs
+  of one wave commute with each other, same-shard and cross-shard
+  alike; a pair that shares a key with an earlier one may not (a chain
+  ``a->b, b->c``, a swap, one old key twice), so it opens the next wave.
+  There is no size threshold: a lone move is a wave of one.  The wave's
+  same-shard pairs ride the per-shard ``MultiUpdate`` sub-batches; when
+  the wave ends, everything queued goes out as one flush (the barrier:
+  the moves observe every earlier effect and are observed by everything
+  after) and its cross-shard pairs run as at most three fan-out rounds,
+  each shard receiving the *list* of its moves: ``take`` to every
+  source, ``put`` to every target, ``forget`` back to the sources --
+  four exchanges per involved shard however many rows move.
+* each phase is logged **per shard as one atomic WAL record of per-move
+  markers** -- the source's take as ``[move_intent..., delete]`` before
+  it replies with the payloads (through the arena), the target's put as
+  ``[move_commit..., insert]``, the source's forget as
+  ``[move_forget...]``, sent only once every put of the wave is acked.
+  One record is all-or-nothing under its CRC, and the markers inside it
+  are the ones a lone move would log, so the crash argument is the
+  per-move one, unchanged: a crash anywhere in the window leaves, for
+  each move separately, either no intent (the move never happened) or an
   unresolved intent that :meth:`ShardedDatabase.open` resolves by
   consulting the target shard's logged commits -- re-driving the insert
-  or discarding the intent -- so the move lands fully applied or fully
-  absent, never as a lost row.  The resolution scan trusts that rounds
-  serialize with checkpoints (both run through the dispatcher), so a
-  target's ``move_commit`` record always outlives any unresolved source
-  intent -- checkpoint GC cannot drop it mid-move.
+  from the carried payload or only forgetting -- so every move of a
+  wave lands fully applied or fully absent, never as a lost row, and
+  moves of one wave may land on different sides.  The resolution scan
+  speaks the same list verbs (one ``put`` and one ``forget`` frame per
+  shard) and trusts that rounds serialize with checkpoints (both run
+  through the dispatcher), so a target's ``move_commit`` record always
+  outlives any unresolved source intent -- checkpoint GC cannot drop it
+  mid-move.
 
 Documented divergences (also in the README): row ids created *after*
 load (inserts, cross-shard moves) need not match the serial oracle's --
@@ -57,11 +80,7 @@ from ..storage.cost_accounting import AccessCounter
 from ..workload import operations as ops
 from ..workload.operations import Operation, Workload
 from . import codec
-from .cluster import (
-    DEFAULT_ARENA_BYTES,
-    ShardCluster,
-    _decode_counter,
-)
+from .cluster import DEFAULT_ARENA_BYTES, ExecuteReply, ShardCluster
 from .codec import ArenaWriter
 from .errors import ShardError
 from .shard_map import ShardMap
@@ -124,6 +143,28 @@ def _scan_move_markers(
                 elif record.kind == "move_forget":
                     forgets.add(int(record.keys[0]))
     return intents, commits, forgets
+
+
+def _move_frame(verb: str, **arrays):
+    """Builder of one move-phase frame: every array rides the arena."""
+
+    def build(writer: ArenaWriter) -> dict:
+        frame = {"verb": verb}
+        for name, values in arrays.items():
+            frame[name] = writer.put(values)
+        return frame
+
+    return build
+
+
+def _rows_by_shard(
+    shards: np.ndarray, rows: np.ndarray
+) -> dict[int, np.ndarray]:
+    """``rows`` grouped by ``shards[rows]``, in ascending shard order."""
+    return {
+        int(shard): rows[shards[rows] == shard]
+        for shard in np.unique(shards[rows])
+    }
 
 
 class ShardedDatabase:
@@ -359,12 +400,12 @@ class ShardedDatabase:
             next_move = cls._resolve_moves(cluster, shard_map, root, n_shards)
             # Row counts are read *after* resolution: a re-driven insert
             # changes a shard's size, and bases must reflect final state.
+            stats = cluster.request_all({"verb": "stats"})
             bases = []
             base = 0
             for shard in range(n_shards):
-                reply = cluster.channel(shard).request({"verb": "stats"})
                 bases.append(base)
-                base += int(reply.get("rows", 0))
+                base += int(stats[shard].get("rows", 0))
         except Exception:
             if owns_cluster:
                 cluster.stop()
@@ -408,22 +449,37 @@ class ShardedDatabase:
             ),
             default=0,
         )
-        for shard, (intents, _commits, forgets) in enumerate(markers):
-            for move_id in sorted(set(intents) - forgets):
-                old_key, new_key, payload = intents[move_id]
+        puts: dict[int, list] = {}
+        forgets: dict[int, list[int]] = {}
+        for shard, (intents, _commits, forgotten) in enumerate(markers):
+            for move_id in sorted(set(intents) - forgotten):
+                _old_key, new_key, payload = intents[move_id]
                 target = shard_map.shard_of(new_key)
                 if move_id not in markers[target][1]:
-                    cluster.channel(target).request(
-                        {
-                            "verb": "put",
-                            "key": new_key,
-                            "payload": payload or None,
-                            "move": move_id,
-                        }
+                    puts.setdefault(target, []).append(
+                        (move_id, new_key, payload)
                     )
-                cluster.channel(shard).request(
-                    {"verb": "forget", "move": move_id}
-                )
+                forgets.setdefault(shard, []).append(move_id)
+        # One list frame per shard and phase, the same verbs a live wave
+        # speaks; every re-driven put is acked before any forget is sent.
+        if puts:
+            cluster.round(
+                {
+                    target: _move_frame(
+                        "put",
+                        moves=[row[:2] for row in rows],
+                        payload=[row[2] for row in rows],
+                    )
+                    for target, rows in puts.items()
+                }
+            )
+        if forgets:
+            cluster.round(
+                {
+                    shard: _move_frame("forget", moves=move_ids)
+                    for shard, move_ids in forgets.items()
+                }
+            )
         return next_move
 
     # ------------------------------------------------------------------ #
@@ -513,9 +569,10 @@ class ShardedSession:
 
     Operations accumulate into per-shard sub-batches and are flushed as
     one :meth:`~repro.sharding.cluster.ShardCluster.execute_round` at the
-    end of each :meth:`execute` call (or earlier, when a cross-shard key
-    update forces a barrier), so one submitted batch costs one round of
-    concurrent worker execution, not one round trip per operation.
+    end of each :meth:`execute` call (or earlier, when a move wave with
+    cross-shard pairs ends -- see the module docstring), so one submitted
+    batch costs one round of concurrent worker execution, not one round
+    trip per operation.
     """
 
     def __init__(self, database: ShardedDatabase) -> None:
@@ -557,7 +614,7 @@ class ShardedSession:
         ``durable`` is the conjunction of every involved shard's report.
         ``accesses`` is the sum of worker-side tallies (cross-shard moves
         charge their take+put decomposition, not the serial update's
-        counts).
+        counts); the per-shard breakdowns include the move phases.
         """
         if self._closed:
             raise ShardError("session is closed")
@@ -587,7 +644,8 @@ class ShardedSession:
 
 
 class _Batch:
-    """One execute call's routing state: pending sub-batches + mergers."""
+    """One execute call's routing state: pending sub-batches, mergers and
+    the open move wave."""
 
     def __init__(self, database: ShardedDatabase) -> None:
         self.database = database
@@ -600,6 +658,13 @@ class _Batch:
         self.shard_wall_ns: dict[int, float] = {}
         self._pending: dict[int, list] = {}
         self._appliers: list = []
+        #: The open move wave: every key its update pairs touch, and its
+        #: cross-shard pairs as ``(old, new, source, target, hits, row)``
+        #: -- ``hits[row]`` takes a ``MultiUpdate`` pair's 0/1 outcome;
+        #: ``hits is None`` marks a scalar ``Update``, whose miss is one
+        #: error instead.
+        self._wave_keys: set[int] = set()
+        self._wave_moves: list[tuple] = []
 
     # -- plumbing ------------------------------------------------------- #
 
@@ -610,30 +675,36 @@ class _Batch:
         return len(sub) - 1
 
     def flush(self) -> None:
+        """Run the open wave, then whatever is still pending."""
+        self._end_wave()
+        self._dispatch()
+
+    def _dispatch(self) -> None:
         """Dispatch pending sub-batches as one round and merge replies."""
+        results = {}
         if self._pending:
             replies = self.database.cluster.execute_round(self._pending)
             for shard, reply in replies.items():
-                self.errors += reply.errors
-                self.accesses.merge(reply.accesses)
-                self.durable = self.durable and reply.durable
-                if reply.commit_lsn is not None:
-                    self.shard_lsns[shard] = int(reply.commit_lsn)
-                self.shard_accesses.setdefault(
-                    shard, AccessCounter()
-                ).merge(reply.accesses)
-                self.shard_wall_ns[shard] = (
-                    self.shard_wall_ns.get(shard, 0.0) + reply.wall_ns
-                )
-            results = {
-                shard: reply.results for shard, reply in replies.items()
-            }
-        else:
-            results = {}
+                self._absorb(shard, reply)
+                results[shard] = reply.results
         for applier in self._appliers:
             applier(results)
         self._pending = {}
         self._appliers = []
+
+    def _absorb(self, shard: int, reply: ExecuteReply) -> None:
+        """Fold one shard reply's tallies and watermark into the call's."""
+        self.errors += reply.errors
+        self.accesses.merge(reply.accesses)
+        self.durable = self.durable and reply.durable
+        if reply.commit_lsn is not None:
+            self.shard_lsns[shard] = int(reply.commit_lsn)
+        self.shard_accesses.setdefault(shard, AccessCounter()).merge(
+            reply.accesses
+        )
+        self.shard_wall_ns[shard] = (
+            self.shard_wall_ns.get(shard, 0.0) + reply.wall_ns
+        )
 
     def _slot(self, index: int) -> None:
         while len(self.out) <= index:
@@ -644,6 +715,113 @@ class _Batch:
             return list(op.columns)
         return list(self.database.payload_names)
 
+    # -- move waves ----------------------------------------------------- #
+
+    def _conflicts(self, old_key: int, new_key: int) -> bool:
+        """Whether an update pair reuses a key of the open wave.
+
+        Such a pair does not commute with the pairs before it: the caller
+        ends the wave first, so the pair opens the next one.
+        """
+        return old_key in self._wave_keys or new_key in self._wave_keys
+
+    def _end_wave(self) -> None:
+        """Close the open wave; run its cross-shard pairs, if any.
+
+        The wave's pairs touch pairwise distinct keys, so they commute
+        with each other: its same-shard pairs (already queued in the
+        per-shard sub-batches) and everything queued before it go out as
+        one flush, then the cross-shard pairs run as one move wave.
+        """
+        self._wave_keys.clear()
+        if self._wave_moves:
+            moves, self._wave_moves = self._wave_moves, []
+            self._dispatch()
+            self._run_moves(moves)
+
+    def _run_moves(self, moves: list[tuple]) -> None:
+        """One move wave, two-phase: take / put / forget rounds.
+
+        Caller has flushed -- every shard is quiescent.  Each round sends
+        every involved shard the list of its moves and collects every
+        reply.  The sources' ``take`` logs ``[move_intent..., delete]`` as
+        one WAL record before replying, the targets' ``put`` logs
+        ``[move_commit..., insert]``, and the sources' ``forget`` retires
+        the intents only after every put's ack -- so a crash at any point
+        leaves each move the same per-move WAL markers a lone move would,
+        which the re-open scan resolves to fully-applied or fully-absent.
+        Moved rows get fresh target-shard row ids (documented
+        divergence).
+        """
+        database = self.database
+        width = len(database.payload_names)
+        count = len(moves)
+        move_ids = np.fromiter(
+            (database._next_move_id() for _ in moves),
+            dtype=np.int64,
+            count=count,
+        )
+        old_keys, new_keys, sources, targets = np.asarray(
+            [move[:4] for move in moves], dtype=np.int64
+        ).T
+        by_source = _rows_by_shard(sources, np.arange(count))
+        replies = self._move_round(
+            {
+                shard: _move_frame(
+                    "take",
+                    moves=np.stack(
+                        [move_ids[rows], old_keys[rows], new_keys[rows]],
+                        axis=1,
+                    ),
+                )
+                for shard, rows in by_source.items()
+            }
+        )
+        found = np.zeros(count, dtype=bool)
+        payload = np.zeros((count, width), dtype=np.int64)
+        for shard, reply in replies.items():
+            hits, taken = reply.results
+            rows = by_source[shard][hits.astype(bool)]
+            found[rows] = True
+            payload[rows] = taken.reshape(rows.size, width)
+        for (*_, hits, row), moved in zip(moves, found.tolist(), strict=True):
+            if hits is not None:
+                # Bulk updates report misses as 0, never as errors.
+                hits[row] = int(moved)
+            elif not moved:
+                # Serial scalar updates count a miss as one error.
+                self.errors += 1
+        if not found.any():
+            return
+        live = np.flatnonzero(found)
+        self._move_round(
+            {
+                shard: _move_frame(
+                    "put",
+                    moves=np.stack([move_ids[rows], new_keys[rows]], axis=1),
+                    payload=payload[rows],
+                )
+                for shard, rows in _rows_by_shard(targets, live).items()
+            }
+        )
+        self._move_round(
+            {
+                shard: _move_frame("forget", moves=move_ids[rows])
+                for shard, rows in _rows_by_shard(sources, live).items()
+            }
+        )
+
+    def _move_round(self, frames: dict) -> dict[int, ExecuteReply]:
+        """One phase of a move wave as one fan-out round."""
+        cluster = self.database.cluster
+        replies = {
+            shard: cluster.channel(shard).decode_reply(reply)
+            for shard, reply in cluster.round(frames).items()
+        }
+        for shard, reply in replies.items():
+            self._absorb(shard, reply)
+        return replies
+
     # -- routing -------------------------------------------------------- #
 
     def route(self, index: int, op) -> None:
@@ -651,6 +829,11 @@ class _Batch:
         self._slot(index)
         shard_map = self.database.shard_map
         bases = self.database.bases
+        if self._wave_keys and not isinstance(
+            op, (ops.Update, ops.MultiUpdate)
+        ):
+            # A wave is a run of update pairs: any other kind ends it.
+            self._end_wave()
 
         if isinstance(op, ops.PointQuery):
             shard = shard_map.shard_of(op.key)
@@ -712,8 +895,12 @@ class _Batch:
             self._appliers.append(merge)
 
         elif isinstance(op, ops.Update):
-            source = shard_map.shard_of(op.old_key)
-            target = shard_map.shard_of(op.new_key)
+            old_key, new_key = int(op.old_key), int(op.new_key)
+            if self._conflicts(old_key, new_key):
+                self._end_wave()
+            self._wave_keys.update((old_key, new_key))
+            source = shard_map.shard_of(old_key)
+            target = shard_map.shard_of(new_key)
             if source == target:
                 pos = self._push(source, op)
 
@@ -722,16 +909,9 @@ class _Batch:
 
                 self._appliers.append(merge)
             else:
-                # Barrier: the move must observe every queued effect and
-                # be observed by everything after it.
-                self.flush()
-                moved = self._move(
-                    int(op.old_key), int(op.new_key), source, target
+                self._wave_moves.append(
+                    (old_key, new_key, source, target, None, 0)
                 )
-                if not moved:
-                    # Serial scalar updates count a miss as one error.
-                    self.errors += 1
-                self.out[index] = None
 
         elif isinstance(op, ops.MultiPointQuery):
             self._route_multi_point(index, op)
@@ -848,17 +1028,21 @@ class _Batch:
         self._appliers.append(merge)
 
     def _route_multi_update(self, index: int, op) -> None:
-        """Pairs apply in submission order; cross-shard pairs barrier.
+        """Pairs join the open wave in submission order.
 
-        Same-shard pairs between two barriers commute across shards (they
-        touch disjoint key multisets) and stay ordered within a shard, so
-        they group into per-shard ``MultiUpdate`` sub-batches.  The
-        result array fills progressively: sub-batch hits at their
-        positions on merge, cross-shard moves immediately.
+        Same-shard pairs stay ordered within their shard and commute
+        across shards (disjoint key multisets), so they group into
+        per-shard ``MultiUpdate`` sub-batches; cross-shard pairs collect
+        in the wave.  A pair that reuses a key of the wave ends it -- the
+        sub-batches go out first, then the wave's moves -- and opens the
+        next.  The result array fills progressively: sub-batch hits at
+        their positions on merge, moves when their wave runs.
         """
         pairs = np.asarray(op.pairs, dtype=np.int64).reshape(-1, 2)
         m = int(pairs.shape[0])
-        shard_map = self.database.shard_map
+        shards = self.database.shard_map.shard_of_batch(
+            pairs.reshape(-1)
+        ).reshape(-1, 2)
         result = np.zeros(m, dtype=np.int64)
         self.out[index] = result
         group: dict[int, tuple[list, list]] = {}
@@ -878,72 +1062,19 @@ class _Batch:
                 self._appliers.append(merge)
             group.clear()
 
-        for row in range(m):
-            old_key, new_key = int(pairs[row, 0]), int(pairs[row, 1])
-            source = shard_map.shard_of(old_key)
-            target = shard_map.shard_of(new_key)
+        for row, ((old_key, new_key), (source, target)) in enumerate(
+            zip(pairs.tolist(), shards.tolist(), strict=True)
+        ):
+            if self._conflicts(old_key, new_key):
+                emit_group()
+                self._end_wave()
+            self._wave_keys.update((old_key, new_key))
             if source == target:
                 sub_pairs, positions = group.setdefault(source, ([], []))
                 sub_pairs.append((old_key, new_key))
                 positions.append(row)
             else:
-                emit_group()
-                self.flush()
-                # Bulk updates report misses as 0, never as errors.
-                result[row] = 1 if self._move(
-                    old_key, new_key, source, target
-                ) else 0
+                self._wave_moves.append(
+                    (old_key, new_key, source, target, result, row)
+                )
         emit_group()
-
-    def _move(
-        self, old_key: int, new_key: int, source: int, target: int
-    ) -> bool:
-        """Cross-shard key update, two-phase: take / put / forget.
-
-        Caller has flushed -- both shards are quiescent.  Returns whether
-        a row moved (``False`` = ``old_key`` absent).  The source's
-        ``take`` logs ``[move_intent, delete]`` atomically before its
-        reply, the target's ``put`` logs ``[move_commit, insert]``, and
-        the source's ``forget`` retires the intent only after the put's
-        ack -- so a crash at any point leaves WAL markers the re-open
-        scan resolves to a fully-applied or fully-absent move.  The moved
-        row gets a fresh target-shard row id (documented divergence).
-        """
-        move_id = self.database._next_move_id()
-        reply = self.database.cluster.channel(source).request(
-            {
-                "verb": "take",
-                "key": old_key,
-                "new_key": new_key,
-                "move": move_id,
-            }
-        )
-        self.accesses.merge(_decode_counter(reply.get("accesses")))
-        self._merge_watermark(source, reply)
-        if not reply.get("found"):
-            return False
-        payload = (
-            [int(v) for v in reply["payload"]]
-            if self.database.payload_names
-            else None
-        )
-        put = self.database.cluster.channel(target).request(
-            {
-                "verb": "put",
-                "key": new_key,
-                "payload": payload,
-                "move": move_id,
-            }
-        )
-        self.accesses.merge(_decode_counter(put.get("accesses")))
-        self._merge_watermark(target, put)
-        forget = self.database.cluster.channel(source).request(
-            {"verb": "forget", "move": move_id}
-        )
-        self._merge_watermark(source, forget)
-        return True
-
-    def _merge_watermark(self, shard: int, reply: dict) -> None:
-        self.durable = self.durable and bool(reply.get("durable", True))
-        if reply.get("commit_lsn") is not None:
-            self.shard_lsns[shard] = int(reply["commit_lsn"])

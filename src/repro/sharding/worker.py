@@ -22,20 +22,30 @@ speaks (:mod:`repro.ipc.framing`):
     per-shard WALs are what unserializes durable write batches that a
     single-process database would funnel through one ``wal_commit`` lock.
 ``take`` / ``put`` / ``forget``
-    The two-phase cross-shard move protocol.  ``take`` removes one row of
-    a key (the deterministic oldest copy, exactly the serial table's
-    delete victim) and logs ``[move_intent, delete]`` as one WAL record
-    before replying with the payload; ``put`` inserts the carried row on
-    the target shard under ``[move_commit, insert]``; ``forget`` logs the
-    source's resolution marker once the dispatcher has the target's ack.
-    A crash anywhere in the window leaves markers the dispatcher's
+    The three phases of the two-phase cross-shard move protocol, each
+    carrying the *list* of moves one dispatcher wave routed to this
+    shard (a single move is a list of one), arrays through the arena.
+    ``take`` removes one row per listed key (the deterministic oldest
+    copy, exactly the serial table's delete victim), logs
+    ``[move_intent..., delete]`` as one WAL record and replies with the
+    hit mask and the taken payload rows; ``put`` inserts the carried rows
+    on the target shard under one ``[move_commit..., insert]`` record;
+    ``forget`` logs the source's ``[move_forget...]`` record once the
+    dispatcher has every target's ack.  One WAL record per phase is
+    all-or-nothing under its CRC, and its markers stay per move, so a
+    crash anywhere in the window leaves each move with exactly the
+    marker trail a lone move would have -- which the dispatcher's
     re-open scan resolves (see ``ShardedDatabase.open``).  The move
     fault hooks (:data:`repro.durability.faults.MOVE_POINTS`) kill the
-    worker at each window edge to test exactly that.
+    worker at each window edge, counted per phase frame, to test exactly
+    that.
 ``checkpoint`` / ``sync`` / ``stats`` / ``shutdown``
     Durability lifecycle, introspection (rows, per-kind statistics,
     replans, recorded discipline violations -- the CI shard job asserts
-    zero), and orderly exit.
+    zero -- and the frame counters: ``batches`` / ``takes`` / ``puts`` /
+    ``forgets`` frames served since attach plus ``frames``, every
+    request served since attach except ``stats`` probes themselves, so
+    tests and benches can assert frame counts), and orderly exit.
 
 The worker is single-threaded on purpose: per-shard FIFO execution is
 half of the serial-equivalence argument (the other half is the shard
@@ -46,6 +56,7 @@ safely.
 
 from __future__ import annotations
 
+import collections
 import os
 import socket
 
@@ -134,8 +145,9 @@ def worker_main(host: str, port: int, shard: int, token: str) -> None:
     database = None
     session = None
     arena: ShmArena | None = None
-    batches = 0
-    takes = puts = forgets = 0
+    #: Request frames served since attach, by verb; the move fault hooks
+    #: fire on the n-th frame of their phase.
+    served: collections.Counter = collections.Counter()
     faults: dict = {}
 
     def close_database() -> None:
@@ -145,6 +157,10 @@ def worker_main(host: str, port: int, shard: int, token: str) -> None:
         if database is not None:
             database.close()
         database = session = None
+
+    def die_at(point: str, verb: str) -> None:
+        if faults.get(point) == served[verb]:
+            os._exit(1)
 
     try:
         while True:
@@ -157,6 +173,7 @@ def worker_main(host: str, port: int, shard: int, token: str) -> None:
             verb = request.get("verb")
             reply: dict = {"ok": True}
             try:
+                served[verb] += 1
                 if verb == "attach":
                     close_database()
                     if arena is not None:
@@ -168,26 +185,22 @@ def worker_main(host: str, port: int, shard: int, token: str) -> None:
                     database = _build_database(request, reader)
                     session = _open_session(database, request.get("config", {}))
                     faults = request.get("faults") or {}
-                    batches = takes = puts = forgets = 0
+                    served.clear()
                     reply["rows"] = int(database.num_rows)
                     reply["payload_names"] = list(database.table.payload_names)
                 elif verb == "execute":
-                    batches += 1
-                    if faults.get("exit_before_apply") == batches:
-                        os._exit(1)
+                    die_at("exit_before_apply", verb)
                     reader = codec.ArenaReader(arena)
                     oplist = codec.decode_ops(request["ops"], reader)
                     outcome = session.execute(oplist)
-                    if faults.get("exit_before_ack") == batches:
-                        # Simulates a crash after the WAL append + fsync
-                        # but before the dispatcher hears back: recovery
-                        # must replay this batch from the shard's log.
-                        os._exit(1)
-                    writer = codec.ArenaWriter(arena)
+                    # Simulates a crash after the WAL append + fsync but
+                    # before the dispatcher hears back: recovery must
+                    # replay this batch from the shard's log.
+                    die_at("exit_before_ack", verb)
                     reply["results"] = codec.encode_results(
                         oplist,
                         outcome.results,
-                        writer,
+                        codec.ArenaWriter(arena),
                         database.table.payload_names,
                     )
                     reply["errors"] = int(outcome.errors)
@@ -196,46 +209,36 @@ def worker_main(host: str, port: int, shard: int, token: str) -> None:
                     reply["commit_lsn"] = outcome.commit_lsn
                     reply["durable"] = bool(outcome.durable)
                 elif verb == "take":
-                    takes += 1
-                    if faults.get("move.take.before_apply") == takes:
-                        os._exit(1)
+                    die_at("move.take.before_apply", verb)
+                    moves = codec.ArenaReader(arena).get(request["moves"])
+                    outcome = database.engine.take_for_moves(moves)
+                    found, rows = outcome.result
+                    if found.any():
+                        # The intents + delete are on the source WAL but
+                        # the dispatcher never hears the payloads:
+                        # recovery must resolve the orphaned intents from
+                        # the log alone.
+                        die_at("move.take.before_ack", verb)
                     reply.update(
-                        _take(
-                            database,
-                            int(request["key"]),
-                            int(request["new_key"]),
-                            int(request["move"]),
-                        )
+                        _move_reply(database, arena, outcome, found, rows)
                     )
-                    if reply.get("found") and (
-                        faults.get("move.take.before_ack") == takes
-                    ):
-                        # The intent + delete are on the source WAL but the
-                        # dispatcher never hears the payload: recovery must
-                        # resolve the orphaned intent from the log alone.
-                        os._exit(1)
                 elif verb == "put":
-                    puts += 1
-                    if faults.get("move.put.before_apply") == puts:
-                        os._exit(1)
-                    reply.update(
-                        _put(
-                            database,
-                            int(request["key"]),
-                            request.get("payload"),
-                            int(request["move"]),
-                        )
+                    die_at("move.put.before_apply", verb)
+                    reader = codec.ArenaReader(arena)
+                    outcome = database.engine.apply_move_puts(
+                        reader.get(request["moves"]),
+                        reader.get(request["payload"]),
                     )
-                    if faults.get("move.put.before_ack") == puts:
-                        # The commit + insert are on the target WAL but the
-                        # source never gets its forget: the re-open scan
-                        # must see the commit and only discard the intent.
-                        os._exit(1)
+                    # The commits + insert are on the target WAL but the
+                    # sources never get their forgets: the re-open scan
+                    # must see the commits and only discard the intents.
+                    die_at("move.put.before_ack", verb)
+                    reply.update(_move_reply(database, arena, outcome))
                 elif verb == "forget":
-                    forgets += 1
-                    if faults.get("move.forget.before_apply") == forgets:
-                        os._exit(1)
-                    database.engine.log_move_forget(int(request["move"]))
+                    die_at("move.forget.before_apply", verb)
+                    database.engine.log_move_forgets(
+                        codec.ArenaReader(arena).get(request["moves"])
+                    )
                     reply.update(_watermark(database))
                 elif verb == "checkpoint":
                     if database.durability is not None:
@@ -245,7 +248,7 @@ def worker_main(host: str, port: int, shard: int, token: str) -> None:
                     if database.durability is not None:
                         reply["durable_lsn"] = int(database.sync())
                 elif verb == "stats":
-                    reply.update(_stats(database, session, discipline))
+                    reply.update(_stats(database, session, discipline, served))
                 elif verb == "shutdown":
                     framing.send_frame(sock, reply, max_frame=MAX_FRAME)
                     break
@@ -267,38 +270,16 @@ def worker_main(host: str, port: int, shard: int, token: str) -> None:
             pass
 
 
-def _take(database, key: int, new_key: int, move_id: int) -> dict:
-    """Take one row of ``key`` for a move; reply with its payload (or miss).
-
-    ``Table.take_row`` removes the deterministic oldest copy -- the same
-    victim a plain delete would choose -- and hands back exactly the
-    payload that left the table, keeping the (key, payload) multiset
-    faithful when duplicates carry distinct payloads.  With durability
-    attached the engine logs ``[move_intent, delete]`` atomically before
-    this reply is sent.
-    """
-    from ..storage.errors import ValueNotFoundError
-
-    before = database.engine.counter.snapshot()
-    try:
-        outcome = database.engine.take_for_move(key, new_key, move_id)
-    except ValueNotFoundError:
-        diff = database.engine.counter.diff(before)
-        return {"found": False, "accesses": _counter_meta(diff)}
-    _, payload_row = outcome.result
+def _move_reply(database, arena, outcome, *arrays) -> dict:
+    """A move phase's reply, in the shape of an ``execute`` reply: result
+    arrays through the arena, access tally, wall time, watermark."""
+    writer = codec.ArenaWriter(arena)
     reply = {
-        "found": True,
-        "payload": [int(value) for value in payload_row],
+        # The codec's wire form of a bare int64 array result.
+        "results": [{"t": "a", "v": writer.put(array)} for array in arrays],
         "accesses": _counter_meta(outcome.accesses),
+        "wall_ns": float(outcome.wall_ns),
     }
-    reply.update(_watermark(database))
-    return reply
-
-
-def _put(database, key: int, payload, move_id: int) -> dict:
-    """Insert the carried row of a move under ``[move_commit, insert]``."""
-    outcome = database.engine.apply_move_put(key, payload, move_id)
-    reply = {"accesses": _counter_meta(outcome.accesses)}
     reply.update(_watermark(database))
     return reply
 
@@ -312,7 +293,7 @@ def _watermark(database) -> dict:
     return {"commit_lsn": lsn, "durable": bool(manager.durable_lsn >= lsn)}
 
 
-def _stats(database, session, discipline) -> dict:
+def _stats(database, session, discipline, served) -> dict:
     replans = 0
     if session is not None and session.reorg is not None:
         reorg = session.reorg
@@ -329,6 +310,14 @@ def _stats(database, session, discipline) -> dict:
         "replans": replans,
         "violations": len(discipline.violations()),
         "durable_lsn": durable_lsn,
+        # Frames served since attach: per data verb, and in total
+        # (``stats`` probes excluded, so the total is a function of the
+        # workload alone).
+        "batches": served["execute"],
+        "takes": served["take"],
+        "puts": served["put"],
+        "forgets": served["forget"],
+        "frames": sum(served.values()) - served["stats"],
     }
 
 

@@ -540,59 +540,90 @@ class StorageEngine:
     # ------------------------------------------------------------------ #
     # Cross-shard move protocol (two-phase: intent / commit / forget)
     # ------------------------------------------------------------------ #
+    #
+    # Each phase takes the moves one dispatcher wave routed to this shard
+    # (a single move is a list of one) and logs them as ONE WAL record of
+    # per-move markers, so a crash leaves every move of the phase logged
+    # or none of them.
 
-    def take_for_move(
-        self, key: int, new_key: int, move_id: int
-    ) -> OperationResult:
-        """The take half of a cross-shard move: delete one row by key and
-        log ``[move_intent, delete]`` as one WAL record.
+    def take_for_moves(self, moves: np.ndarray) -> OperationResult:
+        """The take phase: delete one row per ``(move_id, old_key,
+        new_key)`` row of ``moves`` and log ``[move_intent..., delete]``
+        as one WAL record.
 
-        The intent carries the victim's payload and the target key, so a
-        dispatcher that finds it unresolved after a crash can re-drive the
-        insert half without the source row.  The operation result is the
-        ``(rowid, payload_row)`` pair of the taken row.  Raises
-        :class:`ValueNotFoundError` (logging nothing) when the key is
-        absent.
+        Each intent carries its victim's payload and the target key, so a
+        dispatcher that finds it unresolved after a crash can re-drive
+        the insert half without the source row.  The operation result is
+        ``(found, payload_rows)``: a boolean hit mask aligned with
+        ``moves`` and the payload rows of the hits, in order.  Absent
+        keys are misses -- no marker, no delete; a phase of misses logs
+        nothing.  Victims are taken in list order, each the oldest copy
+        of its key (exactly a plain delete's victim).
         """
+        moves = np.asarray(moves, dtype=np.int64).reshape(-1, 3)
+        keys = moves[:, 1]
+
+        def take_rows() -> tuple[np.ndarray, np.ndarray]:
+            found = np.zeros(keys.size, dtype=bool)
+            rows = []
+            for position, key in enumerate(keys.tolist()):
+                try:
+                    rows.append(self.table.take_row(key)[1])
+                except ValueNotFoundError:
+                    continue
+                found[position] = True
+            width = len(self.table.payload_names)
+            taken = np.asarray(rows, dtype=np.int64).reshape(len(rows), width)
+            return found, taken
+
         with self._commit_scope() as deltas:
-            self._record("delete", (key,))
-            outcome = self._measure("delete", self.table.take_row, key)
-            if deltas is not None:
-                _, payload_row = outcome.result
-                deltas.record_move_intent(move_id, key, new_key, payload_row)
-                deltas.record_delete([key])
+            self._record("delete", keys)
+            outcome = self._measure("multi_take", take_rows)
+            found, rows = outcome.result
+            if deltas is not None and found.any():
+                for (move_id, old_key, new_key), row in zip(
+                    moves[found].tolist(), rows, strict=True
+                ):
+                    deltas.record_move_intent(move_id, old_key, new_key, row)
+                deltas.record_delete(keys[found])
         return outcome
 
-    def apply_move_put(
-        self, key: int, payload: Sequence[int] | None, move_id: int
+    def apply_move_puts(
+        self, moves: np.ndarray, payloads: np.ndarray | None
     ) -> OperationResult:
-        """The insert half of a cross-shard move: insert the carried row
-        and log ``[move_commit, insert]`` as one WAL record.
+        """The put phase: insert the carried row of every ``(move_id,
+        new_key)`` row of ``moves`` and log ``[move_commit..., insert]``
+        as one WAL record.
 
-        The commit marker is what the dispatcher's move-resolution scan
-        consults to decide whether an unresolved source intent needs the
+        The commit markers are what the dispatcher's move-resolution scan
+        consults to decide whether an unresolved source intent needs its
         insert re-driven or only a forget.
         """
+        moves = np.asarray(moves, dtype=np.int64).reshape(-1, 2)
+        keys = moves[:, 1]
+        rows = self._delta_payload_rows(payloads, keys.size)
         with self._commit_scope() as deltas:
-            self._record("insert", (key,))
-            outcome = self._measure("insert", self.table.insert, key, payload)
+            self._record("insert", keys)
+            outcome = self._measure(
+                "multi_insert", self.table.bulk_insert, keys, rows
+            )
             if deltas is not None:
-                rows = self._delta_payload_rows(
-                    [payload] if payload is not None else None, 1
-                )
-                deltas.record_move_commit(move_id)
-                deltas.record_insert([key], rows)
+                for move_id in moves[:, 0].tolist():
+                    deltas.record_move_commit(move_id)
+                deltas.record_insert(keys, rows)
         return outcome
 
-    def log_move_forget(self, move_id: int) -> None:
-        """Resolve a move on the source shard: log ``[move_forget]``.
+    def log_move_forgets(self, move_ids: Sequence[int]) -> None:
+        """The forget phase: log ``[move_forget...]`` for the resolved
+        moves as one WAL record.
 
         Pure WAL bookkeeping -- no table mutation, no-op without
         durability attached.
         """
         with self._commit_scope() as deltas:
             if deltas is not None:
-                deltas.record_move_forget(move_id)
+                for move_id in move_ids:
+                    deltas.record_move_forget(int(move_id))
 
     # ------------------------------------------------------------------ #
     # Workload dispatch

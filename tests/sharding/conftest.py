@@ -21,3 +21,10 @@ def cluster3():
     """One running 3-shard worker pool, reused across tests via attach."""
     with ShardCluster(N_SHARDS, arena_bytes=1 << 20) as cluster:
         yield cluster
+
+
+@pytest.fixture(scope="session")
+def cluster2():
+    """A 2-shard pool: one fence, so every cross-shard pair crosses it."""
+    with ShardCluster(2, arena_bytes=1 << 20) as cluster:
+        yield cluster

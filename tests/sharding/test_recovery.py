@@ -20,7 +20,13 @@ from shard_helpers import payload_for
 from repro.durability.faults import MOVE_POINTS
 from repro.sharding import ShardedDatabase, WorkerDiedError
 from repro.sharding.shard_map import ShardMap
-from repro.workload.operations import MultiInsert, PointQuery, RangeQuery, Update
+from repro.workload.operations import (
+    MultiInsert,
+    MultiUpdate,
+    PointQuery,
+    RangeQuery,
+    Update,
+)
 
 BASE_KEYS = np.repeat(np.arange(0, 40, dtype=np.int64), 5)  # 200 rows
 
@@ -175,6 +181,67 @@ class TestMidMoveKill:
         finally:
             recovered.close()
 
+    #: A multi-move wave: distinct keys, both directions across the
+    #: fence (keys 0..19 are shard 0, 20..39 shard 1), one miss.
+    WAVE_PAIRS = ((0, 39), (1, 38), (30, 2), (31, 3), (1000, 5), (4, 37))
+
+    @pytest.mark.parametrize("faulted", (0, 1))
+    @pytest.mark.parametrize("point", MOVE_POINTS)
+    def test_wave_killed_at_every_edge_recovers_each_move_whole_or_absent(
+        self, tmp_path, point, faulted
+    ):
+        """The matrix again over a wave: each phase is one list frame
+        and one WAL record per shard, and every move must still recover
+        individually whole or absent."""
+        root = tmp_path / "db"
+        routes = [move_shards(old, new) for old, new in self.WAVE_PAIRS]
+        assert {(0, 1), (1, 0)} <= set(routes)
+        database = durable_db(root, faults={faulted: {point: 1}})
+        try:
+            with database.session() as session:
+                with pytest.raises(WorkerDiedError) as info:
+                    session.execute(MultiUpdate(pairs=self.WAVE_PAIRS))
+            assert info.value.shard == faulted
+        finally:
+            database.close()
+
+        recovered = ShardedDatabase.open(root)
+        try:
+            assert count_all(recovered) == BASE_KEYS.size
+            for (old_key, new_key), (source, _) in zip(self.WAVE_PAIRS, routes):
+                old_rows = point_rows(recovered, old_key)
+                new_rows = point_rows(recovered, new_key)
+                moved_payload = dict(
+                    zip(("a", "b"), payload_for([old_key])[0].tolist())
+                )
+                carried = [
+                    row
+                    for row in new_rows
+                    if dict(row.payload) == moved_payload
+                ]
+                # A phase is one frame per shard: only a kill before the
+                # source shard logged its take list leaves its moves
+                # absent; every logged intent is re-driven or confirmed.
+                whole = old_key in BASE_KEYS and not (
+                    point == "move.take.before_apply" and source == faulted
+                )
+                if whole:
+                    assert (len(old_rows), len(new_rows)) == (4, 6), old_key
+                    assert len(carried) == 1, old_key
+                else:
+                    assert len(new_rows) == 5 and not carried, old_key
+                    assert len(old_rows) == (5 if old_key in BASE_KEYS else 0)
+            resolved = recovered.sync()
+        finally:
+            recovered.close()
+        # Nothing left to resolve: a second re-open appends no record.
+        reopened = ShardedDatabase.open(root)
+        try:
+            assert reopened.sync() == resolved
+            assert count_all(reopened) == BASE_KEYS.size
+        finally:
+            reopened.close()
+
     def test_lost_row_regression_take_applied_put_never_ran(self, tmp_path):
         """The documented crash-loss bug, pinned: killed between the
         take-apply and the insert-apply, the row used to vanish.  The
@@ -278,6 +345,23 @@ class TestKill:
                 with pytest.raises(WorkerDiedError) as info:
                     session.execute([both_shard_insert(database, 100)])
             assert info.value.shard == 0
+        finally:
+            database.close()
+
+    def test_partial_round_failure_leaves_no_stale_reply(self, tmp_path):
+        """A round that fails on one shard must still drain the others:
+        an unread reply would answer that channel's next request."""
+        database = durable_db(tmp_path / "db")
+        try:
+            database.kill(0)
+            with database.session() as session:
+                with pytest.raises(WorkerDiedError) as info:
+                    session.execute(RangeQuery(low=0, high=39))  # both shards
+                assert info.value.shard == 0
+                # Shard 1 answered that round with its 100 rows; this
+                # count touches shard 1 only and must get its own reply.
+                result = session.execute(RangeQuery(low=39, high=39))
+            assert result.results == [5]
         finally:
             database.close()
 

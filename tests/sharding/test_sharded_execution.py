@@ -157,6 +157,26 @@ class TestCrossShardMoves:
         assert got.errors == want.errors == 0
         assert normalize(got.results[0]) == normalize(want.results[0])
 
+    def test_moves_on_a_table_without_payload_columns(self, cluster3):
+        """Zero-width payload rows survive the arena round trip."""
+        keys = np.arange(0, 300, dtype=np.int64)
+        oplist = [
+            MultiUpdate(pairs=((10, 290), (280, 20), (7777, 1))),
+            Update(old_key=150, new_key=5),
+            MultiRangeCount(bounds=((0, 99), (100, 199), (200, 299))),
+        ]
+        serial = Database.from_rows(keys)
+        with serial.session() as session:
+            want = session.execute(list(oplist))
+        with ShardedDatabase.from_rows(
+            keys, n_shards=N_SHARDS, cluster=cluster3
+        ) as database:
+            with database.session() as session:
+                got = session.execute(list(oplist))
+        assert got.errors == want.errors == 0
+        for theirs, ours in zip(want.results, got.results, strict=True):
+            assert normalize(theirs) == normalize(ours)
+
     def test_post_move_state_matches_serial(self, cluster3):
         keys = np.arange(0, 300, dtype=np.int64)
         workload = Workload(
@@ -175,6 +195,91 @@ class TestCrossShardMoves:
                 got = session.execute(workload)
         for theirs, ours in zip(want.results, got.results, strict=True):
             assert normalize(theirs) == normalize(ours)
+
+
+def frames_served(database) -> dict[int, dict[str, int]]:
+    """Per-shard frame counters of the worker ``stats`` verb."""
+    names = ("batches", "takes", "puts", "forgets", "frames")
+    return {
+        shard: {name: stat[name] for name in names}
+        for shard, stat in database.stats().items()
+    }
+
+
+class TestMoveWaveFrames:
+    """The wave's cost, as counted by the workers themselves."""
+
+    def test_distinct_key_multi_update_is_four_frames_per_shard(
+        self, cluster3
+    ):
+        keys = np.arange(0, 300, dtype=np.int64)
+        # Cross-shard pairs in every direction plus local ones, one miss
+        # among them, no key used twice: one wave.
+        pairs = (
+            (0, 900), (10, 910), (20, 920),  # shard 0 -> 2
+            (250, 5), (260, 15), (270, 25),  # shard 2 -> 0
+            (150, 35), (40, 145), (170, 275),  # 1 -> 0, 0 -> 1, 1 -> 2
+            (12, 13), (152, 153), (280, 281),  # local to each shard
+            (7777, 3),  # miss
+        )
+        assert len({key for pair in pairs for key in pair}) == 2 * len(pairs)
+        serial = serial_db(keys)
+        with serial.session() as session:
+            want = session.execute([MultiUpdate(pairs=pairs)])
+        with sharded_db(cluster3, keys) as database:
+            before = frames_served(database)
+            with database.session() as session:
+                got = session.execute([MultiUpdate(pairs=pairs)])
+            after = frames_served(database)
+            assert database.num_rows == serial.num_rows
+        assert got.errors == want.errors == 0
+        assert normalize(got.results[0]) == normalize(want.results[0])
+        for shard in range(N_SHARDS):
+            spent = {
+                name: after[shard][name] - before[shard][name]
+                for name in after[shard]
+            }
+            # One sub-batch, one take list, one put list, one forget list.
+            assert spent["batches"] <= 1 and spent["takes"] <= 1, spent
+            assert spent["puts"] <= 1 and spent["forgets"] <= 1, spent
+            assert spent["frames"] <= 4, spent
+            assert spent["frames"] == sum(
+                spent[name] for name in ("batches", "takes", "puts", "forgets")
+            )
+
+    def test_key_reuse_splits_the_wave(self, cluster3):
+        keys = np.arange(0, 300, dtype=np.int64)
+        with sharded_db(cluster3, keys) as database:
+            source = database.shard_map.shard_of(20)
+            before = frames_served(database)
+            with database.session() as session:
+                result = session.execute(
+                    [MultiUpdate(pairs=((20, 290), (290, 30), (21, 291)))]
+                )
+            after = frames_served(database)
+        assert result.results[0].tolist() == [1, 1, 1]
+        # (290, 30) reuses 290, so it opens a second wave; (21, 291)
+        # rides along with it.  Shard 0 is a source in both.
+        assert after[source]["takes"] - before[source]["takes"] == 2
+
+    def test_a_wave_of_misses_stops_after_the_take_round(self, cluster3):
+        keys = np.arange(0, 300, dtype=np.int64)
+        with sharded_db(cluster3, keys) as database:
+            before = frames_served(database)
+            with database.session() as session:
+                result = session.execute(
+                    [
+                        Update(old_key=1000, new_key=5),
+                        Update(old_key=-7, new_key=299),
+                    ]
+                )
+            after = frames_served(database)
+        assert result.errors == 2
+        spent = {
+            name: sum(after[s][name] - before[s][name] for s in after)
+            for name in ("takes", "puts", "forgets")
+        }
+        assert spent == {"takes": 2, "puts": 0, "forgets": 0}
 
 
 class TestFacade:
@@ -241,3 +346,24 @@ class TestFacade:
                 channel.request({"verb": "no-such-verb"})
             # The stream stays framed: the next request works.
             assert channel.request({"verb": "stats"})["ok"]
+
+    def test_unbuildable_frame_mid_round_leaves_no_stale_reply(
+        self, cluster3, keys
+    ):
+        """Whatever stops a round -- here shard 1's sub-batch fails to
+        encode with a plain ``ValueError`` -- the shards already sent to
+        are drained, so their next request gets its own reply."""
+        with sharded_db(cluster3, keys):
+            everything = RangeQuery(low=-(2**62), high=2**62)
+            with pytest.raises(ValueError):
+                cluster3.execute_round(
+                    {
+                        0: [everything],
+                        1: [MultiPointQuery(keys=("not-a-key",))],
+                        2: [everything],
+                    }
+                )
+            # Shard 0 answered that round with its (non-zero) row count;
+            # an empty range must get its own reply, not that one.
+            nothing = RangeQuery(low=2**61, high=2**62)
+            assert cluster3.execute_round({0: [nothing]})[0].results == [0]
