@@ -31,14 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..storage.cost_accounting import DEFAULT_BLOCK_VALUES
-from ..workload.operations import (
-    Delete,
-    Insert,
-    PointQuery,
-    RangeQuery,
-    Update,
-    Workload,
-)
+from ..storage.access_log import PAIRED_UPDATE_KIND, RANGE_KINDS
+from ..workload.operations import Operation, Workload
 
 #: Names of the ten FM histograms, in the order the paper introduces them.
 HISTOGRAM_NAMES = (
@@ -280,26 +274,32 @@ def learn_from_workload(
 
     The workload is *not* executed: each operation is mapped onto the blocks
     it would touch in the initial dataset, exactly as described in Section
-    4.2 (results are not materialized, data is not modified).
+    4.2 (results are not materialized, data is not modified).  Operations
+    are read through their attribution (:mod:`repro.workload.operations`),
+    so a batched ``Multi*`` operation trains exactly as its scalars would.
     """
     mapper = BlockMapper(sorted_values, block_values)
     model = FrequencyModel(mapper.num_blocks)
+    record_key = {
+        "point_query": model.record_point_query,
+        "insert": model.record_insert,
+        "delete": model.record_delete,
+    }
     for operation in workload:
-        if isinstance(operation, PointQuery):
-            model.record_point_query(mapper.block_of(operation.key))
-        elif isinstance(operation, RangeQuery):
-            start, end = mapper.block_range(operation.low, operation.high)
-            model.record_range_query(start, end)
-        elif isinstance(operation, Insert):
-            model.record_insert(mapper.block_of(operation.key))
-        elif isinstance(operation, Delete):
-            model.record_delete(mapper.block_of(operation.key))
-        elif isinstance(operation, Update):
-            model.record_update(
-                mapper.block_of(operation.old_key), mapper.block_of(operation.new_key)
-            )
-        else:
+        if not isinstance(operation, Operation):
             raise TypeError(f"unsupported operation type: {type(operation)!r}")
+        kind, lows, highs = operation.attribution()
+        if kind in RANGE_KINDS:
+            for low, high in zip(lows, highs, strict=True):
+                model.record_range_query(*mapper.block_range(low, high))
+        elif kind == PAIRED_UPDATE_KIND:
+            for old_key, new_key in zip(lows, highs, strict=True):
+                model.record_update(
+                    mapper.block_of(old_key), mapper.block_of(new_key)
+                )
+        else:
+            for key in lows:
+                record_key[kind](mapper.block_of(key))
     return model
 
 

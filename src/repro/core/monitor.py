@@ -52,11 +52,6 @@ from ..workload.operations import (
     Aggregate,
     Delete,
     Insert,
-    MultiDelete,
-    MultiInsert,
-    MultiPointQuery,
-    MultiRangeCount,
-    MultiUpdate,
     Operation,
     PointQuery,
     RangeQuery,
@@ -517,49 +512,16 @@ class WorkloadMonitor:
     def observe_workload(self, table, workload) -> None:
         """Attribute every operation of ``workload`` as the engine would.
 
-        Translates operation objects into the access records the engine's
-        dispatch methods append -- including the vectorized ``Multi*``
-        batch forms and the source/target split of updates -- and ingests
-        them through :meth:`observe_batch`.  Useful for seeding baseline
+        Records each operation's own attribution
+        (:mod:`repro.workload.operations`) -- the access record the
+        engine's dispatch methods append for it, ``Multi*`` batch forms and
+        paired updates included -- and ingests the log through
+        :meth:`observe_batch`.  Useful for seeding baseline
         chunk mixes from an offline training sample without executing it.
         """
         log = AccessLog()
         for operation in workload:
-            if isinstance(operation, PointQuery):
-                log.record("point_query", (operation.key,))
-            elif isinstance(operation, RangeQuery):
-                kind = (
-                    "range_count"
-                    if operation.aggregate is Aggregate.COUNT
-                    else "range_sum"
-                )
-                log.record(kind, (operation.low,), (operation.high,))
-            elif isinstance(operation, Insert):
-                log.record("insert", (operation.key,))
-            elif isinstance(operation, Delete):
-                log.record("delete", (operation.key,))
-            elif isinstance(operation, Update):
-                log.record(
-                    PAIRED_UPDATE_KIND,
-                    (operation.old_key,),
-                    (operation.new_key,),
-                )
-            elif isinstance(operation, MultiPointQuery):
-                log.record("point_query", operation.keys)
-            elif isinstance(operation, MultiRangeCount):
-                bounds = np.asarray(operation.bounds, dtype=np.int64).reshape(
-                    -1, 2
-                )
-                log.record("range_count", bounds[:, 0], bounds[:, 1])
-            elif isinstance(operation, MultiInsert):
-                log.record("insert", operation.keys)
-            elif isinstance(operation, MultiDelete):
-                log.record("delete", operation.keys)
-            elif isinstance(operation, MultiUpdate):
-                pairs = np.asarray(operation.pairs, dtype=np.int64).reshape(
-                    -1, 2
-                )
-                log.record(PAIRED_UPDATE_KIND, pairs[:, 0], pairs[:, 1])
+            log.record(*operation.attribution())
         self.observe_batch(table, log)
 
     # ------------------------------------------------------------------ #

@@ -13,10 +13,12 @@ the Casper operation mode of the Fig. 12/13 experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
+from ..storage.access_log import RANGE_KINDS
 from ..storage.column import PartitionedColumn, snap_boundaries_to_duplicates
 from ..storage.cost_accounting import (
     DEFAULT_BLOCK_VALUES,
@@ -149,33 +151,48 @@ class CasperPlanner:
         vector = boundaries_to_vector(num_blocks, blocks)
         return CostModel(frequency_model, self.constants).total_cost(vector)
 
-    def _restrict_workload(self, values: np.ndarray) -> Workload:
-        """Keep only the sample operations that touch this chunk's key range."""
-        low, high = int(values[0]), int(values[-1])
-        from ..workload.operations import (
-            Delete,
-            Insert,
-            PointQuery,
-            RangeQuery,
-            Update,
+    @cached_property
+    def _sample_scalars(self) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+        """The sample's scalar expansion with each scalar's two bounds and
+        whether they bound a range, read off the operations' attribution.
+
+        Computed when the first chunk is planned and kept for the rest: a
+        planner plans every chunk of a table against one sample, and a new
+        sample is a new planner (:meth:`with_sample`).
+        """
+        scalars, lows, highs, ranged = [], [], [], []
+        for operation in self.sample_workload:
+            for scalar in operation.scalars():
+                kind, low, high = scalar.attribution()
+                scalars.append(scalar)
+                lows.append(low[0])
+                highs.append(low[0] if high is None else high[0])
+                ranged.append(kind in RANGE_KINDS)
+        return (
+            scalars,
+            np.asarray(lows, dtype=np.int64),
+            np.asarray(highs, dtype=np.int64),
+            np.asarray(ranged, dtype=bool),
         )
 
-        kept = []
-        for operation in self.sample_workload:
-            if isinstance(operation, PointQuery) and low <= operation.key <= high:
-                kept.append(operation)
-            elif isinstance(operation, RangeQuery) and not (
-                operation.high < low or operation.low > high
-            ):
-                kept.append(operation)
-            elif isinstance(operation, Insert) and low <= operation.key <= high:
-                kept.append(operation)
-            elif isinstance(operation, Delete) and low <= operation.key <= high:
-                kept.append(operation)
-            elif isinstance(operation, Update) and (
-                low <= operation.old_key <= high or low <= operation.new_key <= high
-            ):
-                kept.append(operation)
+    def _restrict_workload(self, values: np.ndarray) -> Workload:
+        """Keep only the sample operations that touch this chunk's key range.
+
+        The sample is filtered scalar by scalar, so a batched ``Multi*``
+        operation contributes exactly the rows that fall in the chunk.  A
+        range touches the chunk when it overlaps it; every bound of another
+        kind is a key, and one inside the chunk is enough (an update's
+        source or its target).
+        """
+        low, high = int(values[0]), int(values[-1])
+        scalars, lows, highs, ranged = self._sample_scalars
+        overlaps = (lows <= high) & (highs >= low)
+        inside = ((low <= lows) & (lows <= high)) | (
+            (low <= highs) & (highs <= high)
+        )
+        kept = [
+            scalars[i] for i in np.flatnonzero(np.where(ranged, overlaps, inside))
+        ]
         return Workload(operations=kept, name=f"{self.sample_workload.name}[chunk]")
 
     def _allocate_ghosts(

@@ -8,6 +8,11 @@ shared-memory arena (:class:`repro.ipc.shm.ShmArena`) and referenced by
 arena (or when no arena is attached) fall back to inline JSON lists:
 capacity bounds performance, never correctness.
 
+Operations encode generically: the codec knows no operation kind.  Each
+class of :mod:`repro.workload.operations` declares ``wire = (tag,
+array_fields)``; a descriptor is the tag plus every field by name, the
+array fields through the arena (with their shape), the rest as JSON.
+
 The result encoding mirrors exactly what
 :meth:`repro.api.session.Session.execute` puts in ``results``:
 
@@ -30,6 +35,8 @@ ids by the shard's base (load-order global ids).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
+from typing import get_args
 
 import numpy as np
 
@@ -87,51 +94,34 @@ class ArenaReader:
 # --------------------------------------------------------------------- #
 
 
+#: Wire tag -> operation class; each class declares its own ``wire`` facts.
+_WIRE_TYPES = {cls.wire[0]: cls for cls in get_args(ops.Operation)}
+
+
 def encode_ops(oplist, writer: ArenaWriter) -> list[dict]:
-    """Encode a per-shard operation list into frame descriptors."""
+    """Encode a per-shard operation list into frame descriptors.
+
+    One descriptor per operation: its wire tag under ``"k"`` plus every
+    field by name -- the class's array fields through ``writer`` (with
+    their shape, ``None`` omitted), the rest as JSON scalars.
+    """
     encoded: list[dict] = []
     for op in oplist:
-        if isinstance(op, ops.PointQuery):
-            encoded.append({"k": "pq", "key": int(op.key), "c": _cols(op)})
-        elif isinstance(op, ops.RangeQuery):
-            encoded.append(
-                {
-                    "k": "rq",
-                    "lo": int(op.low),
-                    "hi": int(op.high),
-                    "agg": op.aggregate.value,
-                    "c": _cols(op),
-                }
-            )
-        elif isinstance(op, ops.Insert):
-            payload = list(op.payload) if op.payload is not None else None
-            encoded.append({"k": "in", "key": int(op.key), "p": payload})
-        elif isinstance(op, ops.Delete):
-            encoded.append({"k": "de", "key": int(op.key)})
-        elif isinstance(op, ops.Update):
-            encoded.append(
-                {"k": "up", "old": int(op.old_key), "new": int(op.new_key)}
-            )
-        elif isinstance(op, ops.MultiPointQuery):
-            encoded.append(
-                {"k": "mpq", "keys": writer.put(op.keys), "c": _cols(op)}
-            )
-        elif isinstance(op, ops.MultiRangeCount):
-            bounds = np.asarray(op.bounds, dtype=_I64).reshape(-1)
-            encoded.append({"k": "mrc", "b": writer.put(bounds)})
-        elif isinstance(op, ops.MultiInsert):
-            entry = {"k": "mi", "keys": writer.put(op.keys)}
-            if op.payloads is not None:
-                rows = np.asarray(op.payloads, dtype=_I64).reshape(-1)
-                entry["p"] = writer.put(rows)
-            encoded.append(entry)
-        elif isinstance(op, ops.MultiDelete):
-            encoded.append({"k": "md", "keys": writer.put(op.keys)})
-        elif isinstance(op, ops.MultiUpdate):
-            pairs = np.asarray(op.pairs, dtype=_I64).reshape(-1)
-            encoded.append({"k": "mu", "pairs": writer.put(pairs)})
-        else:
+        if not isinstance(op, ops.Operation):
             raise ShardError(f"cannot encode operation {type(op)!r}")
+        tag, array_fields = op.wire
+        entry = {"k": tag}
+        for name, value in vars(op).items():
+            if name not in array_fields:
+                if isinstance(value, Enum):
+                    value = value.value
+                elif isinstance(value, np.integer):
+                    value = int(value)  # JSON knows no numpy scalars
+                entry[name] = value
+            elif value is not None:
+                rows = np.asarray(value, dtype=_I64)
+                entry[name] = {**writer.put(rows.reshape(-1)), "s": rows.shape}
+        encoded.append(entry)
     return encoded
 
 
@@ -139,79 +129,19 @@ def decode_ops(encoded: list[dict], reader: ArenaReader) -> list:
     """Rebuild operation objects from :func:`encode_ops` descriptors."""
     oplist = []
     for entry in encoded:
-        kind = entry["k"]
-        if kind == "pq":
-            oplist.append(
-                ops.PointQuery(key=entry["key"], columns=_cols_in(entry))
-            )
-        elif kind == "rq":
-            oplist.append(
-                ops.RangeQuery(
-                    low=entry["lo"],
-                    high=entry["hi"],
-                    aggregate=ops.Aggregate(entry["agg"]),
-                    columns=_cols_in(entry),
-                )
-            )
-        elif kind == "in":
-            payload = entry["p"]
-            oplist.append(
-                ops.Insert(
-                    key=entry["key"],
-                    payload=tuple(payload) if payload is not None else None,
-                )
-            )
-        elif kind == "de":
-            oplist.append(ops.Delete(key=entry["key"]))
-        elif kind == "up":
-            oplist.append(ops.Update(old_key=entry["old"], new_key=entry["new"]))
-        elif kind == "mpq":
-            keys = reader.get(entry["keys"])
-            oplist.append(
-                ops.MultiPointQuery(
-                    keys=tuple(int(k) for k in keys), columns=_cols_in(entry)
-                )
-            )
-        elif kind == "mrc":
-            bounds = reader.get(entry["b"]).reshape(-1, 2)
-            oplist.append(
-                ops.MultiRangeCount(
-                    bounds=tuple((int(lo), int(hi)) for lo, hi in bounds)
-                )
-            )
-        elif kind == "mi":
-            keys = reader.get(entry["keys"])
-            payloads = None
-            if "p" in entry:
-                rows = reader.get(entry["p"]).reshape(int(keys.size), -1)
-                payloads = tuple(tuple(int(v) for v in row) for row in rows)
-            oplist.append(
-                ops.MultiInsert(
-                    keys=tuple(int(k) for k in keys), payloads=payloads
-                )
-            )
-        elif kind == "md":
-            keys = reader.get(entry["keys"])
-            oplist.append(ops.MultiDelete(keys=tuple(int(k) for k in keys)))
-        elif kind == "mu":
-            pairs = reader.get(entry["pairs"]).reshape(-1, 2)
-            oplist.append(
-                ops.MultiUpdate(
-                    pairs=tuple((int(a), int(b)) for a, b in pairs)
-                )
-            )
-        else:
-            raise ShardError(f"cannot decode operation kind {kind!r}")
+        cls = _WIRE_TYPES.get(entry["k"])
+        if cls is None:
+            raise ShardError(f"cannot decode operation kind {entry['k']!r}")
+        fields = {}
+        for name, value in entry.items():
+            if name == "k":
+                continue
+            if name in cls.wire[1]:
+                rows = reader.get(value).reshape(value["s"]).tolist()
+                value = tuple(map(tuple, rows)) if len(value["s"]) > 1 else rows
+            fields[name] = tuple(value) if isinstance(value, list) else value
+        oplist.append(cls(**fields))
     return oplist
-
-
-def _cols(op) -> list[str] | None:
-    return list(op.columns) if op.columns is not None else None
-
-
-def _cols_in(entry) -> tuple[str, ...] | None:
-    columns = entry.get("c")
-    return tuple(columns) if columns is not None else None
 
 
 # --------------------------------------------------------------------- #

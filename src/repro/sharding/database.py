@@ -70,6 +70,7 @@ import itertools
 import json
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -86,18 +87,6 @@ from .errors import ShardError
 from .shard_map import ShardMap
 
 _MANIFEST = "manifest.json"
-
-#: Attach-time config keys forwarded to every worker verbatim.
-_CONFIG_KEYS = (
-    "layout",
-    "partitions",
-    "chunk_size",
-    "block_values",
-    "payload_names",
-    "fsync",
-    "execution",
-    "reorg",
-)
 
 
 def _shard_dir(root: "str | os.PathLike", shard: int) -> str:
@@ -219,7 +208,6 @@ class ShardedDatabase:
         payload_names: Sequence[str] | None = None,
         durability: "str | os.PathLike | None" = None,
         fsync: str = "always",
-        execution: str = "serial",
         reorg: bool = False,
         plan: Workload | None = None,
         arena_bytes: int | None = None,
@@ -270,7 +258,6 @@ class ShardedDatabase:
             "block_values": int(block_values),
             "payload_names": list(payload_names) if payload_names else None,
             "fsync": fsync,
-            "execution": execution,
             "reorg": bool(reorg),
         }
         if durability is not None:
@@ -284,57 +271,41 @@ class ShardedDatabase:
             with open(os.path.join(root, _MANIFEST), "w") as fh:
                 json.dump(manifest, fh)
 
-        owns_cluster = cluster is None
-        if cluster is None:
-            cluster = ShardCluster(n_shards, arena_bytes=arena_bytes).start()
-        elif cluster.n_shards != n_shards:
-            raise ShardError(
-                f"cluster has {cluster.n_shards} shards, need {n_shards}"
-            )
-        try:
-            names = None
-            for shard in range(n_shards):
-                start, stop = int(positions[shard]), int(positions[shard + 1])
-                channel = cluster.channel(shard)
-                writer = ArenaWriter(channel.arena)
-                request = {
-                    "verb": "attach",
-                    "mode": "load",
-                    "arena": channel.arena.name,
-                    "keys": writer.put(sorted_keys[start:stop]),
-                    "config": config,
-                }
-                if sorted_payload is not None:
-                    request["payload"] = writer.put(
-                        sorted_payload[start:stop].reshape(-1)
-                    )
-                    # Explicit width: an empty slice cannot infer it.
-                    request["width"] = width
-                if plan is not None:
-                    request["plan"] = codec.encode_ops(
-                        list(plan.operations), writer
-                    )
-                if durability is not None:
-                    request["durability"] = _shard_dir(durability, shard)
-                if faults and shard in faults:
-                    request["faults"] = faults[shard]
-                reply = channel.request(request)
-                if reply.get("rows") != stop - start:
-                    raise ShardError(
-                        f"shard {shard} loaded {reply.get('rows')} rows, "
-                        f"expected {stop - start}"
-                    )
-                names = reply.get("payload_names", names)
-        except Exception:
-            if owns_cluster:
-                cluster.stop()
-            raise
+        def load_request(shard: int, writer: ArenaWriter) -> dict:
+            start, stop = int(positions[shard]), int(positions[shard + 1])
+            request = {
+                "mode": "load",
+                "keys": writer.put(sorted_keys[start:stop]),
+            }
+            if sorted_payload is not None:
+                request["payload"] = writer.put(
+                    sorted_payload[start:stop].reshape(-1)
+                )
+                # Explicit width: an empty slice cannot infer it.
+                request["width"] = width
+            if plan is not None:
+                request["plan"] = codec.encode_ops(
+                    list(plan.operations), writer
+                )
+            if durability is not None:
+                request["durability"] = _shard_dir(durability, shard)
+            return request
+
+        cluster, owns_cluster, names = cls._attach(
+            cluster,
+            n_shards,
+            arena_bytes,
+            config,
+            faults,
+            load_request,
+            expected_rows=np.diff(positions),
+        )
         return cls(
             shard_map=shard_map,
             cluster=cluster,
             owns_cluster=owns_cluster,
             bases=positions[:-1],
-            payload_names=names or (),
+            payload_names=names,
             durability_root=durability,
         )
 
@@ -375,28 +346,18 @@ class ShardedDatabase:
         if fsync is not None:
             config["fsync"] = fsync
 
-        owns_cluster = cluster is None
-        if cluster is None:
-            cluster = ShardCluster(n_shards, arena_bytes=arena_bytes).start()
-        elif cluster.n_shards != n_shards:
-            raise ShardError(
-                f"cluster has {cluster.n_shards} shards, need {n_shards}"
-            )
-        names = None
+        cluster, owns_cluster, names = cls._attach(
+            cluster,
+            n_shards,
+            arena_bytes,
+            config,
+            faults,
+            lambda shard, writer: {
+                "mode": "open",
+                "durability": _shard_dir(root, shard),
+            },
+        )
         try:
-            for shard in range(n_shards):
-                channel = cluster.channel(shard)
-                request = {
-                    "verb": "attach",
-                    "mode": "open",
-                    "arena": channel.arena.name,
-                    "durability": _shard_dir(root, shard),
-                    "config": config,
-                }
-                if faults and shard in faults:
-                    request["faults"] = faults[shard]
-                reply = channel.request(request)
-                names = reply.get("payload_names", names)
             next_move = cls._resolve_moves(cluster, shard_map, root, n_shards)
             # Row counts are read *after* resolution: a re-driven insert
             # changes a shard's size, and bases must reflect final state.
@@ -415,10 +376,62 @@ class ShardedDatabase:
             cluster=cluster,
             owns_cluster=owns_cluster,
             bases=bases,
-            payload_names=names or (),
+            payload_names=names,
             durability_root=root,
             move_id_start=next_move,
         )
+
+    @staticmethod
+    def _attach(
+        cluster: ShardCluster | None,
+        n_shards: int,
+        arena_bytes: int,
+        config: dict,
+        faults: dict[int, dict] | None,
+        build_request,
+        expected_rows: Sequence[int] | None = None,
+    ) -> tuple[ShardCluster, bool, Sequence[str]]:
+        """Attach every shard's worker; ``build_request(shard, writer)``
+        gives the mode-specific part of its ``attach`` frame.
+
+        Spawns a cluster when none is passed and stops it again if an
+        attach fails -- a worker error, or a row count other than
+        ``expected_rows[shard]``.  Returns ``(cluster, owns_cluster,
+        payload_names)``.
+        """
+        owns_cluster = cluster is None
+        if cluster is None:
+            cluster = ShardCluster(n_shards, arena_bytes=arena_bytes).start()
+        elif cluster.n_shards != n_shards:
+            raise ShardError(
+                f"cluster has {cluster.n_shards} shards, need {n_shards}"
+            )
+        names = None
+        try:
+            for shard in range(n_shards):
+                channel = cluster.channel(shard)
+                request = {
+                    "verb": "attach",
+                    "arena": channel.arena.name,
+                    "config": config,
+                    **build_request(shard, ArenaWriter(channel.arena)),
+                }
+                if faults and shard in faults:
+                    request["faults"] = faults[shard]
+                reply = channel.request(request)
+                if expected_rows is not None and reply.get("rows") != int(
+                    expected_rows[shard]
+                ):
+                    raise ShardError(
+                        f"shard {shard} loaded {reply.get('rows')} rows, "
+                        f"expected {int(expected_rows[shard])}"
+                    )
+                names = reply.get("payload_names", names)
+        except Exception:
+            if owns_cluster:
+                cluster.stop()
+            raise
+        return cluster, owns_cluster, names or ()
 
     @staticmethod
     def _resolve_moves(
@@ -494,9 +507,9 @@ class ShardedDatabase:
     def session(self) -> "ShardedSession":
         """Open the execution surface (same shape as ``Database.session``).
 
-        Execution/reorg policies are per-worker attach-time configuration
-        (each worker owns a long-lived session around its shard), so this
-        takes no policy arguments.
+        Each worker owns a long-lived serial session around its shard
+        (reorganization is attach-time configuration, ``reorg=``), so
+        this takes no policy arguments.
         """
         self._check_open()
         return ShardedSession(self)
@@ -710,11 +723,6 @@ class _Batch:
         while len(self.out) <= index:
             self.out.append(None)
 
-    def _columns(self, op) -> list[str]:
-        if op.columns is not None:
-            return list(op.columns)
-        return list(self.database.payload_names)
-
     # -- move waves ----------------------------------------------------- #
 
     def _conflicts(self, old_key: int, new_key: int) -> bool:
@@ -825,138 +833,129 @@ class _Batch:
     # -- routing -------------------------------------------------------- #
 
     def route(self, index: int, op) -> None:
-        """Split one operation across shards and record its merge."""
+        """Split one operation across shards and record its merge.
+
+        Four routing shapes -- by key, by key array, by range, update
+        wave -- and, for the keyed ones, the form of the result: ``rows``
+        are rebuilt with their keys and global row ids, ``rowids`` are
+        offset by the shard's base, ``counts`` are global already.
+        """
         self._slot(index)
-        shard_map = self.database.shard_map
-        bases = self.database.bases
         if self._wave_keys and not isinstance(
             op, (ops.Update, ops.MultiUpdate)
         ):
             # A wave is a run of update pairs: any other kind ends it.
             self._end_wave()
-
         if isinstance(op, ops.PointQuery):
-            shard = shard_map.shard_of(op.key)
-            pos = self._push(shard, op)
-            columns = self._columns(op)
-
-            def merge(results, shard=shard, pos=pos, key=int(op.key)):
-                block = results[shard][pos]
-                self.out[index] = codec.materialize_rows(
-                    block, [key], columns, bases[shard]
-                )[0]
-
-            self._appliers.append(merge)
-
-        elif isinstance(op, ops.RangeQuery):
-            pieces = shard_map.split_range(op.low, op.high)
-            refs = []
-            for shard, low, high in pieces:
-                sub = (
-                    op
-                    if len(pieces) == 1
-                    else ops.RangeQuery(
-                        low=low,
-                        high=high,
-                        aggregate=op.aggregate,
-                        columns=op.columns,
-                    )
-                )
-                refs.append((shard, self._push(shard, sub)))
-
-            def merge(results, refs=refs):
-                # Shards partition the key space: per-shard counts/sums
-                # add to the serial aggregate exactly.
-                self.out[index] = sum(
-                    results[shard][pos] for shard, pos in refs
-                )
-
-            self._appliers.append(merge)
-
+            self._route_key(index, op, "rows")
         elif isinstance(op, ops.Insert):
-            shard = shard_map.shard_of(op.key)
-            pos = self._push(shard, op)
-
-            def merge(results, shard=shard, pos=pos):
-                value = results[shard][pos]
-                self.out[index] = (
-                    value + bases[shard] if isinstance(value, int) else value
-                )
-
-            self._appliers.append(merge)
-
+            self._route_key(index, op, "rowids")
         elif isinstance(op, ops.Delete):
-            shard = shard_map.shard_of(op.key)
-            pos = self._push(shard, op)
-
-            def merge(results, shard=shard, pos=pos):
-                self.out[index] = results[shard][pos]
-
-            self._appliers.append(merge)
-
-        elif isinstance(op, ops.Update):
-            old_key, new_key = int(op.old_key), int(op.new_key)
-            if self._conflicts(old_key, new_key):
-                self._end_wave()
-            self._wave_keys.update((old_key, new_key))
-            source = shard_map.shard_of(old_key)
-            target = shard_map.shard_of(new_key)
-            if source == target:
-                pos = self._push(source, op)
-
-                def merge(results, shard=source, pos=pos):
-                    self.out[index] = results[shard][pos]
-
-                self._appliers.append(merge)
-            else:
-                self._wave_moves.append(
-                    (old_key, new_key, source, target, None, 0)
-                )
-
+            self._route_key(index, op, "counts")
         elif isinstance(op, ops.MultiPointQuery):
-            self._route_multi_point(index, op)
-        elif isinstance(op, ops.MultiRangeCount):
-            self._route_multi_range(index, op)
+            self._route_keys(index, op, "rows")
         elif isinstance(op, ops.MultiInsert):
-            self._route_multi_insert(index, op)
+            self._route_keys(index, op, "rowids")
         elif isinstance(op, ops.MultiDelete):
-            self._route_multi_delete(index, op)
+            self._route_keys(index, op, "counts")
+        elif isinstance(op, ops.RangeQuery):
+            self._route_range(index, op)
+        elif isinstance(op, ops.MultiRangeCount):
+            self._route_ranges(index, op)
+        elif isinstance(op, ops.Update):
+            self._route_update(index, op)
         elif isinstance(op, ops.MultiUpdate):
             self._route_multi_update(index, op)
         else:
             raise ShardError(f"cannot route operation {type(op)!r}")
 
-    def _route_multi_point(self, index: int, op) -> None:
-        keys = np.asarray(op.keys, dtype=np.int64)
-        shards = self.database.shard_map.shard_of_batch(keys)
-        columns = self._columns(op)
-        bases = self.database.bases
-        refs = []
-        for shard in np.unique(shards):
-            positions = np.nonzero(shards == shard)[0]
-            sub = ops.MultiPointQuery(
-                keys=tuple(int(k) for k in keys[positions]),
-                columns=op.columns,
+    def _global(self, form: str, sub, value, shard: int):
+        """Shard ``shard``'s result of sub-operation ``sub``, made global."""
+        base = self.database.bases[shard]
+        if form == "rows":
+            columns = (
+                list(sub.columns)
+                if sub.columns is not None
+                else list(self.database.payload_names)
             )
-            refs.append((int(shard), self._push(int(shard), sub), positions))
+            keys = sub.keys if value.nested else (sub.key,)
+            lists = codec.materialize_rows(value, keys, columns, base)
+            return lists if value.nested else lists[0]
+        if form == "rowids" and value is not None:
+            return value + base
+        return value
 
-        def merge(results, refs=refs, keys=keys):
-            merged: list = [None] * int(keys.size)
-            for shard, pos, positions in refs:
-                lists = codec.materialize_rows(
-                    results[shard][pos], keys[positions], columns, bases[shard]
-                )
-                for where, rows in zip(positions, lists):
-                    merged[int(where)] = rows
+    def _route_key(
+        self, index: int, op, form: str, shard: int | None = None
+    ) -> None:
+        """A scalar operation goes whole to one shard, its key's unless
+        the caller names it."""
+        if shard is None:
+            shard = self.database.shard_map.shard_of(op.key)
+        pos = self._push(shard, op)
+
+        def merge(results):
+            self.out[index] = self._global(form, op, results[shard][pos], shard)
+
+        self._appliers.append(merge)
+
+    def _scatter(self, index: int, size: int, pieces, form: str) -> None:
+        """Queue the ``(shard, positions, sub-operation)`` pieces of one
+        batched operation of ``size`` rows; the merge puts each piece's
+        global result at its positions (counts of one row add up)."""
+        refs = [
+            (shard, self._push(shard, sub), positions, sub)
+            for shard, positions, sub in pieces
+        ]
+
+        def merge(results):
+            if form == "rows":
+                merged = [None] * size
+            else:
+                merged = np.zeros(size, dtype=np.int64)
+            for shard, pos, positions, sub in refs:
+                part = self._global(form, sub, results[shard][pos], shard)
+                if form == "rows":
+                    for where, rows in zip(positions.tolist(), part):
+                        merged[where] = rows
+                else:
+                    merged[positions] += part
             self.out[index] = merged
 
         self._appliers.append(merge)
 
-    def _route_multi_range(self, index: int, op) -> None:
-        bounds = np.asarray(op.bounds, dtype=np.int64).reshape(-1, 2)
-        m = int(bounds.shape[0])
-        shard_map = self.database.shard_map
+    def _route_keys(self, index: int, op, form: str) -> None:
+        """A batched keyed operation splits by the shard of each key."""
+        shards = self.database.shard_map.shard_of_batch(
+            np.asarray(op.keys, dtype=np.int64)
+        )
+        pieces = []
+        for shard in np.unique(shards):
+            positions = np.nonzero(shards == shard)[0]
+            pieces.append(
+                (int(shard), positions, ops.take(op, positions.tolist()))
+            )
+        self._scatter(index, len(op.keys), pieces, form)
+
+    def _route_range(self, index: int, op) -> None:
+        pieces = self.database.shard_map.split_range(op.low, op.high)
         refs = []
+        for shard, low, high in pieces:
+            sub = op if len(pieces) == 1 else replace(op, low=low, high=high)
+            refs.append((shard, self._push(shard, sub)))
+
+        def merge(results):
+            # Shards partition the key space: per-shard counts/sums
+            # add to the serial aggregate exactly.
+            self.out[index] = sum(results[shard][pos] for shard, pos in refs)
+
+        self._appliers.append(merge)
+
+    def _route_ranges(self, index: int, op) -> None:
+        """Each range goes, clipped, to every shard it overlaps."""
+        bounds = np.asarray(op.bounds, dtype=np.int64).reshape(-1, 2)
+        shard_map = self.database.shard_map
+        pieces = []
         for shard in range(shard_map.n_shards):
             low, high = shard_map.shard_interval(shard)
             if low > high:  # fences collapsed: shard owns no keys
@@ -969,63 +968,24 @@ class _Batch:
                 (int(max(lo, low)), int(min(hi, high)))
                 for lo, hi in bounds[positions]
             )
-            sub = ops.MultiRangeCount(bounds=clipped)
-            refs.append((shard, self._push(shard, sub), positions))
-
-        def merge(results, refs=refs, m=m):
-            counts = np.zeros(m, dtype=np.int64)
-            for shard, pos, positions in refs:
-                counts[positions] += np.asarray(
-                    results[shard][pos], dtype=np.int64
-                )
-            self.out[index] = counts
-
-        self._appliers.append(merge)
-
-    def _route_multi_insert(self, index: int, op) -> None:
-        keys = np.asarray(op.keys, dtype=np.int64)
-        shards = self.database.shard_map.shard_of_batch(keys)
-        bases = self.database.bases
-        refs = []
-        for shard in np.unique(shards):
-            positions = np.nonzero(shards == shard)[0]
-            payloads = None
-            if op.payloads is not None:
-                payloads = tuple(op.payloads[int(p)] for p in positions)
-            sub = ops.MultiInsert(
-                keys=tuple(int(k) for k in keys[positions]), payloads=payloads
+            pieces.append(
+                (shard, positions, ops.MultiRangeCount(bounds=clipped))
             )
-            refs.append((int(shard), self._push(int(shard), sub), positions))
+        self._scatter(index, len(op.bounds), pieces, "counts")
 
-        def merge(results, refs=refs, m=int(keys.size)):
-            rowids = np.zeros(m, dtype=np.int64)
-            for shard, pos, positions in refs:
-                rowids[positions] = (
-                    np.asarray(results[shard][pos], dtype=np.int64)
-                    + bases[shard]
-                )
-            self.out[index] = rowids
-
-        self._appliers.append(merge)
-
-    def _route_multi_delete(self, index: int, op) -> None:
-        keys = np.asarray(op.keys, dtype=np.int64)
-        shards = self.database.shard_map.shard_of_batch(keys)
-        refs = []
-        for shard in np.unique(shards):
-            positions = np.nonzero(shards == shard)[0]
-            sub = ops.MultiDelete(keys=tuple(int(k) for k in keys[positions]))
-            refs.append((int(shard), self._push(int(shard), sub), positions))
-
-        def merge(results, refs=refs, m=int(keys.size)):
-            deleted = np.zeros(m, dtype=np.int64)
-            for shard, pos, positions in refs:
-                deleted[positions] = np.asarray(
-                    results[shard][pos], dtype=np.int64
-                )
-            self.out[index] = deleted
-
-        self._appliers.append(merge)
+    def _route_update(self, index: int, op) -> None:
+        old_key, new_key = int(op.old_key), int(op.new_key)
+        if self._conflicts(old_key, new_key):
+            self._end_wave()
+        self._wave_keys.update((old_key, new_key))
+        source = self.database.shard_map.shard_of(old_key)
+        target = self.database.shard_map.shard_of(new_key)
+        if source == target:
+            self._route_key(index, op, "counts", source)
+        else:
+            self._wave_moves.append(
+                (old_key, new_key, source, target, None, 0)
+            )
 
     def _route_multi_update(self, index: int, op) -> None:
         """Pairs join the open wave in submission order.

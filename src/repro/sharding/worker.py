@@ -11,8 +11,9 @@ speaks (:mod:`repro.ipc.framing`):
     -- slice arrays arrive through the channel's shared-memory arena, or
     the worker runs ``Database.open`` on its per-shard durability root --
     and open the long-lived session the execute verb runs through.  The
-    session carries the configured execution policy and, when requested,
-    its own :class:`~repro.api.reorganizer.Reorganizer`, so each shard
+    session dispatches serially (sub-batches arrive in bulk form already)
+    and carries, when requested, its own
+    :class:`~repro.api.reorganizer.Reorganizer`, so each shard
     reorganizes independently off the other shards' paths.
 ``execute``
     Decode a per-shard operation list, run it through the session, and
@@ -64,9 +65,6 @@ from ..ipc import framing
 from ..ipc.shm import ShmArena
 from . import codec
 
-#: Fallback frame bound; attach can lower/raise it via config later.
-MAX_FRAME = framing.DEFAULT_MAX_FRAME
-
 
 def _build_database(request: dict, reader: codec.ArenaReader):
     """Construct this shard's database per the attach request."""
@@ -113,22 +111,15 @@ def _build_database(request: dict, reader: codec.ArenaReader):
 
 
 def _open_session(database, config: dict):
-    from ..api.policies import AdaptivePolicy, SerialPolicy, VectorizedPolicy
     from ..api.reorg import ReorgPolicy
     from ..api.reorganizer import Reorganizer
 
-    policy_name = config.get("execution", "serial")
-    execution = {
-        "serial": SerialPolicy,
-        "vectorized": VectorizedPolicy,
-        "adaptive": AdaptivePolicy,
-    }[policy_name]()
     reorg = None
     if config.get("reorg"):
         # Each worker drains its own replans between batches; background
         # threads stay inside the worker process.
         reorg = Reorganizer(ReorgPolicy())
-    return database.session(execution=execution, reorg=reorg)
+    return database.session(reorg=reorg)
 
 
 def worker_main(host: str, port: int, shard: int, token: str) -> None:
@@ -137,10 +128,7 @@ def worker_main(host: str, port: int, shard: int, token: str) -> None:
 
     sock = socket.create_connection((host, port))
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    framing.send_frame(
-        sock, {"verb": "hello", "shard": shard, "token": token},
-        max_frame=MAX_FRAME,
-    )
+    framing.send_frame(sock, {"verb": "hello", "shard": shard, "token": token})
 
     database = None
     session = None
@@ -165,7 +153,7 @@ def worker_main(host: str, port: int, shard: int, token: str) -> None:
     try:
         while True:
             try:
-                request = framing.recv_frame(sock, max_frame=MAX_FRAME)
+                request = framing.recv_frame(sock)
             except framing.FrameError:
                 break
             if request is None:
@@ -250,14 +238,14 @@ def worker_main(host: str, port: int, shard: int, token: str) -> None:
                 elif verb == "stats":
                     reply.update(_stats(database, session, discipline, served))
                 elif verb == "shutdown":
-                    framing.send_frame(sock, reply, max_frame=MAX_FRAME)
+                    framing.send_frame(sock, reply)
                     break
                 else:
                     reply = {"ok": False, "error": f"unknown verb {verb!r}"}
             except Exception as exc:  # surface worker failures to the peer
                 reply = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
             try:
-                framing.send_frame(sock, reply, max_frame=MAX_FRAME)
+                framing.send_frame(sock, reply)
             except framing.FrameError:
                 break
     finally:

@@ -130,39 +130,18 @@ def batch_group_key(operation) -> tuple | None:
 
     Consecutive operations with the same non-``None`` key form one run and
     resolve through the matching ``multi_*`` fast path; ``None`` marks
-    operations that always dispatch individually.  This is the single
-    definition shared by the batch executor and the execution policies'
-    run-length heuristics (:mod:`repro.api.policies`).  Use
+    operations that always dispatch individually.  Each operation class
+    states its key (:mod:`repro.workload.operations`), so the batch
+    executor and the execution policies' run-length heuristics
+    (:mod:`repro.api.policies`) share one definition.  Use
     :func:`batch_group_keys` when classifying a whole operation list.
     """
-    return batch_group_keys([operation])[0]
+    return operation.group_key
 
 
 def batch_group_keys(operations) -> list[tuple | None]:
     """:func:`batch_group_key` over an operation list, one pass."""
-    # Local import: a module-scope one would cycle through
-    # ``repro.workload`` -> ``hap`` -> ``storage.table`` while this module
-    # initializes (after the first import it is a cached sys.modules hit).
-    from ..workload import operations as ops
-
-    point_query, range_query = ops.PointQuery, ops.RangeQuery
-    insert, delete, update = ops.Insert, ops.Delete, ops.Update
-    count = ops.Aggregate.COUNT
-    keys: list[tuple | None] = []
-    for operation in operations:
-        if isinstance(operation, point_query):
-            keys.append(("point_query", operation.columns))
-        elif isinstance(operation, range_query) and operation.aggregate is count:
-            keys.append(("range_count",))
-        elif isinstance(operation, insert):
-            keys.append(("insert",))
-        elif isinstance(operation, delete):
-            keys.append(("delete",))
-        elif isinstance(operation, update):
-            keys.append(("update",))
-        else:
-            keys.append(None)
-    return keys
+    return [operation.group_key for operation in operations]
 
 
 class StorageEngine:
@@ -646,20 +625,15 @@ class StorageEngine:
         if isinstance(operation, ops.Update):
             return self.update_key(operation.old_key, operation.new_key)
         if isinstance(operation, ops.MultiPointQuery):
-            return self.multi_point_query(list(operation.keys), operation.columns)
+            return self.multi_point_query(operation.keys, operation.columns)
         if isinstance(operation, ops.MultiRangeCount):
-            return self.multi_range_count(list(operation.bounds))
+            return self.multi_range_count(operation.bounds)
         if isinstance(operation, ops.MultiInsert):
-            payloads = (
-                [list(row) for row in operation.payloads]
-                if operation.payloads is not None
-                else None
-            )
-            return self.multi_insert(list(operation.keys), payloads)
+            return self.multi_insert(operation.keys, operation.payloads)
         if isinstance(operation, ops.MultiDelete):
-            return self.multi_delete(list(operation.keys))
+            return self.multi_delete(operation.keys)
         if isinstance(operation, ops.MultiUpdate):
-            return self.multi_update([tuple(pair) for pair in operation.pairs])
+            return self.multi_update(operation.pairs)
         raise TypeError(f"unsupported operation type: {type(operation)!r}")
 
     def execute_batch(self, operations) -> BatchResult:
@@ -788,47 +762,14 @@ class StorageEngine:
             j = i + 1
             while j < n and group_keys[j] == group_key:
                 j += 1
-            group = oplist[i:j]
-            kind = group_key[0]
-            if kind == "point_query":
-                results.extend(
-                    self.multi_point_query(
-                        [op.key for op in group], operation.columns
-                    ).result
-                )
-            elif kind == "range_count":
-                counts = self.multi_range_count(
-                    [(op.low, op.high) for op in group]
-                ).result
-                results.extend(int(count) for count in counts)
-            elif kind == "insert":
-                width = len(self.table.payload_names)
-                payloads = [
-                    list(op.payload) if op.payload is not None else [0] * width
-                    for op in group
-                ]
-                rowids = self.multi_insert(
-                    [op.key for op in group], payloads
-                ).result
-                results.extend(int(rowid) for rowid in rowids)
-            elif kind == "delete":
-                counts = self.multi_delete([op.key for op in group]).result
-                for count in counts:
-                    if int(count) > 0:
-                        results.append(int(count))
-                    else:
-                        results.append(None)
-                        errors += 1
-            else:  # "update"
-                pairs = [(op.old_key, op.new_key) for op in group]
-                counts = self.multi_update(pairs).result
-                # Per-op dispatch returns None for a successful update too,
-                # so every pair contributes None; misses additionally count
-                # as errors, matching the ValueNotFoundError path.
-                for count in counts:
-                    results.append(None)
-                    if int(count) == 0:
-                        errors += 1
+            # The run as its one batched operation, dispatched like any
+            # other; its result splits back into the per-scalar results.
+            batched = type(operation).batched(oplist[i:j])
+            run_results, run_errors = batched.scalar_results(
+                self.execute(batched).result
+            )
+            results.extend(run_results)
+            errors += run_errors
             i = j
         return results, errors
 

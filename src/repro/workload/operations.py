@@ -1,17 +1,50 @@
-"""Workload operation types.
+"""Workload operation types: the one operation vocabulary.
 
 Casper supports the five fundamental access patterns of Section 3: point
 queries, range queries, inserts, deletes and updates.  The HAP benchmark's
 six queries (Q1-Q6, Section 7.1) map onto these types; range queries carry an
 aggregate kind to distinguish the count query (Q2) from the arithmetic sum
 query (Q3).
+
+This is the only module that knows what each of the ten operation kinds (five
+scalar, five batched) *is*.  Every class states, once:
+
+``writes``
+    whether it mutates table state (:data:`WRITE_KINDS` and :func:`is_write`
+    derive from it);
+``group_key``
+    the key under which ``StorageEngine.execute_batch`` groups consecutive
+    operations into one run (``None``: always dispatched individually);
+``attribution()``
+    the monitor's access record ``(kind, lows, highs)`` -- ``kind`` is one of
+    ``repro.storage.access_log.ATTRIBUTION_KINDS`` or the paired-update kind
+    ``"update"``.  For the range kinds ``lows``/``highs`` are the inclusive
+    bounds; for every other kind each entry of ``lows`` and ``highs`` is one
+    key the operation touches (``highs`` carries the update targets);
+``scalars()``
+    its scalar expansion.  Scalar kinds add the inverse ``batched(run)``
+    (one batched operation for a run sharing a group key); batched kinds add
+    ``scalar_results(result)``, which splits the batched engine result (row
+    lists, or an ``int64`` array of counts / row ids) into the per-scalar
+    results and the error count serial dispatch reports;
+``wire``
+    ``(tag, array_fields)`` for the shard codec: the named fields travel as
+    ``int64`` arrays, every other field as a JSON scalar.
+
+The engine's run grouping, the monitor's offline seeding, the Frequency
+Model, the planner's chunk filter, the wire codec and the shard router's
+scatter are loops over these facts; only ``StorageEngine.execute``
+(operation -> engine method) and the shard router's ``route`` (how a kind
+splits across shards) name the kinds again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Sequence
+from typing import Any, Sequence, get_args
+
+import numpy as np
 
 
 class OperationKind(Enum):
@@ -50,6 +83,24 @@ class PointQuery:
     columns: tuple[str, ...] | None = None
 
     kind = OperationKind.POINT_QUERY
+    writes = False
+    wire = ("pq", ())
+
+    @property
+    def group_key(self) -> tuple:
+        return ("point_query", self.columns)
+
+    def attribution(self) -> tuple:
+        return "point_query", (self.key,), None
+
+    def scalars(self) -> tuple[PointQuery, ...]:
+        return (self,)
+
+    @classmethod
+    def batched(cls, run: Sequence[PointQuery]) -> MultiPointQuery:
+        return MultiPointQuery(
+            keys=tuple(op.key for op in run), columns=run[0].columns
+        )
 
 
 @dataclass(frozen=True)
@@ -62,10 +113,30 @@ class RangeQuery:
     columns: tuple[str, ...] | None = None
 
     kind = OperationKind.RANGE_QUERY
+    writes = False
+    wire = ("rq", ())
 
     def __post_init__(self) -> None:
         if self.low > self.high:
             raise ValueError("range query low must be <= high")
+        # The wire form carries the aggregate by value.
+        object.__setattr__(self, "aggregate", Aggregate(self.aggregate))
+
+    @property
+    def group_key(self) -> tuple | None:
+        # Only counting ranges have a batched form.
+        return ("range_count",) if self.aggregate is Aggregate.COUNT else None
+
+    def attribution(self) -> tuple:
+        count = self.aggregate is Aggregate.COUNT
+        return "range_count" if count else "range_sum", (self.low,), (self.high,)
+
+    def scalars(self) -> tuple[RangeQuery, ...]:
+        return (self,)
+
+    @classmethod
+    def batched(cls, run: Sequence[RangeQuery]) -> MultiRangeCount:
+        return MultiRangeCount(bounds=tuple((op.low, op.high) for op in run))
 
 
 @dataclass(frozen=True)
@@ -76,6 +147,28 @@ class Insert:
     payload: tuple[int, ...] | None = None
 
     kind = OperationKind.INSERT
+    writes = True
+    group_key = ("insert",)
+    wire = ("in", ())
+
+    def attribution(self) -> tuple:
+        return "insert", (self.key,), None
+
+    def scalars(self) -> tuple[Insert, ...]:
+        return (self,)
+
+    @classmethod
+    def batched(cls, run: Sequence[Insert]) -> MultiInsert:
+        payloads = [op.payload for op in run]
+        given = [payload for payload in payloads if payload is not None]
+        if given and len(given) < len(payloads):
+            # Missing payloads are the zero rows the table would pad.
+            zero = (0,) * len(given[0])
+            payloads = [zero if row is None else row for row in payloads]
+        return MultiInsert(
+            keys=tuple(op.key for op in run),
+            payloads=tuple(payloads) if given else None,
+        )
 
 
 @dataclass(frozen=True)
@@ -85,6 +178,19 @@ class Delete:
     key: int
 
     kind = OperationKind.DELETE
+    writes = True
+    group_key = ("delete",)
+    wire = ("de", ())
+
+    def attribution(self) -> tuple:
+        return "delete", (self.key,), None
+
+    def scalars(self) -> tuple[Delete, ...]:
+        return (self,)
+
+    @classmethod
+    def batched(cls, run: Sequence[Delete]) -> MultiDelete:
+        return MultiDelete(keys=tuple(op.key for op in run))
 
 
 @dataclass(frozen=True)
@@ -95,6 +201,19 @@ class Update:
     new_key: int
 
     kind = OperationKind.UPDATE
+    writes = True
+    group_key = ("update",)
+    wire = ("up", ())
+
+    def attribution(self) -> tuple:
+        return "update", (self.old_key,), (self.new_key,)
+
+    def scalars(self) -> tuple[Update, ...]:
+        return (self,)
+
+    @classmethod
+    def batched(cls, run: Sequence[Update]) -> MultiUpdate:
+        return MultiUpdate(pairs=tuple((op.old_key, op.new_key) for op in run))
 
 
 @dataclass(frozen=True)
@@ -105,6 +224,18 @@ class MultiPointQuery:
     columns: tuple[str, ...] | None = None
 
     kind = OperationKind.MULTI_POINT_QUERY
+    writes = False
+    group_key = None
+    wire = ("mpq", ("keys",))
+
+    def attribution(self) -> tuple:
+        return "point_query", self.keys, None
+
+    def scalars(self) -> tuple[PointQuery, ...]:
+        return tuple(PointQuery(key, self.columns) for key in self.keys)
+
+    def scalar_results(self, result) -> tuple[list[Any], int]:
+        return result, 0
 
 
 @dataclass(frozen=True)
@@ -114,11 +245,24 @@ class MultiRangeCount:
     bounds: tuple[tuple[int, int], ...]
 
     kind = OperationKind.MULTI_RANGE_COUNT
+    writes = False
+    group_key = None
+    wire = ("mrc", ("bounds",))
 
     def __post_init__(self) -> None:
         for low, high in self.bounds:
             if low > high:
                 raise ValueError("range low must be <= high")
+
+    def attribution(self) -> tuple:
+        bounds = np.asarray(self.bounds, dtype=np.int64).reshape(-1, 2)
+        return "range_count", bounds[:, 0], bounds[:, 1]
+
+    def scalars(self) -> tuple[RangeQuery, ...]:
+        return tuple(RangeQuery(low, high) for low, high in self.bounds)
+
+    def scalar_results(self, result) -> tuple[list[Any], int]:
+        return result.tolist(), 0
 
 
 @dataclass(frozen=True)
@@ -133,10 +277,23 @@ class MultiInsert:
     payloads: tuple[tuple[int, ...], ...] | None = None
 
     kind = OperationKind.MULTI_INSERT
+    writes = True
+    group_key = None
+    wire = ("mi", ("keys", "payloads"))
 
     def __post_init__(self) -> None:
         if self.payloads is not None and len(self.payloads) != len(self.keys):
             raise ValueError("payloads must align with keys")
+
+    def attribution(self) -> tuple:
+        return "insert", self.keys, None
+
+    def scalars(self) -> tuple[Insert, ...]:
+        payloads = self.payloads or (None,) * len(self.keys)
+        return tuple(map(Insert, self.keys, payloads))
+
+    def scalar_results(self, result) -> tuple[list[Any], int]:
+        return result.tolist(), 0
 
 
 @dataclass(frozen=True)
@@ -146,6 +303,20 @@ class MultiDelete:
     keys: tuple[int, ...]
 
     kind = OperationKind.MULTI_DELETE
+    writes = True
+    group_key = None
+    wire = ("md", ("keys",))
+
+    def attribution(self) -> tuple:
+        return "delete", self.keys, None
+
+    def scalars(self) -> tuple[Delete, ...]:
+        return tuple(map(Delete, self.keys))
+
+    def scalar_results(self, result) -> tuple[list[Any], int]:
+        # The bulk path reports a miss as 0; serial dispatch raises.
+        results = [count or None for count in result.tolist()]
+        return results, results.count(None)
 
 
 @dataclass(frozen=True)
@@ -161,11 +332,27 @@ class MultiUpdate:
     pairs: tuple[tuple[int, int], ...]
 
     kind = OperationKind.MULTI_UPDATE
+    writes = True
+    group_key = None
+    wire = ("mu", ("pairs",))
 
     def __post_init__(self) -> None:
         for pair in self.pairs:
             if len(pair) != 2:
                 raise ValueError("pairs must be (old_key, new_key) tuples")
+
+    def attribution(self) -> tuple:
+        pairs = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
+        return "update", pairs[:, 0], pairs[:, 1]
+
+    def scalars(self) -> tuple[Update, ...]:
+        return tuple(Update(old_key, new_key) for old_key, new_key in self.pairs)
+
+    def scalar_results(self, result) -> tuple[list[Any], int]:
+        # Serial dispatch returns None for a successful update too; a miss
+        # additionally counts as one error (its ValueNotFoundError).
+        counts = result.tolist()
+        return [None] * len(counts), counts.count(0)
 
 
 Operation = (
@@ -183,21 +370,26 @@ Operation = (
 
 #: Kinds that mutate table state; the durability layer opens a commit
 #: scope (WAL append + fsync policy) exactly when a dispatch contains one.
-WRITE_KINDS = frozenset(
-    {
-        OperationKind.INSERT,
-        OperationKind.DELETE,
-        OperationKind.UPDATE,
-        OperationKind.MULTI_INSERT,
-        OperationKind.MULTI_DELETE,
-        OperationKind.MULTI_UPDATE,
-    }
-)
+WRITE_KINDS = frozenset(cls.kind for cls in get_args(Operation) if cls.writes)
 
 
 def is_write(operation: Operation) -> bool:
     """Whether ``operation`` mutates table state (needs a commit scope)."""
-    return operation.kind in WRITE_KINDS
+    return operation.writes
+
+
+def take(operation: Operation, positions: Sequence[int]) -> Operation:
+    """A batched operation restricted to its rows at ``positions``.
+
+    Every array field of a batched kind is row-aligned, so the shard router
+    splits any of them with this one function.
+    """
+    rows = {}
+    for name in operation.wire[1]:
+        values = getattr(operation, name)
+        if values is not None:
+            rows[name] = tuple(values[position] for position in positions)
+    return replace(operation, **rows)
 
 
 @dataclass

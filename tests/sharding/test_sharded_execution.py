@@ -197,6 +197,71 @@ class TestCrossShardMoves:
             assert normalize(theirs) == normalize(ours)
 
 
+class TestPlannedShards:
+    """``plan=`` and ``reorg=True``: every worker plans its own shard from
+    the sample and replans it alone; results stay the serial oracle's."""
+
+    def test_bulk_form_plan_with_reorg_matches_serial(self, cluster3, keys):
+        # An insert-heavy sample in bulk form (the form sharded callers
+        # submit), then point- and range-heavy traffic to drift from it.
+        sample = Workload(
+            operations=[
+                MultiInsert(keys=tuple(range(0, 300, 2))),
+                MultiPointQuery(keys=tuple(range(0, 300, 5))),
+                MultiUpdate(pairs=((10, 11), (150, 160), (290, 20))),
+                MultiDelete(keys=(5, 105, 205)),
+                MultiRangeCount(bounds=((0, 50), (100, 180))),
+            ],
+            name="bulk-sample",
+        )
+        fresh = [1000, 1001, 40, 140]
+        calls = [
+            [
+                MultiPointQuery(keys=tuple(range(0, 300, 3))),
+                MultiRangeCount(bounds=((0, 99), (90, 210), (250, 600))),
+                PointQuery(key=150),
+                RangeQuery(low=20, high=280, aggregate=Aggregate.SUM),
+            ],
+            [
+                MultiInsert(
+                    keys=tuple(fresh),
+                    payloads=tuple(map(tuple, payload_for(fresh).tolist())),
+                ),
+                MultiDelete(keys=(60, 61, 20_000)),
+                Delete(key=9_999),  # miss: one error
+                MultiUpdate(pairs=((10, 290), (280, 20), (7777, 1))),
+                Update(old_key=150, new_key=5),
+            ],
+            [MultiPointQuery(keys=tuple(range(300)))] * 3,
+            [
+                MultiRangeCount(bounds=tuple((k, k + 9) for k in range(0, 300, 10))),
+                RangeQuery(low=0, high=2000),
+            ],
+        ]
+        serial = serial_db(keys)
+        with sharded_db(
+            cluster3, keys, plan=sample, reorg=True
+        ) as database:
+            with serial.session() as oracle, database.session() as session:
+                for oplist in calls:
+                    want = oracle.execute(list(oplist))
+                    got = session.execute(list(oplist))
+                    assert got.errors == want.errors
+                    for op, theirs, ours in zip(
+                        oplist, want.results, got.results, strict=True
+                    ):
+                        if isinstance(op, MultiInsert):
+                            # Insert row ids: documented divergence.
+                            assert len(ours) == len(theirs)
+                        else:
+                            assert normalize(theirs) == normalize(ours), op
+            assert database.num_rows == serial.num_rows
+            stats = database.stats()
+        assert all(s["violations"] == 0 for s in stats.values())
+        # The drift away from the sample is large: reorg did act.
+        assert any(s["replans"] for s in stats.values())
+
+
 def frames_served(database) -> dict[int, dict[str, int]]:
     """Per-shard frame counters of the worker ``stats`` verb."""
     names = ("batches", "takes", "puts", "forgets", "frames")
@@ -332,6 +397,24 @@ class TestFacade:
             database.session()
         # The shared cluster stays usable for the next attach.
         assert all(cluster3.alive(s) for s in range(N_SHARDS))
+
+    def test_open_ignores_the_removed_execution_key(
+        self, cluster3, keys, tmp_path
+    ):
+        """Manifests written before the ``execution`` option was removed
+        carry its one value; they must keep opening."""
+        import json
+
+        with sharded_db(cluster3, keys, durability=tmp_path) as database:
+            with database.session() as session:
+                session.execute([Insert(key=77)])
+        manifest = tmp_path / "manifest.json"
+        meta = json.loads(manifest.read_text())
+        assert "execution" not in meta["config"]
+        meta["config"]["execution"] = "serial"
+        manifest.write_text(json.dumps(meta))
+        with ShardedDatabase.open(tmp_path, cluster=cluster3) as database:
+            assert database.num_rows == keys.size + 1
 
     def test_mismatched_cluster_size_rejected(self, cluster3, keys):
         with pytest.raises(ShardError):

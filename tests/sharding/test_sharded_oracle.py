@@ -61,8 +61,18 @@ WRITE_SPECS = ("in", "mi", "de", "md")
 UPDATE_SPECS = ("up", "mu")
 
 spec = st.tuples(st.sampled_from(READ_SPECS + WRITE_SPECS), KEY, KEY)
+#: Variant B draws no SUM: a SUM adds payload columns, so under arbitrary
+#: payloads it sees *which* copy of a duplicated key an update took, and a
+#: row carried by a cross-shard move ages differently per path (README
+#: divergence 1).  Variant A keeps SUM under ``payload = f(key)``.
 spec_b = st.tuples(
-    st.sampled_from(READ_SPECS + WRITE_SPECS + UPDATE_SPECS), KEY, KEY
+    st.sampled_from(
+        tuple(kind for kind in READ_SPECS if kind != "sum")
+        + WRITE_SPECS
+        + UPDATE_SPECS
+    ),
+    KEY,
+    KEY,
 )
 
 
@@ -174,6 +184,29 @@ class TestVariantB:
         for op, theirs, ours in zip(
             oplist, want.results, got.results, strict=True
         ):
+            assert counts_view(op, ours) == counts_view(op, theirs), op
+
+    def test_moved_row_ages_differently_but_counts_agree(self, cluster3):
+        """The smallest case that failed while ``spec_b`` drew ``sum``
+        (serial SUM 9, sharded 1): ``(0, 1)`` moves key 0's row across
+        the fence, where it gets a younger row id than key 1's own row, so
+        the next pair ``(1, 0)`` takes a different copy per path.  Errors,
+        update flags, COUNT-level reads and the total row count agree all
+        the same; the payload SUM is what is not contractual here."""
+        keys = [0, 1]
+        oplist = [
+            build_op("mu", 0, 1, pure_payload=False),
+            build_op("sum", 0, 1, pure_payload=False),
+            build_op("rq", 0, 1, pure_payload=False),
+            build_op("mpq", 0, 1, pure_payload=False),
+        ]
+        want, got = run_both(cluster3, keys, oplist)  # row totals agree
+        assert got.errors == want.errors
+        for op, theirs, ours in zip(
+            oplist, want.results, got.results, strict=True
+        ):
+            if isinstance(op, RangeQuery) and op.aggregate is Aggregate.SUM:
+                continue
             assert counts_view(op, ours) == counts_view(op, theirs), op
 
 

@@ -1,0 +1,246 @@
+"""Vocabulary completeness: every operation kind states every fact.
+
+``repro.workload.operations`` is the one module that knows what a kind is;
+the engine, monitor, planner, codec and shard router read its facts.  A new
+kind that forgets one fails here, not in production.
+"""
+
+from __future__ import annotations
+
+from typing import get_args
+
+import numpy as np
+import pytest
+
+from repro.api import Database
+from repro.ipc.shm import ShmArena
+from repro.sharding.codec import (
+    ArenaReader,
+    ArenaWriter,
+    decode_ops,
+    encode_ops,
+)
+from repro.storage.access_log import ATTRIBUTION_KINDS, PAIRED_UPDATE_KIND
+from repro.storage.engine import StorageEngine, batch_group_key
+from repro.storage.errors import ValueNotFoundError
+from repro.storage.layouts import LayoutKind
+from repro.workload.operations import (
+    WRITE_KINDS,
+    Aggregate,
+    Delete,
+    Insert,
+    MultiDelete,
+    MultiInsert,
+    MultiPointQuery,
+    MultiRangeCount,
+    MultiUpdate,
+    Operation,
+    PointQuery,
+    RangeQuery,
+    Update,
+    Workload,
+    is_write,
+    take,
+)
+
+#: At least one example per member of the union; keys 0, 2, .. 398 are
+#: loaded, so every example mixes hits with (odd-key) misses.
+EXAMPLES = [
+    PointQuery(key=10),
+    PointQuery(key=11, columns=("b",)),
+    RangeQuery(low=5, high=40),
+    RangeQuery(low=0, high=90, aggregate=Aggregate.SUM, columns=("a",)),
+    Insert(key=21, payload=(7, 8)),
+    Insert(key=23),
+    Delete(key=30),
+    Delete(key=31),
+    Update(old_key=40, new_key=41),
+    Update(old_key=43, new_key=45),
+    MultiPointQuery(keys=(10, 11, 12, 10), columns=("a",)),
+    MultiPointQuery(keys=()),
+    MultiRangeCount(bounds=((0, 10), (7, 7), (50, 390))),
+    MultiInsert(keys=(21, 23, 21), payloads=((1, 2), (3, 4), (5, 6))),
+    MultiInsert(keys=(25, 27)),
+    MultiDelete(keys=(30, 31, 32, 30)),
+    MultiUpdate(pairs=((40, 41), (43, 45), (41, 47))),
+]
+
+
+def test_examples_cover_the_union():
+    assert {type(op) for op in EXAMPLES} == set(get_args(Operation))
+
+
+def fresh_engine() -> StorageEngine:
+    keys = np.arange(200, dtype=np.int64) * 2
+    payload = np.stack([keys + 1, keys * 3], axis=1)
+    return Database.from_rows(
+        keys,
+        payload,
+        layout=LayoutKind.EQUI,
+        chunk_size=64,
+        block_values=8,
+        partitions=4,
+        payload_names=["a", "b"],
+    ).engine
+
+
+def count_level(result):
+    """A result with row identity dropped: rows become their count, row
+    ids (allocation-order artifacts) are left to the caller."""
+    if isinstance(result, list):
+        return len(result)
+    return result
+
+
+@pytest.mark.parametrize("op", EXAMPLES, ids=repr)
+class TestEveryKind:
+    def test_wire_round_trip(self, op):
+        assert decode_ops(
+            encode_ops([op], ArenaWriter(None)), ArenaReader(None)
+        ) == [op]
+        with ShmArena.create(1 << 12) as arena:
+            encoded = encode_ops([op], ArenaWriter(arena))
+            assert decode_ops(encoded, ArenaReader(arena)) == [op]
+
+    def test_write_flag_agrees_with_write_kinds(self, op):
+        assert is_write(op) == (op.kind in WRITE_KINDS)
+        # A read must leave the table alone.
+        engine = fresh_engine()
+        before = np.sort(engine.table.keys()).tolist()
+        try:
+            engine.execute(op)
+        except ValueNotFoundError:
+            pass
+        changed = np.sort(engine.table.keys()).tolist() != before
+        assert not changed or is_write(op)
+
+    def test_attribution_is_a_known_kind(self, op):
+        kind, lows, highs = op.attribution()
+        assert kind in ATTRIBUTION_KINDS or kind == PAIRED_UPDATE_KIND
+        assert highs is None or len(highs) == len(lows)
+        assert len(lows) == len(op.scalars())
+
+    def test_scalar_expansion_executes_the_same(self, op):
+        scalars = op.scalars()
+        assert all(scalar.scalars() == (scalar,) for scalar in scalars)
+
+        batched_engine, serial_engine = fresh_engine(), fresh_engine()
+        serial, serial_errors = [], 0
+        for scalar in scalars:
+            try:
+                serial.append(serial_engine.execute(scalar).result)
+            except ValueNotFoundError:
+                serial.append(None)
+                serial_errors += 1
+        if scalars == (op,):
+            try:
+                results, errors = [batched_engine.execute(op).result], 0
+            except ValueNotFoundError:
+                results, errors = [None], 1
+        else:
+            results, errors = op.scalar_results(
+                batched_engine.execute(op).result
+            )
+        assert errors == serial_errors
+        if op.kind.value.endswith("insert"):
+            # Row ids are allocation order: compare by success.
+            assert [r is not None for r in results] == [
+                r is not None for r in serial
+            ]
+        else:
+            assert [count_level(r) for r in results] == [
+                count_level(r) for r in serial
+            ]
+        # Contents as a multiset: physical order inside a partition is
+        # an artifact of the write order.
+        assert (
+            np.sort(batched_engine.table.keys()).tolist()
+            == np.sort(serial_engine.table.keys()).tolist()
+        )
+        batched_engine.table.check_invariants()
+
+    def test_runs_fold_back_into_the_batched_kind(self, op):
+        scalars = op.scalars()
+        keys = {batch_group_key(scalar) for scalar in scalars}
+        if scalars == (op,) or not scalars or None in keys:
+            return
+        # One group key per batched kind, and the batched constructor is
+        # the inverse of the expansion (payload-less inserts aside, whose
+        # payloads the constructor leaves to the table).
+        assert len(keys) == 1 and batch_group_key(op) is None
+        assert type(scalars[0]).batched(scalars) == op
+
+
+def test_take_restricts_every_row_aligned_field():
+    op = MultiInsert(keys=(1, 2, 3), payloads=((1, 1), (2, 2), (3, 3)))
+    assert take(op, [2, 0]) == MultiInsert(
+        keys=(3, 1), payloads=((3, 3), (1, 1))
+    )
+    assert take(MultiInsert(keys=(1, 2)), [1]) == MultiInsert(keys=(2,))
+    assert take(
+        MultiPointQuery(keys=(5, 6, 7), columns=("a",)), [1]
+    ) == MultiPointQuery(keys=(6,), columns=("a",))
+    assert take(MultiUpdate(pairs=((1, 2), (3, 4))), [1]) == MultiUpdate(
+        pairs=((3, 4),)
+    )
+
+
+def test_mixed_payload_insert_run_pads_with_zero_rows():
+    run = [Insert(key=1, payload=(4, 5)), Insert(key=2)]
+    assert Insert.batched(run) == MultiInsert(
+        keys=(1, 2), payloads=((4, 5), (0, 0))
+    )
+    assert Insert.batched(run[1:]) == MultiInsert(keys=(2,))
+
+
+class TestBulkFormTrainingSample:
+    """A training sample in bulk form trains exactly as its scalars do."""
+
+    def sample(self):
+        rng = np.random.default_rng(5)
+        hot = rng.integers(0, 500, size=400).tolist()
+        points = [PointQuery(key=key) for key in hot]
+        inserts = [Insert(key=int(k)) for k in rng.integers(2_000, 2_400, 60)]
+        deletes = [Delete(key=int(k)) for k in rng.integers(3_000, 3_300, 60)]
+        updates = [
+            Update(old_key=int(a), new_key=int(b))
+            for a, b in rng.integers(1_000, 1_900, (40, 2))
+        ]
+        ranges = [
+            RangeQuery(low=int(lo), high=int(lo) + 300)
+            for lo in rng.integers(2_500, 3_500, 30)
+        ]
+        scalar = points + inserts + deletes + updates + ranges
+        folded = [
+            PointQuery.batched(points),
+            Insert.batched(inserts),
+            Delete.batched(deletes),
+            Update.batched(updates),
+            RangeQuery.batched(ranges),
+        ]
+        return scalar, folded
+
+    def boundaries(self, operations):
+        keys = np.arange(4_096, dtype=np.int64)
+        db = Database.plan_for(
+            Workload(operations=operations),
+            keys,
+            chunk_size=2_048,
+            block_values=16,
+        )
+        return [plan.boundaries.tolist() for plan in db.planner.plans]
+
+    def test_plan_for_ignores_the_form_of_the_sample(self):
+        scalar, folded = self.sample()
+        as_scalars = self.boundaries(scalar)
+        assert as_scalars == self.boundaries(folded)
+        # The sample does shape the layout: hot chunk 0 is cut finer.
+        assert len(as_scalars[0]) > 1
+
+    def test_single_multi_point_query_trains_like_its_lookups(self):
+        # The case from the issue: 400 lookups on 500 hot keys.
+        scalar, _ = self.sample()
+        points = scalar[:400]
+        assert self.boundaries(points) == self.boundaries(
+            [PointQuery.batched(points)]
+        )
