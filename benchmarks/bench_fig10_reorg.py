@@ -166,8 +166,12 @@ BLOCK_VALUES = 128
 # Long enough that the drifted phase's post-replan tail dominates even
 # when 4 concurrent sessions burn through the prefix while the background
 # solver is still pricing chunks (the concurrent gate's 0.8x cut floor).
-DRIFTED_OPS = 24_000
-ROUNDS = 48
+# Doubled (24k ops / 48 rounds before) when interleaved reads started to
+# group by commutation: this point-heavy mix in random order is served
+# ~1.7x faster, so the same background replans landed after twice the
+# share of a 24k-op phase and the concurrent cut read 0.46-0.62x.
+DRIFTED_OPS = 48_000
+ROUNDS = 96
 
 INSERT_HEAVY = WorkloadMix(name="insert-heavy", q4_insert=0.9, q1_point=0.1)
 # Uniform reads: every chunk's mix flips from insert- to point-heavy at the

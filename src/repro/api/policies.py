@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator, Protocol, Sequence, runtime_checkable
 
-from ..storage.engine import BatchResult, StorageEngine, batch_group_keys
+from ..storage.engine import BatchResult, StorageEngine, plan_batch
 from ..storage.errors import ValueNotFoundError
 from ..workload.operations import Operation
 
@@ -47,23 +47,22 @@ class ExecutionPolicy(Protocol):
 
 
 def longest_groupable_run(operations: Sequence[Operation]) -> int:
-    """Length of the longest run ``execute_batch`` would group as one batch.
+    """Size of the largest group ``execute_batch`` would dispatch as one
+    batched operation: the most reads sharing a group key within one
+    write-free stretch, or the longest run of same-kind writes.
 
-    Run detection uses :func:`repro.storage.engine.batch_group_keys`, the
-    same definition the batch executor groups by, so the adaptive policy's
-    run-length heuristic cannot drift from the engine's actual grouping.
+    Read off :func:`repro.storage.engine.plan_batch`, the plan the batch
+    executor dispatches, so the adaptive policy's run-length heuristic
+    cannot drift from the engine's actual grouping.
     """
-    longest = 0
-    current_key = object()
-    current = 0
-    for key in batch_group_keys(operations):
-        if key is not None and key == current_key:
-            current += 1
-        else:
-            current = 1 if key is not None else 0
-            current_key = key
-        longest = max(longest, current)
-    return longest
+    return max(
+        (
+            len(positions)
+            for group_key, positions in plan_batch(operations)
+            if group_key is not None
+        ),
+        default=0,
+    )
 
 
 def _merged_result(
@@ -143,9 +142,12 @@ class _BatchedDispatch:
 class VectorizedPolicy(_BatchedDispatch):
     """Dispatch in fixed-size slices through ``engine.execute_batch``.
 
-    ``batch_size`` bounds each slice; within a slice, maximal runs of
-    compatible operations ride the vectorized fast paths (batched
-    ``searchsorted`` probes, coalesced bulk writes).
+    ``batch_size`` bounds each slice; within a slice, reads group by
+    commutation -- every read sharing a group key between two writes rides
+    one vectorized probe, however the client interleaved them -- while
+    writes are barriers that keep their order and group only as directly
+    consecutive same-kind runs (coalesced bulk writes).  The rule is
+    :func:`repro.storage.engine.plan_batch`.
     """
 
     batch_size: int = 256
@@ -179,9 +181,10 @@ class AdaptivePolicy(_BatchedDispatch):
     in :attr:`observations`), then picks the next size:
 
     * unexplored neighbour sizes are probed first, largest first -- and when
-      the slice consisted of a single groupable run truncated by the batch
+      the whole slice dispatched as a single group
+      (:func:`longest_groupable_run`), cut short only by the batch
       boundary, growing is forced before shrinking, since a longer batch
-      directly extends the vectorized run;
+      directly extends the vectorized group;
     * once the neighbourhood is explored, the policy moves to the neighbour
       whose latency estimate beats the current size by more than
       ``tolerance``, so wall-clock noise cannot make it flap.

@@ -13,8 +13,10 @@ Observation is *batch-native*: the engine appends one compact
 :class:`~repro.storage.access_log.AccessRecord` per dispatched run (kind,
 key/bound arrays, write-target flag) and :meth:`observe_batch` attributes
 each record's whole key array with a single ``searchsorted`` pass against
-the table's chunk fences, bulk-updating per-chunk counts (``np.add.at`` on
-a kind-by-chunk count matrix) and bounded ring-buffer samples -- no
+the table's chunk fences, bulk-updating per-chunk counts (``np.bincount``
+into a kind-by-chunk count matrix) and, once per log, the bounded
+ring-buffer samples in *submission* order (records carry their operations'
+batch positions when the engine dispatched groups out of order) -- no
 per-operation Python on the hot path, and no simulated accesses charged
 (monitoring is bookkeeping, not storage work).  The per-operation
 :meth:`observe` and the offline :meth:`observe_workload` seeding are thin
@@ -61,6 +63,10 @@ from ..workload.operations import (
 
 #: Default bound on the per-chunk operation sample retained for replans.
 DEFAULT_SAMPLE_LIMIT = 4_096
+
+#: Sample sequence numbers per submission position: room for every element
+#: of a ``Multi*`` operation dispatched whole (one position, many entries).
+_SLOT = 1 << 32
 
 _SOURCE_CODE = KIND_CODES["update_source"]
 _TARGET_CODE = KIND_CODES["update_target"]
@@ -292,32 +298,59 @@ class WorkloadMonitor:
         accesses); reads, deletes and update sources are attributed to the
         full candidate-chunk span, while write-target records (inserts,
         update targets) land in the first candidate chunk only.  Per-chunk
-        counts accumulate on a kind-by-chunk matrix merged once per log;
-        bounded samples take each record's per-chunk suffix in submission
-        order, exactly as per-operation appends would retain it.
+        counts accumulate on a kind-by-chunk matrix merged once per log.
+
+        Bounded samples are extended once per log, every chunk's entries in
+        *submission* order, exactly as per-operation appends would retain
+        them: a record that carries ``positions`` (a batch dispatched its
+        groups out of submission order) is placed by them, a record that
+        does not follows the records before it.
         """
         records = log.records if isinstance(log, AccessLog) else list(log)
         if not records:
             return
         with self._lock:
             counts = None
+            # Sample entries as (chunks, sequence, codes, lows, highs)
+            # columns; single-operation records share one row list.
+            entries: list[tuple] | None = [] if self.sample_limit else None
+            rows: list[tuple] | None = [] if self.sample_limit else None
+            following = 0
             for record in records:
-                if record.lows.shape[0] <= 1:
-                    # Scalar fast path: serial dispatch flushes one
-                    # single-op record per operation; the vectorized
-                    # machinery's fixed per-call overhead (count matrix,
-                    # argsort, unique) would dominate it.
-                    self._ingest_scalar(table, record)
+                size = int(record.lows.shape[0])
+                if size == 0:
                     continue
+                positions = record.positions
+                if positions is None:
+                    first, following = following, following + size
+                if size == 1:
+                    # Scalar fast path: the vectorized machinery's fixed
+                    # per-record overhead (span arrays, ``bincount``) would
+                    # dominate a single operation.
+                    self._ingest_scalar(
+                        table,
+                        record,
+                        first if positions is None else int(positions[0]),
+                        rows,
+                    )
+                    continue
+                if positions is None:
+                    order = np.arange(first, following, dtype=np.int64)
+                else:
+                    order = np.broadcast_to(positions, (size,))
                 if counts is None:
                     counts = np.zeros(
                         (len(ATTRIBUTION_KINDS), table.num_chunks),
                         dtype=np.int64,
                     )
                 if record.kind == PAIRED_UPDATE_KIND:
-                    self._ingest_update(table, record, counts)
+                    self._ingest_update(table, record, counts, order, entries)
                 else:
-                    self._ingest(table, record, counts)
+                    self._ingest(table, record, counts, order, entries)
+            if rows:
+                entries.append(tuple(np.array(rows, dtype=np.int64).T))
+            if entries:
+                self._extend_samples(entries)
             if counts is None:
                 return
             kind_ids, chunk_ids = np.nonzero(counts)
@@ -329,16 +362,38 @@ class WorkloadMonitor:
                 )
 
     @requires_lock("monitor")
+    def _extend_samples(self, entries: list[tuple]) -> None:
+        """Hand one log's sample entries to the per-chunk windows, each
+        chunk's in sequence order (the stable sort keeps ties as ingested)."""
+        chunks, sequence, codes, lows, highs = (
+            np.concatenate(column) for column in zip(*entries, strict=True)
+        )
+        sel = np.lexsort((sequence, chunks))
+        codes, lows, highs = codes[sel], lows[sel], highs[sel]
+        sizes = np.bincount(chunks)
+        ends = np.cumsum(sizes).tolist()
+        for chunk_id in np.flatnonzero(sizes).tolist():
+            group = slice(ends[chunk_id] - sizes[chunk_id], ends[chunk_id])
+            self._activity_for(chunk_id).sample.extend(
+                codes[group], lows[group], highs[group]
+            )
+
+    @requires_lock("monitor")
     def _attribute_scalar(
         self,
         table,
         kind: str,
         low: int,
         high: int,
+        sequence: int = 0,
+        rows: list | None = None,
         *,
         range_kind: bool = False,
         first_only: bool = False,
     ) -> None:
+        """Count one operation in every chunk of its span; its sample entry
+        goes to ``rows`` (a log being ingested: placed at ``sequence`` when
+        the log is done) or, without one, straight into the windows."""
         if range_kind:
             first, last = table.chunk_span(low, high)
         else:
@@ -349,40 +404,53 @@ class WorkloadMonitor:
         for chunk_index in range(first, last + 1):
             activity = self._activity_for(chunk_index)
             activity.counts[kind] = activity.counts.get(kind, 0) + 1
-            if self.sample_limit:
+            if rows is not None:
+                rows.append((chunk_index, sequence, code, low, high))
+            elif self.sample_limit:
                 activity.sample.append(code, low, high)
 
     @requires_lock("monitor")
-    def _ingest_scalar(self, table, record: AccessRecord) -> None:
+    def _ingest_scalar(
+        self, table, record: AccessRecord, order: int, rows: list | None
+    ) -> None:
         """Single-operation attribution without the vectorized machinery."""
-        if record.lows.shape[0] == 0:
-            return
         low = int(record.lows[0])
+        sequence = order * _SLOT
         if record.kind == PAIRED_UPDATE_KIND:
             target = int(record.highs[0])
-            self._attribute_scalar(table, "update_source", low, low)
+            self._attribute_scalar(table, "update_source", low, low, sequence, rows)
             self._attribute_scalar(
-                table, "update_target", target, target, first_only=True
+                table, "update_target", target, target, sequence + 1, rows,
+                first_only=True,
             )
         elif record.kind in RANGE_KINDS:
             high = int(record.highs[0]) if record.highs is not None else low
-            self._attribute_scalar(table, record.kind, low, high, range_kind=True)
+            self._attribute_scalar(
+                table, record.kind, low, high, sequence, rows, range_kind=True
+            )
         else:
             self._attribute_scalar(
-                table, record.kind, low, low, first_only=record.write_target
+                table, record.kind, low, low, sequence, rows,
+                first_only=record.write_target,
             )
 
     @requires_lock("monitor")
     def _ingest_update(
-        self, table, record: AccessRecord, counts: np.ndarray
+        self,
+        table,
+        record: AccessRecord,
+        counts: np.ndarray,
+        order: np.ndarray,
+        entries: list | None,
     ) -> None:
         """Attribute one paired update record (sources + aligned targets).
 
         Counts split into ``update_source`` (full candidate span of each
         old key) and ``update_target`` (insert route of each new key);
-        samples interleave source_i before target_i in submission order,
-        exactly as per-pair serial dispatch appends them, so the bounded
-        window is identical on both paths even under truncation.
+        sample entries interleave source_i before target_i (``2i`` and
+        ``2i + 1`` within their positions' slots), exactly as per-pair serial
+        dispatch appends them, so the bounded window is identical on both
+        paths even under truncation.
         """
         sources = record.lows
         targets = record.highs
@@ -392,82 +460,65 @@ class WorkloadMonitor:
         spans = source_last - source_first + 1
         source_positions = np.repeat(np.arange(m, dtype=np.int64), spans)
         source_chunks = expand_ranges(source_first, spans)
-        np.add.at(counts[_SOURCE_CODE], source_chunks, 1)
-        np.add.at(counts[_TARGET_CODE], target_first, 1)
-        if self.sample_limit == 0:
+        counts[_SOURCE_CODE] += np.bincount(source_chunks, minlength=counts.shape[1])
+        counts[_TARGET_CODE] += np.bincount(target_first, minlength=counts.shape[1])
+        if entries is None:
             return
-        chunks = np.concatenate((source_chunks, target_first))
-        # Submission-order key: source_i at 2i, target_i at 2i + 1.
-        order = np.concatenate(
-            (2 * source_positions, 2 * np.arange(m, dtype=np.int64) + 1)
-        )
-        codes = np.concatenate(
+        source_keys = sources[source_positions]
+        sequence = order * _SLOT + 2 * np.arange(m, dtype=np.int64)
+        entries.append(
             (
-                np.full(source_chunks.shape[0], _SOURCE_CODE, dtype=np.int8),
-                np.full(m, _TARGET_CODE, dtype=np.int8),
+                source_chunks,
+                sequence[source_positions],
+                np.full(source_chunks.shape[0], _SOURCE_CODE),
+                source_keys,
+                source_keys,
             )
         )
-        values = np.concatenate((sources[source_positions], targets))
-        sel = np.lexsort((order, chunks))
-        sorted_chunks = chunks[sel]
-        unique_chunks, group_starts, group_counts = np.unique(
-            sorted_chunks, return_index=True, return_counts=True
+        entries.append(
+            (target_first, sequence + 1, np.full(m, _TARGET_CODE), targets, targets)
         )
-        for chunk_id, start, count in zip(
-            unique_chunks.tolist(),
-            group_starts.tolist(),
-            group_counts.tolist(),
-            strict=True,
-        ):
-            idx = sel[start : start + count]
-            activity = self._activity_for(int(chunk_id))
-            activity.sample.extend(codes[idx], values[idx], values[idx])
 
     @requires_lock("monitor")
-    def _ingest(self, table, record: AccessRecord, counts: np.ndarray) -> None:
-        """Attribute one record: count-matrix update plus sample appends."""
+    def _ingest(
+        self,
+        table,
+        record: AccessRecord,
+        counts: np.ndarray,
+        order: np.ndarray,
+        entries: list | None,
+    ) -> None:
+        """Attribute one record: count-matrix update plus sample entries."""
         lows = record.lows
         code = KIND_CODES[record.kind]
         if record.kind in RANGE_KINDS:
             highs = record.highs if record.highs is not None else lows
             first, last = table.chunk_span_batch(lows, highs)
         else:
-            highs = None
+            highs = lows
             first, last = table.chunk_span_batch(lows)
             if record.write_target:
                 last = first
         spans = last - first + 1
         if int(spans.max()) == 1:
             expanded_chunks = first
-            expanded_positions = None  # positions are 0..m-1 in order
         else:
-            expanded_positions = np.repeat(
+            positions = np.repeat(
                 np.arange(lows.shape[0], dtype=np.int64), spans
             )
             expanded_chunks = expand_ranges(first, spans)
-        np.add.at(counts[code], expanded_chunks, 1)
-        if self.sample_limit == 0:
-            return
-        highs_arr = highs if highs is not None else lows
-        # Group attributed positions by chunk; the stable sort keeps each
-        # chunk's positions ascending, i.e. in submission order.
-        order = np.argsort(expanded_chunks, kind="stable")
-        sorted_chunks = expanded_chunks[order]
-        sorted_positions = (
-            order if expanded_positions is None else expanded_positions[order]
-        )
-        unique_chunks, group_starts, group_counts = np.unique(
-            sorted_chunks, return_index=True, return_counts=True
-        )
-        for chunk_id, start, count in zip(
-            unique_chunks.tolist(),
-            group_starts.tolist(),
-            group_counts.tolist(),
-            strict=True,
-        ):
-            positions = sorted_positions[start : start + count]
-            activity = self._activity_for(int(chunk_id))
-            activity.sample.extend(code, lows[positions], highs_arr[positions])
+            order, lows, highs = order[positions], lows[positions], highs[positions]
+        counts[code] += np.bincount(expanded_chunks, minlength=counts.shape[1])
+        if entries is not None:
+            entries.append(
+                (
+                    expanded_chunks,
+                    order * _SLOT,
+                    np.full(expanded_chunks.shape[0], code),
+                    lows,
+                    highs,
+                )
+            )
 
     def observe(
         self,

@@ -62,13 +62,19 @@ class AccessRecord:
     ``write_target`` marks records attributed to the first candidate chunk
     only (the table's insert routing rule) -- it is implied by the kinds in
     :data:`FIRST_CANDIDATE_KINDS` and recorded explicitly so a log is
-    self-describing.
+    self-describing.  ``positions`` places the run's operations in their
+    batch when the batch dispatched its groups out of submission order
+    (reads grouped by commutation): one submission position per operation,
+    or a single one for a ``Multi*`` operation dispatched whole.  The
+    monitor orders its samples by them; ``None`` means the operations
+    follow those of the record before, in order.
     """
 
     kind: str
     lows: np.ndarray
     highs: np.ndarray | None = None
     write_target: bool = False
+    positions: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KIND_CODES and self.kind != PAIRED_UPDATE_KIND:
@@ -86,13 +92,17 @@ class AccessLog:
     The storage engine keeps one log per ``execute_batch`` call (and a
     throwaway single-record log per serial dispatch), appending one record
     per dispatched run instead of one monitor call per operation; the
-    monitor drains the log in one vectorized pass.
+    monitor drains the log in one vectorized pass.  A batch that dispatches
+    out of submission order sets :attr:`positions` before each dispatch;
+    the next record takes them.
     """
 
-    __slots__ = ("records",)
+    __slots__ = ("records", "positions")
 
     def __init__(self, records: Iterable[AccessRecord] | None = None) -> None:
         self.records: list[AccessRecord] = list(records) if records else []
+        #: Submission positions of the operations the next record covers.
+        self.positions: Sequence[int] | None = None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -119,12 +129,16 @@ class AccessLog:
             highs = np.asarray(highs, dtype=np.int64)
             if highs.shape != lows.shape:
                 raise ValueError("highs must be aligned with lows")
+        positions, self.positions = self.positions, None
+        if positions is not None:
+            positions = np.asarray(positions, dtype=np.int64)
         self.records.append(
             AccessRecord(
                 kind=kind,
                 lows=lows,
                 highs=highs,
                 write_target=write_target or kind in FIRST_CANDIDATE_KINDS,
+                positions=positions,
             )
         )
 

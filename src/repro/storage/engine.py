@@ -28,6 +28,8 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 if TYPE_CHECKING:
@@ -125,23 +127,51 @@ class EngineStatistics:
 
 
 def batch_group_key(operation) -> tuple | None:
-    """Run-grouping key under which :meth:`StorageEngine.execute_batch`
-    batches an operation.
+    """Grouping key under which :meth:`StorageEngine.execute_batch` batches
+    an operation.
 
-    Consecutive operations with the same non-``None`` key form one run and
-    resolve through the matching ``multi_*`` fast path; ``None`` marks
-    operations that always dispatch individually.  Each operation class
-    states its key (:mod:`repro.workload.operations`), so the batch
-    executor and the execution policies' run-length heuristics
-    (:mod:`repro.api.policies`) share one definition.  Use
-    :func:`batch_group_keys` when classifying a whole operation list.
+    Operations with the same non-``None`` key that :func:`plan_batch` puts
+    in one group resolve through the matching ``multi_*`` fast path;
+    ``None`` marks operations that always dispatch individually.  Each
+    operation class states its key (:mod:`repro.workload.operations`).
     """
     return operation.group_key
 
 
-def batch_group_keys(operations) -> list[tuple | None]:
-    """:func:`batch_group_key` over an operation list, one pass."""
-    return [operation.group_key for operation in operations]
+def plan_batch(operations) -> list[tuple[tuple | None, list[int]]]:
+    """The dispatch plan of :meth:`StorageEngine.execute_batch`: one
+    ``(group_key, positions)`` entry per dispatched operation, in dispatch
+    order; ``positions`` index into ``operations``, ascending.
+
+    This is the one grouping definition: the batch executor dispatches it
+    and the execution policies' run-length heuristic
+    (:func:`repro.api.policies.longest_groupable_run`) measures it.
+
+    Reads commute with one another, so within a maximal write-free stretch
+    every read sharing a group key joins one group, adjacent or not; groups
+    dispatch in order of first appearance.  Writes are barriers: a write
+    never moves across a read or another write, and joins only the run of
+    same-key writes it directly follows.  An operation whose key is
+    ``None`` is a group of its own, at its own place.
+    """
+    plan: list[tuple[tuple | None, list[int]]] = []
+    position = 0
+    for writes, stretch in groupby(operations, key=attrgetter("writes")):
+        open_groups: dict[tuple, list[int]] = {}
+        for operation in stretch:
+            key = operation.group_key
+            group = open_groups.get(key)
+            if group is None:
+                group = []
+                plan.append((key, group))
+                if writes:
+                    # A new write group closes the run before it.
+                    open_groups = {}
+                if key is not None:
+                    open_groups[key] = group
+            group.append(position)
+            position += 1
+    return plan
 
 
 class StorageEngine:
@@ -639,15 +669,21 @@ class StorageEngine:
     def execute_batch(self, operations) -> BatchResult:
         """Execute a sequence of operations on the vectorized batch fast path.
 
-        Maximal consecutive runs of point queries (with identical column
-        lists), of counting range queries, of inserts, of deletes and of key
-        updates are grouped and resolved through :meth:`multi_point_query` /
-        :meth:`multi_range_count` / :meth:`multi_insert` /
-        :meth:`multi_delete` / :meth:`multi_update`; every other operation is
-        dispatched individually, preserving the submission order of writes
-        relative to the reads around them.  Grouped updates apply their pairs
-        in submission order and match per-operation dispatch exactly.  Grouped reads charge simulated accesses
-        identical to per-operation dispatch; grouped writes are applied in
+        Operations group by commutation, not adjacency (:func:`plan_batch`
+        is the rule).  Reads between two writes commute with one another,
+        so within every maximal write-free stretch all point queries with
+        identical column lists resolve through one
+        :meth:`multi_point_query` and all counting range queries through
+        one :meth:`multi_range_count`, however they were interleaved.
+        Writes are barriers and keep their order: no write moves across a
+        read or another write, and only directly consecutive inserts,
+        deletes or key updates form a run, resolved through
+        :meth:`multi_insert` / :meth:`multi_delete` / :meth:`multi_update`.
+        Every other operation (SUM ranges, the ``Multi*`` kinds) is
+        dispatched individually, at its own place.  Grouped updates apply
+        their pairs in submission order and match per-operation dispatch
+        exactly.  Grouped reads charge simulated accesses identical to
+        per-operation dispatch; grouped writes are applied in
         ascending key order within their run and charge at most that
         ordering's per-operation accesses (coalesced ripple sweeps charge
         each touched block once per batch), returning the same row ids and
@@ -668,15 +704,18 @@ class StorageEngine:
         :meth:`DeltaStoreColumn.bulk_insert`).
         Results are returned in submission order (``None`` for operations
         that raised ``ValueNotFoundError`` and for deletes of missing keys).
-        Statistics are recorded per dispatched operation -- grouped runs
-        under the ``multi_*`` kinds, the rest under their own kind.
+        Statistics are recorded per dispatched operation -- groups under
+        the ``multi_*`` kinds, the rest under their own kind.
 
-        With a monitor attached, each dispatched run appends one compact
+        With a monitor attached, each dispatched group appends one compact
         record to a batch-scoped :class:`AccessLog` and the whole log is
         ingested once per batch (:meth:`WorkloadMonitor.observe_batch`)
         instead of one monitor call per operation.  Attribution routes by
         the chunk fences, which no batched write moves, so the deferred
-        flush attributes exactly what per-operation observation would.
+        flush attributes exactly what per-operation observation would; each
+        record carries its operations' submission positions, so the
+        monitor's bounded samples keep submission order although read
+        groups dispatch out of it.
 
         With durability attached, a batch containing any write runs inside
         one commit scope: the manager's commit lock is held across the
@@ -742,35 +781,33 @@ class StorageEngine:
         )
 
     def _dispatch_batch(self, oplist) -> tuple[list[Any], int]:
-        """Run-grouped dispatch loop of :meth:`execute_batch`."""
-        group_keys = batch_group_keys(oplist)
-        results: list[Any] = []
+        """Dispatch :func:`plan_batch` of ``oplist``; every result lands in
+        its operation's submission slot."""
+        results: list[Any] = [None] * len(oplist)
         errors = 0
-        i = 0
-        n = len(oplist)
-        while i < n:
-            operation = oplist[i]
-            group_key = group_keys[i]
+        log = self._batch_log
+        for group_key, positions in plan_batch(oplist):
+            if log is not None:
+                # Groups dispatch out of submission order; the monitor
+                # puts its samples back in it.
+                log.positions = positions
             if group_key is None:
+                (position,) = positions
                 try:
-                    results.append(self.execute(operation).result)
+                    results[position] = self.execute(oplist[position]).result
                 except ValueNotFoundError:
-                    results.append(None)
                     errors += 1
-                i += 1
                 continue
-            j = i + 1
-            while j < n and group_keys[j] == group_key:
-                j += 1
-            # The run as its one batched operation, dispatched like any
+            # The group as its one batched operation, dispatched like any
             # other; its result splits back into the per-scalar results.
-            batched = type(operation).batched(oplist[i:j])
-            run_results, run_errors = batched.scalar_results(
+            group = [oplist[position] for position in positions]
+            batched = type(group[0]).batched(group)
+            group_results, group_errors = batched.scalar_results(
                 self.execute(batched).result
             )
-            results.extend(run_results)
-            errors += run_errors
-            i = j
+            for position, result in zip(positions, group_results, strict=True):
+                results[position] = result
+            errors += group_errors
         return results, errors
 
     def values(self) -> np.ndarray:

@@ -13,8 +13,12 @@ scalar, five batched) *is*.  Every class states, once:
     whether it mutates table state (:data:`WRITE_KINDS` and :func:`is_write`
     derive from it);
 ``group_key``
-    the key under which ``StorageEngine.execute_batch`` groups consecutive
-    operations into one run (``None``: always dispatched individually);
+    the key under which ``StorageEngine.execute_batch`` groups operations
+    into one batched dispatch (``None``: always dispatched individually).
+    Reads commute, so every read sharing a key within a write-free stretch
+    of a batch groups, adjacent or not; writes are barriers that keep their
+    submission order, and only directly consecutive same-key writes group
+    (``repro.storage.engine.plan_batch`` is that rule);
 ``attribution()``
     the monitor's access record ``(kind, lows, highs)`` -- ``kind`` is one of
     ``repro.storage.access_log.ATTRIBUTION_KINDS`` or the paired-update kind
@@ -23,15 +27,15 @@ scalar, five batched) *is*.  Every class states, once:
     key the operation touches (``highs`` carries the update targets);
 ``scalars()``
     its scalar expansion.  Scalar kinds add the inverse ``batched(run)``
-    (one batched operation for a run sharing a group key); batched kinds add
-    ``scalar_results(result)``, which splits the batched engine result (row
-    lists, or an ``int64`` array of counts / row ids) into the per-scalar
-    results and the error count serial dispatch reports;
+    (one batched operation for a group sharing a group key); batched kinds
+    add ``scalar_results(result)``, which splits the batched engine result
+    (row lists, or an ``int64`` array of counts / row ids) into the
+    per-scalar results and the error count serial dispatch reports;
 ``wire``
     ``(tag, array_fields)`` for the shard codec: the named fields travel as
     ``int64`` arrays, every other field as a JSON scalar.
 
-The engine's run grouping, the monitor's offline seeding, the Frequency
+The engine's batch plan, the monitor's offline seeding, the Frequency
 Model, the planner's chunk filter, the wire codec and the shard router's
 scatter are loops over these facts; only ``StorageEngine.execute``
 (operation -> engine method) and the shard router's ``route`` (how a kind

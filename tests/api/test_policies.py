@@ -24,7 +24,7 @@ from repro.api.policies import (
     VectorizedPolicy,
     longest_groupable_run,
 )
-from repro.storage.engine import StorageEngine
+from repro.storage.engine import StorageEngine, plan_batch
 from repro.storage.layouts import LayoutKind, LayoutSpec
 from repro.storage.table import Table, layout_chunk_builder
 from repro.workload.operations import (
@@ -332,28 +332,170 @@ class TestAdaptivePolicy:
         assert all(s >= 0 for s in simulated)
 
 
-class TestRunGrouping:
-    def test_longest_groupable_run(self):
-        assert longest_groupable_run([]) == 0
-        ops = [
-            PointQuery(key=1),
-            PointQuery(key=2),
-            PointQuery(key=3, columns=("a1",)),
-            RangeQuery(low=0, high=5),
-            RangeQuery(low=1, high=2),
-            RangeQuery(low=1, high=2, aggregate=Aggregate.SUM),
-            Insert(key=7),
-            Delete(key=7),
-            Update(old_key=1, new_key=3),
-            Update(old_key=5, new_key=9),
-            Update(old_key=11, new_key=13),
+#: Keys the interleaving tests draw from: the straddling duplicate run, its
+#: unique neighbours, and odd keys that only exist once a test inserts them
+#: -- few enough that inserts, deletes and updates keep colliding.
+INTERLEAVED_KEYS = st.sampled_from(
+    [STRADDLE_KEY, 498, 502, 0, 996, 501, 503, 999]
+)
+
+INTERLEAVED_READS = st.one_of(
+    st.builds(PointQuery, key=INTERLEAVED_KEYS),
+    st.builds(PointQuery, key=INTERLEAVED_KEYS, columns=st.just(("a1",))),
+    st.builds(
+        lambda low, width, aggregate: RangeQuery(low, low + width, aggregate),
+        INTERLEAVED_KEYS,
+        st.integers(0, 40),
+        st.sampled_from(Aggregate),
+    ),
+)
+
+INTERLEAVED_WRITES = st.one_of(
+    st.builds(
+        Insert,
+        key=INTERLEAVED_KEYS,
+        payload=st.tuples(st.integers(0, 9), st.integers(0, 9)),
+    ),
+    st.builds(Delete, key=INTERLEAVED_KEYS),
+    st.builds(Update, old_key=INTERLEAVED_KEYS, new_key=INTERLEAVED_KEYS),
+)
+
+
+class TestCommutingReads:
+    """Reads group across a write-free stretch; writes are barriers."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        operations=st.lists(
+            st.one_of(INTERLEAVED_READS, INTERLEAVED_WRITES), max_size=60
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_interleavings_equal_serial_dispatch(self, operations, seed):
+        # Row *sets* are compared (``normalized``): a grouped delete run may
+        # leave the surviving copies of a duplicated key in another physical
+        # order than submission-order deletes do, as it did before reads
+        # grouped by commutation.
+        _, serial = run_policy(SerialPolicy(), operations)
+        for policy in policies(np.random.default_rng(seed))[1:]:
+            engine, outcome = run_policy(policy, operations)
+            assert normalized(outcome.results) == normalized(serial.results)
+            assert outcome.errors == serial.errors
+            engine.table.check_invariants()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        operations=st.lists(INTERLEAVED_READS, max_size=60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_read_only_interleavings_charge_what_serial_does(
+        self, operations, seed
+    ):
+        _, serial = run_policy(SerialPolicy(), operations)
+        for policy in policies(np.random.default_rng(seed))[1:]:
+            _, outcome = run_policy(policy, operations)
+            assert outcome.results == serial.results
+            assert outcome.accesses == serial.accesses
+
+    def test_writes_are_barriers(self):
+        key = 501  # absent until inserted
+        operations = [
+            PointQuery(key),
+            Insert(key, (7, 8)),
+            PointQuery(key),
+            Delete(key),
+            PointQuery(key),
         ]
-        # Longest run: the three trailing updates.
-        assert longest_groupable_run(ops) == 3
-        # Column changes break point-query runs; SUM aggregates are
-        # singletons.
-        assert longest_groupable_run(ops[:3]) == 2
-        assert longest_groupable_run(ops[5:6]) == 0
+        _, outcome = run_policy(VectorizedPolicy(batch_size=256), operations)
+        miss, rowid, hit, _, miss_again = outcome.results
+        assert miss == [] and miss_again == []
+        assert [(row.key, row.rowid) for row in hit] == [(key, rowid)]
+        assert hit[0].payload == {"a1": 7, "a2": 8}
+
+    def test_one_dispatch_per_read_group_per_write_free_stretch(self):
+        rng = np.random.default_rng(5)
+        reads = (
+            [PointQuery(int(key)) for key in rng.integers(0, 1_000, 100)]
+            + [
+                PointQuery(int(key), columns=("a1",))
+                for key in rng.integers(0, 1_000, 56)
+            ]
+            + [
+                RangeQuery(int(low), int(low) + 50)
+                for low in rng.integers(0, 900, 100)
+            ]
+        )
+        reads = [reads[i] for i in rng.permutation(len(reads))]
+        assert len(reads) == 256
+
+        def dispatched(operations) -> dict[str, int]:
+            engine, _ = run_policy(VectorizedPolicy(batch_size=512), operations)
+            return dict(engine.statistics.operations)
+
+        assert dispatched(reads) == {
+            "multi_point_query": 2,  # one per columns tuple
+            "multi_range_count": 1,
+        }
+        # A write in the middle is a barrier: each side groups on its own.
+        split = [*reads[:128], Insert(key=2_001), *reads[128:]]
+        assert dispatched(split) == {
+            "multi_point_query": 4,
+            "multi_range_count": 2,
+            "multi_insert": 1,
+        }
+
+
+class TestRunGrouping:
+    OPS = [
+        PointQuery(key=1),
+        RangeQuery(low=0, high=5),
+        PointQuery(key=3, columns=("a1",)),
+        RangeQuery(low=1, high=2, aggregate=Aggregate.SUM),
+        PointQuery(key=2),
+        RangeQuery(low=1, high=2),
+        RangeQuery(low=3, high=4, aggregate=Aggregate.SUM),
+        PointQuery(key=4),
+        Insert(key=7),
+        Insert(key=9),
+        PointQuery(key=7),
+        Insert(key=11),
+        Delete(key=7),
+        Update(old_key=1, new_key=3),
+        Update(old_key=5, new_key=9),
+        PointQuery(key=9),
+        PointQuery(key=5),
+    ]
+
+    def test_plan_groups_reads_by_key_and_writes_by_adjacency(self):
+        assert plan_batch(self.OPS) == [
+            # First write-free stretch: one group per key, in order of
+            # first appearance; SUMs stay singletons at their own place.
+            (("point_query", None), [0, 4, 7]),
+            (("range_count",), [1, 5]),
+            (("point_query", ("a1",)), [2]),
+            (None, [3]),
+            (None, [6]),
+            # Writes keep submission order: a read splits the insert run,
+            # and a write joins only the same-kind run it directly follows.
+            (("insert",), [8, 9]),
+            (("point_query", None), [10]),
+            (("insert",), [11]),
+            (("delete",), [12]),
+            (("update",), [13, 14]),
+            (("point_query", None), [15, 16]),
+        ]
+        assert plan_batch([]) == []
+
+    def test_longest_groupable_run_reads_the_plan(self):
+        assert longest_groupable_run([]) == 0
+        # The largest group: the three default-column point queries of the
+        # first stretch, although no two of them are adjacent.
+        assert longest_groupable_run(self.OPS) == 3
+        assert longest_groupable_run(self.OPS[8:]) == 2
+        # A write between them keeps same-key reads in separate groups.
+        assert longest_groupable_run(self.OPS[9:12]) == 1
+        # SUM aggregates are singletons and never count as a group.
+        assert longest_groupable_run([self.OPS[3], self.OPS[6]]) == 0
 
     def test_vectorized_policy_validates_batch_size(self):
         with pytest.raises(ValueError):

@@ -33,6 +33,7 @@ from repro.storage.errors import ValueNotFoundError
 from repro.storage.layouts import LayoutKind, LayoutSpec
 from repro.storage.table import Table, layout_chunk_builder
 from repro.workload.operations import (
+    Aggregate,
     Delete,
     Insert,
     MultiDelete,
@@ -158,6 +159,32 @@ class TestEngineDispatchEquivalence:
         # element-for-element between the two dispatch paths.
         per_op = run_per_op(table_keys, operations, sample_limit=4_096)
         batched = run_batched(table_keys, operations, sample_limit=4_096)
+        assert sample_sequences(per_op) == sample_sequences(batched)
+
+    @pytest.mark.parametrize("limit", [4_096, 3])
+    def test_interleaved_reads_keep_submission_order_in_samples(self, limit):
+        # Reads group by commutation, so the batch dispatches both point
+        # queries before the range count, the SUM and the bulk forms at
+        # their own places; the sample windows must still read as
+        # submitted -- source_i/target_i interleave of a ``MultiUpdate``
+        # dispatched whole included.
+        table_keys = [0] * 8 + list(range(1, 17))
+        operations = [
+            PointQuery(key=0),
+            RangeQuery(low=0, high=3),
+            PointQuery(key=2),
+            RangeQuery(low=0, high=9, aggregate=Aggregate.SUM),
+            MultiPointQuery(keys=(5, 0)),
+            PointQuery(key=0),
+            RangeQuery(low=1, high=1),
+            MultiUpdate(pairs=((0, 30), (1, 0))),
+            PointQuery(key=0),
+            RangeQuery(low=0, high=0),
+            PointQuery(key=30),
+        ]
+        per_op = run_per_op(table_keys, operations, sample_limit=limit)
+        batched = run_batched(table_keys, operations, sample_limit=limit)
+        assert counts_by_chunk(per_op) == counts_by_chunk(batched)
         assert sample_sequences(per_op) == sample_sequences(batched)
 
     @settings(max_examples=40, deadline=None)
