@@ -450,10 +450,11 @@ class Database:
         :class:`~repro.api.policies.VectorizedPolicy` or
         :class:`~repro.api.policies.AdaptivePolicy` for the batched fast
         paths.  ``reorg`` enables the automatic reorganization lifecycle:
-        a bare :class:`~repro.api.reorg.ReorgPolicy` replans inline, a
-        :class:`~repro.api.reorganizer.Reorganizer` drains the same
-        replans incrementally (budgeted slices between execute calls, or a
-        background worker thread).
+        a :class:`~repro.api.reorganizer.Reorganizer` drains replans in
+        budgeted slices between execute calls or on a background worker
+        thread; a bare :class:`~repro.api.reorg.ReorgPolicy` is shorthand
+        for ``Reorganizer(policy, chunk_budget=None)``, which replans
+        inside the execute call that trips the drift check.
 
         Multiple live sessions may be open at once -- one per thread --
         over this one database; their executions interleave under the

@@ -1,41 +1,34 @@
-"""Reorganization policy: automatic, cost-gated online replans.
+"""Reorganization policy: what to replan, and whether it pays.
 
 The paper's Fig. 10 loop (sample -> plan -> execute -> monitor -> replan)
-closes here: a :class:`ReorgPolicy` attached to a session watches the
-per-chunk operation mixes the engine's
-:class:`~repro.core.monitor.WorkloadMonitor` records, detects drift against
-a baseline mix (seeded from the planner's offline training sample), and
-re-lays-out a drifted chunk *only when the modeled savings beat the rebuild
-charge*.
+has three roles in this package, each written once: the engine's
+:class:`~repro.core.monitor.WorkloadMonitor` *records* per-chunk operation
+mixes, the :class:`ReorgPolicy` here *prices* them, and the
+:class:`~repro.api.reorganizer.Reorganizer` *schedules* the policy's three
+steps -- it is the loop's only driver:
 
-The lifecycle is split into two phases so reorganization can run off the
-execute path (see :class:`~repro.api.reorganizer.Reorganizer`):
-
-* **decision phase** -- :meth:`ReorgPolicy.scan` finds chunks whose
-  total-variation drift against their baseline crossed the threshold
-  (cheap: no layouts are solved); :meth:`ReorgPolicy.decide_chunk` then
-  prices one candidate -- solving a layout for the chunk's recorded sample
-  and comparing its modeled cost to the current layout and the rebuild
-  charge -- and returns either an approved :class:`ReorgAction` (carrying
-  the already-solved plan and the chunk's data generation) or a recorded
-  rejection :class:`ReorgDecision`;
-* **apply phase** -- :meth:`ReorgPolicy.apply_action` builds the
-  replacement chunk *off to the side* (copy-on-write: readers keep serving
-  from the current chunk throughout) and swaps it in with the table's
-  single generation-checked :meth:`~repro.storage.table.Table.
-  publish_chunk`; a generation mismatch -- at the pre-build snapshot or at
-  the publish itself -- means a write raced the decision, and the action
-  is reported stale (``None``) so the caller requeues it instead of
-  applying a layout solved for data that no longer exists.
+* :meth:`ReorgPolicy.scan` finds chunks whose total-variation drift
+  against their baseline mix (seeded from the planner's offline training
+  sample) crossed the threshold -- cheap: no layouts are solved;
+* :meth:`ReorgPolicy.decide_chunk` prices one candidate -- solving a
+  layout for the chunk's recorded sample and comparing its modeled cost to
+  the current layout and the rebuild charge -- and returns either an
+  approved :class:`ReorgAction` (carrying the already-solved plan and the
+  chunk's data generation) or a recorded rejection :class:`ReorgDecision`;
+* :meth:`ReorgPolicy.apply_action` builds the replacement chunk *off to
+  the side* (copy-on-write: readers keep serving from the current chunk
+  throughout) and swaps it in with the table's single generation-checked
+  :meth:`~repro.storage.table.Table.publish_chunk`; a generation mismatch
+  -- at the pre-build snapshot or at the publish itself -- means a write
+  raced the decision, and the action is reported stale (``None``) so the
+  caller requeues it instead of applying a layout solved for data that no
+  longer exists.
 
 A policy may be driven from several sessions (threads) at once: the
 baseline/bookkeeping state is mutex-guarded, decisions are solved without
 any lock (the generation-checked publish makes a raced plan harmless), and
 two racing applies of the same chunk resolve safely -- the first publish
 bumps the generation, the second fails its check and requeues.
-
-:meth:`maybe_reorganize` chains the two phases inline (decide + apply in
-the same call) and remains the synchronous compatibility entry point.
 
 Every evaluation that crosses the drift threshold is recorded as a
 :class:`ReorgDecision`, whether or not it replanned, so sessions can report
@@ -45,6 +38,7 @@ exactly why the lifecycle did (or did not) act.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro import discipline
@@ -56,16 +50,25 @@ from ..storage.cost_accounting import blocks_spanned
 if TYPE_CHECKING:
     from .database import Database
 
+#: Multiplier on the rebuild charge the modeled savings must exceed.
+REBUILD_MARGIN = 1.0
+
 
 @dataclass
 class ReorgDecision:
-    """Outcome of evaluating one drifted chunk."""
+    """Outcome of evaluating one drifted chunk.
+
+    One object per evaluation: :meth:`ReorgPolicy.decide_chunk` creates it,
+    fills in the priced costs, and either records it as a rejection or
+    carries it forward inside a :class:`ReorgAction` for
+    :meth:`ReorgPolicy.apply_action` to mark ``replanned`` and record.
+    """
 
     chunk_index: int
     drift: float
     observed_operations: int
-    replanned: bool
-    reason: str
+    replanned: bool = False
+    reason: str = ""
     current_cost_ns: float | None = None
     planned_cost_ns: float | None = None
     rebuild_cost_ns: float | None = None
@@ -82,30 +85,25 @@ class ReorgDecision:
 class ReorgAction:
     """An approved replan awaiting application (decision-phase output).
 
-    Carries everything the apply phase needs: the layout plan the cost gate
-    already solved (``None`` when the gate is disabled and the rebuild will
-    re-solve against the live sample), the planner bound to the recorded
-    sample, the mix that triggered the decision (adopted as the chunk's new
-    baseline on apply) and the chunk's data ``generation`` at decision
-    time -- the staleness token :meth:`ReorgPolicy.apply_action` re-checks.
+    Carries the priced (not yet recorded) ``decision`` plus what the apply
+    phase needs: the layout ``plan`` the cost gate already solved, the
+    ``replanner`` bound to the recorded sample, the ``mix`` that triggered
+    the decision (adopted as the chunk's new baseline on apply) and the
+    chunk's data ``generation`` at decision time -- the staleness token
+    :meth:`ReorgPolicy.apply_action` re-checks.
     """
 
-    chunk_index: int
-    drift: float
-    observed_operations: int
+    decision: ReorgDecision
     mix: dict[str, float]
     generation: int
-    plan: object | None = None
-    replanner: object | None = None
-    current_cost_ns: float | None = None
-    planned_cost_ns: float | None = None
-    rebuild_cost_ns: float | None = None
+    plan: object
+    replanner: object
 
 
 @guarded_class
 @dataclass
 class ReorgPolicy:
-    """When (and whether) a session replans drifted chunks.
+    """Which drifted chunks are worth replanning.
 
     Parameters
     ----------
@@ -116,45 +114,37 @@ class ReorgPolicy:
         Minimum operations attributed to a chunk (since its last replan)
         before drift is evaluated, so a handful of operations cannot trigger
         a rebuild.
-    cost_gate:
-        When true (the default), a candidate layout is solved for the
-        chunk's recorded sample and the replan only proceeds if the modeled
-        savings beat ``rebuild_margin`` times the rebuild charge.  A
-        rejection adopts the evaluated mix as the chunk's new baseline and
-        resets its recorded window, so a workload that persists in a
-        judged-unprofitable mix never re-triggers the solver -- the mix has
-        to drift past the threshold again.  When false, crossing the drift
-        threshold replans unconditionally.
-    rebuild_margin:
-        Multiplier on the rebuild charge the modeled savings must exceed.
-    check_interval:
-        Evaluate drift only every N-th ``Session.execute`` call (1 = every
-        call).
 
-    A policy instance carries per-database state (baseline mixes, call
-    counts), so it is bound to the first database it evaluates; create a
-    fresh instance per database (sharing one across a database's sessions
-    is fine -- baselines deliberately persist across them).
+    A candidate layout is solved for the chunk's recorded sample and the
+    replan only proceeds if the modeled savings beat the rebuild charge
+    (the cost gate).  A rejection adopts the evaluated mix as the chunk's
+    new baseline and resets its recorded window, so a workload that
+    persists in a judged-unprofitable mix never re-triggers the solver --
+    the mix has to drift past the threshold again.
+
+    A policy instance carries per-database state (baseline mixes), so it
+    is bound to the first database it serves; create a fresh instance per
+    database (sharing one across a database's sessions, consecutive or
+    concurrent, is fine -- baselines deliberately persist across them, and
+    each decision is reported to exactly one session call).
     """
 
     drift_threshold: float = 0.25
     min_chunk_operations: int = 256
-    cost_gate: bool = True
-    rebuild_margin: float = 1.0
-    check_interval: int = 1
     decisions: list[ReorgDecision] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.drift_threshold <= 1.0:
             raise ValueError("drift_threshold must be in [0, 1]")
-        if self.check_interval <= 0:
-            raise ValueError("check_interval must be positive")
         self._baselines: dict[int, dict[str, float]] = {}
         self._baselines_seeded = False
-        self._calls = 0
         self._database: "Database | None" = None
-        # Guards the cheap bookkeeping (call count, seeding, baseline
-        # adoption, decision log) against concurrent sessions.  The solver
+        # Report watermark over ``decisions``.  It sits beside the log, not
+        # in a reorganizer, because every session given this policy bare
+        # builds a reorganizer of its own around it.
+        self._reported = len(self.decisions)
+        # Guards the cheap bookkeeping (seeding, baseline adoption,
+        # decision log and watermark) against concurrent sessions.  The solver
         # deliberately runs outside this lock: pricing a candidate can take
         # milliseconds, and the generation-checked publish already makes a
         # stale plan harmless.
@@ -165,6 +155,20 @@ class ReorgPolicy:
         """Number of replans performed so far."""
         return sum(1 for decision in self.decisions if decision.replanned)
 
+    def unreported(self) -> list[ReorgDecision]:
+        """Decisions recorded since the previous call (any thread's).
+
+        Each decision is handed out exactly once, however many sessions
+        and reorganizers share the policy.  The watermark advances by what
+        was sliced, under the lock that guards the log, so a decision a
+        background worker appends meanwhile is neither skipped nor
+        reported twice.
+        """
+        with self._state_lock:
+            new = self.decisions[self._reported :]
+            self._reported += len(new)
+        return new
+
     def bind(self, database: "Database") -> None:
         """Bind the policy to ``database`` (first caller wins)."""
         with self._state_lock:
@@ -173,7 +177,7 @@ class ReorgPolicy:
             elif self._database is not database:
                 raise ValueError(
                     "ReorgPolicy instances carry per-database state (baseline "
-                    "mixes, call counts); create a fresh policy per database"
+                    "mixes); create a fresh policy per database"
                 )
 
     def _seed_baselines(self, database: "Database") -> None:
@@ -194,21 +198,13 @@ class ReorgPolicy:
     # Decision phase
     # ------------------------------------------------------------------ #
 
-    def scan(self, database: "Database", *, force: bool = False) -> list[int]:
+    def scan(self, database: "Database") -> list[int]:
         """Find chunks whose drift crossed the threshold (no solver work).
 
-        Counts one lifecycle call against ``check_interval`` (``force``
-        bypasses the interval, as the session's close-time check does) and
-        returns the candidate chunk indices, ascending.  Chunks without a
+        Returns the candidate chunk indices, ascending.  Chunks without a
         baseline adopt their observed mix instead of becoming candidates.
         A no-op unless the database carries both a monitor and a planner.
         """
-        self.bind(database)
-        with self._state_lock:
-            self._calls += 1
-            due = force or not self._calls % self.check_interval
-        if not due:
-            return []
         monitor = database.monitor
         if monitor is None or database.planner is None:
             return []
@@ -234,7 +230,9 @@ class ReorgPolicy:
         total = sum(counts.values())
         if total < self.min_chunk_operations:
             return None
-        mix = monitor.chunk_mix(chunk_index)
+        # The mix of the very counts just totalled: a second monitor read
+        # could already include a concurrent session's next flush.
+        mix = {kind: count / total for kind, count in counts.items()}
         with self._state_lock:
             baseline = self._baselines.get(chunk_index)
             if baseline is None:
@@ -266,68 +264,36 @@ class ReorgPolicy:
         if state is None:
             return None
         mix, drift, total = state
-        chunk = table.chunks[chunk_index]
-        if not hasattr(chunk, "rowids"):
+        decision = ReorgDecision(chunk_index, drift, total)
+        if not hasattr(table.chunks[chunk_index], "rowids"):
             return self._record(
-                ReorgDecision(
-                    chunk_index=chunk_index,
-                    drift=drift,
-                    observed_operations=total,
-                    replanned=False,
-                    reason="chunk does not expose row ids; cannot rebuild",
-                )
+                decision, "chunk does not expose row ids; cannot rebuild"
             )
         sample = monitor.recorded_workload(chunk_index)
         if not len(sample):
-            return self._record(
-                ReorgDecision(
-                    chunk_index=chunk_index,
-                    drift=drift,
-                    observed_operations=total,
-                    replanned=False,
-                    reason="no recorded operation sample",
-                )
-            )
-        generation = table.chunk_generation(chunk_index)
-        if not self.cost_gate:
-            return ReorgAction(
-                chunk_index=chunk_index,
-                drift=drift,
-                observed_operations=total,
-                mix=mix,
-                generation=generation,
-            )
+            return self._record(decision, "no recorded operation sample")
         # Snapshot values and generation atomically (under the chunk's
         # shared latch): the solved plan and the staleness token the apply
         # phase re-checks belong to the same point in the chunk's history.
         snapshot = table.snapshot_chunk(chunk_index)
         values = snapshot.values
-        generation = snapshot.generation
         if values.size == 0:
-            return self._record(
-                ReorgDecision(
-                    chunk_index=chunk_index,
-                    drift=drift,
-                    observed_operations=total,
-                    replanned=False,
-                    reason="chunk is empty",
-                )
-            )
+            return self._record(decision, "chunk is empty")
         replanner = planner.with_sample(sample)
         plan = replanner.plan_chunk(values)
-        planned_cost = plan.estimated_cost
+        decision.planned_cost_ns = plan.estimated_cost
         # The snapshot captured the live partition layout under the same
         # latch as the values and generation, so the gate prices the
         # current layout against exactly the data the plan was solved for
         # (a chunk object fetched separately could have been swapped by a
         # racing publish in between).
-        current_cost = replanner.evaluate_layout(
+        decision.current_cost_ns = replanner.evaluate_layout(
             plan.frequency_model, snapshot.partition_offsets
         )
         constants = planner.constants
         blocks = blocks_spanned(0, int(values.size), planner.block_values)
-        rebuild_cost = blocks * (constants.seq_read + constants.seq_write)
-        if current_cost - planned_cost < self.rebuild_margin * rebuild_cost:
+        decision.rebuild_cost_ns = blocks * (constants.seq_read + constants.seq_write)
+        if decision.modeled_savings_ns < REBUILD_MARGIN * decision.rebuild_cost_ns:
             # Back off: the evaluated mix was judged not worth acting on, so
             # it becomes the chunk's new baseline -- a workload that *stays*
             # in this mix never re-triggers the solver; it must drift past
@@ -337,29 +303,9 @@ class ReorgPolicy:
                 self._baselines[chunk_index] = mix
             monitor.reset_chunk(chunk_index)
             return self._record(
-                ReorgDecision(
-                    chunk_index=chunk_index,
-                    drift=drift,
-                    observed_operations=total,
-                    replanned=False,
-                    reason="cost gate: modeled savings below rebuild charge",
-                    current_cost_ns=current_cost,
-                    planned_cost_ns=planned_cost,
-                    rebuild_cost_ns=rebuild_cost,
-                )
+                decision, "cost gate: modeled savings below rebuild charge"
             )
-        return ReorgAction(
-            chunk_index=chunk_index,
-            drift=drift,
-            observed_operations=total,
-            mix=mix,
-            generation=generation,
-            plan=plan,
-            replanner=replanner,
-            current_cost_ns=current_cost,
-            planned_cost_ns=planned_cost,
-            rebuild_cost_ns=rebuild_cost,
-        )
+        return ReorgAction(decision, mix, snapshot.generation, plan, replanner)
 
     # ------------------------------------------------------------------ #
     # Apply phase
@@ -383,85 +329,29 @@ class ReorgPolicy:
         action's mix becomes the chunk's new baseline.
         """
         table = database.table
-        chunk_index = action.chunk_index
+        chunk_index = action.decision.chunk_index
         snapshot = table.snapshot_chunk(chunk_index)
         if snapshot.generation != action.generation:
             return None
-        monitor = database.monitor
-        if action.plan is not None:
-            # The gate already paid for the layout solve; apply that plan
-            # instead of solving it a second time.  The snapshot check
-            # above guarantees the chunk still holds the values the plan
-            # was built for, and the publish re-checks under the latch.
-            replanner = action.replanner
-            plan = action.plan
-
-            def builder(v, r, c):
-                return replanner.build_chunk_from_plan(plan, v, r, c)
-        else:
-            planner = database.planner
-            sample = monitor.recorded_workload(chunk_index)
-            if len(sample) and hasattr(planner, "with_sample"):
-                planner = planner.with_sample(sample)
-            builder = planner.build_chunk
-        if snapshot.values.size:
-            rebuilt = table.build_chunk_replacement(snapshot, builder)
-            if not table.publish_chunk(snapshot, rebuilt):
-                return None
-        monitor.reset_chunk(chunk_index)
+        # The gate already paid for the layout solve; apply that plan
+        # instead of solving it a second time.  The snapshot check above
+        # guarantees the chunk still holds the (non-empty) values the plan
+        # was built for, and the publish re-checks under the latch.
+        rebuilt = table.build_chunk_replacement(
+            snapshot, partial(action.replanner.build_chunk_from_plan, action.plan)
+        )
+        if not table.publish_chunk(snapshot, rebuilt):
+            return None
+        database.monitor.reset_chunk(chunk_index)
         with self._state_lock:
             self._baselines[chunk_index] = action.mix
+        action.decision.replanned = True
         return self._record(
-            ReorgDecision(
-                chunk_index=chunk_index,
-                drift=action.drift,
-                observed_operations=action.observed_operations,
-                replanned=True,
-                reason="drift above threshold"
-                + (", savings beat rebuild charge" if self.cost_gate else ""),
-                current_cost_ns=action.current_cost_ns,
-                planned_cost_ns=action.planned_cost_ns,
-                rebuild_cost_ns=action.rebuild_cost_ns,
-            )
+            action.decision, "drift above threshold, savings beat rebuild charge"
         )
 
-    def _record(self, decision: ReorgDecision) -> ReorgDecision:
+    def _record(self, decision: ReorgDecision, reason: str) -> ReorgDecision:
+        decision.reason = reason
         with self._state_lock:
             self.decisions.append(decision)
         return decision
-
-    # ------------------------------------------------------------------ #
-    # Inline (synchronous) lifecycle
-    # ------------------------------------------------------------------ #
-
-    def maybe_reorganize(
-        self, database: "Database", *, force: bool = False
-    ) -> list[ReorgDecision]:
-        """Evaluate every active chunk; replan where drift and gate agree.
-
-        Chains :meth:`scan` -> :meth:`decide_chunk` -> :meth:`apply_action`
-        inline, so the stall of solving and rebuilding lands inside the
-        calling ``Session.execute``.  Returns the decisions made during
-        this check (also appended to :attr:`decisions`).  A no-op unless
-        the database carries both a monitor and a planner.  ``force``
-        bypasses ``check_interval`` (the session's close-time check uses
-        it, so drift accumulated by the last execute calls is always
-        evaluated once).
-        """
-        made: list[ReorgDecision] = []
-        for chunk_index in self.scan(database, force=force):
-            outcome = self.decide_chunk(database, chunk_index)
-            if isinstance(outcome, ReorgAction):
-                # Decision and apply run back-to-back on the calling thread;
-                # single-session callers never see a stale apply.  With
-                # concurrent sessions a racing write can still move the
-                # generation in between -- the publish then refuses the
-                # plan and the inline chain simply skips it (the next scan
-                # re-finds the chunk on fresh state).
-                decision = self.apply_action(database, outcome)
-                if decision is not None:
-                    made.append(decision)
-            elif outcome is not None:
-                made.append(outcome)
-        return made
-

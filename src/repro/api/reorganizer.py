@@ -1,14 +1,14 @@
-"""Incremental reorganization: drain replans off the execute hot path.
+"""The reorganization loop's one driver: scan, queue, drain.
 
-Inline reorganization (:meth:`ReorgPolicy.maybe_reorganize`) solves and
-rebuilds every drifted chunk inside the ``Session.execute`` call that trips
-the drift check -- one batch absorbs the whole stall.  A
-:class:`Reorganizer` decouples the phases: after every execute the policy
-*scans* for drifted candidates (cheap -- no solver), the candidates join a
-work queue, and the queue is drained in *budgeted slices* -- at most
-``chunk_budget`` chunks or ``ns_budget`` modeled nanoseconds of rebuild
-work per slice -- between execute calls, or continuously on a background
-worker thread (``background=True``).
+After every ``Session.execute`` the :class:`Reorganizer` has the policy
+*scan* for drifted candidates (cheap -- no solver), queues them, and drains
+the queue through the policy's decide and apply steps.  How much it drains
+per execute call is the only thing that varies: everything queued
+(``chunk_budget=None`` -- what a session builds around a bare
+:class:`~repro.api.reorg.ReorgPolicy`, so the execute call that trips the
+drift check absorbs the whole stall), at most ``chunk_budget`` chunks (a
+bounded between-batch stall), or nothing, because a background worker
+thread drains continuously (``background=True``).
 
 Staleness is handled with the table's per-chunk data generation counter:
 the decision phase snapshots the generation when it solves a layout, and
@@ -52,16 +52,15 @@ processing so an exception is counted (:attr:`Reorganizer.errors`),
 retried a bounded number of times, and never kills the thread.
 
 One reorganizer may serve many concurrent sessions of its database: the
-work queue, failure counters and decision watermark are mutex-guarded,
-and the background worker keeps running until the *last* registered
+work queue and failure counters are mutex-guarded (the report watermark
+lives in the policy, beside the decision log it indexes), and the
+background worker keeps running until the *last* registered
 session closes (sessions register on open and deregister on close).
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from collections import deque
 from typing import TYPE_CHECKING
 
 from repro import discipline
@@ -91,16 +90,12 @@ class Reorganizer:
         lifecycle did.
     chunk_budget:
         Maximum chunks *priced* per drain slice (approved ones are also
-        applied).  ``None`` removes the per-chunk bound.
-    ns_budget:
-        Maximum modeled (simulated) nanoseconds of reorganization work per
-        drain slice; the slice stops once the replans it applied charged
-        this much.  ``None`` removes the bound.  At least one chunk is
-        always processed per slice, so the queue cannot stall.
+        applied).  ``None`` drains the whole queue every slice.
     background:
         When true, a daemon worker thread drains the queue continuously
         between execute calls instead of the session draining one slice
-        after each execute.  Budgets then bound each wake-up of the worker.
+        after each execute.  The budget then bounds each wake-up of the
+        worker.
 
     One reorganizer serves one database (like the policy it wraps); reuse
     across that database's sessions is fine.
@@ -111,28 +106,24 @@ class Reorganizer:
         policy: ReorgPolicy | None = None,
         *,
         chunk_budget: int | None = 1,
-        ns_budget: float | None = None,
         background: bool = False,
     ) -> None:
         if chunk_budget is not None and chunk_budget <= 0:
             raise ValueError("chunk_budget must be positive (or None)")
-        if ns_budget is not None and ns_budget <= 0:
-            raise ValueError("ns_budget must be positive (or None)")
         self.policy = policy if policy is not None else ReorgPolicy()
         self.chunk_budget = chunk_budget
-        self.ns_budget = ns_budget
         self.background = bool(background)
         #: Chunks requeued because a write raced their solved plan.
         self.requeues = 0
         #: Exceptions swallowed by the background worker (the shielded
         #: chunk is retried up to ``_MAX_CHUNK_FAILURES`` times).
         self.errors = 0
-        self._pending: deque[int] = deque()
-        self._pending_set: set[int] = set()
+        # Queued chunk indices, in queue order (an insertion-ordered set).
+        self._pending: dict[int, None] = {}
         self._failures: dict[int, int] = {}
         # ``_wake`` guards the queue and wakes the worker; ``_state`` guards
         # the small shared scalars (session count, requeue/error tallies,
-        # decision watermark, worker lifecycle).  Database mutation needs no
+        # worker lifecycle).  Database mutation needs no
         # reorganizer-level lock: the table's chunk latches isolate the
         # copy-on-write publish from session execution.
         self._wake = discipline.make_condition("reorg_wake")
@@ -141,7 +132,6 @@ class Reorganizer:
         self._stop = False
         self._busy = False
         self._database: "Database | None" = None
-        self._reported = 0
         self._sessions = 0
 
     # ------------------------------------------------------------------ #
@@ -167,19 +157,27 @@ class Reorganizer:
     # Lifecycle plumbing
     # ------------------------------------------------------------------ #
 
-    def attach(self, database: "Database") -> None:
-        """Bind to ``database`` and start the worker in background mode.
+    def register_session(self, database: "Database") -> None:
+        """Bind to ``database`` and count a session against the worker.
+
+        The one place a database is bound (the policy refuses a second
+        one) and, in background mode, the worker started.  The worker (and
+        the pending queue) survive until the last registered session
+        closes, so several concurrent sessions of one database can share a
+        single reorganizer without the first closer tearing reorganization
+        down under the others.
 
         ``_database`` and the worker lifecycle are written under their
         declared guards (GS01: ``_database``/``_thread`` under ``_state``,
         ``_stop`` under ``_wake``) -- an unlocked ``_database`` publish
-        could race a concurrent ``_stop_worker``/re-attach, and a
+        could race a concurrent ``_stop_worker``/re-registration, and a
         ``_stop`` write outside ``_wake`` could be reordered against the
         worker's condition-variable check.
         """
         self.policy.bind(database)
         with self._state:
             self._database = database
+            self._sessions += 1
             if self.background and self._thread is None:
                 with self._wake:
                     self._stop = False
@@ -190,48 +188,24 @@ class Reorganizer:
                 )
                 self._thread.start()
 
-    def register_session(self, database: "Database") -> None:
-        """Count a session against the worker's lifetime.
-
-        The background worker (and the pending queue) survive until the
-        last registered session closes, so several concurrent sessions of
-        one database can share a single reorganizer without the first
-        closer tearing reorganization down under the others.
-        """
-        self.attach(database)
-        with self._state:
-            self._sessions += 1
-
     def _enqueue(self, chunks) -> None:
         with self._wake:
-            added = False
+            queued = len(self._pending)
             for chunk_index in chunks:
-                if chunk_index not in self._pending_set:
-                    self._pending.append(chunk_index)
-                    self._pending_set.add(chunk_index)
-                    added = True
-            if added:
+                self._pending.setdefault(chunk_index)
+            if len(self._pending) > queued:
                 self._wake.notify_all()
 
     def _pop(self) -> int | None:
         with self._wake:
             if not self._pending:
                 return None
-            chunk_index = self._pending.popleft()
-            self._pending_set.discard(chunk_index)
+            chunk_index = next(iter(self._pending))
+            del self._pending[chunk_index]
+            if not self._pending:
+                # A foreground drain can be what ``wait_idle`` waits for.
+                self._wake.notify_all()
             return chunk_index
-
-    def _new_decisions(self) -> list[ReorgDecision]:
-        """Decisions recorded since the last report (any thread's)."""
-        # Advance the watermark by what was actually sliced: taking
-        # len(decisions) instead would silently swallow a decision the
-        # worker appends between the slice and the length read.  The
-        # watermark itself is guarded so two sessions reporting at once
-        # never double-report (or skip) a decision.
-        with self._state:
-            new = list(self.policy.decisions[self._reported :])
-            self._reported += len(new)
-        return new
 
     # ------------------------------------------------------------------ #
     # Session entry points
@@ -250,11 +224,10 @@ class Reorganizer:
         ``Session.report()``'s counter totals but not in any single
         ``SessionResult``'s ``accesses``/``reorg_ns`` window.
         """
-        self.attach(database)
         self._enqueue(self.policy.scan(database))
         if not self.background:
             self._drain_slice(database)
-        return self._new_decisions()
+        return self.policy.unreported()
 
     def finish(
         self, database: "Database", *, reorganize: bool = True
@@ -262,43 +235,36 @@ class Reorganizer:
         """Close-time drain: stop the worker and flush the queue.
 
         Called by each closing session.  While *other* sessions remain
-        registered, the worker and queue are left running (a forced scan
+        registered, the worker and queue are left running (a final scan
         still enqueues any drift the closing session accumulated); the
         *last* session's close performs the full teardown.  With
-        ``reorganize`` (the default) that teardown runs a final forced scan
-        and drains the queue to empty -- budget-free, mirroring the inline
-        policy's close-time check -- so drift accumulated by a session's
-        last execute calls still gets decided.  ``reorganize=False`` (the
-        session's exceptional-exit path) only stops the worker and clears
-        the queue.
+        ``reorganize`` (the default) that teardown runs a final scan and
+        drains the queue to empty, budget-free, so drift accumulated by a
+        session's last execute calls still gets decided.
+        ``reorganize=False`` (the session's exceptional-exit path) only
+        stops the worker and clears the queue.
         """
-        self.attach(database)
         with self._state:
             self._sessions = max(0, self._sessions - 1)
             last = self._sessions == 0
-        if not last:
-            if reorganize:
-                self._enqueue(self.policy.scan(database, force=True))
-            return self._new_decisions()
-        self._stop_worker()
+        if last:
+            self._stop_worker()
         if reorganize:
-            self._enqueue(self.policy.scan(database, force=True))
-            self._drain_slice(database, unbounded=True)
-        else:
+            self._enqueue(self.policy.scan(database))
+            if last:
+                self._drain_slice(database, unbounded=True)
+        elif last:
             with self._wake:
                 self._pending.clear()
-                self._pending_set.clear()
-        return self._new_decisions()
+                self._wake.notify_all()
+        return self.policy.unreported()
 
     def wait_idle(self, timeout: float = 10.0) -> bool:
         """Block until the queue is empty and the worker rests (tests)."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._wake:
-                if not self._pending and not self._busy:
-                    return True
-            time.sleep(0.005)
-        return False
+        with self._wake:
+            return self._wake.wait_for(
+                lambda: not self._pending and not self._busy, timeout
+            )
 
     # ------------------------------------------------------------------ #
     # Draining
@@ -311,32 +277,23 @@ class Reorganizer:
         unbounded: bool = False,
         shielded: bool = False,
     ) -> None:
-        """Price (and apply) queued chunks up to the slice budgets.
+        """Price (and apply) queued chunks up to the slice's chunk budget.
 
         ``shielded`` (the background worker's mode) keeps an exception in
         one chunk's decision from killing the drain: the error is counted,
         the chunk retried on a later slice (up to a small cap), and the
         remaining queue still progresses.  Foreground drains propagate, so
-        a session sees failures exactly as the inline lifecycle would
-        surface them.
+        a session sees the failure in the execute call that hit it.
         """
+        budget = None if unbounded else self.chunk_budget
         chunks_done = 0
-        modeled_ns = 0.0
-        while True:
-            if not unbounded:
-                if (
-                    self.chunk_budget is not None
-                    and chunks_done >= self.chunk_budget
-                ):
-                    break
-                if self.ns_budget is not None and modeled_ns >= self.ns_budget:
-                    break
+        while budget is None or chunks_done < budget:
             chunk_index = self._pop()
             if chunk_index is None:
                 break
             if shielded:
                 try:
-                    modeled_ns += self._process(database, chunk_index)
+                    self._process(database, chunk_index)
                 except Exception:
                     with self._state:
                         self.errors += 1
@@ -351,34 +308,25 @@ class Reorganizer:
                     with self._state:
                         self._failures.pop(chunk_index, None)
             else:
-                modeled_ns += self._process(database, chunk_index)
+                self._process(database, chunk_index)
             chunks_done += 1
 
-    def _process(self, database: "Database", chunk_index: int) -> float:
-        """Decide one chunk and apply the outcome; returns the modeled ns.
+    def _process(self, database: "Database", chunk_index: int) -> None:
+        """Decide one chunk and apply the outcome.
 
         Both phases run without any reorganizer-level lock: the decision
         solves against a latched snapshot, and the apply builds the
         replacement copy-on-write and lands it through the table's
         generation-checked publish.  A stale action (the publish refused
-        it) requeues the chunk for a fresh decision.  The modeled-ns charge
-        is measured as engine-counter movement around the apply, so with
-        concurrent sessions executing it can over-count -- budgets treat it
-        as an upper bound on the slice's reorganization work.
+        it) requeues the chunk for a fresh decision.
         """
         outcome = self.policy.decide_chunk(database, chunk_index)
         if not isinstance(outcome, ReorgAction):
-            return 0.0
-        counter = database.engine.counter
-        before = counter.snapshot()
-        decision = self.policy.apply_action(database, outcome)
-        spent = counter.diff(before).cost(database.constants)
-        if decision is None:
+            return
+        if self.policy.apply_action(database, outcome) is None:
             with self._state:
                 self.requeues += 1
             self._enqueue((chunk_index,))
-            return 0.0
-        return spent
 
     # ------------------------------------------------------------------ #
     # Background worker
@@ -393,12 +341,11 @@ class Reorganizer:
                     return
                 self._busy = True
             try:
-                database = self._database
-                if database is not None:
-                    # One budgeted slice per wake-up, shielded so a failing
-                    # chunk cannot kill the worker thread and silently stop
-                    # background reorganization for the rest of the session.
-                    self._drain_slice(database, shielded=True)
+                # One budgeted slice per wake-up, shielded so a failing
+                # chunk cannot kill the worker thread and silently stop
+                # background reorganization for the rest of the session.
+                # (``_database`` was bound before this thread was started.)
+                self._drain_slice(self._database, shielded=True)
             finally:
                 with self._wake:
                     self._busy = False

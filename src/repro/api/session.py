@@ -10,13 +10,13 @@ online loop automatic: drifted chunks are detected, cost-gated and rebuilt
 between (or inside) rounds without the caller wiring monitor, planner and
 table together by hand.
 
-The lifecycle comes in two shapes: a bare
-:class:`~repro.api.reorg.ReorgPolicy` replans *inline* (every drifted
-chunk is solved and rebuilt inside the execute call that trips the check),
-while a :class:`~repro.api.reorganizer.Reorganizer` wrapping the policy
-drains the same replans *incrementally* -- budgeted slices between execute
-calls, or a background worker thread -- so no single batch absorbs the
-whole reorganization stall.
+The lifecycle has one driver, the
+:class:`~repro.api.reorganizer.Reorganizer`: it scans for drifted chunks
+after every execute call and drains the replans they need -- all of them
+at once (``chunk_budget=None``), in budgeted slices between execute calls,
+or on a background worker thread, so no single batch need absorb the whole
+reorganization stall.  A bare :class:`~repro.api.reorg.ReorgPolicy` passed
+as ``reorg=`` is shorthand for ``Reorganizer(policy, chunk_budget=None)``.
 
 A database may hand out several live sessions at once (one per thread);
 their executions interleave freely.  Isolation is chunk-granular -- the
@@ -128,11 +128,13 @@ class Session:
         The dispatch policy; defaults to :class:`SerialPolicy`.  Pass a
         fresh instance per session -- policies carry adaptive state.
     reorg:
-        Optional reorganization lifecycle: a :class:`ReorgPolicy` replans
-        drifted chunks inline (inside the execute call that trips the
-        check), a :class:`Reorganizer` drains the same replans in budgeted
-        increments between execute calls or on a background worker.
-        ``None`` disables online replans.
+        Optional reorganization lifecycle: a :class:`Reorganizer` drains
+        the replans of drifted chunks in budgeted increments between
+        execute calls or on a background worker; a bare
+        :class:`ReorgPolicy` is wrapped as ``Reorganizer(policy,
+        chunk_budget=None)``, which replans every drifted chunk inside the
+        execute call that trips the check.  ``None`` disables online
+        replans.
 
     Use as a context manager::
 
@@ -152,13 +154,14 @@ class Session:
         self.execution: ExecutionPolicy = (
             execution if execution is not None else SerialPolicy()
         )
-        self.reorg = reorg
-        self._reorganizer = reorg if isinstance(reorg, Reorganizer) else None
-        if self._reorganizer is not None:
+        if isinstance(reorg, ReorgPolicy):
+            reorg = Reorganizer(reorg, chunk_budget=None)
+        self.reorg: Reorganizer | None = reorg
+        if reorg is not None:
             # Register against the reorganizer's lifetime: its background
             # worker and work queue survive until the last session of the
             # shared database closes.
-            self._reorganizer.register_session(database)
+            reorg.register_session(database)
         self._closed = False
         self._counter_start = database.engine.counter.snapshot()
         self._operations = 0
@@ -193,26 +196,21 @@ class Session:
     def close(self, *, reorganize: bool = True) -> None:
         """Close the session (idempotent).
 
-        A final reorganization check runs before closing (bypassing the
-        policy's ``check_interval``), so drift accumulated by the last
-        ``execute`` calls of a short session still gets a chance to trigger
-        a replan for the *next* session.  With a :class:`Reorganizer` the
-        close of the *last* registered session also drains the pending
-        work queue to empty and stops the background worker (earlier
-        closers leave both running for the sessions that remain).  Pass
-        ``reorganize=False`` to skip the final check (the context manager
-        does so on exceptional exits); the last session's close stops a
-        reorganizer's worker and clears its queue either way.
+        A final reorganization scan runs before closing, so drift
+        accumulated by the last ``execute`` calls of a short session still
+        gets a chance to trigger a replan for the *next* session.  The
+        close of the reorganizer's *last* registered session also drains
+        the pending work queue to empty and stops the background worker
+        (earlier closers leave both running for the sessions that remain).
+        Pass ``reorganize=False`` to skip the final scan (the context
+        manager does so on exceptional exits); the last session's close
+        then stops the worker and clears the queue instead.
         """
         if self._closed:
             return
-        if self._reorganizer is not None:
+        if self.reorg is not None:
             self._reorg_decisions.extend(
-                self._reorganizer.finish(self.database, reorganize=reorganize)
-            )
-        elif reorganize and self.reorg is not None:
-            self._reorg_decisions.extend(
-                self.reorg.maybe_reorganize(self.database, force=True)
+                self.reorg.finish(self.database, reorganize=reorganize)
             )
         self._closed = True
 
@@ -228,8 +226,8 @@ class Session:
         Accepts a :class:`Workload`, any operation sequence, or a single
         operation.  Results come back in submission order with ``None``
         marking not-found operations, exactly as serial dispatch reports
-        them; after execution the reorganization policy (when configured)
-        evaluates drift and may rebuild chunks in place.
+        them; after execution the reorganizer (when configured) scans for
+        drift and may replace chunks copy-on-write.
         """
         self._require_open()
         if isinstance(operations, Operation):
@@ -251,10 +249,7 @@ class Session:
         accesses = outcome.accesses
         if self.reorg is not None:
             before = engine.counter.snapshot()
-            if self._reorganizer is not None:
-                decisions = self._reorganizer.after_execute(self.database)
-            else:
-                decisions = self.reorg.maybe_reorganize(self.database)
+            decisions = self.reorg.after_execute(self.database)
             reorg_diff = engine.counter.diff(before)
             reorg_ns = reorg_diff.cost(self.database.constants)
             accesses = accesses + reorg_diff

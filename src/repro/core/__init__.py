@@ -43,7 +43,6 @@ from .ghost_allocation import (
 )
 from .greedy_solver import solve_greedy
 from .monitor import (
-    ChunkActivity,
     RecentSample,
     WorkloadMonitor,
     mix_distance,
@@ -61,7 +60,6 @@ from .robustness import (
 __all__ = [
     "BlockMapper",
     "CasperPlanner",
-    "ChunkActivity",
     "ChunkPlan",
     "CostModel",
     "FrequencyModel",

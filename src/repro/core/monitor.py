@@ -5,17 +5,19 @@ sample, optimizes per-chunk layouts and applies them.  Production systems see
 workloads drift, so the reproduction adds the online counterpart: a
 :class:`WorkloadMonitor` attached to a
 :class:`~repro.storage.engine.StorageEngine` records the per-chunk operation
-mix as operations execute and can re-lay-out a drifted chunk in place via
-:meth:`replan_chunk`, feeding the recorded operations back through a
-:class:`~repro.core.planner.CasperPlanner` as the fresh workload sample.
+mix as operations execute -- a kind-by-chunk count matrix plus one bounded
+:class:`RecentSample` per chunk -- and hands a drifted chunk's recorded
+operations back as the fresh workload sample a
+:class:`~repro.core.planner.CasperPlanner` replans it from (the loop itself
+is driven by :class:`~repro.api.reorganizer.Reorganizer`).
 
 Observation is *batch-native*: the engine appends one compact
 :class:`~repro.storage.access_log.AccessRecord` per dispatched run (kind,
 key/bound arrays, write-target flag) and :meth:`observe_batch` attributes
 each record's whole key array with a single ``searchsorted`` pass against
-the table's chunk fences, bulk-updating per-chunk counts (``np.bincount``
-into a kind-by-chunk count matrix) and, once per log, the bounded
-ring-buffer samples in *submission* order (records carry their operations'
+the table's chunk fences, bulk-updating the count matrix (one
+``np.bincount`` per record) and, once per log, the bounded ring-buffer
+samples in *submission* order (records carry their operations'
 batch positions when the engine dispatched groups out of order) -- no
 per-operation Python on the hot path, and no simulated accesses charged
 (monitoring is bookkeeping, not storage work).  The per-operation
@@ -32,8 +34,7 @@ chunks' mixes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -47,7 +48,6 @@ from ..storage.access_log import (
     PAIRED_UPDATE_KIND,
     RANGE_KINDS,
     AccessLog,
-    AccessRecord,
 )
 from ..storage.column import expand_ranges
 from ..workload.operations import (
@@ -72,37 +72,45 @@ _SOURCE_CODE = KIND_CODES["update_source"]
 _TARGET_CODE = KIND_CODES["update_target"]
 
 
+def _kind_order(kind: str) -> tuple[int, str]:
+    return KIND_CODES.get(kind, len(KIND_CODES)), kind
+
+
 def mix_distance(a: dict[str, float], b: dict[str, float]) -> float:
     """Total-variation distance between two operation-mix dictionaries.
 
     Both arguments map operation kinds to fractions (as returned by
-    :meth:`ChunkActivity.mix`); missing kinds count as zero.  The result lies
-    in ``[0, 1]``: 0 for identical mixes, 1 for disjoint ones.  This is the
-    drift metric the session reorganization policy thresholds.
+    :meth:`WorkloadMonitor.chunk_mix`); missing kinds count as zero.  The
+    result lies in ``[0, 1]``: 0 for identical mixes, 1 for disjoint ones.
+    This is the drift metric the session reorganization policy thresholds.
+    Terms are added in :data:`ATTRIBUTION_KINDS` order (any other key
+    sorted after), so the float result is a pure function of the two
+    mixes -- not of the process's string-hash seed.
     """
-    kinds = set(a) | set(b)
+    kinds = sorted(a.keys() | b.keys(), key=_kind_order)
     return 0.5 * sum(abs(a.get(kind, 0.0) - b.get(kind, 0.0)) for kind in kinds)
 
 
-def synthesize_operation(kind: str, low: int, high: int) -> Operation | None:
-    """Reconstruct a workload operation object for the replan sample.
+#: Attribution kind -> constructor of the operation a replan sample holds
+#: for it.  Both update sides are modelled as in-place corrections so the
+#: Frequency Model sees update pressure at the routed location.
+_SYNTHESIZERS: dict[str, Callable[[int, int], Operation]] = {
+    "point_query": lambda low, high: PointQuery(key=low),
+    "range_count": lambda low, high: RangeQuery(low=low, high=high),
+    "range_sum": lambda low, high: RangeQuery(
+        low=low, high=high, aggregate=Aggregate.SUM
+    ),
+    "insert": lambda low, high: Insert(key=low),
+    "delete": lambda low, high: Delete(key=low),
+    "update_source": lambda low, high: Update(old_key=low, new_key=low),
+    "update_target": lambda low, high: Update(old_key=low, new_key=low),
+}
 
-    Both update sides are modelled as in-place corrections so the Frequency
-    Model sees update pressure at the routed location.
-    """
-    if kind == "point_query":
-        return PointQuery(key=low)
-    if kind == "range_count":
-        return RangeQuery(low=low, high=high)
-    if kind == "range_sum":
-        return RangeQuery(low=low, high=high, aggregate=Aggregate.SUM)
-    if kind == "insert":
-        return Insert(key=low)
-    if kind == "delete":
-        return Delete(key=low)
-    if kind in ("update_source", "update_target"):
-        return Update(old_key=low, new_key=low)
-    return None
+
+def synthesize_operation(kind: str, low: int, high: int) -> Operation | None:
+    """Reconstruct a workload operation object for the replan sample."""
+    build = _SYNTHESIZERS.get(kind)
+    return build(low, high) if build is not None else None
 
 
 class RecentSample:
@@ -213,43 +221,9 @@ class RecentSample:
         return iter(self.operations())
 
 
-@dataclass
-class ChunkActivity:
-    """Recorded activity of one chunk: kind counts plus a bounded op sample.
-
-    ``sample_limit`` bounds the retained operation window; the default
-    matches :data:`DEFAULT_SAMPLE_LIMIT`, and a monitor constructs
-    activities with its *configured* limit (directly-constructed activities
-    honour whatever limit they are given, rather than silently falling back
-    to the module default as the old hardcoded deque factory did).
-    """
-
-    counts: dict[str, int] = field(default_factory=dict)
-    sample_limit: int = DEFAULT_SAMPLE_LIMIT
-    sample: RecentSample | None = None
-
-    def __post_init__(self) -> None:
-        if self.sample is None:
-            self.sample = RecentSample(self.sample_limit)
-        else:
-            self.sample_limit = self.sample.limit
-
-    @property
-    def total(self) -> int:
-        """Total operations attributed to the chunk."""
-        return sum(self.counts.values())
-
-    def mix(self) -> dict[str, float]:
-        """Fraction of operations of each kind."""
-        total = self.total
-        if total == 0:
-            return {}
-        return {kind: count / total for kind, count in self.counts.items()}
-
-
 @guarded_class
 class WorkloadMonitor:
-    """Records per-chunk operation mixes and drives online re-planning.
+    """Records per-chunk operation mixes and replan samples.
 
     Parameters
     ----------
@@ -266,7 +240,10 @@ class WorkloadMonitor:
         if sample_limit < 0:
             raise ValueError("sample_limit must be non-negative")
         self.sample_limit = int(sample_limit)
-        self._activity: dict[int, ChunkActivity] = {}
+        # Operation counts, kind code x chunk index; widened to the table's
+        # chunk count on first sight (``_counts_for``).
+        self._counts = np.zeros((len(ATTRIBUTION_KINDS), 0), dtype=np.int64)
+        self._samples: dict[int, RecentSample] = {}
         # Concurrent sessions flush their per-batch access logs against one
         # monitor; the re-entrant ingest lock serializes whole-record
         # ingestion, so count updates never lose a racing increment and a
@@ -283,12 +260,19 @@ class WorkloadMonitor:
     # ------------------------------------------------------------------ #
 
     @requires_lock("monitor")
-    def _activity_for(self, chunk_index: int) -> ChunkActivity:
-        activity = self._activity.get(chunk_index)
-        if activity is None:
-            activity = ChunkActivity(sample_limit=self.sample_limit)
-            self._activity[chunk_index] = activity
-        return activity
+    def _counts_for(self, table) -> np.ndarray:
+        """The count matrix, at least ``table.num_chunks`` columns wide."""
+        missing = table.num_chunks - self._counts.shape[1]
+        if missing > 0:
+            self._counts = np.pad(self._counts, ((0, 0), (0, missing)))
+        return self._counts
+
+    @requires_lock("monitor")
+    def _sample_for(self, chunk_index: int) -> RecentSample:
+        sample = self._samples.get(chunk_index)
+        if sample is None:
+            sample = self._samples[chunk_index] = RecentSample(self.sample_limit)
+        return sample
 
     def observe_batch(self, table, log: AccessLog) -> None:
         """Attribute every record of ``log`` in one vectorized pass each.
@@ -297,8 +281,8 @@ class WorkloadMonitor:
         chunk fences (:meth:`Table.chunk_span_batch`, which charges no
         accesses); reads, deletes and update sources are attributed to the
         full candidate-chunk span, while write-target records (inserts,
-        update targets) land in the first candidate chunk only.  Per-chunk
-        counts accumulate on a kind-by-chunk matrix merged once per log.
+        update targets) land in the first candidate chunk only.  A paired
+        update record is two such passes: its sources, then its targets.
 
         Bounded samples are extended once per log, every chunk's entries in
         *submission* order, exactly as per-operation appends would retain
@@ -310,7 +294,7 @@ class WorkloadMonitor:
         if not records:
             return
         with self._lock:
-            counts = None
+            counts = self._counts_for(table)
             # Sample entries as (chunks, sequence, codes, lows, highs)
             # columns; single-operation records share one row list.
             entries: list[tuple] | None = [] if self.sample_limit else None
@@ -327,39 +311,47 @@ class WorkloadMonitor:
                     # Scalar fast path: the vectorized machinery's fixed
                     # per-record overhead (span arrays, ``bincount``) would
                     # dominate a single operation.
+                    order = first if positions is None else int(positions[0])
                     self._ingest_scalar(
                         table,
-                        record,
-                        first if positions is None else int(positions[0]),
+                        record.kind,
+                        int(record.lows[0]),
+                        None if record.highs is None else int(record.highs[0]),
+                        record.write_target,
+                        order * _SLOT,
                         rows,
                     )
                     continue
                 if positions is None:
-                    order = np.arange(first, following, dtype=np.int64)
+                    sequence = np.arange(first, following, dtype=np.int64) * _SLOT
                 else:
-                    order = np.broadcast_to(positions, (size,))
-                if counts is None:
-                    counts = np.zeros(
-                        (len(ATTRIBUTION_KINDS), table.num_chunks),
-                        dtype=np.int64,
-                    )
+                    sequence = np.broadcast_to(positions * _SLOT, (size,))
                 if record.kind == PAIRED_UPDATE_KIND:
-                    self._ingest_update(table, record, counts, order, entries)
+                    # source_i before target_i (``2i`` and ``2i + 1`` within
+                    # their positions' slots), exactly as per-pair serial
+                    # dispatch appends them, so the bounded window is
+                    # identical on both paths even under truncation.
+                    sequence = sequence + 2 * np.arange(size, dtype=np.int64)
+                    self._attribute(
+                        table, _SOURCE_CODE, record.lows, None, False,
+                        sequence, counts, entries,
+                    )
+                    self._attribute(
+                        table, _TARGET_CODE, record.highs, None, True,
+                        sequence + 1, counts, entries,
+                    )
                 else:
-                    self._ingest(table, record, counts, order, entries)
+                    highs = None
+                    if record.kind in RANGE_KINDS:
+                        highs = record.lows if record.highs is None else record.highs
+                    self._attribute(
+                        table, KIND_CODES[record.kind], record.lows, highs,
+                        record.write_target, sequence, counts, entries,
+                    )
             if rows:
                 entries.append(tuple(np.array(rows, dtype=np.int64).T))
             if entries:
                 self._extend_samples(entries)
-            if counts is None:
-                return
-            kind_ids, chunk_ids = np.nonzero(counts)
-            for kind_id, chunk_id in zip(kind_ids.tolist(), chunk_ids.tolist(), strict=True):
-                activity = self._activity_for(chunk_id)
-                kind = ATTRIBUTION_KINDS[kind_id]
-                activity.counts[kind] = activity.counts.get(kind, 0) + int(
-                    counts[kind_id, chunk_id]
-                )
 
     @requires_lock("monitor")
     def _extend_samples(self, entries: list[tuple]) -> None:
@@ -374,150 +366,99 @@ class WorkloadMonitor:
         ends = np.cumsum(sizes).tolist()
         for chunk_id in np.flatnonzero(sizes).tolist():
             group = slice(ends[chunk_id] - sizes[chunk_id], ends[chunk_id])
-            self._activity_for(chunk_id).sample.extend(
+            self._sample_for(chunk_id).extend(
                 codes[group], lows[group], highs[group]
+            )
+
+    @requires_lock("monitor")
+    def _attribute(
+        self,
+        table,
+        code: int,
+        lows: np.ndarray,
+        highs: np.ndarray | None,
+        first_only: bool,
+        sequence: np.ndarray,
+        counts: np.ndarray,
+        entries: list | None,
+    ) -> None:
+        """The one vectorized attribution routine: count ``lows.size``
+        operations of kind ``code`` in every chunk of their spans (ranges
+        when ``highs`` is given; the first candidate only for
+        ``first_only``) and queue their sample entries at ``sequence``."""
+        first, last = table.chunk_span_batch(lows, highs)
+        if highs is None:
+            highs = lows
+        if first_only:
+            last = first
+        spans = last - first + 1
+        if int(spans.max()) == 1:
+            chunks = first
+        else:
+            expanded = np.repeat(np.arange(lows.shape[0], dtype=np.int64), spans)
+            chunks = expand_ranges(first, spans)
+            sequence, lows, highs = sequence[expanded], lows[expanded], highs[expanded]
+        counts[code] += np.bincount(chunks, minlength=counts.shape[1])
+        if entries is not None:
+            entries.append(
+                (chunks, sequence, np.full(chunks.shape[0], code), lows, highs)
             )
 
     @requires_lock("monitor")
     def _attribute_scalar(
         self,
         table,
-        kind: str,
+        code: int,
         low: int,
-        high: int,
-        sequence: int = 0,
-        rows: list | None = None,
-        *,
-        range_kind: bool = False,
-        first_only: bool = False,
+        high: int | None,
+        first_only: bool,
+        sequence: int,
+        rows: list | None,
     ) -> None:
-        """Count one operation in every chunk of its span; its sample entry
-        goes to ``rows`` (a log being ingested: placed at ``sequence`` when
-        the log is done) or, without one, straight into the windows."""
-        if range_kind:
-            first, last = table.chunk_span(low, high)
-        else:
-            first, last = table.chunk_span(low)
-            if first_only:
-                last = first
-        code = KIND_CODES[kind]
+        """:meth:`_attribute` for one operation.  Its sample entry goes to
+        ``rows`` (a log being ingested: placed at ``sequence`` when the log
+        is done) or, without one, straight into the windows."""
+        first, last = table.chunk_span(low, high)
+        if high is None:
+            high = low
+        if first_only:
+            last = first
         for chunk_index in range(first, last + 1):
-            activity = self._activity_for(chunk_index)
-            activity.counts[kind] = activity.counts.get(kind, 0) + 1
+            self._counts[code, chunk_index] += 1
             if rows is not None:
                 rows.append((chunk_index, sequence, code, low, high))
             elif self.sample_limit:
-                activity.sample.append(code, low, high)
+                self._sample_for(chunk_index).append(code, low, high)
 
     @requires_lock("monitor")
     def _ingest_scalar(
-        self, table, record: AccessRecord, order: int, rows: list | None
-    ) -> None:
-        """Single-operation attribution without the vectorized machinery."""
-        low = int(record.lows[0])
-        sequence = order * _SLOT
-        if record.kind == PAIRED_UPDATE_KIND:
-            target = int(record.highs[0])
-            self._attribute_scalar(table, "update_source", low, low, sequence, rows)
-            self._attribute_scalar(
-                table, "update_target", target, target, sequence + 1, rows,
-                first_only=True,
-            )
-        elif record.kind in RANGE_KINDS:
-            high = int(record.highs[0]) if record.highs is not None else low
-            self._attribute_scalar(
-                table, record.kind, low, high, sequence, rows, range_kind=True
-            )
-        else:
-            self._attribute_scalar(
-                table, record.kind, low, low, sequence, rows,
-                first_only=record.write_target,
-            )
-
-    @requires_lock("monitor")
-    def _ingest_update(
         self,
         table,
-        record: AccessRecord,
-        counts: np.ndarray,
-        order: np.ndarray,
-        entries: list | None,
+        kind: str,
+        low: int,
+        high: int | None,
+        first_only: bool,
+        sequence: int = 0,
+        rows: list | None = None,
     ) -> None:
-        """Attribute one paired update record (sources + aligned targets).
-
-        Counts split into ``update_source`` (full candidate span of each
-        old key) and ``update_target`` (insert route of each new key);
-        sample entries interleave source_i before target_i (``2i`` and
-        ``2i + 1`` within their positions' slots), exactly as per-pair serial
-        dispatch appends them, so the bounded window is identical on both
-        paths even under truncation.
-        """
-        sources = record.lows
-        targets = record.highs
-        m = int(sources.shape[0])
-        source_first, source_last = table.chunk_span_batch(sources)
-        target_first, _ = table.chunk_span_batch(targets)
-        spans = source_last - source_first + 1
-        source_positions = np.repeat(np.arange(m, dtype=np.int64), spans)
-        source_chunks = expand_ranges(source_first, spans)
-        counts[_SOURCE_CODE] += np.bincount(source_chunks, minlength=counts.shape[1])
-        counts[_TARGET_CODE] += np.bincount(target_first, minlength=counts.shape[1])
-        if entries is None:
-            return
-        source_keys = sources[source_positions]
-        sequence = order * _SLOT + 2 * np.arange(m, dtype=np.int64)
-        entries.append(
-            (
-                source_chunks,
-                sequence[source_positions],
-                np.full(source_chunks.shape[0], _SOURCE_CODE),
-                source_keys,
-                source_keys,
+        """Single-operation attribution without the vectorized machinery
+        (``high`` is the target key of a paired update, the inclusive bound
+        of a range kind, and ignored otherwise)."""
+        if kind == PAIRED_UPDATE_KIND:
+            self._attribute_scalar(
+                table, _SOURCE_CODE, low, None, False, sequence, rows
             )
-        )
-        entries.append(
-            (target_first, sequence + 1, np.full(m, _TARGET_CODE), targets, targets)
-        )
-
-    @requires_lock("monitor")
-    def _ingest(
-        self,
-        table,
-        record: AccessRecord,
-        counts: np.ndarray,
-        order: np.ndarray,
-        entries: list | None,
-    ) -> None:
-        """Attribute one record: count-matrix update plus sample entries."""
-        lows = record.lows
-        code = KIND_CODES[record.kind]
-        if record.kind in RANGE_KINDS:
-            highs = record.highs if record.highs is not None else lows
-            first, last = table.chunk_span_batch(lows, highs)
-        else:
-            highs = lows
-            first, last = table.chunk_span_batch(lows)
-            if record.write_target:
-                last = first
-        spans = last - first + 1
-        if int(spans.max()) == 1:
-            expanded_chunks = first
-        else:
-            positions = np.repeat(
-                np.arange(lows.shape[0], dtype=np.int64), spans
+            self._attribute_scalar(
+                table, _TARGET_CODE, high, None, True, sequence + 1, rows
             )
-            expanded_chunks = expand_ranges(first, spans)
-            order, lows, highs = order[positions], lows[positions], highs[positions]
-        counts[code] += np.bincount(expanded_chunks, minlength=counts.shape[1])
-        if entries is not None:
-            entries.append(
-                (
-                    expanded_chunks,
-                    order * _SLOT,
-                    np.full(expanded_chunks.shape[0], code),
-                    lows,
-                    highs,
-                )
+        elif kind in RANGE_KINDS:
+            self._attribute_scalar(
+                table, KIND_CODES[kind], low, low if high is None else high,
+                False, sequence, rows,
+            )
+        else:
+            self._attribute_scalar(
+                table, KIND_CODES[kind], low, None, first_only, sequence, rows
             )
 
     def observe(
@@ -541,24 +482,15 @@ class WorkloadMonitor:
             kind = "update_target" if write_target else "update_source"
         if kind not in KIND_CODES:
             raise ValueError(f"unknown attribution kind: {kind!r}")
-        low = int(low)
         with self._lock:
-            if kind in RANGE_KINDS:
-                self._attribute_scalar(
-                    table,
-                    kind,
-                    low,
-                    int(high) if high is not None else low,
-                    range_kind=True,
-                )
-            else:
-                self._attribute_scalar(
-                    table,
-                    kind,
-                    low,
-                    low,
-                    first_only=write_target or kind in FIRST_CANDIDATE_KINDS,
-                )
+            self._counts_for(table)
+            self._ingest_scalar(
+                table,
+                kind,
+                int(low),
+                None if high is None else int(high),
+                write_target or kind in FIRST_CANDIDATE_KINDS,
+            )
 
     def observe_workload(self, table, workload) -> None:
         """Attribute every operation of ``workload`` as the engine would.
@@ -582,66 +514,53 @@ class WorkloadMonitor:
     def observed_chunks(self) -> list[int]:
         """Chunk indices with any recorded activity, ascending."""
         with self._lock:
-            return sorted(self._activity)
+            return np.flatnonzero(self._counts.any(axis=0)).tolist()
 
     def operation_counts(self, chunk_index: int) -> dict[str, int]:
         """Raw per-kind operation counts for one chunk."""
         with self._lock:
-            activity = self._activity.get(chunk_index)
-            return dict(activity.counts) if activity is not None else {}
+            if not 0 <= chunk_index < self._counts.shape[1]:
+                return {}
+            column = self._counts[:, chunk_index].tolist()
+        return {
+            kind: count
+            for kind, count in zip(ATTRIBUTION_KINDS, column, strict=True)
+            if count
+        }
 
     def chunk_mix(self, chunk_index: int) -> dict[str, float]:
         """Operation-mix fractions for one chunk (empty when unobserved)."""
-        with self._lock:
-            activity = self._activity.get(chunk_index)
-            return activity.mix() if activity is not None else {}
+        counts = self.operation_counts(chunk_index)
+        total = sum(counts.values())
+        return {kind: count / total for kind, count in counts.items()}
 
     def hot_chunks(self, top: int | None = None) -> list[int]:
         """Chunk indices ordered by recorded operation volume, hottest first."""
         with self._lock:
-            ranked = sorted(
-                self._activity,
-                key=lambda chunk: self._activity[chunk].total,
-                reverse=True,
-            )
+            totals = self._counts.sum(axis=0)
+        ranked = [
+            chunk
+            for chunk in np.argsort(-totals, kind="stable").tolist()
+            if totals[chunk]
+        ]
         return ranked[:top] if top is not None else ranked
 
     def recorded_workload(self, chunk_index: int) -> Workload:
         """The retained operation sample for one chunk as a ``Workload``."""
         with self._lock:
-            activity = self._activity.get(chunk_index)
-            operations = (
-                activity.sample.operations() if activity is not None else []
-            )
+            sample = self._samples.get(chunk_index)
+            operations = sample.operations() if sample is not None else []
         return Workload(operations=operations, name=f"monitor[chunk={chunk_index}]")
 
     def reset_chunk(self, chunk_index: int) -> None:
         """Forget one chunk's recorded activity (after a replan)."""
         with self._lock:
-            self._activity.pop(chunk_index, None)
+            if 0 <= chunk_index < self._counts.shape[1]:
+                self._counts[:, chunk_index] = 0
+            self._samples.pop(chunk_index, None)
 
     def reset(self) -> None:
         """Forget all recorded activity."""
         with self._lock:
-            self._activity.clear()
-
-    # ------------------------------------------------------------------ #
-    # Online reorganization
-    # ------------------------------------------------------------------ #
-
-    def replan_chunk(self, table, chunk_index: int, planner):
-        """Re-lay-out ``chunk_index`` of ``table`` in place via ``planner``.
-
-        When the monitor holds a recorded sample for the chunk, the planner
-        is re-targeted at it (:meth:`CasperPlanner.with_sample`), so the new
-        layout reflects the observed -- possibly drifted -- mix rather than
-        the offline training sample.  The chunk's recorded activity is reset
-        afterwards so the next drift decision starts fresh.  Returns the
-        rebuilt chunk.
-        """
-        sample = self.recorded_workload(chunk_index)
-        if len(sample) and hasattr(planner, "with_sample"):
-            planner = planner.with_sample(sample)
-        rebuilt = table.rebuild_chunk(chunk_index, planner.build_chunk)
-        self.reset_chunk(chunk_index)
-        return rebuilt
+            self._counts[:] = 0
+            self._samples.clear()

@@ -205,25 +205,24 @@ GUARDED_BY: dict[str, dict[str, tuple[str, str]]] = {
         "wall_ns": ("engine_stats", "write"),
     },
     "WorkloadMonitor": {
-        "_activity": ("monitor", "rw"),
+        "_counts": ("monitor", "rw"),
+        "_samples": ("monitor", "rw"),
     },
     "ReorgPolicy": {
         "_baselines": ("policy_state", "rw"),
         "_baselines_seeded": ("policy_state", "rw"),
-        "_calls": ("policy_state", "rw"),
         "decisions": ("policy_state", "write"),
+        "_reported": ("policy_state", "rw"),
         "_database": ("policy_state", "write"),
     },
     "Reorganizer": {
         "requeues": ("reorg_state", "write"),
         "errors": ("reorg_state", "write"),
         "_failures": ("reorg_state", "rw"),
-        "_reported": ("reorg_state", "rw"),
         "_sessions": ("reorg_state", "rw"),
         "_thread": ("reorg_state", "rw"),
         "_database": ("reorg_state", "write"),
         "_pending": ("reorg_wake", "rw"),
-        "_pending_set": ("reorg_wake", "rw"),
         "_busy": ("reorg_wake", "rw"),
         "_stop": ("reorg_wake", "rw"),
     },
@@ -314,9 +313,7 @@ SOLVER_CALL_NAMES = frozenset(
         "solve_bip",
         "solve_dp",
         "solve_greedy",
-        "rebuild_chunk",
         "build_chunk_replacement",
-        "maybe_reorganize",
         "decide_chunk",
     }
 )

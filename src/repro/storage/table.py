@@ -1081,37 +1081,6 @@ class Table:
         finally:
             self._latches.release_write(chunk_index)
 
-    def rebuild_chunk(
-        self, chunk_index: int, chunk_builder: ChunkBuilder | None = None
-    ) -> ColumnLike:
-        """Re-lay-out one chunk in place (the paper's online loop, Fig. 10).
-
-        The chunk's live keys and row ids are extracted, re-sorted and fed
-        back through ``chunk_builder`` (the table's default builder when
-        omitted -- pass e.g. ``CasperPlanner.build_chunk`` to re-optimize for
-        a drifted workload).  The chunk's upper fence is refreshed from the
-        surviving maximum and the router rebuilt, so stale-high fences left
-        by deletes are tightened.
-
-        The rebuild is copy-on-write (:meth:`snapshot_chunk` ->
-        :meth:`build_chunk_replacement` -> :meth:`publish_chunk`): readers
-        proceed against the prior chunk throughout and only pause for the
-        O(1) publish.  A write racing the rebuild fails the publish, and
-        this synchronous entry point simply re-snapshots and rebuilds until
-        it lands (single-threaded callers always land on the first try;
-        callers that would rather requeue than retry use the three-phase
-        API directly, as :meth:`repro.api.reorg.ReorgPolicy.apply_action`
-        does).
-        """
-        while True:
-            snapshot = self.snapshot_chunk(chunk_index)
-            if snapshot.values.size == 0:
-                with self._latches.shared(chunk_index):
-                    return self._chunks[chunk_index]
-            rebuilt = self.build_chunk_replacement(snapshot, chunk_builder)
-            if self.publish_chunk(snapshot, rebuilt):
-                return rebuilt
-
     # ------------------------------------------------------------------ #
     # Validation
     # ------------------------------------------------------------------ #

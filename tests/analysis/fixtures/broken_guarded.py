@@ -32,11 +32,11 @@ class Reorganizer:
 
 
 class WorkloadMonitor:
-    def peek_activity(self, chunk_index):
-        # GS02: the activity map is rw-guarded by the monitor lock.
-        return self._activity.get(chunk_index)
+    def peek_sample(self, chunk_index):
+        # GS02: the sample map is rw-guarded by the monitor lock.
+        return self._samples.get(chunk_index)
 
-    def peek_activity_locked(self, chunk_index):
+    def peek_sample_locked(self, chunk_index):
         # Clean.
         with self._lock:
-            return self._activity.get(chunk_index)
+            return self._samples.get(chunk_index)

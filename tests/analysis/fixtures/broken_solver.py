@@ -11,10 +11,10 @@ class BrokenPolicy:
         finally:
             table._latches.release_read(chunk_index)
 
-    def rebuild_under_lock(self, table, chunk_index):
+    def rebuild_under_lock(self, table, snapshot):
         # SL01: a heavy rebuild entry point under a declared lock.
         with self._state_lock:
-            return table.rebuild_chunk(chunk_index)
+            return table.build_chunk_replacement(snapshot)
 
     def blind_publish(self, table, snapshot, rebuilt):
         # GC01: the publish result is discarded and nothing compared

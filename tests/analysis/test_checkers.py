@@ -74,12 +74,12 @@ class TestFixtureViolations:
     def test_gs02_guarded_reads_fire(self, fixture_violations):
         found = findings(fixture_violations, "GS02", "broken_guarded.py")
         flagged = {v.function.split(".")[-1] for v in found}
-        assert flagged == {"read_queue_unlocked", "peek_activity"}
+        assert flagged == {"read_queue_unlocked", "peek_sample"}
 
     def test_sl01_solver_under_lock_fires(self, fixture_violations):
         found = findings(fixture_violations, "SL01", "broken_solver.py")
         assert any("plan_chunk" in v.message for v in found)
-        assert any("rebuild_chunk" in v.message for v in found)
+        assert any("build_chunk_replacement" in v.message for v in found)
 
     def test_gc01_blind_publish_fires(self, fixture_violations):
         found = findings(fixture_violations, "GC01", "broken_solver.py")
@@ -117,7 +117,7 @@ class TestFixtureViolations:
             "properly_scoped",
             "sanctioned_many",
             "guarded_properly",
-            "peek_activity_locked",
+            "peek_sample_locked",
             "checked_publish",
             "request_properly",
             "dispatch_properly",

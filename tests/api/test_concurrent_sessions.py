@@ -488,7 +488,6 @@ class TestStaleReplanRace:
         with db.session(execution=VectorizedPolicy(batch_size=256)) as session:
             session.execute(drifted_shards(3_000, 1)[0])
         reorganizer = Reorganizer(reorg_policy(), chunk_budget=None)
-        reorganizer.attach(db)
         policy = reorganizer.policy
         real_decide = policy.decide_chunk
         sabotaged: set[int] = set()
@@ -507,7 +506,7 @@ class TestStaleReplanRace:
 
         policy.decide_chunk = racing_decide
         try:
-            candidates = policy.scan(db, force=True)
+            candidates = policy.scan(db)
             assert candidates, "the drifted phase must produce candidates"
             reorganizer._enqueue(candidates)
             reorganizer._drain_slice(db, unbounded=True)
@@ -530,7 +529,7 @@ class TestStaleReplanRace:
         with db.session(execution=VectorizedPolicy(batch_size=256)) as session:
             session.execute(drifted_shards(3_000, 1)[0])
         policy = reorg_policy()
-        candidates = policy.scan(db, force=True)
+        candidates = policy.scan(db)
         assert candidates
         action = policy.decide_chunk(db, candidates[0])
         assert isinstance(action, ReorgAction)

@@ -1,16 +1,17 @@
-"""Tests for the online workload monitor and the in-place replan hook."""
+"""Tests for the online workload monitor and the replan sample it keeps."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.api import Database, ReorgPolicy
 from repro.core.monitor import WorkloadMonitor
 from repro.core.planner import CasperPlanner
 from repro.storage.engine import StorageEngine
 from repro.storage.layouts import LayoutKind, LayoutSpec
 from repro.storage.table import Table, layout_chunk_builder
-from repro.workload.operations import PointQuery, RangeQuery, Workload
+from repro.workload.operations import Insert, PointQuery, RangeQuery, Workload
 
 
 def make_table(num_rows=2_048, chunk_size=512):
@@ -97,18 +98,14 @@ class TestRecording:
         assert len(monitor.recorded_workload(0)) == 2
         assert monitor.operation_counts(0) == {"point_query": 5}
 
-    def test_chunk_activity_honours_configured_sample_limit(self):
-        # Directly-constructed activities (and the monitor's own) must bound
-        # their sample by the configured limit, not the module default.
-        from repro.core.monitor import ChunkActivity
-
-        activity = ChunkActivity(sample_limit=3)
-        assert activity.sample.limit == 3
+    def test_chunk_sample_honours_configured_sample_limit(self):
+        # The monitor's per-chunk windows must be bounded by the configured
+        # limit, not the module default.
         monitor = WorkloadMonitor(sample_limit=3)
         engine = StorageEngine(make_table(), monitor=monitor)
         for key in range(0, 20, 2):
             engine.point_query(key)
-        assert monitor._activity[0].sample_limit == 3
+        assert monitor._samples[0].limit == 3
         assert len(monitor.recorded_workload(0)) == 3
         # The retained window is the *most recent* three operations.
         assert [op.key for op in monitor.recorded_workload(0)] == [14, 16, 18]
@@ -129,6 +126,8 @@ class TestRecording:
 
 
 class TestReplanChunk:
+    """One chunk's turn of the online loop, through the policy that runs it."""
+
     def make_planner(self):
         training = Workload(
             operations=[PointQuery(key=int(key)) for key in range(0, 1_000, 10)],
@@ -136,47 +135,65 @@ class TestReplanChunk:
         )
         return CasperPlanner(sample_workload=training, block_values=64)
 
+    def drifted_database(self):
+        """A database planned for inserts whose chunk 0 then served reads."""
+        keys = np.arange(2_048, dtype=np.int64) * 2
+        training = Workload(
+            operations=[Insert(key=int(key) + 1) for key in keys[::4]],
+            name="inserts",
+        )
+        database = Database.plan_for(
+            training, keys, chunk_size=512, block_values=64
+        )
+        for key in range(0, 1_000, 2):
+            database.engine.point_query(key)
+        return database
+
     def test_replan_preserves_data_and_invariants(self):
-        monitor = WorkloadMonitor()
-        table = make_table()
-        engine = StorageEngine(table, monitor=monitor)
-        for key in range(0, 200, 2):
-            engine.point_query(key)
+        database = self.drifted_database()
+        table = database.table
+        policy = ReorgPolicy(min_chunk_operations=100)
         keys_before = np.sort(table.keys())
-        rebuilt = monitor.replan_chunk(table, 0, self.make_planner())
-        assert rebuilt is table.chunks[0]
+        before = table.chunks[0]
+        assert policy.scan(database) == [0]
+        decision = policy.apply_action(database, policy.decide_chunk(database, 0))
+        assert decision.replanned
+        assert table.chunks[0] is not before
         assert np.array_equal(np.sort(table.keys()), keys_before)
         table.check_invariants()
-        # Queries still resolve after the in-place re-layout.
+        # Queries still resolve after the re-layout.
         assert len(table.point_query(20)) == 1
 
     def test_replan_uses_recorded_sample(self):
-        monitor = WorkloadMonitor()
-        table = make_table()
-        engine = StorageEngine(table, monitor=monitor)
-        for key in range(0, 200, 2):
-            engine.point_query(key)
-        planner = self.make_planner()
-        monitor.replan_chunk(table, 0, planner)
-        # The original planner keeps its own history; the replan ran on a
-        # derived planner seeded with the monitor's recorded operations.
-        assert planner.plans == []
-        assert monitor.observed_chunks() == []  # chunk 0 reset after replan
+        database = self.drifted_database()
+        policy = ReorgPolicy(min_chunk_operations=100)
+        plans_before = list(database.planner.plans)
+        assert policy.scan(database) == [0]
+        action = policy.decide_chunk(database, 0)
+        # The original planner keeps its own history; the replan is solved
+        # by a derived planner seeded with the monitor's recorded operations.
+        assert list(action.replanner.sample_workload) == list(
+            database.monitor.recorded_workload(0)
+        )
+        policy.apply_action(database, action)
+        assert database.planner.plans == plans_before
+        assert database.monitor.observed_chunks() == []  # chunk 0 reset
 
-    def test_replan_unobserved_chunk_falls_back_to_planner_sample(self):
-        monitor = WorkloadMonitor()
-        table = make_table()
-        keys_before = np.sort(table.keys())
-        monitor.replan_chunk(table, 1, self.make_planner())
-        assert np.array_equal(np.sort(table.keys()), keys_before)
-        table.check_invariants()
+    def test_unobserved_chunk_is_not_replanned(self):
+        database = self.drifted_database()
+        policy = ReorgPolicy(min_chunk_operations=100)
+        untouched = database.table.chunks[1]
+        assert policy.scan(database) == [0]
+        assert policy.decide_chunk(database, 1) is None
+        assert database.table.chunks[1] is untouched
+        assert policy.decisions == []
 
-    def test_rebuild_chunk_rejects_bad_index(self):
+    def test_snapshot_chunk_rejects_bad_index(self):
         table = make_table()
         from repro.storage.errors import LayoutError
 
         with pytest.raises(LayoutError):
-            table.rebuild_chunk(99)
+            table.snapshot_chunk(99)
 
     def test_with_sample_copies_tuning(self):
         planner = self.make_planner()

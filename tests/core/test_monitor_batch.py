@@ -303,7 +303,7 @@ class TestConcurrentFlush:
     @staticmethod
     def _single_chunk_table() -> Table:
         # One chunk: every key attributes to chunk 0, so both threads
-        # contend on one ChunkActivity (the worst case for the window).
+        # contend on one chunk (the worst case for the window).
         spec = LayoutSpec(kind=LayoutKind.EQUI, partitions=4, block_values=8)
         return Table(
             np.arange(0, 64, 2, dtype=np.int64),

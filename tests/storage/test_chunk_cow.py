@@ -190,22 +190,24 @@ class TestGenerationCheckedPublish:
         assert np.array_equal(table.router.fences, table.chunk_bounds)
         table.check_invariants()
 
-    def test_rebuild_chunk_retries_past_racing_write(self):
+    def test_publish_refuses_write_that_raced_the_build(self):
         table = make_table()
-        raced = {"done": False}
 
         def racing_builder(values, rowids, counter):
-            # The first build is invalidated by a write that slips in
-            # between snapshot and publish; rebuild_chunk must re-snapshot
-            # (now including the new key) and land on the second attempt.
-            if not raced["done"]:
-                raced["done"] = True
-                table.insert(1)  # odd key, routes to chunk 0
+            # A write slips in between snapshot and publish.
+            table.insert(1)  # odd key, routes to chunk 0
             return SORTED_BUILDER(values, rowids, counter)
 
-        rebuilt = table.rebuild_chunk(0, racing_builder)
+        stale = table.snapshot_chunk(0)
+        raced = table.build_chunk_replacement(stale, racing_builder)
+        assert table.publish_chunk(stale, raced) is False
+        assert table.chunks[0] is not raced
+        # A fresh snapshot includes the new key and lands.
+        fresh = table.snapshot_chunk(0)
+        assert 1 in fresh.values.tolist()
+        rebuilt = table.build_chunk_replacement(fresh, SORTED_BUILDER)
+        assert table.publish_chunk(fresh, rebuilt) is True
         assert table.chunks[0] is rebuilt
-        assert 1 in rebuilt.values().tolist()
         table.check_invariants()
 
     def test_snapshot_is_immune_to_later_writes(self):
@@ -264,7 +266,11 @@ def instrument(table: Table, schedule: dict[int, int]) -> None:
             flips = state["flips"].get(target, 0)
             builder = EQUI_BUILDER if flips % 2 == 0 else SORTED_BUILDER
             state["flips"][target] = flips + 1
-            table.rebuild_chunk(target, builder)
+            # Nothing can write between these phases: the hook runs inside
+            # the one thread's latch acquisition.
+            snapshot = table.snapshot_chunk(target)
+            rebuilt = table.build_chunk_replacement(snapshot, builder)
+            assert table.publish_chunk(snapshot, rebuilt)
         finally:
             state["inside"] -= 1
 

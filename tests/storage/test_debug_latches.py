@@ -263,7 +263,8 @@ table.insert(17)
 table.delete(17)
 assert len(table.point_query(1234)) >= 1
 assert table.range_count(100, 900) > 0
-table.rebuild_chunk(0)
+snapshot = table.snapshot_chunk(0)
+assert table.publish_chunk(snapshot, table.build_chunk_replacement(snapshot))
 bad = [v for v in discipline.violations()]
 assert not bad, bad
 assert not discipline.order_graph().has_cycles()

@@ -283,12 +283,13 @@ class TestUpdateKeyFenceConsistency:
         assert [row.payload["a1"] for row in table.point_query(10)] == [0]
         table.check_invariants()
 
-    def test_rebuild_chunk_tightens_stale_bound(self):
+    def test_republished_chunk_tightens_stale_bound(self):
         table = make_table(num_rows=1_024, chunk_size=256)
         bound = int(table.chunk_bounds[0])
         table.delete(bound)
         assert int(table.chunk_bounds[0]) == bound  # stale-high, still routable
-        table.rebuild_chunk(0)
+        snapshot = table.snapshot_chunk(0)
+        assert table.publish_chunk(snapshot, table.build_chunk_replacement(snapshot))
         assert int(table.chunk_bounds[0]) < bound
         table.check_invariants()
 
