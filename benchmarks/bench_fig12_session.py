@@ -22,6 +22,13 @@ must group them by kind, not by adjacency: at most one ``multi_*`` read
 dispatch per read group key per write-free stretch, results and simulated
 accesses equal to serial dispatch, and >= 0.8x the unshuffled throughput.
 
+A fourth phase does the same to a write-heavy per-operation workload.
+Writes on distinct keys commute, so inserts, deletes and key updates that
+arrive interleaved must still ride one bulk kernel call per kind until a
+cross-kind reuse of a written key ends the stretch: at most three
+``multi_*`` write dispatches per conflict-free write stretch, results and
+row ids equal to serial dispatch, and >= 0.8x the kind-sorted throughput.
+
 The measured trajectory is emitted to ``BENCH_fig12_session.json`` (uploaded
 as a CI artifact).  Set ``REPRO_BENCH_ROWS`` to scale the table down on
 constrained machines.
@@ -404,4 +411,117 @@ def test_fig12_session_shuffled_read_phase(benchmark):
     _flush_results()
     assert read_runs <= bound
     # Interleaving the same reads must not cost the batched path its win.
+    assert ratio >= 0.8
+
+
+#: Inserts, deletes and key updates per 256-operation batch of the write
+#: phase (the ``drift_reorg`` write mix).
+WRITE_MIX = (128, 96, 32)
+
+
+def build_write_workload(num_rows: int, num_ops: int) -> Workload:
+    """Write-only per-operation mix, every batch sorted by kind.
+
+    Inserts take fresh odd keys, deletes and update sources take even keys
+    no other operation names, update targets are fresh odd keys -- except
+    that one delete per batch names a key the batch inserts, the cross-kind
+    reuse that ends a stretch when the permuted order puts the pair across
+    another group.
+    """
+    rng = np.random.default_rng(31)
+    inserts, deletes, updates = WRITE_MIX
+    # Fewer than half the operations name a present key.
+    present = iter((2 * rng.permutation(num_rows)[:num_ops]).tolist())
+    fresh = iter(range(1, 4 * num_ops, 2))
+    operations: list = []
+    while len(operations) < num_ops:
+        inserted = [next(fresh) for _ in range(inserts)]
+        operations.extend(Insert(key=key) for key in inserted)
+        operations.append(Delete(key=inserted[0]))
+        operations.extend(Delete(key=next(present)) for _ in range(deletes - 1))
+        operations.extend(
+            Update(old_key=next(present), new_key=next(fresh))
+            for _ in range(updates)
+        )
+    return Workload(operations=operations[:num_ops], name="fig12 write mix")
+
+
+def write_dispatch_bound(workload: Workload, batch_size: int) -> int:
+    """Upper bound on grouped write dispatches: per batch, three write
+    kinds x (write stretches + cross-kind reuses of a written key, each of
+    which can end a stretch)."""
+    bound = 0
+    for start in range(0, len(workload), batch_size):
+        batch = workload.operations[start : start + batch_size]
+        for writes, stretch in groupby(batch, key=attrgetter("writes")):
+            if not writes:
+                continue
+            named: dict[int, tuple] = {}
+            reuses = 0
+            for op in stretch:
+                for key in op.written_keys:
+                    reuses += named.setdefault(key, op.group_key) != op.group_key
+            bound += 3 * (1 + reuses)
+    return bound
+
+
+def test_fig12_session_shuffled_write_phase(benchmark):
+    """Shuffled writes: interleaved writes still ride one kernel call per kind."""
+    benchmark.pedantic(lambda: None, iterations=1, rounds=1)
+    num_rows = int(os.environ.get("REPRO_BENCH_ROWS", 1_048_576))
+    num_chunks = 16
+    block_values = 4_096
+    num_ops = min(16_384, num_rows // 2)
+    ordered = build_write_workload(num_rows, num_ops)
+    shuffled = shuffled_within_batches(ordered, SHUFFLE_BATCH)
+
+    def database_factory():
+        return build_database(num_rows, num_chunks, block_values)
+
+    def vectorized():
+        return VectorizedPolicy(batch_size=SHUFFLE_BATCH)
+
+    serial = SerialPolicy().execute(database_factory().engine, list(shuffled))
+    ordered_s, _, _, _ = timed_run(vectorized, database_factory, ordered)
+    shuffled_s, results, _, _ = timed_run(vectorized, database_factory, shuffled)
+    # Insert results are row ids, so this is row-id equality too.
+    assert results == serial.results
+
+    # Dispatch count, from the engine's own statistics on an untimed run.
+    database = database_factory()
+    outcome = vectorized().execute(database.engine, list(shuffled))
+    assert outcome.errors == serial.errors
+    database.table.check_invariants()
+    dispatched = database.engine.statistics.operations
+    write_runs = sum(
+        dispatched.get(kind, 0)
+        for kind in ("multi_insert", "multi_delete", "multi_update")
+    )
+    bound = write_dispatch_bound(shuffled, SHUFFLE_BATCH)
+    batches = -(-num_ops // SHUFFLE_BATCH)
+
+    ordered_ops_per_s = num_ops / ordered_s
+    shuffled_ops_per_s = num_ops / shuffled_s
+    ratio = shuffled_ops_per_s / ordered_ops_per_s
+    print(
+        f"\nshuffled write phase: {num_ops} ops on {num_rows} rows, "
+        f"VectorizedPolicy({SHUFFLE_BATCH}) -> ordered "
+        f"{ordered_ops_per_s / 1e3:.1f}k ops/s, shuffled "
+        f"{shuffled_ops_per_s / 1e3:.1f}k ops/s ({ratio:.2f}x); "
+        f"{write_runs} write dispatches over {batches} batches (bound {bound})"
+    )
+    _RESULTS["fig12_session_shuffled_writes"] = {
+        "num_rows": num_rows,
+        "num_operations": num_ops,
+        "batch_size": SHUFFLE_BATCH,
+        "ordered_ops_per_s": ordered_ops_per_s,
+        "shuffled_ops_per_s": shuffled_ops_per_s,
+        "shuffled_vs_ordered": ratio,
+        "write_dispatches": write_runs,
+        "write_dispatch_bound": bound,
+        "batches": batches,
+    }
+    _flush_results()
+    assert write_runs <= bound
+    # Interleaving the same writes must not cost the bulk path its win.
     assert ratio >= 0.8

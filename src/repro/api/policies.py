@@ -7,12 +7,20 @@ batches whose size is tuned online.  The policy contract is that dispatch
 strategy never changes semantics:
 
 * **results** are identical to per-operation serial dispatch (submission
-  order, ``None`` marking not-found operations), and
+  order, insert row ids included, ``None`` marking not-found operations),
+  and
 * **simulated access counts** are identical for reads and key updates and
-  never larger for insert/delete runs (whose coalesced ripple sweeps charge
-  each touched block once per batch), per the
+  never larger for insert/delete groups (whose coalesced ripple sweeps
+  charge each touched block once per group), per the
   :meth:`repro.storage.engine.StorageEngine.execute_batch` contract and its
   documented duplicate-delete caveat.
+
+The batched policies group by commutation
+(:func:`repro.storage.engine.plan_batch`): reads between two writes commute,
+and so do writes on distinct keys between two reads.  Same-kind writes keep
+their submission order and their row ids, a cross-kind reuse of a written
+key ends the stretch, a batch already sorted by kind plans as its adjacent
+runs, and the charge reference is the ascending replay of each group.
 
 Policies are stateful (adaptive estimates, the record of chosen batch
 sizes), so use a fresh instance per session / workload run.
@@ -49,11 +57,13 @@ class ExecutionPolicy(Protocol):
 def longest_groupable_run(operations: Sequence[Operation]) -> int:
     """Size of the largest group ``execute_batch`` would dispatch as one
     batched operation: the most reads sharing a group key within one
-    write-free stretch, or the longest run of same-kind writes.
+    write-free stretch, or the most same-kind writes within one read-free
+    stretch that no cross-kind reuse of a written key cuts short.
 
     Read off :func:`repro.storage.engine.plan_batch`, the plan the batch
-    executor dispatches, so the adaptive policy's run-length heuristic
-    cannot drift from the engine's actual grouping.
+    executor dispatches; a dispatched batch reports the same number as
+    :attr:`BatchResult.largest_group`, which is what the adaptive policy's
+    run-length heuristic reads.
     """
     return max(
         (
@@ -142,11 +152,12 @@ class _BatchedDispatch:
 class VectorizedPolicy(_BatchedDispatch):
     """Dispatch in fixed-size slices through ``engine.execute_batch``.
 
-    ``batch_size`` bounds each slice; within a slice, reads group by
-    commutation -- every read sharing a group key between two writes rides
-    one vectorized probe, however the client interleaved them -- while
-    writes are barriers that keep their order and group only as directly
-    consecutive same-kind runs (coalesced bulk writes).  The rule is
+    ``batch_size`` bounds each slice; within a slice, operations group by
+    commutation, however the client interleaved them -- every read sharing
+    a group key between two writes rides one vectorized probe, and every
+    insert, delete or key update between two reads rides one coalesced
+    bulk write, in submission order within its kind, until a cross-kind
+    reuse of a written key ends the stretch.  The rule is
     :func:`repro.storage.engine.plan_batch`.
     """
 
@@ -182,7 +193,8 @@ class AdaptivePolicy(_BatchedDispatch):
 
     * unexplored neighbour sizes are probed first, largest first -- and when
       the whole slice dispatched as a single group
-      (:func:`longest_groupable_run`), cut short only by the batch
+      (:attr:`BatchResult.largest_group`, the slice's
+      :func:`longest_groupable_run`), cut short only by the batch
       boundary, growing is forced before shrinking, since a longer batch
       directly extends the vectorized group;
     * once the neighbourhood is explored, the policy moves to the neighbour
@@ -291,6 +303,6 @@ class AdaptivePolicy(_BatchedDispatch):
                 len(chunk),
                 outcome.wall_ns,
                 outcome.simulated_ns(engine.constants),
-                longest_groupable_run(chunk),
+                outcome.largest_group,
             )
             yield len(chunk), outcome

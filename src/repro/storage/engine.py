@@ -72,6 +72,9 @@ class BatchResult(SimulatedCost):
     is the aggregate simulated block-access tally of the whole batch.
     ``lsn`` is the WAL record the batch's writes committed under (``None``
     for read-only batches and engines without durability attached).
+    ``largest_group`` is the size of the largest group the batch dispatched
+    as one batched operation (0 when every operation went out on its own,
+    and for outcomes merged from several batches).
     """
 
     results: list[Any]
@@ -80,6 +83,7 @@ class BatchResult(SimulatedCost):
     operations: int
     errors: int = 0
     lsn: int | None = None
+    largest_group: int = 0
 
 
 @guarded_class
@@ -147,28 +151,50 @@ def plan_batch(operations) -> list[tuple[tuple | None, list[int]]]:
     and the execution policies' run-length heuristic
     (:func:`repro.api.policies.longest_groupable_run`) measures it.
 
-    Reads commute with one another, so within a maximal write-free stretch
-    every read sharing a group key joins one group, adjacent or not; groups
-    dispatch in order of first appearance.  Writes are barriers: a write
-    never moves across a read or another write, and joins only the run of
-    same-key writes it directly follows.  An operation whose key is
-    ``None`` is a group of its own, at its own place.
+    Operations that commute group however they interleave.  A batch splits
+    into maximal stretches of reads and of writes -- no write moves across
+    a read -- and within a stretch every operation sharing a group key
+    joins one group; groups dispatch in order of first appearance and keep
+    submission order inside.  Reads always commute.  Writes commute when
+    they name no common key, so a scalar write states its
+    ``written_keys``: joining its kind's open group dispatches it ahead of
+    exactly the groups opened after that one, and if one of those already
+    named one of its keys the stretch ends there -- every group closes and
+    the write opens a new one at its own place.  Same-kind writes never
+    reorder, so each insert is handed the row id serial dispatch gives it,
+    and a batch already sorted by kind never trips the check: it plans as
+    its adjacent runs.  An operation whose key is ``None`` is a group of
+    its own, at its own place; a ``Multi*`` write also ends the stretch.
     """
     plan: list[tuple[tuple | None, list[int]]] = []
     position = 0
     for writes, stretch in groupby(operations, key=attrgetter("writes")):
+        # The open groups and their plan indexes, by group key; for a
+        # write stretch, the latest-opened group that names each key.
         open_groups: dict[tuple, list[int]] = {}
+        opened: dict[tuple, int] = {}
+        named: dict[int, int] = {}
         for operation in stretch:
             key = operation.group_key
             group = open_groups.get(key)
+            if writes and key is None:
+                open_groups, named = {}, {}
+            elif writes:
+                index = len(plan) if group is None else opened[key]
+                keys = operation.written_keys
+                for written in keys:
+                    if named.get(written, -1) > index:
+                        # Joining would carry the write ahead of a group
+                        # that names its key: the stretch ends here.
+                        open_groups, named, group, index = {}, {}, None, len(plan)
+                        break
+                for written in keys:
+                    named[written] = index
             if group is None:
                 group = []
-                plan.append((key, group))
-                if writes:
-                    # A new write group closes the run before it.
-                    open_groups = {}
                 if key is not None:
-                    open_groups[key] = group
+                    open_groups[key], opened[key] = group, len(plan)
+                plan.append((key, group))
             group.append(position)
             position += 1
     return plan
@@ -675,30 +701,41 @@ class StorageEngine:
         identical column lists resolve through one
         :meth:`multi_point_query` and all counting range queries through
         one :meth:`multi_range_count`, however they were interleaved.
-        Writes are barriers and keep their order: no write moves across a
-        read or another write, and only directly consecutive inserts,
-        deletes or key updates form a run, resolved through
-        :meth:`multi_insert` / :meth:`multi_delete` / :meth:`multi_update`.
+        Writes on distinct keys commute too: within every maximal
+        read-free stretch all inserts resolve through one
+        :meth:`multi_insert`, all deletes through one :meth:`multi_delete`
+        and all key updates through one :meth:`multi_update`, however they
+        were interleaved.  No write moves across a read, same-kind writes
+        keep their submission order -- so every insert returns the row id
+        serial dispatch hands out and grouped updates apply their pairs in
+        order -- and a cross-kind reuse of a written key ends the stretch:
+        a write one of whose keys was already named by a group opened
+        after its own kind's closes every group and opens a new one at its
+        own place.  A batch already sorted by kind plans as its adjacent
+        runs.
         Every other operation (SUM ranges, the ``Multi*`` kinds) is
-        dispatched individually, at its own place.  Grouped updates apply
-        their pairs in submission order and match per-operation dispatch
-        exactly.  Grouped reads charge simulated accesses identical to
-        per-operation dispatch; grouped writes are applied in
-        ascending key order within their run and charge at most that
+        dispatched individually, at its own place.  Hits, misses and the
+        victim of a delete or update depend only on the history of their
+        own key, which no regrouping reorders, so results equal
+        per-operation dispatch; what differs is the physical slot order
+        inside a partition.  Grouped reads and grouped updates charge
+        simulated accesses identical to per-operation dispatch of the
+        group; grouped inserts and deletes are applied in
+        ascending key order within their group and charge at most that
         ordering's per-operation accesses (coalesced ripple sweeps charge
-        each touched block once per batch), returning the same row ids and
-        deleted counts.  One caveat follows from the in-run reordering: the
-        ascending replay is the charge reference, not submission order.
+        each touched block once per group).  The charge reference is
+        therefore the ascending replay of each group, groups in
+        first-appearance order -- not submission order.
         Victim *identity* is reorder-proof -- every delete removes the
         oldest surviving copy of its key (the rule
         :meth:`PartitionedColumn._oldest_first` pins), a choice
         neighbouring deletes of other keys cannot perturb, and same-key
         deletes keep their relative order under the stable sort -- but a
-        run that mixes hits and *misses* in one partition can charge
+        group that mixes hits and *misses* in one partition can charge
         differently (a reordered miss is scanned at the partition size
         the replay sees, which can cross a block boundary submission
         order would not).  Delta-store chunks add one
-        more caveat: a batch that crosses the merge threshold mid-run pays
+        more caveat: a batch that crosses the merge threshold mid-group pays
         one larger deferred merge instead of sequential's earlier smaller
         one, which can exceed the sequential charge (see
         :meth:`DeltaStoreColumn.bulk_insert`).
@@ -714,8 +751,8 @@ class StorageEngine:
         the chunk fences, which no batched write moves, so the deferred
         flush attributes exactly what per-operation observation would; each
         record carries its operations' submission positions, so the
-        monitor's bounded samples keep submission order although read
-        groups dispatch out of it.
+        monitor's bounded samples keep submission order although groups
+        dispatch out of it.
 
         With durability attached, a batch containing any write runs inside
         one commit scope: the manager's commit lock is held across the
@@ -723,8 +760,9 @@ class StorageEngine:
         as **one WAL record** before results are returned (group-commit
         fsync per the configured policy, outside the lock).  The append
         happens even when a dispatch raises mid-batch -- deltas are
-        recorded per *applied* run, so the log matches whatever prefix the
-        in-memory state absorbed.  Read-only batches skip the lock
+        recorded per *applied* group, in dispatch order, so the log matches
+        whatever groups the in-memory state absorbed and replays them in
+        the order it absorbed them.  Read-only batches skip the lock
         entirely; durable write batches from concurrent sessions serialize
         against each other (and against checkpoints), which is the price
         of a single gap-free log (per-shard logs are the scale-out path,
@@ -765,7 +803,7 @@ class StorageEngine:
         batch_log = AccessLog() if self.monitor is not None else None
         self._batch_log = batch_log
         try:
-            results, errors = self._dispatch_batch(oplist)
+            results, errors, largest_group = self._dispatch_batch(oplist)
         finally:
             self._batch_log = None
             if batch_log is not None and batch_log.records:
@@ -778,13 +816,16 @@ class StorageEngine:
             wall_ns=wall,
             operations=len(oplist),
             errors=errors,
+            largest_group=largest_group,
         )
 
-    def _dispatch_batch(self, oplist) -> tuple[list[Any], int]:
+    def _dispatch_batch(self, oplist) -> tuple[list[Any], int, int]:
         """Dispatch :func:`plan_batch` of ``oplist``; every result lands in
-        its operation's submission slot."""
+        its operation's submission slot.  Returns the results, the error
+        count and the size of the largest batched group."""
         results: list[Any] = [None] * len(oplist)
         errors = 0
+        largest_group = 0
         log = self._batch_log
         for group_key, positions in plan_batch(oplist):
             if log is not None:
@@ -808,7 +849,8 @@ class StorageEngine:
             for position, result in zip(positions, group_results, strict=True):
                 results[position] = result
             errors += group_errors
-        return results, errors
+            largest_group = max(largest_group, len(positions))
+        return results, errors, largest_group
 
     def values(self) -> np.ndarray:
         """All live key values (for validation)."""

@@ -16,9 +16,16 @@ scalar, five batched) *is*.  Every class states, once:
     the key under which ``StorageEngine.execute_batch`` groups operations
     into one batched dispatch (``None``: always dispatched individually).
     Reads commute, so every read sharing a key within a write-free stretch
-    of a batch groups, adjacent or not; writes are barriers that keep their
-    submission order, and only directly consecutive same-key writes group
+    of a batch groups, adjacent or not.  Writes on distinct keys commute
+    too: within a write stretch every write sharing a key groups, adjacent
+    or not, keeping same-kind submission order and so the row ids serial
+    dispatch hands out; a cross-kind reuse of a written key ends the
+    stretch, and a batch already sorted by kind plans as adjacent runs
     (``repro.storage.engine.plan_batch`` is that rule);
+``written_keys``
+    scalar write kinds only: the key values the operation writes, which
+    is what ``plan_batch`` checks before it lets a write join an earlier
+    group of its kind;
 ``attribution()``
     the monitor's access record ``(kind, lows, highs)`` -- ``kind`` is one of
     ``repro.storage.access_log.ATTRIBUTION_KINDS`` or the paired-update kind
@@ -155,6 +162,10 @@ class Insert:
     group_key = ("insert",)
     wire = ("in", ())
 
+    @property
+    def written_keys(self) -> tuple[int, ...]:
+        return (self.key,)
+
     def attribution(self) -> tuple:
         return "insert", (self.key,), None
 
@@ -186,6 +197,10 @@ class Delete:
     group_key = ("delete",)
     wire = ("de", ())
 
+    @property
+    def written_keys(self) -> tuple[int, ...]:
+        return (self.key,)
+
     def attribution(self) -> tuple:
         return "delete", (self.key,), None
 
@@ -208,6 +223,10 @@ class Update:
     writes = True
     group_key = ("update",)
     wire = ("up", ())
+
+    @property
+    def written_keys(self) -> tuple[int, ...]:
+        return (self.old_key, self.new_key)
 
     def attribution(self) -> tuple:
         return "update", (self.old_key,), (self.new_key,)

@@ -12,6 +12,8 @@ duplicate run straddling a chunk boundary:
 
 from __future__ import annotations
 
+from itertools import groupby
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from repro.workload.operations import (
     Aggregate,
     Delete,
     Insert,
+    MultiInsert,
     PointQuery,
     RangeQuery,
     Update,
@@ -335,9 +338,8 @@ class TestAdaptivePolicy:
 #: Keys the interleaving tests draw from: the straddling duplicate run, its
 #: unique neighbours, and odd keys that only exist once a test inserts them
 #: -- few enough that inserts, deletes and updates keep colliding.
-INTERLEAVED_KEYS = st.sampled_from(
-    [STRADDLE_KEY, 498, 502, 0, 996, 501, 503, 999]
-)
+INTERLEAVED_KEY_VALUES = [STRADDLE_KEY, 498, 502, 0, 996, 501, 503, 999]
+INTERLEAVED_KEYS = st.sampled_from(INTERLEAVED_KEY_VALUES)
 
 INTERLEAVED_READS = st.one_of(
     st.builds(PointQuery, key=INTERLEAVED_KEYS),
@@ -445,6 +447,158 @@ class TestCommutingReads:
         }
 
 
+def chunk_rows(engine: StorageEngine) -> list[list[tuple[int, int]]]:
+    """Sorted ``(key, rowid)`` content of every chunk (slot order inside a
+    partition is an artifact of the write order)."""
+    return [
+        sorted(zip(chunk.values().tolist(), chunk.rowids().tolist()))
+        for chunk in engine.table.chunks
+    ]
+
+
+class TestCommutingWrites:
+    """Writes on distinct keys group across a read-free stretch; a
+    cross-kind reuse of a written key ends it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        writes=st.lists(INTERLEAVED_WRITES, max_size=60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_write_stretches_equal_serial_dispatch(self, writes, seed):
+        # Eight colliding keys: duplicates, the cross-chunk straddle and
+        # absent keys, so stretches keep ending on key reuses.  The point
+        # queries read every key back, payloads and row ids included.
+        operations = [*writes, *map(PointQuery, INTERLEAVED_KEY_VALUES)]
+        serial_engine, serial = run_policy(SerialPolicy(), operations)
+        batched = [
+            VectorizedPolicy(batch_size=256),
+            *policies(np.random.default_rng(seed))[1:],
+        ]
+        for policy in batched:
+            engine, outcome = run_policy(policy, operations)
+            # Insert results are row ids: compared as they are.
+            assert normalized(outcome.results) == normalized(serial.results)
+            assert outcome.errors == serial.errors
+            assert chunk_rows(engine) == chunk_rows(serial_engine)
+            assert (
+                engine.counter.snapshot().index_probes
+                == serial_engine.counter.snapshot().index_probes
+            )
+            engine.table.check_invariants()
+
+    @pytest.mark.parametrize(
+        "operations, plan",
+        [
+            pytest.param(
+                [Insert(1), Delete(2), Insert(3), Delete(4)],
+                [(("insert",), [0, 2]), (("delete",), [1, 3])],
+                id="distinct-keys-regroup",
+            ),
+            pytest.param(
+                [Insert(7), Delete(7), Insert(7)],
+                [(("insert",), [0]), (("delete",), [1]), (("insert",), [2])],
+                id="same-key-keeps-submission-order",
+            ),
+            pytest.param(
+                # Joining the first delete would carry Delete(2) ahead of
+                # the insert of the row it removes.
+                [Delete(1), Insert(2), Delete(2)],
+                [(("delete",), [0]), (("insert",), [1]), (("delete",), [2])],
+                id="delete-may-not-pass-its-insert",
+            ),
+            pytest.param(
+                [Update(1, 2), Delete(3), Update(2, 3)],
+                [(("update",), [0]), (("delete",), [1]), (("update",), [2])],
+                id="conflict-via-the-update-target",
+            ),
+            pytest.param(
+                # Naming a key of an *earlier*-opened group is no conflict:
+                # the delete still dispatches after the insert.
+                [Insert(1), Delete(2), Delete(1), Insert(3)],
+                [(("insert",), [0, 3]), (("delete",), [1, 2])],
+                id="reuse-in-dispatch-order-is-free",
+            ),
+            pytest.param(
+                # A conflict ends the stretch for every kind, not only for
+                # the kind that tripped it.
+                [Insert(1), Delete(2), Insert(2), Delete(4)],
+                [
+                    (("insert",), [0]),
+                    (("delete",), [1]),
+                    (("insert",), [2]),
+                    (("delete",), [3]),
+                ],
+                id="conflict-closes-every-group",
+            ),
+            pytest.param(
+                [Insert(1), Delete(2), MultiInsert((5, 6)), Insert(3), Delete(4)],
+                [
+                    (("insert",), [0]),
+                    (("delete",), [1]),
+                    (None, [2]),
+                    (("insert",), [3]),
+                    (("delete",), [4]),
+                ],
+                id="multi-write-closes-every-group",
+            ),
+        ],
+    )
+    def test_conflict_plans(self, operations, plan):
+        assert plan_batch(operations) == plan
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        writes=st.lists(INTERLEAVED_WRITES, max_size=60),
+        kind_order=st.permutations(["insert", "delete", "update"]),
+    )
+    def test_kind_sorted_stretch_plans_as_its_adjacent_runs(
+        self, writes, kind_order
+    ):
+        # The bypass guarantee: per-op lists that arrive sorted by kind
+        # (``olap_mem``) never trip the key check, whatever keys they reuse.
+        writes.sort(key=lambda op: kind_order.index(op.kind.value))
+        adjacent = groupby(enumerate(writes), key=lambda pair: pair[1].group_key)
+        assert plan_batch(writes) == [
+            (key, [position for position, _ in run]) for key, run in adjacent
+        ]
+
+    def test_one_dispatch_per_write_kind_per_conflict_free_stretch(self):
+        rng = np.random.default_rng(7)
+        present = rng.permutation(np.arange(0, STRADDLE_KEY, 2))
+        fresh = 2 * rng.permutation(np.arange(2_000, 4_000)) + 1
+        head, *rest = (
+            [Insert(int(key)) for key in fresh[:128]]
+            + [Delete(int(key)) for key in present[:96]]
+            + [
+                Update(int(old), int(new))
+                for old, new in zip(present[96:128], fresh[128:160])
+            ]
+        )
+        # An insert leads, so the insert group is the first one opened.
+        writes = [head, *(rest[i] for i in rng.permutation(len(rest)))]
+        assert len(writes) == 256
+
+        def dispatched(operations) -> dict[str, int]:
+            engine, outcome = run_policy(VectorizedPolicy(512), operations)
+            assert outcome.errors == 0
+            return dict(engine.statistics.operations)
+
+        once = {"multi_insert": 1, "multi_delete": 1, "multi_update": 1}
+        assert dispatched(writes) == once
+        # One cross-kind reuse of a written key ends the stretch.  As the
+        # last write it adds exactly one dispatch ...
+        place = next(
+            i for i in range(128, 256) if type(writes[i]) is Delete
+        )
+        assert {type(op) for op in writes[:place]} == {Insert, Delete, Update}
+        reuse = Insert(writes[place].key)
+        assert dispatched([*writes, reuse]) == {**once, "multi_insert": 2}
+        # ... and in the middle every kind that follows it reopens once.
+        split = [*writes[: place + 1], reuse, *writes[place + 1 :]]
+        assert dispatched(split) == {kind: 2 for kind in once}
+
+
 class TestRunGrouping:
     OPS = [
         PointQuery(key=1),
@@ -464,9 +618,18 @@ class TestRunGrouping:
         Update(old_key=5, new_key=9),
         PointQuery(key=9),
         PointQuery(key=5),
+        # A shuffled write tail: distinct keys until ``Insert(4)``.
+        Insert(key=13),
+        Delete(key=2),
+        Insert(key=15),
+        Update(old_key=21, new_key=23),
+        Delete(key=4),
+        Insert(key=4),
+        Delete(key=6),
+        Update(old_key=25, new_key=27),
     ]
 
-    def test_plan_groups_reads_by_key_and_writes_by_adjacency(self):
+    def test_plan_groups_reads_and_writes_by_commutation(self):
         assert plan_batch(self.OPS) == [
             # First write-free stretch: one group per key, in order of
             # first appearance; SUMs stay singletons at their own place.
@@ -475,14 +638,23 @@ class TestRunGrouping:
             (("point_query", ("a1",)), [2]),
             (None, [3]),
             (None, [6]),
-            # Writes keep submission order: a read splits the insert run,
-            # and a write joins only the same-kind run it directly follows.
+            # No write moves across a read: a read splits the insert run.
+            # Writes already sorted by kind plan as their adjacent runs.
             (("insert",), [8, 9]),
             (("point_query", None), [10]),
             (("insert",), [11]),
             (("delete",), [12]),
             (("update",), [13, 14]),
             (("point_query", None), [15, 16]),
+            # The shuffled tail: one group per write kind, in order of
+            # first appearance, until ``Insert(4)`` would be carried ahead
+            # of the delete of key 4 -- there the stretch ends for all.
+            (("insert",), [17, 19]),
+            (("delete",), [18, 21]),
+            (("update",), [20]),
+            (("insert",), [22]),
+            (("delete",), [23]),
+            (("update",), [24]),
         ]
         assert plan_batch([]) == []
 
@@ -496,6 +668,17 @@ class TestRunGrouping:
         assert longest_groupable_run(self.OPS[9:12]) == 1
         # SUM aggregates are singletons and never count as a group.
         assert longest_groupable_run([self.OPS[3], self.OPS[6]]) == 0
+        # The shuffled write tail: two inserts (or deletes) although no two
+        # of them are adjacent; the key reuse keeps the third insert out.
+        assert longest_groupable_run(self.OPS[17:]) == 2
+        assert longest_groupable_run(self.OPS[17:22]) == 2
+        assert longest_groupable_run(self.OPS[22:]) == 1
+
+    def test_batch_result_reports_the_largest_group(self):
+        # What the adaptive policy reads in place of planning twice.
+        for operations in (self.OPS, self.OPS[17:], self.OPS[3:4], []):
+            outcome = build_engine().execute_batch(operations)
+            assert outcome.largest_group == longest_groupable_run(operations)
 
     def test_vectorized_policy_validates_batch_size(self):
         with pytest.raises(ValueError):

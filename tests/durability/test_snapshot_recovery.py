@@ -6,20 +6,27 @@ import numpy as np
 import pytest
 
 from repro.api.database import Database
-from repro.api.policies import VectorizedPolicy
+from repro.api.policies import SerialPolicy, VectorizedPolicy
 from repro.durability.errors import ReadOnlyError, WalUnavailableError
 from repro.durability.faults import FaultInjector
 from repro.durability.manager import DurabilityConfig
 from repro.durability.recovery import recover, replay
 from repro.durability.snapshot import list_snapshots, load_snapshot
-from repro.durability.wal import scan_segment, segment_first_lsn
+from repro.durability.wal import (
+    decode_delta_log,
+    scan_segment,
+    segment_first_lsn,
+)
 from repro.storage.layouts import LayoutKind, LayoutSpec
 from repro.workload.operations import (
+    Delete,
+    Insert,
     MultiDelete,
     MultiInsert,
     MultiUpdate,
     PointQuery,
     RangeQuery,
+    Update,
 )
 
 
@@ -243,6 +250,93 @@ class TestReplaySemantics:
         assert reopened.recovery.base_lsn == 0
         assert reopened.recovery.batches_replayed == 2
         assert fingerprint(reopened.table) == before
+        reopened.close()
+
+
+def delta_kinds(root):
+    """The delta-entry kinds of every WAL record, in LSN order."""
+    return [
+        [entry.kind for entry in decode_delta_log(body).records]
+        for _, body in wal_records(root)
+    ]
+
+
+class TestShuffledWriteBatch:
+    """Per-op writes in random order: the batch groups by commutation, logs
+    one delta entry per applied group, and replays to the serial table."""
+
+    @staticmethod
+    def shuffled_writes(seed=3):
+        rng = np.random.default_rng(seed)
+        present = rng.permutation(np.arange(0, 400, 2)).tolist()
+        fresh = rng.permutation(np.arange(1_001, 1_401, 2)).tolist()
+        writes = (
+            [
+                Insert(key, tuple(payload_for([key])[0].tolist()))
+                for key in fresh[:128]
+            ]
+            + [Delete(key) for key in present[:96]]
+            + [Update(*pair) for pair in zip(present[96:128], fresh[128:160])]
+        )
+        return [writes[i] for i in rng.permutation(len(writes))]
+
+    def test_one_record_of_one_entry_per_kind_replays_to_serial(
+        self, tmp_path
+    ):
+        writes = self.shuffled_writes()
+        assert len(writes) == 256
+        # One cross-kind reuse of a written key: one more entry.
+        reuse = [Insert(1_501, (1, 2)), Delete(1_503), Insert(1_503, (3, 4))]
+        db = make_db(tmp_path)
+        with db.session(execution=VectorizedPolicy(batch_size=256)) as s:
+            first = s.execute(writes)
+            second = s.execute(reuse)
+        assert (first.commit_lsn, second.commit_lsn) == (1, 2)
+        first_kinds, second_kinds = delta_kinds(tmp_path)
+        assert sorted(first_kinds) == ["delete", "insert", "update"]
+        assert second_kinds == ["insert", "delete", "insert"]
+        db.close()
+
+        serial = make_db(None)
+        with serial.session(execution=SerialPolicy()) as s:
+            s.execute(writes)
+            s.execute(reuse)
+        expected = fingerprint(serial.table)
+
+        reopened = Database.open(tmp_path)
+        assert reopened.recovery.batches_replayed == 2
+        assert fingerprint(reopened.table) == expected
+        reopened.table.check_invariants()
+        reopened.close()
+        replica = Database.follow(tmp_path, start=False)
+        assert replica.follower.caught_up
+        assert fingerprint(replica.table) == expected
+        replica.table.check_invariants()
+        replica.close()
+
+    def test_malformed_insert_leaves_log_and_memory_agreeing(self, tmp_path):
+        # The wrong payload width surfaces when its group is dispatched;
+        # the groups applied before it are logged, nothing else is.
+        batch = [
+            Delete(0),
+            Insert(1_001, (1, 2)),
+            Delete(2),
+            Insert(1_003, (1, 2, 3)),
+            Update(4, 1_005),
+            Insert(1_007, (3, 4)),
+        ]
+        db = make_db(tmp_path)
+        with db.session(execution=VectorizedPolicy(batch_size=256)) as s:
+            with pytest.raises(ValueError):
+                s.execute(batch)
+        applied = fingerprint(db.table)
+        db.table.check_invariants()
+        db.close()
+        reopened = Database.open(tmp_path)
+        assert fingerprint(reopened.table) == applied
+        # The database keeps serving durable writes after the failure.
+        with reopened.session() as s:
+            assert s.execute(Insert(1_009, (5, 6))).durable
         reopened.close()
 
 

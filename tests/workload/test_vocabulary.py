@@ -171,6 +171,19 @@ class TestEveryKind:
         assert type(scalars[0]).batched(scalars) == op
 
 
+def test_scalar_writes_state_their_written_keys():
+    # What ``plan_batch`` checks before it regroups a write: exactly the
+    # key fields of the attribution, sources then targets.
+    scalar_writes = [
+        op for op in EXAMPLES if is_write(op) and op.scalars() == (op,)
+    ]
+    assert {type(op) for op in scalar_writes} == {Insert, Delete, Update}
+    for op in scalar_writes:
+        _, lows, highs = op.attribution()
+        assert op.written_keys == (*lows, *(highs or ()))
+        assert batch_group_key(op) is not None
+
+
 def test_take_restricts_every_row_aligned_field():
     op = MultiInsert(keys=(1, 2, 3), payloads=((1, 1), (2, 2), (3, 3)))
     assert take(op, [2, 0]) == MultiInsert(
