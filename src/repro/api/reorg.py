@@ -11,8 +11,8 @@ steps -- it is the loop's only driver:
   against their baseline mix (seeded from the planner's offline training
   sample) crossed the threshold -- cheap: no layouts are solved;
 * :meth:`ReorgPolicy.decide_chunk` prices one candidate -- solving a
-  layout for the chunk's recorded sample and comparing its modeled cost to
-  the current layout and the rebuild charge -- and returns either an
+  layout for the chunk's recorded sample columns and comparing its modeled
+  cost to the current layout and the rebuild charge -- and returns either an
   approved :class:`ReorgAction` (carrying the already-solved plan and the
   chunk's data generation) or a recorded rejection :class:`ReorgDecision`;
 * :meth:`ReorgPolicy.apply_action` builds the replacement chunk *off to
@@ -265,12 +265,8 @@ class ReorgPolicy:
             return None
         mix, drift, total = state
         decision = ReorgDecision(chunk_index, drift, total)
-        if not hasattr(table.chunks[chunk_index], "rowids"):
-            return self._record(
-                decision, "chunk does not expose row ids; cannot rebuild"
-            )
-        sample = monitor.recorded_workload(chunk_index)
-        if not len(sample):
+        sample = monitor.recorded_sample(chunk_index)
+        if not sample.codes.size:
             return self._record(decision, "no recorded operation sample")
         # Snapshot values and generation atomically (under the chunk's
         # shared latch): the solved plan and the staleness token the apply

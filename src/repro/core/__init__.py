@@ -32,6 +32,7 @@ from .frequency_model import (
     HISTOGRAM_NAMES,
     BlockMapper,
     FrequencyModel,
+    SampleColumns,
     learn_from_distributions,
     learn_from_workload,
 )
@@ -42,12 +43,7 @@ from .ghost_allocation import (
     data_movement_per_partition,
 )
 from .greedy_solver import solve_greedy
-from .monitor import (
-    RecentSample,
-    WorkloadMonitor,
-    mix_distance,
-    synthesize_operation,
-)
+from .monitor import RecentSample, WorkloadMonitor, mix_distance
 from .optimizer import LayoutSolution, SolverBackend, optimize_layout
 from .planner import CasperPlanner, ChunkPlan
 from .robustness import (
@@ -71,6 +67,7 @@ __all__ = [
     "RecentSample",
     "RobustnessPoint",
     "SLAConstraints",
+    "SampleColumns",
     "ScalabilityModel",
     "SolverBackend",
     "StructuralBounds",
@@ -89,7 +86,6 @@ __all__ = [
     "mass_shift",
     "measure_solve_seconds",
     "mix_distance",
-    "synthesize_operation",
     "optimize_layout",
     "partition_of_blocks",
     "rotational_shift",

@@ -22,17 +22,26 @@ The FM can be learned by replaying a sample workload against the initial
 dataset (without materializing results or modifying data, Fig. 8a) or
 constructed directly from statistical knowledge of the access-pattern
 distributions (Fig. 8b).
+
+Learning is a pure function of each sample operation's kind and two bounds,
+so a sample has one form between the engine and the solver:
+:class:`SampleColumns`.  The monitor keeps its per-chunk windows in it, an
+offline ``Workload`` is read into it (:func:`sample_columns`), the planner
+filters it per chunk and :func:`learn_from_workload` counts it in one
+vectorized pass; the ``record_*`` methods are the scalar Fig. 8a API that
+pass is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from ..storage.access_log import KIND_CODES, PAIRED_UPDATE_KIND, RANGE_KINDS
 from ..storage.cost_accounting import DEFAULT_BLOCK_VALUES
-from ..storage.access_log import PAIRED_UPDATE_KIND, RANGE_KINDS
-from ..workload.operations import Operation, Workload
+from ..workload.operations import Operation
 
 #: Names of the ten FM histograms, in the order the paper introduces them.
 HISTOGRAM_NAMES = (
@@ -250,22 +259,76 @@ class BlockMapper:
             np.ceil(self._sorted.shape[0] / self.block_values)
         )
 
+    def blocks_of(self, values: np.ndarray | int) -> np.ndarray:
+        """Logical block that would hold each value in the initial chunk."""
+        positions = np.searchsorted(self._sorted, values, side="left")
+        return np.minimum(positions // self.block_values, self.num_blocks - 1)
+
     def block_of(self, value: int) -> int:
         """Logical block that would hold ``value`` in the initial chunk."""
-        position = int(np.searchsorted(self._sorted, int(value), side="left"))
-        block = position // self.block_values
-        return min(block, self.num_blocks - 1)
+        return int(self.blocks_of(int(value)))
 
-    def block_range(self, low: int, high: int) -> tuple[int, int]:
-        """Blocks spanned by the inclusive value range ``[low, high]``."""
-        start = self.block_of(low)
-        end_position = int(np.searchsorted(self._sorted, int(high), side="right"))
-        end = min(max(end_position - 1, 0) // self.block_values, self.num_blocks - 1)
-        return start, max(start, end)
+    def last_blocks_of(self, values: np.ndarray) -> np.ndarray:
+        """Block of the last chunk value ``<=`` each value (-1: none is)."""
+        positions = np.searchsorted(self._sorted, values, side="right")
+        return (positions - 1) // self.block_values
+
+
+#: Sample-column kind codes: the monitor's attribution kinds, then the
+#: paired update an offline ``Update`` / ``MultiUpdate`` attributes as.
+SAMPLE_CODES = {**KIND_CODES, PAIRED_UPDATE_KIND: len(KIND_CODES)}
+
+# Per sample code: whether its bounds are a range, whether it is an update.
+_UPDATE_KINDS = ("update_source", "update_target", PAIRED_UPDATE_KIND)
+_RANGED = np.array([kind in RANGE_KINDS for kind in SAMPLE_CODES])
+_UPDATES = np.array([kind in _UPDATE_KINDS for kind in SAMPLE_CODES])
+
+
+class SampleColumns(NamedTuple):
+    """A workload sample: one row per scalar operation, in sample order.
+
+    ``codes`` holds :data:`SAMPLE_CODES` values.  For the range kinds
+    ``lows``/``highs`` are the inclusive bounds; for a paired update the old
+    and the new key; for every other kind both are the one key touched
+    (the monitor records an update's two sides as such rows, so each trains
+    as an in-place update at its key's block).
+    """
+
+    codes: np.ndarray
+    lows: np.ndarray
+    highs: np.ndarray
+
+    @property
+    def ranged(self) -> np.ndarray:
+        """Mask of the rows whose bounds are a range, not keys."""
+        return _RANGED[self.codes]
+
+
+def sample_columns(sample: Iterable[Operation] | SampleColumns) -> SampleColumns:
+    """``sample`` as columns: as it is when it already is, else read off
+    each operation's attribution (:mod:`repro.workload.operations`), so a
+    batched ``Multi*`` operation contributes one row per scalar."""
+    if isinstance(sample, SampleColumns):
+        return sample
+    codes: list[int] = []
+    lows: list[int] = []
+    highs: list[int] = []
+    for operation in sample:
+        if not isinstance(operation, Operation):
+            raise TypeError(f"unsupported operation type: {type(operation)!r}")
+        kind, low, high = operation.attribution()
+        codes.extend([SAMPLE_CODES[kind]] * len(low))
+        lows.extend(low)
+        highs.extend(low if high is None else high)
+    return SampleColumns(
+        np.asarray(codes, dtype=np.int64),
+        np.asarray(lows, dtype=np.int64),
+        np.asarray(highs, dtype=np.int64),
+    )
 
 
 def learn_from_workload(
-    workload: Workload,
+    workload: Iterable[Operation] | SampleColumns,
     sorted_values: np.ndarray | list[int],
     *,
     block_values: int = DEFAULT_BLOCK_VALUES,
@@ -274,33 +337,57 @@ def learn_from_workload(
 
     The workload is *not* executed: each operation is mapped onto the blocks
     it would touch in the initial dataset, exactly as described in Section
-    4.2 (results are not materialized, data is not modified).  Operations
-    are read through their attribution (:mod:`repro.workload.operations`),
-    so a batched ``Multi*`` operation trains exactly as its scalars would.
+    4.2 (results are not materialized, data is not modified).  The sample is
+    read as :class:`SampleColumns` and counted kind by kind -- the same
+    histograms a per-operation ``record_*`` replay adds up to.
     """
     mapper = BlockMapper(sorted_values, block_values)
-    model = FrequencyModel(mapper.num_blocks)
-    record_key = {
-        "point_query": model.record_point_query,
-        "insert": model.record_insert,
-        "delete": model.record_delete,
-    }
-    for operation in workload:
-        if not isinstance(operation, Operation):
-            raise TypeError(f"unsupported operation type: {type(operation)!r}")
-        kind, lows, highs = operation.attribution()
-        if kind in RANGE_KINDS:
-            for low, high in zip(lows, highs, strict=True):
-                model.record_range_query(*mapper.block_range(low, high))
-        elif kind == PAIRED_UPDATE_KIND:
-            for old_key, new_key in zip(lows, highs, strict=True):
-                model.record_update(
-                    mapper.block_of(old_key), mapper.block_of(new_key)
-                )
-        else:
-            for key in lows:
-                record_key[kind](mapper.block_of(key))
-    return model
+    sample = sample_columns(workload)
+    codes, lows, highs = sample
+    blocks = mapper.num_blocks
+
+    def histogram(touched: np.ndarray) -> np.ndarray:
+        return np.bincount(touched, minlength=blocks)
+
+    low_blocks = mapper.blocks_of(lows)
+    by_code = np.bincount(
+        codes.astype(np.int64) * blocks + low_blocks,
+        minlength=len(SAMPLE_CODES) * blocks,
+    ).reshape(len(SAMPLE_CODES), blocks)
+
+    # A range starts in its low bound's block and ends in the block of the
+    # last value it covers (never before its start: an empty range is one
+    # block); the blocks strictly between are scanned, counted as a
+    # difference array -- one more scan from ``start + 1``, one less from
+    # ``end`` on.
+    ranged = sample.ranged
+    start = low_blocks[ranged]
+    end = np.maximum(start, mapper.last_blocks_of(highs[ranged]))
+    spans = end > start
+    range_ends = histogram(end[spans])
+
+    # An update ripples forward when its target block lies after its source
+    # block, backward otherwise (the equal-block case included).
+    updates = _UPDATES[codes]
+    source = low_blocks[updates]
+    target = mapper.blocks_of(highs[updates])
+    forward = target > source
+
+    return FrequencyModel(
+        blocks,
+        {
+            "pq": by_code[KIND_CODES["point_query"]],
+            "rs": by_code[_RANGED].sum(axis=0),
+            "sc": np.cumsum(histogram(start[spans] + 1) - range_ends),
+            "re": range_ends,
+            "de": by_code[KIND_CODES["delete"]],
+            "in": by_code[KIND_CODES["insert"]],
+            "udf": histogram(source[forward]),
+            "utf": histogram(target[forward]),
+            "udb": histogram(source[~forward]),
+            "utb": histogram(target[~forward]),
+        },
+    )
 
 
 def learn_from_distributions(

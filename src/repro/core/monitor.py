@@ -7,9 +7,11 @@ workloads drift, so the reproduction adds the online counterpart: a
 :class:`~repro.storage.engine.StorageEngine` records the per-chunk operation
 mix as operations execute -- a kind-by-chunk count matrix plus one bounded
 :class:`RecentSample` per chunk -- and hands a drifted chunk's recorded
-operations back as the fresh workload sample a
-:class:`~repro.core.planner.CasperPlanner` replans it from (the loop itself
-is driven by :class:`~repro.api.reorganizer.Reorganizer`).
+window back, as the ``(code, low, high)`` columns it is kept in, for a
+:class:`~repro.core.planner.CasperPlanner` to replan the chunk from (the
+loop itself is driven by :class:`~repro.api.reorganizer.Reorganizer`).  No
+operation object is built on the way: the Frequency Model is a function of
+those three columns.
 
 Observation is *batch-native*: the engine appends one compact
 :class:`~repro.storage.access_log.AccessRecord` per dispatched run (kind,
@@ -34,8 +36,6 @@ chunks' mixes.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
-
 import numpy as np
 
 from repro import discipline
@@ -50,16 +50,7 @@ from ..storage.access_log import (
     AccessLog,
 )
 from ..storage.column import expand_ranges
-from ..workload.operations import (
-    Aggregate,
-    Delete,
-    Insert,
-    Operation,
-    PointQuery,
-    RangeQuery,
-    Update,
-    Workload,
-)
+from .frequency_model import SampleColumns
 
 #: Default bound on the per-chunk operation sample retained for replans.
 DEFAULT_SAMPLE_LIMIT = 4_096
@@ -91,36 +82,13 @@ def mix_distance(a: dict[str, float], b: dict[str, float]) -> float:
     return 0.5 * sum(abs(a.get(kind, 0.0) - b.get(kind, 0.0)) for kind in kinds)
 
 
-#: Attribution kind -> constructor of the operation a replan sample holds
-#: for it.  Both update sides are modelled as in-place corrections so the
-#: Frequency Model sees update pressure at the routed location.
-_SYNTHESIZERS: dict[str, Callable[[int, int], Operation]] = {
-    "point_query": lambda low, high: PointQuery(key=low),
-    "range_count": lambda low, high: RangeQuery(low=low, high=high),
-    "range_sum": lambda low, high: RangeQuery(
-        low=low, high=high, aggregate=Aggregate.SUM
-    ),
-    "insert": lambda low, high: Insert(key=low),
-    "delete": lambda low, high: Delete(key=low),
-    "update_source": lambda low, high: Update(old_key=low, new_key=low),
-    "update_target": lambda low, high: Update(old_key=low, new_key=low),
-}
-
-
-def synthesize_operation(kind: str, low: int, high: int) -> Operation | None:
-    """Reconstruct a workload operation object for the replan sample."""
-    build = _SYNTHESIZERS.get(kind)
-    return build(low, high) if build is not None else None
-
-
 class RecentSample:
     """Bounded sliding window over the most recent attributed operations.
 
     Semantically a ``deque(maxlen=limit)`` of operations, stored columnar --
     ring buffers of kind codes and key bounds -- so the batched observation
-    path appends whole arrays without materializing operation objects.
-    Operation objects are synthesized lazily by :meth:`operations` (replans
-    are rare; observations are not).
+    path appends whole arrays, and :meth:`columns` hands the window to a
+    replan, without materializing operation objects.
     """
 
     __slots__ = ("limit", "_codes", "_lows", "_highs", "_size", "_cursor")
@@ -134,9 +102,6 @@ class RecentSample:
         self._highs = np.empty(self.limit, dtype=np.int64)
         self._size = 0
         self._cursor = 0
-
-    def __len__(self) -> int:
-        return self._size
 
     def append(self, code: int, low: int, high: int) -> None:
         """Append one operation (the scalar fast path's entry point)."""
@@ -197,28 +162,16 @@ class RecentSample:
         self._cursor = end % limit
         self._size = min(self._size + count, limit)
 
-    def _ordered_indices(self) -> np.ndarray:
-        if self._size < self.limit:
-            return np.arange(self._size)
-        return (self._cursor + np.arange(self.limit)) % self.limit
-
-    def operations(self) -> list[Operation]:
-        """The retained window as operation objects, oldest first."""
-        indices = self._ordered_indices()
-        out: list[Operation] = []
-        for code, low, high in zip(
-            self._codes[indices].tolist(),
-            self._lows[indices].tolist(),
-            self._highs[indices].tolist(),
-            strict=True,
-        ):
-            operation = synthesize_operation(ATTRIBUTION_KINDS[code], low, high)
-            if operation is not None:
-                out.append(operation)
-        return out
-
-    def __iter__(self) -> Iterator[Operation]:
-        return iter(self.operations())
+    def columns(self) -> SampleColumns:
+        """The retained window as columns, oldest first (copies)."""
+        # A window that is not full yet starts at slot 0 with the cursor at
+        # its end; a full one starts at the cursor.  One rotation does both.
+        return SampleColumns(
+            *(
+                np.roll(column[: self._size], -self._cursor)
+                for column in (self._codes, self._lows, self._highs)
+            )
+        )
 
 
 @guarded_class
@@ -475,11 +428,7 @@ class WorkloadMonitor:
         The scalar entry point of the same attribution routine
         :meth:`observe_batch` vectorizes (single-op records take this path
         too), so the per-operation and batched paths cannot drift apart.
-        The legacy ``"update"`` kind is accepted and resolved to
-        ``update_source`` / ``update_target`` via ``write_target``.
         """
-        if kind == "update":
-            kind = "update_target" if write_target else "update_source"
         if kind not in KIND_CODES:
             raise ValueError(f"unknown attribution kind: {kind!r}")
         with self._lock:
@@ -545,12 +494,13 @@ class WorkloadMonitor:
         ]
         return ranked[:top] if top is not None else ranked
 
-    def recorded_workload(self, chunk_index: int) -> Workload:
-        """The retained operation sample for one chunk as a ``Workload``."""
+    def recorded_sample(self, chunk_index: int) -> SampleColumns:
+        """One chunk's retained window as ordered columns, oldest first."""
         with self._lock:
             sample = self._samples.get(chunk_index)
-            operations = sample.operations() if sample is not None else []
-        return Workload(operations=operations, name=f"monitor[chunk={chunk_index}]")
+            if sample is None:
+                sample = RecentSample(0)
+            return sample.columns()
 
     def reset_chunk(self, chunk_index: int) -> None:
         """Forget one chunk's recorded activity (after a replan)."""

@@ -1,9 +1,13 @@
 """Casper layout planner: workload sample -> per-chunk physical layout.
 
 This is the component marked (A)-(C) in the paper's architecture diagram
-(Fig. 10): it learns the Frequency Model from an offline workload sample,
-solves the layout optimization problem per chunk, allocates ghost values and
-applies the physical layout by constructing the storage structures.
+(Fig. 10): it learns the Frequency Model from a workload sample, solves the
+layout optimization problem per chunk, allocates ghost values and applies
+the physical layout by constructing the storage structures.  The sample is
+an offline ``Workload`` or the columns a
+:class:`~repro.core.monitor.WorkloadMonitor` recorded for a drifted chunk;
+either is read as :class:`~repro.core.frequency_model.SampleColumns` once,
+and each chunk learns from the rows that touch its key range.
 
 The planner also serves as the ``chunk_builder`` plug-in for
 :class:`repro.storage.table.Table`, which is how the benchmark harness builds
@@ -18,7 +22,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..storage.access_log import RANGE_KINDS
 from ..storage.column import PartitionedColumn, snap_boundaries_to_duplicates
 from ..storage.cost_accounting import (
     DEFAULT_BLOCK_VALUES,
@@ -30,7 +33,12 @@ from ..storage.ghost_values import ghost_budget_from_fraction
 from ..workload.operations import Workload
 from .constraints import SLAConstraints
 from .cost_model import CostModel, boundaries_to_vector
-from .frequency_model import FrequencyModel, learn_from_workload
+from .frequency_model import (
+    FrequencyModel,
+    SampleColumns,
+    learn_from_workload,
+    sample_columns,
+)
 from .ghost_allocation import GhostAllocation, allocate_ghost_values
 from .optimizer import LayoutSolution, SolverBackend, optimize_layout
 
@@ -62,7 +70,8 @@ class CasperPlanner:
     Parameters
     ----------
     sample_workload:
-        Representative workload sample used to learn the Frequency Model.
+        Representative workload sample used to learn the Frequency Model:
+        a ``Workload``, or a monitor's recorded ``SampleColumns``.
     block_values:
         Values per logical block (16KB blocks by default).
     ghost_fraction:
@@ -75,7 +84,7 @@ class CasperPlanner:
         Solver backend (exact DP by default).
     """
 
-    sample_workload: Workload
+    sample_workload: Workload | SampleColumns
     block_values: int = DEFAULT_BLOCK_VALUES
     ghost_fraction: float = 0.001
     constants: CostConstants = DEFAULT_COST_CONSTANTS
@@ -83,15 +92,15 @@ class CasperPlanner:
     solver: SolverBackend | str = SolverBackend.DP
     plans: list[ChunkPlan] = field(default_factory=list)
 
-    def with_sample(self, workload: Workload) -> "CasperPlanner":
+    def with_sample(self, sample: Workload | SampleColumns) -> "CasperPlanner":
         """A new planner with the same tuning but a fresh workload sample.
 
-        Used by the online loop (:class:`repro.core.monitor.WorkloadMonitor`)
-        to re-plan a drifted chunk against its *observed* operation mix
+        Used by the online loop to re-plan a drifted chunk against the
+        window its :class:`~repro.core.monitor.WorkloadMonitor` recorded
         instead of the original offline training sample.  The plan history
         starts empty so the caller can inspect exactly the replan decisions.
         """
-        return replace(self, sample_workload=workload, plans=[])
+        return replace(self, sample_workload=sample, plans=[])
 
     def plan_chunk(self, sorted_values: np.ndarray | list[int]) -> ChunkPlan:
         """Decide the layout of one chunk holding ``sorted_values``."""
@@ -152,48 +161,28 @@ class CasperPlanner:
         return CostModel(frequency_model, self.constants).total_cost(vector)
 
     @cached_property
-    def _sample_scalars(self) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
-        """The sample's scalar expansion with each scalar's two bounds and
-        whether they bound a range, read off the operations' attribution.
+    def _sample_columns(self) -> SampleColumns:
+        """The sample as columns, read when the first chunk is planned and
+        kept for the rest: a planner plans every chunk of a table against one
+        sample, and a new sample is a new planner (:meth:`with_sample`)."""
+        return sample_columns(self.sample_workload)
 
-        Computed when the first chunk is planned and kept for the rest: a
-        planner plans every chunk of a table against one sample, and a new
-        sample is a new planner (:meth:`with_sample`).
-        """
-        scalars, lows, highs, ranged = [], [], [], []
-        for operation in self.sample_workload:
-            for scalar in operation.scalars():
-                kind, low, high = scalar.attribution()
-                scalars.append(scalar)
-                lows.append(low[0])
-                highs.append(low[0] if high is None else high[0])
-                ranged.append(kind in RANGE_KINDS)
-        return (
-            scalars,
-            np.asarray(lows, dtype=np.int64),
-            np.asarray(highs, dtype=np.int64),
-            np.asarray(ranged, dtype=bool),
-        )
+    def _restrict_workload(self, values: np.ndarray) -> SampleColumns:
+        """Keep only the sample rows that touch this chunk's key range.
 
-    def _restrict_workload(self, values: np.ndarray) -> Workload:
-        """Keep only the sample operations that touch this chunk's key range.
-
-        The sample is filtered scalar by scalar, so a batched ``Multi*``
-        operation contributes exactly the rows that fall in the chunk.  A
-        range touches the chunk when it overlaps it; every bound of another
+        A range touches the chunk when it overlaps it; every bound of another
         kind is a key, and one inside the chunk is enough (an update's
         source or its target).
         """
         low, high = int(values[0]), int(values[-1])
-        scalars, lows, highs, ranged = self._sample_scalars
+        sample = self._sample_columns
+        _, lows, highs = sample
         overlaps = (lows <= high) & (highs >= low)
         inside = ((low <= lows) & (lows <= high)) | (
             (low <= highs) & (highs <= high)
         )
-        kept = [
-            scalars[i] for i in np.flatnonzero(np.where(ranged, overlaps, inside))
-        ]
-        return Workload(operations=kept, name=f"{self.sample_workload.name}[chunk]")
+        kept = np.where(sample.ranged, overlaps, inside)
+        return SampleColumns(*(column[kept] for column in sample))
 
     def _allocate_ghosts(
         self,

@@ -503,9 +503,7 @@ class Table:
             self._latches.acquire_read(int(chunk_index))
             try:
                 chunk = self._chunks[int(chunk_index)]
-                if chunk_keys.size >= SMALL_PROBE_FALLBACK and hasattr(
-                    chunk, "multi_point_query"
-                ):
+                if chunk_keys.size >= SMALL_PROBE_FALLBACK:
                     hits, counts = chunk.multi_point_query(
                         chunk_keys, return_rowids=True
                     )
@@ -599,9 +597,7 @@ class Table:
             self._latches.acquire_read(int(chunk_index))
             try:
                 chunk = self._chunks[int(chunk_index)]
-                if positions.size >= SMALL_PROBE_FALLBACK and hasattr(
-                    chunk, "multi_range_count"
-                ):
+                if positions.size >= SMALL_PROBE_FALLBACK:
                     counts = chunk.multi_range_count(
                         lows[positions], highs[positions]
                     )
@@ -789,12 +785,7 @@ class Table:
                         stale_pieces.append(stale)
                     if valid.size == 0:
                         continue
-                    chunk = self._chunks[chunk_index]
-                    if hasattr(chunk, "bulk_insert"):
-                        chunk.bulk_insert(keys[valid], rowids[valid])
-                    else:
-                        for i in valid.tolist():
-                            chunk.insert(int(keys[i]), rowid=int(rowids[i]))
+                    self._chunks[chunk_index].bulk_insert(keys[valid], rowids[valid])
                     self._bump_generation(chunk_index)
                 finally:
                     self._latches.release_write(chunk_index)
@@ -837,16 +828,7 @@ class Table:
             sel = order[group]
             self._latches.acquire_write(chunk_index)
             try:
-                chunk = self._chunks[chunk_index]
-                if hasattr(chunk, "bulk_delete"):
-                    counts = chunk.bulk_delete(keys[sel])
-                else:
-                    counts = np.zeros(group.size, dtype=np.int64)
-                    for j, i in enumerate(sel.tolist()):
-                        try:
-                            counts[j] = chunk.delete(int(keys[i]), limit=1)
-                        except ValueNotFoundError:
-                            counts[j] = 0
+                counts = self._chunks[chunk_index].bulk_delete(keys[sel])
                 hit = counts > 0
                 if np.any(hit):
                     self._bump_generation(chunk_index)
@@ -997,10 +979,6 @@ class Table:
         self._latches.acquire_read(chunk_index)
         try:
             chunk = self._chunks[chunk_index]
-            if not hasattr(chunk, "rowids"):
-                raise LayoutError(
-                    "chunk does not expose row ids; cannot rebuild in place"
-                )
             values = np.asarray(chunk.values(), dtype=np.int64)
             rowids = np.asarray(chunk.rowids(), dtype=np.int64)
             generation = self._generations[chunk_index]
@@ -1118,8 +1096,7 @@ class Table:
                 assert int(values.max()) <= int(bounds[i]), (
                     f"chunk {i} holds keys above its bound"
                 )
-            if hasattr(chunk, "rowids"):
-                all_rowids.append(np.asarray(chunk.rowids(), dtype=np.int64))
+            all_rowids.append(np.asarray(chunk.rowids(), dtype=np.int64))
             previous_bound = int(bounds[i])
         if all_rowids:
             merged = np.concatenate(all_rowids)

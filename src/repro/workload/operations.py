@@ -43,8 +43,9 @@ scalar, five batched) *is*.  Every class states, once:
     ``int64`` arrays, every other field as a JSON scalar.
 
 The engine's batch plan, the monitor's offline seeding, the Frequency
-Model, the planner's chunk filter, the wire codec and the shard router's
-scatter are loops over these facts; only ``StorageEngine.execute``
+Model's sample reader (``sample_columns``, which the planner's chunk filter
+works behind), the wire codec and the shard router's scatter are loops over
+these facts; only ``StorageEngine.execute``
 (operation -> engine method) and the shard router's ``route`` (how a kind
 splits across shards) name the kinds again.
 """

@@ -13,14 +13,18 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from bisect import bisect_left, bisect_right
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.api import Database, Reorganizer, ReorgPolicy, VectorizedPolicy
+from repro.core.frequency_model import HISTOGRAM_NAMES, FrequencyModel
 from repro.core.monitor import mix_distance
+from repro.core.optimizer import optimize_layout
 from repro.core.planner import CasperPlanner
+from repro.storage.access_log import ATTRIBUTION_KINDS, RANGE_KINDS
 from repro.workload.distributions import EarlySkewSampler
 from repro.workload.generator import WorkloadGenerator, WorkloadMix
 
@@ -351,3 +355,184 @@ class TestReorgLifecycle:
             session.execute([PointQuery(key=k) for k in probes])
         assert first_round == []
         assert all(not d.replanned for d in session.reorg_decisions)
+
+
+def replay_rows(rows, values, block_values):
+    """The Frequency Model of ``(kind, low, high)`` sample rows, one
+    ``record_*`` call per row that touches the chunk holding ``values``.
+
+    A range touches the chunk when it overlaps it, any other row when one
+    of its keys lies inside.  ``update_source`` / ``update_target`` rows
+    (the monitor's two sides of an update) train as an in-place update at
+    their key's block; a paired ``update`` row trains by block order.
+    """
+    chunk = values.tolist()
+    first, last = chunk[0], chunk[-1]
+    blocks = -(-len(chunk) // block_values)
+    model = FrequencyModel(blocks)
+
+    def block_of(key):
+        return min(bisect_left(chunk, key) // block_values, blocks - 1)
+
+    for kind, low, high in rows:
+        if kind in RANGE_KINDS:
+            if low <= last and high >= first:
+                start = block_of(low)
+                covered = (bisect_right(chunk, high) - 1) // block_values
+                model.record_range_query(start, max(start, covered))
+        elif first <= low <= last or first <= high <= last:
+            if kind == "point_query":
+                model.record_point_query(block_of(low))
+            elif kind == "insert":
+                model.record_insert(block_of(low))
+            elif kind == "delete":
+                model.record_delete(block_of(low))
+            else:
+                assert kind in ("update_source", "update_target", "update")
+                assert kind == "update" or low == high
+                model.record_update(block_of(low), block_of(high))
+    return model
+
+
+def assert_same_model(learned, expected):
+    assert learned.num_blocks == expected.num_blocks
+    for name in HISTOGRAM_NAMES:
+        assert np.array_equal(learned[name], expected[name]), name
+
+
+class TestDecisionsFollowFromTheRecordedWindow:
+    """The sample contract end to end: a chunk's monitor window reaches the
+    Frequency Model as columns, and the gate prices exactly that model."""
+
+    KEYS = np.arange(4_096, dtype=np.int64) * 2
+    CHUNK, BLOCK = 1_024, 64
+
+    def training(self):
+        from repro.workload.operations import Insert, MultiUpdate, Update, Workload
+
+        keys = self.KEYS
+        return Workload(
+            operations=[Insert(key=int(k) + 1) for k in keys[::8]]
+            # Paired updates below chunk 3: forward, backward, inside one
+            # block, and across the last chunk fence.
+            + [Update(int(k), int(k) + 301) for k in keys[40:3_000:256]]
+            + [Update(int(k), int(k) - 301) for k in keys[200:3_000:256]]
+            + [MultiUpdate(pairs=((10, 12), (3_000, 5_000)))],
+            name="inserts and moves",
+        )
+
+    def drift_script(self):
+        """One call that drifts every chunk its own way: chunks 0-2 far
+        enough to pay for a rebuild, chunk 3 (its training inserts again,
+        plus four point reads) past the threshold but not the gate."""
+        from repro.workload.operations import (
+            Aggregate,
+            Delete,
+            Insert,
+            PointQuery,
+            RangeQuery,
+            Update,
+        )
+
+        keys = self.KEYS
+        return (
+            [PointQuery(key=int(k)) for k in keys[:1_024:4]]
+            + [Insert(key=int(k) + 1) for k in keys[1_024:2_048:8]]
+            + [Update(int(k), int(k) + 3) for k in keys[1_030:2_048:16]]
+            + [Delete(key=int(k)) for k in keys[1_100:2_048:64]]
+            + [RangeQuery(int(k), int(k) + 400) for k in keys[2_048:2_800:5]]
+            + [
+                RangeQuery(int(k), int(k) + 40, aggregate=Aggregate.SUM)
+                for k in keys[2_048:2_800:10]
+            ]
+            + [Insert(key=int(k) + 1) for k in keys[3_072::8]]
+            + [PointQuery(key=int(k)) for k in keys[3_072::256]]
+        )
+
+    def test_initial_plans_learn_the_training_sample(self):
+        training = self.training()
+        db = Database.plan_for(
+            training, self.KEYS, chunk_size=self.CHUNK, block_values=self.BLOCK
+        )
+        rows = []
+        for operation in training:
+            kind, lows, highs = operation.attribution()
+            rows += zip([kind] * len(lows), lows, lows if highs is None else highs)
+        assert {kind for kind, _, _ in rows} == {"insert", "update"}
+        for chunk_index, plan in enumerate(db.planner.plans):
+            values = db.table.snapshot_chunk(chunk_index).values
+            expected = replay_rows(rows, values, self.BLOCK)
+            assert_same_model(plan.frequency_model, expected)
+        # Paired updates went both ways, and one landed in the chunk after
+        # its source's.
+        assert db.planner.plans[0].frequency_model.udf.sum() > 0
+        assert db.planner.plans[0].frequency_model.udb.sum() > 0
+        assert db.planner.plans[2].frequency_model.utf.sum() > 0
+
+    def test_every_decision_prices_the_replay_of_its_window(self, monkeypatch):
+        db = Database.plan_for(
+            self.training(), self.KEYS, chunk_size=self.CHUNK, block_values=self.BLOCK
+        )
+        planner = db.planner
+        plans, seen = [], []
+        real_plan_chunk = CasperPlanner.plan_chunk
+        real_decide_chunk = ReorgPolicy.decide_chunk
+
+        def recording_plan_chunk(replanner, values):
+            plans.append(real_plan_chunk(replanner, values))
+            return plans[-1]
+
+        def recording_decide_chunk(policy, database, chunk_index):
+            columns = database.monitor.recorded_sample(chunk_index)
+            window = [
+                (ATTRIBUTION_KINDS[code], low, high)
+                for code, low, high in zip(
+                    *(column.tolist() for column in columns), strict=True
+                )
+            ]
+            snapshot = database.table.snapshot_chunk(chunk_index)
+            outcome = real_decide_chunk(policy, database, chunk_index)
+            seen.append((window, snapshot, getattr(outcome, "decision", outcome)))
+            return outcome
+
+        monkeypatch.setattr(CasperPlanner, "plan_chunk", recording_plan_chunk)
+        monkeypatch.setattr(ReorgPolicy, "decide_chunk", recording_decide_chunk)
+        reorg = ReorgPolicy(drift_threshold=0.02, min_chunk_operations=100)
+        with db.session(
+            execution=VectorizedPolicy(batch_size=128), reorg=reorg
+        ) as session:
+            session.execute(self.drift_script())
+        decisions = session.report().reorg_decisions
+        assert [d.chunk_index for d in decisions] == [0, 1, 2, 3]
+        assert [d.replanned for d in decisions] == [True, True, True, False]
+        assert "cost gate" in decisions[3].reason
+        assert [decision for _, _, decision in seen] == decisions
+        assert len(plans) == len(decisions)
+        assert {kind for window, _, _ in seen for kind, _, _ in window} == set(
+            ATTRIBUTION_KINDS
+        )
+        constants = planner.constants
+        for (window, snapshot, decision), plan in zip(seen, plans, strict=True):
+            values = snapshot.values
+            model = replay_rows(window, values, self.BLOCK)
+            assert_same_model(plan.frequency_model, model)
+            solved = optimize_layout(
+                model,
+                chunk_size=int(values.size),
+                block_values=self.BLOCK,
+                constants=constants,
+                sla=planner.sla,
+                solver=planner.solver,
+            )
+            assert decision.planned_cost_ns == solved.cost
+            assert decision.current_cost_ns == planner.evaluate_layout(
+                model, snapshot.partition_offsets
+            )
+            blocks = -(-int(values.size) // self.BLOCK)
+            assert decision.rebuild_cost_ns == blocks * (
+                constants.seq_read + constants.seq_write
+            )
+            assert decision.replanned == (
+                decision.current_cost_ns - decision.planned_cost_ns
+                >= decision.rebuild_cost_ns
+            )

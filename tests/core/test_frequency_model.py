@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.frequency_model import (
     HISTOGRAM_NAMES,
@@ -13,8 +17,14 @@ from repro.core.frequency_model import (
     learn_from_workload,
 )
 from repro.workload.operations import (
+    Aggregate,
     Delete,
     Insert,
+    MultiDelete,
+    MultiInsert,
+    MultiPointQuery,
+    MultiRangeCount,
+    MultiUpdate,
     PointQuery,
     RangeQuery,
     Update,
@@ -135,10 +145,16 @@ class TestBlockMapper:
         assert mapper.block_of(10_000) == 9
 
     def test_block_range(self):
+        # A range's blocks, read off the model it trains: [0, 18] stays in
+        # block 0; [0, 58] starts in 0, scans 1 and ends in 2.
         values = np.arange(0, 200, 2)
-        mapper = BlockMapper(values, block_values=10)
-        assert mapper.block_range(0, 18) == (0, 0)
-        assert mapper.block_range(0, 58) == (0, 2)
+        one = learn_from_workload([RangeQuery(0, 18)], values, block_values=10)
+        assert one.rs.tolist() == [1] + [0] * 9
+        assert one.sc.sum() == 0 and one.re.sum() == 0
+        three = learn_from_workload([RangeQuery(0, 58)], values, block_values=10)
+        assert three.rs.tolist() == [1] + [0] * 9
+        assert three.sc.tolist() == [0, 1] + [0] * 8
+        assert three.re.tolist() == [0, 0, 1] + [0] * 7
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -182,6 +198,123 @@ class TestLearnFromWorkload:
         values = np.arange(10)
         with pytest.raises(TypeError):
             learn_from_workload(Workload(operations=["bogus"]), values, block_values=2)
+
+
+def replay(operations, chunk, block_values):
+    """Fig. 8a by hand: every scalar of every operation mapped to its
+    blocks with ``bisect`` and recorded through the scalar ``record_*`` API."""
+    chunk = list(chunk)
+    blocks = -(-len(chunk) // block_values)
+    model = FrequencyModel(blocks)
+
+    def block_of(key):
+        return min(bisect_left(chunk, key) // block_values, blocks - 1)
+
+    for operation in operations:
+        for scalar in operation.scalars():
+            if isinstance(scalar, PointQuery):
+                model.record_point_query(block_of(scalar.key))
+            elif isinstance(scalar, RangeQuery):
+                start = block_of(scalar.low)
+                last_covered = bisect_right(chunk, scalar.high) - 1
+                model.record_range_query(
+                    start, max(start, last_covered // block_values)
+                )
+            elif isinstance(scalar, Insert):
+                model.record_insert(block_of(scalar.key))
+            elif isinstance(scalar, Delete):
+                model.record_delete(block_of(scalar.key))
+            else:
+                model.record_update(
+                    block_of(scalar.old_key), block_of(scalar.new_key)
+                )
+    return model
+
+
+def assert_same_model(learned, expected):
+    assert learned.num_blocks == expected.num_blocks
+    for name in HISTOGRAM_NAMES:
+        assert np.array_equal(learned[name], expected[name]), name
+
+
+def workloads(low, high):
+    """Every scalar and ``Multi*`` kind over keys in ``[low, high]``."""
+    key = st.integers(min_value=low, max_value=high)
+    bounds = st.tuples(key, key).map(sorted).map(tuple)
+    aggregate = st.sampled_from(list(Aggregate))
+    several = {"min_size": 0, "max_size": 5}
+    return st.lists(
+        st.one_of(
+            st.builds(PointQuery, key=key),
+            st.builds(
+                lambda b, a: RangeQuery(b[0], b[1], aggregate=a), bounds, aggregate
+            ),
+            st.builds(Insert, key=key),
+            st.builds(Delete, key=key),
+            st.builds(Update, old_key=key, new_key=key),
+            st.lists(key, **several).map(lambda k: MultiPointQuery(keys=tuple(k))),
+            st.lists(bounds, **several).map(
+                lambda b: MultiRangeCount(bounds=tuple(b))
+            ),
+            st.lists(key, **several).map(lambda k: MultiInsert(keys=tuple(k))),
+            st.lists(key, **several).map(lambda k: MultiDelete(keys=tuple(k))),
+            st.lists(st.tuples(key, key), **several).map(
+                lambda p: MultiUpdate(pairs=tuple(p))
+            ),
+        ),
+        min_size=0,
+        max_size=30,
+    )
+
+
+class TestVectorizedLearnerEqualsReplay:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        chunk=st.lists(st.integers(0, 40), min_size=1, max_size=64).map(sorted),
+        block_values=st.integers(min_value=1, max_value=16),
+        operations=workloads(-8, 48),
+    )
+    def test_random_chunks_and_workloads(self, chunk, block_values, operations):
+        # Sorted chunks with duplicate runs; keys from below the chunk's
+        # first value to above its last.
+        learned = learn_from_workload(
+            Workload(operations=operations), chunk, block_values=block_values
+        )
+        assert_same_model(learned, replay(operations, chunk, block_values))
+
+    def test_every_case_the_pass_distinguishes(self):
+        # Chunk 0, 2, .., 198 in ten blocks of ten values (block b holds
+        # 20b .. 20b + 18), with one duplicate run across blocks 4 and 5.
+        chunk = sorted(list(range(0, 200, 2)) + [98] * 4)[:100]
+        operations = [
+            PointQuery(key=-5),  # below the chunk
+            PointQuery(key=500),  # above it
+            PointQuery(key=98),  # a duplicate run: its first block
+            RangeQuery(22, 30),  # inside one block
+            RangeQuery(25, 25),  # covers no value at all
+            RangeQuery(22, 58, aggregate=Aggregate.SUM),  # adjacent blocks
+            RangeQuery(5, 130),  # start, five scanned blocks, end
+            RangeQuery(150, 900),  # ends past the chunk
+            RangeQuery(-50, -10),  # entirely below it
+            RangeQuery(-50, 45),  # starts below it
+            MultiRangeCount(bounds=((0, 198), (60, 61), (300, 400))),
+            Insert(key=41),
+            Delete(key=500),
+            MultiInsert(keys=(1, 1, 199)),
+            MultiDelete(keys=(-1, 100)),
+            MultiPointQuery(keys=(0, 98, 98)),
+            Update(old_key=10, new_key=150),  # forward
+            Update(old_key=150, new_key=10),  # backward
+            Update(old_key=42, new_key=44),  # same block: backward
+            MultiUpdate(pairs=((0, 500), (500, -3), (98, 98))),
+        ]
+        learned = learn_from_workload(operations, chunk, block_values=10)
+        assert_same_model(learned, replay(operations, chunk, block_values=10))
+        # The cases above are the ones meant: three or more blocks scanned
+        # by one range, and updates counted on both ripple directions.
+        assert learned.sc.max() >= 3 and learned.sc[2:6].min() >= 2
+        assert learned.udf.sum() == 2 and learned.udb.sum() == 4
+        assert learned.utb[2] == 1 and learned.udb[2] == 1
 
 
 class TestLearnFromDistributions:

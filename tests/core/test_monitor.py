@@ -8,10 +8,19 @@ import pytest
 from repro.api import Database, ReorgPolicy
 from repro.core.monitor import WorkloadMonitor
 from repro.core.planner import CasperPlanner
+from repro.storage.access_log import KIND_CODES
 from repro.storage.engine import StorageEngine
 from repro.storage.layouts import LayoutKind, LayoutSpec
 from repro.storage.table import Table, layout_chunk_builder
 from repro.workload.operations import Insert, PointQuery, RangeQuery, Workload
+
+
+POINT = KIND_CODES["point_query"]
+
+
+def window(monitor, chunk):
+    """One chunk's retained window as ``(code, low, high)`` rows, oldest first."""
+    return list(zip(*(c.tolist() for c in monitor.recorded_sample(chunk)), strict=True))
 
 
 def make_table(num_rows=2_048, chunk_size=512):
@@ -95,7 +104,7 @@ class TestRecording:
         engine = StorageEngine(make_table(), monitor=monitor)
         for _ in range(5):
             engine.point_query(20)
-        assert len(monitor.recorded_workload(0)) == 2
+        assert window(monitor, 0) == [(POINT, 20, 20)] * 2
         assert monitor.operation_counts(0) == {"point_query": 5}
 
     def test_chunk_sample_honours_configured_sample_limit(self):
@@ -106,16 +115,24 @@ class TestRecording:
         for key in range(0, 20, 2):
             engine.point_query(key)
         assert monitor._samples[0].limit == 3
-        assert len(monitor.recorded_workload(0)) == 3
         # The retained window is the *most recent* three operations.
-        assert [op.key for op in monitor.recorded_workload(0)] == [14, 16, 18]
+        assert window(monitor, 0) == [(POINT, key, key) for key in (14, 16, 18)]
 
     def test_sample_limit_zero_disables_sampling(self):
         monitor = WorkloadMonitor(sample_limit=0)
         engine = StorageEngine(make_table(), monitor=monitor)
         engine.point_query(20)
         assert monitor.operation_counts(0) == {"point_query": 1}
-        assert len(monitor.recorded_workload(0)) == 0
+        assert window(monitor, 0) == []
+
+    def test_observe_rejects_unknown_kinds(self):
+        # An update is observed as its two sides; the paired ``"update"``
+        # is a record kind of ``observe_batch``, not one of ``observe``.
+        monitor = WorkloadMonitor()
+        for kind in ("update", "scan"):
+            with pytest.raises(ValueError, match="unknown attribution kind"):
+                monitor.observe(make_table(), kind, 20)
+        assert monitor.observed_chunks() == []
 
     def test_reset(self):
         monitor = WorkloadMonitor()
@@ -171,10 +188,13 @@ class TestReplanChunk:
         assert policy.scan(database) == [0]
         action = policy.decide_chunk(database, 0)
         # The original planner keeps its own history; the replan is solved
-        # by a derived planner seeded with the monitor's recorded operations.
-        assert list(action.replanner.sample_workload) == list(
-            database.monitor.recorded_workload(0)
-        )
+        # by a derived planner seeded with the monitor's recorded columns.
+        recorded = database.monitor.recorded_sample(0)
+        assert window(database.monitor, 0) == [
+            (POINT, key, key) for key in range(0, 1_000, 2)
+        ]
+        for given, kept in zip(action.replanner.sample_workload, recorded, strict=True):
+            assert np.array_equal(given, kept)
         policy.apply_action(database, action)
         assert database.planner.plans == plans_before
         assert database.monitor.observed_chunks() == []  # chunk 0 reset

@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.monitor import WorkloadMonitor
-from repro.storage.access_log import AccessLog
+from repro.storage.access_log import KIND_CODES, AccessLog
 from repro.storage.engine import StorageEngine
 from repro.storage.errors import ValueNotFoundError
 from repro.storage.layouts import LayoutKind, LayoutSpec
@@ -136,11 +136,14 @@ def counts_by_chunk(monitor):
     }
 
 
+def window(monitor, chunk):
+    """One chunk's retained window as ``(code, low, high)`` rows, oldest first."""
+    columns = monitor.recorded_sample(chunk)
+    return list(zip(*(column.tolist() for column in columns), strict=True))
+
+
 def sample_sequences(monitor):
-    return {
-        chunk: monitor.recorded_workload(chunk).operations
-        for chunk in monitor.observed_chunks()
-    }
+    return {chunk: window(monitor, chunk) for chunk in monitor.observed_chunks()}
 
 
 class TestEngineDispatchEquivalence:
@@ -201,7 +204,7 @@ class TestEngineDispatchEquivalence:
         assert counts_by_chunk(per_op) == counts_by_chunk(batched)
         assert sample_sequences(per_op) == sample_sequences(batched)
         for chunk in per_op.observed_chunks():
-            assert len(per_op.recorded_workload(chunk)) <= limit
+            assert len(window(per_op, chunk)) <= limit
 
     @settings(max_examples=60, deadline=None)
     @given(table_keys=keys_strategy(), operations=operations_strategy())
@@ -246,10 +249,7 @@ class TestSingleRecordEquivalence:
         for chunk in per_op.observed_chunks():
             # Single-kind records preserve submission order, so the
             # retained windows are identical sequences, truncation and all.
-            assert (
-                per_op.recorded_workload(chunk).operations
-                == batched.recorded_workload(chunk).operations
-            )
+            assert window(per_op, chunk) == window(batched, chunk)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -282,10 +282,7 @@ class TestSingleRecordEquivalence:
         batched.observe_batch(table, log)
         assert counts_by_chunk(per_op) == counts_by_chunk(batched)
         for chunk in per_op.observed_chunks():
-            assert (
-                per_op.recorded_workload(chunk).operations
-                == batched.recorded_workload(chunk).operations
-            )
+            assert window(per_op, chunk) == window(batched, chunk)
 
 
 @pytest.mark.concurrency
@@ -373,11 +370,15 @@ class TestConcurrentFlush:
             thread.start()
         for thread in threads:
             thread.join(timeout=60.0)
-        window = [op.key for op in monitor.recorded_workload(0).operations]
-        assert len(window) == 2 * records * width
+        rows = window(monitor, 0)
+        assert len(rows) == 2 * records * width
         for t, stream in zip((1, 2), streams):
-            submitted = [key for record in stream for key in record]
-            observed = [key for key in window if key // 1_000 == t]
+            submitted = [
+                (KIND_CODES["point_query"], key, key)
+                for record in stream
+                for key in record
+            ]
+            observed = [row for row in rows if row[1] // 1_000 == t]
             assert observed == submitted
 
     def test_paired_update_interleave_survives_truncation(
@@ -391,12 +392,12 @@ class TestConcurrentFlush:
         limit = 7
         pairs = 8
 
-        def interleave(base: int) -> list[tuple[int, int]]:
+        def interleave(base: int) -> list[tuple[int, int, int]]:
             ops = []
             for i in range(pairs):
                 source, target = base + i, base + 500 + i
-                ops.append((source, source))
-                ops.append((target, target))
+                ops.append((KIND_CODES["update_source"], source, source))
+                ops.append((KIND_CODES["update_target"], target, target))
             return ops
 
         expectations = []
@@ -424,11 +425,7 @@ class TestConcurrentFlush:
             thread.start()
         for thread in threads:
             thread.join(timeout=60.0)
-        window = [
-            (op.old_key, op.new_key)
-            for op in monitor.recorded_workload(0).operations
-        ]
-        assert window in expectations, (
+        assert window(monitor, 0) in expectations, (
             "truncated window must be one record's clean interleave suffix"
         )
         counts = monitor.operation_counts(0)
