@@ -13,19 +13,20 @@ loop itself is driven by :class:`~repro.api.reorganizer.Reorganizer`).  No
 operation object is built on the way: the Frequency Model is a function of
 those three columns.
 
-Observation is *batch-native*: the engine appends one compact
-:class:`~repro.storage.access_log.AccessRecord` per dispatched run (kind,
-key/bound arrays, write-target flag) and :meth:`observe_batch` attributes
-each record's whole key array with a single ``searchsorted`` pass against
-the table's chunk fences, bulk-updating the count matrix (one
-``np.bincount`` per record) and, once per log, the bounded ring-buffer
-samples in *submission* order (records carry their operations'
-batch positions when the engine dispatched groups out of order) -- no
-per-operation Python on the hot path, and no simulated accesses charged
-(monitoring is bookkeeping, not storage work).  The per-operation
-:meth:`observe` and the offline :meth:`observe_workload` seeding are thin
-wrappers over the same attribution routine, so engine dispatch and baseline
-seeding cannot drift apart.
+Observation is *batch-native* and has one way in: the engine appends one
+compact :class:`~repro.storage.access_log.AccessRecord` per dispatched run
+(kind, key/bound arrays) to an :class:`~repro.storage.access_log.AccessLog`
+and :meth:`observe_batch` gathers the log's records by kind and attributes
+each kind's whole key array with a single ``searchsorted`` pass against the
+table's chunk fences, bulk-updating the count matrix (one ``np.bincount``
+per kind) and, once per log, the bounded ring-buffer samples in
+*submission* order (records carry their operations' batch positions when
+the engine dispatched groups out of order) -- no per-operation Python on
+the hot path, and no simulated accesses charged (monitoring is bookkeeping,
+not storage work).  A serial dispatch outside a batch, the per-operation
+:meth:`observe` and the offline :meth:`observe_workload` seeding all hand
+:meth:`observe_batch` a log (of one record, for the first two), so engine
+dispatch and baseline seeding cannot drift apart.
 
 Updates are attributed as two distinct kinds: ``update_source`` (the old
 key's full candidate-chunk span) and ``update_target`` (the new key's
@@ -61,6 +62,7 @@ _SLOT = 1 << 32
 
 _SOURCE_CODE = KIND_CODES["update_source"]
 _TARGET_CODE = KIND_CODES["update_target"]
+_FIRST_CANDIDATE_CODES = frozenset(KIND_CODES[kind] for kind in FIRST_CANDIDATE_KINDS)
 
 
 def _kind_order(kind: str) -> tuple[int, str]:
@@ -103,62 +105,33 @@ class RecentSample:
         self._size = 0
         self._cursor = 0
 
-    def append(self, code: int, low: int, high: int) -> None:
-        """Append one operation (the scalar fast path's entry point)."""
-        limit = self.limit
-        if limit == 0:
-            return
-        cursor = self._cursor
-        self._codes[cursor] = code
-        self._lows[cursor] = low
-        self._highs[cursor] = high
-        self._cursor = (cursor + 1) % limit
-        if self._size < limit:
-            self._size += 1
-
-    def extend(
-        self,
-        code: int | np.ndarray,
-        lows: np.ndarray,
-        highs: np.ndarray | None = None,
-    ) -> None:
-        """Append ``lows.size`` operations, oldest evicted first.
-
-        ``code`` is a single kind code, or an aligned code array for runs
-        that mix kinds (paired update records interleave source and target
-        entries).
-        """
+    def extend(self, codes: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> None:
+        """Append ``lows.size`` operations (aligned kind-code, low and high
+        arrays, oldest first), evicting the oldest retained ones."""
         limit = self.limit
         count = int(lows.shape[0])
         if limit == 0 or count == 0:
-            return
-        if highs is None:
-            highs = lows
-        scalar_code = not isinstance(code, np.ndarray)
-        if count >= limit:
-            # The whole window is replaced by the run's most recent entries.
-            self._codes[:] = code if scalar_code else code[count - limit :]
-            self._lows[:] = lows[count - limit :]
-            self._highs[:] = highs[count - limit :]
-            self._size = limit
-            self._cursor = 0
             return
         cursor = self._cursor
         end = cursor + count
         if end <= limit:
             # Contiguous write: plain slice assignment, no index arrays.
-            self._codes[cursor:end] = code
+            self._codes[cursor:end] = codes
             self._lows[cursor:end] = lows
             self._highs[cursor:end] = highs
+        elif count >= limit:
+            # The whole window is replaced by the run's most recent entries.
+            self._codes[:] = codes[count - limit :]
+            self._lows[:] = lows[count - limit :]
+            self._highs[:] = highs[count - limit :]
+            end = 0
         else:
             head = limit - cursor
-            self._codes[cursor:] = code if scalar_code else code[:head]
-            self._lows[cursor:] = lows[:head]
-            self._highs[cursor:] = highs[:head]
-            tail = count - head
-            self._codes[:tail] = code if scalar_code else code[head:]
-            self._lows[:tail] = lows[head:]
-            self._highs[:tail] = highs[head:]
+            for ring, values in (
+                (self._codes, codes), (self._lows, lows), (self._highs, highs)
+            ):
+                ring[cursor:] = values[:head]
+                ring[: count - head] = values[head:]
         self._cursor = end % limit
         self._size = min(self._size + count, limit)
 
@@ -228,14 +201,13 @@ class WorkloadMonitor:
         return sample
 
     def observe_batch(self, table, log: AccessLog) -> None:
-        """Attribute every record of ``log`` in one vectorized pass each.
+        """Attribute every record of ``log``, one vectorized pass per kind.
 
-        Point-kind keys route through one ``searchsorted`` against the
-        chunk fences (:meth:`Table.chunk_span_batch`, which charges no
-        accesses); reads, deletes and update sources are attributed to the
-        full candidate-chunk span, while write-target records (inserts,
-        update targets) land in the first candidate chunk only.  A paired
-        update record is two such passes: its sources, then its targets.
+        The records' keys are gathered by kind code (a paired update record
+        is its sources and its targets) and each kind attributed once
+        (:meth:`_attribute`): attribution is a function of the kind, the
+        bounds and the sample sequence number of each operation, not of the
+        record that carried it.
 
         Bounded samples are extended once per log, every chunk's entries in
         *submission* order, exactly as per-operation appends would retain
@@ -243,66 +215,54 @@ class WorkloadMonitor:
         groups out of submission order) is placed by them, a record that
         does not follows the records before it.
         """
-        records = log.records if isinstance(log, AccessLog) else list(log)
-        if not records:
+        gathered: dict[int, list[tuple]] = {}
+        following = 0
+        for record in log.records:
+            lows = record.lows
+            size = int(lows.shape[0])
+            if size == 0:
+                continue
+            if record.positions is None:
+                sequence = np.arange(following, following + size, dtype=np.int64)
+                sequence *= _SLOT
+                following += size
+            else:
+                sequence = record.positions * _SLOT
+                if sequence.shape[0] != size:
+                    # One position for a ``Multi*`` operation dispatched whole.
+                    sequence = np.repeat(sequence, size)
+            if record.kind == PAIRED_UPDATE_KIND:
+                # source_i before target_i (``2i`` and ``2i + 1`` within
+                # their positions' slots), exactly as per-pair serial
+                # dispatch appends them, so the bounded window is
+                # identical on both paths even under truncation.
+                sequence = sequence + 2 * np.arange(size, dtype=np.int64)
+                gathered.setdefault(_SOURCE_CODE, []).append((lows, None, sequence))
+                gathered.setdefault(_TARGET_CODE, []).append(
+                    (record.highs, None, sequence + 1)
+                )
+                continue
+            highs = None
+            if record.kind in RANGE_KINDS:
+                highs = lows if record.highs is None else record.highs
+            gathered.setdefault(KIND_CODES[record.kind], []).append(
+                (lows, highs, sequence)
+            )
+        if not gathered:
             return
         with self._lock:
             counts = self._counts_for(table)
-            # Sample entries as (chunks, sequence, codes, lows, highs)
-            # columns; single-operation records share one row list.
+            # Sample entries as (chunks, sequence, codes, lows, highs) columns.
             entries: list[tuple] | None = [] if self.sample_limit else None
-            rows: list[tuple] | None = [] if self.sample_limit else None
-            following = 0
-            for record in records:
-                size = int(record.lows.shape[0])
-                if size == 0:
-                    continue
-                positions = record.positions
-                if positions is None:
-                    first, following = following, following + size
-                if size == 1:
-                    # Scalar fast path: the vectorized machinery's fixed
-                    # per-record overhead (span arrays, ``bincount``) would
-                    # dominate a single operation.
-                    order = first if positions is None else int(positions[0])
-                    self._ingest_scalar(
-                        table,
-                        record.kind,
-                        int(record.lows[0]),
-                        None if record.highs is None else int(record.highs[0]),
-                        record.write_target,
-                        order * _SLOT,
-                        rows,
-                    )
-                    continue
-                if positions is None:
-                    sequence = np.arange(first, following, dtype=np.int64) * _SLOT
+            for code, parts in gathered.items():
+                if len(parts) == 1:
+                    ((lows, highs, sequence),) = parts
                 else:
-                    sequence = np.broadcast_to(positions * _SLOT, (size,))
-                if record.kind == PAIRED_UPDATE_KIND:
-                    # source_i before target_i (``2i`` and ``2i + 1`` within
-                    # their positions' slots), exactly as per-pair serial
-                    # dispatch appends them, so the bounded window is
-                    # identical on both paths even under truncation.
-                    sequence = sequence + 2 * np.arange(size, dtype=np.int64)
-                    self._attribute(
-                        table, _SOURCE_CODE, record.lows, None, False,
-                        sequence, counts, entries,
+                    lows, highs, sequence = (
+                        None if column[0] is None else np.concatenate(column)
+                        for column in zip(*parts, strict=True)
                     )
-                    self._attribute(
-                        table, _TARGET_CODE, record.highs, None, True,
-                        sequence + 1, counts, entries,
-                    )
-                else:
-                    highs = None
-                    if record.kind in RANGE_KINDS:
-                        highs = record.lows if record.highs is None else record.highs
-                    self._attribute(
-                        table, KIND_CODES[record.kind], record.lows, highs,
-                        record.write_target, sequence, counts, entries,
-                    )
-            if rows:
-                entries.append(tuple(np.array(rows, dtype=np.int64).T))
+                self._attribute(table, code, lows, highs, sequence, counts, entries)
             if entries:
                 self._extend_samples(entries)
 
@@ -330,19 +290,24 @@ class WorkloadMonitor:
         code: int,
         lows: np.ndarray,
         highs: np.ndarray | None,
-        first_only: bool,
         sequence: np.ndarray,
         counts: np.ndarray,
         entries: list | None,
     ) -> None:
-        """The one vectorized attribution routine: count ``lows.size``
-        operations of kind ``code`` in every chunk of their spans (ranges
-        when ``highs`` is given; the first candidate only for
-        ``first_only``) and queue their sample entries at ``sequence``."""
+        """The one attribution routine: count ``lows.size`` operations of
+        kind ``code`` in every chunk of their spans and queue their sample
+        entries at ``sequence``.
+
+        Keys route through one ``searchsorted`` against the chunk fences
+        (:meth:`Table.chunk_span_batch`, which charges no accesses): the
+        range kinds span the chunks of ``[lows, highs]``, the point kinds
+        (``highs`` is ``None``) the full candidate span of their key, and
+        the insert-routed kinds the first candidate only.
+        """
         first, last = table.chunk_span_batch(lows, highs)
         if highs is None:
             highs = lows
-        if first_only:
+        if code in _FIRST_CANDIDATE_CODES:
             last = first
         spans = last - first + 1
         if int(spans.max()) == 1:
@@ -357,89 +322,15 @@ class WorkloadMonitor:
                 (chunks, sequence, np.full(chunks.shape[0], code), lows, highs)
             )
 
-    @requires_lock("monitor")
-    def _attribute_scalar(
-        self,
-        table,
-        code: int,
-        low: int,
-        high: int | None,
-        first_only: bool,
-        sequence: int,
-        rows: list | None,
-    ) -> None:
-        """:meth:`_attribute` for one operation.  Its sample entry goes to
-        ``rows`` (a log being ingested: placed at ``sequence`` when the log
-        is done) or, without one, straight into the windows."""
-        first, last = table.chunk_span(low, high)
-        if high is None:
-            high = low
-        if first_only:
-            last = first
-        for chunk_index in range(first, last + 1):
-            self._counts[code, chunk_index] += 1
-            if rows is not None:
-                rows.append((chunk_index, sequence, code, low, high))
-            elif self.sample_limit:
-                self._sample_for(chunk_index).append(code, low, high)
-
-    @requires_lock("monitor")
-    def _ingest_scalar(
-        self,
-        table,
-        kind: str,
-        low: int,
-        high: int | None,
-        first_only: bool,
-        sequence: int = 0,
-        rows: list | None = None,
-    ) -> None:
-        """Single-operation attribution without the vectorized machinery
-        (``high`` is the target key of a paired update, the inclusive bound
-        of a range kind, and ignored otherwise)."""
-        if kind == PAIRED_UPDATE_KIND:
-            self._attribute_scalar(
-                table, _SOURCE_CODE, low, None, False, sequence, rows
-            )
-            self._attribute_scalar(
-                table, _TARGET_CODE, high, None, True, sequence + 1, rows
-            )
-        elif kind in RANGE_KINDS:
-            self._attribute_scalar(
-                table, KIND_CODES[kind], low, low if high is None else high,
-                False, sequence, rows,
-            )
-        else:
-            self._attribute_scalar(
-                table, KIND_CODES[kind], low, None, first_only, sequence, rows
-            )
-
-    def observe(
-        self,
-        table,
-        kind: str,
-        low: int,
-        high: int | None = None,
-        *,
-        write_target: bool = False,
-    ) -> None:
-        """Attribute one operation to the chunk span it touches.
-
-        The scalar entry point of the same attribution routine
-        :meth:`observe_batch` vectorizes (single-op records take this path
-        too), so the per-operation and batched paths cannot drift apart.
-        """
+    def observe(self, table, kind: str, low: int, high: int | None = None) -> None:
+        """Attribute one operation to the chunk span it touches: a log of
+        one record through :meth:`observe_batch` (``high`` is the inclusive
+        bound of a range kind, and ignored otherwise)."""
         if kind not in KIND_CODES:
             raise ValueError(f"unknown attribution kind: {kind!r}")
-        with self._lock:
-            self._counts_for(table)
-            self._ingest_scalar(
-                table,
-                kind,
-                int(low),
-                None if high is None else int(high),
-                write_target or kind in FIRST_CANDIDATE_KINDS,
-            )
+        log = AccessLog()
+        log.record(kind, (low,), None if high is None else (high,))
+        self.observe_batch(table, log)
 
     def observe_workload(self, table, workload) -> None:
         """Attribute every operation of ``workload`` as the engine would.

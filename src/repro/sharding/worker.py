@@ -284,8 +284,7 @@ def _watermark(database) -> dict:
 def _stats(database, session, discipline, served) -> dict:
     replans = 0
     if session is not None and session.reorg is not None:
-        reorg = session.reorg
-        replans = int(getattr(reorg, "replans", 0))
+        replans = int(session.reorg.replans)
     durable_lsn = None
     if database is not None and database.durability is not None:
         durable_lsn = int(database.durability.durable_lsn)

@@ -4,10 +4,11 @@ Attaching a :class:`~repro.core.monitor.WorkloadMonitor` used to tax exactly
 the hot path the batch executor vectorizes: every element of a ``Multi*``
 dispatch made one per-key Python ``observe`` call (a binary search against
 the chunk fences plus a loop over the chunk span).  The engine now appends
-one :class:`AccessRecord` per dispatch -- the operation kind, the key (or
-range-bound) arrays and the write-target flag -- to an :class:`AccessLog`,
-and the monitor ingests the whole log with a single vectorized attribution
-pass per record (:meth:`WorkloadMonitor.observe_batch`).
+one :class:`AccessRecord` per dispatch -- the operation kind and the key (or
+range-bound) arrays -- to an :class:`AccessLog`, and the monitor ingests the
+whole log with one vectorized attribution pass per kind
+(:meth:`WorkloadMonitor.observe_batch`).  The log is the only way in: a
+serial dispatch outside a batch hands over a log of one record.
 
 Records carry *attribution kinds*, which split updates into their two
 routed sides (``update_source`` probes the full candidate-chunk span of the
@@ -18,7 +19,7 @@ update no longer inflates a single ``"update"`` count in two chunks' mixes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -59,31 +60,24 @@ class AccessRecord:
     ``lows`` holds the keys (point kinds) or the low bounds (range kinds) of
     every operation in the run, in submission order; ``highs`` is the
     aligned high-bound array for range kinds and ``None`` otherwise.
-    ``write_target`` marks records attributed to the first candidate chunk
-    only (the table's insert routing rule) -- it is implied by the kinds in
-    :data:`FIRST_CANDIDATE_KINDS` and recorded explicitly so a log is
-    self-describing.  ``positions`` places the run's operations in their
-    batch when the batch dispatched its groups out of submission order
-    (reads grouped by commutation): one submission position per operation,
-    or a single one for a ``Multi*`` operation dispatched whole.  The
-    monitor orders its samples by them; ``None`` means the operations
+    Whether the run lands in the first candidate chunk only (the table's
+    insert routing rule) follows from its kind
+    (:data:`FIRST_CANDIDATE_KINDS`).  ``positions`` places the run's
+    operations in their batch when the batch dispatched its groups out of
+    submission order (grouped by commutation): one submission position per
+    operation, or a single one for a ``Multi*`` operation dispatched whole.
+    The monitor orders its samples by them; ``None`` means the operations
     follow those of the record before, in order.
     """
 
     kind: str
     lows: np.ndarray
     highs: np.ndarray | None = None
-    write_target: bool = False
     positions: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KIND_CODES and self.kind != PAIRED_UPDATE_KIND:
             raise ValueError(f"unknown attribution kind: {self.kind!r}")
-
-    @property
-    def operations(self) -> int:
-        """Number of operations the record covers."""
-        return int(self.lows.shape[0])
 
 
 class AccessLog:
@@ -92,36 +86,23 @@ class AccessLog:
     The storage engine keeps one log per ``execute_batch`` call (and a
     throwaway single-record log per serial dispatch), appending one record
     per dispatched run instead of one monitor call per operation; the
-    monitor drains the log in one vectorized pass.  A batch that dispatches
-    out of submission order sets :attr:`positions` before each dispatch;
-    the next record takes them.
+    monitor drains the log in one vectorized pass per kind.  A batch that
+    dispatches out of submission order sets :attr:`positions` before each
+    dispatch; the next record takes them.
     """
 
     __slots__ = ("records", "positions")
 
-    def __init__(self, records: Iterable[AccessRecord] | None = None) -> None:
-        self.records: list[AccessRecord] = list(records) if records else []
+    def __init__(self) -> None:
+        self.records: list[AccessRecord] = []
         #: Submission positions of the operations the next record covers.
         self.positions: Sequence[int] | None = None
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator[AccessRecord]:
-        return iter(self.records)
-
-    @property
-    def operations(self) -> int:
-        """Total operations covered by the buffered records."""
-        return sum(record.operations for record in self.records)
 
     def record(
         self,
         kind: str,
         lows: np.ndarray | Sequence[int],
         highs: np.ndarray | Sequence[int] | None = None,
-        *,
-        write_target: bool = False,
     ) -> None:
         """Append one record, coercing the bound arrays to ``int64``."""
         lows = np.asarray(lows, dtype=np.int64)
@@ -133,18 +114,8 @@ class AccessLog:
         if positions is not None:
             positions = np.asarray(positions, dtype=np.int64)
         self.records.append(
-            AccessRecord(
-                kind=kind,
-                lows=lows,
-                highs=highs,
-                write_target=write_target or kind in FIRST_CANDIDATE_KINDS,
-                positions=positions,
-            )
+            AccessRecord(kind=kind, lows=lows, highs=highs, positions=positions)
         )
-
-    def clear(self) -> None:
-        """Drop all buffered records."""
-        self.records.clear()
 
 
 # --------------------------------------------------------------------- #
@@ -226,14 +197,16 @@ class DeltaLog:
     and followers can tell a transactional record apart from an ordinary
     batch.  Either way one WAL body replays whole or not at all (the frame
     CRC covers it), which is what makes transactional commits atomic under
-    crash.
+    crash.  ``lsn`` is the WAL record the log was appended as, set by the
+    commit scope (``None`` until then, and for a log that stayed empty).
     """
 
-    __slots__ = ("records", "atomic")
+    __slots__ = ("records", "atomic", "lsn")
 
     def __init__(self, *, atomic: bool = False) -> None:
         self.records: list[DeltaRecord] = []
         self.atomic = bool(atomic)
+        self.lsn: int | None = None
 
     def __len__(self) -> int:
         return len(self.records)

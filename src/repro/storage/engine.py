@@ -15,11 +15,18 @@ search (count / sum), insert, delete, update -- together with:
   ``wal_commit`` lock held across [table apply + WAL append] -- so the
   write-ahead log records exactly the deltas the in-memory state absorbed,
   in the order it absorbed them, before results are returned.  Read-only
-  dispatches never touch the commit lock.  MVCC transaction commits run
-  the same scope: the whole write set lands as **one atomic WAL record**
-  (the body's atomic flag set), so recovery and followers replay a
-  committed transaction whole or not at all; aborted transactions log
-  nothing.
+  dispatches never touch the commit lock.  There is one scope
+  (:meth:`StorageEngine._commit_scope`), re-entrant per thread: a write
+  batch or an MVCC transaction commit opens it and the write methods
+  dispatched inside join it, so everything they apply lands as one WAL
+  record -- for a transaction **one atomic record** (the body's atomic
+  flag set), which recovery and followers replay whole or not at all;
+  aborted transactions log nothing.
+
+Every write therefore reaches both per-call logs one way: the write method
+that applies it appends its access record for the monitor (:meth:`_record`)
+and its delta for the WAL (the scope's :class:`DeltaLog`), whether it was
+called directly, from a batch or from a transaction's buffered intents.
 """
 
 from __future__ import annotations
@@ -226,6 +233,7 @@ class StorageEngine:
         # batches from interleaving records in one shared log -- each
         # session accumulates its own log and the monitor merges them at
         # flush time (``observe_batch`` serializes ingestion internally).
+        # The open commit scope's delta log lives here too.
         self._batch_local = threading.local()
         #: Optional :class:`repro.durability.manager.DurabilityManager`;
         #: attach through :meth:`attach_durability`, not by assignment.
@@ -247,79 +255,62 @@ class StorageEngine:
     def _batch_log(self, log: AccessLog | None) -> None:
         self._batch_local.log = log
 
-    @property
-    def _batch_deltas(self) -> DeltaLog | None:
-        return getattr(self._batch_local, "deltas", None)
-
-    @_batch_deltas.setter
-    def _batch_deltas(self, deltas: DeltaLog | None) -> None:
-        self._batch_local.deltas = deltas
-
     @contextmanager
-    def _commit_scope(self) -> Iterator[DeltaLog | None]:
-        """Durable commit scope around one write dispatch.
+    def _commit_scope(self, *, atomic: bool = False) -> Iterator[DeltaLog | None]:
+        """The durable commit scope: the only code that takes the commit
+        lock, appends to the WAL and runs the fsync policy.
 
-        Yields the :class:`DeltaLog` the dispatch must record its applied
-        writes into, or ``None`` when no durability manager is attached
-        (writes stay memory-only, exactly the pre-durability behavior).
-        Inside ``execute_batch`` the batch-wide scope is already open --
-        the thread-local log is handed out and the batch holds the commit
-        lock.  A serial write outside a batch opens its own scope: commit
-        lock across [apply + append], then the fsync policy *outside* the
-        lock, so group commit can coalesce concurrent committers' fsyncs.
+        Yields the :class:`DeltaLog` the writes inside must record their
+        applied deltas into, or ``None`` when no durability manager is
+        attached (writes stay memory-only, exactly the pre-durability
+        behavior).  The scope is re-entrant per thread: the outermost one
+        (a write batch, a transaction commit -- ``atomic`` -- or a serial
+        write on its own) holds the commit lock across [applies + append]
+        and lands everything recorded inside as **one WAL record**; a write
+        dispatched inside an open scope joins it through the thread-local
+        and logs into the same record.  The append sits in ``finally``:
+        when the body dies part-way, the already-applied prefix must still
+        reach the log, or every later record would replay onto diverged
+        state.  (An append failure there masks the body's exception -- both
+        are fatal to the scope, and the WAL error is the one recovery
+        semantics depend on.)  The fsync policy runs *outside* the lock, so
+        group commit can coalesce concurrent committers' fsyncs, and only
+        when the scope completed and appended; the appended LSN is left on
+        ``deltas.lsn``.
         """
         durability = self.durability
         if durability is None:
             yield None
             return
-        active = self._batch_deltas
+        local = self._batch_local
+        active = getattr(local, "deltas", None)
         if active is not None:
             yield active
             return
         durability.require_writable()
-        deltas = DeltaLog()
+        deltas = DeltaLog(atomic=atomic)
         with durability.commit_lock:
-            yield deltas
-            if deltas.records:
-                durability.append(deltas)
-        if deltas.records:
+            local.deltas = deltas
+            try:
+                yield deltas
+            finally:
+                local.deltas = None
+                if deltas.records:
+                    deltas.lsn = durability.append(deltas)
+        if deltas.lsn is not None:
             durability.sync_for_policy()
 
-    def _record(
-        self,
-        kind: str,
-        lows,
-        highs=None,
-        *,
-        write_target: bool = False,
-    ) -> None:
-        """Append one access record for the monitor (no-op when detached)."""
+    def _record(self, kind: str, lows, highs=None) -> None:
+        """Append one access record for the monitor (no-op when detached):
+        to the open batch log, or as a log of its own."""
         if self.monitor is None:
             return
         log = self._batch_log
         if log is not None:
-            log.record(kind, lows, highs, write_target=write_target)
-            return
-        if isinstance(lows, tuple) and len(lows) == 1:
-            # Serial dispatch outside a batch: attribute the single
-            # operation through the monitor's scalar entry point instead
-            # of paying the record/array ceremony per op.
-            if kind == PAIRED_UPDATE_KIND:
-                self.monitor.observe(self.table, "update_source", lows[0])
-                self.monitor.observe(
-                    self.table, "update_target", highs[0], write_target=True
-                )
-            else:
-                self.monitor.observe(
-                    self.table,
-                    kind,
-                    lows[0],
-                    highs[0] if highs is not None else None,
-                    write_target=write_target,
-                )
+            log.record(kind, lows, highs)
             return
         log = AccessLog()
-        log.record(kind, lows, highs, write_target=write_target)
+        log.record(kind, lows, highs)
         self.monitor.observe_batch(self.table, log)
 
     @property
@@ -501,26 +492,11 @@ class StorageEngine:
         self, txn: Transaction, key: int, payload: Sequence[int] | None = None
     ) -> None:
         """Buffer an insert inside ``txn``; applied at commit."""
-        txn.record_write(
-            key,
-            lambda: self.table.insert(key, payload),
-            f"insert {key}",
-            record=lambda deltas: deltas.record_insert(
-                [key],
-                self._delta_payload_rows(
-                    [payload] if payload is not None else None, 1
-                ),
-            ),
-        )
+        txn.record_write(key, lambda: self.insert(key, payload), f"insert {key}")
 
     def transactional_delete(self, txn: Transaction, key: int) -> None:
         """Buffer a delete inside ``txn``; applied at commit."""
-        txn.record_write(
-            key,
-            lambda: self.table.delete(key),
-            f"delete {key}",
-            record=lambda deltas: deltas.record_delete([key]),
-        )
+        txn.record_write(key, lambda: self.delete(key), f"delete {key}")
 
     def transactional_update(
         self, txn: Transaction, old_key: int, new_key: int
@@ -528,43 +504,33 @@ class StorageEngine:
         """Buffer a key update inside ``txn``; applied at commit."""
         txn.record_write(
             old_key,
-            lambda: self.table.update_key(old_key, new_key),
+            lambda: self.update_key(old_key, new_key),
             f"update {old_key}->{new_key}",
-            record=lambda deltas: deltas.record_update([(old_key, new_key)]),
         )
         txn.record_write(new_key, lambda: None, "update target reservation")
 
     def commit(self, txn: Transaction) -> int:
         """Commit ``txn`` (first committer wins).
 
-        With durability attached, the commit runs inside a commit scope of
-        its own: the manager's commit lock is held across [conflict check +
-        intent applies + WAL append] and the write set lands as **one
-        atomic WAL record** (``DeltaLog(atomic=True)``) before the commit
-        timestamp is returned -- so recovery and followers replay the
-        transaction whole or not at all.  A conflict abort raises before
-        any intent applies and logs nothing.  The append sits in
-        ``finally`` for the same reason ``execute_batch``'s does: if an
-        intent apply dies part-way, the applied prefix must still reach
-        the log or every later record would replay onto diverged state.
+        The buffered intents apply through the engine's own write methods
+        (so the monitor and the statistics see them like any other write)
+        inside one atomic commit scope: with durability attached, the
+        commit lock is held across [conflict check + intent applies + WAL
+        append] and the write set lands as **one atomic WAL record**
+        (``DeltaLog(atomic=True)``) before the commit timestamp is
+        returned -- so recovery and followers replay the transaction whole
+        or not at all.  A conflict abort raises before any intent applies
+        and logs nothing; an intent that dies part-way leaves the applied
+        prefix in the log (:meth:`_commit_scope`).
         """
         if self.transactions is None:
             raise RuntimeError("transactions are not enabled for this engine")
-        durability = self.durability
-        if durability is None or not txn.write_intents:
+        if not txn.write_intents:
+            # Read-only: no commit lock, and no ``require_writable()`` --
+            # it commits on a database in read-only degradation too.
             return self.transactions.commit(txn)
-        durability.require_writable()
-        deltas = DeltaLog(atomic=True)
-        lsn: int | None = None
-        with durability.commit_lock:
-            try:
-                commit_ts = self.transactions.commit(txn, deltas=deltas)
-            finally:
-                if deltas.records:
-                    lsn = durability.append(deltas)
-        if lsn is not None:
-            durability.sync_for_policy()
-        return commit_ts
+        with self._commit_scope(atomic=True):
+            return self.transactions.commit(txn)
 
     def abort(self, txn: Transaction) -> None:
         """Roll back ``txn``."""
@@ -755,9 +721,9 @@ class StorageEngine:
         dispatch out of it.
 
         With durability attached, a batch containing any write runs inside
-        one commit scope: the manager's commit lock is held across the
-        whole dispatch and the batch's accumulated delta log is appended
-        as **one WAL record** before results are returned (group-commit
+        one commit scope (:meth:`_commit_scope`): the manager's commit lock
+        is held across the whole dispatch and the batch's delta log is
+        appended as **one WAL record** before results are returned (group-commit
         fsync per the configured policy, outside the lock).  The append
         happens even when a dispatch raises mid-batch -- deltas are
         recorded per *applied* group, in dispatch order, so the log matches
@@ -768,32 +734,12 @@ class StorageEngine:
         of a single gap-free log (per-shard logs are the scale-out path,
         see ROADMAP).
         """
-        from ..workload.operations import is_write
-
         oplist = list(operations)
-        durability = self.durability
-        if durability is None or not any(is_write(op) for op in oplist):
+        if self.durability is None or not any(op.writes for op in oplist):
             return self._execute_batch_inner(oplist)
-        durability.require_writable()
-        deltas = DeltaLog()
-        lsn: int | None = None
-        with durability.commit_lock:
-            self._batch_deltas = deltas
-            try:
-                result = self._execute_batch_inner(oplist)
-            finally:
-                self._batch_deltas = None
-                # Append in ``finally``: when the dispatch died mid-batch
-                # the already-applied prefix must still reach the log, or
-                # every later batch would replay onto diverged state.  (An
-                # append failure here masks a mid-batch exception -- both
-                # are fatal to the scope, and the WAL error is the one
-                # recovery semantics depend on.)
-                if deltas.records:
-                    lsn = durability.append(deltas)
-        if lsn is not None:
-            durability.sync_for_policy()
-            result.lsn = lsn
+        with self._commit_scope() as deltas:
+            result = self._execute_batch_inner(oplist)
+        result.lsn = deltas.lsn
         return result
 
     def _execute_batch_inner(self, oplist) -> BatchResult:

@@ -34,17 +34,15 @@ class TransactionStatus(Enum):
 class WriteIntent:
     """A buffered write: the operation closure plus the key it touches.
 
-    ``record`` optionally logs the write's delta into a
-    :class:`~repro.storage.access_log.DeltaLog` once ``apply`` has run --
-    the storage engine attaches it so a durable commit can publish the
-    transaction's write set through the WAL.  The manager stays
-    storage-agnostic: it only ever calls the two closures.
+    The manager is storage-agnostic: it only ever calls ``apply``.  What
+    applying entails -- logging, observation, statistics -- is the
+    closure's business (the storage engine buffers calls to its own write
+    methods).
     """
 
     key: int
     apply: Callable[[], None]
     description: str = ""
-    record: Callable[[object], None] | None = None
 
 
 @dataclass
@@ -69,15 +67,11 @@ class Transaction:
         self.read_set.add(int(key))
 
     def record_write(
-        self,
-        key: int,
-        apply: Callable[[], None],
-        description: str = "",
-        record: Callable[[object], None] | None = None,
+        self, key: int, apply: Callable[[], None], description: str = ""
     ) -> None:
         """Buffer a write to ``key``; ``apply`` executes it at commit time."""
         self._ensure_active()
-        self.write_intents.append(WriteIntent(int(key), apply, description, record))
+        self.write_intents.append(WriteIntent(int(key), apply, description))
 
     def _ensure_active(self) -> None:
         if self.status is not TransactionStatus.ACTIVE:
@@ -115,20 +109,14 @@ class TransactionManager:
         self._active[txn.txn_id] = txn
         return txn
 
-    def commit(self, txn: Transaction, *, deltas=None) -> int:
+    def commit(self, txn: Transaction) -> int:
         """Attempt to commit ``txn``; returns the commit timestamp.
 
         Raises :class:`TransactionConflictError` (after rolling the
         transaction back) when another transaction committed a conflicting
         write after ``txn`` began.  The conflict check runs before any
-        intent applies, so an aborted commit leaves no trace -- in memory
-        or in ``deltas``.
-
-        ``deltas`` is the optional delta log a durable engine passes in:
-        each intent that carries a ``record`` closure logs its applied
-        write into it, in apply order, so the log describes exactly the
-        write set the commit published (or, if an apply dies part-way, the
-        applied prefix -- matching the engine's batch commit contract).
+        intent applies, so an aborted commit leaves no trace; intents then
+        apply in the order they were buffered.
         """
         if txn.status is not TransactionStatus.ACTIVE:
             raise TransactionStateError(
@@ -144,8 +132,6 @@ class TransactionManager:
         commit_ts = self._tick()
         for intent in txn.write_intents:
             intent.apply()
-            if deltas is not None and intent.record is not None:
-                intent.record(deltas)
         for key in txn.write_set:
             self._last_commit_ts[key] = commit_ts
         txn.status = TransactionStatus.COMMITTED

@@ -315,22 +315,16 @@ class Table:
         self.counter.index_probe()
         return self._router.locate_range(int(low), int(high))
 
-    def chunk_span(self, low: int, high: int | None = None) -> tuple[int, int]:
-        """Chunk span for monitoring/planning purposes (no access charged)."""
-        if high is None:
-            return self._router.locate_all(int(low))
-        return self._router.locate_range(int(low), int(high))
-
     def chunk_span_batch(
         self,
         lows: np.ndarray | Sequence[int],
         highs: np.ndarray | Sequence[int] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`chunk_span` (no access charged).
+        """Chunk spans for monitoring purposes (no access charged).
 
         One ``searchsorted`` pass over the chunk fences resolves the whole
         key (or bound-pair) array; returns aligned ``(first, last)``
-        candidate-span arrays.  This is the monitor's attribution fast path.
+        candidate-span arrays.  The monitor attributes by it.
         """
         lows = np.asarray(lows, dtype=np.int64)
         if highs is None:

@@ -42,10 +42,12 @@ scalar, five batched) *is*.  Every class states, once:
     ``(tag, array_fields)`` for the shard codec: the named fields travel as
     ``int64`` arrays, every other field as a JSON scalar.
 
-The engine's batch plan, the monitor's offline seeding, the Frequency
-Model's sample reader (``sample_columns``, which the planner's chunk filter
-works behind), the wire codec and the shard router's scatter are loops over
-these facts; only ``StorageEngine.execute``
+The engine's batch plan and the question whether a batch needs a commit
+scope (``writes``), the monitor's offline seeding (one log of these access
+records through ``observe_batch``, the way engine dispatch gets there too),
+the Frequency Model's sample reader (``sample_columns``, which the planner's
+chunk filter works behind), the wire codec and the shard router's scatter
+are loops over these facts; only ``StorageEngine.execute``
 (operation -> engine method) and the shard router's ``route`` (how a kind
 splits across shards) name the kinds again.
 """

@@ -14,12 +14,17 @@ on:
   source_i/target_i exactly as per-pair dispatch does, so the windows
   agree element-for-element even when a run overflows the sample limit;
 * single-record logs ingested via ``observe_batch`` match element-wise
-  ``observe`` calls exactly, truncation included.
+  ``observe`` calls exactly, truncation included;
+* any log -- every kind, singleton and multi-element records, with and
+  without shuffled positions -- attributes exactly what a per-entry
+  reference written here does (``TestAttributionReference``).
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, bisect_right
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -27,7 +32,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.monitor import WorkloadMonitor
-from repro.storage.access_log import KIND_CODES, AccessLog
+from repro.storage.access_log import (
+    ATTRIBUTION_KINDS,
+    FIRST_CANDIDATE_KINDS,
+    KIND_CODES,
+    RANGE_KINDS,
+    AccessLog,
+)
 from repro.storage.engine import StorageEngine
 from repro.storage.errors import ValueNotFoundError
 from repro.storage.layouts import LayoutKind, LayoutSpec
@@ -283,6 +294,119 @@ class TestSingleRecordEquivalence:
         assert counts_by_chunk(per_op) == counts_by_chunk(batched)
         for chunk in per_op.observed_chunks():
             assert window(per_op, chunk) == window(batched, chunk)
+
+
+class TestAttributionReference:
+    """``observe_batch`` against a per-entry reference: every entry of the
+    log routed by bisecting the chunk fences, then fed to one
+    ``deque(maxlen)`` per chunk in sequence order."""
+
+    @staticmethod
+    def _record_specs(data, fences):
+        """Drawn records as ``(kind, elements, shared)``: ``elements`` are
+        ``(low, high)`` bounds (``(source, target)`` keys of the paired
+        ``"update"``, ``high == low`` for the point kinds); ``shared`` gives
+        the whole record one position, as a ``Multi*`` dispatched whole."""
+        # Keys anywhere in the domain, and on and next to the chunk fences.
+        fence_keys = sorted({fence for fence in fences if fence <= KEY_DOMAIN})
+        key = st.integers(min_value=0, max_value=KEY_DOMAIN)
+        if fence_keys:
+            key |= st.builds(
+                lambda fence, step: max(fence + step, 0),
+                st.sampled_from(fence_keys),
+                st.sampled_from([-1, 0, 1]),
+            )
+        pair = st.tuples(key, key)
+        elements = {
+            kind: pair.map(sorted).map(tuple) if kind in RANGE_KINDS
+            else key.map(lambda k: (k, k))
+            for kind in ATTRIBUTION_KINDS
+        }
+        elements["update"] = pair
+        record = st.sampled_from(sorted(elements)).flatmap(
+            lambda kind: st.tuples(
+                st.just(kind),
+                st.lists(elements[kind], min_size=0, max_size=5),
+                st.booleans(),
+            )
+        )
+        return data.draw(st.lists(record, min_size=1, max_size=12))
+
+    @staticmethod
+    def _entries(kind, elements):
+        """A record's sample entries, in order: ``(within, kind, low, high)``."""
+        if kind != "update":
+            return [(i, kind, low, high) for i, (low, high) in enumerate(elements)]
+        entries = []
+        for i, (source, target) in enumerate(elements):
+            entries.append((2 * i, "update_source", source, source))
+            entries.append((2 * i + 1, "update_target", target, target))
+        return entries
+
+    @staticmethod
+    def _chunks_of(fences, kind, low, high):
+        """The chunks one entry attributes to, by the routing rules."""
+        last_chunk = len(fences) - 1
+        first = min(bisect_left(fences, low), last_chunk)
+        if kind in FIRST_CANDIDATE_KINDS:
+            return [first]
+        last = min(bisect_right(fences, high), last_chunk)
+        return range(first, max(first, last) + 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        table_keys=keys_strategy(),
+        limit=st.sampled_from([0, 3, 4_096]),
+        positioned=st.booleans(),
+        data=st.data(),
+    )
+    def test_any_log_matches_per_entry_reference(
+        self, table_keys, limit, positioned, data
+    ):
+        table = make_table(table_keys)
+        fences = table.router.fences.tolist()
+        specs = self._record_specs(data, fences)
+        # One slot per operation, one for a record sharing its position; a
+        # positioned log hands the slots out shuffled, as a batch that
+        # dispatched its groups out of submission order does.
+        widths = [1 if shared else len(elements) for _, elements, shared in specs]
+        slots = list(range(sum(widths)))
+        if positioned:
+            slots = data.draw(st.permutations(slots))
+
+        log = AccessLog()
+        reference = []
+        for (kind, elements, shared), width in zip(specs, widths, strict=True):
+            taken, slots = slots[:width], slots[width:]
+            if positioned:
+                log.positions = taken
+            log.record(
+                kind,
+                [low for low, _ in elements],
+                None
+                if kind in KIND_CODES and kind not in RANGE_KINDS
+                else [high for _, high in elements],
+            )
+            per_operation = 2 if kind == "update" else 1
+            for within, entry_kind, low, high in self._entries(kind, elements):
+                slot = taken[0] if shared else taken[within // per_operation]
+                reference.append(((slot, within), entry_kind, low, high))
+        monitor = WorkloadMonitor(sample_limit=limit)
+        monitor.observe_batch(table, log)
+
+        counts: dict[int, Counter] = {}
+        windows: dict[int, deque] = {}
+        for _, kind, low, high in sorted(reference, key=lambda entry: entry[0]):
+            for chunk in self._chunks_of(fences, kind, low, high):
+                counts.setdefault(chunk, Counter())[kind] += 1
+                windows.setdefault(chunk, deque(maxlen=limit)).append(
+                    (KIND_CODES[kind], low, high)
+                )
+        assert counts_by_chunk(monitor) == {
+            chunk: dict(counts[chunk]) for chunk in sorted(counts)
+        }
+        for chunk in range(table.num_chunks):
+            assert window(monitor, chunk) == list(windows.get(chunk, ()))
 
 
 @pytest.mark.concurrency

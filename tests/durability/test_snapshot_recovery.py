@@ -340,6 +340,70 @@ class TestShuffledWriteBatch:
         reopened.close()
 
 
+class TestCommitScope:
+    """The engine's one commit scope: whatever is applied inside the
+    outermost open scope is one WAL record, an applied prefix included."""
+
+    def test_batch_dying_in_its_third_group_logs_the_applied_prefix(
+        self, tmp_path
+    ):
+        batch = [
+            Delete(0),
+            Update(4, 1_005),
+            Insert(1_001, (1, 2)),
+            Insert(1_003, (1, 2, 3)),
+            Delete(2),
+        ]
+        db = make_db(tmp_path)
+        with pytest.raises(ValueError):
+            db.engine.execute_batch(batch)
+        # The deletes and the update were applied, so they are the record;
+        # the scope did not complete, so it was appended but never synced.
+        assert delta_kinds(tmp_path) == [["delete", "update"]]
+        assert db.durability.last_lsn == 1
+        assert db.durability.durable_lsn == 0
+        applied = fingerprint(db.table)
+        db.close()
+        reopened = Database.open(tmp_path)
+        assert fingerprint(reopened.table) == applied
+        reopened.close()
+
+    def test_writes_inside_an_open_scope_join_its_record(self, tmp_path):
+        db = make_db(tmp_path)
+        engine = db.engine
+        # Every write a batch dispatches joins the batch's record ...
+        result = engine.execute_batch(
+            [
+                MultiInsert((1_001, 1_003), ((1, 2), (3, 4))),
+                Delete(0),
+                MultiUpdate(((2, 1_005),)),
+            ]
+        )
+        assert result.lsn == 1
+        # ... a scalar write on its own gets its own ...
+        engine.insert(1_007, (5, 6))
+        engine.delete(4)
+        # ... and one issued while a scope is open joins that scope.
+        with engine._commit_scope() as deltas:
+            engine.insert(1_009, (7, 8))
+            engine.update_key(6, 1_011)
+            with engine._commit_scope() as inner:
+                assert inner is deltas
+        assert deltas.lsn == 4
+        assert delta_kinds(tmp_path) == [
+            ["insert", "delete", "update"],
+            ["insert"],
+            ["delete"],
+            ["insert", "update"],
+        ]
+        assert db.durability.durable_lsn == 4
+        expected = fingerprint(db.table)
+        db.close()
+        reopened = Database.open(tmp_path)
+        assert fingerprint(reopened.table) == expected
+        reopened.close()
+
+
 class TestReadOnlyDegradation:
     def test_unwritable_log_degrades_to_read_only(self, tmp_path):
         faults = FaultInjector()

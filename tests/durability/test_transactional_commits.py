@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.database import Database
+from repro.durability.errors import ReadOnlyError, WalUnavailableError
 from repro.durability.faults import CRASH_POINTS, FaultInjector, InjectedCrash
 from repro.durability.manager import DurabilityConfig
 from repro.durability.wal import decode_delta_log, scan_segment, segment_first_lsn
@@ -72,8 +73,10 @@ def wal_records(root):
     return out
 
 
-def transactional_db(root, *, faults=None):
-    config = DurabilityConfig(root=root, faults=faults, retry_backoff_s=0.0)
+def transactional_db(root, *, faults=None, max_retries=4, **kwargs):
+    config = DurabilityConfig(
+        root=root, faults=faults, max_retries=max_retries, retry_backoff_s=0.0
+    )
     initial = np.arange(0, 100, 2, dtype=np.int64)
     db = Database.from_rows(
         initial,
@@ -82,6 +85,7 @@ def transactional_db(root, *, faults=None):
         payload_names=("a", "b"),
         durability=config,
         enable_transactions=True,
+        **kwargs,
     )
     model = {
         int(key): tuple(row)
@@ -215,6 +219,44 @@ class TestAtomicCommitRecord:
         finally:
             recovered.close()
 
+    def test_committed_writes_are_observed_and_counted(self, tmp_path):
+        # Intents apply through the engine's own write methods inside the
+        # commit's one scope: one atomic record, and the monitor and the
+        # statistics see the writes like any others.
+        db, _ = transactional_db(tmp_path, monitor=True)
+        engine = db.engine
+        txn = engine.begin_transaction()
+        engine.transactional_insert(txn, 1_000_001, (3, 4))
+        engine.transactional_insert(txn, 1, (5, 6))
+        engine.transactional_delete(txn, 0)
+        engine.transactional_update(txn, 2, 1_000_003)
+        engine.commit(txn)
+        db.close()
+
+        (_, log), = wal_records(tmp_path)
+        assert log.atomic
+        assert [record.kind for record in log.records] == [
+            "insert",
+            "insert",
+            "delete",
+            "update",
+        ]
+        assert engine.statistics.operations == {
+            "insert": 2,
+            "delete": 1,
+            "update": 1,
+        }
+        observed = {}
+        for chunk in db.monitor.observed_chunks():
+            for kind, count in db.monitor.operation_counts(chunk).items():
+                observed[kind] = observed.get(kind, 0) + count
+        assert observed == {
+            "insert": 2,
+            "delete": 1,
+            "update_source": 1,
+            "update_target": 1,
+        }
+
     def test_abort_logs_nothing(self, tmp_path):
         db, model = transactional_db(tmp_path)
         engine = db.engine
@@ -256,6 +298,31 @@ class TestAtomicCommitRecord:
         db.engine.commit(txn)
         db.close()
         assert wal_records(tmp_path) == []
+
+
+    def test_read_only_transaction_commits_on_a_degraded_database(
+        self, tmp_path
+    ):
+        faults = FaultInjector()
+        db, _ = transactional_db(tmp_path, faults=faults, max_retries=1)
+        engine = db.engine
+        faults.io_error_at = "wal.write"
+        faults.io_errors = 10**9
+        txn = engine.begin_transaction()
+        engine.transactional_insert(txn, 1_000_001, (1, 2))
+        with pytest.raises(WalUnavailableError):
+            engine.commit(txn)
+        assert db.read_only
+        # No write intents: no commit lock, no writability check.
+        reader = engine.begin_transaction()
+        reader.record_read(0)
+        assert engine.commit(reader) > 0
+        writer = engine.begin_transaction()
+        engine.transactional_delete(writer, 0)
+        with pytest.raises(ReadOnlyError):
+            engine.commit(writer)
+        faults.io_errors = 0
+        db.close()
 
 
 class TestTransactionalCrashRecoveryProperties:
