@@ -1,15 +1,20 @@
 """Figure 12 benchmark: normalized throughput across six workloads and layouts.
 
-Also includes two fast-path smoke checks on a 1M-row, 16-chunk table:
+Also includes three fast-path smoke checks, the first two on a 1M-row,
+16-chunk table:
 
 * batched point queries must beat per-operation dispatch by >= 3x wall-clock
-  (the PR-1 read fast path), and
+  (the PR-1 read fast path),
 * a write-heavy Fig. 12-style workload (50% insert/delete, recent-skewed,
   ``batch_size=256``) must beat per-operation dispatch by >= 3x wall-clock on
   the bulk-write fast path, with the result trajectory emitted to
-  ``BENCH_fig12_writes.json``.
+  ``BENCH_fig12_writes.json``, and
+* the ``bulk_insert`` kernel alone, on one Equi-GV chunk whose ghost slack is
+  used up so every batch ripples through most of its 64 partitions, must take
+  <= 0.3x the time of the same keys inserted one by one (key
+  ``bulk_insert_rippled`` of the same file).
 
-CI runs both at full scale (the table builds in well under a second); set
+CI runs all three at full scale (the table builds in well under a second); set
 ``REPRO_BENCH_ROWS`` to scale the table down on constrained machines.
 """
 
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 
 import numpy as np
@@ -25,7 +31,7 @@ import pytest
 from repro.bench.experiments import fig12
 from repro.bench.harness import run_workload
 from repro.storage.engine import StorageEngine
-from repro.storage.layouts import LayoutKind, LayoutSpec
+from repro.storage.layouts import LayoutKind, LayoutSpec, build_column
 from repro.storage.table import Table, layout_chunk_builder
 from repro.workload.operations import (
     Delete,
@@ -216,7 +222,83 @@ def test_fig12_write_heavy_batch_speedup(benchmark):
         "batch_ms": batch_seconds * 1e3,
         "speedup": speedup,
     }
+    emit_writes_json(payload)
+    assert speedup >= 3.0
+
+
+def emit_writes_json(update: dict) -> None:
+    """Merge ``update`` into ``BENCH_fig12_writes.json`` (both write smokes
+    report there, in whichever order they run)."""
     out_path = os.environ.get("REPRO_BENCH_WRITES_JSON", "BENCH_fig12_writes.json")
+    payload = {}
+    if os.path.exists(out_path):
+        with open(out_path) as handle:
+            payload = json.load(handle)
+    payload.update(update)
     with open(out_path, "w") as handle:
         json.dump(payload, handle, indent=2)
-    assert speedup >= 3.0
+
+
+def test_fig12_bulk_insert_rippled_kernel(benchmark):
+    """The ``bulk_insert`` kernel where its ripple sweep is long: one
+    65,536-value Equi-GV chunk of 64 partitions whose ghost slots a first
+    batch has used up, so the free slot of nearly every insert comes from
+    the grown tail and a 10-key batch shifts most partitions.  Median wall
+    time per call <= 0.3x the same keys through sequential ``insert``."""
+    benchmark.pedantic(lambda: None, iterations=1, rounds=1)
+    size, calls, keys_per_call = 65_536, 400, 10
+    spec = LayoutSpec(
+        kind=LayoutKind.EQUI_GV, partitions=64, ghost_fraction=0.01, block_values=1_024
+    )
+    base = np.arange(size, dtype=np.int64) * 64
+    bulk, sequential = (build_column(spec, base, track_rowids=True) for _ in range(2))
+    slack = int(bulk.ghost_counts().sum())
+    rng = np.random.default_rng(11)
+    fresh = rng.choice(size * 64, 2 * (slack + calls * keys_per_call), replace=False)
+    fresh = fresh[fresh % 64 != 0]
+    first, fresh = fresh[:slack], fresh[slack:]
+    bulk.bulk_insert(first)
+    sequential.bulk_insert(first)
+    # A few partitions keep a slot or two (uniform keys), as they do at the
+    # end of an ``oltp_durable`` run; the rest of the slack is at the tail.
+    assert int(bulk.ghost_counts()[:-1].sum()) < slack // 10
+
+    bulk_us, sequential_us = [], []
+    for call in range(calls):
+        batch = fresh[call * keys_per_call : (call + 1) * keys_per_call]
+        start = time.perf_counter()
+        bulk.bulk_insert(batch)
+        bulk_us.append((time.perf_counter() - start) * 1e6)
+        ascending = np.sort(batch).tolist()
+        start = time.perf_counter()
+        for key in ascending:
+            sequential.insert(key)
+        sequential_us.append((time.perf_counter() - start) * 1e6)
+
+    assert np.array_equal(bulk.partition_counts(), sequential.partition_counts())
+    assert np.array_equal(bulk.ghost_counts(), sequential.ghost_counts())
+    assert np.array_equal(bulk.values(), sequential.values())
+    assert np.array_equal(bulk.rowids(), sequential.rowids())
+    bulk.check_invariants()
+    bulk_median = statistics.median(bulk_us)
+    sequential_median = statistics.median(sequential_us)
+    ratio = bulk_median / sequential_median
+    print(
+        f"\nrippled bulk_insert: {calls} calls x {keys_per_call} keys on a "
+        f"{size}-value equi_gv chunk / 64 partitions -> bulk {bulk_median:.0f}us, "
+        f"sequential {sequential_median:.0f}us per call ({ratio:.2f}x)"
+    )
+    emit_writes_json(
+        {
+            "bulk_insert_rippled": {
+                "chunk_values": size,
+                "partitions": 64,
+                "calls": calls,
+                "keys_per_call": keys_per_call,
+                "bulk_median_us": bulk_median,
+                "sequential_median_us": sequential_median,
+                "ratio": ratio,
+            }
+        }
+    )
+    assert ratio <= 0.3

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.storage.column import (
     PartitionedColumn,
     snap_boundaries_to_duplicates,
 )
+from repro.storage.cost_accounting import blocks_spanned
 from repro.storage.delta_store import DeltaStoreColumn
 from repro.storage.engine import StorageEngine
 from repro.storage.errors import LayoutError, ValueNotFoundError
@@ -164,6 +166,251 @@ class TestColumnBulkInsert:
         before = bulk.counter.snapshot()
         assert bulk.bulk_insert([]).size == 0
         assert bulk.counter.snapshot() == before
+
+
+def reference_bulk_insert(column, values, rowids=None):
+    """``bulk_insert`` as one Python step per insert, partition and target.
+
+    The donor choice is the sequential path's (first partition at or after
+    the target with slack, else grow the tail), replayed on metadata; the
+    sweep and the placements are the per-partition loops ``bulk_insert``
+    ran before they became a gather/scatter, and pin its layout (dead
+    slots included) and its charges exactly.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    m = int(values.size)
+    order = np.argsort(values, kind="stable")
+    sorted_values = values[order]
+    if rowids is None:
+        sorted_rowids = np.arange(column._next_rowid, column._next_rowid + m)
+    else:
+        sorted_rowids = np.asarray(rowids, dtype=np.int64)[order]
+    column._next_rowid = max(column._next_rowid, int(sorted_rowids.max()) + 1)
+    counter, block_values = column.counter, column.block_values
+    counter.index_probe(m)
+    k = column.num_partitions
+    targets = [column._index.locate(int(value)) for value in sorted_values]
+
+    slack = (column._capacities() - column._counts).tolist()
+    through = np.zeros(k, dtype=np.int64)
+    growths = donor_pairs = 0
+    for target in targets:
+        donor = next((p for p in range(target, k) if slack[p] > 0), None)
+        if donor is None:
+            growths += 1
+            slack[k - 1] += column.GROWTH_BLOCKS * block_values
+            donor = k - 1
+        if donor != target:
+            donor_pairs += 1
+            through[target + 1 : donor + 1] += 1
+        slack[donor] -= 1
+    for _ in range(growths):
+        column._grow()
+    counter.random_read(donor_pairs)
+    counter.random_write(donor_pairs)
+
+    for partition in np.nonzero(through > 0)[0][::-1]:
+        shift = int(through[partition])
+        start = int(column._starts[partition])
+        count = int(column._counts[partition])
+        counter.random_read(blocks_spanned(start, shift, block_values))
+        counter.random_write(blocks_spanned(start + count, shift, block_values))
+        for array in (column._data, column._rowids):
+            if count == 0:
+                continue
+            if shift < count:
+                array[start + count : start + count + shift] = array[
+                    start : start + shift
+                ]
+            else:
+                array[start + shift : start + shift + count] = np.roll(
+                    array[start : start + count], -(shift % count)
+                )
+        column._invalidate_sorted(int(partition))
+    column._starts += through
+
+    for partition in sorted(set(targets)):
+        lo, arrivals = targets.index(partition), targets.count(partition)
+        previous = int(column._counts[partition])
+        tail = int(column._starts[partition]) + previous
+        blocks = blocks_spanned(tail, arrivals, block_values)
+        counter.random_read(blocks)
+        counter.random_write(blocks)
+        column._data[tail : tail + arrivals] = sorted_values[lo : lo + arrivals]
+        column._rowids[tail : tail + arrivals] = sorted_rowids[lo : lo + arrivals]
+        column._invalidate_sorted(partition)
+        column._counts[partition] = previous + arrivals
+        low, high = int(sorted_values[lo]), int(sorted_values[lo + arrivals - 1])
+        if previous == 0:
+            column._mins[partition] = low
+            column._maxs[partition] = high
+        else:
+            column._mins[partition] = min(low, int(column._mins[partition]))
+            column._maxs[partition] = max(high, int(column._maxs[partition]))
+        if partition < k - 1 and high > column._fences[partition]:
+            column._fences[partition] = high
+            column._index.update_fence(partition, high)
+    out = np.empty(m, dtype=np.int64)
+    out[order] = sorted_rowids
+    return out
+
+
+@st.composite
+def ripple_cases(draw):
+    """(partition sizes, ghosts per partition or None, partitions emptied
+    before the batch, batch keys, explicit row ids?).  Partition ``i`` holds
+    ``100 * i + 10 * j``; ``block_values=4`` makes one growth 16 slots."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=2, max_size=10))
+    k = len(sizes)
+    ghosts = draw(
+        st.none() | st.lists(st.integers(0, 3), min_size=k, max_size=k)
+    )
+    emptied = draw(st.sets(st.integers(0, k - 1), max_size=k - 1))
+    batch = draw(st.lists(st.integers(0, 100 * k + 50), min_size=1, max_size=40))
+    return sizes, ghosts, sorted(emptied), batch, draw(st.booleans())
+
+
+class TestBulkInsertSweepReference:
+    @settings(max_examples=25, deadline=None)
+    @given(case=ripple_cases())
+    # Tail-only slack (closed form), an empty partition inside the window,
+    # count < shift (full rotation) and count == shift, duplicate keys.
+    @example(case=([2, 3, 1, 4], None, [1], [0, 5, 5, 120, 250, 250], False))
+    # Ghost slack in the middle (donor replay), used up mid-batch.
+    @example(case=([3, 3, 3, 3], [0, 0, 2, 0], [], [1, 2, 3, 4, 105, 301], True))
+    # An emptied middle partition keeps its slots: donor and empty at once.
+    @example(case=([2, 2, 2, 2], [0, 1, 0, 1], [1, 2], [7] * 9 + [110, 210], False))
+    # Three growths; every partition rotates several times over.
+    @example(case=([1, 2, 3], None, [], list(range(40)), True))
+    def test_equals_the_per_partition_loops(self, case):
+        sizes, ghosts, emptied, batch, explicit = case
+        base = np.asarray(
+            [100 * i + 10 * j for i, size in enumerate(sizes) for j in range(size)]
+        )
+        columns = [
+            PartitionedColumn(
+                base,
+                np.cumsum(sizes),
+                ghost_allocation=ghosts,
+                block_values=4,
+                track_rowids=True,
+            )
+            for _ in range(2)
+        ]
+        for column in columns:
+            for partition in emptied:
+                for j in range(sizes[partition]):
+                    column.delete(100 * partition + 10 * j)
+        reference, bulk = columns
+        rowids = (
+            np.arange(len(batch))[::-1] * 3 + 1_000 if explicit else None
+        )
+        expected = reference_bulk_insert(reference, batch, rowids)
+        assert np.array_equal(bulk.bulk_insert(batch, rowids), expected)
+        for name in ("_data", "_rowids", "_starts", "_counts", "_fences",
+                     "_mins", "_maxs"):
+            assert np.array_equal(getattr(reference, name), getattr(bulk, name)), name
+        assert bulk._next_rowid == reference._next_rowid
+        for field in COUNTER_FIELDS:
+            assert type(getattr(bulk.counter, field)) is int, field
+            assert getattr(bulk.counter, field) == getattr(reference.counter, field)
+        bulk.check_invariants()
+
+    def test_rippled_partitions_drop_their_cached_views(self):
+        """A cached view of a sorted segment is a slice of ``_data``: the
+        sweep must drop it for every partition it shifts."""
+        base = np.arange(64, dtype=np.int64) * 10
+        ghosts = [0] * 7 + [8]
+        column = PartitionedColumn(
+            base,
+            np.arange(8, 65, 8),
+            ghost_allocation=ghosts,
+            dense=False,
+            block_values=4,
+            track_rowids=True,
+        )
+        probes = base[::4]
+        column.multi_point_query(probes)
+        assert sorted(column._sorted_views) == list(range(8))
+        column.bulk_insert([1, 2, 3, 3, 85])  # no growth: views are not cleared
+        assert column.physical_size == 72
+        for partition, (view, _) in column._sorted_views.items():
+            start = int(column._starts[partition])
+            live = column._data[start : start + int(column._counts[partition])]
+            assert np.array_equal(view, np.sort(live))
+        probes = np.concatenate((probes, [1, 3, 85, 7]))
+        hits, counts = column.multi_point_query(probes, return_rowids=True)
+        per_key = [column.point_query(int(v), return_rowids=True) for v in probes]
+        assert counts.tolist() == [hit.size for hit in per_key]
+        assert np.array_equal(hits, np.concatenate(per_key))
+
+
+def exact_zonemap(column):
+    """``(_mins, _maxs)`` of the non-empty partitions, recomputed from scratch."""
+    segments = [
+        column._data[start : start + count]
+        for start, count in zip(column._starts, column._counts)
+        if count
+    ]
+    return [int(s.min()) for s in segments], [int(s.max()) for s in segments]
+
+
+class TestZonemapAfterRemovals:
+    """A removal refreshes ``_mins`` / ``_maxs`` only when the victim was an
+    extreme; whichever it was, they equal a from-scratch recompute."""
+
+    VALUES = np.asarray([0, 10, 20, 30, 40, 100, 110, 120, 130, 130, 200])
+    VICTIMS = {
+        "unique min": 100,
+        "unique max": 40,
+        "one of two equal maxima": 130,
+        "interior": 110,
+        "min of the first partition": 0,
+    }
+
+    def build(self):
+        return PartitionedColumn(
+            self.VALUES, [5, 10, 11], block_values=4, track_rowids=True
+        )
+
+    def assert_exact(self, column):
+        live = column._counts > 0
+        mins, maxs = exact_zonemap(column)
+        assert column._mins[live].tolist() == mins
+        assert column._maxs[live].tolist() == maxs
+        column.check_invariants()
+
+    @pytest.mark.parametrize(
+        "remove",
+        [
+            lambda column, value: column.delete(value),
+            lambda column, value: column.remove_one(value),
+            lambda column, value: column.update(value, 55),
+            lambda column, value: column.bulk_delete([value]),
+        ],
+        ids=["delete", "remove_one", "update", "bulk_delete"],
+    )
+    def test_every_scalar_and_bulk_removal(self, remove):
+        for victim in self.VICTIMS.values():
+            column = self.build()
+            remove(column, victim)
+            self.assert_exact(column)
+            # The last value of a partition: it keeps its stale extremes
+            # (nothing reads them) and the others stay exact.
+            remove(column, 200)
+            self.assert_exact(column)
+
+    def test_bulk_delete_groups_mixing_extremes_and_interior(self):
+        for batch in ([110, 120], [100, 110], [110, 130], [130, 130], [0, 40, 200],
+                      [100, 110, 120, 130, 130], [10, 20, 999]):
+            column = self.build()
+            column.bulk_delete(batch)
+            self.assert_exact(column)
+        # Few victims in a large partition take the per-value scan branch.
+        for victim in (0, 17, 39):
+            column = PartitionedColumn(np.arange(40), [40], block_values=4)
+            column.bulk_delete([victim])
+            self.assert_exact(column)
 
 
 class TestColumnBulkDelete:
