@@ -5,8 +5,9 @@ Two gates on the observation/reorganization spine, emitted together to
 
 1. **Monitor overhead** -- with a workload monitor attached, the batched
    Fig. 12-style read smoke must regress < 5% vs. monitor-off.  The
-   engine's batch-native ``AccessLog`` -> ``observe_batch`` pipeline (one
-   vectorized attribution pass per kind) replaces what used to be one
+   engine's batch-native ``CallLog`` -> ``observe_batch`` pipeline (the
+   per-call log the WAL also reads, flushed once per call, one vectorized
+   attribution pass per kind) replaces what used to be one
    Python ``observe`` call per operation on exactly the hot path the batch
    executor vectorizes.
 

@@ -271,10 +271,11 @@ class Database:
         )
         config = _durability_config(durability)
         if config is not None:
-            # Planner-built chunks have no serializable LayoutSpec; the
-            # manifest records ``layout_spec: null`` and recovery falls
-            # back to the sorted builder (Database.open accepts an
-            # explicit ``chunk_builder`` to restore a planned layout).
+            # Planner-built chunks have no serializable LayoutSpec: the
+            # manifest records ``layout_spec: null`` and the chunks recover
+            # under the sorted builder, a documented divergence that
+            # layout-preserving snapshots would retire (ROADMAP, the
+            # durable path's item (b)).
             database._attach_durability(config, layout_spec=None)
         return database
 
@@ -283,7 +284,6 @@ class Database:
         cls,
         durability: "str | os.PathLike | DurabilityConfig",
         *,
-        chunk_builder=None,
         constants: CostConstants | None = None,
         monitor: WorkloadMonitor | bool | None = None,
         enable_transactions: bool = False,
@@ -298,28 +298,18 @@ class Database:
         renumbered by recovery; the logical row multiset is preserved.
         """
         config = _durability_config(durability)
-        table, report = recover(config.root, chunk_builder=chunk_builder)
+        table, report = recover(config.root)
         database = cls(
             table,
             constants=constants,
             monitor=monitor,
             enable_transactions=enable_transactions,
         )
+        # The stored manifest metadata (layout spec included) carries over
+        # to the snapshots this incarnation will take.
         manager = DurabilityManager(
-            config,
-            meta={
-                "chunk_size": table.chunk_size,
-                "block_values": table.block_values,
-                "payload_names": list(table.payload_names),
-                "layout_spec": None,
-            },
-            next_lsn=report.last_lsn + 1,
+            config, meta=report.meta, next_lsn=report.last_lsn + 1
         )
-        # Preserve the stored manifest metadata (including the layout
-        # spec) for the snapshots this incarnation will take.
-        from ..durability.snapshot import load_snapshot
-
-        manager.meta = dict(load_snapshot(report.snapshot_path).meta)
         database.durability = manager
         database.engine.attach_durability(manager)
         database.recovery = report
@@ -332,7 +322,6 @@ class Database:
         *,
         primary=None,
         follower_id: str | None = None,
-        chunk_builder=None,
         constants: CostConstants | None = None,
         poll_interval: float = 0.02,
         start: bool = True,
@@ -362,7 +351,6 @@ class Database:
             root,
             primary=primary,
             follower_id=follower_id,
-            chunk_builder=chunk_builder,
             poll_interval=poll_interval,
         )
         if catch_up:

@@ -13,17 +13,20 @@ loop itself is driven by :class:`~repro.api.reorganizer.Reorganizer`).  No
 operation object is built on the way: the Frequency Model is a function of
 those three columns.
 
-Observation is *batch-native* and has one way in: the engine appends one
-compact :class:`~repro.storage.access_log.AccessRecord` per dispatched run
-(kind, key/bound arrays) to an :class:`~repro.storage.access_log.AccessLog`
-and :meth:`observe_batch` gathers the log's records by kind and attributes
-each kind's whole key array with a single ``searchsorted`` pass against the
+Observation is *batch-native* and has one way in: the monitor reads the
+same per-call log the WAL encodes.  The engine records one
+:class:`~repro.storage.access_log.LogRecord` per dispatched run (kind,
+key/bound arrays) into the call's
+:class:`~repro.storage.access_log.CallLog`, and when the call's scope closes
+:meth:`observe_batch` gathers the log's records by kind -- skipping the
+cross-shard move markers, which are WAL bookkeeping -- and attributes each
+kind's whole key array with a single ``searchsorted`` pass against the
 table's chunk fences, bulk-updating the count matrix (one ``np.bincount``
 per kind) and, once per log, the bounded ring-buffer samples in
 *submission* order (records carry their operations' batch positions when
 the engine dispatched groups out of order) -- no per-operation Python on
 the hot path, and no simulated accesses charged (monitoring is bookkeeping,
-not storage work).  A serial dispatch outside a batch, the per-operation
+not storage work).  A dispatch outside a batch, the per-operation
 :meth:`observe` and the offline :meth:`observe_workload` seeding all hand
 :meth:`observe_batch` a log (of one record, for the first two), so engine
 dispatch and baseline seeding cannot drift apart.
@@ -46,9 +49,10 @@ from ..storage.access_log import (
     ATTRIBUTION_KINDS,
     FIRST_CANDIDATE_KINDS,
     KIND_CODES,
+    MOVE_MARKER_KINDS,
     PAIRED_UPDATE_KIND,
     RANGE_KINDS,
-    AccessLog,
+    CallLog,
 )
 from ..storage.column import expand_ranges
 from .frequency_model import SampleColumns
@@ -170,7 +174,7 @@ class WorkloadMonitor:
         # chunk count on first sight (``_counts_for``).
         self._counts = np.zeros((len(ATTRIBUTION_KINDS), 0), dtype=np.int64)
         self._samples: dict[int, RecentSample] = {}
-        # Concurrent sessions flush their per-batch access logs against one
+        # Concurrent sessions flush their per-call logs against one
         # monitor; the re-entrant ingest lock serializes whole-record
         # ingestion, so count updates never lose a racing increment and a
         # ring-buffer window is only ever extended by one record at a time
@@ -200,11 +204,12 @@ class WorkloadMonitor:
             sample = self._samples[chunk_index] = RecentSample(self.sample_limit)
         return sample
 
-    def observe_batch(self, table, log: AccessLog) -> None:
+    def observe_batch(self, table, log: CallLog) -> None:
         """Attribute every record of ``log``, one vectorized pass per kind.
 
         The records' keys are gathered by kind code (a paired update record
-        is its sources and its targets) and each kind attributed once
+        is its sources and its targets; move markers are skipped) and each
+        kind attributed once
         (:meth:`_attribute`): attribution is a function of the kind, the
         bounds and the sample sequence number of each operation, not of the
         record that carried it.
@@ -218,9 +223,9 @@ class WorkloadMonitor:
         gathered: dict[int, list[tuple]] = {}
         following = 0
         for record in log.records:
-            lows = record.lows
+            lows = record.keys
             size = int(lows.shape[0])
-            if size == 0:
+            if size == 0 or record.kind in MOVE_MARKER_KINDS:
                 continue
             if record.positions is None:
                 sequence = np.arange(following, following + size, dtype=np.int64)
@@ -328,7 +333,7 @@ class WorkloadMonitor:
         bound of a range kind, and ignored otherwise)."""
         if kind not in KIND_CODES:
             raise ValueError(f"unknown attribution kind: {kind!r}")
-        log = AccessLog()
+        log = CallLog()
         log.record(kind, (low,), None if high is None else (high,))
         self.observe_batch(table, log)
 
@@ -336,13 +341,13 @@ class WorkloadMonitor:
         """Attribute every operation of ``workload`` as the engine would.
 
         Records each operation's own attribution
-        (:mod:`repro.workload.operations`) -- the access record the
-        engine's dispatch methods append for it, ``Multi*`` batch forms and
+        (:mod:`repro.workload.operations`) -- the record the engine's
+        dispatch methods append for it, ``Multi*`` batch forms and
         paired updates included -- and ingests the log through
         :meth:`observe_batch`.  Useful for seeding baseline
         chunk mixes from an offline training sample without executing it.
         """
-        log = AccessLog()
+        log = CallLog()
         for operation in workload:
             log.record(*operation.attribution())
         self.observe_batch(table, log)

@@ -8,9 +8,9 @@ One :class:`DurabilityManager` owns a log directory::
 
 and exposes the three verbs the engine needs:
 
-* ``append(delta_log)`` -- encode one commit scope's deltas as the next
-  WAL record.  Callers hold :attr:`commit_lock` (order name
-  ``wal_commit``, declared *outside* the chunk latches in
+* ``append(call_log)`` -- encode the write records of one commit scope's
+  per-call log as the next WAL record.  Callers hold :attr:`commit_lock`
+  (order name ``wal_commit``, declared *outside* the chunk latches in
   :data:`repro.discipline.LOCK_ORDER`) across **apply + append**, which is
   the invariant the whole design rests on: a checkpoint takes the same
   lock, so a snapshot can never capture table state whose deltas are not
@@ -59,7 +59,7 @@ from .snapshot import (
 from .wal import WalWriter, encode_delta_log, segment_first_lsn, segment_name
 
 if TYPE_CHECKING:
-    from ..storage.access_log import DeltaLog
+    from ..storage.access_log import CallLog
     from ..storage.table import Table
 
 #: Valid fsync policies, strongest first.
@@ -224,8 +224,8 @@ class DurabilityManager:
     # -- commit path ---------------------------------------------------- #
 
     @requires_lock("wal_commit")
-    def append(self, deltas: "DeltaLog") -> int:
-        """Encode one commit scope's deltas as the next WAL record.
+    def append(self, deltas: "CallLog") -> int:
+        """Encode one commit scope's write records as the next WAL record.
 
         Returns the record's LSN.  On persistent I/O failure the writer
         shuts down and the manager degrades to read-only; the in-memory

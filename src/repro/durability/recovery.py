@@ -6,10 +6,14 @@ log directory:
 1. load the newest snapshot that passes CRC validation (falling back to
    older ones -- a corrupt snapshot costs replay length, not data);
 2. rebuild the table from the concatenated chunk rows, using the layout
-   spec recorded in the manifest (or a caller-supplied chunk builder);
+   spec recorded in the manifest (a table whose chunks a planner built
+   records none and recovers under the sorted builder);
 3. scan every WAL segment in LSN order, truncate a CRC-rejected torn
-   tail off the *last* segment, and replay each record with
-   ``lsn > snapshot lsn`` through the table's bulk-write paths.
+   tail off the *last* segment, decode each record with
+   ``lsn > snapshot lsn`` into the engine's per-call log type
+   (:class:`~repro.storage.access_log.CallLog`, the same records the
+   live write path logged) and replay it through the table's bulk-write
+   paths.
 
 Replay is **idempotent below the watermark**: records at or below the
 snapshot LSN are skipped, so replaying a prefix twice is a no-op past the
@@ -39,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..storage.access_log import MOVE_MARKER_KINDS
+from ..storage.access_log import MOVE_MARKER_KINDS, CallLog
 from ..storage.layouts import LayoutKind, LayoutSpec
 from ..storage.table import Table, layout_chunk_builder
 from .errors import RecoveryError, WalCorruptionError
@@ -58,6 +62,9 @@ class RecoveryReport:
     truncated_bytes: int
     snapshot_path: Path
     segments_scanned: int
+    #: The recovered snapshot's manifest metadata (chunk size, payload
+    #: names, layout spec), for the snapshots a reopened database takes.
+    meta: dict
 
 
 def meta_to_spec(meta: dict) -> LayoutSpec | None:
@@ -92,15 +99,11 @@ def spec_to_meta(spec: LayoutSpec | None) -> dict | None:
     }
 
 
-def table_from_snapshot(
-    snapshot: LoadedSnapshot, *, chunk_builder=None
-) -> Table:
+def table_from_snapshot(snapshot: LoadedSnapshot) -> Table:
     """Rebuild a table from a loaded snapshot's rows and metadata."""
     meta = snapshot.meta
-    if chunk_builder is None:
-        spec = meta_to_spec(meta)
-        if spec is not None:
-            chunk_builder = layout_chunk_builder(spec)
+    spec = meta_to_spec(meta)
+    chunk_builder = layout_chunk_builder(spec) if spec is not None else None
     payload_names = meta.get("payload_names") or None
     width = len(payload_names) if payload_names else 0
     payload = snapshot.payload
@@ -119,8 +122,8 @@ def table_from_snapshot(
     )
 
 
-def apply_delta_log(table: Table, deltas) -> int:
-    """Apply one decoded delta log through the bulk-write paths; returns
+def apply_delta_log(table: Table, deltas: CallLog) -> int:
+    """Apply one decoded call log through the bulk-write paths; returns
     the number of operations applied.  Never touches the WAL -- replay
     must not re-log what it replays.  Move-protocol markers
     (``move_intent`` / ``move_commit`` / ``move_forget``) mutate nothing:
@@ -134,7 +137,7 @@ def apply_delta_log(table: Table, deltas) -> int:
         elif record.kind == "delete":
             table.bulk_delete(record.keys)
         elif record.kind == "update":
-            pairs = np.stack([record.keys, record.new_keys], axis=1)
+            pairs = np.stack([record.keys, record.highs], axis=1)
             table.bulk_update(pairs)
         elif record.kind not in MOVE_MARKER_KINDS:
             raise RecoveryError(f"unreplayable delta kind {record.kind!r}")
@@ -171,9 +174,7 @@ def replay(
     return batches, operations, last
 
 
-def recover(
-    root: str | Path, *, chunk_builder=None
-) -> tuple[Table, RecoveryReport]:
+def recover(root: str | Path) -> tuple[Table, RecoveryReport]:
     """Rebuild the table stored under log directory ``root``."""
     root = Path(root)
     snapshot = load_latest_snapshot(root / "snapshots")
@@ -181,7 +182,7 @@ def recover(
         raise RecoveryError(
             f"no intact snapshot under {root / 'snapshots'}; cannot recover"
         )
-    table = table_from_snapshot(snapshot, chunk_builder=chunk_builder)
+    table = table_from_snapshot(snapshot)
     segments = sorted((root / "wal").glob("wal-*.log"), key=segment_first_lsn)
     batches = operations = truncated = 0
     last = snapshot.lsn
@@ -205,5 +206,6 @@ def recover(
         truncated_bytes=truncated,
         snapshot_path=snapshot.path,
         segments_scanned=len(segments),
+        meta=dict(snapshot.meta),
     )
     return table, report

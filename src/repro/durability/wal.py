@@ -1,18 +1,21 @@
 """LSN-prefixed, checksummed write-ahead log of batch deltas.
 
-One WAL *record* is one durable commit scope -- the whole delta log of an
-``execute_batch`` call (or one serial write) -- framed as::
+One WAL *record* is one durable commit scope -- the write records of the
+per-call :class:`~repro.storage.access_log.CallLog` of an
+``execute_batch`` call (or one serial write), the same log the workload
+monitor reads -- framed as::
 
     +--------+----------+---------+------------------+
     | lsn u64| length u32| crc u32 | body (length B)  |
     +--------+----------+---------+------------------+
 
-with ``crc = crc32(lsn || length || body)``.  The body packs the scope's
-:class:`~repro.storage.access_log.DeltaRecord` list: a ``u32`` record
-count (high bit = the scope was one atomic transaction commit), then per
-record a ``u8`` kind code, a ``u32`` run length and the key / payload /
-target-key arrays as little-endian ``int64`` bytes.  No pickle anywhere:
-a corrupted log can at worst fail a CRC, never execute.
+with ``crc = crc32(lsn || length || body)``.  The body packs the log's
+write and move-marker records (reads never reach the WAL): a ``u32``
+record count (high bit = the scope was one atomic transaction commit),
+then per record a ``u8`` kind code, a ``u32`` run length and the key /
+payload / target-key arrays as little-endian ``int64`` bytes.  Decoding
+gives the same record type back.  No pickle anywhere: a corrupted log can
+at worst fail a CRC, never execute.
 
 A segment file starts with the 8-byte magic ``RPROWAL1`` and is named
 ``wal-<first lsn>.log``; the manager rotates to a fresh segment at every
@@ -50,7 +53,7 @@ import numpy as np
 from repro import discipline
 from repro.discipline import guarded_class, requires_lock
 
-from ..storage.access_log import DELTA_KIND_CODES, DELTA_KINDS, DeltaLog, DeltaRecord
+from ..storage.access_log import DELTA_KIND_CODES, DELTA_KINDS, CallLog, LogRecord
 from .errors import WalCorruptionError, WalUnavailableError
 from .faults import FaultInjector, InjectedCrash, retry_io
 
@@ -93,27 +96,27 @@ def segment_first_lsn(path: str | os.PathLike) -> int:
 # --------------------------------------------------------------------- #
 
 
-def encode_delta_log(log: DeltaLog) -> bytes:
-    """Pack a delta log into one WAL record body."""
-    count = len(log.records)
+def encode_delta_log(log: CallLog) -> bytes:
+    """Pack the write and marker records of a call log into one WAL
+    record body (its read records are skipped)."""
+    records = [record for record in log.records if record.kind in DELTA_KIND_CODES]
+    count = len(records)
     if log.atomic:
         count |= _ATOMIC_FLAG
     parts = [_COUNT.pack(count)]
-    for record in log.records:
+    for record in records:
         code = DELTA_KIND_CODES[record.kind]
+        n = int(record.keys.shape[0])
         if record.kind in ("insert", "move_intent"):
-            n = int(record.keys.shape[0])
             width = int(record.payloads.shape[1])
             parts.append(_RECORD.pack(code, n, width))
             parts.append(record.keys.astype("<i8", copy=False).tobytes())
             parts.append(record.payloads.astype("<i8", copy=False).tobytes())
         elif record.kind == "update":
-            n = int(record.keys.shape[0])
             parts.append(_RECORD.pack(code, n, 0))
             parts.append(record.keys.astype("<i8", copy=False).tobytes())
-            parts.append(record.new_keys.astype("<i8", copy=False).tobytes())
+            parts.append(record.highs.astype("<i8", copy=False).tobytes())
         else:  # "delete", "move_commit", "move_forget": bare key arrays
-            n = int(record.keys.shape[0])
             parts.append(_RECORD.pack(code, n, 0))
             parts.append(record.keys.astype("<i8", copy=False).tobytes())
     return b"".join(parts)
@@ -128,7 +131,7 @@ def _take(body: bytes, offset: int, count: int) -> tuple[np.ndarray, int]:
     ), end
 
 
-def decode_delta_log(body: bytes) -> DeltaLog:
+def decode_delta_log(body: bytes) -> CallLog:
     """Unpack one WAL record body (inverse of :func:`encode_delta_log`).
 
     Raises :class:`WalCorruptionError` on structural mismatch; in practice
@@ -141,7 +144,7 @@ def decode_delta_log(body: bytes) -> DeltaLog:
     atomic = bool(count & _ATOMIC_FLAG)
     count &= ~_ATOMIC_FLAG
     offset = _COUNT.size
-    log = DeltaLog(atomic=atomic)
+    log = CallLog(atomic=atomic)
     for _ in range(count):
         if offset + _RECORD.size > len(body):
             raise WalCorruptionError("delta body shorter than its record headers")
@@ -151,28 +154,17 @@ def decode_delta_log(body: bytes) -> DeltaLog:
             raise WalCorruptionError(f"unknown delta kind code {code}")
         kind = DELTA_KINDS[code]
         keys, offset = _take(body, offset, n)
+        highs = payloads = None
         if kind == "insert":
             flat, offset = _take(body, offset, n * width)
-            log.records.append(
-                DeltaRecord(
-                    kind="insert", keys=keys, payloads=flat.reshape(n, width)
-                )
-            )
+            payloads = flat.reshape(n, width)
         elif kind == "move_intent":
             # One payload row however many protocol keys the marker holds.
             flat, offset = _take(body, offset, width)
-            log.records.append(
-                DeltaRecord(
-                    kind="move_intent", keys=keys, payloads=flat.reshape(1, width)
-                )
-            )
+            payloads = flat.reshape(1, width)
         elif kind == "update":
-            new_keys, offset = _take(body, offset, n)
-            log.records.append(
-                DeltaRecord(kind="update", keys=keys, new_keys=new_keys)
-            )
-        else:  # "delete", "move_commit", "move_forget"
-            log.records.append(DeltaRecord(kind=kind, keys=keys))
+            highs, offset = _take(body, offset, n)
+        log.records.append(LogRecord(kind, keys, highs, payloads))
     if offset != len(body):
         raise WalCorruptionError("delta body has trailing bytes")
     return log

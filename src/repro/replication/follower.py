@@ -16,6 +16,8 @@ directory:
    each record through the same bulk-write paths recovery uses
    (:func:`apply_delta_log`) and handing off to the successor segment
    when a checkpoint rotation leaves the current one cleanly consumed.
+   A rotated segment whose tail is still torn after one re-scan is lost
+   history: :class:`ReplicationError`, never a silent stop.
 
 The one rule that makes this safe against *any* primary crash is the
 durable gate: a record is applied only once its LSN is at or below the
@@ -91,9 +93,6 @@ class Follower:
         offline tailing only; see the module docstring.
     follower_id:
         Stable name for the retention pin; generated when omitted.
-    chunk_builder:
-        Optional chunk builder for the replica table (defaults to the
-        layout spec recorded in the snapshot manifest).
     poll_interval:
         Idle sleep between polls of the background thread.
     """
@@ -104,7 +103,6 @@ class Follower:
         *,
         primary=None,
         follower_id: str | None = None,
-        chunk_builder=None,
         poll_interval: float = 0.02,
     ) -> None:
         self.root = Path(root)
@@ -117,9 +115,7 @@ class Follower:
                 f"no intact snapshot under {self.root / 'snapshots'}; "
                 "a follower bootstraps from the primary's baseline snapshot"
             )
-        self.table: "Table" = table_from_snapshot(
-            snapshot, chunk_builder=chunk_builder
-        )
+        self.table: "Table" = table_from_snapshot(snapshot)
         self.snapshot_lsn = snapshot.lsn
         self._apply_lock = discipline.make_lock("replica_apply")
         self._cursor = ReplicationCursor()
@@ -224,6 +220,7 @@ class Follower:
         """Apply records up to ``limit`` (``None`` = everything valid)."""
         batches = 0
         relocations = 0
+        rescanned = False
         while True:
             if limit is not None and self._applied_lsn >= limit:
                 break
@@ -257,11 +254,23 @@ class Follower:
                 continue
             if scan.tail_status == "clean" and self._handoff():
                 continue
+            if scan.tail_status != "clean" and self._rotated():
+                # The writer closed this segment, so its bytes are final:
+                # one re-scan covers a scan that raced its last append, and
+                # a torn tail that survives it is lost history -- the rule
+                # recovery applies (only the final segment may be torn).
+                if not rescanned:
+                    rescanned = True
+                    continue
+                raise ReplicationError(
+                    f"rotated segment {cursor.segment.name} has a "
+                    f"{scan.tail_status} tail mid-history; replication "
+                    "cannot continue"
+                )
             # "short"/"corrupt" tails on the live segment repair themselves
             # (more bytes / the writer's reopen truncation); a clean tail
             # with no successor means we are simply caught up.  Either way
             # this round is done.
-            self._check_tail(scan)
             break
         return batches
 
@@ -347,16 +356,12 @@ class Follower:
         return False
 
     @requires_lock("replica_apply")
-    def _check_tail(self, scan) -> None:
-        """A torn tail is legal only on the live (last) segment, where the
-        writer's reopen truncation can still repair it."""
-        if scan.tail_status == "corrupt":
-            segments = self._segments()
-            if segments and self._cursor.segment != segments[-1]:
-                raise ReplicationError(
-                    f"rotated segment {self._cursor.segment.name} has a "
-                    "corrupt tail mid-history; replication cannot continue"
-                )
+    def _rotated(self) -> bool:
+        """Whether the cursor's segment has a successor: a torn tail is
+        legal only on the live (last) segment, where the writer's reopen
+        truncation can still repair it."""
+        segments = self._segments()
+        return bool(segments) and self._cursor.segment != segments[-1]
 
     def _segments(self) -> list[Path]:
         return sorted(self.wal_dir.glob("wal-*.log"), key=segment_first_lsn)

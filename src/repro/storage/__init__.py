@@ -9,8 +9,8 @@ the block-access cost accounting used as the simulated-latency metric.
 
 from .access_log import (
     ATTRIBUTION_KINDS,
-    AccessLog,
-    AccessRecord,
+    CallLog,
+    LogRecord,
 )
 from .column import (
     PartitionedColumn,
@@ -73,9 +73,8 @@ from .table import Row, Table, layout_chunk_builder, require_key
 __all__ = [
     "ATTRIBUTION_KINDS",
     "AccessCounter",
-    "AccessLog",
-    "AccessRecord",
     "BatchResult",
+    "CallLog",
     "CACHE_LINE_BYTES",
     "RANDOM_ACCESS_NS",
     "SEQUENTIAL_LINE_NS",
@@ -99,6 +98,7 @@ __all__ = [
     "LayoutError",
     "LayoutKind",
     "LayoutSpec",
+    "LogRecord",
     "OperationCost",
     "SimulatedCost",
     "OperationResult",

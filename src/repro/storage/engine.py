@@ -15,25 +15,26 @@ search (count / sum), insert, delete, update -- together with:
   ``wal_commit`` lock held across [table apply + WAL append] -- so the
   write-ahead log records exactly the deltas the in-memory state absorbed,
   in the order it absorbed them, before results are returned.  Read-only
-  dispatches never touch the commit lock.  There is one scope
-  (:meth:`StorageEngine._commit_scope`), re-entrant per thread: a write
-  batch or an MVCC transaction commit opens it and the write methods
-  dispatched inside join it, so everything they apply lands as one WAL
-  record -- for a transaction **one atomic record** (the body's atomic
-  flag set), which recovery and followers replay whole or not at all;
-  aborted transactions log nothing.
+  dispatches never touch the commit lock.
 
-Every write therefore reaches both per-call logs one way: the write method
-that applies it appends its access record for the monitor (:meth:`_record`)
-and its delta for the WAL (the scope's :class:`DeltaLog`), whether it was
-called directly, from a batch or from a transaction's buffered intents.
+There is one scope (:meth:`StorageEngine._commit_scope`), re-entrant per
+thread, and one per-call log (:class:`~repro.storage.access_log.CallLog`).
+A batch, an MVCC transaction commit or a dispatch on its own opens the
+scope; the dispatch methods run inside join it, and each records its
+submitted keys once, as one record, when it returns.  When the outermost
+scope closes, the write and marker records go to the WAL as one record --
+for a transaction **one atomic record** (the body's atomic flag set), which
+recovery and followers replay whole or not at all; aborted transactions log
+nothing -- and the whole log goes to the workload monitor.  Every write
+therefore reaches both consumers one way, whether it was called directly,
+from a batch or from a transaction's buffered intents.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
@@ -48,7 +49,7 @@ import numpy as np
 from repro import discipline
 from repro.discipline import guarded_class
 
-from .access_log import PAIRED_UPDATE_KIND, AccessLog, DeltaLog
+from .access_log import DELTA_KIND_CODES, CallLog
 from .cost_accounting import (
     DEFAULT_COST_CONSTANTS,
     AccessCounter,
@@ -225,16 +226,13 @@ class StorageEngine:
         #: Optional :class:`repro.core.monitor.WorkloadMonitor` observing the
         #: per-chunk operation mix for online reorganization (Fig. 10 A->C).
         self.monitor = monitor
-        # Batch-scoped access log, *per thread*: while ``execute_batch``
-        # runs, dispatch methods append their records to the calling
-        # thread's log and the whole log is flushed to the monitor once per
-        # batch; outside a batch each dispatch flushes its single record
-        # immediately.  Thread-local storage keeps concurrent sessions'
-        # batches from interleaving records in one shared log -- each
-        # session accumulates its own log and the monitor merges them at
-        # flush time (``observe_batch`` serializes ingestion internally).
-        # The open commit scope's delta log lives here too.
-        self._batch_local = threading.local()
+        # The open commit scope's call log, *per thread*: dispatch methods
+        # append their records to the calling thread's log, so concurrent
+        # sessions never interleave records in one shared log -- the
+        # monitor merges their logs at flush time (``observe_batch``
+        # serializes ingestion internally) and the commit lock orders
+        # their WAL records.
+        self._local = threading.local()
         #: Optional :class:`repro.durability.manager.DurabilityManager`;
         #: attach through :meth:`attach_durability`, not by assignment.
         self.durability: "DurabilityManager | None" = None
@@ -247,71 +245,101 @@ class StorageEngine:
         """
         self.durability = manager
 
-    @property
-    def _batch_log(self) -> AccessLog | None:
-        return getattr(self._batch_local, "log", None)
-
-    @_batch_log.setter
-    def _batch_log(self, log: AccessLog | None) -> None:
-        self._batch_local.log = log
-
     @contextmanager
-    def _commit_scope(self, *, atomic: bool = False) -> Iterator[DeltaLog | None]:
-        """The durable commit scope: the only code that takes the commit
-        lock, appends to the WAL and runs the fsync policy.
+    def _commit_scope(
+        self, *, atomic: bool = False, writes: bool = True
+    ) -> Iterator[CallLog | None]:
+        """The one per-call scope: the only code that opens a
+        :class:`CallLog`, takes the commit lock, appends to the WAL, runs
+        the fsync policy and hands records to the monitor.
 
-        Yields the :class:`DeltaLog` the writes inside must record their
-        applied deltas into, or ``None`` when no durability manager is
-        attached (writes stay memory-only, exactly the pre-durability
-        behavior).  The scope is re-entrant per thread: the outermost one
-        (a write batch, a transaction commit -- ``atomic`` -- or a serial
-        write on its own) holds the commit lock across [applies + append]
-        and lands everything recorded inside as **one WAL record**; a write
-        dispatched inside an open scope joins it through the thread-local
-        and logs into the same record.  The append sits in ``finally``:
-        when the body dies part-way, the already-applied prefix must still
-        reach the log, or every later record would replay onto diverged
-        state.  (An append failure there masks the body's exception -- both
-        are fatal to the scope, and the WAL error is the one recovery
-        semantics depend on.)  The fsync policy runs *outside* the lock, so
-        group commit can coalesce concurrent committers' fsyncs, and only
-        when the scope completed and appended; the appended LSN is left on
-        ``deltas.lsn``.
+        Re-entrant per thread: the outermost scope (a batch, a transaction
+        commit -- ``atomic`` -- or a dispatch on its own) owns the call's
+        log, and a dispatch inside an open scope joins it through the
+        thread-local and records into the same log.  The outermost scope
+        yields ``None`` when nobody will read the log: no monitor, and no
+        durability manager or no ``writes`` (a read-only batch).
+
+        With durability attached and ``writes`` set, the scope checks
+        ``require_writable()`` and holds the commit lock across [applies +
+        append], landing the log's write and marker records as **one WAL
+        record**, if there are any, with its LSN left on ``log.lsn``.  The
+        append sits in ``finally``: when the body dies part-way, the
+        already-applied prefix must still reach the log, or every later
+        record would replay onto diverged state.  (An append failure there
+        masks the body's exception -- both are fatal to the scope, and the
+        WAL error is the one recovery semantics depend on.)  After the lock
+        is released the whole log goes to the monitor, on every exit; the
+        fsync policy runs last, outside the lock so group commit can
+        coalesce concurrent committers' fsyncs, and only when the body
+        completed and a record was appended.
         """
-        durability = self.durability
-        if durability is None:
-            yield None
+        local = self._local
+        log = getattr(local, "log", None)
+        if log is not None or not self._log_is_read(writes):
+            yield log
             return
-        local = self._batch_local
-        active = getattr(local, "deltas", None)
-        if active is not None:
-            yield active
-            return
-        durability.require_writable()
-        deltas = DeltaLog(atomic=atomic)
-        with durability.commit_lock:
-            local.deltas = deltas
-            try:
-                yield deltas
-            finally:
-                local.deltas = None
-                if deltas.records:
-                    deltas.lsn = durability.append(deltas)
-        if deltas.lsn is not None:
+        durability = self.durability if writes else None
+        monitor = self.monitor
+        if durability is not None:
+            durability.require_writable()
+        log = local.log = CallLog(atomic=atomic)
+        completed = False
+        try:
+            with nullcontext() if durability is None else durability.commit_lock:
+                try:
+                    yield log
+                finally:
+                    if durability is not None and any(
+                        record.kind in DELTA_KIND_CODES for record in log.records
+                    ):
+                        log.lsn = durability.append(log)
+            completed = True
+        finally:
+            local.log = None
+            if monitor is not None and log.records:
+                monitor.observe_batch(self.table, log)
+        if completed and log.lsn is not None:
             durability.sync_for_policy()
 
-    def _record(self, kind: str, lows, highs=None) -> None:
-        """Append one access record for the monitor (no-op when detached):
-        to the open batch log, or as a log of its own."""
-        if self.monitor is None:
-            return
-        log = self._batch_log
-        if log is not None:
-            log.record(kind, lows, highs)
-            return
-        log = AccessLog()
-        log.record(kind, lows, highs)
-        self.monitor.observe_batch(self.table, log)
+    def _log_is_read(self, writes: bool) -> bool:
+        """Whether a scope's log has a reader: the monitor reads every log,
+        the WAL the log of a scope that ``writes``."""
+        return self.monitor is not None or (writes and self.durability is not None)
+
+    def _dispatch(
+        self, kind: str, func, args: tuple, keys, highs=None, payloads=None
+    ) -> OperationResult:
+        """Measure ``func(*args)`` as ``kind`` and record the submitted
+        ``keys`` (with ``highs`` / ``payloads``) into the call's log once
+        it returns, as one record whose kind is ``kind`` without its
+        ``multi_`` prefix (a write kind when it is one the WAL stores).
+
+        A dispatch outside any scope opens one when its log has a reader.
+        A miss (:class:`ValueNotFoundError`) mutates nothing and replays as
+        a no-op: it is recorded like a hit and re-raised after the scope
+        closes, so the scope still appends and syncs.  Any other error
+        records nothing.
+        """
+        record = kind.removeprefix("multi_")
+        log = getattr(self._local, "log", None)
+        if log is None:
+            writes = record in DELTA_KIND_CODES
+            if not self._log_is_read(writes):
+                return self._measure(kind, func, *args)
+            with self._commit_scope(writes=writes):
+                try:
+                    return self._dispatch(kind, func, args, keys, highs, payloads)
+                except ValueNotFoundError as error:
+                    missed = error
+            raise missed
+        try:
+            outcome = self._measure(kind, func, *args)
+        except ValueNotFoundError:
+            log.record(record, keys, highs, payloads)
+            raise
+        log.record(record, keys, highs, payloads)
+        return outcome
 
     @property
     def counter(self) -> AccessCounter:
@@ -336,40 +364,41 @@ class StorageEngine:
         self, key: int, columns: Sequence[str] | None = None
     ) -> OperationResult:
         """Q1: fetch the row(s) with the given key."""
-        self._record("point_query", (key,))
-        return self._measure("point_query", self.table.point_query, key, columns)
+        return self._dispatch(
+            "point_query", self.table.point_query, (key, columns), (key,)
+        )
 
     def multi_point_query(
         self, keys: Sequence[int], columns: Sequence[str] | None = None
     ) -> OperationResult:
         """Batched Q1 on the vectorized fast path."""
-        self._record("point_query", keys)
-        return self._measure(
-            "multi_point_query", self.table.multi_point_query, keys, columns
+        return self._dispatch(
+            "multi_point_query", self.table.multi_point_query, (keys, columns), keys
         )
 
     def range_count(self, low: int, high: int) -> OperationResult:
         """Q2: count rows with key in ``[low, high]``."""
-        self._record("range_count", (low,), (high,))
-        return self._measure("range_count", self.table.range_count, low, high)
+        return self._dispatch(
+            "range_count", self.table.range_count, (low, high), (low,), (high,)
+        )
 
     def multi_range_count(
         self, bounds: Sequence[tuple[int, int]]
     ) -> OperationResult:
         """Batched Q2 on the vectorized fast path."""
-        if self.monitor is not None:
-            bounds_arr = np.asarray(bounds, dtype=np.int64).reshape(-1, 2)
-            self._record("range_count", bounds_arr[:, 0], bounds_arr[:, 1])
-        return self._measure(
-            "multi_range_count", self.table.multi_range_count, bounds
+        bounds = np.asarray(bounds, dtype=np.int64).reshape(-1, 2)
+        return self._dispatch(
+            "multi_range_count", self.table.multi_range_count, (bounds,),
+            bounds[:, 0], bounds[:, 1],
         )
 
     def range_sum(
         self, low: int, high: int, columns: Sequence[str] | None = None
     ) -> OperationResult:
         """Q3: sum payload attributes over rows with key in ``[low, high]``."""
-        self._record("range_sum", (low,), (high,))
-        return self._measure("range_sum", self.table.range_sum, low, high, columns)
+        return self._dispatch(
+            "range_sum", self.table.range_sum, (low, high, columns), (low,), (high,)
+        )
 
     def _delta_payload_rows(
         self, payloads: Sequence[Sequence[int]] | None, count: int
@@ -383,26 +412,21 @@ class StorageEngine:
 
     def insert(self, key: int, payload: Sequence[int] | None = None) -> OperationResult:
         """Q4: insert a new row."""
-        with self._commit_scope() as deltas:
-            self._record("insert", (key,))
-            outcome = self._measure("insert", self.table.insert, key, payload)
-            if deltas is not None:
-                rows = self._delta_payload_rows(
-                    [payload] if payload is not None else None, 1
-                )
-                deltas.record_insert([key], rows)
-        return outcome
+        rows = None
+        if self.durability is not None:
+            rows = [payload] if payload is not None else self._delta_payload_rows(None, 1)
+        return self._dispatch(
+            "insert", self.table.insert, (key, payload), (key,), payloads=rows
+        )
 
     def delete(self, key: int) -> OperationResult:
-        """Q5: delete a row by key."""
-        with self._commit_scope() as deltas:
-            self._record("delete", (key,))
-            outcome = self._measure("delete", self.table.delete, key)
-            # Recorded only after the measured apply: a miss raises
-            # ValueNotFoundError above, mutates nothing and logs nothing.
-            if deltas is not None:
-                deltas.record_delete([key])
-        return outcome
+        """Q5: delete a row by key.
+
+        A miss raises :class:`ValueNotFoundError` and is recorded like a
+        hit, as a batched miss is: with durability attached it is one WAL
+        record (a no-op on replay) and runs the fsync policy.
+        """
+        return self._dispatch("delete", self.table.delete, (key,), (key,))
 
     def multi_insert(
         self,
@@ -410,48 +434,35 @@ class StorageEngine:
         payloads: Sequence[Sequence[int]] | None = None,
     ) -> OperationResult:
         """Batched Q4 on the bulk-write fast path; result is the row ids."""
-        with self._commit_scope() as deltas:
-            self._record("insert", keys)
-            if deltas is not None:
-                # Convert once and share: the table and the delta log would
-                # otherwise each pay the tuple->array conversion.
-                keys = np.asarray(keys, dtype=np.int64)
-                payloads = self._delta_payload_rows(payloads, len(keys))
-            outcome = self._measure(
-                "multi_insert", self.table.bulk_insert, keys, payloads
-            )
-            if deltas is not None:
-                deltas.record_insert(keys, payloads)
-        return outcome
+        rows = None
+        if self.durability is not None:
+            # Convert once and share: the table and the WAL record would
+            # otherwise each pay the tuple->array conversion.
+            keys = np.asarray(keys, dtype=np.int64)
+            payloads = rows = self._delta_payload_rows(payloads, len(keys))
+        return self._dispatch(
+            "multi_insert", self.table.bulk_insert, (keys, payloads), keys,
+            payloads=rows,
+        )
 
     def multi_delete(self, keys: Sequence[int]) -> OperationResult:
         """Batched Q5 on the bulk-write fast path.
 
         The result is the per-key deleted-count array (0 marks a missing
         key; no :class:`ValueNotFoundError` is raised on the bulk path).
+        The submitted keys are recorded, hits and misses alike: replay
+        re-submits them through the same bulk path, and a miss is a no-op
+        on both sides.
         """
-        with self._commit_scope() as deltas:
-            self._record("delete", keys)
-            if deltas is not None:
-                keys = np.asarray(keys, dtype=np.int64)
-            outcome = self._measure("multi_delete", self.table.bulk_delete, keys)
-            # The submitted keys are logged, hits and misses alike: replay
-            # re-submits them through the same bulk path, and a miss is a
-            # no-op on both sides.
-            if deltas is not None:
-                deltas.record_delete(keys)
-        return outcome
+        keys = np.asarray(keys, dtype=np.int64)
+        return self._dispatch("multi_delete", self.table.bulk_delete, (keys,), keys)
 
     def update_key(self, old_key: int, new_key: int) -> OperationResult:
-        """Q6: change a row's key value."""
-        with self._commit_scope() as deltas:
-            self._record(PAIRED_UPDATE_KIND, (old_key,), (new_key,))
-            outcome = self._measure(
-                "update", self.table.update_key, old_key, new_key
-            )
-            if deltas is not None:
-                deltas.record_update([(old_key, new_key)])
-        return outcome
+        """Q6: change a row's key value (a miss is recorded as
+        :meth:`delete` records one)."""
+        return self._dispatch(
+            "update", self.table.update_key, (old_key, new_key), (old_key,), (new_key,)
+        )
 
     def multi_update(
         self, pairs: Sequence[tuple[int, int]]
@@ -464,15 +475,10 @@ class StorageEngine:
         simulated accesses match per-pair :meth:`update_key` dispatch
         exactly.
         """
-        with self._commit_scope() as deltas:
-            if self.monitor is not None or deltas is not None:
-                pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-            if self.monitor is not None:
-                self._record(PAIRED_UPDATE_KIND, pairs[:, 0], pairs[:, 1])
-            outcome = self._measure("multi_update", self.table.bulk_update, pairs)
-            if deltas is not None:
-                deltas.record_update(pairs)
-        return outcome
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        return self._dispatch(
+            "multi_update", self.table.bulk_update, (pairs,), pairs[:, 0], pairs[:, 1]
+        )
 
     def full_scan(self) -> OperationResult:
         """Scan the entire key column."""
@@ -517,7 +523,7 @@ class StorageEngine:
         inside one atomic commit scope: with durability attached, the
         commit lock is held across [conflict check + intent applies + WAL
         append] and the write set lands as **one atomic WAL record**
-        (``DeltaLog(atomic=True)``) before the commit timestamp is
+        (``CallLog(atomic=True)``) before the commit timestamp is
         returned -- so recovery and followers replay the transaction whole
         or not at all.  A conflict abort raises before any intent applies
         and logs nothing; an intent that dies part-way leaves the applied
@@ -557,9 +563,11 @@ class StorageEngine:
         the insert half without the source row.  The operation result is
         ``(found, payload_rows)``: a boolean hit mask aligned with
         ``moves`` and the payload rows of the hits, in order.  Absent
-        keys are misses -- no marker, no delete; a phase of misses logs
-        nothing.  Victims are taken in list order, each the oldest copy
-        of its key (exactly a plain delete's victim).
+        keys are misses: no marker, but the delete run holds every
+        submitted key, hits and misses, as :meth:`multi_delete` records
+        it (a miss replays as a no-op), so a phase of misses appends a
+        record too.  Victims are taken in list order, each the oldest
+        copy of its key (exactly a plain delete's victim).
         """
         moves = np.asarray(moves, dtype=np.int64).reshape(-1, 3)
         keys = moves[:, 1]
@@ -577,16 +585,15 @@ class StorageEngine:
             taken = np.asarray(rows, dtype=np.int64).reshape(len(rows), width)
             return found, taken
 
-        with self._commit_scope() as deltas:
-            self._record("delete", keys)
+        with self._commit_scope() as log:
             outcome = self._measure("multi_take", take_rows)
-            found, rows = outcome.result
-            if deltas is not None and found.any():
+            if log is not None:
+                found, rows = outcome.result
                 for (move_id, old_key, new_key), row in zip(
                     moves[found].tolist(), rows, strict=True
                 ):
-                    deltas.record_move_intent(move_id, old_key, new_key, row)
-                deltas.record_delete(keys[found])
+                    log.record_move_intent(move_id, old_key, new_key, row)
+                log.record("delete", keys)
         return outcome
 
     def apply_move_puts(
@@ -603,15 +610,14 @@ class StorageEngine:
         moves = np.asarray(moves, dtype=np.int64).reshape(-1, 2)
         keys = moves[:, 1]
         rows = self._delta_payload_rows(payloads, keys.size)
-        with self._commit_scope() as deltas:
-            self._record("insert", keys)
+        with self._commit_scope() as log:
             outcome = self._measure(
                 "multi_insert", self.table.bulk_insert, keys, rows
             )
-            if deltas is not None:
+            if log is not None:
                 for move_id in moves[:, 0].tolist():
-                    deltas.record_move_commit(move_id)
-                deltas.record_insert(keys, rows)
+                    log.record("move_commit", (move_id,))
+                log.record("insert", keys, payloads=rows)
         return outcome
 
     def log_move_forgets(self, move_ids: Sequence[int]) -> None:
@@ -621,10 +627,10 @@ class StorageEngine:
         Pure WAL bookkeeping -- no table mutation, no-op without
         durability attached.
         """
-        with self._commit_scope() as deltas:
-            if deltas is not None:
+        with self._commit_scope() as log:
+            if log is not None:
                 for move_id in move_ids:
-                    deltas.record_move_forget(int(move_id))
+                    log.record("move_forget", (int(move_id),))
 
     # ------------------------------------------------------------------ #
     # Workload dispatch
@@ -710,58 +716,45 @@ class StorageEngine:
         Statistics are recorded per dispatched operation -- groups under
         the ``multi_*`` kinds, the rest under their own kind.
 
-        With a monitor attached, each dispatched group appends one compact
-        record to a batch-scoped :class:`AccessLog` and the whole log is
-        ingested once per batch (:meth:`WorkloadMonitor.observe_batch`)
-        instead of one monitor call per operation.  Attribution routes by
-        the chunk fences, which no batched write moves, so the deferred
-        flush attributes exactly what per-operation observation would; each
-        record carries its operations' submission positions, so the
-        monitor's bounded samples keep submission order although groups
-        dispatch out of it.
+        The batch runs inside one commit scope (:meth:`_commit_scope`) and
+        each dispatched group appends one record, its submitted keys, to
+        the scope's :class:`CallLog` once it returns -- misses included,
+        a group that raises anything else records nothing.  With a monitor
+        attached the whole log is ingested once per batch
+        (:meth:`WorkloadMonitor.observe_batch`) instead of one monitor call
+        per operation, after the commit lock is released.  Attribution
+        routes by the chunk fences, which no batched write moves, so the
+        deferred flush attributes exactly what per-operation observation
+        would; each record carries its operations' submission positions,
+        so the monitor's bounded samples keep submission order although
+        groups dispatch out of it.
 
-        With durability attached, a batch containing any write runs inside
-        one commit scope (:meth:`_commit_scope`): the manager's commit lock
-        is held across the whole dispatch and the batch's delta log is
-        appended as **one WAL record** before results are returned (group-commit
-        fsync per the configured policy, outside the lock).  The append
-        happens even when a dispatch raises mid-batch -- deltas are
-        recorded per *applied* group, in dispatch order, so the log matches
-        whatever groups the in-memory state absorbed and replays them in
-        the order it absorbed them.  Read-only batches skip the lock
-        entirely; durable write batches from concurrent sessions serialize
-        against each other (and against checkpoints), which is the price
-        of a single gap-free log (per-shard logs are the scale-out path,
-        see ROADMAP).
+        With durability attached, a batch containing any write holds the
+        manager's commit lock across the whole dispatch and appends the
+        log's write records as **one WAL record** before results are
+        returned (group-commit fsync per the configured policy, outside
+        the lock); ``wall_ns`` includes the append and the fsync.  The
+        append happens even when a dispatch raises mid-batch -- records
+        are appended per *applied* group, in dispatch order, so the log
+        matches whatever groups the in-memory state absorbed and replays
+        them in the order it absorbed them.  Read-only batches skip the
+        lock entirely; durable write batches from concurrent sessions
+        serialize against each other (and against checkpoints), which is
+        the price of a single gap-free log (per-shard logs are the
+        scale-out path, see ROADMAP).
         """
         oplist = list(operations)
-        if self.durability is None or not any(op.writes for op in oplist):
-            return self._execute_batch_inner(oplist)
-        with self._commit_scope() as deltas:
-            result = self._execute_batch_inner(oplist)
-        result.lsn = deltas.lsn
-        return result
-
-    def _execute_batch_inner(self, oplist) -> BatchResult:
-        """Monitor-scoped dispatch loop of :meth:`execute_batch`."""
         before = self.counter.snapshot()
         start = time.perf_counter_ns()
-        batch_log = AccessLog() if self.monitor is not None else None
-        self._batch_log = batch_log
-        try:
+        with self._commit_scope(writes=any(op.writes for op in oplist)) as log:
             results, errors, largest_group = self._dispatch_batch(oplist)
-        finally:
-            self._batch_log = None
-            if batch_log is not None and batch_log.records:
-                self.monitor.observe_batch(self.table, batch_log)
-        wall = float(time.perf_counter_ns() - start)
-        accesses = self.counter.diff(before)
         return BatchResult(
             results=results,
-            accesses=accesses,
-            wall_ns=wall,
+            accesses=self.counter.diff(before),
+            wall_ns=float(time.perf_counter_ns() - start),
             operations=len(oplist),
             errors=errors,
+            lsn=None if log is None else log.lsn,
             largest_group=largest_group,
         )
 
@@ -772,7 +765,7 @@ class StorageEngine:
         results: list[Any] = [None] * len(oplist)
         errors = 0
         largest_group = 0
-        log = self._batch_log
+        log = getattr(self._local, "log", None)
         for group_key, positions in plan_batch(oplist):
             if log is not None:
                 # Groups dispatch out of submission order; the monitor

@@ -24,6 +24,7 @@ see the ``concurrency`` marker in ``tests/conftest.py``.
 
 from __future__ import annotations
 
+import itertools
 import threading
 
 import numpy as np
@@ -569,3 +570,53 @@ class TestMonitorUnderConcurrentSessions:
             for chunk in monitor.observed_chunks()
         )
         assert total == NUM_SESSIONS * per_session
+
+    def test_durable_monitored_writers_agree_with_memory(
+        self, tmp_path, tight_switch_interval
+    ):
+        # Both readers of the per-call log under threads: every durable
+        # write call appends its records to the WAL under the commit lock
+        # and hands the same log to the monitor after releasing it.
+        def durable_planned_db() -> Database:
+            training = WorkloadGenerator(
+                make_keys(), domain_low=0, domain_high=2 * NUM_ROWS - 2, seed=3
+            ).generate(INSERT_HEAVY, 1_200)
+            return Database.plan_for(
+                training,
+                make_keys(),
+                chunk_size=CHUNK_SIZE,
+                block_values=BLOCK_VALUES,
+                durability=tmp_path,
+            )
+
+        db = durable_planned_db()
+        oplists = [
+            mixed_ops(i, seed=120 + i, count=160, with_payload=False)
+            for i in range(NUM_SESSIONS)
+        ]
+        # Half the sessions dispatch serially (one scope per operation),
+        # half in batches (one scope per slice).
+        policies = itertools.cycle(
+            [SerialPolicy, lambda: VectorizedPolicy(batch_size=16)]
+        )
+        run_threads(db, oplists, policy_factory=lambda: next(policies)())
+        oracle_db, _ = run_serial_oracle(oplists, db_factory=planned_db)
+
+        def counts(database):
+            monitor = database.monitor
+            return {
+                chunk: monitor.operation_counts(chunk)
+                for chunk in monitor.observed_chunks()
+            }
+
+        # Attribution routes by the chunk fences, which writes never move,
+        # so every interleaving counts exactly what the serial run counts.
+        assert counts(db) == counts(oracle_db)
+        db.check_invariants()
+        expected = np.sort(db.table.keys())
+        assert np.array_equal(expected, np.sort(oracle_db.table.keys()))
+        db.close()
+        reopened = Database.open(tmp_path)
+        assert np.array_equal(np.sort(reopened.table.keys()), expected)
+        reopened.check_invariants()
+        reopened.close()

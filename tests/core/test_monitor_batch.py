@@ -37,7 +37,7 @@ from repro.storage.access_log import (
     FIRST_CANDIDATE_KINDS,
     KIND_CODES,
     RANGE_KINDS,
-    AccessLog,
+    CallLog,
 )
 from repro.storage.engine import StorageEngine
 from repro.storage.errors import ValueNotFoundError
@@ -253,7 +253,7 @@ class TestSingleRecordEquivalence:
         for key in record_keys:
             per_op.observe(table, kind, key)
         batched = WorkloadMonitor(sample_limit=limit)
-        log = AccessLog()
+        log = CallLog()
         log.record(kind, record_keys)
         batched.observe_batch(table, log)
         assert counts_by_chunk(per_op) == counts_by_chunk(batched)
@@ -284,7 +284,7 @@ class TestSingleRecordEquivalence:
         for low, high in record_bounds:
             per_op.observe(table, kind, low, high)
         batched = WorkloadMonitor(sample_limit=limit)
-        log = AccessLog()
+        log = CallLog()
         log.record(
             kind,
             [low for low, _ in record_bounds],
@@ -374,7 +374,7 @@ class TestAttributionReference:
         if positioned:
             slots = data.draw(st.permutations(slots))
 
-        log = AccessLog()
+        log = CallLog()
         reference = []
         for (kind, elements, shared), width in zip(specs, widths, strict=True):
             taken, slots = slots[:width], slots[width:]
@@ -437,7 +437,7 @@ class TestConcurrentFlush:
     def _flush_point_records(monitor, table, keys_per_record, records, barrier):
         barrier.wait(timeout=30.0)
         for record_keys in keys_per_record[:records]:
-            log = AccessLog()
+            log = CallLog()
             log.record("point_query", record_keys)
             monitor.observe_batch(table, log)
 
@@ -533,7 +533,7 @@ class TestConcurrentFlush:
 
         def flush(base: int) -> None:
             barrier.wait(timeout=30.0)
-            log = AccessLog()
+            log = CallLog()
             log.record(
                 "update",
                 [base + i for i in range(pairs)],

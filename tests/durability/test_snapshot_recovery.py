@@ -7,6 +7,7 @@ import pytest
 
 from repro.api.database import Database
 from repro.api.policies import SerialPolicy, VectorizedPolicy
+from repro.durability import snapshot as snapshot_module
 from repro.durability.errors import ReadOnlyError, WalUnavailableError
 from repro.durability.faults import FaultInjector
 from repro.durability.manager import DurabilityConfig
@@ -402,6 +403,58 @@ class TestCommitScope:
         reopened = Database.open(tmp_path)
         assert fingerprint(reopened.table) == expected
         reopened.close()
+
+    def test_serial_miss_is_recorded_like_a_batched_one(self, tmp_path):
+        # Odd keys are absent, so both writes miss.  A serial miss appends
+        # its record and runs the fsync policy, as a batched miss does;
+        # replaying it is a no-op, and the monitor attributes it the same
+        # way on both paths.
+        misses = [Delete(1), Update(3, 1_001)]
+        serial = make_db(tmp_path / "serial", monitor=True)
+        with serial.session(execution=SerialPolicy()) as s:
+            assert s.execute(misses).errors == 2
+        assert delta_kinds(tmp_path / "serial") == [["delete"], ["update"]]
+        assert serial.durability.durable_lsn == 2
+        batched = make_db(tmp_path / "batched", monitor=True)
+        with batched.session(execution=VectorizedPolicy(batch_size=256)) as s:
+            assert s.execute(misses).errors == 2
+        assert delta_kinds(tmp_path / "batched") == [["delete", "update"]]
+        assert observed_counts(serial.monitor) == observed_counts(batched.monitor)
+        assert observed_counts(serial.monitor) == {
+            0: {"delete": 1, "update_source": 1},
+            3: {"update_target": 1},
+        }
+        expected = fingerprint(serial.table)
+        serial.close()
+        batched.close()
+        reopened = Database.open(tmp_path / "serial")
+        assert reopened.recovery.batches_replayed == 2
+        assert fingerprint(reopened.table) == expected
+        reopened.close()
+
+    def test_open_reads_the_recovered_snapshot_once(self, tmp_path, monkeypatch):
+        db = make_db(tmp_path)
+        db.close()
+        loads = []
+        real_load = snapshot_module.load_snapshot
+
+        def counting_load(path):
+            loads.append(path)
+            return real_load(path)
+
+        monkeypatch.setattr(snapshot_module, "load_snapshot", counting_load)
+        reopened = Database.open(tmp_path)
+        assert len(loads) == 1
+        # The manifest metadata still carries over to later snapshots.
+        assert reopened.durability.meta == real_load(loads[0]).meta
+        reopened.close()
+
+
+def observed_counts(monitor):
+    return {
+        chunk: monitor.operation_counts(chunk)
+        for chunk in monitor.observed_chunks()
+    }
 
 
 class TestReadOnlyDegradation:

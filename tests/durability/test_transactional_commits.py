@@ -1,7 +1,7 @@
 """WAL-logged MVCC transaction commits: atomicity, aborts, crash matrix.
 
 A durable commit publishes the transaction's write set as **one atomic
-WAL record** (the ``DeltaLog(atomic=True)`` flag in the count's high
+WAL record** (the ``CallLog(atomic=True)`` flag in the count's high
 bit), so crash recovery replays every committed transaction whole or not
 at all -- never a fragment.  Aborts (explicit or conflict) log nothing.
 
@@ -62,7 +62,7 @@ def canonical_table(table):
 
 
 def wal_records(root):
-    """All decoded ``(lsn, DeltaLog)`` records under ``root``."""
+    """All decoded ``(lsn, CallLog)`` records under ``root``."""
     segments = sorted(
         (Path(root) / "wal").glob("wal-*.log"), key=segment_first_lsn
     )

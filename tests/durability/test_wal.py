@@ -1,5 +1,6 @@
 """WAL unit tests: codec round trips, torn tails, group commit, retries."""
 
+import hashlib
 import os
 import threading
 
@@ -19,7 +20,7 @@ from repro.durability.wal import (
     segment_first_lsn,
     segment_name,
 )
-from repro.storage.access_log import DeltaLog
+from repro.storage.access_log import CallLog
 
 
 #: ``WalWriter.append``'s declared precondition is the ``wal_commit``
@@ -34,10 +35,10 @@ def append(writer, lsn, body):
 
 
 def make_log(width=2):
-    log = DeltaLog()
-    log.record_insert([3, 1, 4], np.arange(3 * width).reshape(3, width))
-    log.record_delete([1, 5, 9])
-    log.record_update([(2, 6), (5, 3)])
+    log = CallLog()
+    log.record("insert", [3, 1, 4], payloads=np.arange(3 * width).reshape(3, width))
+    log.record("delete", [1, 5, 9])
+    log.record("update", [2, 5], [6, 3])
     return log
 
 
@@ -49,7 +50,7 @@ def assert_logs_equal(a, b):
         if left.kind == "insert":
             np.testing.assert_array_equal(left.payloads, right.payloads)
         if left.kind == "update":
-            np.testing.assert_array_equal(left.new_keys, right.new_keys)
+            np.testing.assert_array_equal(left.highs, right.highs)
 
 
 class TestCodec:
@@ -58,32 +59,32 @@ class TestCodec:
         assert_logs_equal(decode_delta_log(encode_delta_log(log)), log)
 
     def test_round_trip_zero_width_payload(self):
-        log = DeltaLog()
-        log.record_insert([7, 8], np.empty((2, 0), dtype=np.int64))
+        log = CallLog()
+        log.record("insert", [7, 8], payloads=np.empty((2, 0), dtype=np.int64))
         decoded = decode_delta_log(encode_delta_log(log))
         assert decoded.records[0].payloads.shape == (2, 0)
 
     def test_empty_log(self):
-        decoded = decode_delta_log(encode_delta_log(DeltaLog()))
+        decoded = decode_delta_log(encode_delta_log(CallLog()))
         assert len(decoded.records) == 0
 
     def test_operations_total(self):
         assert make_log().operations == 8
 
     def test_round_trip_atomic_flag(self):
-        log = DeltaLog(atomic=True)
-        log.record_insert([1], np.zeros((1, 2), dtype=np.int64))
+        log = CallLog(atomic=True)
+        log.record("insert", [1], payloads=np.zeros((1, 2), dtype=np.int64))
         decoded = decode_delta_log(encode_delta_log(log))
         assert decoded.atomic
         # The flag rides the count high bit; plain logs stay unflagged.
         assert not decode_delta_log(encode_delta_log(make_log())).atomic
 
     def test_round_trip_move_markers(self):
-        log = DeltaLog()
+        log = CallLog()
         log.record_move_intent(7, 3, 41, [10, 11])
-        log.record_delete([3])
-        log.record_move_commit(7)
-        log.record_move_forget(7)
+        log.record("delete", [3])
+        log.record("move_commit", [7])
+        log.record("move_forget", [7])
         decoded = decode_delta_log(encode_delta_log(log))
         kinds = [record.kind for record in decoded.records]
         assert kinds == ["move_intent", "delete", "move_commit", "move_forget"]
@@ -96,7 +97,7 @@ class TestCodec:
         assert decoded.operations == 1
 
     def test_move_intent_zero_width_payload(self):
-        log = DeltaLog()
+        log = CallLog()
         log.record_move_intent(1, 2, 3, None)
         decoded = decode_delta_log(encode_delta_log(log))
         assert decoded.records[0].payloads.shape == (1, 0)
@@ -110,6 +111,66 @@ class TestCodec:
         body = encode_delta_log(make_log())
         with pytest.raises(WalCorruptionError):
             decode_delta_log(body + b"\x00")
+
+
+#: The on-disk body of :func:`golden_log`: every write and marker kind once.
+#: These bytes are the format -- a test that has to change them is a format
+#: change, which needs a new segment magic.
+GOLDEN_BODY = bytes.fromhex(
+    "0700000000030000000200000003000000000000000100000000000000040000"
+    "0000000000000000000000000001000000000000000200000000000000030000"
+    "0000000000040000000000000005000000000000000002000000000000000700"
+    "0000000000000800000000000000010300000000000000010000000000000005"
+    "0000000000000009000000000000000202000000000000000200000000000000"
+    "0500000000000000060000000000000003000000000000000303000000020000"
+    "000700000000000000030000000000000029000000000000000a000000000000"
+    "000b000000000000000401000000000000000700000000000000050100000000"
+    "0000000700000000000000"
+)
+
+
+def golden_log(atomic=False):
+    log = CallLog(atomic=atomic)
+    # A read shares the call's log with the writes but never reaches the WAL.
+    log.record("range_count", [0], [9])
+    log.record("insert", [3, 1, 4], payloads=np.arange(6).reshape(3, 2))
+    log.record("insert", [7, 8], payloads=np.empty((2, 0), dtype=np.int64))
+    log.record("delete", [1, 5, 9])
+    log.record("update", [2, 5], [6, 3])
+    log.record_move_intent(7, 3, 41, [10, 11])
+    log.record("move_commit", [7])
+    log.record("move_forget", [7])
+    return log
+
+
+class TestFormatGolden:
+    def test_body_bytes(self):
+        body = encode_delta_log(golden_log())
+        assert len(body) == 267
+        assert body == GOLDEN_BODY
+        assert hashlib.sha256(body).hexdigest() == (
+            "64c3ba0d787529983c9d0e977c218d8c087fabe34427c90030e0ce1230364649"
+        )
+
+    def test_atomic_body_bytes(self):
+        # The atomic flag is the high bit of the little-endian count word.
+        body = encode_delta_log(golden_log(atomic=True))
+        assert body == GOLDEN_BODY[:3] + b"\x80" + GOLDEN_BODY[4:]
+        assert hashlib.sha256(body).hexdigest() == (
+            "c1b0e780f3c6d20fe3cbbfc3536d95e21973792b7b26c6644797f0bf969c92ba"
+        )
+
+    def test_decodes_to_the_write_records(self):
+        decoded = decode_delta_log(GOLDEN_BODY)
+        written = golden_log()
+        written.records.pop(0)
+        assert_logs_equal(decoded, written)
+        assert [record.kind for record in decoded.records] == [
+            "insert", "insert", "delete", "update",
+            "move_intent", "move_commit", "move_forget",
+        ]
+        np.testing.assert_array_equal(decoded.records[4].payloads, [[10, 11]])
+        assert decoded.operations == 10
 
 
 class TestSegmentNames:

@@ -9,11 +9,13 @@ import pytest
 from repro.api import Database, FollowerSession, VectorizedPolicy
 from repro.api.reorg import ReorgPolicy
 from repro.durability.errors import ReadOnlyError
+from repro.durability.wal import segment_name
 from repro.replication import (
     Follower,
     Primary,
     PrimaryServer,
     RemotePrimary,
+    ReplicationError,
     TransportError,
 )
 from repro.workload.operations import (
@@ -131,6 +133,30 @@ class TestBootstrapAndCatchUp:
             assert follower.catch_up() == 2
             assert canonical(follower.table) == canonical(db.table)
         db.close()
+
+
+class TestTornRotatedSegment:
+    def test_torn_rotated_segment_raises_instead_of_reporting_caught_up(
+        self, tmp_path
+    ):
+        # A rotated segment was closed by its writer, so a torn tail there
+        # is lost history: the follower must fail loudly, not stop at the
+        # tear and report itself caught up while later segments wait.
+        db, _ = make_primary(tmp_path)
+        replica = Database.follow(tmp_path, start=False, catch_up=False)
+        key = ingest(db, 1_000_001, batches=5)
+        db.checkpoint()
+        ingest(db, key, batches=1)
+        db.close()
+        rotated = tmp_path / "wal" / segment_name(1)
+        with open(rotated, "r+b") as handle:
+            handle.truncate(rotated.stat().st_size - 30)
+        follower = replica.follower
+        with pytest.raises(ReplicationError, match="rotated segment"):
+            follower.catch_up()
+        # Every record before the tear was applied, none after it.
+        assert follower.applied_lsn == 4
+        replica.close()
 
 
 class TestTransactionalReplication:
