@@ -1,14 +1,15 @@
-"""Figure 12 session-API smoke: adaptive batching vs. fixed batch sizes.
+"""Figure 12 session-API smoke: fixed batch sizes vs. serial dispatch.
 
 Drives the ``Database``/``Session`` façade end-to-end on a 1M-row, 16-chunk
 table with a read-mostly Fig. 12-style workload (point-query runs, range
 counts and a trickle of key updates -- the operation classes whose batched
 dispatch is *exactly* access-count equivalent to serial execution):
 
-* every policy (serial, fixed ``VectorizedPolicy`` sizes, ``AdaptivePolicy``)
-  must return identical results and identical simulated access counts, and
-* ``AdaptivePolicy`` must reach >= 0.9x the wall-clock throughput of the
-  best fixed batch size, without being told what that size is.
+* every fixed ``VectorizedPolicy`` size must return the results of
+  ``SerialPolicy`` and the same simulated access counts in every counter
+  field, and
+* the best fixed batch size must beat serial dispatch on wall-clock
+  throughput.
 
 A second phase mixes insert/delete runs into the read bursts -- now that
 observation is batch-native it no longer compounds the sorted-view cache
@@ -39,13 +40,12 @@ from __future__ import annotations
 import json
 import os
 import time
-from collections import Counter
 from itertools import groupby
 from operator import attrgetter
 
 import numpy as np
 
-from repro.api import AdaptivePolicy, Database, SerialPolicy, VectorizedPolicy
+from repro.api import Database, SerialPolicy, VectorizedPolicy
 from repro.storage.layouts import LayoutKind
 from repro.workload.operations import (
     Delete,
@@ -88,13 +88,12 @@ def build_workload(num_rows: int, num_ops: int) -> Workload:
     Long read bursts (a dashboard refresh, a report) are the case batched
     dispatch exists for, and they make the *batch size* matter: a 64-op
     slice truncates every burst 16-fold while a 1024-op slice rides it
-    whole, which is the spread the adaptive policy has to navigate.  The
-    timed workload is read-only on purpose: interleaving writes at odd
-    cadence invalidates the per-partition sorted-view cache between batches,
-    which measures cache-thrash rather than batching (the write fast path
-    has its own gate in ``bench_fig12_throughput.py``).  Read batches are
-    exactly access-count equivalent to serial dispatch, so the smoke can
-    assert full counter equality across every policy.
+    whole.  The timed workload is read-only on purpose: interleaving
+    writes at odd cadence invalidates the per-partition sorted-view cache
+    between batches, which measures cache-thrash rather than batching
+    (the write fast path has its own gate in ``bench_fig12_throughput.py``).
+    Read batches are exactly access-count equivalent to serial dispatch,
+    so the smoke can assert full counter equality across every policy.
     """
     rng = np.random.default_rng(11)
     keys = np.arange(num_rows, dtype=np.int64) * 2
@@ -113,13 +112,12 @@ def build_workload(num_rows: int, num_ops: int) -> Workload:
 
 
 def timed_run(policy_factory, database_factory, workload):
-    """Best-of-N wall seconds; returns (seconds, results, counter, policy)."""
+    """Best-of-N wall seconds; returns (seconds, results, counter)."""
     best = float("inf")
-    results = counter = policy = None
+    results = counter = None
     for _ in range(REPETITIONS):
         database = database_factory()
-        policy = policy_factory()
-        session = database.session(execution=policy)
+        session = database.session(execution=policy_factory())
         start = time.perf_counter()
         outcome = session.execute(list(workload))
         elapsed = time.perf_counter() - start
@@ -128,19 +126,15 @@ def timed_run(policy_factory, database_factory, workload):
             best = elapsed
         results = outcome.results
         counter = database.engine.counter.snapshot()
-    return best, results, counter, policy
+    return best, results, counter
 
 
-def test_fig12_session_adaptive_vs_fixed(benchmark):
-    """Session façade: adaptive batching >= 0.9x the best fixed size."""
+def test_fig12_session_fixed_vs_serial(benchmark):
+    """Session façade: every fixed size equals serial; the best beats it."""
     benchmark.pedantic(lambda: None, iterations=1, rounds=1)
     num_rows = int(os.environ.get("REPRO_BENCH_ROWS", 1_048_576))
     num_chunks = 16
     block_values = 4_096
-    # Enough operations that the adaptive policy's exploration slices
-    # (growing 128 -> 256 -> 512 -> ... before settling) amortize to a few
-    # percent of the run; at 8K ops they are ~12%, which eats straight into
-    # the 0.9x gate's margin on a noisy runner.
     num_ops = min(16_384, num_rows // 2)
     workload = build_workload(num_rows, num_ops)
 
@@ -149,31 +143,29 @@ def test_fig12_session_adaptive_vs_fixed(benchmark):
 
     # Untimed preamble: a session mixing all five operation kinds -- update
     # runs included -- stays exactly result/access-count equivalent between
-    # serial and adaptive dispatch.
+    # serial and vectorized dispatch.
     rng = np.random.default_rng(7)
     mixed = list(build_workload(num_rows, 512))
     mixed[64:64] = [
         Update(old_key=int(2 * src), new_key=int(2 * src) + 1)
         for src in rng.choice(num_rows, 16, replace=False)
     ]
-    db_serial, db_adaptive = database_factory(), database_factory()
+    db_serial, db_vector = database_factory(), database_factory()
     serial_mixed = SerialPolicy().execute(db_serial.engine, mixed)
-    adaptive_mixed = AdaptivePolicy(initial_batch_size=64).execute(
-        db_adaptive.engine, mixed
-    )
-    assert adaptive_mixed.results == serial_mixed.results
+    vector_mixed = VectorizedPolicy(64).execute(db_vector.engine, mixed)
+    assert vector_mixed.results == serial_mixed.results
     assert (
-        db_adaptive.engine.counter.snapshot()
+        db_vector.engine.counter.snapshot()
         == db_serial.engine.counter.snapshot()
     )
 
-    serial_seconds, serial_results, serial_counter, _ = timed_run(
+    serial_seconds, serial_results, serial_counter = timed_run(
         SerialPolicy, database_factory, workload
     )
 
     fixed: dict[int, float] = {}
     for batch_size in FIXED_BATCH_SIZES:
-        seconds, results, counter, _ = timed_run(
+        seconds, results, counter = timed_run(
             lambda batch_size=batch_size: VectorizedPolicy(
                 batch_size=batch_size
             ),
@@ -184,19 +176,7 @@ def test_fig12_session_adaptive_vs_fixed(benchmark):
         assert counter == serial_counter
         fixed[batch_size] = seconds
 
-    adaptive_seconds, results, counter, adaptive_policy = timed_run(
-        lambda: AdaptivePolicy(
-            initial_batch_size=128, min_batch_size=32, max_batch_size=2_048
-        ),
-        database_factory,
-        workload,
-    )
-    assert results == serial_results
-    assert counter == serial_counter
-
     best_size, best_seconds = min(fixed.items(), key=lambda item: item[1])
-    ratio = best_seconds / adaptive_seconds
-    chosen = Counter(adaptive_policy.chosen_batch_sizes)
     print(
         f"\nsession fast path: {num_ops} ops on {num_rows} rows / "
         f"{num_chunks} chunks -> serial {serial_seconds * 1e3:.1f}ms, "
@@ -204,28 +184,20 @@ def test_fig12_session_adaptive_vs_fixed(benchmark):
             f"fixed[{size}] {seconds * 1e3:.1f}ms"
             for size, seconds in sorted(fixed.items())
         )
-        + f", adaptive {adaptive_seconds * 1e3:.1f}ms "
-        f"({ratio:.2f}x of best fixed[{best_size}]; "
-        f"sizes {dict(sorted(chosen.items()))})"
+        + f" (best fixed[{best_size}] "
+        f"{serial_seconds / best_seconds:.2f}x serial)"
     )
-    _RESULTS["fig12_session_adaptive"] = {
+    _RESULTS["fig12_session_fixed"] = {
         "num_rows": num_rows,
         "num_chunks": num_chunks,
         "num_operations": num_ops,
         "serial_ms": serial_seconds * 1e3,
         "fixed_ms": {str(size): seconds * 1e3 for size, seconds in fixed.items()},
         "best_fixed_batch_size": best_size,
-        "adaptive_ms": adaptive_seconds * 1e3,
-        "adaptive_vs_best_fixed": ratio,
-        "adaptive_batch_sizes": dict(
-            sorted((str(size), count) for size, count in chosen.items())
-        ),
+        "best_fixed_vs_serial": serial_seconds / best_seconds,
     }
     _flush_results()
-    # The adaptive policy must compete with the best fixed size without
-    # being told what it is (and must beat serial dispatch outright).
-    assert adaptive_seconds < serial_seconds
-    assert ratio >= 0.9
+    assert best_seconds < serial_seconds
 
 
 def build_mixed_workload(num_rows: int, num_ops: int) -> Workload:
@@ -275,18 +247,18 @@ def test_fig12_session_mixed_read_write_phase(benchmark):
     def database_factory():
         return build_database(num_rows, num_chunks, block_values)
 
-    serial_mixed_s, serial_mixed_results, _, _ = timed_run(
+    serial_mixed_s, serial_mixed_results, _ = timed_run(
         SerialPolicy, database_factory, mixed
     )
-    vector_mixed_s, vector_mixed_results, _, _ = timed_run(
+    vector_mixed_s, vector_mixed_results, _ = timed_run(
         lambda: VectorizedPolicy(batch_size=256), database_factory, mixed
     )
     # Dispatch strategy must stay invisible to results even when write runs
     # interleave with the read bursts.
     assert vector_mixed_results == serial_mixed_results
 
-    serial_read_s, _, _, _ = timed_run(SerialPolicy, database_factory, read_only)
-    vector_read_s, _, _, _ = timed_run(
+    serial_read_s, _, _ = timed_run(SerialPolicy, database_factory, read_only)
+    vector_read_s, _, _ = timed_run(
         lambda: VectorizedPolicy(batch_size=256), database_factory, read_only
     )
     read_speedup = serial_read_s / vector_read_s
@@ -370,8 +342,8 @@ def test_fig12_session_shuffled_read_phase(benchmark):
 
     database = database_factory()
     serial = SerialPolicy().execute(database.engine, list(shuffled))
-    ordered_s, _, _, _ = timed_run(vectorized, database_factory, ordered)
-    shuffled_s, results, counter, _ = timed_run(
+    ordered_s, _, _ = timed_run(vectorized, database_factory, ordered)
+    shuffled_s, results, counter = timed_run(
         vectorized, database_factory, shuffled
     )
     assert results == serial.results
@@ -482,8 +454,8 @@ def test_fig12_session_shuffled_write_phase(benchmark):
         return VectorizedPolicy(batch_size=SHUFFLE_BATCH)
 
     serial = SerialPolicy().execute(database_factory().engine, list(shuffled))
-    ordered_s, _, _, _ = timed_run(vectorized, database_factory, ordered)
-    shuffled_s, results, _, _ = timed_run(vectorized, database_factory, shuffled)
+    ordered_s, _, _ = timed_run(vectorized, database_factory, ordered)
+    shuffled_s, results, _ = timed_run(vectorized, database_factory, shuffled)
     # Insert results are row ids, so this is row-id equality too.
     assert results == serial.results
 

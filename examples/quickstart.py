@@ -5,7 +5,7 @@ This example walks the full pipeline of the paper through the session API:
 1. declare the data and the workload to tune for -- ``Database.plan_for``
    learns the Frequency Model, solves the layout problem and allocates
    ghost values while the table loads (Fig. 10, steps A-C),
-2. open a ``Session`` with an adaptive execution policy and run the
+2. open a ``Session`` with a vectorized execution policy and run the
    evaluation workload against the tailored layout and two baselines,
 3. let a ``ReorgPolicy``-equipped session absorb a *drifted* workload
    phase: drift is detected per chunk, a candidate layout is solved for
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api import AdaptivePolicy, Database, ReorgPolicy
+from repro.api import Database, ReorgPolicy, VectorizedPolicy
 from repro.bench.reporting import format_table
 from repro.storage.layouts import LayoutKind
 from repro.workload.distributions import EarlySkewSampler
@@ -82,13 +82,12 @@ def compare_layouts() -> None:
         ),
     ):
         db = build()
-        with db.session(execution=AdaptivePolicy()) as session:
+        with db.session(execution=VectorizedPolicy()) as session:
             session.execute(list(evaluation))
         report = session.report()
         throughputs.append(report.throughput_ops)
         # Per-operation simulated latency is deterministic and comparable
-        # across layouts (per-*batch* means are not: the adaptive policy's
-        # slice segmentation differs per run).
+        # across layouts.
         rows.append(
             (
                 label,
@@ -138,7 +137,7 @@ def drifting_session() -> None:
         db = Database.plan_for(
             training, keys, chunk_size=16_384, block_values=1_024
         )
-        with db.session(execution=AdaptivePolicy(), reorg=reorg) as session:
+        with db.session(execution=VectorizedPolicy(), reorg=reorg) as session:
             for start in range(0, len(drifted), 1_000):
                 session.execute(drifted[start : start + 1_000])
         report = session.report()
@@ -154,11 +153,13 @@ def drifting_session() -> None:
 
     print("\nDrifting workload (insert-heavy training -> point-heavy phase)")
     frozen = serve(None)
-    adaptive = serve(ReorgPolicy(drift_threshold=0.25, min_chunk_operations=256))
+    replanned = serve(
+        ReorgPolicy(drift_threshold=0.25, min_chunk_operations=256)
+    )
     print(
         f"simulated time without reorg {frozen * 1e3:.2f}ms, "
-        f"with cost-gated auto-replan {adaptive * 1e3:.2f}ms "
-        f"({frozen / adaptive:.2f}x)"
+        f"with cost-gated auto-replan {replanned * 1e3:.2f}ms "
+        f"({frozen / replanned:.2f}x)"
     )
 
 

@@ -22,7 +22,6 @@ Quickstart
 """
 
 from .api import (
-    AdaptivePolicy,
     Database,
     ExecutionPolicy,
     ReorgAction,
@@ -79,7 +78,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AccessCounter",
-    "AdaptivePolicy",
     "CasperPlanner",
     "ChunkPlan",
     "CostConstants",

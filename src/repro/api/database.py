@@ -435,8 +435,7 @@ class Database:
         """Open a :class:`Session` with the given policies.
 
         ``execution`` defaults to serial dispatch; pass
-        :class:`~repro.api.policies.VectorizedPolicy` or
-        :class:`~repro.api.policies.AdaptivePolicy` for the batched fast
+        :class:`~repro.api.policies.VectorizedPolicy` for the batched fast
         paths.  ``reorg`` enables the automatic reorganization lifecycle:
         a :class:`~repro.api.reorganizer.Reorganizer` drains replans in
         budgeted slices between execute calls or on a background worker
@@ -448,7 +447,7 @@ class Database:
         over this one database; their executions interleave under the
         table's chunk-granular latches (see :mod:`repro.storage.table`).
         Give each session its *own* execution-policy instance (policies
-        carry adaptive state); a single :class:`Reorganizer` (and the
+        record their batch sizes); a single :class:`Reorganizer` (and the
         :class:`ReorgPolicy` inside it) is safe to share across the
         database's sessions, and its background worker keeps running until
         the last sharing session closes.

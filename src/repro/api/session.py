@@ -70,7 +70,7 @@ class SessionResult(SimulatedCost):
     (per-shard WAL watermarks are incomparable) and ``shard_lsns``
     carries the per-shard vector instead: shard -> last commit LSN that
     shard acknowledged for this call (``None`` on single-process
-    databases and calls that touched no durable shard).
+    databases and calls that committed no write on a durable shard).
     """
 
     results: list
@@ -126,7 +126,7 @@ class Session:
         The database façade the session executes against.
     execution:
         The dispatch policy; defaults to :class:`SerialPolicy`.  Pass a
-        fresh instance per session -- policies carry adaptive state.
+        fresh instance per session -- policies record their batch sizes.
     reorg:
         Optional reorganization lifecycle: a :class:`Reorganizer` drains
         the replans of drifted chunks in budgeted increments between
@@ -138,7 +138,7 @@ class Session:
 
     Use as a context manager::
 
-        with db.session(execution=AdaptivePolicy(), reorg=ReorgPolicy()) as s:
+        with db.session(execution=VectorizedPolicy(), reorg=ReorgPolicy()) as s:
             outcome = s.execute(workload)
         report = s.report()
     """
@@ -262,9 +262,14 @@ class Session:
         commit_lsn: int | None = None
         durable = True
         manager = self.database.durability
-        if manager is not None and manager.last_lsn > 0:
+        if (
+            manager is not None
+            and manager.last_lsn > 0
+            and any(op.writes for op in oplist)
+        ):
             # The appended watermark covers this call's writes (it may also
-            # cover a concurrent session's -- watermarks are global).
+            # cover a concurrent session's -- watermarks are global).  A
+            # pure-read call appended nothing, so it reports none.
             commit_lsn = manager.last_lsn
             durable = manager.durable_lsn >= commit_lsn
         return SessionResult(

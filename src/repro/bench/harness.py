@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..api.database import Database
-from ..api.policies import AdaptivePolicy, VectorizedPolicy
 from ..core.constraints import SLAConstraints
 from ..core.monitor import WorkloadMonitor
 from ..core.optimizer import SolverBackend
@@ -71,21 +70,21 @@ def run_workload(
     *,
     layout_name: str = "",
     constants: CostConstants | None = None,
-    batch_size: int | str | None = None,
+    batch_size: int | None = None,
 ) -> WorkloadRunResult:
     """Execute ``workload`` on ``engine`` and aggregate per-kind latencies.
 
     ``engine`` may be a bare :class:`StorageEngine` or a :class:`Database`
-    façade (whose engine is used).  With ``batch_size`` set to an integer,
-    operations are submitted in fixed slices through a
-    :class:`~repro.api.policies.VectorizedPolicy`; ``batch_size="auto"``
-    delegates slicing to an :class:`~repro.api.policies.AdaptivePolicy`,
-    which tunes the size online -- the sizes actually dispatched are
-    recorded in :attr:`WorkloadRunResult.batch_sizes`.  Either way runs of
-    compatible operations resolve on the table's vectorized fast paths and
-    the engine's access counter advances per the batch-equivalence contract;
-    latencies are aggregated per batch under the ``"batch"`` kind
-    (per-operation attribution is not available inside a vectorized probe).
+    façade (whose engine is used).  With ``batch_size`` set to a positive
+    integer, operations are submitted in fixed slices through
+    :meth:`~repro.storage.engine.StorageEngine.execute_batch` (as a
+    :class:`~repro.api.policies.VectorizedPolicy` session does) and the
+    slice sizes are recorded in :attr:`WorkloadRunResult.batch_sizes`;
+    groups of commuting operations resolve on the table's vectorized fast
+    paths and the engine's access counter advances per the
+    batch-equivalence contract; latencies are aggregated per batch under
+    the ``"batch"`` kind (per-operation attribution is not available
+    inside a vectorized probe).
     One caveat: failed (not-found) operations' partial charges stay in the
     per-batch tally, whereas the sequential path drops them from
     ``simulated_seconds``, so the two modes' reported throughput diverges
@@ -100,23 +99,18 @@ def run_workload(
     executed = 0
     batch_sizes: list[int] = []
     if batch_size is not None:
-        if isinstance(batch_size, str) and batch_size != "auto":
-            raise ValueError(
-                f"batch_size must be a positive int, 'auto' or None, "
-                f"got {batch_size!r}"
-            )
-        if batch_size == "auto":
-            policy = AdaptivePolicy()
-        else:
-            policy = VectorizedPolicy(batch_size=int(batch_size))
-        for _, outcome in policy.batches(engine, list(workload)):
+        if batch_size <= 0:
+            raise ValueError(f"batch_size must be positive, got {batch_size}")
+        oplist = list(workload)
+        for first in range(0, len(oplist), batch_size):
+            outcome = engine.execute_batch(oplist[first : first + batch_size])
+            batch_sizes.append(outcome.operations)
             errors += outcome.errors
             executed += outcome.operations - outcome.errors
             simulated.setdefault("batch", []).append(
                 outcome.simulated_ns(constants)
             )
             wall.setdefault("batch", []).append(outcome.wall_ns)
-        batch_sizes = list(policy.chosen_batch_sizes)
     else:
         for operation in workload:
             try:

@@ -631,12 +631,9 @@ class ShardedSession:
         """
         if self._closed:
             raise ShardError("session is closed")
-        if isinstance(operations, Workload):
-            oplist = list(operations.operations)
-        elif isinstance(operations, Sequence):
-            oplist = list(operations)
-        else:
-            oplist = [operations]
+        if isinstance(operations, Operation):
+            operations = [operations]
+        oplist = list(operations)
         start = time.perf_counter_ns()
         batch = _Batch(self.database)
         for index, op in enumerate(oplist):

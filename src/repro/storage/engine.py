@@ -80,9 +80,6 @@ class BatchResult(SimulatedCost):
     is the aggregate simulated block-access tally of the whole batch.
     ``lsn`` is the WAL record the batch's writes committed under (``None``
     for read-only batches and engines without durability attached).
-    ``largest_group`` is the size of the largest group the batch dispatched
-    as one batched operation (0 when every operation went out on its own,
-    and for outcomes merged from several batches).
     """
 
     results: list[Any]
@@ -91,7 +88,6 @@ class BatchResult(SimulatedCost):
     operations: int
     errors: int = 0
     lsn: int | None = None
-    largest_group: int = 0
 
 
 @guarded_class
@@ -155,9 +151,7 @@ def plan_batch(operations) -> list[tuple[tuple | None, list[int]]]:
     ``(group_key, positions)`` entry per dispatched operation, in dispatch
     order; ``positions`` index into ``operations``, ascending.
 
-    This is the one grouping definition: the batch executor dispatches it
-    and the execution policies' run-length heuristic
-    (:func:`repro.api.policies.longest_groupable_run`) measures it.
+    This is the one grouping definition: the batch executor dispatches it.
 
     Operations that commute group however they interleave.  A batch splits
     into maximal stretches of reads and of writes -- no write moves across
@@ -747,7 +741,7 @@ class StorageEngine:
         before = self.counter.snapshot()
         start = time.perf_counter_ns()
         with self._commit_scope(writes=any(op.writes for op in oplist)) as log:
-            results, errors, largest_group = self._dispatch_batch(oplist)
+            results, errors = self._dispatch_batch(oplist)
         return BatchResult(
             results=results,
             accesses=self.counter.diff(before),
@@ -755,16 +749,14 @@ class StorageEngine:
             operations=len(oplist),
             errors=errors,
             lsn=None if log is None else log.lsn,
-            largest_group=largest_group,
         )
 
-    def _dispatch_batch(self, oplist) -> tuple[list[Any], int, int]:
+    def _dispatch_batch(self, oplist) -> tuple[list[Any], int]:
         """Dispatch :func:`plan_batch` of ``oplist``; every result lands in
-        its operation's submission slot.  Returns the results, the error
-        count and the size of the largest batched group."""
+        its operation's submission slot.  Returns the results and the error
+        count."""
         results: list[Any] = [None] * len(oplist)
         errors = 0
-        largest_group = 0
         log = getattr(self._local, "log", None)
         for group_key, positions in plan_batch(oplist):
             if log is not None:
@@ -788,8 +780,7 @@ class StorageEngine:
             for position, result in zip(positions, group_results, strict=True):
                 results[position] = result
             errors += group_errors
-            largest_group = max(largest_group, len(positions))
-        return results, errors, largest_group
+        return results, errors
 
     def values(self) -> np.ndarray:
         """All live key values (for validation)."""

@@ -5,12 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import (
-    AdaptivePolicy,
-    Database,
-    SerialPolicy,
-    VectorizedPolicy,
-)
+from repro.api import Database, SerialPolicy, VectorizedPolicy
 from repro.bench.harness import build_hap_database, run_workload
 from repro.storage.engine import StorageEngine
 from repro.storage.layouts import LayoutKind
@@ -155,14 +150,15 @@ class TestSessionExecution:
         assert outcome.batch_sizes == [32, 32, 6]
         assert session.report().batch_sizes == [32, 32, 6]
 
-    def test_adaptive_session_equals_serial_session(self):
+    def test_vectorized_session_equals_serial_session(self):
         ops = [PointQuery(key=int(k)) for k in range(0, 512, 2)]
         db_a, db_b = small_db(), small_db()
         outcome_a = db_a.session(execution=SerialPolicy()).execute(ops)
         outcome_b = db_b.session(
-            execution=AdaptivePolicy(initial_batch_size=16)
+            execution=VectorizedPolicy(batch_size=16)
         ).execute(ops)
         assert outcome_a.results == outcome_b.results
+        assert outcome_b.batch_sizes == [16] * 16
         assert (
             db_a.engine.counter.snapshot() == db_b.engine.counter.snapshot()
         )
@@ -193,19 +189,16 @@ class TestHarnessFacade:
         assert db.planner is not None
         assert db.num_chunks == 4
 
-    def test_run_workload_accepts_database_and_auto_batching(self):
+    def test_run_workload_accepts_database_and_fixed_batching(self):
         config = self.config()
         db = build_hap_database(LayoutKind.EQUI, config)
         workload = make_workload(
             "read_only_uniform", config, num_operations=600, seed=3
         )
-        result = run_workload(db, workload, batch_size="auto")
-        assert result.operations == 600
-        assert sum(result.batch_sizes) == 600
-        assert len(result.batch_sizes) >= 2
-        fixed = run_workload(db, workload, batch_size=100)
-        assert fixed.batch_sizes == [100] * 6
+        fixed = run_workload(db, workload, batch_size=256)
+        assert fixed.operations == 600
+        assert fixed.batch_sizes == [256, 256, 88]
         sequential = run_workload(db, workload)
         assert sequential.batch_sizes == []
         with pytest.raises(ValueError):
-            run_workload(db, workload, batch_size="fastest")
+            run_workload(db, workload, batch_size=-1)

@@ -1,10 +1,10 @@
-"""Execution-policy equivalence: Serial vs. Vectorized vs. Adaptive.
+"""Execution-policy equivalence: serial vs. vectorized dispatch.
 
 The policy contract (see :mod:`repro.api.policies`) is property-tested on
 randomized mixed workloads over a multi-chunk table whose key column holds a
 duplicate run straddling a chunk boundary:
 
-* results are identical across all three policies, in submission order;
+* results are identical across the policies, in submission order;
 * simulated access counts are identical for read/update workloads and never
   larger than serial dispatch for insert/delete runs (coalesced sweeps);
 * the final table state is identical and structurally valid.
@@ -19,13 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api.policies import (
-    AdaptivePolicy,
-    ExecutionPolicy,
-    SerialPolicy,
-    VectorizedPolicy,
-    longest_groupable_run,
-)
+from repro.api.policies import ExecutionPolicy, SerialPolicy, VectorizedPolicy
 from repro.storage.engine import StorageEngine, plan_batch
 from repro.storage.layouts import LayoutKind, LayoutSpec
 from repro.storage.table import Table, layout_chunk_builder
@@ -152,11 +146,8 @@ def policies(rng: np.random.Generator) -> list[ExecutionPolicy]:
     return [
         SerialPolicy(),
         VectorizedPolicy(batch_size=int(rng.integers(1, 96))),
-        AdaptivePolicy(
-            initial_batch_size=int(rng.integers(4, 64)),
-            min_batch_size=4,
-            max_batch_size=256,
-        ),
+        # Large slices and their tails.
+        VectorizedPolicy(batch_size=int(rng.integers(96, 256))),
     ]
 
 
@@ -256,83 +247,89 @@ class TestPolicyEquivalence:
             )
 
 
-class TestAdaptivePolicy:
-    def test_explores_upward_then_settles_on_best(self):
-        policy = AdaptivePolicy(
-            initial_batch_size=32, min_batch_size=8, max_batch_size=128
-        )
-        # Unexplored neighbours are probed largest-first.
-        policy.observe(32, 32, 32 * 100.0, 0.0, longest_run=1)
-        assert policy.current_batch_size == 64
-        policy.observe(64, 64, 64 * 50.0, 0.0, longest_run=1)
-        assert policy.current_batch_size == 128
-        # 128 turns out slower; the neighbourhood {64, 128} is now fully
-        # explored and 64 is clearly better, so the policy walks back.
-        policy.observe(128, 128, 128 * 200.0, 0.0, longest_run=1)
-        assert policy.current_batch_size == 64
-        # 64's whole neighbourhood {32, 64, 128} is explored and 64 wins:
-        # the policy settles there and stays.
-        policy.observe(64, 64, 64 * 50.0, 0.0, longest_run=1)
-        assert policy.current_batch_size == 64
-        policy.observe(64, 64, 64 * 50.0, 0.0, longest_run=1)
-        assert policy.current_batch_size == 64
-
-    def test_moves_down_when_smaller_is_faster(self):
-        policy = AdaptivePolicy(
-            initial_batch_size=32, min_batch_size=8, max_batch_size=64
-        )
-        policy.observe(32, 32, 32 * 100.0, 0.0, longest_run=1)
-        assert policy.current_batch_size == 64
-        policy.observe(64, 64, 64 * 300.0, 0.0, longest_run=1)
-        # 64 is worse: walk back to 32, then probe the unexplored 16, which
-        # keeps improving, and descend to the floor.
-        assert policy.current_batch_size == 32
-        policy.observe(32, 32, 32 * 100.0, 0.0, longest_run=1)
-        assert policy.current_batch_size == 16
-        policy.observe(16, 16, 16 * 20.0, 0.0, longest_run=1)
-        assert policy.current_batch_size == 8
-        policy.observe(8, 8, 8 * 10.0, 0.0, longest_run=1)
-        # {8, 16} explored, 8 fastest: settle at the floor.
-        assert policy.current_batch_size == 8
-
-    def test_truncated_run_forces_growth(self):
-        policy = AdaptivePolicy(
-            initial_batch_size=16, min_batch_size=8, max_batch_size=64
-        )
-        policy.observe(16, 16, 16 * 10.0, 0.0, longest_run=16)
-        assert policy.current_batch_size == 32
-
-    def test_tail_slice_does_not_adapt(self):
-        policy = AdaptivePolicy(
-            initial_batch_size=32, min_batch_size=8, max_batch_size=128
-        )
-        policy.observe(32, 5, 5 * 1000.0, 0.0, longest_run=5)
-        assert policy.current_batch_size == 32
-        assert policy._estimates == {}
-
-    def test_respects_bounds(self):
-        policy = AdaptivePolicy(
-            initial_batch_size=512, min_batch_size=64, max_batch_size=256
-        )
-        assert policy.current_batch_size == 256
-        with pytest.raises(ValueError):
-            AdaptivePolicy(min_batch_size=0)
-        with pytest.raises(ValueError):
-            AdaptivePolicy(min_batch_size=64, max_batch_size=32)
-
-    def test_records_observations_and_sizes(self):
-        engine = build_engine()
-        policy = AdaptivePolicy(
-            initial_batch_size=8, min_batch_size=4, max_batch_size=64
-        )
+class TestVectorizedPolicy:
+    def test_records_chosen_sizes(self):
+        policy = VectorizedPolicy(batch_size=16)
         operations = read_workload(np.random.default_rng(1), 50)
-        outcome = policy.execute(engine, operations)
+        serial_engine, serial = run_policy(SerialPolicy(), operations)
+        engine, outcome = run_policy(policy, operations)
+        # Fixed slices, then the tail.
+        assert policy.chosen_batch_sizes == [16, 16, 16, 2]
         assert outcome.operations == 50
-        assert sum(policy.chosen_batch_sizes) == 50
-        assert len(policy.observations) == len(policy.chosen_batch_sizes)
-        sizes, counts, walls, simulated, runs = zip(*policy.observations)
-        assert all(w > 0 for w in walls)
-        assert all(s >= 0 for s in simulated)
+        assert outcome.wall_ns > 0
+        assert outcome.results == serial.results
+        assert engine.counter.snapshot() == serial_engine.counter.snapshot()
+
+    def test_sizes_accumulate_across_calls(self):
+        engine = build_engine()
+        policy = VectorizedPolicy(batch_size=8)
+        rng = np.random.default_rng(2)
+        policy.execute(engine, read_workload(rng, 20))
+        policy.execute(engine, read_workload(rng, 5))
+        assert policy.chosen_batch_sizes == [8, 8, 4, 5]
+
+    def test_empty_call_dispatches_nothing(self):
+        policy = VectorizedPolicy(batch_size=8)
+        engine, outcome = run_policy(policy, [])
+        assert policy.chosen_batch_sizes == []
+        assert outcome.results == []
+        assert (outcome.operations, outcome.errors) == (0, 0)
+        assert engine.counter.snapshot() == build_engine().counter.snapshot()
+
+    def test_one_engine_batch_per_slice(self, monkeypatch):
+        engine = build_engine()
+        slices = []
+        execute_batch = engine.execute_batch
+
+        def recording(operations):
+            slices.append(len(operations))
+            return execute_batch(operations)
+
+        monkeypatch.setattr(engine, "execute_batch", recording)
+        operations = read_workload(np.random.default_rng(3), 40)
+        # Any iterable is accepted, not only a sequence.
+        outcome = VectorizedPolicy(batch_size=16).execute(
+            engine, (op for op in operations)
+        )
+        assert slices == [16, 16, 8]
+        assert outcome.operations == 40
+
+    def test_not_found_operations_count_as_errors(self):
+        operations = [
+            PointQuery(key=2),
+            PointQuery(key=501),
+            Delete(key=999),
+            PointQuery(key=STRADDLE_KEY),
+            Update(old_key=997, new_key=1_001),
+        ]
+        _, serial = run_policy(SerialPolicy(), operations)
+        _, vectorized = run_policy(VectorizedPolicy(batch_size=2), operations)
+        for outcome in (serial, vectorized):
+            # A point-query miss is an empty result; a write miss is None.
+            assert outcome.errors == 2
+            assert outcome.results[1] == []
+            assert [r is None for r in outcome.results] == [
+                False, False, True, False, True
+            ]
+        assert vectorized.results == serial.results
+
+    def test_serial_policy_records_no_sizes(self):
+        policy = SerialPolicy()
+        _, outcome = run_policy(
+            policy, read_workload(np.random.default_rng(4), 30)
+        )
+        assert outcome.operations == 30
+        assert policy.chosen_batch_sizes == []
+        assert isinstance(policy, ExecutionPolicy)
+        assert isinstance(VectorizedPolicy(), ExecutionPolicy)
+
+    def test_policies_take_only_their_options(self):
+        assert VectorizedPolicy(256).batch_size == 256
+        assert VectorizedPolicy().batch_size == 256
+        with pytest.raises(TypeError):
+            VectorizedPolicy(chosen_batch_sizes=[1])
+        with pytest.raises(TypeError):
+            SerialPolicy(1)
 
 
 #: Keys the interleaving tests draw from: the straddling duplicate run, its
@@ -657,28 +654,6 @@ class TestRunGrouping:
             (("update",), [24]),
         ]
         assert plan_batch([]) == []
-
-    def test_longest_groupable_run_reads_the_plan(self):
-        assert longest_groupable_run([]) == 0
-        # The largest group: the three default-column point queries of the
-        # first stretch, although no two of them are adjacent.
-        assert longest_groupable_run(self.OPS) == 3
-        assert longest_groupable_run(self.OPS[8:]) == 2
-        # A write between them keeps same-key reads in separate groups.
-        assert longest_groupable_run(self.OPS[9:12]) == 1
-        # SUM aggregates are singletons and never count as a group.
-        assert longest_groupable_run([self.OPS[3], self.OPS[6]]) == 0
-        # The shuffled write tail: two inserts (or deletes) although no two
-        # of them are adjacent; the key reuse keeps the third insert out.
-        assert longest_groupable_run(self.OPS[17:]) == 2
-        assert longest_groupable_run(self.OPS[17:22]) == 2
-        assert longest_groupable_run(self.OPS[22:]) == 1
-
-    def test_batch_result_reports_the_largest_group(self):
-        # What the adaptive policy reads in place of planning twice.
-        for operations in (self.OPS, self.OPS[17:], self.OPS[3:4], []):
-            outcome = build_engine().execute_batch(operations)
-            assert outcome.largest_group == longest_groupable_run(operations)
 
     def test_vectorized_policy_validates_batch_size(self):
         with pytest.raises(ValueError):

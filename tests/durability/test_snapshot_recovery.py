@@ -39,12 +39,12 @@ def payload_for(keys):
 
 def make_db(root, rows=200, **kwargs):
     keys = np.arange(rows, dtype=np.int64) * 2
+    kwargs.setdefault("durability", root)
     return Database.from_rows(
         keys,
         payload_for(keys),
         chunk_size=64,
         payload_names=("a", "b"),
-        durability=root,
         **kwargs,
     )
 
@@ -128,6 +128,41 @@ class TestWriteRecover:
         assert write.commit_lsn == 1
         assert write.durable  # fsync="always"
         db.close()
+
+        # A pure read after a write reports no commit of its own, and so
+        # nothing that is not yet durable.
+        root = tmp_path / "interval"
+        interval = make_db(
+            root, durability=DurabilityConfig(root, fsync="interval")
+        )
+        with interval.session() as s:
+            write = s.execute(MultiInsert((901,), ((0, 0),)))
+            read = s.execute(PointQuery(901))
+        assert (write.commit_lsn, write.durable) == (1, False)
+        assert (read.commit_lsn, read.durable) == (None, True)
+        interval.close()
+
+    def test_multi_slice_call_commits_one_record_per_slice(self, tmp_path):
+        fresh = np.arange(1_001, 1_141, 2, dtype=np.int64)
+        writes = [
+            Insert(key, tuple(row)) for key, row in zip(
+                fresh.tolist(), payload_for(fresh).tolist()
+            )
+        ]
+        assert len(writes) == 70
+        db = make_db(tmp_path)
+        with db.session(execution=VectorizedPolicy(batch_size=32)) as s:
+            outcome = s.execute(writes)
+        assert outcome.batch_sizes == [32, 32, 6]
+        assert len(wal_records(tmp_path)) == 3
+        assert outcome.commit_lsn == 3
+        before = fingerprint(db.table)
+        db.close()
+
+        reopened = Database.open(tmp_path)
+        assert reopened.recovery.batches_replayed == 3
+        assert fingerprint(reopened.table) == before
+        reopened.close()
 
     def test_checkpoint_shortens_replay(self, tmp_path):
         db = make_db(tmp_path)

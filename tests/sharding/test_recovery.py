@@ -324,12 +324,12 @@ class TestShardLsns:
                 # A cross-shard move bumps both sides' watermarks.
                 result = session.execute(Update(old_key=0, new_key=39))
                 assert result.shard_lsns == {0: 3, 1: 2}
-            # A read reports the covering watermark of the shards it
-            # touched, matching the serial session's watermark semantics
-            # (keys 0..10 route to shard 0 only).
+            # A pure read commits nothing, so, as on a serial session, no
+            # shard reports a watermark for it.
             with database.session() as session:
                 result = session.execute(RangeQuery(low=0, high=10))
-                assert result.shard_lsns == {0: 3}
+                assert result.shard_lsns is None
+                assert result.durable
         finally:
             database.close()
 

@@ -382,6 +382,22 @@ class TestFacade:
                 with pytest.raises(ShardError):
                     session.execute([PointQuery(key=1)])
 
+    def test_execute_accepts_any_iterable(self, cluster3, keys):
+        oplist = [PointQuery(key=int(k)) for k in keys[:20]]
+        oplist.append(RangeQuery(low=0, high=150))
+        serial = serial_db(keys)
+        with serial.session() as session:
+            want = session.execute(op for op in oplist)
+        with sharded_db(cluster3, keys) as database:
+            with database.session() as session:
+                got = session.execute(op for op in oplist)
+                workload = session.execute(Workload(list(oplist)))
+        assert got.operations == workload.operations == len(oplist)
+        for result in (got, workload):
+            assert [normalize(r) for r in result.results] == [
+                normalize(r) for r in want.results
+            ]
+
     def test_stats_cover_every_shard(self, cluster3, keys):
         with sharded_db(cluster3, keys) as database:
             stats = database.stats()
