@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.api import Database
+from repro.durability.wal import decode_delta_log, scan_segment, segment_first_lsn
 from repro.ipc.shm import ShmArena
 from repro.sharding.codec import (
     ArenaReader,
@@ -70,7 +71,7 @@ def test_examples_cover_the_union():
     assert {type(op) for op in EXAMPLES} == set(get_args(Operation))
 
 
-def fresh_engine() -> StorageEngine:
+def fresh_database(**kwargs) -> Database:
     keys = np.arange(200, dtype=np.int64) * 2
     payload = np.stack([keys + 1, keys * 3], axis=1)
     return Database.from_rows(
@@ -81,7 +82,12 @@ def fresh_engine() -> StorageEngine:
         block_values=8,
         partitions=4,
         payload_names=["a", "b"],
-    ).engine
+        **kwargs,
+    )
+
+
+def fresh_engine() -> StorageEngine:
+    return fresh_database().engine
 
 
 def count_level(result):
@@ -169,6 +175,107 @@ class TestEveryKind:
         # payloads the constructor leaves to the table).
         assert len(keys) == 1 and batch_group_key(op) is None
         assert type(scalars[0]).batched(scalars) == op
+
+
+#: The ``OperationResult.kind`` / ``EngineStatistics`` key of each kind.
+RESULT_KINDS = {
+    PointQuery: "point_query",
+    Insert: "insert",
+    Delete: "delete",
+    Update: "update",
+    MultiPointQuery: "multi_point_query",
+    MultiRangeCount: "multi_range_count",
+    MultiInsert: "multi_insert",
+    MultiDelete: "multi_delete",
+    MultiUpdate: "multi_update",
+}
+
+
+def result_kind(op) -> str:
+    if isinstance(op, RangeQuery):
+        return "range_count" if op.aggregate is Aggregate.COUNT else "range_sum"
+    return RESULT_KINDS[type(op)]
+
+
+def execute_kind(engine, op) -> str | None:
+    """Run ``op``; its result kind, or ``None`` for a miss."""
+    try:
+        return engine.execute(op).kind
+    except ValueNotFoundError:
+        return None
+
+
+def wal_logs(root) -> list:
+    segments = sorted(
+        (root / "wal").glob("wal-*.log"), key=lambda p: segment_first_lsn(p.name)
+    )
+    return [
+        decode_delta_log(body)
+        for segment in segments
+        for _, body in scan_segment(segment).records
+    ]
+
+
+def assert_is_attribution(record, op) -> None:
+    kind, keys, highs = op.attribution()
+    assert record.kind == kind
+    assert record.keys.tolist() == np.asarray(keys, dtype=np.int64).tolist()
+    if highs is None:
+        assert record.highs is None
+    else:
+        assert record.highs.tolist() == np.asarray(highs, dtype=np.int64).tolist()
+
+
+def inserted_rows(op) -> list:
+    """The payload rows an insert stores: zeros where none was given."""
+    if isinstance(op, Insert):
+        return [list(op.payload or (0, 0))]
+    if op.payloads is None:
+        return [[0, 0]] * len(op.keys)
+    return [list(row) for row in op.payloads]
+
+
+@pytest.mark.parametrize("op", [*EXAMPLES, MultiInsert(keys=())], ids=repr)
+class TestTheRecordIsTheAttribution:
+    """``engine.execute(op)`` logs one record: ``op.attribution()``, plus the
+    insert payload rows when a durability manager will encode them."""
+
+    def test_monitored_memory_engine(self, op, monkeypatch):
+        db = fresh_database(monitor=True)
+        logs = []
+        observe = db.monitor.observe_batch
+
+        def capture(table, log):
+            logs.append(list(log.records))
+            return observe(table, log)
+
+        monkeypatch.setattr(db.monitor, "observe_batch", capture)
+        kind = execute_kind(db.engine, op)
+        assert kind in (None, result_kind(op))
+        assert len(logs) == 1 and len(logs[0]) == 1
+        (record,) = logs[0]
+        assert_is_attribution(record, op)
+        # Nothing will encode them, so no payload rows are carried.
+        assert record.payloads is None
+
+    def test_durable_engine(self, op, tmp_path):
+        db = fresh_database(durability=tmp_path)
+        before = len(wal_logs(tmp_path))
+        kind = execute_kind(db.engine, op)
+        logs = wal_logs(tmp_path)[before:]
+        db.close()
+        assert kind in (None, result_kind(op))
+        if not is_write(op):
+            assert logs == []
+            return
+        assert len(logs) == 1 and len(logs[0].records) == 1
+        (record,) = logs[0].records
+        assert_is_attribution(record, op)
+        if record.kind == "insert":
+            assert record.payloads.tolist() == inserted_rows(op)
+            assert record.payloads.shape == (len(record.keys), 2)
+        else:
+            assert record.payloads is None
 
 
 def test_scalar_writes_state_their_written_keys():
