@@ -24,6 +24,7 @@ from repro.storage.engine import StorageEngine
 from repro.storage.errors import TransactionConflictError
 from repro.storage.layouts import LayoutKind, LayoutSpec
 from repro.storage.table import Table, layout_chunk_builder
+from repro.workload.operations import RangeQuery
 
 
 def transactions_demo() -> None:
@@ -31,10 +32,10 @@ def transactions_demo() -> None:
     payload = np.arange(10_000, dtype=np.int64).reshape(-1, 1)
     spec = LayoutSpec(kind=LayoutKind.EQUI_GV, partitions=16, block_values=1_024)
     table = Table(keys, payload, chunk_builder=layout_chunk_builder(spec))
-    engine = StorageEngine(table, enable_transactions=True)
+    engine = StorageEngine(table)
 
     print("== Snapshot isolation (first committer wins) ==")
-    analytical_before = engine.range_count(0, 19_998).result
+    analytical_before = engine.execute(RangeQuery(0, 19_998)).result
     writer_a = engine.begin_transaction()
     writer_b = engine.begin_transaction()
     engine.transactional_update(writer_a, 40, 41)
@@ -44,7 +45,7 @@ def transactions_demo() -> None:
         engine.commit(writer_b)
     except TransactionConflictError:
         print("writer B aborted: key 40 was already updated by writer A")
-    analytical_after = engine.range_count(0, 19_998).result
+    analytical_after = engine.execute(RangeQuery(0, 19_998)).result
     print(f"analytical row count before/after: {analytical_before} / {analytical_after}")
     print(f"committed={engine.transactions.committed} aborted={engine.transactions.aborted}\n")
 

@@ -12,12 +12,13 @@ Quickstart
 ----------
 >>> from repro import CasperPlanner, HAPConfig, StorageEngine, make_workload
 >>> from repro.workload.hap import build_table
+>>> from repro.workload.operations import Insert
 >>> config = HAPConfig(num_rows=16_384, chunk_size=16_384, block_values=256)
 >>> sample = make_workload("hybrid_skewed", config, num_operations=500)
 >>> planner = CasperPlanner(sample_workload=sample, block_values=256)
 >>> table = build_table(config, planner.build_chunk)
 >>> engine = StorageEngine(table)
->>> engine.insert(12345).kind
+>>> engine.execute(Insert(12345)).kind
 'insert'
 """
 

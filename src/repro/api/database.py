@@ -78,7 +78,6 @@ class Database:
         constants: CostConstants | None = None,
         planner: CasperPlanner | None = None,
         monitor: WorkloadMonitor | bool | None = None,
-        enable_transactions: bool = False,
     ) -> None:
         self.table = table
         self.constants = (
@@ -99,10 +98,7 @@ class Database:
             monitor = None
         self.monitor = monitor
         self.engine = StorageEngine(
-            table,
-            constants=self.constants,
-            enable_transactions=enable_transactions,
-            monitor=self.monitor,
+            table, constants=self.constants, monitor=self.monitor
         )
         #: Attached :class:`DurabilityManager`, or ``None`` (memory-only).
         self.durability: DurabilityManager | None = None
@@ -155,7 +151,6 @@ class Database:
         payload_names: Sequence[str] | None = None,
         constants: CostConstants | None = None,
         monitor: WorkloadMonitor | bool | None = None,
-        enable_transactions: bool = False,
         durability: "str | os.PathLike | DurabilityConfig | None" = None,
     ) -> "Database":
         """Load rows under a fixed layout mode.
@@ -200,12 +195,7 @@ class Database:
             payload_names=payload_names,
             block_values=block_values,
         )
-        database = cls(
-            table,
-            constants=constants,
-            monitor=monitor,
-            enable_transactions=enable_transactions,
-        )
+        database = cls(table, constants=constants, monitor=monitor)
         config = _durability_config(durability)
         if config is not None:
             database._attach_durability(config, layout_spec=spec)
@@ -226,7 +216,6 @@ class Database:
         payload_names: Sequence[str] | None = None,
         constants: CostConstants | None = None,
         monitor: WorkloadMonitor | bool | None = None,
-        enable_transactions: bool = False,
         durability: "str | os.PathLike | DurabilityConfig | None" = None,
     ) -> "Database":
         """Build a Casper-planned database tuned for ``workload``.
@@ -263,11 +252,7 @@ class Database:
             block_values=block_values,
         )
         database = cls(
-            table,
-            constants=constants,
-            planner=planner,
-            monitor=monitor,
-            enable_transactions=enable_transactions,
+            table, constants=constants, planner=planner, monitor=monitor
         )
         config = _durability_config(durability)
         if config is not None:
@@ -286,7 +271,6 @@ class Database:
         *,
         constants: CostConstants | None = None,
         monitor: WorkloadMonitor | bool | None = None,
-        enable_transactions: bool = False,
     ) -> "Database":
         """Recover the database stored under a durability log directory.
 
@@ -299,12 +283,7 @@ class Database:
         """
         config = _durability_config(durability)
         table, report = recover(config.root)
-        database = cls(
-            table,
-            constants=constants,
-            monitor=monitor,
-            enable_transactions=enable_transactions,
-        )
+        database = cls(table, constants=constants, monitor=monitor)
         # The stored manifest metadata (layout spec included) carries over
         # to the snapshots this incarnation will take.
         manager = DurabilityManager(

@@ -1,4 +1,4 @@
-"""Benchmark harness: workload execution, micro-benchmarking, experiments."""
+"""Benchmark harness: workload execution, reporting, experiments."""
 
 from .harness import (
     LAYOUT_ORDER,
@@ -9,27 +9,17 @@ from .harness import (
     normalized_throughput,
     run_workload,
 )
-from .microbench import (
-    MicrobenchResult,
-    fit_cost_constants,
-    measure_random_access_ns,
-    measure_seq_line_ns,
-)
 from .reporting import banner, format_series, format_table
 
 __all__ = [
     "LAYOUT_ORDER",
-    "MicrobenchResult",
     "WorkloadRunResult",
     "banner",
     "build_hap_database",
     "build_hap_engine",
     "compare_layouts",
-    "fit_cost_constants",
     "format_series",
     "format_table",
-    "measure_random_access_ns",
-    "measure_seq_line_ns",
     "normalized_throughput",
     "run_workload",
 ]

@@ -192,7 +192,6 @@ class PartitionedColumn:
         track_rowids: bool = False,
         rowids: np.ndarray | None = None,
         counter: AccessCounter | None = None,
-        index_fanout: int = 16,
     ) -> None:
         values = np.asarray(sorted_values, dtype=np.int64)
         if values.ndim != 1:
@@ -203,7 +202,7 @@ class PartitionedColumn:
             raise LayoutError("block_values must be positive")
         self.block_values = int(block_values)
         self.counter = counter if counter is not None else AccessCounter()
-        self._index = PartitionIndex(fanout=index_fanout)
+        self._index = PartitionIndex()
 
         if boundaries is None:
             boundaries = np.asarray([values.size], dtype=np.int64)

@@ -17,7 +17,6 @@ reads).  With the default 16KB blocks that makes a sequential block read
 ~1.83us and a random touch 100ns, which reproduces the relative magnitudes of
 the paper's measurements (partition scans proportional to partition size,
 ripple steps ~0.2us per partition, delta merges ~1ms per 1M-value chunk).
-``repro.bench.microbench`` can re-fit the constants on the host machine.
 """
 
 from __future__ import annotations

@@ -1,14 +1,15 @@
 """Casper storage engine facade (Section 6).
 
-The engine wraps a :class:`~repro.storage.table.Table` and exposes the
-standard storage-engine API of Section 6.4 -- full scan, point lookup, range
-search (count / sum), insert, delete, update -- together with:
+The engine wraps a :class:`~repro.storage.table.Table`, whose methods are
+the standard storage-engine API of Section 6.4 -- full scan, point lookup,
+range search (count / sum), insert, delete, update.  Every operation enters
+one way, :meth:`StorageEngine.execute` (or :meth:`StorageEngine.execute_batch`
+for many): a :mod:`repro.workload.operations` object states its table call
+(``run``) and its log record (``attribution``), and the engine adds
 
 * per-operation cost measurement (block-access accounting plus wall-clock),
-* optional snapshot-isolation transactions backed by
+* snapshot-isolation transactions backed by
   :class:`~repro.storage.mvcc.TransactionManager`,
-* dispatch of :mod:`repro.workload.operations` objects, which is what the
-  benchmark harness drives,
 * an optional durability hook: with a
   :class:`~repro.durability.manager.DurabilityManager` attached, every
   write dispatch runs inside a *commit scope* -- the manager's
@@ -20,7 +21,7 @@ search (count / sum), insert, delete, update -- together with:
 There is one scope (:meth:`StorageEngine._commit_scope`), re-entrant per
 thread, and one per-call log (:class:`~repro.storage.access_log.CallLog`).
 A batch, an MVCC transaction commit or a dispatch on its own opens the
-scope; the dispatch methods run inside join it, and each records its
+scope; the dispatches run inside join it, and each records its
 submitted keys once, as one record, when it returns.  When the outermost
 scope closes, the write and marker records go to the WAL as one record --
 for a transaction **one atomic record** (the body's atomic flag set), which
@@ -210,17 +211,16 @@ class StorageEngine:
         table: Table,
         *,
         constants: CostConstants = DEFAULT_COST_CONSTANTS,
-        enable_transactions: bool = False,
         monitor: "WorkloadMonitor | None" = None,
     ) -> None:
         self.table = table
         self.constants = constants
         self.statistics = EngineStatistics()
-        self.transactions = TransactionManager() if enable_transactions else None
+        self.transactions = TransactionManager()
         #: Optional :class:`repro.core.monitor.WorkloadMonitor` observing the
         #: per-chunk operation mix for online reorganization (Fig. 10 A->C).
         self.monitor = monitor
-        # The open commit scope's call log, *per thread*: dispatch methods
+        # The open commit scope's call log, *per thread*: dispatches
         # append their records to the calling thread's log, so concurrent
         # sessions never interleave records in one shared log -- the
         # monitor merges their logs at flush time (``observe_batch``
@@ -301,40 +301,6 @@ class StorageEngine:
         the WAL the log of a scope that ``writes``."""
         return self.monitor is not None or (writes and self.durability is not None)
 
-    def _dispatch(
-        self, kind: str, func, args: tuple, keys, highs=None, payloads=None
-    ) -> OperationResult:
-        """Measure ``func(*args)`` as ``kind`` and record the submitted
-        ``keys`` (with ``highs`` / ``payloads``) into the call's log once
-        it returns, as one record whose kind is ``kind`` without its
-        ``multi_`` prefix (a write kind when it is one the WAL stores).
-
-        A dispatch outside any scope opens one when its log has a reader.
-        A miss (:class:`ValueNotFoundError`) mutates nothing and replays as
-        a no-op: it is recorded like a hit and re-raised after the scope
-        closes, so the scope still appends and syncs.  Any other error
-        records nothing.
-        """
-        record = kind.removeprefix("multi_")
-        log = getattr(self._local, "log", None)
-        if log is None:
-            writes = record in DELTA_KIND_CODES
-            if not self._log_is_read(writes):
-                return self._measure(kind, func, *args)
-            with self._commit_scope(writes=writes):
-                try:
-                    return self._dispatch(kind, func, args, keys, highs, payloads)
-                except ValueNotFoundError as error:
-                    missed = error
-            raise missed
-        try:
-            outcome = self._measure(kind, func, *args)
-        except ValueNotFoundError:
-            log.record(record, keys, highs, payloads)
-            raise
-        log.record(record, keys, highs, payloads)
-        return outcome
-
     @property
     def counter(self) -> AccessCounter:
         """The shared access counter of the underlying table."""
@@ -354,46 +320,6 @@ class StorageEngine:
         self.statistics.record(kind, outcome.simulated_ns(self.constants), wall)
         return outcome
 
-    def point_query(
-        self, key: int, columns: Sequence[str] | None = None
-    ) -> OperationResult:
-        """Q1: fetch the row(s) with the given key."""
-        return self._dispatch(
-            "point_query", self.table.point_query, (key, columns), (key,)
-        )
-
-    def multi_point_query(
-        self, keys: Sequence[int], columns: Sequence[str] | None = None
-    ) -> OperationResult:
-        """Batched Q1 on the vectorized fast path."""
-        return self._dispatch(
-            "multi_point_query", self.table.multi_point_query, (keys, columns), keys
-        )
-
-    def range_count(self, low: int, high: int) -> OperationResult:
-        """Q2: count rows with key in ``[low, high]``."""
-        return self._dispatch(
-            "range_count", self.table.range_count, (low, high), (low,), (high,)
-        )
-
-    def multi_range_count(
-        self, bounds: Sequence[tuple[int, int]]
-    ) -> OperationResult:
-        """Batched Q2 on the vectorized fast path."""
-        bounds = np.asarray(bounds, dtype=np.int64).reshape(-1, 2)
-        return self._dispatch(
-            "multi_range_count", self.table.multi_range_count, (bounds,),
-            bounds[:, 0], bounds[:, 1],
-        )
-
-    def range_sum(
-        self, low: int, high: int, columns: Sequence[str] | None = None
-    ) -> OperationResult:
-        """Q3: sum payload attributes over rows with key in ``[low, high]``."""
-        return self._dispatch(
-            "range_sum", self.table.range_sum, (low, high, columns), (low,), (high,)
-        )
-
     def _delta_payload_rows(
         self, payloads: Sequence[Sequence[int]] | None, count: int
     ) -> np.ndarray:
@@ -403,76 +329,6 @@ class StorageEngine:
         if payloads is None:
             return np.zeros((count, width), dtype=np.int64)
         return np.asarray(payloads, dtype=np.int64).reshape(count, width)
-
-    def insert(self, key: int, payload: Sequence[int] | None = None) -> OperationResult:
-        """Q4: insert a new row."""
-        rows = None
-        if self.durability is not None:
-            rows = [payload] if payload is not None else self._delta_payload_rows(None, 1)
-        return self._dispatch(
-            "insert", self.table.insert, (key, payload), (key,), payloads=rows
-        )
-
-    def delete(self, key: int) -> OperationResult:
-        """Q5: delete a row by key.
-
-        A miss raises :class:`ValueNotFoundError` and is recorded like a
-        hit, as a batched miss is: with durability attached it is one WAL
-        record (a no-op on replay) and runs the fsync policy.
-        """
-        return self._dispatch("delete", self.table.delete, (key,), (key,))
-
-    def multi_insert(
-        self,
-        keys: Sequence[int],
-        payloads: Sequence[Sequence[int]] | None = None,
-    ) -> OperationResult:
-        """Batched Q4 on the bulk-write fast path; result is the row ids."""
-        rows = None
-        if self.durability is not None:
-            # Convert once and share: the table and the WAL record would
-            # otherwise each pay the tuple->array conversion.
-            keys = np.asarray(keys, dtype=np.int64)
-            payloads = rows = self._delta_payload_rows(payloads, len(keys))
-        return self._dispatch(
-            "multi_insert", self.table.bulk_insert, (keys, payloads), keys,
-            payloads=rows,
-        )
-
-    def multi_delete(self, keys: Sequence[int]) -> OperationResult:
-        """Batched Q5 on the bulk-write fast path.
-
-        The result is the per-key deleted-count array (0 marks a missing
-        key; no :class:`ValueNotFoundError` is raised on the bulk path).
-        The submitted keys are recorded, hits and misses alike: replay
-        re-submits them through the same bulk path, and a miss is a no-op
-        on both sides.
-        """
-        keys = np.asarray(keys, dtype=np.int64)
-        return self._dispatch("multi_delete", self.table.bulk_delete, (keys,), keys)
-
-    def update_key(self, old_key: int, new_key: int) -> OperationResult:
-        """Q6: change a row's key value (a miss is recorded as
-        :meth:`delete` records one)."""
-        return self._dispatch(
-            "update", self.table.update_key, (old_key, new_key), (old_key,), (new_key,)
-        )
-
-    def multi_update(
-        self, pairs: Sequence[tuple[int, int]]
-    ) -> OperationResult:
-        """Batched Q6 on the batch-routed path.
-
-        The result is the per-pair updated-count array (0 marks a missing
-        source key; no :class:`ValueNotFoundError` is raised on the bulk
-        path).  Pairs are applied in submission order, so results and
-        simulated accesses match per-pair :meth:`update_key` dispatch
-        exactly.
-        """
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        return self._dispatch(
-            "multi_update", self.table.bulk_update, (pairs,), pairs[:, 0], pairs[:, 1]
-        )
 
     def full_scan(self) -> OperationResult:
         """Scan the entire key column."""
@@ -484,27 +340,33 @@ class StorageEngine:
 
     def begin_transaction(self) -> Transaction:
         """Start a snapshot-isolated transaction."""
-        if self.transactions is None:
-            raise RuntimeError("transactions are not enabled for this engine")
         return self.transactions.begin()
 
     def transactional_insert(
         self, txn: Transaction, key: int, payload: Sequence[int] | None = None
     ) -> None:
         """Buffer an insert inside ``txn``; applied at commit."""
-        txn.record_write(key, lambda: self.insert(key, payload), f"insert {key}")
+        from ..workload.operations import Insert
+
+        txn.record_write(
+            key, lambda: self.execute(Insert(key, payload)), f"insert {key}"
+        )
 
     def transactional_delete(self, txn: Transaction, key: int) -> None:
         """Buffer a delete inside ``txn``; applied at commit."""
-        txn.record_write(key, lambda: self.delete(key), f"delete {key}")
+        from ..workload.operations import Delete
+
+        txn.record_write(key, lambda: self.execute(Delete(key)), f"delete {key}")
 
     def transactional_update(
         self, txn: Transaction, old_key: int, new_key: int
     ) -> None:
         """Buffer a key update inside ``txn``; applied at commit."""
+        from ..workload.operations import Update
+
         txn.record_write(
             old_key,
-            lambda: self.update_key(old_key, new_key),
+            lambda: self.execute(Update(old_key, new_key)),
             f"update {old_key}->{new_key}",
         )
         txn.record_write(new_key, lambda: None, "update target reservation")
@@ -512,9 +374,9 @@ class StorageEngine:
     def commit(self, txn: Transaction) -> int:
         """Commit ``txn`` (first committer wins).
 
-        The buffered intents apply through the engine's own write methods
-        (so the monitor and the statistics see them like any other write)
-        inside one atomic commit scope: with durability attached, the
+        The buffered intents apply through :meth:`execute` (so the monitor
+        and the statistics see them like any other write) inside one
+        atomic commit scope: with durability attached, the
         commit lock is held across [conflict check + intent applies + WAL
         append] and the write set lands as **one atomic WAL record**
         (``CallLog(atomic=True)``) before the commit timestamp is
@@ -523,8 +385,6 @@ class StorageEngine:
         and logs nothing; an intent that dies part-way leaves the applied
         prefix in the log (:meth:`_commit_scope`).
         """
-        if self.transactions is None:
-            raise RuntimeError("transactions are not enabled for this engine")
         if not txn.write_intents:
             # Read-only: no commit lock, and no ``require_writable()`` --
             # it commits on a database in read-only degradation too.
@@ -534,8 +394,6 @@ class StorageEngine:
 
     def abort(self, txn: Transaction) -> None:
         """Roll back ``txn``."""
-        if self.transactions is None:
-            raise RuntimeError("transactions are not enabled for this engine")
         self.transactions.abort(txn)
 
     # ------------------------------------------------------------------ #
@@ -558,7 +416,7 @@ class StorageEngine:
         ``(found, payload_rows)``: a boolean hit mask aligned with
         ``moves`` and the payload rows of the hits, in order.  Absent
         keys are misses: no marker, but the delete run holds every
-        submitted key, hits and misses, as :meth:`multi_delete` records
+        submitted key, hits and misses, as a ``MultiDelete`` records
         it (a miss replays as a no-op), so a phase of misses appends a
         record too.  Victims are taken in list order, each the oldest
         copy of its key (exactly a plain delete's victim).
@@ -631,32 +489,46 @@ class StorageEngine:
     # ------------------------------------------------------------------ #
 
     def execute(self, operation) -> OperationResult:
-        """Execute a :mod:`repro.workload.operations` object."""
-        from ..workload import operations as ops
+        """Execute a :mod:`repro.workload.operations` object: measure
+        ``operation.run(table)`` and record ``operation.attribution()`` into
+        the call's log once it returns, with the inserted payload rows when
+        a durability manager will encode them.
 
-        if isinstance(operation, ops.PointQuery):
-            return self.point_query(operation.key, operation.columns)
-        if isinstance(operation, ops.RangeQuery):
-            if operation.aggregate is ops.Aggregate.COUNT:
-                return self.range_count(operation.low, operation.high)
-            return self.range_sum(operation.low, operation.high, operation.columns)
-        if isinstance(operation, ops.Insert):
-            return self.insert(operation.key, operation.payload)
-        if isinstance(operation, ops.Delete):
-            return self.delete(operation.key)
-        if isinstance(operation, ops.Update):
-            return self.update_key(operation.old_key, operation.new_key)
-        if isinstance(operation, ops.MultiPointQuery):
-            return self.multi_point_query(operation.keys, operation.columns)
-        if isinstance(operation, ops.MultiRangeCount):
-            return self.multi_range_count(operation.bounds)
-        if isinstance(operation, ops.MultiInsert):
-            return self.multi_insert(operation.keys, operation.payloads)
-        if isinstance(operation, ops.MultiDelete):
-            return self.multi_delete(operation.keys)
-        if isinstance(operation, ops.MultiUpdate):
-            return self.multi_update(operation.pairs)
-        raise TypeError(f"unsupported operation type: {type(operation)!r}")
+        The result kind is the operation's own (``multi_point_query``, ...)
+        for a batched kind and its record kind (``point_query``,
+        ``range_count``, ``range_sum``, ...) for a scalar one.  A dispatch
+        outside any scope opens one when its log has a reader.  A miss
+        (:class:`ValueNotFoundError`) mutates nothing and replays as a
+        no-op: it is recorded like a hit and re-raised after the scope
+        closes, so the scope still appends and syncs.  Any other error
+        records nothing.
+        """
+        if not hasattr(operation, "run"):
+            raise TypeError(f"unsupported operation type: {type(operation)!r}")
+        log = getattr(self._local, "log", None)
+        if log is None and self._log_is_read(operation.writes):
+            with self._commit_scope(writes=operation.writes):
+                try:
+                    return self.execute(operation)
+                except ValueNotFoundError as error:
+                    missed = error
+            raise missed
+        record, keys, highs = operation.attribution()
+        name = operation.kind.value
+        kind = name if name.startswith("multi_") else record
+        if log is None:
+            return self._measure(kind, operation.run, self.table)
+        payloads = None
+        if record == "insert" and self.durability is not None:
+            operation, payloads = operation.with_payload_rows(self._delta_payload_rows)
+            keys = operation.attribution()[1]
+        try:
+            outcome = self._measure(kind, operation.run, self.table)
+        except ValueNotFoundError:
+            log.record(record, keys, highs, payloads)
+            raise
+        log.record(record, keys, highs, payloads)
+        return outcome
 
     def execute_batch(self, operations) -> BatchResult:
         """Execute a sequence of operations on the vectorized batch fast path.
@@ -664,14 +536,13 @@ class StorageEngine:
         Operations group by commutation, not adjacency (:func:`plan_batch`
         is the rule).  Reads between two writes commute with one another,
         so within every maximal write-free stretch all point queries with
-        identical column lists resolve through one
-        :meth:`multi_point_query` and all counting range queries through
-        one :meth:`multi_range_count`, however they were interleaved.
-        Writes on distinct keys commute too: within every maximal
-        read-free stretch all inserts resolve through one
-        :meth:`multi_insert`, all deletes through one :meth:`multi_delete`
-        and all key updates through one :meth:`multi_update`, however they
-        were interleaved.  No write moves across a read, same-kind writes
+        identical column lists resolve through one ``MultiPointQuery`` and
+        all counting range queries through one ``MultiRangeCount``, however
+        they were interleaved.  Writes on distinct keys commute too: within
+        every maximal read-free stretch all inserts resolve through one
+        ``MultiInsert``, all deletes through one ``MultiDelete`` and all
+        key updates through one ``MultiUpdate``, however they were
+        interleaved.  No write moves across a read, same-kind writes
         keep their submission order -- so every insert returns the row id
         serial dispatch hands out and grouped updates apply their pairs in
         order -- and a cross-kind reuse of a written key ends the stretch:

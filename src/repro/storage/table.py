@@ -151,7 +151,6 @@ class Table:
         chunk_builder: ChunkBuilder | None = None,
         payload_names: Sequence[str] | None = None,
         block_values: int = DEFAULT_BLOCK_VALUES,
-        router_fanout: int = 16,
     ) -> None:
         keys = np.asarray(keys, dtype=np.int64)
         if keys.ndim != 1:
@@ -212,7 +211,7 @@ class Table:
         self._latches = ChunkLatches(len(self._chunks))
         self._payload_lock = discipline.make_lock("table_payload")
         self._structure_lock = discipline.make_lock("table_structure")
-        self._router = PartitionIndex(fanout=router_fanout)
+        self._router = PartitionIndex()
         with self._structure_lock:
             self._rebuild_router()
         # Per-chunk data generation: bumped (under the chunk's exclusive

@@ -27,11 +27,16 @@ scalar, five batched) *is*.  Every class states, once:
     is what ``plan_batch`` checks before it lets a write join an earlier
     group of its kind;
 ``attribution()``
-    the monitor's access record ``(kind, lows, highs)`` -- ``kind`` is one of
+    the record ``(kind, lows, highs)`` the engine logs for the monitor and
+    the WAL -- ``kind`` is one of
     ``repro.storage.access_log.ATTRIBUTION_KINDS`` or the paired-update kind
     ``"update"``.  For the range kinds ``lows``/``highs`` are the inclusive
     bounds; for every other kind each entry of ``lows`` and ``highs`` is one
     key the operation touches (``highs`` carries the update targets);
+``run(table)``
+    its one :class:`~repro.storage.table.Table` call, which is what
+    ``StorageEngine.execute`` measures (the two insert kinds add
+    ``with_payload_rows``: the payload rows a durable insert logs);
 ``scalars()``
     its scalar expansion.  Scalar kinds add the inverse ``batched(run)``
     (one batched operation for a group sharing a group key); batched kinds
@@ -42,14 +47,15 @@ scalar, five batched) *is*.  Every class states, once:
     ``(tag, array_fields)`` for the shard codec: the named fields travel as
     ``int64`` arrays, every other field as a JSON scalar.
 
-The engine's batch plan and the question whether a batch needs a commit
-scope (``writes``), the monitor's offline seeding (one log of these access
-records through ``observe_batch``, the way engine dispatch gets there too),
-the Frequency Model's sample reader (``sample_columns``, which the planner's
-chunk filter works behind), the wire codec and the shard router's scatter
-are loops over these facts; only ``StorageEngine.execute``
-(operation -> engine method) and the shard router's ``route`` (how a kind
-splits across shards) name the kinds again.
+Engine dispatch (``StorageEngine.execute`` runs ``run`` and logs
+``attribution()``), the engine's batch plan and the question whether a
+batch needs a commit scope (``writes``), the monitor's offline seeding (one
+log of these access records through ``observe_batch``, the way engine
+dispatch gets there too), the Frequency Model's sample reader
+(``sample_columns``, which the planner's chunk filter works behind), the
+wire codec and the shard router's scatter are loops over these facts; only
+the shard router's ``route`` (how a kind splits across shards) names the
+kinds again.
 """
 
 from __future__ import annotations
@@ -107,6 +113,9 @@ class PointQuery:
     def attribution(self) -> tuple:
         return "point_query", (self.key,), None
 
+    def run(self, table) -> list:
+        return table.point_query(self.key, self.columns)
+
     def scalars(self) -> tuple[PointQuery, ...]:
         return (self,)
 
@@ -145,6 +154,11 @@ class RangeQuery:
         count = self.aggregate is Aggregate.COUNT
         return "range_count" if count else "range_sum", (self.low,), (self.high,)
 
+    def run(self, table) -> int:
+        if self.aggregate is Aggregate.COUNT:
+            return table.range_count(self.low, self.high)
+        return table.range_sum(self.low, self.high, self.columns)
+
     def scalars(self) -> tuple[RangeQuery, ...]:
         return (self,)
 
@@ -171,6 +185,14 @@ class Insert:
 
     def attribution(self) -> tuple:
         return "insert", (self.key,), None
+
+    def run(self, table) -> int:
+        return table.insert(self.key, self.payload)
+
+    def with_payload_rows(self, rows) -> tuple[Insert, Any]:
+        """This insert and the payload row its WAL record carries --
+        ``rows(None, 1)``, the zero row the table pads, when none is given."""
+        return self, rows(None, 1) if self.payload is None else (self.payload,)
 
     def scalars(self) -> tuple[Insert, ...]:
         return (self,)
@@ -207,6 +229,9 @@ class Delete:
     def attribution(self) -> tuple:
         return "delete", (self.key,), None
 
+    def run(self, table) -> int:
+        return table.delete(self.key)
+
     def scalars(self) -> tuple[Delete, ...]:
         return (self,)
 
@@ -234,6 +259,9 @@ class Update:
     def attribution(self) -> tuple:
         return "update", (self.old_key,), (self.new_key,)
 
+    def run(self, table) -> None:
+        return table.update_key(self.old_key, self.new_key)
+
     def scalars(self) -> tuple[Update, ...]:
         return (self,)
 
@@ -256,6 +284,9 @@ class MultiPointQuery:
 
     def attribution(self) -> tuple:
         return "point_query", self.keys, None
+
+    def run(self, table) -> list[list]:
+        return table.multi_point_query(self.keys, self.columns)
 
     def scalars(self) -> tuple[PointQuery, ...]:
         return tuple(PointQuery(key, self.columns) for key in self.keys)
@@ -281,8 +312,14 @@ class MultiRangeCount:
                 raise ValueError("range low must be <= high")
 
     def attribution(self) -> tuple:
-        bounds = np.asarray(self.bounds, dtype=np.int64).reshape(-1, 2)
+        bounds = self._array()
         return "range_count", bounds[:, 0], bounds[:, 1]
+
+    def run(self, table) -> np.ndarray:
+        return table.multi_range_count(self._array())
+
+    def _array(self) -> np.ndarray:
+        return np.asarray(self.bounds, dtype=np.int64).reshape(-1, 2)
 
     def scalars(self) -> tuple[RangeQuery, ...]:
         return tuple(RangeQuery(low, high) for low, high in self.bounds)
@@ -314,6 +351,18 @@ class MultiInsert:
     def attribution(self) -> tuple:
         return "insert", self.keys, None
 
+    def run(self, table) -> np.ndarray:
+        return table.bulk_insert(self.keys, self.payloads)
+
+    def with_payload_rows(self, rows) -> tuple[MultiInsert, np.ndarray]:
+        """This insert with its keys and payloads as the arrays its WAL
+        record carries (``rows(payloads, count)``).  Converted once and
+        shared: the table and the record would otherwise each pay the
+        tuple->array conversion."""
+        keys = np.asarray(self.keys, dtype=np.int64)
+        payloads = rows(self.payloads, len(keys))
+        return replace(self, keys=keys, payloads=payloads), payloads
+
     def scalars(self) -> tuple[Insert, ...]:
         payloads = self.payloads or (None,) * len(self.keys)
         return tuple(map(Insert, self.keys, payloads))
@@ -335,6 +384,9 @@ class MultiDelete:
 
     def attribution(self) -> tuple:
         return "delete", self.keys, None
+
+    def run(self, table) -> np.ndarray:
+        return table.bulk_delete(self.keys)
 
     def scalars(self) -> tuple[Delete, ...]:
         return tuple(map(Delete, self.keys))
@@ -368,8 +420,14 @@ class MultiUpdate:
                 raise ValueError("pairs must be (old_key, new_key) tuples")
 
     def attribution(self) -> tuple:
-        pairs = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
+        pairs = self._array()
         return "update", pairs[:, 0], pairs[:, 1]
+
+    def run(self, table) -> np.ndarray:
+        return table.bulk_update(self._array())
+
+    def _array(self) -> np.ndarray:
+        return np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
 
     def scalars(self) -> tuple[Update, ...]:
         return tuple(Update(old_key, new_key) for old_key, new_key in self.pairs)

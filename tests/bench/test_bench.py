@@ -12,7 +12,6 @@ from repro.bench.harness import (
     normalized_throughput,
     run_workload,
 )
-from repro.bench.microbench import fit_cost_constants
 from repro.bench.reporting import banner, format_series, format_table
 from repro.storage.layouts import LayoutKind
 from repro.workload.hap import HAPConfig, make_workload
@@ -101,14 +100,6 @@ class TestHarness:
             results[LayoutKind.CASPER].throughput_ops
             > results[LayoutKind.SORTED].throughput_ops
         )
-
-
-class TestMicrobench:
-    def test_fit_cost_constants_small(self):
-        result = fit_cost_constants(array_bytes=1 * 1024 * 1024, accesses=5_000)
-        constants = result.to_constants()
-        assert constants.random_read > 0
-        assert constants.seq_read > 0
 
 
 class TestReporting:

@@ -12,7 +12,14 @@ from repro.storage.access_log import KIND_CODES
 from repro.storage.engine import StorageEngine
 from repro.storage.layouts import LayoutKind, LayoutSpec
 from repro.storage.table import Table, layout_chunk_builder
-from repro.workload.operations import Insert, PointQuery, RangeQuery, Workload
+from repro.workload.operations import (
+    Delete,
+    Insert,
+    PointQuery,
+    RangeQuery,
+    Update,
+    Workload,
+)
 
 
 POINT = KIND_CODES["point_query"]
@@ -38,9 +45,9 @@ class TestRecording:
     def test_point_operations_attributed_to_owning_chunk(self):
         monitor = WorkloadMonitor()
         engine = StorageEngine(make_table(), monitor=monitor)
-        engine.point_query(20)  # chunk 0 (keys 0..1022)
-        engine.point_query(1_030)  # chunk 1
-        engine.insert(21)  # chunk 0
+        engine.execute(PointQuery(20))  # chunk 0 (keys 0..1022)
+        engine.execute(PointQuery(1_030))  # chunk 1
+        engine.execute(Insert(21))  # chunk 0
         assert monitor.operation_counts(0) == {"point_query": 1, "insert": 1}
         assert monitor.operation_counts(1) == {"point_query": 1}
 
@@ -51,8 +58,8 @@ class TestRecording:
         bound = int(table.chunk_bounds[0])
         # Inserting (or update-targeting) the fence value lands in chunk 0
         # only; the read side of the update probes the full candidate span.
-        engine.insert(bound)
-        engine.update_key(bound, bound)
+        engine.execute(Insert(bound))
+        engine.execute(Update(bound, bound))
         assert monitor.operation_counts(1).get("insert") is None
         assert monitor.operation_counts(0)["insert"] == 1
         # The update's two sides are attributed as distinct kinds: the
@@ -65,26 +72,26 @@ class TestRecording:
     def test_range_operations_attributed_to_span(self):
         monitor = WorkloadMonitor()
         engine = StorageEngine(make_table(), monitor=monitor)
-        engine.range_count(1_000, 1_100)  # spans chunks 0 and 1
+        engine.execute(RangeQuery(1_000, 1_100))  # spans chunks 0 and 1
         assert monitor.operation_counts(0).get("range_count") == 1
         assert monitor.operation_counts(1).get("range_count") == 1
 
     def test_monitoring_charges_no_accesses_beyond_the_operation(self):
         monitored = StorageEngine(make_table(), monitor=WorkloadMonitor())
         plain = StorageEngine(make_table())
-        monitored.point_query(20)
-        plain.point_query(20)
-        monitored.range_count(100, 900)
-        plain.range_count(100, 900)
+        monitored.execute(PointQuery(20))
+        plain.execute(PointQuery(20))
+        monitored.execute(RangeQuery(100, 900))
+        plain.execute(RangeQuery(100, 900))
         assert monitored.counter.snapshot() == plain.counter.snapshot()
 
     def test_mix_and_hot_chunks(self):
         monitor = WorkloadMonitor()
         engine = StorageEngine(make_table(), monitor=monitor)
         for _ in range(3):
-            engine.point_query(20)
-        engine.delete(40)
-        engine.point_query(1_030)
+            engine.execute(PointQuery(20))
+        engine.execute(Delete(40))
+        engine.execute(PointQuery(1_030))
         mix = monitor.chunk_mix(0)
         assert mix["point_query"] == pytest.approx(0.75)
         assert mix["delete"] == pytest.approx(0.25)
@@ -103,7 +110,7 @@ class TestRecording:
         monitor = WorkloadMonitor(sample_limit=2)
         engine = StorageEngine(make_table(), monitor=monitor)
         for _ in range(5):
-            engine.point_query(20)
+            engine.execute(PointQuery(20))
         assert window(monitor, 0) == [(POINT, 20, 20)] * 2
         assert monitor.operation_counts(0) == {"point_query": 5}
 
@@ -113,7 +120,7 @@ class TestRecording:
         monitor = WorkloadMonitor(sample_limit=3)
         engine = StorageEngine(make_table(), monitor=monitor)
         for key in range(0, 20, 2):
-            engine.point_query(key)
+            engine.execute(PointQuery(key))
         assert monitor._samples[0].limit == 3
         # The retained window is the *most recent* three operations.
         assert window(monitor, 0) == [(POINT, key, key) for key in (14, 16, 18)]
@@ -121,7 +128,7 @@ class TestRecording:
     def test_sample_limit_zero_disables_sampling(self):
         monitor = WorkloadMonitor(sample_limit=0)
         engine = StorageEngine(make_table(), monitor=monitor)
-        engine.point_query(20)
+        engine.execute(PointQuery(20))
         assert monitor.operation_counts(0) == {"point_query": 1}
         assert window(monitor, 0) == []
 
@@ -137,7 +144,7 @@ class TestRecording:
     def test_reset(self):
         monitor = WorkloadMonitor()
         engine = StorageEngine(make_table(), monitor=monitor)
-        engine.point_query(20)
+        engine.execute(PointQuery(20))
         monitor.reset()
         assert monitor.observed_chunks() == []
 
@@ -163,7 +170,7 @@ class TestReplanChunk:
             training, keys, chunk_size=512, block_values=64
         )
         for key in range(0, 1_000, 2):
-            database.engine.point_query(key)
+            database.engine.execute(PointQuery(key))
         return database
 
     def test_replan_preserves_data_and_invariants(self):

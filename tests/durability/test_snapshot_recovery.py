@@ -417,12 +417,12 @@ class TestCommitScope:
         )
         assert result.lsn == 1
         # ... a scalar write on its own gets its own ...
-        engine.insert(1_007, (5, 6))
-        engine.delete(4)
+        engine.execute(Insert(1_007, (5, 6)))
+        engine.execute(Delete(4))
         # ... and one issued while a scope is open joins that scope.
         with engine._commit_scope() as deltas:
-            engine.insert(1_009, (7, 8))
-            engine.update_key(6, 1_011)
+            engine.execute(Insert(1_009, (7, 8)))
+            engine.execute(Update(6, 1_011))
             with engine._commit_scope() as inner:
                 assert inner is deltas
         assert deltas.lsn == 4

@@ -84,7 +84,6 @@ def transactional_db(root, *, faults=None, max_retries=4, **kwargs):
         chunk_size=32,
         payload_names=("a", "b"),
         durability=config,
-        enable_transactions=True,
         **kwargs,
     )
     model = {

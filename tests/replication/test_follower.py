@@ -170,7 +170,6 @@ class TestTransactionalReplication:
             chunk_size=64,
             payload_names=("a", "b"),
             durability=root,
-            enable_transactions=True,
         )
         return db, Primary(db.durability)
 

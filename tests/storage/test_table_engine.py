@@ -297,16 +297,16 @@ class TestUpdateKeyFenceConsistency:
 class TestStorageEngine:
     def test_measured_operation_results(self):
         engine = StorageEngine(make_table())
-        outcome = engine.point_query(20)
+        outcome = engine.execute(PointQuery(20))
         assert outcome.kind == "point_query"
         assert outcome.simulated_ns() > 0
         assert outcome.wall_ns > 0
 
     def test_statistics_accumulate(self):
         engine = StorageEngine(make_table())
-        engine.point_query(20)
-        engine.point_query(40)
-        engine.insert(7)
+        engine.execute(PointQuery(20))
+        engine.execute(PointQuery(40))
+        engine.execute(Insert(7))
         assert engine.statistics.operations["point_query"] == 2
         assert engine.statistics.operations["insert"] == 1
         assert engine.statistics.mean_simulated_ns("point_query") > 0
@@ -334,13 +334,8 @@ class TestStorageEngine:
         outcome = engine.full_scan()
         assert outcome.result.shape[0] == 256
 
-    def test_transactions_disabled_by_default(self):
-        engine = StorageEngine(make_table())
-        with pytest.raises(RuntimeError):
-            engine.begin_transaction()
-
     def test_transactional_commit_applies_writes(self):
-        engine = StorageEngine(make_table(), enable_transactions=True)
+        engine = StorageEngine(make_table())
         txn = engine.begin_transaction()
         engine.transactional_insert(txn, 555, payload=[1, 2, 3])
         assert engine.table.point_query(555) == []
@@ -350,7 +345,7 @@ class TestStorageEngine:
     def test_transactional_conflict_aborts_second_writer(self):
         from repro.storage.errors import TransactionConflictError
 
-        engine = StorageEngine(make_table(), enable_transactions=True)
+        engine = StorageEngine(make_table())
         first = engine.begin_transaction()
         second = engine.begin_transaction()
         engine.transactional_delete(first, 40)
