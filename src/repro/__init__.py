@@ -43,7 +43,6 @@ from .core import (
     LayoutSolution,
     PartitioningResult,
     SLAConstraints,
-    SolverBackend,
     learn_from_distributions,
     learn_from_workload,
     optimize_layout,
@@ -104,7 +103,6 @@ __all__ = [
     "Session",
     "SessionReport",
     "SessionResult",
-    "SolverBackend",
     "StorageEngine",
     "TPCHConfig",
     "VectorizedPolicy",

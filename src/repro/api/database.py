@@ -35,7 +35,6 @@ import numpy as np
 
 from ..core.constraints import SLAConstraints
 from ..core.monitor import WorkloadMonitor
-from ..core.optimizer import SolverBackend
 from ..core.planner import CasperPlanner
 from ..durability.manager import DurabilityConfig, DurabilityManager
 from ..durability.recovery import recover, spec_to_meta
@@ -212,7 +211,6 @@ class Database:
         block_values: int = DEFAULT_BLOCK_VALUES,
         ghost_fraction: float = 0.001,
         sla: SLAConstraints | None = None,
-        solver: SolverBackend | str = SolverBackend.DP,
         payload_names: Sequence[str] | None = None,
         constants: CostConstants | None = None,
         monitor: WorkloadMonitor | bool | None = None,
@@ -241,7 +239,6 @@ class Database:
             ghost_fraction=ghost_fraction,
             constants=constants,
             sla=sla,
-            solver=solver,
         )
         table = Table(
             keys,

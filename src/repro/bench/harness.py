@@ -23,7 +23,6 @@ import numpy as np
 from ..api.database import Database
 from ..core.constraints import SLAConstraints
 from ..core.monitor import WorkloadMonitor
-from ..core.optimizer import SolverBackend
 from ..storage.cost_accounting import CostConstants, constants_for_block_values
 from ..storage.engine import StorageEngine
 from ..storage.errors import ValueNotFoundError
@@ -164,7 +163,6 @@ def build_hap_database(
     merge_threshold: float = 0.01,
     merge_entries: int | None = 16,
     sla: SLAConstraints | None = None,
-    solver: SolverBackend | str = SolverBackend.DP,
     constants: CostConstants | None = None,
     monitor: WorkloadMonitor | bool | None = None,
 ) -> Database:
@@ -201,7 +199,6 @@ def build_hap_database(
             block_values=config.block_values,
             ghost_fraction=ghost_fraction,
             sla=sla,
-            solver=solver,
             constants=constants,
             monitor=monitor,
         )

@@ -44,7 +44,7 @@ from .ghost_allocation import (
 )
 from .greedy_solver import solve_greedy
 from .monitor import RecentSample, WorkloadMonitor, mix_distance
-from .optimizer import LayoutSolution, SolverBackend, optimize_layout
+from .optimizer import LayoutSolution, optimize_layout
 from .planner import CasperPlanner, ChunkPlan
 from .robustness import (
     RobustnessPoint,
@@ -69,7 +69,6 @@ __all__ = [
     "SLAConstraints",
     "SampleColumns",
     "ScalabilityModel",
-    "SolverBackend",
     "StructuralBounds",
     "WorkloadMonitor",
     "WorkloadTerms",

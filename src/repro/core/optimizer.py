@@ -1,34 +1,22 @@
 """Layout optimizer facade.
 
 ``optimize_layout`` ties the pieces of Sections 4 and 5 together: it takes a
-Frequency Model (plus cost constants and optional SLAs), dispatches to one of
-the solver backends and converts the block-level solution into value-offset
+Frequency Model (plus cost constants and optional SLAs), solves it with the
+exact DP (Section 5) and converts the block-level solution into value-offset
 partition boundaries that the storage layer understands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from ..storage.cost_accounting import DEFAULT_COST_CONSTANTS, CostConstants
-from .bip_solver import solve_bip
 from .constraints import SLAConstraints, StructuralBounds
 from .cost_model import CostModel
-from .dp_solver import PartitioningResult, brute_force, solve_dp
+from .dp_solver import PartitioningResult, solve_dp
 from .frequency_model import FrequencyModel
-from .greedy_solver import solve_greedy
-
-
-class SolverBackend(Enum):
-    """Available solver backends."""
-
-    DP = "dp"
-    BIP = "bip"
-    GREEDY = "greedy"
-    BRUTE_FORCE = "brute_force"
 
 
 @dataclass(frozen=True)
@@ -75,9 +63,12 @@ def optimize_layout(
     constants: CostConstants = DEFAULT_COST_CONSTANTS,
     sla: SLAConstraints | None = None,
     bounds: StructuralBounds | None = None,
-    solver: SolverBackend | str = SolverBackend.DP,
 ) -> LayoutSolution:
-    """Solve the column-layout problem for one chunk.
+    """Solve the column-layout problem for one chunk with the exact DP.
+
+    The BIP, greedy and brute-force solvers (``solve_bip``,
+    ``solve_greedy``, ``brute_force``) take the same cost model and bounds
+    and are called directly where they are compared against it.
 
     Parameters
     ----------
@@ -94,11 +85,7 @@ def optimize_layout(
         Optional latency SLAs translated into structural bounds (Eq. 21).
     bounds:
         Pre-computed structural bounds (overrides ``sla``).
-    solver:
-        Which backend to use; the exact DP is the default.
     """
-    if isinstance(solver, str):
-        solver = SolverBackend(solver)
     cost_model = CostModel(frequency_model, constants)
     if bounds is None:
         bounds = (
@@ -106,20 +93,11 @@ def optimize_layout(
             if sla is not None
             else StructuralBounds()
         )
-    kwargs = dict(
+    result = solve_dp(
+        cost_model,
         max_partition_blocks=bounds.max_partition_blocks,
         max_partitions=bounds.max_partitions,
     )
-    if solver is SolverBackend.DP:
-        result = solve_dp(cost_model, **kwargs)
-    elif solver is SolverBackend.BIP:
-        result = solve_bip(cost_model, **kwargs)
-    elif solver is SolverBackend.GREEDY:
-        result = solve_greedy(cost_model, **kwargs)
-    elif solver is SolverBackend.BRUTE_FORCE:
-        result = brute_force(cost_model, **kwargs)
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown solver backend: {solver!r}")
     return LayoutSolution(
         result=result,
         cost_model=cost_model,

@@ -40,7 +40,7 @@ from .frequency_model import (
     sample_columns,
 )
 from .ghost_allocation import GhostAllocation, allocate_ghost_values
-from .optimizer import LayoutSolution, SolverBackend, optimize_layout
+from .optimizer import LayoutSolution, optimize_layout
 
 
 @dataclass
@@ -80,8 +80,6 @@ class CasperPlanner:
         Block-access cost constants.
     sla:
         Optional latency SLAs (Eq. 21).
-    solver:
-        Solver backend (exact DP by default).
     """
 
     sample_workload: Workload | SampleColumns
@@ -89,7 +87,6 @@ class CasperPlanner:
     ghost_fraction: float = 0.001
     constants: CostConstants = DEFAULT_COST_CONSTANTS
     sla: SLAConstraints | None = None
-    solver: SolverBackend | str = SolverBackend.DP
     plans: list[ChunkPlan] = field(default_factory=list)
 
     def with_sample(self, sample: Workload | SampleColumns) -> "CasperPlanner":
@@ -117,7 +114,6 @@ class CasperPlanner:
             block_values=self.block_values,
             constants=self.constants,
             sla=self.sla,
-            solver=self.solver,
         )
         boundaries = snap_boundaries_to_duplicates(
             values, solution.boundary_offsets()

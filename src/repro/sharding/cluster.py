@@ -75,7 +75,6 @@ class ExecuteReply:
     """
 
     results: list
-    errors: int
     accesses: AccessCounter
     wall_ns: float
     commit_lsn: int | None
@@ -158,7 +157,6 @@ class ShardChannel:
             results=codec.decode_results(
                 reply.get("results", ()), codec.ArenaReader(self.arena)
             ),
-            errors=int(reply.get("errors", 0)),
             accesses=_decode_counter(reply.get("accesses")),
             wall_ns=float(reply.get("wall_ns", 0.0)),
             commit_lsn=reply.get("commit_lsn"),

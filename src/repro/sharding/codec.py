@@ -13,16 +13,15 @@ class of :mod:`repro.workload.operations` declares ``wire = (tag,
 array_fields)``; a descriptor is the tag plus every field by name, the
 array fields through the arena (with their shape), the rest as JSON.
 
-The result encoding mirrors exactly what
-:meth:`repro.api.session.Session.execute` puts in ``results``:
+The result encoding covers what the operations the shard router sends
+(the batched kinds and SUM ranges of the engine's batch plan) return;
+none of them reports a miss as ``None``:
 
 ========================  =============================================
-serial result entry        wire form
+worker result entry        wire form
 ========================  =============================================
-``None`` (miss)            ``{"t": "z"}``
-``int`` (count / rowid)    ``{"t": "i", "v": ...}``
+``int`` (range sum)        ``{"t": "i", "v": ...}``
 ``int64`` array            ``{"t": "a", "v": <array>}``
-``list[Row]`` (Q1)         ``{"t": "r", "c": .., "r": .., "p": ..}``
 ``list[list[Row]]``        ``{"t": "rr", "c": .., "r": .., "p": ..}``
 ========================  =============================================
 
@@ -156,10 +155,9 @@ class RowBlock:
     counts: np.ndarray
     rowids: np.ndarray
     payload: np.ndarray  # flat, len(rowids) * len(columns)
-    nested: bool  # list[list[Row]] (Multi*) vs list[Row] (scalar)
 
 
-def _encode_rows(row_lists, columns, writer: ArenaWriter, *, nested: bool) -> dict:
+def _encode_rows(row_lists, columns, writer: ArenaWriter) -> dict:
     counts = np.fromiter(
         (len(rows) for rows in row_lists), dtype=_I64, count=len(row_lists)
     )
@@ -179,7 +177,7 @@ def _encode_rows(row_lists, columns, writer: ArenaWriter, *, nested: bool) -> di
         count=int(counts.sum()) * len(columns),
     )
     return {
-        "t": "rr" if nested else "r",
+        "t": "rr",
         "c": writer.put(counts),
         "r": writer.put(rowids),
         "p": writer.put(payload),
@@ -192,13 +190,12 @@ def encode_results(
     """Encode a session's per-operation results for the wire.
 
     ``oplist`` provides the context the row blocks need (requested
-    columns); entries must align one-to-one with ``results``.
+    columns); entries must align one-to-one with ``results``.  A row
+    result is a ``MultiPointQuery``'s list of per-key row lists.
     """
     encoded: list[dict] = []
     for op, result in zip(oplist, results, strict=True):
-        if result is None:
-            encoded.append({"t": "z"})
-        elif isinstance(result, (int, np.integer)):
+        if isinstance(result, (int, np.integer)):
             encoded.append({"t": "i", "v": int(result)})
         elif isinstance(result, np.ndarray):
             encoded.append({"t": "a", "v": writer.put(result)})
@@ -208,14 +205,7 @@ def encode_results(
                 if op.columns is not None
                 else list(payload_names)
             )
-            if op.kind is ops.OperationKind.MULTI_POINT_QUERY:
-                encoded.append(
-                    _encode_rows(result, columns, writer, nested=True)
-                )
-            else:
-                encoded.append(
-                    _encode_rows([result], columns, writer, nested=False)
-                )
+            encoded.append(_encode_rows(result, columns, writer))
         else:
             raise ShardError(f"cannot encode result {type(result)!r}")
     return encoded
@@ -231,20 +221,16 @@ def decode_results(encoded: list[dict], reader: ArenaReader) -> list:
     decoded = []
     for entry in encoded:
         tag = entry["t"]
-        if tag == "z":
-            decoded.append(None)
-        elif tag == "i":
+        if tag == "i":
             decoded.append(int(entry["v"]))
         elif tag == "a":
             decoded.append(reader.get(entry["v"]))
-        elif tag in ("r", "rr"):
-            counts = reader.get(entry["c"])
+        elif tag == "rr":
             decoded.append(
                 RowBlock(
-                    counts=counts,
+                    counts=reader.get(entry["c"]),
                     rowids=reader.get(entry["r"]),
                     payload=reader.get(entry["p"]),
-                    nested=tag == "rr",
                 )
             )
         else:

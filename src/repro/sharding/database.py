@@ -18,15 +18,20 @@ from the same rows would return, because
   worker, preserving submission order where it matters;
 * cross-shard range aggregates decompose exactly -- the shards partition
   the key space, so per-shard counts/sums add up to the serial answer;
+* a call is routed as the engine's batch plan
+  (:func:`~repro.storage.engine.planned_operations`): every group of
+  scalars travels as its one batched operation, results split back to
+  the submitted operations after the flush, so the router and the wire
+  see only the batched kinds and SUM ranges;
 * cross-shard key updates are the one ordering hazard, so they run in
   **move waves**.  A wave is a maximal run of consecutive update pairs
-  (the pairs of ``MultiUpdate``s and scalar ``Update``s, in submission
-  order) whose old and new keys are pairwise distinct; it ends at the
-  first pair that reuses one of its keys and at the first operation of
-  another kind.  Distinct keys mean disjoint key multisets, so the pairs
-  of one wave commute with each other, same-shard and cross-shard
-  alike; a pair that shares a key with an earlier one may not (a chain
-  ``a->b, b->c``, a swap, one old key twice), so it opens the next wave.
+  (the pairs of the planned ``MultiUpdate``s, in plan order) whose old
+  and new keys are pairwise distinct; it ends at the first pair that
+  reuses one of its keys and at the first operation of another kind.
+  Distinct keys mean disjoint key multisets, so the pairs of one wave
+  commute with each other, same-shard and cross-shard alike; a pair
+  that shares a key with an earlier one may not (a chain ``a->b,
+  b->c``, a swap, one old key twice), so it opens the next wave.
   There is no size threshold: a lone move is a wave of one.  The wave's
   same-shard pairs ride the per-shard ``MultiUpdate`` sub-batches; when
   the wave ends, everything queued goes out as one flush (the barrier:
@@ -78,6 +83,7 @@ import numpy as np
 
 from ..api.session import SessionResult
 from ..storage.cost_accounting import AccessCounter
+from ..storage.engine import place_results, planned_operations
 from ..workload import operations as ops
 from ..workload.operations import Operation, Workload
 from . import codec
@@ -578,11 +584,12 @@ class ShardedDatabase:
 
 
 class ShardedSession:
-    """Session façade over the cluster: split, dispatch, merge.
+    """Session façade over the cluster: plan, split, dispatch, merge.
 
-    Operations accumulate into per-shard sub-batches and are flushed as
-    one :meth:`~repro.sharding.cluster.ShardCluster.execute_round` at the
-    end of each :meth:`execute` call (or earlier, when a move wave with
+    The planned operations of a call accumulate into per-shard
+    sub-batches and are flushed as one
+    :meth:`~repro.sharding.cluster.ShardCluster.execute_round` at the end
+    of each :meth:`execute` call (or earlier, when a move wave with
     cross-shard pairs ends -- see the module docstring), so one submitted
     batch costs one round of concurrent worker execution, not one round
     trip per operation.
@@ -627,26 +634,41 @@ class ShardedSession:
         ``durable`` is the conjunction of every involved shard's report.
         ``accesses`` is the sum of worker-side tallies (cross-shard moves
         charge their take+put decomposition, not the serial update's
-        counts); the per-shard breakdowns include the move phases.
+        counts; grouped scalars charge as the engine's batch does); the
+        per-shard breakdowns include the move phases.  A closed session or
+        database raises :class:`ShardError`, as does a non-operation.
         """
         if self._closed:
             raise ShardError("session is closed")
+        self.database._check_open()
         if isinstance(operations, Operation):
             operations = [operations]
         oplist = list(operations)
+        for op in oplist:
+            if not isinstance(op, Operation):
+                raise ShardError(f"cannot route operation {type(op)!r}")
         start = time.perf_counter_ns()
-        batch = _Batch(self.database)
-        for index, op in enumerate(oplist):
+        # The engine's batch plan: the router sees each group of scalars
+        # as its one batched operation, so only batched kinds and SUM
+        # ranges cross the wire.
+        planned = planned_operations(oplist)
+        batch = _Batch(self.database, len(planned))
+        for index, (_positions, op, _grouped) in enumerate(planned):
             batch.route(index, op)
         batch.flush()
+        results: list = [None] * len(oplist)
+        errors = sum(
+            place_results(results, *entry, result)
+            for entry, result in zip(planned, batch.out, strict=True)
+        )
         self.last_shard_accesses = batch.shard_accesses
         self.last_shard_wall_ns = batch.shard_wall_ns
         return SessionResult(
-            results=batch.out,
+            results=results,
             accesses=batch.accesses,
             wall_ns=float(time.perf_counter_ns() - start),
             operations=len(oplist),
-            errors=batch.errors,
+            errors=errors,
             commit_lsn=None,
             durable=batch.durable,
             shard_lsns=dict(batch.shard_lsns) or None,
@@ -657,10 +679,10 @@ class _Batch:
     """One execute call's routing state: pending sub-batches, mergers and
     the open move wave."""
 
-    def __init__(self, database: ShardedDatabase) -> None:
+    def __init__(self, database: ShardedDatabase, size: int) -> None:
         self.database = database
-        self.out: list = []
-        self.errors = 0
+        #: One result per routed operation, filled by the merges.
+        self.out: list = [None] * size
         self.accesses = AccessCounter()
         self.durable = True
         self.shard_lsns: dict[int, int] = {}
@@ -670,9 +692,7 @@ class _Batch:
         self._appliers: list = []
         #: The open move wave: every key its update pairs touch, and its
         #: cross-shard pairs as ``(old, new, source, target, hits, row)``
-        #: -- ``hits[row]`` takes a ``MultiUpdate`` pair's 0/1 outcome;
-        #: ``hits is None`` marks a scalar ``Update``, whose miss is one
-        #: error instead.
+        #: -- ``hits[row]`` takes the pair's 0/1 outcome.
         self._wave_keys: set[int] = set()
         self._wave_moves: list[tuple] = []
 
@@ -704,7 +724,6 @@ class _Batch:
 
     def _absorb(self, shard: int, reply: ExecuteReply) -> None:
         """Fold one shard reply's tallies and watermark into the call's."""
-        self.errors += reply.errors
         self.accesses.merge(reply.accesses)
         self.durable = self.durable and reply.durable
         if reply.commit_lsn is not None:
@@ -715,10 +734,6 @@ class _Batch:
         self.shard_wall_ns[shard] = (
             self.shard_wall_ns.get(shard, 0.0) + reply.wall_ns
         )
-
-    def _slot(self, index: int) -> None:
-        while len(self.out) <= index:
-            self.out.append(None)
 
     # -- move waves ----------------------------------------------------- #
 
@@ -790,12 +805,8 @@ class _Batch:
             found[rows] = True
             payload[rows] = taken.reshape(rows.size, width)
         for (*_, hits, row), moved in zip(moves, found.tolist(), strict=True):
-            if hits is not None:
-                # Bulk updates report misses as 0, never as errors.
-                hits[row] = int(moved)
-            elif not moved:
-                # Serial scalar updates count a miss as one error.
-                self.errors += 1
+            # Bulk updates report misses as 0, never as errors.
+            hits[row] = int(moved)
         if not found.any():
             return
         live = np.flatnonzero(found)
@@ -830,26 +841,19 @@ class _Batch:
     # -- routing -------------------------------------------------------- #
 
     def route(self, index: int, op) -> None:
-        """Split one operation across shards and record its merge.
+        """Split one planned operation across shards and record its merge.
 
-        Four routing shapes -- by key, by key array, by range, update
-        wave -- and, for the keyed ones, the form of the result: ``rows``
-        are rebuilt with their keys and global row ids, ``rowids`` are
-        offset by the shard's base, ``counts`` are global already.
+        The plan (:func:`~repro.storage.engine.planned_operations`) hands
+        the router batched kinds and SUM ranges only.  Three routing
+        shapes -- by key array, by range, update wave -- and, for the
+        keyed one, the form of the result: ``rows`` are rebuilt with their
+        keys and global row ids, ``rowids`` are offset by the shard's
+        base, ``counts`` are global already.
         """
-        self._slot(index)
-        if self._wave_keys and not isinstance(
-            op, (ops.Update, ops.MultiUpdate)
-        ):
+        if self._wave_keys and not isinstance(op, ops.MultiUpdate):
             # A wave is a run of update pairs: any other kind ends it.
             self._end_wave()
-        if isinstance(op, ops.PointQuery):
-            self._route_key(index, op, "rows")
-        elif isinstance(op, ops.Insert):
-            self._route_key(index, op, "rowids")
-        elif isinstance(op, ops.Delete):
-            self._route_key(index, op, "counts")
-        elif isinstance(op, ops.MultiPointQuery):
+        if isinstance(op, ops.MultiPointQuery):
             self._route_keys(index, op, "rows")
         elif isinstance(op, ops.MultiInsert):
             self._route_keys(index, op, "rowids")
@@ -859,8 +863,6 @@ class _Batch:
             self._route_range(index, op)
         elif isinstance(op, ops.MultiRangeCount):
             self._route_ranges(index, op)
-        elif isinstance(op, ops.Update):
-            self._route_update(index, op)
         elif isinstance(op, ops.MultiUpdate):
             self._route_multi_update(index, op)
         else:
@@ -875,26 +877,10 @@ class _Batch:
                 if sub.columns is not None
                 else list(self.database.payload_names)
             )
-            keys = sub.keys if value.nested else (sub.key,)
-            lists = codec.materialize_rows(value, keys, columns, base)
-            return lists if value.nested else lists[0]
-        if form == "rowids" and value is not None:
+            return codec.materialize_rows(value, sub.keys, columns, base)
+        if form == "rowids":
             return value + base
         return value
-
-    def _route_key(
-        self, index: int, op, form: str, shard: int | None = None
-    ) -> None:
-        """A scalar operation goes whole to one shard, its key's unless
-        the caller names it."""
-        if shard is None:
-            shard = self.database.shard_map.shard_of(op.key)
-        pos = self._push(shard, op)
-
-        def merge(results):
-            self.out[index] = self._global(form, op, results[shard][pos], shard)
-
-        self._appliers.append(merge)
 
     def _scatter(self, index: int, size: int, pieces, form: str) -> None:
         """Queue the ``(shard, positions, sub-operation)`` pieces of one
@@ -969,20 +955,6 @@ class _Batch:
                 (shard, positions, ops.MultiRangeCount(bounds=clipped))
             )
         self._scatter(index, len(op.bounds), pieces, "counts")
-
-    def _route_update(self, index: int, op) -> None:
-        old_key, new_key = int(op.old_key), int(op.new_key)
-        if self._conflicts(old_key, new_key):
-            self._end_wave()
-        self._wave_keys.update((old_key, new_key))
-        source = self.database.shard_map.shard_of(old_key)
-        target = self.database.shard_map.shard_of(new_key)
-        if source == target:
-            self._route_key(index, op, "counts", source)
-        else:
-            self._wave_moves.append(
-                (old_key, new_key, source, target, None, 0)
-            )
 
     def _route_multi_update(self, index: int, op) -> None:
         """Pairs join the open wave in submission order.

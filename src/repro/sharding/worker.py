@@ -16,9 +16,10 @@ speaks (:mod:`repro.ipc.framing`):
     :class:`~repro.api.reorganizer.Reorganizer`, so each shard
     reorganizes independently off the other shards' paths.
 ``execute``
-    Decode a per-shard operation list, run it through the session, and
-    reply with the encoded results plus the batch's error count, access
-    tally and durability watermarks.  Writes commit through this shard's
+    Decode a per-shard operation list -- the batched kinds and SUM
+    ranges of the dispatcher's batch plan, none of which raises a miss --
+    run it through the session, and reply with the encoded results plus
+    the batch's access tally and durability watermarks.  Writes commit through this shard's
     *own* :class:`~repro.durability.manager.DurabilityManager` -- the
     per-shard WALs are what unserializes durable write batches that a
     single-process database would funnel through one ``wal_commit`` lock.
@@ -191,7 +192,6 @@ def worker_main(host: str, port: int, shard: int, token: str) -> None:
                         codec.ArenaWriter(arena),
                         database.table.payload_names,
                     )
-                    reply["errors"] = int(outcome.errors)
                     reply["accesses"] = _counter_meta(outcome.accesses)
                     reply["wall_ns"] = float(outcome.wall_ns)
                     reply["commit_lsn"] = outcome.commit_lsn

@@ -135,24 +135,13 @@ class EngineStatistics:
         return self.wall_ns.get(kind, 0.0) / count if count else 0.0
 
 
-def batch_group_key(operation) -> tuple | None:
-    """Grouping key under which :meth:`StorageEngine.execute_batch` batches
-    an operation.
-
-    Operations with the same non-``None`` key that :func:`plan_batch` puts
-    in one group resolve through the matching ``multi_*`` fast path;
-    ``None`` marks operations that always dispatch individually.  Each
-    operation class states its key (:mod:`repro.workload.operations`).
-    """
-    return operation.group_key
-
-
 def plan_batch(operations) -> list[tuple[tuple | None, list[int]]]:
     """The dispatch plan of :meth:`StorageEngine.execute_batch`: one
     ``(group_key, positions)`` entry per dispatched operation, in dispatch
     order; ``positions`` index into ``operations``, ascending.
 
-    This is the one grouping definition: the batch executor dispatches it.
+    This is the one grouping definition: the batch executor and the shard
+    router both dispatch it (through :func:`planned_operations`).
 
     Operations that commute group however they interleave.  A batch splits
     into maximal stretches of reads and of writes -- no write moves across
@@ -201,6 +190,38 @@ def plan_batch(operations) -> list[tuple[tuple | None, list[int]]]:
             group.append(position)
             position += 1
     return plan
+
+
+def planned_operations(oplist) -> list[tuple[list[int], Any, bool]]:
+    """:func:`plan_batch` of ``oplist`` as the operations that carry it out:
+    one ``(positions, operation, grouped)`` entry per plan entry, in
+    dispatch order.  A group of scalars is their one batched operation
+    (``grouped``); any other entry is the submitted operation itself."""
+    planned = []
+    for group_key, positions in plan_batch(oplist):
+        if group_key is None:
+            (position,) = positions
+            planned.append((positions, oplist[position], False))
+        else:
+            group = [oplist[position] for position in positions]
+            planned.append((positions, type(group[0]).batched(group), True))
+    return planned
+
+
+def place_results(results, positions, operation, grouped, result) -> int:
+    """Write one planned operation's ``result`` into its submission slots of
+    ``results``; returns the errors serial dispatch would have counted.
+
+    A grouped result splits back into its scalars' results
+    (``scalar_results``); any other result is its operation's own."""
+    if not grouped:
+        (position,) = positions
+        results[position] = result
+        return 0
+    split, errors = operation.scalar_results(result)
+    for position, value in zip(positions, split, strict=True):
+        results[position] = value
+    return errors
 
 
 class StorageEngine:
@@ -623,34 +644,23 @@ class StorageEngine:
         )
 
     def _dispatch_batch(self, oplist) -> tuple[list[Any], int]:
-        """Dispatch :func:`plan_batch` of ``oplist``; every result lands in
-        its operation's submission slot.  Returns the results and the error
-        count."""
+        """Dispatch :func:`planned_operations` of ``oplist``; every result
+        lands in its operation's submission slot (:func:`place_results`).
+        Returns the results and the error count."""
         results: list[Any] = [None] * len(oplist)
         errors = 0
         log = getattr(self._local, "log", None)
-        for group_key, positions in plan_batch(oplist):
+        for positions, operation, grouped in planned_operations(oplist):
             if log is not None:
                 # Groups dispatch out of submission order; the monitor
                 # puts its samples back in it.
                 log.positions = positions
-            if group_key is None:
-                (position,) = positions
-                try:
-                    results[position] = self.execute(oplist[position]).result
-                except ValueNotFoundError:
-                    errors += 1
+            try:
+                result = self.execute(operation).result
+            except ValueNotFoundError:
+                errors += 1
                 continue
-            # The group as its one batched operation, dispatched like any
-            # other; its result splits back into the per-scalar results.
-            group = [oplist[position] for position in positions]
-            batched = type(group[0]).batched(group)
-            group_results, group_errors = batched.scalar_results(
-                self.execute(batched).result
-            )
-            for position, result in zip(positions, group_results, strict=True):
-                results[position] = result
-            errors += group_errors
+            errors += place_results(results, positions, operation, grouped, result)
         return results, errors
 
     def values(self) -> np.ndarray:

@@ -53,9 +53,10 @@ batch needs a commit scope (``writes``), the monitor's offline seeding (one
 log of these access records through ``observe_batch``, the way engine
 dispatch gets there too), the Frequency Model's sample reader
 (``sample_columns``, which the planner's chunk filter works behind), the
-wire codec and the shard router's scatter are loops over these facts; only
-the shard router's ``route`` (how a kind splits across shards) names the
-kinds again.
+wire codec and the shard router's scatter are loops over these facts.  The
+shard router routes the engine's batch plan, so it sees a scalar kind only
+inside its batched form; its ``route`` (how a kind splits across shards)
+names the batched kinds again, plus the SUM range, which has none.
 """
 
 from __future__ import annotations

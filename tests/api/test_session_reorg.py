@@ -522,7 +522,6 @@ class TestDecisionsFollowFromTheRecordedWindow:
                 block_values=self.BLOCK,
                 constants=constants,
                 sla=planner.sla,
-                solver=planner.solver,
             )
             assert decision.planned_cost_ns == solved.cost
             assert decision.current_cost_ns == planner.evaluate_layout(

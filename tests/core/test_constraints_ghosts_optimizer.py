@@ -13,7 +13,9 @@ from repro.core.ghost_allocation import (
     data_movement_per_block,
     data_movement_per_partition,
 )
-from repro.core.optimizer import LayoutSolution, SolverBackend, optimize_layout
+from repro.core.bip_solver import solve_bip
+from repro.core.dp_solver import brute_force
+from repro.core.optimizer import LayoutSolution, optimize_layout
 from repro.core.planner import CasperPlanner
 from repro.storage.cost_accounting import CostConstants, constants_for_block_values
 from repro.workload.operations import Insert, PointQuery, RangeQuery, Update, Workload
@@ -119,13 +121,9 @@ class TestOptimizerFacade:
         model = FrequencyModel(10)
         model.pq[:] = 1
         model.ins[:5] = 2
-        dp = optimize_layout(model, chunk_size=640, block_values=64, solver="dp")
-        bip = optimize_layout(model, chunk_size=640, block_values=64, solver="bip")
-        brute = optimize_layout(
-            model, chunk_size=640, block_values=64, solver=SolverBackend.BRUTE_FORCE
-        )
-        assert dp.cost == pytest.approx(bip.cost)
-        assert dp.cost == pytest.approx(brute.cost)
+        dp = optimize_layout(model, chunk_size=640, block_values=64)
+        assert dp.cost == pytest.approx(solve_bip(dp.cost_model).cost)
+        assert dp.cost == pytest.approx(brute_force(dp.cost_model).cost)
 
     def test_sla_is_applied(self):
         model = FrequencyModel(16)
@@ -140,10 +138,6 @@ class TestOptimizerFacade:
         )
         assert unconstrained.num_partitions > constrained.num_partitions
         assert constrained.num_partitions <= 4
-
-    def test_unknown_solver_rejected(self):
-        with pytest.raises(ValueError):
-            optimize_layout(FrequencyModel(4), chunk_size=256, block_values=64, solver="nope")
 
 
 class TestCasperPlanner:

@@ -6,10 +6,13 @@ without relying on conftest import mechanics.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 
 from repro.api.database import Database
-from repro.sharding import ShardedDatabase
+from repro.sharding import ShardedDatabase, codec
 from repro.storage.layouts import LayoutKind
 
 #: Shard count the shared session cluster runs with; 3 exercises middle
@@ -68,3 +71,21 @@ def normalize(result):
             (row.key, tuple(sorted(row.payload.items()))) for row in result
         )
     return result
+
+
+@contextmanager
+def encoded_operations():
+    """Record every per-shard operation list the dispatcher encodes.
+
+    Yields a list that collects one entry per encoded sub-batch; the
+    encoding itself is unchanged.
+    """
+    sent: list[list] = []
+    encode = codec.encode_ops
+
+    def recording(oplist, writer):
+        sent.append(list(oplist))
+        return encode(oplist, writer)
+
+    with mock.patch.object(codec, "encode_ops", recording):
+        yield sent

@@ -118,19 +118,17 @@ class TestResultRoundTrip:
     def test_scalar_and_array_results(self):
         oplist = [
             Delete(key=1),
-            Update(old_key=1, new_key=2),
             RangeQuery(low=0, high=9),
             MultiRangeCount(bounds=((0, 1),)),
         ]
-        results = [1, None, 17, np.asarray([4, 0, 9], dtype=np.int64)]
+        results = [1, 17, np.asarray([4, 0, 9], dtype=np.int64)]
         encoded = encode_results(
             oplist, results, ArenaWriter(None), ("a", "b")
         )
         decoded = decode_results(encoded, ArenaReader(None))
         assert decoded[0] == 1
-        assert decoded[1] is None
-        assert decoded[2] == 17
-        assert np.array_equal(decoded[3], results[3])
+        assert decoded[1] == 17
+        assert np.array_equal(decoded[2], results[2])
 
     @pytest.mark.parametrize("arena_bytes", [None, 1 << 14])
     def test_row_results_rebuild_with_base_offset(self, arena_bytes):
@@ -146,7 +144,6 @@ class TestResultRoundTrip:
                 [op], [result], ArenaWriter(arena), ("a", "b")
             )
             [block] = decode_results(encoded, ArenaReader(arena))
-            assert block.nested
             rebuilt = materialize_rows(block, op.keys, ["a", "b"], base=100)
             assert [len(r) for r in rebuilt] == [2, 0, 2]
             assert [r.rowid for r in rebuilt[0]] == [100, 103]
@@ -155,17 +152,6 @@ class TestResultRoundTrip:
         finally:
             if arena is not None:
                 arena.close()
-
-    def test_scalar_point_query_block_is_flat(self):
-        op = PointQuery(key=8, columns=("a",))
-        encoded = encode_results(
-            [op], [rows((8, 2, 1, 0))], ArenaWriter(None), ("a", "b")
-        )
-        [block] = decode_results(encoded, ArenaReader(None))
-        assert not block.nested
-        [rebuilt] = materialize_rows(block, [8], ["a"], base=10)
-        assert rebuilt[0].rowid == 12
-        assert rebuilt[0].payload == {"a": 1}
 
     def test_unknown_result_rejected(self):
         with pytest.raises(ShardError):

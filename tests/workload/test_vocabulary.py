@@ -22,7 +22,7 @@ from repro.sharding.codec import (
     encode_ops,
 )
 from repro.storage.access_log import ATTRIBUTION_KINDS, PAIRED_UPDATE_KIND
-from repro.storage.engine import StorageEngine, batch_group_key
+from repro.storage.engine import StorageEngine
 from repro.storage.errors import ValueNotFoundError
 from repro.storage.layouts import LayoutKind
 from repro.workload.operations import (
@@ -167,13 +167,13 @@ class TestEveryKind:
 
     def test_runs_fold_back_into_the_batched_kind(self, op):
         scalars = op.scalars()
-        keys = {batch_group_key(scalar) for scalar in scalars}
+        keys = {scalar.group_key for scalar in scalars}
         if scalars == (op,) or not scalars or None in keys:
             return
         # One group key per batched kind, and the batched constructor is
         # the inverse of the expansion (payload-less inserts aside, whose
         # payloads the constructor leaves to the table).
-        assert len(keys) == 1 and batch_group_key(op) is None
+        assert len(keys) == 1 and op.group_key is None
         assert type(scalars[0]).batched(scalars) == op
 
 
@@ -288,7 +288,7 @@ def test_scalar_writes_state_their_written_keys():
     for op in scalar_writes:
         _, lows, highs = op.attribution()
         assert op.written_keys == (*lows, *(highs or ()))
-        assert batch_group_key(op) is not None
+        assert op.group_key is not None
 
 
 def test_take_restricts_every_row_aligned_field():
