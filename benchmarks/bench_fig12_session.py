@@ -151,9 +151,9 @@ def test_fig12_session_fixed_vs_serial(benchmark):
         for src in rng.choice(num_rows, 16, replace=False)
     ]
     db_serial, db_vector = database_factory(), database_factory()
-    serial_mixed = SerialPolicy().execute(db_serial.engine, mixed)
-    vector_mixed = VectorizedPolicy(64).execute(db_vector.engine, mixed)
-    assert vector_mixed.results == serial_mixed.results
+    serial_mixed, _, _ = SerialPolicy().execute(db_serial.engine, mixed)
+    vector_mixed, _, _ = VectorizedPolicy(64).execute(db_vector.engine, mixed)
+    assert vector_mixed == serial_mixed
     assert (
         db_vector.engine.counter.snapshot()
         == db_serial.engine.counter.snapshot()
@@ -341,12 +341,12 @@ def test_fig12_session_shuffled_read_phase(benchmark):
         return VectorizedPolicy(batch_size=SHUFFLE_BATCH)
 
     database = database_factory()
-    serial = SerialPolicy().execute(database.engine, list(shuffled))
+    serial, _, _ = SerialPolicy().execute(database.engine, list(shuffled))
     ordered_s, _, _ = timed_run(vectorized, database_factory, ordered)
     shuffled_s, results, counter = timed_run(
         vectorized, database_factory, shuffled
     )
-    assert results == serial.results
+    assert results == serial
     assert counter == database.engine.counter.snapshot()
 
     # Dispatch count, from the engine's own statistics on an untimed run.
@@ -453,16 +453,18 @@ def test_fig12_session_shuffled_write_phase(benchmark):
     def vectorized():
         return VectorizedPolicy(batch_size=SHUFFLE_BATCH)
 
-    serial = SerialPolicy().execute(database_factory().engine, list(shuffled))
+    serial, serial_errors, _ = SerialPolicy().execute(
+        database_factory().engine, list(shuffled)
+    )
     ordered_s, _, _ = timed_run(vectorized, database_factory, ordered)
     shuffled_s, results, _ = timed_run(vectorized, database_factory, shuffled)
     # Insert results are row ids, so this is row-id equality too.
-    assert results == serial.results
+    assert results == serial
 
     # Dispatch count, from the engine's own statistics on an untimed run.
     database = database_factory()
-    outcome = vectorized().execute(database.engine, list(shuffled))
-    assert outcome.errors == serial.errors
+    _, errors, _ = vectorized().execute(database.engine, list(shuffled))
+    assert errors == serial_errors
     database.table.check_invariants()
     dispatched = database.engine.statistics.operations
     write_runs = sum(

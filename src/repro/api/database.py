@@ -113,8 +113,6 @@ class Database:
         config: DurabilityConfig,
         *,
         layout_spec: LayoutSpec | None,
-        next_lsn: int | None = None,
-        checkpoint: bool = True,
     ) -> None:
         meta = {
             "chunk_size": self.table.chunk_size,
@@ -122,13 +120,12 @@ class Database:
             "payload_names": list(self.table.payload_names),
             "layout_spec": spec_to_meta(layout_spec),
         }
-        manager = DurabilityManager(config, meta=meta, next_lsn=next_lsn)
+        manager = DurabilityManager(config, meta=meta)
         self.durability = manager
         self.engine.attach_durability(manager)
-        if checkpoint:
-            # Baseline snapshot: makes a freshly-created database
-            # recoverable before its first checkpoint call.
-            manager.checkpoint(self.table)
+        # Baseline snapshot: makes a freshly-created database recoverable
+        # before its first checkpoint call.
+        manager.checkpoint(self.table)
 
     # ------------------------------------------------------------------ #
     # Declarative constructors
@@ -422,11 +419,10 @@ class Database:
         Multiple live sessions may be open at once -- one per thread --
         over this one database; their executions interleave under the
         table's chunk-granular latches (see :mod:`repro.storage.table`).
-        Give each session its *own* execution-policy instance (policies
-        record their batch sizes); a single :class:`Reorganizer` (and the
-        :class:`ReorgPolicy` inside it) is safe to share across the
-        database's sessions, and its background worker keeps running until
-        the last sharing session closes.
+        Execution policies are stateless values, safe to share between
+        sessions; so is a single :class:`Reorganizer` (and the
+        :class:`ReorgPolicy` inside it), whose background worker keeps
+        running until the last sharing session closes.
 
         On a follower database (built with :meth:`follow`) the session is
         a read-only :class:`FollowerSession`; ``reorg`` must be ``None``
@@ -457,7 +453,7 @@ class Database:
 
     @property
     def statistics(self) -> EngineStatistics:
-        """The engine's running per-operation-kind statistics."""
+        """The engine's per-operation-kind dispatch counts."""
         return self.engine.statistics
 
     def check_invariants(self) -> None:

@@ -1,14 +1,16 @@
 """Context-managed sessions: declarative execution with a reorg lifecycle.
 
 A :class:`Session` is the unit of interaction with a :class:`Database`: it
-owns an :class:`~repro.api.policies.ExecutionPolicy` (how operations are
+holds an :class:`~repro.api.policies.ExecutionPolicy` (how operations are
 dispatched) and optionally a reorganization lifecycle, and its
 :meth:`execute` replaces direct ``StorageEngine.execute`` /
-``execute_batch`` calls.  After every execute call the reorganization
-lifecycle gets a chance to act, which makes the paper's Fig. 10 A->C
-online loop automatic: drifted chunks are detected, cost-gated and rebuilt
-between (or inside) rounds without the caller wiring monitor, planner and
-table together by hand.
+``execute_batch`` calls.  It is the one place a single-process call is
+measured: one clock and one access-counter window span the dispatch and
+the reorganization it triggers.  After every execute call the
+reorganization lifecycle gets a chance to act, which makes the paper's
+Fig. 10 A->C online loop automatic: drifted chunks are detected,
+cost-gated and rebuilt between (or inside) rounds without the caller
+wiring monitor, planner and table together by hand.
 
 The lifecycle has one driver, the
 :class:`~repro.api.reorganizer.Reorganizer`: it scans for drifted chunks
@@ -56,7 +58,9 @@ class SessionResult(SimulatedCost):
 
     ``accesses`` aggregates the whole call, *including* any reorganization
     work it triggered; ``reorg_ns`` isolates the simulated cost of that
-    reorganization (0.0 when nothing was rebuilt).
+    reorganization, the tail of the same counter window (0.0 when nothing
+    was rebuilt).  ``batch_sizes`` are the slices this call's policy
+    dispatched (empty for serial dispatch).
 
     With durability attached, ``commit_lsn`` is the WAL watermark covering
     every write this call committed (``None`` on memory-only databases and
@@ -125,8 +129,8 @@ class Session:
     database:
         The database façade the session executes against.
     execution:
-        The dispatch policy; defaults to :class:`SerialPolicy`.  Pass a
-        fresh instance per session -- policies record their batch sizes.
+        The dispatch policy; defaults to :class:`SerialPolicy`.  Policies
+        are stateless values: one instance may serve many sessions.
     reorg:
         Optional reorganization lifecycle: a :class:`Reorganizer` drains
         the replans of drifted chunks in budgeted increments between
@@ -151,9 +155,7 @@ class Session:
         reorg: ReorgPolicy | Reorganizer | None = None,
     ) -> None:
         self.database = database
-        self.execution: ExecutionPolicy = (
-            execution if execution is not None else SerialPolicy()
-        )
+        self.execution: ExecutionPolicy = execution or SerialPolicy()
         if isinstance(reorg, ReorgPolicy):
             reorg = Reorganizer(reorg, chunk_budget=None)
         self.reorg: Reorganizer | None = reorg
@@ -234,7 +236,7 @@ class Session:
             operations = [operations]
         oplist = list(operations)
         engine = self.database.engine
-        sizes_seen = len(self.execution.chosen_batch_sizes)
+        before = engine.counter.snapshot()
         start = time.perf_counter_ns()
         # No session-wide lock: the table's chunk latches isolate this
         # call's reads and writes from concurrent sessions and from
@@ -242,20 +244,15 @@ class Session:
         # between (or during) the batch slices a policy carves out of the
         # oplist -- pausing only readers of the one chunk being swapped,
         # and only for the O(1) publish.
-        outcome = self.execution.execute(engine, oplist)
-        batch_sizes = list(self.execution.chosen_batch_sizes[sizes_seen:])
+        results, errors, batch_sizes = self.execution.execute(engine, oplist)
+        accesses = dispatched = engine.counter.diff(before)
         decisions: list[ReorgDecision] = []
-        reorg_ns = 0.0
-        accesses = outcome.accesses
         if self.reorg is not None:
-            before = engine.counter.snapshot()
             decisions = self.reorg.after_execute(self.database)
-            reorg_diff = engine.counter.diff(before)
-            reorg_ns = reorg_diff.cost(self.database.constants)
-            accesses = accesses + reorg_diff
+            accesses = engine.counter.diff(before)
         wall_ns = float(time.perf_counter_ns() - start)
-        self._operations += outcome.operations
-        self._errors += outcome.errors
+        self._operations += len(oplist)
+        self._errors += errors
         self._wall_ns += wall_ns
         self._batch_sizes.extend(batch_sizes)
         self._reorg_decisions.extend(decisions)
@@ -273,14 +270,15 @@ class Session:
             commit_lsn = manager.last_lsn
             durable = manager.durable_lsn >= commit_lsn
         return SessionResult(
-            results=outcome.results,
+            results=results,
             accesses=accesses,
             wall_ns=wall_ns,
-            operations=outcome.operations,
-            errors=outcome.errors,
+            operations=len(oplist),
+            errors=errors,
             batch_sizes=batch_sizes,
             reorg_decisions=decisions,
-            reorg_ns=reorg_ns,
+            # The tail of the call's window: what the reorganizer charged.
+            reorg_ns=accesses.diff(dispatched).cost(self.database.constants),
             commit_lsn=commit_lsn,
             durable=durable,
         )

@@ -201,8 +201,6 @@ GUARDED_BY: dict[str, dict[str, tuple[str, str]]] = {
     },
     "EngineStatistics": {
         "operations": ("engine_stats", "write"),
-        "simulated_ns": ("engine_stats", "write"),
-        "wall_ns": ("engine_stats", "write"),
     },
     "WorkloadMonitor": {
         "_counts": ("monitor", "rw"),
@@ -243,6 +241,7 @@ GUARDED_BY: dict[str, dict[str, tuple[str, str]]] = {
         # racing read at worst lets one already-in-flight scope commit,
         # which the failing append itself then refuses).
         "_read_only": ("wal_commit", "write"),
+        "_closed": ("wal_commit", "write"),
         "_last_checkpoint": ("wal_commit", "write"),
         # The active segment writer is swapped at checkpoint rotation
         # only; unlocked readers see the old or the new published writer.

@@ -125,6 +125,7 @@ class DurabilityManager:
         self._pins_lock = discipline.make_lock("replica_pins")
         self._pins: dict[str, int] = {}
         self._read_only = False
+        self._closed = False
         self._last_checkpoint = self._latest_snapshot_lsn()
         segments = self.segments()
         if segments:
@@ -186,6 +187,8 @@ class DurabilityManager:
     def require_writable(self) -> None:
         """Raise :class:`ReadOnlyError` when writes can no longer be
         made durable (reads are unaffected)."""
+        if self._closed:
+            raise ReadOnlyError("the database is closed: reopen it to write")
         if self.read_only:
             raise ReadOnlyError(
                 "durability layer is in read-only degradation: the write-ahead "
@@ -335,8 +338,11 @@ class DurabilityManager:
     # -- lifecycle ------------------------------------------------------ #
 
     def close(self) -> None:
-        """Fsync the tail (best effort once degraded) and release fds."""
-        try:
-            self.wal.close(sync=not self.read_only)
-        except WalUnavailableError:
-            self.wal.abandon()
+        """Fsync the tail (best effort once degraded), release fds and refuse
+        every later write, once an in-flight commit scope has finished."""
+        with self._commit_lock:
+            self._closed = True
+            try:
+                self.wal.close(sync=not self.read_only)
+            except WalUnavailableError:
+                self.wal.abandon()

@@ -766,38 +766,18 @@ class PartitionedColumn:
         return positions[np.argsort(self._rowids[positions], kind="stable")]
 
     @requires_latch("exclusive")
-    def delete(self, value: int, *, limit: int = 1) -> int:
-        """Delete up to ``limit`` occurrences of ``value``.
-
-        Returns the number of deleted entries.  Raises
-        :class:`ValueNotFoundError` when the value is absent.  All victims
-        come from the single charged partition scan, oldest copies first
-        (see :meth:`_oldest_first`); they are removed in descending
-        position order so a swap-with-last can never move a pending
-        victim.
-        """
-        value = int(value)
-        partition, positions = self._charged_point_scan(value)
-        victims = self._oldest_first(positions)
-        victims = victims[:limit] if limit is not None else victims
-        deleted = int(victims.shape[0])
-        for position in np.sort(victims)[::-1]:
-            self._remove_at(partition, int(position))
-        if self.dense:
-            for _ in range(deleted):
-                self._ripple_hole_forward(partition, self.num_partitions - 1)
-        return deleted
+    def delete(self, value: int) -> int:
+        """Delete one occurrence of ``value`` (:meth:`remove_one`) and
+        return 1."""
+        self.remove_one(value)
+        return 1
 
     @requires_latch("exclusive")
     def remove_one(self, value: int) -> int | None:
-        """Delete one occurrence of ``value`` and return its row id.
-
-        Identical to ``delete(value, limit=1)`` in behavior and charged
-        accesses -- including the oldest-copy victim rule -- but reports
-        which row id the deletion actually removed (``None`` when row ids
-        are untracked) so callers moving a row between chunks keep global
-        row ids consistent.
-        """
+        """Delete the oldest copy of ``value`` (:meth:`_oldest_first`) and
+        return its row id (``None`` when row ids are untracked), so callers
+        moving a row between chunks keep global row ids consistent.  Raises
+        :class:`ValueNotFoundError` when the value is absent."""
         value = int(value)
         partition, positions = self._charged_point_scan(value)
         position = int(self._oldest_first(positions)[0])
@@ -1014,7 +994,7 @@ class PartitionedColumn:
     def bulk_delete(self, values: np.ndarray | list[int]) -> np.ndarray:
         """Delete one occurrence of each value with one coalesced hole sweep.
 
-        Equivalent to calling ``delete(value, limit=1)`` once per value in
+        Equivalent to calling ``delete(value)`` once per value in
         ascending (stable) value order, except that absent values are
         reported as ``0`` in the returned per-value count array instead of
         raising.  Each touched partition is scanned once for all of its

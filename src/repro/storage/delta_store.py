@@ -357,8 +357,17 @@ class DeltaStoreColumn:
         return int(rowid)
 
     @requires_latch("exclusive")
-    def delete(self, value: int, *, limit: int = 1) -> int:
-        """Delete up to ``limit`` occurrences of ``value``.
+    def delete(self, value: int) -> int:
+        """Delete one occurrence of ``value`` (:meth:`remove_one`) and
+        return 1."""
+        self.remove_one(value)
+        return 1
+
+    @requires_latch("exclusive")
+    def remove_one(self, value: int) -> int | None:
+        """Delete one occurrence of ``value`` and return its row id
+        (``None`` when untracked), so callers moving a row elsewhere keep
+        global row ids consistent.
 
         Victim rule: delta-buffer copies die first (insertion order), then
         main-area copies in scan order via count-based tombstones -- a
@@ -368,41 +377,6 @@ class DeltaStoreColumn:
         the tombstone machinery suppresses occurrences by count, not row
         id.  This layout is the "State-of-art" baseline and is not
         reachable from the sharded path, which pins the oldest-copy rule.
-        """
-        value = int(value)
-        deleted = 0
-        # Delete from the delta buffer first (cheapest).
-        self._charge_delta_scan()
-        i = 0
-        while i < len(self._delta_values) and deleted < limit:
-            if self._delta_values[i] == value:
-                self._delta_values.pop(i)
-                self._delta_rowids.pop(i)
-                self.counter.random_write(1)
-                deleted += 1
-            else:
-                i += 1
-        if deleted < limit:
-            hits = self._main.point_query(value)
-            available = hits.shape[0] - self._tombstones.get(value, 0)
-            take = min(available, limit - deleted)
-            if take > 0:
-                self._tombstones[value] = self._tombstones.get(value, 0) + take
-                self.counter.random_write(1)
-                deleted += take
-        if deleted == 0:
-            raise ValueNotFoundError(f"value {value} not found")
-        return deleted
-
-    @requires_latch("exclusive")
-    def remove_one(self, value: int) -> int | None:
-        """Delete one occurrence of ``value`` and return its row id.
-
-        The victim is removed exactly as :meth:`delete` would remove it (the
-        delta copy first, then the first untombstoned main copy) and its row
-        id is reported (``None`` when untracked), so callers moving a row
-        elsewhere keep global row ids consistent.  Charges match
-        ``delete(value, limit=1)``.
         """
         value = int(value)
         self._charge_delta_scan()
@@ -466,7 +440,7 @@ class DeltaStoreColumn:
     def bulk_delete(self, values: np.ndarray | list[int]) -> np.ndarray:
         """Delete one occurrence of each value; absent values report 0.
 
-        Equivalent to calling ``delete(value, limit=1)`` per value in
+        Equivalent to calling ``delete(value)`` per value in
         ascending (stable) value order -- delta copies are consumed before
         main-resident copies are tombstoned -- with identical charged
         accesses, but the delta buffer and the main column are each scanned

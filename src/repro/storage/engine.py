@@ -7,7 +7,8 @@ one way, :meth:`StorageEngine.execute` (or :meth:`StorageEngine.execute_batch`
 for many): a :mod:`repro.workload.operations` object states its table call
 (``run``) and its log record (``attribution``), and the engine adds
 
-* per-operation cost measurement (block-access accounting plus wall-clock),
+* per-operation cost measurement (block-access accounting plus wall-clock)
+  and per-kind dispatch counts (:class:`EngineStatistics`),
 * snapshot-isolation transactions backed by
   :class:`~repro.storage.mvcc.TransactionManager`,
 * an optional durability hook: with a
@@ -94,18 +95,12 @@ class BatchResult(SimulatedCost):
 @guarded_class
 @dataclass
 class EngineStatistics:
-    """Running per-operation-kind statistics maintained by the engine.
-
-    Safe to update from concurrent sessions: each accumulation runs under a
-    small internal mutex (order name ``engine_stats``, GUARDED_BY mode
-    ``write``), so per-kind tallies never lose a racing update; the
-    ``mean_*`` readers stay unlocked, tolerating a read that lands between
-    a count bump and its latency accumulation.
-    """
+    """Per-kind dispatch counts (a call's cost is its caller's counter
+    window, e.g. :meth:`repro.api.session.Session.execute`).  Each bump runs
+    under a small mutex (order ``engine_stats``, GUARDED_BY mode ``write``),
+    so concurrent sessions never lose an update."""
 
     operations: dict[str, int] = field(default_factory=dict)
-    simulated_ns: dict[str, float] = field(default_factory=dict)
-    wall_ns: dict[str, float] = field(default_factory=dict)
     _lock: threading.Lock = field(
         default_factory=lambda: discipline.make_lock("engine_stats"),
         init=False,
@@ -113,26 +108,10 @@ class EngineStatistics:
         compare=False,
     )
 
-    def record(
-        self, kind: str, simulated: float, wall: float
-    ) -> None:
-        """Accumulate one operation's latencies (thread-safe)."""
+    def record(self, kind: str) -> None:
+        """Count one dispatched operation of ``kind`` (thread-safe)."""
         with self._lock:
             self.operations[kind] = self.operations.get(kind, 0) + 1
-            self.simulated_ns[kind] = (
-                self.simulated_ns.get(kind, 0.0) + simulated
-            )
-            self.wall_ns[kind] = self.wall_ns.get(kind, 0.0) + wall
-
-    def mean_simulated_ns(self, kind: str) -> float:
-        """Mean simulated latency for ``kind`` (0 when never executed)."""
-        count = self.operations.get(kind, 0)
-        return self.simulated_ns.get(kind, 0.0) / count if count else 0.0
-
-    def mean_wall_ns(self, kind: str) -> float:
-        """Mean wall-clock latency for ``kind`` (0 when never executed)."""
-        count = self.operations.get(kind, 0)
-        return self.wall_ns.get(kind, 0.0) / count if count else 0.0
 
 
 def plan_batch(operations) -> list[tuple[tuple | None, list[int]]]:
@@ -336,10 +315,10 @@ class StorageEngine:
         start = time.perf_counter_ns()
         result = func(*args, **kwargs)
         wall = float(time.perf_counter_ns() - start)
-        accesses = self.counter.diff(before)
-        outcome = OperationResult(kind=kind, accesses=accesses, wall_ns=wall, result=result)
-        self.statistics.record(kind, outcome.simulated_ns(self.constants), wall)
-        return outcome
+        self.statistics.record(kind)
+        return OperationResult(
+            kind=kind, accesses=self.counter.diff(before), wall_ns=wall, result=result
+        )
 
     def _delta_payload_rows(
         self, payloads: Sequence[Sequence[int]] | None, count: int
@@ -599,8 +578,8 @@ class StorageEngine:
         :meth:`DeltaStoreColumn.bulk_insert`).
         Results are returned in submission order (``None`` for operations
         that raised ``ValueNotFoundError`` and for deletes of missing keys).
-        Statistics are recorded per dispatched operation -- groups under
-        the ``multi_*`` kinds, the rest under their own kind.
+        Statistics count every dispatched operation -- groups under the
+        ``multi_*`` kinds, the rest under their own kind.
 
         The batch runs inside one commit scope (:meth:`_commit_scope`) and
         each dispatched group appends one record, its submitted keys, to

@@ -676,7 +676,7 @@ class Table:
         for chunk_index in range(first, last + 1):
             self._latches.acquire_write(chunk_index)
             try:
-                deleted = self._chunks[chunk_index].delete(key, limit=1)
+                deleted = self._chunks[chunk_index].delete(key)
                 self._bump_generation(chunk_index)
                 return deleted
             except ValueNotFoundError:

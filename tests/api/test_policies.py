@@ -152,9 +152,9 @@ def policies(rng: np.random.Generator) -> list[ExecutionPolicy]:
 
 
 def run_policy(policy: ExecutionPolicy, operations: list):
+    """A fresh engine and ``policy``'s ``(results, errors, batch_sizes)``."""
     engine = build_engine()
-    outcome = policy.execute(engine, operations)
-    return engine, outcome
+    return engine, *policy.execute(engine, operations)
 
 
 def normalized(results: list) -> list:
@@ -183,12 +183,14 @@ class TestPolicyEquivalence:
     def test_read_workloads_fully_identical(self, seed, size):
         rng = np.random.default_rng(seed)
         operations = read_workload(rng, size)
-        serial_engine, serial = run_policy(SerialPolicy(), operations)
+        serial_engine, serial, serial_errors, _ = run_policy(
+            SerialPolicy(), operations
+        )
+        assert len(serial) == len(operations)
         for policy in policies(rng)[1:]:
-            engine, outcome = run_policy(policy, operations)
-            assert outcome.results == serial.results
-            assert outcome.errors == serial.errors
-            assert outcome.operations == serial.operations
+            engine, results, errors, _ = run_policy(policy, operations)
+            assert results == serial
+            assert errors == serial_errors
             # Reads are exact on the batched paths: every counter field
             # matches per-operation dispatch.
             assert engine.counter.snapshot() == serial_engine.counter.snapshot()
@@ -200,12 +202,14 @@ class TestPolicyEquivalence:
     ):
         rng = np.random.default_rng(seed)
         operations = mixed_workload(rng, size)
-        serial_engine, serial = run_policy(SerialPolicy(), operations)
+        serial_engine, serial, serial_errors, _ = run_policy(
+            SerialPolicy(), operations
+        )
         serial_counts = serial_engine.counter.snapshot()
         for policy in policies(rng)[1:]:
-            engine, outcome = run_policy(policy, operations)
-            assert normalized(outcome.results) == normalized(serial.results)
-            assert outcome.errors == serial.errors
+            engine, results, errors, _ = run_policy(policy, operations)
+            assert normalized(results) == normalized(serial)
+            assert errors == serial_errors
             counts = engine.counter.snapshot()
             assert counts.index_probes == serial_counts.index_probes
             for field in (
@@ -235,11 +239,13 @@ class TestPolicyEquivalence:
                 rng.choice([STRADDLE_KEY, int(rng.integers(0, 1_000))])
             )
             operations.append(Update(old_key=old, new_key=int(next(fresh))))
-        serial_engine, serial = run_policy(SerialPolicy(), operations)
+        serial_engine, serial, serial_errors, _ = run_policy(
+            SerialPolicy(), operations
+        )
         for policy in policies(rng)[1:]:
-            engine, outcome = run_policy(policy, operations)
-            assert outcome.results == serial.results
-            assert outcome.errors == serial.errors
+            engine, results, errors, _ = run_policy(policy, operations)
+            assert results == serial
+            assert errors == serial_errors
             assert engine.counter.snapshot() == serial_engine.counter.snapshot()
             assert np.array_equal(
                 np.sort(engine.table.keys()),
@@ -248,32 +254,25 @@ class TestPolicyEquivalence:
 
 
 class TestVectorizedPolicy:
-    def test_records_chosen_sizes(self):
-        policy = VectorizedPolicy(batch_size=16)
+    def test_returns_its_slice_sizes(self):
         operations = read_workload(np.random.default_rng(1), 50)
-        serial_engine, serial = run_policy(SerialPolicy(), operations)
-        engine, outcome = run_policy(policy, operations)
-        # Fixed slices, then the tail.
-        assert policy.chosen_batch_sizes == [16, 16, 16, 2]
-        assert outcome.operations == 50
-        assert outcome.wall_ns > 0
-        assert outcome.results == serial.results
+        serial_engine, serial, _, serial_sizes = run_policy(
+            SerialPolicy(), operations
+        )
+        engine, results, _, sizes = run_policy(
+            VectorizedPolicy(batch_size=16), operations
+        )
+        # Fixed slices, then the tail; serial dispatch has no slices.
+        assert sizes == [16, 16, 16, 2]
+        assert serial_sizes == []
+        assert results == serial
         assert engine.counter.snapshot() == serial_engine.counter.snapshot()
 
-    def test_sizes_accumulate_across_calls(self):
-        engine = build_engine()
-        policy = VectorizedPolicy(batch_size=8)
-        rng = np.random.default_rng(2)
-        policy.execute(engine, read_workload(rng, 20))
-        policy.execute(engine, read_workload(rng, 5))
-        assert policy.chosen_batch_sizes == [8, 8, 4, 5]
-
     def test_empty_call_dispatches_nothing(self):
-        policy = VectorizedPolicy(batch_size=8)
-        engine, outcome = run_policy(policy, [])
-        assert policy.chosen_batch_sizes == []
-        assert outcome.results == []
-        assert (outcome.operations, outcome.errors) == (0, 0)
+        engine, results, errors, sizes = run_policy(
+            VectorizedPolicy(batch_size=8), []
+        )
+        assert (results, errors, sizes) == ([], 0, [])
         assert engine.counter.snapshot() == build_engine().counter.snapshot()
 
     def test_one_engine_batch_per_slice(self, monkeypatch):
@@ -288,11 +287,11 @@ class TestVectorizedPolicy:
         monkeypatch.setattr(engine, "execute_batch", recording)
         operations = read_workload(np.random.default_rng(3), 40)
         # Any iterable is accepted, not only a sequence.
-        outcome = VectorizedPolicy(batch_size=16).execute(
+        results, _, sizes = VectorizedPolicy(batch_size=16).execute(
             engine, (op for op in operations)
         )
-        assert slices == [16, 16, 8]
-        assert outcome.operations == 40
+        assert slices == sizes == [16, 16, 8]
+        assert len(results) == 40
 
     def test_not_found_operations_count_as_errors(self):
         operations = [
@@ -302,26 +301,34 @@ class TestVectorizedPolicy:
             PointQuery(key=STRADDLE_KEY),
             Update(old_key=997, new_key=1_001),
         ]
-        _, serial = run_policy(SerialPolicy(), operations)
-        _, vectorized = run_policy(VectorizedPolicy(batch_size=2), operations)
-        for outcome in (serial, vectorized):
+        _, serial, serial_errors, _ = run_policy(SerialPolicy(), operations)
+        _, vectorized, vectorized_errors, _ = run_policy(
+            VectorizedPolicy(batch_size=2), operations
+        )
+        for results, errors in (
+            (serial, serial_errors),
+            (vectorized, vectorized_errors),
+        ):
             # A point-query miss is an empty result; a write miss is None.
-            assert outcome.errors == 2
-            assert outcome.results[1] == []
-            assert [r is None for r in outcome.results] == [
+            assert errors == 2
+            assert results[1] == []
+            assert [r is None for r in results] == [
                 False, False, True, False, True
             ]
-        assert vectorized.results == serial.results
+        assert vectorized == serial
 
-    def test_serial_policy_records_no_sizes(self):
-        policy = SerialPolicy()
-        _, outcome = run_policy(
-            policy, read_workload(np.random.default_rng(4), 30)
-        )
-        assert outcome.operations == 30
-        assert policy.chosen_batch_sizes == []
+    def test_policies_are_stateless_values(self):
+        # Frozen: nothing a call could leave behind for the next one.
+        policy = VectorizedPolicy(batch_size=8)
+        engine = build_engine()
+        rng = np.random.default_rng(2)
+        assert policy.execute(engine, read_workload(rng, 20))[2] == [8, 8, 4]
+        assert policy.execute(engine, read_workload(rng, 5))[2] == [5]
+        assert policy == VectorizedPolicy(8)
+        with pytest.raises(AttributeError):
+            policy.batch_size = 16
+        assert isinstance(SerialPolicy(), ExecutionPolicy)
         assert isinstance(policy, ExecutionPolicy)
-        assert isinstance(VectorizedPolicy(), ExecutionPolicy)
 
     def test_policies_take_only_their_options(self):
         assert VectorizedPolicy(256).batch_size == 256
@@ -375,11 +382,11 @@ class TestCommutingReads:
         # leave the surviving copies of a duplicated key in another physical
         # order than submission-order deletes do, as it did before reads
         # grouped by commutation.
-        _, serial = run_policy(SerialPolicy(), operations)
+        _, serial, serial_errors, _ = run_policy(SerialPolicy(), operations)
         for policy in policies(np.random.default_rng(seed))[1:]:
-            engine, outcome = run_policy(policy, operations)
-            assert normalized(outcome.results) == normalized(serial.results)
-            assert outcome.errors == serial.errors
+            engine, results, errors, _ = run_policy(policy, operations)
+            assert normalized(results) == normalized(serial)
+            assert errors == serial_errors
             engine.table.check_invariants()
 
     @settings(max_examples=40, deadline=None)
@@ -390,11 +397,11 @@ class TestCommutingReads:
     def test_read_only_interleavings_charge_what_serial_does(
         self, operations, seed
     ):
-        _, serial = run_policy(SerialPolicy(), operations)
+        serial_engine, serial, _, _ = run_policy(SerialPolicy(), operations)
         for policy in policies(np.random.default_rng(seed))[1:]:
-            _, outcome = run_policy(policy, operations)
-            assert outcome.results == serial.results
-            assert outcome.accesses == serial.accesses
+            engine, results, _, _ = run_policy(policy, operations)
+            assert results == serial
+            assert engine.counter.snapshot() == serial_engine.counter.snapshot()
 
     def test_writes_are_barriers(self):
         key = 501  # absent until inserted
@@ -405,8 +412,8 @@ class TestCommutingReads:
             Delete(key),
             PointQuery(key),
         ]
-        _, outcome = run_policy(VectorizedPolicy(batch_size=256), operations)
-        miss, rowid, hit, _, miss_again = outcome.results
+        _, results, _, _ = run_policy(VectorizedPolicy(batch_size=256), operations)
+        miss, rowid, hit, _, miss_again = results
         assert miss == [] and miss_again == []
         assert [(row.key, row.rowid) for row in hit] == [(key, rowid)]
         assert hit[0].payload == {"a1": 7, "a2": 8}
@@ -428,7 +435,7 @@ class TestCommutingReads:
         assert len(reads) == 256
 
         def dispatched(operations) -> dict[str, int]:
-            engine, _ = run_policy(VectorizedPolicy(batch_size=512), operations)
+            engine, *_ = run_policy(VectorizedPolicy(batch_size=512), operations)
             return dict(engine.statistics.operations)
 
         assert dispatched(reads) == {
@@ -467,16 +474,18 @@ class TestCommutingWrites:
         # absent keys, so stretches keep ending on key reuses.  The point
         # queries read every key back, payloads and row ids included.
         operations = [*writes, *map(PointQuery, INTERLEAVED_KEY_VALUES)]
-        serial_engine, serial = run_policy(SerialPolicy(), operations)
+        serial_engine, serial, serial_errors, _ = run_policy(
+            SerialPolicy(), operations
+        )
         batched = [
             VectorizedPolicy(batch_size=256),
             *policies(np.random.default_rng(seed))[1:],
         ]
         for policy in batched:
-            engine, outcome = run_policy(policy, operations)
+            engine, results, errors, _ = run_policy(policy, operations)
             # Insert results are row ids: compared as they are.
-            assert normalized(outcome.results) == normalized(serial.results)
-            assert outcome.errors == serial.errors
+            assert normalized(results) == normalized(serial)
+            assert errors == serial_errors
             assert chunk_rows(engine) == chunk_rows(serial_engine)
             assert (
                 engine.counter.snapshot().index_probes
@@ -577,8 +586,8 @@ class TestCommutingWrites:
         assert len(writes) == 256
 
         def dispatched(operations) -> dict[str, int]:
-            engine, outcome = run_policy(VectorizedPolicy(512), operations)
-            assert outcome.errors == 0
+            engine, _, errors, _ = run_policy(VectorizedPolicy(512), operations)
+            assert errors == 0
             return dict(engine.statistics.operations)
 
         once = {"multi_insert": 1, "multi_delete": 1, "multi_update": 1}

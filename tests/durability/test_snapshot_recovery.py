@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+from wal_model import payload_for
 
 from repro.api.database import Database
 from repro.api.policies import SerialPolicy, VectorizedPolicy
@@ -29,12 +30,6 @@ from repro.workload.operations import (
     RangeQuery,
     Update,
 )
-
-
-def payload_for(keys):
-    """Deterministic payload = f(key), so recovery checks are order-free."""
-    keys = np.asarray(keys, dtype=np.int64)
-    return np.stack([keys % 7, (keys * 3) % 11], axis=1)
 
 
 def make_db(root, rows=200, **kwargs):
@@ -528,6 +523,28 @@ class TestReadOnlyDegradation:
         assert reopened.recovery.last_lsn == 1
         assert reopened.table.point_query(901)
         assert not reopened.table.point_query(903)
+        reopened.close()
+
+
+    @pytest.mark.parametrize("policy", [SerialPolicy(), VectorizedPolicy(8)])
+    def test_closed_database_refuses_writes_before_applying(
+        self, tmp_path, policy
+    ):
+        db = Database.from_rows(
+            np.arange(0, 1000, 2, dtype=np.int64), durability=tmp_path
+        )
+        session = db.session(execution=policy)
+        db.close()
+        with pytest.raises(ReadOnlyError, match="closed"):
+            session.execute([Insert(3), Insert(5)])
+        with pytest.raises(ReadOnlyError, match="closed"):
+            db.checkpoint()
+        # Nothing was applied that the log does not hold; reads still run.
+        assert db.num_rows == 500
+        assert session.execute(RangeQuery(0, 10)).results == [6]
+        session.close()
+        reopened = Database.open(tmp_path)
+        assert reopened.num_rows == 500
         reopened.close()
 
 

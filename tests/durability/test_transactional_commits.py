@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from wal_model import canonical_model, canonical_table, payload_for
 
 from repro.api.database import Database
 from repro.durability.errors import ReadOnlyError, WalUnavailableError
@@ -42,23 +43,6 @@ TXN_SPECS = st.lists(
     min_size=2,
     max_size=5,
 )
-
-
-def payload_for(keys):
-    keys = np.asarray(keys, dtype=np.int64)
-    return np.stack([keys % 7, (keys * 3) % 11], axis=1)
-
-
-def canonical_model(model):
-    return sorted((key, a, b) for key, (a, b) in model.items())
-
-
-def canonical_table(table):
-    out = []
-    for key in np.sort(table.scan()).tolist():
-        for row in table.point_query(key):
-            out.append((key, row.payload["a"], row.payload["b"]))
-    return sorted(out)
 
 
 def wal_records(root):

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from wal_model import canonical_table, payload_for
 
 from repro.api import Database, FollowerSession, VectorizedPolicy
 from repro.api.reorg import ReorgPolicy
@@ -27,19 +28,6 @@ from repro.workload.operations import (
     RangeQuery,
     Update,
 )
-
-
-def payload_for(keys):
-    keys = np.asarray(keys, dtype=np.int64)
-    return np.stack([keys % 7, (keys * 3) % 11], axis=1)
-
-
-def canonical(table):
-    out = []
-    for key in np.sort(table.scan()).tolist():
-        for row in table.point_query(key):
-            out.append((key, row.payload["a"], row.payload["b"]))
-    return sorted(out)
 
 
 def make_primary(root, **config_kwargs):
@@ -79,7 +67,7 @@ class TestBootstrapAndCatchUp:
         with Follower(tmp_path, primary=primary) as follower:
             applied = follower.catch_up()
             assert applied == 3
-            assert canonical(follower.table) == canonical(db.table)
+            assert canonical_table(follower.table) == canonical_table(db.table)
             assert follower.caught_up
             assert follower.applied_lsn == db.durability.durable_lsn
             assert follower.batches_applied == 3
@@ -95,12 +83,12 @@ class TestBootstrapAndCatchUp:
         with Follower(tmp_path, primary=primary) as follower:
             assert follower.snapshot_lsn == 3
             assert follower.catch_up() == 2  # only the post-snapshot records
-            assert canonical(follower.table) == canonical(db.table)
+            assert canonical_table(follower.table) == canonical_table(db.table)
             # Keep tailing across a further rotation.
             db.checkpoint()
             ingest(db, next_key, batches=2)
             follower.catch_up()
-            assert canonical(follower.table) == canonical(db.table)
+            assert canonical_table(follower.table) == canonical_table(db.table)
         db.close()
 
     def test_empty_directory_refuses_bootstrap(self, tmp_path):
@@ -114,11 +102,11 @@ class TestBootstrapAndCatchUp:
         # CRC-valid record is applied.
         db, _ = make_primary(tmp_path)
         ingest(db, 1_000_001)
-        expected = canonical(db.table)
+        expected = canonical_table(db.table)
         db.close()
         with Follower(tmp_path) as follower:
             follower.catch_up()
-            assert canonical(follower.table) == expected
+            assert canonical_table(follower.table) == expected
             assert follower.caught_up
             assert follower.target_lsn == 3
 
@@ -131,7 +119,7 @@ class TestBootstrapAndCatchUp:
             assert follower.applied_lsn == 0
             db.sync()
             assert follower.catch_up() == 2
-            assert canonical(follower.table) == canonical(db.table)
+            assert canonical_table(follower.table) == canonical_table(db.table)
         db.close()
 
 
@@ -185,20 +173,20 @@ class TestTransactionalReplication:
             # The whole write set is one atomic WAL record, applied as
             # one unit under the replica lock: one batch, oracle-equal.
             assert follower.catch_up() == 1
-            assert canonical(follower.table) == canonical(db.table)
+            assert canonical_table(follower.table) == canonical_table(db.table)
             # Aborts log nothing, so there is nothing to ship.
             txn = engine.begin_transaction()
             engine.transactional_insert(txn, 1_000_005, (1, 2))
             engine.abort(txn)
             assert follower.catch_up() == 0
-            assert canonical(follower.table) == canonical(db.table)
+            assert canonical_table(follower.table) == canonical_table(db.table)
             # The follower stays oracle-equal at the next watermark too.
             txn = engine.begin_transaction()
             engine.transactional_delete(txn, 4)
             engine.transactional_insert(txn, 1_000_007, (5, 6))
             engine.commit(txn)
             assert follower.catch_up() == 1
-            assert canonical(follower.table) == canonical(db.table)
+            assert canonical_table(follower.table) == canonical_table(db.table)
             follower.table.check_invariants()
         db.close()
 
@@ -280,7 +268,7 @@ class TestTransport:
             remote = RemotePrimary(server.address)
             with Follower(tmp_path, primary=remote, follower_id="remote") as f:
                 f.catch_up()
-                assert canonical(f.table) == canonical(db.table)
+                assert canonical_table(f.table) == canonical_table(db.table)
                 assert db.durability.pins() == {"remote": f.applied_lsn}
             assert db.durability.pins() == {}
         db.close()
@@ -360,7 +348,7 @@ class TestThreadedTailing:
         assert not failures
         assert fdb.follower.caught_up
         assert fdb.follower.applied_lsn == db.durability.durable_lsn
-        assert canonical(fdb.table) == canonical(db.table)
+        assert canonical_table(fdb.table) == canonical_table(db.table)
         fdb.table.check_invariants()
         fdb.close()
         db.close()

@@ -20,19 +20,18 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from wal_model import (
+    OP_KINDS,
+    build_batch,
+    canonical_model,
+    canonical_table,
+    payload_for,
+)
 
 from repro.api.database import Database
 from repro.durability.faults import CRASH_POINTS, FaultInjector, InjectedCrash
 from repro.durability.manager import DurabilityConfig
 from repro.replication import Follower, Primary
-from repro.workload.operations import (
-    MultiDelete,
-    MultiInsert,
-    MultiUpdate,
-    RangeQuery,
-)
-
-OP_KINDS = ("insert", "delete", "update", "read")
 
 #: Batches of (op kind, choice index); the index picks delete/update
 #: victims from the live key set, so specs stay valid whatever state
@@ -46,54 +45,6 @@ BATCH_SPECS = st.lists(
     min_size=2,
     max_size=6,
 )
-
-
-def payload_for(keys):
-    keys = np.asarray(keys, dtype=np.int64)
-    return np.stack([keys % 7, (keys * 3) % 11], axis=1)
-
-
-def canonical_model(model):
-    return sorted((key, a, b) for key, (a, b) in model.items())
-
-
-def canonical_table(table):
-    out = []
-    for key in np.sort(table.scan()).tolist():
-        for row in table.point_query(key):
-            out.append((key, row.payload["a"], row.payload["b"]))
-    return sorted(out)
-
-
-def build_batch(spec_batch, model, next_key):
-    """Materialize one batch of operations plus its post-state (fresh
-    keys are odd and monotonic, so they never collide)."""
-    scratch = dict(model)
-    ops = []
-    for kind, idx in spec_batch:
-        if kind == "insert":
-            keys = [next_key[0] + 2 * i for i in range(3)]
-            next_key[0] += 6
-            rows = payload_for(keys).tolist()
-            ops.append(MultiInsert(tuple(keys), tuple(map(tuple, rows))))
-            for key, row in zip(keys, rows, strict=True):
-                scratch[key] = tuple(row)
-        elif kind == "delete":
-            live = sorted(scratch)
-            key = live[idx % len(live)] if live else 10**9
-            ops.append(MultiDelete((key,)))
-            scratch.pop(key, None)
-        elif kind == "update":
-            live = sorted(scratch)
-            old = live[idx % len(live)] if live else 10**9
-            new = next_key[0]
-            next_key[0] += 2
-            ops.append(MultiUpdate(((old, new),)))
-            if old in scratch:
-                scratch[new] = scratch.pop(old)
-        else:
-            ops.append(RangeQuery(0, 1 << 40))
-    return ops, scratch
 
 
 def make_primary(root, faults=None):

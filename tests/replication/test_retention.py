@@ -11,25 +11,13 @@ with :class:`RetentionGapError` instead of silently serving a hole.
 
 import numpy as np
 import pytest
+from wal_model import canonical_table, payload_for
 
 from repro.api import Database
 from repro.durability.manager import DurabilityConfig
 from repro.durability.wal import segment_first_lsn
 from repro.replication import Follower, Primary, RetentionGapError
 from repro.workload.operations import MultiInsert
-
-
-def payload_for(keys):
-    keys = np.asarray(keys, dtype=np.int64)
-    return np.stack([keys % 7, (keys * 3) % 11], axis=1)
-
-
-def canonical(table):
-    out = []
-    for key in np.sort(table.scan()).tolist():
-        for row in table.point_query(key):
-            out.append((key, row.payload["a"], row.payload["b"]))
-    return sorted(out)
 
 
 def make_db(root, **config_kwargs):
@@ -72,7 +60,7 @@ class TestDeleteUnderCursorRegression:
         segments = db.durability.segments()
         assert segment_first_lsn(segments[0]) == 1
         follower.catch_up()
-        assert canonical(follower.table) == canonical(db.table)
+        assert canonical_table(follower.table) == canonical_table(db.table)
         assert follower.applied_lsn == db.durability.durable_lsn
         follower.close()
         db.close()
@@ -99,7 +87,7 @@ class TestDeleteUnderCursorRegression:
         # recovery: the fresh follower needs only surviving segments.
         rebooted = Follower(tmp_path)
         rebooted.catch_up()
-        assert canonical(rebooted.table) == canonical(db.table)
+        assert canonical_table(rebooted.table) == canonical_table(db.table)
         db.close()
 
     def test_keep_segments_fallback_covers_unregistered_followers(self, tmp_path):
@@ -107,7 +95,7 @@ class TestDeleteUnderCursorRegression:
         follower = Follower(tmp_path)  # never pins
         churn(db, 1_000_001)
         follower.catch_up()
-        assert canonical(follower.table) == canonical(db.table)
+        assert canonical_table(follower.table) == canonical_table(db.table)
         db.close()
 
     def test_pin_advances_with_the_cursor(self, tmp_path):
@@ -138,6 +126,6 @@ class TestDeleteUnderCursorRegression:
         assert db2.durability.pins() == {"f": follower.applied_lsn}
         churn(db2, key, rounds=2)
         follower.catch_up()
-        assert canonical(follower.table) == canonical(db2.table)
+        assert canonical_table(follower.table) == canonical_table(db2.table)
         follower.close()
         db2.close()

@@ -297,8 +297,7 @@ class TestMultiUpdate:
         outcome = engine.execute(MultiUpdate(pairs=((10, 11), (9_999, 1))))
         assert outcome.kind == "multi_update"
         assert list(outcome.result) == [1, 0]
-        assert engine.statistics.operations["multi_update"] == 1
-        assert engine.statistics.mean_wall_ns("multi_update") > 0.0
+        assert engine.statistics.operations == {"multi_update": 1}
 
     def test_bulk_update_validates_shape(self):
         keys = np.arange(16, dtype=np.int64) * 2

@@ -429,7 +429,7 @@ class TestColumnBulkDelete:
             expected = []
             for value in batch[order]:
                 try:
-                    expected.append(sequential.delete(int(value), limit=1))
+                    expected.append(sequential.delete(int(value)))
                 except ValueNotFoundError:
                     expected.append(0)
             deleted = bulk.bulk_delete(batch)
@@ -441,7 +441,7 @@ class TestColumnBulkDelete:
     def test_single_delete_charges_exactly_sequential(self, rng):
         base, sequential, bulk = make_column_pair(rng, ghost_mode=False)
         victim = int(base[37])
-        sequential.delete(victim, limit=1)
+        sequential.delete(victim)
         assert bulk.bulk_delete([victim]).tolist() == [1]
         assert bulk.counter.snapshot() == sequential.counter.snapshot()
 
@@ -455,20 +455,6 @@ class TestColumnBulkDelete:
         deleted = column.bulk_delete([2, 2, 2, 2])
         assert deleted.tolist() == [1, 1, 1, 0]
         assert column.point_query(2).size == 0
-        column.check_invariants()
-
-    def test_delete_limit_removes_from_one_scan(self):
-        """The quadratic per-victim rescan is gone: one charged scan, all
-        victims removed back-to-front from its positions."""
-        values = np.asarray([5] * 64 + list(range(100, 164)), dtype=np.int64)
-        column = PartitionedColumn(np.sort(values), [64, 128], block_values=16)
-        before = column.counter.snapshot()
-        assert column.delete(5, limit=50) == 50
-        diff = column.counter.diff(before)
-        # One scan (1 random + blocks-1 sequential reads) plus one swap write
-        # per victim and the dense hole ripples; no per-victim rescans.
-        assert diff.random_reads == 1 + 50  # scan + one ripple step per hole
-        assert column.point_query(5).size == 14
         column.check_invariants()
 
 
@@ -516,7 +502,7 @@ class TestDeltaStoreBulk:
         expected = []
         for value in batch[order]:
             try:
-                expected.append(sequential.delete(int(value), limit=1))
+                expected.append(sequential.delete(int(value)))
             except ValueNotFoundError:
                 expected.append(0)
         deleted = bulk.bulk_delete(batch)

@@ -294,12 +294,6 @@ class TestDelete:
         assert ghosts[-1] == 1
         column.check_invariants()
 
-    def test_delete_duplicates_with_limit(self):
-        values = np.asarray([1, 1, 1, 2, 3, 4, 5, 6], dtype=np.int64)
-        column = PartitionedColumn(values, [4, 8])
-        assert column.delete(1, limit=2) == 2
-        assert column.point_query(1).shape[0] == 1
-
     def test_delete_then_insert_reuses_slack(self, small_values):
         column = build_column(small_values, partitions=8, ghosts=8)
         column.delete(int(small_values[100]))
@@ -400,7 +394,7 @@ def test_random_operation_sequences_preserve_integrity(seed, partitions, ghosts,
             reference.append(value)
         elif action == 1 and reference:  # delete existing
             victim = reference[int(rng.integers(0, len(reference)))]
-            deleted = column.delete(int(victim), limit=1)
+            deleted = column.delete(int(victim))
             assert deleted == 1
             reference.remove(victim)
         elif action == 2 and reference:  # update existing

@@ -307,10 +307,7 @@ class TestStorageEngine:
         engine.execute(PointQuery(20))
         engine.execute(PointQuery(40))
         engine.execute(Insert(7))
-        assert engine.statistics.operations["point_query"] == 2
-        assert engine.statistics.operations["insert"] == 1
-        assert engine.statistics.mean_simulated_ns("point_query") > 0
-        assert engine.statistics.mean_simulated_ns("never_ran") == 0
+        assert engine.statistics.operations == {"point_query": 2, "insert": 1}
 
     def test_execute_dispatch(self):
         engine = StorageEngine(make_table())
