@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.bench.harness import (
     LAYOUT_ORDER,
+    build_hap_database,
     build_hap_engine,
     compare_layouts,
     normalized_throughput,
@@ -15,6 +19,7 @@ from repro.bench.harness import (
 from repro.bench.reporting import banner, format_series, format_table
 from repro.storage.layouts import LayoutKind
 from repro.workload.hap import HAPConfig, make_workload
+from repro.workload.operations import Delete, Insert, PointQuery, Update, Workload
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +105,95 @@ class TestHarness:
             results[LayoutKind.CASPER].throughput_ops
             > results[LayoutKind.SORTED].throughput_ops
         )
+
+
+def _significant(value):
+    """``value`` with floats rounded to 9 significant digits, so the
+    digest does not depend on the last bits of a platform's float sums."""
+    if isinstance(value, float):
+        return float(f"{value:.9g}")
+    if isinstance(value, dict):
+        return {key: _significant(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_significant(item) for item in value]
+    return value
+
+
+def _misses_workload() -> Workload:
+    """Hits mixed with deletes and updates of keys the HAP table never
+    loaded (its keys are even), so both dispatch paths count misses."""
+    operations = []
+    for step in range(40):
+        loaded, absent = 8 * step, 8 * step + 1
+        operations += [
+            PointQuery(loaded),
+            Delete(absent),
+            Update(absent, absent + 2),
+            Delete(loaded + 2),
+            Update(loaded + 4, absent + 4),
+            Insert(10_001 + 2 * step),
+        ]
+    return Workload(operations=operations, name="misses")
+
+
+class TestHarnessPin:
+    """The figure harness's output, pinned: every layout of the paper's
+    comparison, serial and in 64-operation slices."""
+
+    CONFIG = HAPConfig(num_rows=4_096, chunk_size=2_048, block_values=64)
+    PROFILES = ("hybrid_skewed", "write_heavy", "update_only_skewed")
+    FIELDS = (
+        "operations", "errors", "simulated_seconds", "mean_latency_ns",
+        "p999_latency_ns", "counts", "batch_sizes",
+    )
+    DIGEST = "6a568307241b64c768500687f4e68db74d863b3b8a8f3966058f7c304ac83a85"
+
+    def outputs(self) -> dict:
+        config = self.CONFIG
+        workloads = {
+            profile: (
+                make_workload(profile, config, num_operations=200, seed=7),
+                make_workload(profile, config, num_operations=200, seed=42),
+            )
+            for profile in self.PROFILES
+        }
+        workloads["misses"] = (workloads["hybrid_skewed"][0], _misses_workload())
+        pinned = {}
+        for name, (training, evaluation) in workloads.items():
+            for layout in LAYOUT_ORDER:
+                for batch_size in (None, 64):
+                    database = build_hap_database(
+                        layout,
+                        config,
+                        training_workload=training,
+                        partitions=8,
+                        monitor=False,
+                    )
+                    result = run_workload(
+                        database,
+                        evaluation,
+                        layout_name=layout.value,
+                        constants=database.constants,
+                        batch_size=batch_size,
+                    )
+                    pinned[f"{name}/{layout.value}/{batch_size}"] = {
+                        field: _significant(getattr(result, field))
+                        for field in self.FIELDS
+                    }
+        return pinned
+
+    def test_run_workload_outputs(self):
+        outputs = self.outputs()
+        # Every absent-key delete and update is a miss on both paths.
+        assert all(
+            outputs[f"misses/{layout.value}/{batch_size}"]["errors"] == 80
+            for layout in LAYOUT_ORDER
+            for batch_size in (None, 64)
+        )
+        digest = hashlib.sha256(
+            json.dumps(outputs, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == self.DIGEST
 
 
 class TestReporting:
