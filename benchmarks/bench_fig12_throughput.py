@@ -28,6 +28,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.api.database import Database
 from repro.bench.experiments import fig12
 from repro.bench.harness import run_workload
 from repro.storage.engine import StorageEngine
@@ -104,7 +105,7 @@ def test_fig12_batch_point_query_speedup(benchmark):
     for _ in range(3):
         start = time.perf_counter()
         sequential_results = [
-            sequential_engine.execute(operation).result for operation in operations
+            sequential_engine.execute(operation) for operation in operations
         ]
         sequential_seconds = min(sequential_seconds, time.perf_counter() - start)
 
@@ -112,10 +113,10 @@ def test_fig12_batch_point_query_speedup(benchmark):
     batch_seconds = float("inf")
     for _ in range(3):
         start = time.perf_counter()
-        batch = batch_engine.execute_batch(operations)
+        batch_results, _errors = batch_engine.execute_batch(operations)
         batch_seconds = min(batch_seconds, time.perf_counter() - start)
 
-    assert batch.results == sequential_results
+    assert batch_results == sequential_results
     speedup = sequential_seconds / batch_seconds
     print(
         f"\nbatch point-query fast path: {num_queries} ops on "
@@ -144,14 +145,15 @@ def test_fig12_write_heavy_batch_speedup(benchmark):
     spec = LayoutSpec(kind=LayoutKind.EQUI, partitions=16, block_values=block_values)
     chunk_size = -(-num_rows // num_chunks)
 
-    def build_engine() -> StorageEngine:
-        return StorageEngine(
+    def build_database() -> Database:
+        return Database(
             Table(
                 keys,
                 chunk_size=chunk_size,
                 chunk_builder=layout_chunk_builder(spec),
                 block_values=block_values,
-            )
+            ),
+            monitor=False,
         )
 
     # Phased write-heavy mix (one op kind per batch_size slice): 25% inserts
@@ -186,24 +188,24 @@ def test_fig12_write_heavy_batch_speedup(benchmark):
     # best of three keeps a shared-runner hiccup from flipping the gate.
     sequential_seconds = float("inf")
     for _ in range(3):
-        sequential_engine = build_engine()
+        sequential_database = build_database()
         start = time.perf_counter()
-        sequential_result = run_workload(sequential_engine, workload)
+        sequential_result = run_workload(sequential_database, workload)
         sequential_seconds = min(sequential_seconds, time.perf_counter() - start)
     batch_seconds = float("inf")
     for _ in range(3):
-        batch_engine = build_engine()
+        batch_database = build_database()
         start = time.perf_counter()
-        batch_result = run_workload(batch_engine, workload, batch_size=batch_size)
+        batch_result = run_workload(batch_database, workload, batch_size=batch_size)
         batch_seconds = min(batch_seconds, time.perf_counter() - start)
 
     assert sequential_result.errors == 0
     assert batch_result.errors == 0
     assert np.array_equal(
-        np.sort(sequential_engine.table.keys()),
-        np.sort(batch_engine.table.keys()),
+        np.sort(sequential_database.table.keys()),
+        np.sort(batch_database.table.keys()),
     )
-    batch_engine.table.check_invariants()
+    batch_database.table.check_invariants()
     speedup = sequential_seconds / batch_seconds
     print(
         f"\nbulk-write fast path: {num_ops} ops (50% insert/delete) on "

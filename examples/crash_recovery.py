@@ -150,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
                     crashed = True
                     break
             try:
-                result = db.engine.execute_batch(ops)
+                db.engine.execute_batch(ops)
             except InjectedCrash as crash:
                 print(f"CRASH during batch {i} at {crash.point!r}")
                 crashed = True
@@ -160,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
             prefixes.append(canonical_model(state))
             acked += 1
             applied = acked
-            print(f"batch {i} acknowledged at lsn {result.lsn}")
+            print(f"batch {i} acknowledged at lsn {db.durability.last_lsn}")
         if not crashed:
             print("crash point never fired; closing cleanly")
             db.close()

@@ -16,11 +16,11 @@ Run with::
 
     python examples/quickstart.py
 
-Migrating from the pre-session API: ``build_hap_engine(...)`` +
-``StorageEngine.execute`` become ``Database.plan_for(...)`` /
-``Database.from_rows(...)`` + ``db.session(...).execute``; the engine stays
-reachable as ``db.engine`` for code that still wants the low-level entry
-points.
+Migrating from the engine-level API: ``StorageEngine(table).execute`` becomes
+``Database.plan_for(...)`` / ``Database.from_rows(...)`` +
+``db.session(...).execute``, which also prices each call; the engine stays
+reachable as ``db.engine`` (returning plain results) for code that still
+wants the low-level entry points.
 """
 
 from __future__ import annotations

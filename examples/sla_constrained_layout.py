@@ -13,7 +13,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro.bench.harness import build_hap_engine, run_workload
+from repro.bench.harness import build_hap_database, run_workload
 from repro.bench.reporting import format_table
 from repro.core.constraints import SLAConstraints
 from repro.storage.layouts import LayoutKind
@@ -28,15 +28,16 @@ def main() -> None:
     rows = []
     for sla_us in (None, 10.0, 5.0, 2.0):
         sla = SLAConstraints(update_sla_ns=sla_us * 1_000) if sla_us else None
-        engine = build_hap_engine(
+        database = build_hap_database(
             LayoutKind.CASPER,
             config,
             training_workload=training,
             ghost_fraction=0.001,
             sla=sla,
+            monitor=False,
         )
-        partitions = engine.table.chunks[0].num_partitions
-        result = run_workload(engine, evaluation, layout_name="casper")
+        partitions = database.table.chunks[0].num_partitions
+        result = run_workload(database, evaluation, layout_name="casper")
         rows.append(
             (
                 "none" if sla_us is None else f"{sla_us:.1f}",

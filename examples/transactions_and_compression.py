@@ -35,7 +35,7 @@ def transactions_demo() -> None:
     engine = StorageEngine(table)
 
     print("== Snapshot isolation (first committer wins) ==")
-    analytical_before = engine.execute(RangeQuery(0, 19_998)).result
+    analytical_before = engine.execute(RangeQuery(0, 19_998))
     writer_a = engine.begin_transaction()
     writer_b = engine.begin_transaction()
     engine.transactional_update(writer_a, 40, 41)
@@ -45,7 +45,7 @@ def transactions_demo() -> None:
         engine.commit(writer_b)
     except TransactionConflictError:
         print("writer B aborted: key 40 was already updated by writer A")
-    analytical_after = engine.execute(RangeQuery(0, 19_998)).result
+    analytical_after = engine.execute(RangeQuery(0, 19_998))
     print(f"analytical row count before/after: {analytical_before} / {analytical_after}")
     print(f"committed={engine.transactions.committed} aborted={engine.transactions.aborted}\n")
 

@@ -18,8 +18,10 @@ Quickstart
 >>> planner = CasperPlanner(sample_workload=sample, block_values=256)
 >>> table = build_table(config, planner.build_chunk)
 >>> engine = StorageEngine(table)
->>> engine.execute(Insert(12345)).kind
-'insert'
+>>> engine.execute(Insert(12345))  # the new row's id
+16384
+>>> engine.statistics.operations
+{'insert': 1}
 """
 
 from .api import (

@@ -96,9 +96,7 @@ class Database:
         elif monitor is False:
             monitor = None
         self.monitor = monitor
-        self.engine = StorageEngine(
-            table, constants=self.constants, monitor=self.monitor
-        )
+        self.engine = StorageEngine(table, monitor=self.monitor)
         #: Attached :class:`DurabilityManager`, or ``None`` (memory-only).
         self.durability: DurabilityManager | None = None
         #: :class:`~repro.durability.recovery.RecoveryReport` when this

@@ -58,7 +58,7 @@ class SerialPolicy:
         errors = 0
         for operation in operations:
             try:
-                results.append(engine.execute(operation).result)
+                results.append(engine.execute(operation))
             except ValueNotFoundError:
                 results.append(None)
                 errors += 1
@@ -97,8 +97,8 @@ class VectorizedPolicy:
         sizes = []
         for first in range(0, len(oplist), self.batch_size):
             chunk = oplist[first : first + self.batch_size]
-            outcome = engine.execute_batch(chunk)
+            chunk_results, chunk_errors = engine.execute_batch(chunk)
             sizes.append(len(chunk))
-            results.extend(outcome.results)
-            errors += outcome.errors
+            results.extend(chunk_results)
+            errors += chunk_errors
         return results, errors, sizes

@@ -229,12 +229,11 @@ class Session:
         operation.  Results come back in submission order with ``None``
         marking not-found operations, exactly as serial dispatch reports
         them; after execution the reorganizer (when configured) scans for
-        drift and may replace chunks copy-on-write.
+        drift and may replace chunks copy-on-write.  A closed session raises
+        :class:`RuntimeError` and a non-operation :class:`TypeError`, both
+        before anything dispatches, under every policy.
         """
-        self._require_open()
-        if isinstance(operations, Operation):
-            operations = [operations]
-        oplist = list(operations)
+        oplist = self._admit(operations)
         engine = self.database.engine
         before = engine.counter.snapshot()
         start = time.perf_counter_ns()
@@ -282,6 +281,20 @@ class Session:
             commit_lsn=commit_lsn,
             durable=durable,
         )
+
+    def _admit(
+        self, operations: Workload | Sequence[Operation] | Operation
+    ) -> list[Operation]:
+        """The call's operations as a list, once the session is known to be
+        open and every entry to be an operation."""
+        self._require_open()
+        if isinstance(operations, Operation):
+            return [operations]
+        oplist = list(operations)
+        for operation in oplist:
+            if not isinstance(operation, Operation):
+                raise TypeError(f"unsupported operation type: {type(operation)!r}")
+        return oplist
 
     def sync(self) -> int:
         """Force the database's WAL to disk; returns the durable LSN.
@@ -351,12 +364,10 @@ class FollowerSession(Session):
     def __init__(self, database: "Database", *, execution=None) -> None:
         super().__init__(database, execution=execution, reorg=None)
 
-    def execute(
+    def _admit(
         self, operations: Workload | Sequence[Operation] | Operation
-    ) -> SessionResult:
-        if isinstance(operations, Operation):
-            operations = [operations]
-        oplist = list(operations)
+    ) -> list[Operation]:
+        oplist = super()._admit(operations)
         for operation in oplist:
             if is_write(operation):
                 raise ReadOnlyError(
@@ -365,7 +376,7 @@ class FollowerSession(Session):
                     "the primary; the replication applier is the replica's "
                     "only writer)"
                 )
-        return super().execute(oplist)
+        return oplist
 
     @property
     def follower(self):

@@ -4,7 +4,6 @@ from .harness import (
     LAYOUT_ORDER,
     WorkloadRunResult,
     build_hap_database,
-    build_hap_engine,
     compare_layouts,
     normalized_throughput,
     run_workload,
@@ -16,7 +15,6 @@ __all__ = [
     "WorkloadRunResult",
     "banner",
     "build_hap_database",
-    "build_hap_engine",
     "compare_layouts",
     "format_series",
     "format_table",

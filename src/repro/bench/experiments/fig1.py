@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ...api.database import Database
 from ...core.planner import CasperPlanner
 from ...storage.cost_accounting import constants_for_block_values
-from ...storage.engine import StorageEngine
 from ...storage.layouts import LayoutKind, LayoutSpec
 from ...storage.table import layout_chunk_builder
 from ...workload.tpch import TPCHConfig, build_lineitem_table, figure1_workload
@@ -76,9 +76,9 @@ def run(config: Figure1Config | None = None) -> dict[str, WorkloadRunResult]:
                 merge_entries=config.merge_entries,
             )
             table = build_lineitem_table(tpch, layout_chunk_builder(spec))
-        engine = StorageEngine(table, constants=constants)
+        database = Database(table, constants=constants, monitor=False)
         results[name] = run_workload(
-            engine, evaluation, layout_name=name, constants=constants
+            database, evaluation, layout_name=name, constants=constants
         )
     return results
 

@@ -28,7 +28,7 @@ PANELS: tuple[tuple[str, WorkloadMix], ...] = (
     ("(c) update-only (Q4, Q5, Q6), uniform", UPDATE_ONLY_UNIFORM),
 )
 
-#: Operation kinds reported per panel (engine result kinds).
+#: Operation kinds reported per panel (record kinds of the harness).
 PANEL_KINDS = {
     "(a) hybrid (Q1, Q4, Q6), skewed": ("point_query", "insert", "update"),
     "(b) read-only (Q1, Q2, Q6), skewed": ("point_query", "range_count", "update"),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ...storage.layouts import LayoutKind
 from ...workload.hap import HAPConfig, make_workload
-from ..harness import build_hap_engine, run_workload
+from ..harness import build_hap_database, run_workload
 from ..reporting import banner, format_table
 
 WORKLOADS = (
@@ -47,16 +47,17 @@ def run(config: Figure14Config | None = None) -> dict[str, list[tuple]]:
         rows = []
         training = make_workload(profile, hap, num_operations=config.num_operations, seed=7)
         for fraction in config.ghost_fractions:
-            engine = build_hap_engine(
+            database = build_hap_database(
                 LayoutKind.CASPER,
                 hap,
                 training_workload=training,
                 ghost_fraction=fraction,
+                monitor=False,
             )
             evaluation = make_workload(
                 profile, hap, num_operations=config.num_operations, seed=42
             )
-            result = run_workload(engine, evaluation, layout_name="casper")
+            result = run_workload(database, evaluation, layout_name="casper")
             rows.append(
                 (
                     fraction,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from ...core.constraints import SLAConstraints
 from ...storage.layouts import LayoutKind
 from ...workload.hap import HAPConfig, make_workload
-from ..harness import build_hap_engine, run_workload
+from ..harness import build_hap_database, run_workload
 from ..reporting import banner, format_table
 
 
@@ -59,17 +59,18 @@ def run(config: Figure15Config | None = None) -> list[tuple]:
             if sla_us is not None
             else None
         )
-        engine = build_hap_engine(
+        database = build_hap_database(
             LayoutKind.CASPER,
             hap,
             training_workload=training,
             ghost_fraction=config.ghost_fraction,
             sla=sla,
+            monitor=False,
         )
         evaluation = make_workload(
             "sla_hybrid", hap, num_operations=config.num_operations, seed=42
         )
-        result = run_workload(engine, evaluation, layout_name="casper")
+        result = run_workload(database, evaluation, layout_name="casper")
         rows.append(
             (
                 "none" if sla_us is None else sla_us,

@@ -1,17 +1,17 @@
-"""Benchmark harness: run workloads against engines and collect metrics.
+"""Benchmark harness: run workloads against databases and collect metrics.
 
-The harness drives a :class:`~repro.storage.engine.StorageEngine` (or a
-:class:`~repro.api.database.Database` façade wrapping one) with a
-:class:`~repro.workload.operations.Workload` and aggregates, per operation
-kind, the mean simulated latency (block-access cost under the configured
-constants) and wall-clock latency, plus the workload's overall throughput
-(operations per second of simulated time), which is the paper's headline
-metric (Figures 1, 12, 13, 15).
+The harness runs a :class:`~repro.workload.operations.Workload` through a
+session of a :class:`~repro.api.database.Database` -- one serial call per
+operation, or one :class:`~repro.api.policies.VectorizedPolicy` call per
+slice -- and aggregates, per operation kind, the mean simulated latency
+(the block-access cost each call's counter window charged, under the
+configured constants), plus the workload's overall throughput (operations
+per second of simulated time), which is the paper's headline metric
+(Figures 1, 12, 13, 15).
 
 ``build_hap_database`` constructs the HAP table under any of the six layout
 modes of Section 7 behind the :class:`Database` façade, feeding the Casper
-mode through the planner with a training workload sample;
-``build_hap_engine`` remains as the engine-level compatibility wrapper.
+mode through the planner with a training workload sample.
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..api.database import Database
+from ..api.policies import SerialPolicy, VectorizedPolicy
 from ..core.constraints import SLAConstraints
 from ..core.monitor import WorkloadMonitor
 from ..storage.cost_accounting import CostConstants, constants_for_block_values
-from ..storage.engine import StorageEngine
-from ..storage.errors import ValueNotFoundError
 from ..storage.layouts import LayoutKind, LayoutSpec
 from ..workload.hap import HAPConfig, generate_keys, generate_payload, make_workload
 from ..workload.operations import Workload
@@ -33,15 +32,13 @@ from ..workload.operations import Workload
 
 @dataclass
 class WorkloadRunResult:
-    """Aggregated result of running one workload on one engine."""
+    """Aggregated result of running one workload on one database."""
 
     layout: str
     workload: str
     operations: int
     simulated_seconds: float
-    wall_seconds: float
     mean_latency_ns: dict[str, float] = field(default_factory=dict)
-    mean_wall_ns: dict[str, float] = field(default_factory=dict)
     counts: dict[str, int] = field(default_factory=dict)
     p999_latency_ns: dict[str, float] = field(default_factory=dict)
     errors: int = 0
@@ -55,90 +52,63 @@ class WorkloadRunResult:
             return float("inf")
         return self.operations / self.simulated_seconds
 
-    @property
-    def wall_throughput_ops(self) -> float:
-        """Operations per second of wall-clock time."""
-        if self.wall_seconds <= 0:
-            return float("inf")
-        return self.operations / self.wall_seconds
-
 
 def run_workload(
-    engine: StorageEngine | Database,
+    database: Database,
     workload: Workload,
     *,
     layout_name: str = "",
     constants: CostConstants | None = None,
     batch_size: int | None = None,
 ) -> WorkloadRunResult:
-    """Execute ``workload`` on ``engine`` and aggregate per-kind latencies.
+    """Execute ``workload`` in one session of ``database`` and aggregate
+    per-kind latencies, each call priced by its own counter window.
 
-    ``engine`` may be a bare :class:`StorageEngine` or a :class:`Database`
-    façade (whose engine is used).  With ``batch_size`` set to a positive
-    integer, operations are submitted in fixed slices through
-    :meth:`~repro.storage.engine.StorageEngine.execute_batch` (as a
-    :class:`~repro.api.policies.VectorizedPolicy` session does) and the
-    slice sizes are recorded in :attr:`WorkloadRunResult.batch_sizes`;
-    groups of commuting operations resolve on the table's vectorized fast
-    paths and the engine's access counter advances per the
-    batch-equivalence contract; latencies are aggregated per batch under
-    the ``"batch"`` kind (per-operation attribution is not available
-    inside a vectorized probe).
-    One caveat: failed (not-found) operations' partial charges stay in the
-    per-batch tally, whereas the sequential path drops them from
-    ``simulated_seconds``, so the two modes' reported throughput diverges
-    slightly on workloads that generate misses.
+    Without ``batch_size`` every operation is one :class:`SerialPolicy`
+    call, counted under its record kind (``op.attribution()[0]``); a miss
+    counts as an error and its partial charge is left out.  With a
+    positive ``batch_size`` every slice is one ``VectorizedPolicy`` call,
+    counted under ``"batch"`` (a vectorized probe has no per-operation
+    charge); a slice keeps its misses' partial charges, so the two modes'
+    throughput diverges slightly on workloads that generate misses.
     """
-    if isinstance(engine, Database):
-        engine = engine.engine
-    constants = constants if constants is not None else engine.constants
-    simulated: dict[str, list[float]] = {}
-    wall: dict[str, list[float]] = {}
-    errors = 0
-    executed = 0
-    batch_sizes: list[int] = []
-    if batch_size is not None:
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        oplist = list(workload)
-        for first in range(0, len(oplist), batch_size):
-            outcome = engine.execute_batch(oplist[first : first + batch_size])
-            batch_sizes.append(outcome.operations)
-            errors += outcome.errors
-            executed += outcome.operations - outcome.errors
-            simulated.setdefault("batch", []).append(
-                outcome.simulated_ns(constants)
-            )
-            wall.setdefault("batch", []).append(outcome.wall_ns)
+    constants = constants if constants is not None else database.constants
+    oplist = list(workload)
+    if batch_size is None:
+        policy = SerialPolicy()
+        calls = [[operation] for operation in oplist]
     else:
-        for operation in workload:
-            try:
-                outcome = engine.execute(operation)
-            except ValueNotFoundError:
-                errors += 1
+        policy = VectorizedPolicy(batch_size)
+        calls = [
+            oplist[first : first + batch_size]
+            for first in range(0, len(oplist), batch_size)
+        ]
+    simulated: dict[str, list[float]] = {}
+    with database.session(execution=policy) as session:
+        for call in calls:
+            outcome = session.execute(call)
+            if batch_size is not None:
+                kind = "batch"
+            elif outcome.errors:
                 continue
-            executed += 1
-            simulated.setdefault(outcome.kind, []).append(
-                outcome.simulated_ns(constants)
-            )
-            wall.setdefault(outcome.kind, []).append(outcome.wall_ns)
+            else:
+                kind = call[0].attribution()[0]
+            simulated.setdefault(kind, []).append(outcome.simulated_ns(constants))
+    report = session.report()
     total_simulated_ns = sum(sum(values) for values in simulated.values())
-    total_wall_ns = sum(sum(values) for values in wall.values())
     result = WorkloadRunResult(
         layout=layout_name,
         workload=workload.name,
-        operations=executed,
+        operations=report.operations - report.errors,
         simulated_seconds=total_simulated_ns * 1e-9,
-        wall_seconds=total_wall_ns * 1e-9,
-        errors=errors,
-        batch_sizes=batch_sizes,
+        errors=report.errors,
+        batch_sizes=report.batch_sizes,
     )
     for kind, values in simulated.items():
         array = np.asarray(values)
         result.mean_latency_ns[kind] = float(array.mean())
         result.p999_latency_ns[kind] = float(np.percentile(array, 99.9))
         result.counts[kind] = int(array.shape[0])
-        result.mean_wall_ns[kind] = float(np.asarray(wall[kind]).mean())
     return result
 
 
@@ -221,22 +191,6 @@ def build_hap_database(
     )
 
 
-def build_hap_engine(
-    layout: LayoutKind,
-    config: HAPConfig,
-    **kwargs,
-) -> StorageEngine:
-    """Compatibility wrapper: the engine of :func:`build_hap_database`.
-
-    Matches the pre-session behaviour: no workload monitor is attached
-    (callers holding only the engine cannot open sessions, so attribution
-    would be pure per-operation overhead).  Pass ``monitor=True`` or an
-    instance to opt in.
-    """
-    kwargs.setdefault("monitor", False)
-    return build_hap_database(layout, config, **kwargs).engine
-
-
 def compare_layouts(
     config: HAPConfig,
     profile: str,
@@ -273,7 +227,7 @@ def compare_layouts(
             ghost_fraction=ghost_fraction,
             merge_entries=merge_entries,
             # Layout comparison never replans mid-run; skip the per-op
-            # attribution overhead so wall-clock numbers stay comparable.
+            # attribution overhead.
             monitor=False,
         )
         evaluation = make_workload(

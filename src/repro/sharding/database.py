@@ -619,8 +619,14 @@ class ShardedSession:
         """Close the dispatcher side (workers keep their shards)."""
         self._closed = True
 
+    def _require_open(self) -> None:
+        if self._closed:
+            raise ShardError("session is closed")
+
     def sync(self) -> dict[int, int]:
-        """Fsync every shard's WAL; returns shard -> durable LSN."""
+        """Fsync every shard's WAL; returns shard -> durable LSN.  A closed
+        session raises :class:`ShardError`, as :meth:`execute` does."""
+        self._require_open()
         return self.database.sync()
 
     def execute(
@@ -638,8 +644,7 @@ class ShardedSession:
         per-shard breakdowns include the move phases.  A closed session or
         database raises :class:`ShardError`, as does a non-operation.
         """
-        if self._closed:
-            raise ShardError("session is closed")
+        self._require_open()
         self.database._check_open()
         if isinstance(operations, Operation):
             operations = [operations]

@@ -40,7 +40,10 @@ speaks (:mod:`repro.ipc.framing`):
     re-open scan resolves (see ``ShardedDatabase.open``).  The move
     fault hooks (:data:`repro.durability.faults.MOVE_POINTS`) kill the
     worker at each window edge, counted per phase frame, to test exactly
-    that.
+    that.  ``take`` and ``put`` are the only dispatches no session runs,
+    so the worker itself takes the counter window and the clock around
+    each one's engine call (:func:`_measured`), and their replies'
+    ``accesses`` / ``wall_ns`` mean what an ``execute`` reply's do.
 ``checkpoint`` / ``sync`` / ``stats`` / ``shutdown``
     Durability lifecycle, introspection (rows, per-kind statistics,
     replans, recorded discipline violations -- the CI shard job asserts
@@ -61,6 +64,7 @@ from __future__ import annotations
 import collections
 import os
 import socket
+import time
 
 from ..ipc import framing
 from ..ipc.shm import ShmArena
@@ -199,8 +203,9 @@ def worker_main(host: str, port: int, shard: int, token: str) -> None:
                 elif verb == "take":
                     die_at("move.take.before_apply", verb)
                     moves = codec.ArenaReader(arena).get(request["moves"])
-                    outcome = database.engine.take_for_moves(moves)
-                    found, rows = outcome.result
+                    (found, rows), accesses, wall_ns = _measured(
+                        database, database.engine.take_for_moves, moves
+                    )
                     if found.any():
                         # The intents + delete are on the source WAL but
                         # the dispatcher never hears the payloads:
@@ -208,12 +213,14 @@ def worker_main(host: str, port: int, shard: int, token: str) -> None:
                         # the log alone.
                         die_at("move.take.before_ack", verb)
                     reply.update(
-                        _move_reply(database, arena, outcome, found, rows)
+                        _move_reply(database, arena, accesses, wall_ns, found, rows)
                     )
                 elif verb == "put":
                     die_at("move.put.before_apply", verb)
                     reader = codec.ArenaReader(arena)
-                    outcome = database.engine.apply_move_puts(
+                    _rowids, accesses, wall_ns = _measured(
+                        database,
+                        database.engine.apply_move_puts,
                         reader.get(request["moves"]),
                         reader.get(request["payload"]),
                     )
@@ -221,7 +228,7 @@ def worker_main(host: str, port: int, shard: int, token: str) -> None:
                     # sources never get their forgets: the re-open scan
                     # must see the commits and only discard the intents.
                     die_at("move.put.before_ack", verb)
-                    reply.update(_move_reply(database, arena, outcome))
+                    reply.update(_move_reply(database, arena, accesses, wall_ns))
                 elif verb == "forget":
                     die_at("move.forget.before_apply", verb)
                     database.engine.log_move_forgets(
@@ -258,15 +265,26 @@ def worker_main(host: str, port: int, shard: int, token: str) -> None:
             pass
 
 
-def _move_reply(database, arena, outcome, *arrays) -> dict:
+def _measured(database, phase, *args) -> tuple:
+    """Run one move phase's engine call under a counter window and a
+    clock, as a session measures an ``execute`` call; returns ``(result,
+    accesses, wall_ns)``."""
+    counter = database.engine.counter
+    before = counter.snapshot()
+    start = time.perf_counter_ns()
+    result = phase(*args)
+    return result, counter.diff(before), float(time.perf_counter_ns() - start)
+
+
+def _move_reply(database, arena, accesses, wall_ns, *arrays) -> dict:
     """A move phase's reply, in the shape of an ``execute`` reply: result
     arrays through the arena, access tally, wall time, watermark."""
     writer = codec.ArenaWriter(arena)
     reply = {
         # The codec's wire form of a bare int64 array result.
         "results": [{"t": "a", "v": writer.put(array)} for array in arrays],
-        "accesses": _counter_meta(outcome.accesses),
-        "wall_ns": float(outcome.wall_ns),
+        "accesses": _counter_meta(accesses),
+        "wall_ns": wall_ns,
     }
     reply.update(_watermark(database))
     return reply

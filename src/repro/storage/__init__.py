@@ -28,7 +28,6 @@ from .cost_accounting import (
     SEQUENTIAL_LINE_NS,
     AccessCounter,
     CostConstants,
-    OperationCost,
     SimulatedCost,
     blocks_spanned,
     constants_for_block_values,
@@ -40,7 +39,7 @@ from .compression import (
     RunLengthCodec,
 )
 from .delta_store import DeltaStoreColumn
-from .engine import BatchResult, EngineStatistics, OperationResult, StorageEngine
+from .engine import EngineStatistics, StorageEngine
 from .errors import (
     CapacityError,
     LayoutError,
@@ -73,7 +72,6 @@ from .table import Row, Table, layout_chunk_builder, require_key
 __all__ = [
     "ATTRIBUTION_KINDS",
     "AccessCounter",
-    "BatchResult",
     "CallLog",
     "CACHE_LINE_BYTES",
     "RANDOM_ACCESS_NS",
@@ -99,9 +97,7 @@ __all__ = [
     "LayoutKind",
     "LayoutSpec",
     "LogRecord",
-    "OperationCost",
     "SimulatedCost",
-    "OperationResult",
     "PartitionIndex",
     "PartitionMetadata",
     "PartitionedColumn",

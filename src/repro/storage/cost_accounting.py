@@ -21,7 +21,7 @@ ripple steps ~0.2us per partition, delta merges ~1ms per 1M-value chunk).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 #: Default block size in bytes (the paper's experiments use 16KB blocks).
@@ -221,8 +221,10 @@ class SimulatedCost:
 
     Any class with an ``accesses`` attribute gains ``simulated_ns``: the
     simulated latency of the tallied block accesses under a set of cost
-    constants.  This is the single definition shared by the engine's
-    per-operation, per-batch and per-session outcome types.
+    constants.  This is the single definition shared by a session's
+    per-call and cumulative outcome types
+    (:class:`~repro.api.session.SessionResult`,
+    :class:`~repro.api.session.SessionReport`).
     """
 
     accesses: AccessCounter
@@ -232,14 +234,6 @@ class SimulatedCost:
     ) -> float:
         """Simulated latency in nanoseconds under ``constants``."""
         return self.accesses.cost(constants)
-
-
-@dataclass
-class OperationCost(SimulatedCost):
-    """Cost of a single logical operation: accesses plus wall-clock time."""
-
-    accesses: AccessCounter = field(default_factory=AccessCounter)
-    wall_ns: float = 0.0
 
 
 def blocks_spanned(start: int, length: int, block_values: int) -> int:

@@ -7,8 +7,7 @@ one way, :meth:`StorageEngine.execute` (or :meth:`StorageEngine.execute_batch`
 for many): a :mod:`repro.workload.operations` object states its table call
 (``run``) and its log record (``attribution``), and the engine adds
 
-* per-operation cost measurement (block-access accounting plus wall-clock)
-  and per-kind dispatch counts (:class:`EngineStatistics`),
+* per-kind dispatch counts (:class:`EngineStatistics`),
 * snapshot-isolation transactions backed by
   :class:`~repro.storage.mvcc.TransactionManager`,
 * an optional durability hook: with a
@@ -30,12 +29,17 @@ recovery and followers replay whole or not at all; aborted transactions log
 nothing -- and the whole log goes to the workload monitor.  Every write
 therefore reaches both consumers one way, whether it was called directly,
 from a batch or from a transaction's buffered intents.
+
+The engine measures nothing: :meth:`StorageEngine.execute` returns the
+operation's own result and :meth:`StorageEngine.execute_batch` the results
+and the miss count.  A call's cost is the access-counter window its caller
+takes around it -- :meth:`repro.api.session.Session.execute` for every
+single-process call, the shard worker for the move phases.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -52,44 +56,10 @@ from repro import discipline
 from repro.discipline import guarded_class
 
 from .access_log import DELTA_KIND_CODES, CallLog
-from .cost_accounting import (
-    DEFAULT_COST_CONSTANTS,
-    AccessCounter,
-    CostConstants,
-    SimulatedCost,
-)
+from .cost_accounting import AccessCounter
 from .errors import ValueNotFoundError
 from .mvcc import Transaction, TransactionManager
 from .table import Table
-
-
-@dataclass
-class OperationResult(SimulatedCost):
-    """Outcome of a single engine operation."""
-
-    kind: str
-    accesses: AccessCounter
-    wall_ns: float
-    result: Any = None
-
-
-@dataclass
-class BatchResult(SimulatedCost):
-    """Outcome of a batched sequence of operations.
-
-    ``results`` holds the per-operation result payloads in submission order
-    (``None`` for operations that raised ``ValueNotFoundError``); ``accesses``
-    is the aggregate simulated block-access tally of the whole batch.
-    ``lsn`` is the WAL record the batch's writes committed under (``None``
-    for read-only batches and engines without durability attached).
-    """
-
-    results: list[Any]
-    accesses: AccessCounter
-    wall_ns: float
-    operations: int
-    errors: int = 0
-    lsn: int | None = None
 
 
 @guarded_class
@@ -210,11 +180,9 @@ class StorageEngine:
         self,
         table: Table,
         *,
-        constants: CostConstants = DEFAULT_COST_CONSTANTS,
         monitor: "WorkloadMonitor | None" = None,
     ) -> None:
         self.table = table
-        self.constants = constants
         self.statistics = EngineStatistics()
         self.transactions = TransactionManager()
         #: Optional :class:`repro.core.monitor.WorkloadMonitor` observing the
@@ -306,20 +274,6 @@ class StorageEngine:
         """The shared access counter of the underlying table."""
         return self.table.counter
 
-    # ------------------------------------------------------------------ #
-    # Measured operations
-    # ------------------------------------------------------------------ #
-
-    def _measure(self, kind: str, func, *args, **kwargs) -> OperationResult:
-        before = self.counter.snapshot()
-        start = time.perf_counter_ns()
-        result = func(*args, **kwargs)
-        wall = float(time.perf_counter_ns() - start)
-        self.statistics.record(kind)
-        return OperationResult(
-            kind=kind, accesses=self.counter.diff(before), wall_ns=wall, result=result
-        )
-
     def _delta_payload_rows(
         self, payloads: Sequence[Sequence[int]] | None, count: int
     ) -> np.ndarray:
@@ -329,10 +283,6 @@ class StorageEngine:
         if payloads is None:
             return np.zeros((count, width), dtype=np.int64)
         return np.asarray(payloads, dtype=np.int64).reshape(count, width)
-
-    def full_scan(self) -> OperationResult:
-        """Scan the entire key column."""
-        return self._measure("scan", self.table.scan)
 
     # ------------------------------------------------------------------ #
     # Transactions
@@ -405,55 +355,50 @@ class StorageEngine:
     # per-move markers, so a crash leaves every move of the phase logged
     # or none of them.
 
-    def take_for_moves(self, moves: np.ndarray) -> OperationResult:
+    def take_for_moves(self, moves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The take phase: delete one row per ``(move_id, old_key,
         new_key)`` row of ``moves`` and log ``[move_intent..., delete]``
         as one WAL record.
 
         Each intent carries its victim's payload and the target key, so a
         dispatcher that finds it unresolved after a crash can re-drive
-        the insert half without the source row.  The operation result is
-        ``(found, payload_rows)``: a boolean hit mask aligned with
-        ``moves`` and the payload rows of the hits, in order.  Absent
-        keys are misses: no marker, but the delete run holds every
-        submitted key, hits and misses, as a ``MultiDelete`` records
-        it (a miss replays as a no-op), so a phase of misses appends a
-        record too.  Victims are taken in list order, each the oldest
-        copy of its key (exactly a plain delete's victim).
+        the insert half without the source row.  Returns ``(found,
+        rows)``: a boolean hit mask aligned with ``moves`` and the payload
+        rows of the hits, in order.  Absent keys are misses: no marker,
+        but the delete run holds every submitted key, hits and misses, as
+        a ``MultiDelete`` records it (a miss replays as a no-op), so a
+        phase of misses appends a record too.  Victims are taken in list
+        order, each the oldest copy of its key (exactly a plain delete's
+        victim).
         """
         moves = np.asarray(moves, dtype=np.int64).reshape(-1, 3)
         keys = moves[:, 1]
-
-        def take_rows() -> tuple[np.ndarray, np.ndarray]:
+        width = len(self.table.payload_names)
+        with self._commit_scope() as log:
             found = np.zeros(keys.size, dtype=bool)
-            rows = []
+            taken = []
             for position, key in enumerate(keys.tolist()):
                 try:
-                    rows.append(self.table.take_row(key)[1])
+                    taken.append(self.table.take_row(key)[1])
                 except ValueNotFoundError:
                     continue
                 found[position] = True
-            width = len(self.table.payload_names)
-            taken = np.asarray(rows, dtype=np.int64).reshape(len(rows), width)
-            return found, taken
-
-        with self._commit_scope() as log:
-            outcome = self._measure("multi_take", take_rows)
+            rows = np.asarray(taken, dtype=np.int64).reshape(len(taken), width)
+            self.statistics.record("multi_take")
             if log is not None:
-                found, rows = outcome.result
                 for (move_id, old_key, new_key), row in zip(
                     moves[found].tolist(), rows, strict=True
                 ):
                     log.record_move_intent(move_id, old_key, new_key, row)
                 log.record("delete", keys)
-        return outcome
+        return found, rows
 
     def apply_move_puts(
         self, moves: np.ndarray, payloads: np.ndarray | None
-    ) -> OperationResult:
+    ) -> np.ndarray:
         """The put phase: insert the carried row of every ``(move_id,
         new_key)`` row of ``moves`` and log ``[move_commit..., insert]``
-        as one WAL record.
+        as one WAL record; returns the inserted row ids.
 
         The commit markers are what the dispatcher's move-resolution scan
         consults to decide whether an unresolved source intent needs its
@@ -463,14 +408,13 @@ class StorageEngine:
         keys = moves[:, 1]
         rows = self._delta_payload_rows(payloads, keys.size)
         with self._commit_scope() as log:
-            outcome = self._measure(
-                "multi_insert", self.table.bulk_insert, keys, rows
-            )
+            rowids = self.table.bulk_insert(keys, rows)
+            self.statistics.record("multi_insert")
             if log is not None:
                 for move_id in moves[:, 0].tolist():
                     log.record("move_commit", (move_id,))
                 log.record("insert", keys, payloads=rows)
-        return outcome
+        return rowids
 
     def log_move_forgets(self, move_ids: Sequence[int]) -> None:
         """The forget phase: log ``[move_forget...]`` for the resolved
@@ -488,20 +432,21 @@ class StorageEngine:
     # Workload dispatch
     # ------------------------------------------------------------------ #
 
-    def execute(self, operation) -> OperationResult:
-        """Execute a :mod:`repro.workload.operations` object: measure
-        ``operation.run(table)`` and record ``operation.attribution()`` into
-        the call's log once it returns, with the inserted payload rows when
-        a durability manager will encode them.
+    def execute(self, operation) -> Any:
+        """Execute a :mod:`repro.workload.operations` object: run
+        ``operation.run(table)``, return its result and record
+        ``operation.attribution()`` into the call's log once it returns,
+        with the inserted payload rows when a durability manager will
+        encode them.
 
-        The result kind is the operation's own (``multi_point_query``, ...)
-        for a batched kind and its record kind (``point_query``,
-        ``range_count``, ``range_sum``, ...) for a scalar one.  A dispatch
-        outside any scope opens one when its log has a reader.  A miss
-        (:class:`ValueNotFoundError`) mutates nothing and replays as a
-        no-op: it is recorded like a hit and re-raised after the scope
-        closes, so the scope still appends and syncs.  Any other error
-        records nothing.
+        :attr:`statistics` counts the dispatch under the operation's own
+        kind (``multi_point_query``, ...) for a batched kind and under its
+        record kind (``point_query``, ``range_count``, ``range_sum``, ...)
+        for a scalar one.  A dispatch outside any scope opens one when its
+        log has a reader.  A miss (:class:`ValueNotFoundError`) mutates
+        nothing and replays as a no-op: it is recorded like a hit, not
+        counted, and re-raised after the scope closes, so the scope still
+        appends and syncs.  Any other error records nothing.
         """
         if not hasattr(operation, "run"):
             raise TypeError(f"unsupported operation type: {type(operation)!r}")
@@ -517,20 +462,23 @@ class StorageEngine:
         name = operation.kind.value
         kind = name if name.startswith("multi_") else record
         if log is None:
-            return self._measure(kind, operation.run, self.table)
+            result = operation.run(self.table)
+            self.statistics.record(kind)
+            return result
         payloads = None
         if record == "insert" and self.durability is not None:
             operation, payloads = operation.with_payload_rows(self._delta_payload_rows)
             keys = operation.attribution()[1]
         try:
-            outcome = self._measure(kind, operation.run, self.table)
+            result = operation.run(self.table)
         except ValueNotFoundError:
             log.record(record, keys, highs, payloads)
             raise
+        self.statistics.record(kind)
         log.record(record, keys, highs, payloads)
-        return outcome
+        return result
 
-    def execute_batch(self, operations) -> BatchResult:
+    def execute_batch(self, operations) -> tuple[list[Any], int]:
         """Execute a sequence of operations on the vectorized batch fast path.
 
         Operations group by commutation, not adjacency (:func:`plan_batch`
@@ -576,9 +524,10 @@ class StorageEngine:
         one larger deferred merge instead of sequential's earlier smaller
         one, which can exceed the sequential charge (see
         :meth:`DeltaStoreColumn.bulk_insert`).
-        Results are returned in submission order (``None`` for operations
-        that raised ``ValueNotFoundError`` and for deletes of missing keys).
-        Statistics count every dispatched operation -- groups under the
+        Returns ``(results, errors)``: the results in submission order
+        (``None`` for operations that raised ``ValueNotFoundError`` and for
+        deletes of missing keys) and the misses serial dispatch would have
+        counted.  Statistics count every dispatched operation -- groups under the
         ``multi_*`` kinds, the rest under their own kind.
 
         The batch runs inside one commit scope (:meth:`_commit_scope`) and
@@ -598,8 +547,7 @@ class StorageEngine:
         manager's commit lock across the whole dispatch and appends the
         log's write records as **one WAL record** before results are
         returned (group-commit fsync per the configured policy, outside
-        the lock); ``wall_ns`` includes the append and the fsync.  The
-        append happens even when a dispatch raises mid-batch -- records
+        the lock).  The append happens even when a dispatch raises mid-batch -- records
         are appended per *applied* group, in dispatch order, so the log
         matches whatever groups the in-memory state absorbed and replays
         them in the order it absorbed them.  Read-only batches skip the
@@ -609,39 +557,20 @@ class StorageEngine:
         scale-out path, see ROADMAP).
         """
         oplist = list(operations)
-        before = self.counter.snapshot()
-        start = time.perf_counter_ns()
-        with self._commit_scope(writes=any(op.writes for op in oplist)) as log:
-            results, errors = self._dispatch_batch(oplist)
-        return BatchResult(
-            results=results,
-            accesses=self.counter.diff(before),
-            wall_ns=float(time.perf_counter_ns() - start),
-            operations=len(oplist),
-            errors=errors,
-            lsn=None if log is None else log.lsn,
-        )
-
-    def _dispatch_batch(self, oplist) -> tuple[list[Any], int]:
-        """Dispatch :func:`planned_operations` of ``oplist``; every result
-        lands in its operation's submission slot (:func:`place_results`).
-        Returns the results and the error count."""
         results: list[Any] = [None] * len(oplist)
         errors = 0
-        log = getattr(self._local, "log", None)
-        for positions, operation, grouped in planned_operations(oplist):
-            if log is not None:
-                # Groups dispatch out of submission order; the monitor
-                # puts its samples back in it.
-                log.positions = positions
-            try:
-                result = self.execute(operation).result
-            except ValueNotFoundError:
-                errors += 1
-                continue
-            errors += place_results(results, positions, operation, grouped, result)
+        with self._commit_scope(writes=any(op.writes for op in oplist)) as log:
+            for positions, operation, grouped in planned_operations(oplist):
+                if log is not None:
+                    # Groups dispatch out of submission order; the monitor
+                    # puts its samples back in it.
+                    log.positions = positions
+                try:
+                    result = self.execute(operation)
+                except ValueNotFoundError:
+                    errors += 1
+                    continue
+                errors += place_results(
+                    results, positions, operation, grouped, result
+                )
         return results, errors
-
-    def values(self) -> np.ndarray:
-        """All live key values (for validation)."""
-        return self.table.keys()

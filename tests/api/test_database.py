@@ -76,8 +76,8 @@ class TestDatabaseConstruction:
         # Pre-façade entry points stay reachable and observable.
         db = small_db(monitor=True)
         assert isinstance(db.engine, StorageEngine)
-        outcome = db.engine.execute(PointQuery(key=20))
-        assert [row.key for row in outcome.result] == [20]
+        rows = db.engine.execute(PointQuery(key=20))
+        assert [row.key for row in rows] == [20]
         assert db.statistics.operations == {"point_query": 1}
         # The engine feeds the same monitor the sessions use.
         assert db.monitor.observed_chunks() == [0]

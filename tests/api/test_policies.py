@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.database import Database
 from repro.api.policies import ExecutionPolicy, SerialPolicy, VectorizedPolicy
 from repro.storage.engine import StorageEngine, plan_batch
 from repro.storage.layouts import LayoutKind, LayoutSpec
@@ -251,6 +252,24 @@ class TestPolicyEquivalence:
                 np.sort(engine.table.keys()),
                 np.sort(serial_engine.table.keys()),
             )
+
+
+@pytest.mark.parametrize(
+    "policy", [SerialPolicy(), VectorizedPolicy(batch_size=8)], ids=repr
+)
+def test_a_non_operation_is_refused_before_dispatch(policy, tmp_path):
+    # Dispatch strategy never changes semantics: a call holding a
+    # non-operation applies none of its operations under either policy.
+    db = Database.from_rows(np.arange(0, 1000, 2), durability=tmp_path)
+    try:
+        lsn = db.durability.last_lsn
+        with db.session(execution=policy) as session:
+            with pytest.raises(TypeError, match="str"):
+                session.execute([Insert(3), "oops"])
+        assert db.num_rows == 500
+        assert db.durability.last_lsn == lsn
+    finally:
+        db.close()
 
 
 class TestVectorizedPolicy:

@@ -11,7 +11,6 @@ import pytest
 from repro.bench.harness import (
     LAYOUT_ORDER,
     build_hap_database,
-    build_hap_engine,
     compare_layouts,
     normalized_throughput,
     run_workload,
@@ -27,11 +26,15 @@ def tiny_config():
     return HAPConfig(num_rows=4_096, chunk_size=4_096, block_values=64)
 
 
+def equi_database(config):
+    return build_hap_database(LayoutKind.EQUI, config, partitions=8, monitor=False)
+
+
 class TestHarness:
     def test_run_workload_aggregates(self, tiny_config):
-        engine = build_hap_engine(LayoutKind.EQUI, tiny_config, partitions=8)
+        database = equi_database(tiny_config)
         workload = make_workload("hybrid_skewed", tiny_config, num_operations=200)
-        result = run_workload(engine, workload, layout_name="equi")
+        result = run_workload(database, workload, layout_name="equi")
         assert result.operations + result.errors == 200
         assert result.simulated_seconds > 0
         assert result.throughput_ops > 0
@@ -40,13 +43,11 @@ class TestHarness:
 
     def test_run_workload_batched_matches_sequential_accesses(self, tiny_config):
         workload = make_workload("hybrid_skewed", tiny_config, num_operations=200)
-        sequential_engine = build_hap_engine(
-            LayoutKind.EQUI, tiny_config, partitions=8
-        )
-        batch_engine = build_hap_engine(LayoutKind.EQUI, tiny_config, partitions=8)
-        sequential = run_workload(sequential_engine, workload, layout_name="equi")
+        sequential_database = equi_database(tiny_config)
+        batch_database = equi_database(tiny_config)
+        sequential = run_workload(sequential_database, workload, layout_name="equi")
         batched = run_workload(
-            batch_engine, workload, layout_name="equi", batch_size=64
+            batch_database, workload, layout_name="equi", batch_size=64
         )
         assert batched.operations == sequential.operations
         assert batched.errors == sequential.errors
@@ -56,30 +57,30 @@ class TestHarness:
         # (The <= bound is order-safe here because hybrid_skewed has no
         # deletes and inserts only fresh unique keys -- see
         # StorageEngine.execute_batch's duplicate-key caveat.)
-        batch_counts = batch_engine.counter.snapshot()
-        sequential_counts = sequential_engine.counter.snapshot()
+        batch_counts = batch_database.engine.counter.snapshot()
+        sequential_counts = sequential_database.engine.counter.snapshot()
         assert batch_counts.index_probes == sequential_counts.index_probes
         for field in ("random_reads", "random_writes", "seq_reads", "seq_writes"):
             assert getattr(batch_counts, field) <= getattr(sequential_counts, field)
         assert batched.counts["batch"] == 200 // 64 + 1
 
     def test_run_workload_rejects_bad_batch_size(self, tiny_config):
-        engine = build_hap_engine(LayoutKind.EQUI, tiny_config, partitions=8)
+        database = equi_database(tiny_config)
         workload = make_workload("hybrid_skewed", tiny_config, num_operations=10)
         with pytest.raises(ValueError):
-            run_workload(engine, workload, batch_size=0)
+            run_workload(database, workload, batch_size=0)
 
     def test_build_casper_engine_requires_training(self, tiny_config):
         with pytest.raises(ValueError):
-            build_hap_engine(LayoutKind.CASPER, tiny_config)
+            build_hap_database(LayoutKind.CASPER, tiny_config)
 
     def test_build_every_layout(self, tiny_config):
         training = make_workload("hybrid_skewed", tiny_config, num_operations=100)
         for layout in LAYOUT_ORDER:
-            engine = build_hap_engine(
+            database = build_hap_database(
                 layout, tiny_config, training_workload=training, partitions=8
             )
-            assert engine.table.num_rows == tiny_config.num_rows
+            assert database.table.num_rows == tiny_config.num_rows
 
     def test_compare_layouts_and_normalization(self, tiny_config):
         results = compare_layouts(

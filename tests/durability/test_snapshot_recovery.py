@@ -403,14 +403,14 @@ class TestCommitScope:
         db = make_db(tmp_path)
         engine = db.engine
         # Every write a batch dispatches joins the batch's record ...
-        result = engine.execute_batch(
+        engine.execute_batch(
             [
                 MultiInsert((1_001, 1_003), ((1, 2), (3, 4))),
                 Delete(0),
                 MultiUpdate(((2, 1_005),)),
             ]
         )
-        assert result.lsn == 1
+        assert db.durability.last_lsn == 1
         # ... a scalar write on its own gets its own ...
         engine.execute(Insert(1_007, (5, 6)))
         engine.execute(Delete(4))

@@ -433,6 +433,9 @@ class TestFacade:
                 assert session.closed
                 with pytest.raises(ShardError):
                     session.execute([PointQuery(key=1)])
+                # A closed session no longer fans out to the shards either.
+                with pytest.raises(ShardError, match="session is closed"):
+                    session.sync()
 
     def test_execute_accepts_any_iterable(self, cluster3, keys):
         oplist = [PointQuery(key=int(k)) for k in keys[:20]]

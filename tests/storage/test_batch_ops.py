@@ -192,17 +192,15 @@ class TestExecuteBatch:
         sequential_errors = 0
         for operation in workload:
             try:
-                sequential_results.append(
-                    sequential_engine.execute(operation).result
-                )
+                sequential_results.append(sequential_engine.execute(operation))
             except ValueNotFoundError:
                 sequential_results.append(None)
                 sequential_errors += 1
-        batch = batch_engine.execute_batch(list(workload))
+        results, errors = batch_engine.execute_batch(list(workload))
 
-        assert batch.operations == len(workload)
-        assert batch.errors == sequential_errors
-        assert batch.results == sequential_results
+        assert len(results) == len(workload)
+        assert errors == sequential_errors
+        assert results == sequential_results
         # Grouped reads charge identically; grouped insert runs coalesce
         # ripple/placement charges, so each tally is bounded by the
         # sequential one and the probe count matches exactly.  (Both the
@@ -224,12 +222,15 @@ class TestExecuteBatch:
 
     def test_batch_dispatch_of_multi_operations(self):
         engine, _, _ = self.make_engines()
-        outcome = engine.execute(MultiPointQuery(keys=(20, 40, 99_999)))
-        assert outcome.kind == "multi_point_query"
-        assert [len(rows) for rows in outcome.result] == [1, 1, 0]
-        outcome = engine.execute(MultiRangeCount(bounds=((0, 100), (50, 60))))
-        assert outcome.kind == "multi_range_count"
-        assert list(outcome.result) == [
+        rows = engine.execute(MultiPointQuery(keys=(20, 40, 99_999)))
+        assert engine.statistics.operations == {"multi_point_query": 1}
+        assert [len(hits) for hits in rows] == [1, 1, 0]
+        counts = engine.execute(MultiRangeCount(bounds=((0, 100), (50, 60))))
+        assert engine.statistics.operations == {
+            "multi_point_query": 1,
+            "multi_range_count": 1,
+        }
+        assert list(counts) == [
             engine.table.range_count(0, 100),
             engine.table.range_count(50, 60),
         ]
@@ -243,15 +244,14 @@ class TestExecuteBatch:
             RangeQuery(low=10, high=90, aggregate=Aggregate.SUM),
             RangeQuery(low=0, high=10),
         ]
-        batch = engine.execute_batch(operations)
-        expected = [reference.execute(operation).result for operation in operations]
-        assert batch.results == expected
+        results, _errors = engine.execute_batch(operations)
+        expected = [reference.execute(operation) for operation in operations]
+        assert results == expected
         assert engine.counter.snapshot() == reference.counter.snapshot()
 
     def test_execute_batch_empty(self):
         engine, _, _ = self.make_engines()
-        batch = engine.execute_batch([])
-        assert batch.results == [] and batch.operations == 0
+        assert engine.execute_batch([]) == ([], 0)
 
 
 class TestMultiUpdate:
@@ -276,15 +276,13 @@ class TestMultiUpdate:
         sequential_errors = 0
         for operation in updates:
             try:
-                sequential_results.append(
-                    sequential.execute(operation).result
-                )
+                sequential_results.append(sequential.execute(operation))
             except ValueNotFoundError:
                 sequential_results.append(None)
                 sequential_errors += 1
-        batch = batched.execute_batch(updates)
-        assert batch.results == sequential_results
-        assert batch.errors == sequential_errors
+        results, errors = batched.execute_batch(updates)
+        assert results == sequential_results
+        assert errors == sequential_errors
         assert batched.counter.snapshot() == sequential.counter.snapshot()
         assert np.array_equal(
             np.sort(batched.table.keys()), np.sort(sequential.table.keys())
@@ -294,9 +292,8 @@ class TestMultiUpdate:
     def test_multi_update_dispatch_and_statistics(self):
         keys = np.arange(64, dtype=np.int64) * 2
         engine = StorageEngine(Table(keys, chunk_size=32, block_values=8))
-        outcome = engine.execute(MultiUpdate(pairs=((10, 11), (9_999, 1))))
-        assert outcome.kind == "multi_update"
-        assert list(outcome.result) == [1, 0]
+        result = engine.execute(MultiUpdate(pairs=((10, 11), (9_999, 1))))
+        assert list(result) == [1, 0]
         assert engine.statistics.operations == {"multi_update": 1}
 
     def test_bulk_update_validates_shape(self):

@@ -665,12 +665,12 @@ class TestEngineBatchWrites:
 
     def test_execute_dispatches_multi_write_operations(self):
         engine, _ = self.make_engines()
-        outcome = engine.execute(MultiInsert(keys=(11, 3, 7)))
-        assert outcome.kind == "multi_insert"
-        assert [int(r) for r in outcome.result] == [2048, 2049, 2050]
-        outcome = engine.execute(MultiDelete(keys=(11, 3, 99_999)))
-        assert outcome.kind == "multi_delete"
-        assert [int(c) for c in outcome.result] == [1, 1, 0]
+        rowids = engine.execute(MultiInsert(keys=(11, 3, 7)))
+        assert engine.statistics.operations == {"multi_insert": 1}
+        assert [int(r) for r in rowids] == [2048, 2049, 2050]
+        counts = engine.execute(MultiDelete(keys=(11, 3, 99_999)))
+        assert engine.statistics.operations == {"multi_insert": 1, "multi_delete": 1}
+        assert [int(c) for c in counts] == [1, 1, 0]
 
     def test_execute_batch_groups_write_runs(self):
         batch_engine, sequential_engine = self.make_engines()
@@ -688,13 +688,13 @@ class TestEngineBatchWrites:
         errors = 0
         for operation in operations:
             try:
-                expected.append(sequential_engine.execute(operation).result)
+                expected.append(sequential_engine.execute(operation))
             except ValueNotFoundError:
                 expected.append(None)
                 errors += 1
-        batch = batch_engine.execute_batch(operations)
-        assert batch.results == expected
-        assert batch.errors == errors == 1
+        results, batch_errors = batch_engine.execute_batch(operations)
+        assert results == expected
+        assert batch_errors == errors == 1
         assert_charges_bounded(
             batch_engine.counter.snapshot(), sequential_engine.counter.snapshot()
         )

@@ -13,7 +13,6 @@ from repro.storage.cost_accounting import (
     SEQUENTIAL_LINE_NS,
     AccessCounter,
     CostConstants,
-    OperationCost,
     blocks_spanned,
     constants_for_block_values,
 )
@@ -96,12 +95,6 @@ class TestAccessCounter:
         counter = AccessCounter(index_probes=3)
         constants = CostConstants(index_probe=50.0)
         assert counter.cost(constants) == pytest.approx(150.0)
-
-
-class TestOperationCost:
-    def test_simulated_ns(self):
-        cost = OperationCost(accesses=AccessCounter(random_reads=1))
-        assert cost.simulated_ns() == pytest.approx(100.0)
 
 
 class TestBlocksSpanned:

@@ -296,11 +296,12 @@ class TestUpdateKeyFenceConsistency:
 
 class TestStorageEngine:
     def test_measured_operation_results(self):
+        # The engine returns the result; the caller's counter window prices it.
         engine = StorageEngine(make_table())
-        outcome = engine.execute(PointQuery(20))
-        assert outcome.kind == "point_query"
-        assert outcome.simulated_ns() > 0
-        assert outcome.wall_ns > 0
+        before = engine.counter.snapshot()
+        rows = engine.execute(PointQuery(20))
+        assert [row.key for row in rows] == [20]
+        assert engine.counter.diff(before).total_blocks > 0
 
     def test_statistics_accumulate(self):
         engine = StorageEngine(make_table())
@@ -310,16 +311,22 @@ class TestStorageEngine:
         assert engine.statistics.operations == {"point_query": 2, "insert": 1}
 
     def test_execute_dispatch(self):
+        # Each scalar kind counts under its record kind.
         engine = StorageEngine(make_table())
-        assert engine.execute(PointQuery(key=20)).kind == "point_query"
-        assert engine.execute(RangeQuery(low=0, high=50)).kind == "range_count"
-        assert (
-            engine.execute(RangeQuery(low=0, high=50, aggregate=Aggregate.SUM)).kind
-            == "range_sum"
-        )
-        assert engine.execute(Insert(key=7)).kind == "insert"
-        assert engine.execute(Delete(key=20)).kind == "delete"
-        assert engine.execute(Update(old_key=40, new_key=41)).kind == "update"
+        engine.execute(PointQuery(key=20))
+        engine.execute(RangeQuery(low=0, high=50))
+        engine.execute(RangeQuery(low=0, high=50, aggregate=Aggregate.SUM))
+        engine.execute(Insert(key=7))
+        engine.execute(Delete(key=20))
+        engine.execute(Update(old_key=40, new_key=41))
+        assert engine.statistics.operations == {
+            "point_query": 1,
+            "range_count": 1,
+            "range_sum": 1,
+            "insert": 1,
+            "delete": 1,
+            "update": 1,
+        }
 
     def test_execute_rejects_unknown_type(self):
         engine = StorageEngine(make_table())
@@ -328,8 +335,7 @@ class TestStorageEngine:
 
     def test_full_scan(self):
         engine = StorageEngine(make_table(num_rows=256))
-        outcome = engine.full_scan()
-        assert outcome.result.shape[0] == 256
+        assert engine.table.scan().shape[0] == 256
 
     def test_transactional_commit_applies_writes(self):
         engine = StorageEngine(make_table())

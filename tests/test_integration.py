@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bench.harness import build_hap_engine, run_workload
+from repro.api.database import Database
+from repro.bench.harness import build_hap_database, run_workload
 from repro.core.planner import CasperPlanner
 from repro.storage.cost_accounting import constants_for_block_values
-from repro.storage.engine import StorageEngine
 from repro.storage.layouts import LayoutKind
 from repro.workload.hap import HAPConfig, build_table, make_workload
 from repro.workload.operations import Delete, Insert, PointQuery, RangeQuery, Update
@@ -53,9 +53,9 @@ class TestEndToEnd:
         table = build_table(config, planner.build_chunk)
         assert table.num_chunks == config.num_rows // config.chunk_size
         assert len(planner.plans) == table.num_chunks
-        engine = StorageEngine(table)
+        database = Database(table, monitor=False)
         workload = make_workload("hybrid_skewed", config, num_operations=400, seed=11)
-        result = run_workload(engine, workload, layout_name="casper")
+        result = run_workload(database, workload, layout_name="casper")
         assert result.errors == 0
         table.check_invariants()
 
@@ -66,27 +66,27 @@ class TestEndToEnd:
     def test_query_results_match_reference(self, config, layout):
         """Every layout returns the same answers as a plain-Python reference."""
         training = make_workload("hybrid_skewed", config, num_operations=200, seed=3)
-        engine = build_hap_engine(
-            layout, config, training_workload=training, partitions=8
-        )
+        engine = build_hap_database(
+            layout, config, training_workload=training, partitions=8, monitor=False
+        ).engine
         workload = make_workload("read_only_uniform", config, num_operations=300, seed=5)
         keys = set((np.arange(config.num_rows) * 2).tolist())
         expected = reference_execute(set(keys), workload)
         for operation, reference in zip(workload, expected):
-            outcome = engine.execute(operation)
+            result = engine.execute(operation)
             if isinstance(operation, PointQuery):
-                assert len(outcome.result) == reference
+                assert len(result) == reference
             elif isinstance(operation, RangeQuery) and reference >= 0:
-                if outcome.kind == "range_count":
-                    assert outcome.result == reference
+                if operation.attribution()[0] == "range_count":
+                    assert result == reference
 
     def test_mixed_workload_preserves_key_multiset(self, config):
         """After a write-heavy workload the engine's keys match the reference."""
         training = make_workload("update_only_uniform", config, num_operations=200, seed=3)
-        engine = build_hap_engine(
+        engine = build_hap_database(
             LayoutKind.CASPER, config, training_workload=training, partitions=8,
-            ghost_fraction=0.01,
-        )
+            ghost_fraction=0.01, monitor=False,
+        ).engine
         workload = make_workload(
             "update_only_uniform", config, num_operations=500, seed=23
         )
@@ -95,7 +95,7 @@ class TestEndToEnd:
         for operation in workload:
             engine.execute(operation)
         engine.table.check_invariants()
-        assert sorted(engine.values().tolist()) == sorted(keys)
+        assert sorted(engine.table.keys().tolist()) == sorted(keys)
 
     def test_casper_layout_quality_vs_equi(self, config):
         """The optimizer's layout is no worse than equi-width under its own cost model."""

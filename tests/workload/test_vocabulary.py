@@ -134,19 +134,17 @@ class TestEveryKind:
         serial, serial_errors = [], 0
         for scalar in scalars:
             try:
-                serial.append(serial_engine.execute(scalar).result)
+                serial.append(serial_engine.execute(scalar))
             except ValueNotFoundError:
                 serial.append(None)
                 serial_errors += 1
         if scalars == (op,):
             try:
-                results, errors = [batched_engine.execute(op).result], 0
+                results, errors = [batched_engine.execute(op)], 0
             except ValueNotFoundError:
                 results, errors = [None], 1
         else:
-            results, errors = op.scalar_results(
-                batched_engine.execute(op).result
-            )
+            results, errors = op.scalar_results(batched_engine.execute(op))
         assert errors == serial_errors
         if op.kind.value.endswith("insert"):
             # Row ids are allocation order: compare by success.
@@ -177,7 +175,7 @@ class TestEveryKind:
         assert type(scalars[0]).batched(scalars) == op
 
 
-#: The ``OperationResult.kind`` / ``EngineStatistics`` key of each kind.
+#: The ``EngineStatistics`` key each kind's dispatch counts under.
 RESULT_KINDS = {
     PointQuery: "point_query",
     Insert: "insert",
@@ -198,11 +196,18 @@ def result_kind(op) -> str:
 
 
 def execute_kind(engine, op) -> str | None:
-    """Run ``op``; its result kind, or ``None`` for a miss."""
+    """Run ``op``; the one ``engine.statistics.operations`` key its
+    dispatch counted under, or ``None`` for a miss (which counts nothing)."""
+    before = dict(engine.statistics.operations)
     try:
-        return engine.execute(op).kind
+        engine.execute(op)
     except ValueNotFoundError:
+        assert engine.statistics.operations == before
         return None
+    after = engine.statistics.operations
+    (kind,) = [name for name, count in after.items() if count != before.get(name, 0)]
+    assert after[kind] == before.get(kind, 0) + 1
+    return kind
 
 
 def wal_logs(root) -> list:
