@@ -686,3 +686,42 @@ class TestRunGrouping:
     def test_vectorized_policy_validates_batch_size(self):
         with pytest.raises(ValueError):
             VectorizedPolicy(batch_size=0)
+
+
+class TestMonitorWindowAcrossSlices:
+    """One session call keeps every chunk's replan window in submission
+    order, however many slices its policy dispatches."""
+
+    @staticmethod
+    def windows(policy: ExecutionPolicy, operations: list) -> dict:
+        db = Database.from_rows(
+            np.arange(0, 4_000, 2), chunk_size=1_000, monitor=True
+        )
+        with db.session(execution=policy) as session:
+            session.execute(operations)
+        return {
+            chunk: db.monitor.recorded_sample(chunk)
+            for chunk in range(db.table.num_chunks)
+        }
+
+    def test_slices_keep_the_serial_window(self):
+        rng = np.random.default_rng(35)
+        points = [PointQuery(int(key)) for key in rng.integers(0, 4_000, 20)]
+        counts = [
+            RangeQuery(int(low), int(low) + int(span))
+            for low, span in zip(
+                rng.integers(0, 3_800, 20), rng.integers(0, 600, 20)
+            )
+        ]
+        operations = [
+            (points + counts)[index] for index in rng.permutation(40)
+        ]
+        serial = self.windows(SerialPolicy(), operations)
+        assert len(serial) == 2
+        assert all(window.codes.size for window in serial.values())
+        for policy in (VectorizedPolicy(8), VectorizedPolicy(256)):
+            sliced = self.windows(policy, operations)
+            assert sliced.keys() == serial.keys()
+            for chunk, window in serial.items():
+                for expected, actual in zip(window, sliced[chunk], strict=True):
+                    np.testing.assert_array_equal(actual, expected)
