@@ -78,8 +78,9 @@ class VectorizedPolicy:
     kind plans as its adjacent runs, and the charge reference is the
     ascending replay of each group.  The rule is
     :func:`repro.storage.engine.plan_batch`.  Each slice is its own
-    ``execute_batch`` call, so a durable slice containing a write commits
-    as its own WAL record.
+    ``execute_batch`` call; all of them join the session call's one commit
+    scope, so a durable call commits as one WAL record however many slices
+    it takes.
     """
 
     batch_size: int = 256

@@ -62,13 +62,14 @@ class SessionResult(SimulatedCost):
     was rebuilt).  ``batch_sizes`` are the slices this call's policy
     dispatched (empty for serial dispatch).
 
-    With durability attached, ``commit_lsn`` is the WAL watermark covering
-    every write this call committed (``None`` on memory-only databases and
-    pure-read calls that left the log untouched) and ``durable`` reports
-    whether that watermark was fsync-covered when the call returned --
-    always true under the ``"always"`` fsync policy; under ``"interval"``
-    / ``"os"`` a false means the commit is logged but would not survive a
-    power failure yet (:meth:`Session.sync` forces it).
+    With durability attached, ``commit_lsn`` is the LSN of the one WAL
+    record this call committed -- every write it made, whatever its policy
+    dispatched -- (``None`` on memory-only databases and pure-read calls
+    that left the log untouched) and ``durable`` reports whether that
+    record was fsync-covered when the call returned -- always true under
+    the ``"always"`` fsync policy; under ``"interval"`` / ``"os"`` a false
+    means the commit is logged but would not survive a power failure yet
+    (:meth:`Session.sync` forces it).
 
     On a sharded database the single ``commit_lsn`` stays ``None``
     (per-shard WAL watermarks are incomparable) and ``shard_lsns``
@@ -228,22 +229,34 @@ class Session:
         Accepts a :class:`Workload`, any operation sequence, or a single
         operation.  Results come back in submission order with ``None``
         marking not-found operations, exactly as serial dispatch reports
-        them; after execution the reorganizer (when configured) scans for
-        drift and may replace chunks copy-on-write.  A closed session raises
-        :class:`RuntimeError` and a non-operation :class:`TypeError`, both
-        before anything dispatches, under every policy.
+        them.  The call is one commit: the policy dispatches inside one
+        engine commit scope
+        (:meth:`~repro.storage.engine.StorageEngine.commit_scope`), so a
+        durable call holds the commit lock across its whole dispatch,
+        appends one WAL record (``commit_lsn``), runs the fsync policy once
+        and flushes one log to the monitor -- and a crash recovers all of
+        its writes or none.  After the scope closes the reorganizer (when
+        configured) scans for drift and may replace chunks copy-on-write.
+        A closed session raises :class:`RuntimeError` and a non-operation
+        :class:`TypeError`, both before anything dispatches, under every
+        policy.
         """
         oplist = self._admit(operations)
         engine = self.database.engine
+        writes = any(op.writes for op in oplist)
         before = engine.counter.snapshot()
         start = time.perf_counter_ns()
-        # No session-wide lock: the table's chunk latches isolate this
-        # call's reads and writes from concurrent sessions and from
-        # background replans, whose copy-on-write publishes may land
-        # between (or during) the batch slices a policy carves out of the
-        # oplist -- pausing only readers of the one chunk being swapped,
-        # and only for the O(1) publish.
-        results, errors, batch_sizes = self.execution.execute(engine, oplist)
+        # One commit per call: every operation or slice the policy
+        # dispatches joins this scope's log, so a durable call appends one
+        # WAL record and runs the fsync policy once.  No session-wide lock
+        # beyond it: the table's chunk latches isolate this call's reads
+        # and writes from concurrent sessions and from background replans,
+        # whose copy-on-write publishes may land between (or during) the
+        # batch slices a policy carves out of the oplist -- pausing only
+        # readers of the one chunk being swapped, and only for the O(1)
+        # publish.
+        with engine.commit_scope(writes=writes) as log:
+            results, errors, batch_sizes = self.execution.execute(engine, oplist)
         accesses = dispatched = engine.counter.diff(before)
         decisions: list[ReorgDecision] = []
         if self.reorg is not None:
@@ -255,19 +268,12 @@ class Session:
         self._wall_ns += wall_ns
         self._batch_sizes.extend(batch_sizes)
         self._reorg_decisions.extend(decisions)
-        commit_lsn: int | None = None
+        # The call's own WAL record; a call that appended none (no write,
+        # or no durability manager) reports none.
+        commit_lsn = None if log is None else log.lsn
         durable = True
-        manager = self.database.durability
-        if (
-            manager is not None
-            and manager.last_lsn > 0
-            and any(op.writes for op in oplist)
-        ):
-            # The appended watermark covers this call's writes (it may also
-            # cover a concurrent session's -- watermarks are global).  A
-            # pure-read call appended nothing, so it reports none.
-            commit_lsn = manager.last_lsn
-            durable = manager.durable_lsn >= commit_lsn
+        if commit_lsn is not None:
+            durable = self.database.durability.durable_lsn >= commit_lsn
         return SessionResult(
             results=results,
             accesses=accesses,

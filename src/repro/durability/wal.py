@@ -1,9 +1,9 @@
 """LSN-prefixed, checksummed write-ahead log of batch deltas.
 
 One WAL *record* is one durable commit scope -- the write records of the
-per-call :class:`~repro.storage.access_log.CallLog` of an
-``execute_batch`` call (or one serial write), the same log the workload
-monitor reads -- framed as::
+per-call :class:`~repro.storage.access_log.CallLog` of a session call
+(or of a direct engine call or transaction commit), the same log the
+workload monitor reads -- framed as::
 
     +--------+----------+---------+------------------+
     | lsn u64| length u32| crc u32 | body (length B)  |

@@ -3,8 +3,10 @@ both read.
 
 Every dispatch the storage engine runs records its submitted keys once, as
 one :class:`LogRecord`, into the :class:`CallLog` of the call's commit scope
-(:meth:`repro.storage.engine.StorageEngine._commit_scope`).  Two consumers
-read that same log:
+(:meth:`repro.storage.engine.StorageEngine.commit_scope`) -- for a session
+call, the one scope :meth:`repro.api.session.Session.execute` opens around
+every operation and slice its policy dispatches.  Two consumers read that
+same log:
 
 * the workload monitor (:meth:`repro.core.monitor.WorkloadMonitor.observe_batch`)
   attributes every record it has a kind for -- reads and writes, one
@@ -100,12 +102,12 @@ class LogRecord:
     [move_id]``.  Markers mutate nothing on replay and the monitor skips
     them; recovery uses them to resolve moves a crash left half-done.
 
-    ``positions`` places the run's operations in their batch when the batch
+    ``positions`` places the run's operations in their call when a batch
     dispatched its groups out of submission order (grouped by
     commutation): one submission position per operation, or a single one
-    for a ``Multi*`` operation dispatched whole.  The monitor orders its
-    samples by them; ``None`` means the operations follow those of the
-    record before, in order.
+    for a ``Multi*`` operation dispatched whole, counted from the log's
+    first operation.  The monitor orders its samples by them; ``None``
+    means the operations follow those of the record before, in order.
     """
 
     kind: str
@@ -134,7 +136,10 @@ class CallLog:
     inside appends its record to it; the scope hands the write and marker
     records to the WAL as one record and the whole log to the monitor.  A
     batch that dispatches out of submission order sets :attr:`positions`
-    before each dispatch; the next record takes them.
+    before each dispatch; the next record takes them.  A call may run
+    several batches into one log (a sliced session call): each batch's
+    positions follow the :attr:`submitted` operations of the batches
+    before it, so the monitor still sees the call in submission order.
 
     ``atomic`` marks the log as one all-or-nothing commit unit (an MVCC
     transaction's write set): the flag rides in the WAL body so recovery
@@ -145,12 +150,15 @@ class CallLog:
     commit scope (``None`` until then, and for a log with no write).
     """
 
-    __slots__ = ("records", "positions", "atomic", "lsn")
+    __slots__ = ("records", "positions", "submitted", "atomic", "lsn")
 
     def __init__(self, *, atomic: bool = False) -> None:
         self.records: list[LogRecord] = []
         #: Submission positions of the operations the next record covers.
         self.positions: Sequence[int] | None = None
+        #: Operations the log's batches submitted so far: a later batch's
+        #: positions start here.
+        self.submitted = 0
         self.atomic = bool(atomic)
         self.lsn: int | None = None
 

@@ -18,17 +18,19 @@ for many): a :mod:`repro.workload.operations` object states its table call
   in the order it absorbed them, before results are returned.  Read-only
   dispatches never touch the commit lock.
 
-There is one scope (:meth:`StorageEngine._commit_scope`), re-entrant per
+There is one scope (:meth:`StorageEngine.commit_scope`), re-entrant per
 thread, and one per-call log (:class:`~repro.storage.access_log.CallLog`).
-A batch, an MVCC transaction commit or a dispatch on its own opens the
-scope; the dispatches run inside join it, and each records its
-submitted keys once, as one record, when it returns.  When the outermost
-scope closes, the write and marker records go to the WAL as one record --
-for a transaction **one atomic record** (the body's atomic flag set), which
-recovery and followers replay whole or not at all; aborted transactions log
-nothing -- and the whole log goes to the workload monitor.  Every write
-therefore reaches both consumers one way, whether it was called directly,
-from a batch or from a transaction's buffered intents.
+A session call (:meth:`repro.api.session.Session.execute`, around every
+operation and slice its policy dispatches), an MVCC transaction commit, or
+a batch or dispatch called outside any scope opens it; the dispatches run
+inside join it, and each records its submitted keys once, as one record,
+when it returns.  When the outermost scope closes, the write and marker
+records go to the WAL as one record -- for a transaction **one atomic
+record** (the body's atomic flag set), which recovery and followers replay
+whole or not at all; aborted transactions log nothing -- and the whole log
+goes to the workload monitor.  Every write therefore reaches both consumers
+one way, whether it was called directly, from a session call or from a
+transaction's buffered intents.
 
 The engine measures nothing: :meth:`StorageEngine.execute` returns the
 operation's own result and :meth:`StorageEngine.execute_batch` the results
@@ -208,19 +210,20 @@ class StorageEngine:
         self.durability = manager
 
     @contextmanager
-    def _commit_scope(
+    def commit_scope(
         self, *, atomic: bool = False, writes: bool = True
     ) -> Iterator[CallLog | None]:
         """The one per-call scope: the only code that opens a
         :class:`CallLog`, takes the commit lock, appends to the WAL, runs
         the fsync policy and hands records to the monitor.
 
-        Re-entrant per thread: the outermost scope (a batch, a transaction
-        commit -- ``atomic`` -- or a dispatch on its own) owns the call's
-        log, and a dispatch inside an open scope joins it through the
-        thread-local and records into the same log.  The outermost scope
-        yields ``None`` when nobody will read the log: no monitor, and no
-        durability manager or no ``writes`` (a read-only batch).
+        Re-entrant per thread: the outermost scope (a session call, a
+        transaction commit -- ``atomic`` -- or a batch or dispatch called
+        on its own) owns the call's log, and a dispatch inside an open
+        scope joins it through the thread-local and records into the same
+        log.  The outermost scope yields ``None`` when nobody will read the
+        log: no monitor, and no durability manager or no ``writes`` (a
+        read-only call).
 
         With durability attached and ``writes`` set, the scope checks
         ``require_writable()`` and holds the commit lock across [applies +
@@ -333,13 +336,13 @@ class StorageEngine:
         returned -- so recovery and followers replay the transaction whole
         or not at all.  A conflict abort raises before any intent applies
         and logs nothing; an intent that dies part-way leaves the applied
-        prefix in the log (:meth:`_commit_scope`).
+        prefix in the log (:meth:`commit_scope`).
         """
         if not txn.write_intents:
             # Read-only: no commit lock, and no ``require_writable()`` --
             # it commits on a database in read-only degradation too.
             return self.transactions.commit(txn)
-        with self._commit_scope(atomic=True):
+        with self.commit_scope(atomic=True):
             return self.transactions.commit(txn)
 
     def abort(self, txn: Transaction) -> None:
@@ -374,7 +377,7 @@ class StorageEngine:
         moves = np.asarray(moves, dtype=np.int64).reshape(-1, 3)
         keys = moves[:, 1]
         width = len(self.table.payload_names)
-        with self._commit_scope() as log:
+        with self.commit_scope() as log:
             found = np.zeros(keys.size, dtype=bool)
             taken = []
             for position, key in enumerate(keys.tolist()):
@@ -407,7 +410,7 @@ class StorageEngine:
         moves = np.asarray(moves, dtype=np.int64).reshape(-1, 2)
         keys = moves[:, 1]
         rows = self._delta_payload_rows(payloads, keys.size)
-        with self._commit_scope() as log:
+        with self.commit_scope() as log:
             rowids = self.table.bulk_insert(keys, rows)
             self.statistics.record("multi_insert")
             if log is not None:
@@ -423,7 +426,7 @@ class StorageEngine:
         Pure WAL bookkeeping -- no table mutation, no-op without
         durability attached.
         """
-        with self._commit_scope() as log:
+        with self.commit_scope() as log:
             if log is not None:
                 for move_id in move_ids:
                     log.record("move_forget", (int(move_id),))
@@ -452,7 +455,7 @@ class StorageEngine:
             raise TypeError(f"unsupported operation type: {type(operation)!r}")
         log = getattr(self._local, "log", None)
         if log is None and self._log_is_read(operation.writes):
-            with self._commit_scope(writes=operation.writes):
+            with self.commit_scope(writes=operation.writes):
                 try:
                     return self.execute(operation)
                 except ValueNotFoundError as error:
@@ -530,24 +533,26 @@ class StorageEngine:
         counted.  Statistics count every dispatched operation -- groups under the
         ``multi_*`` kinds, the rest under their own kind.
 
-        The batch runs inside one commit scope (:meth:`_commit_scope`) and
+        The batch joins the open commit scope (:meth:`commit_scope`) --
+        a session call's -- or opens its own when called outside one, and
         each dispatched group appends one record, its submitted keys, to
         the scope's :class:`CallLog` once it returns -- misses included,
         a group that raises anything else records nothing.  With a monitor
-        attached the whole log is ingested once per batch
+        attached the whole log is ingested once per scope
         (:meth:`WorkloadMonitor.observe_batch`) instead of one monitor call
         per operation, after the commit lock is released.  Attribution
         routes by the chunk fences, which no batched write moves, so the
         deferred flush attributes exactly what per-operation observation
         would; each record carries its operations' submission positions,
-        so the monitor's bounded samples keep submission order although
-        groups dispatch out of it.
+        offset by the operations earlier batches of the same log
+        submitted, so the monitor's bounded samples keep submission order
+        although groups dispatch out of it.
 
-        With durability attached, a batch containing any write holds the
+        With durability attached, a scope containing any write holds the
         manager's commit lock across the whole dispatch and appends the
-        log's write records as **one WAL record** before results are
-        returned (group-commit fsync per the configured policy, outside
-        the lock).  The append happens even when a dispatch raises mid-batch -- records
+        log's write records as **one WAL record** when it closes
+        (group-commit fsync per the configured policy, outside the lock).
+        The append happens even when a dispatch raises mid-batch -- records
         are appended per *applied* group, in dispatch order, so the log
         matches whatever groups the in-memory state absorbed and replays
         them in the order it absorbed them.  Read-only batches skip the
@@ -557,20 +562,29 @@ class StorageEngine:
         scale-out path, see ROADMAP).
         """
         oplist = list(operations)
+        log = getattr(self._local, "log", None)
+        if log is None:
+            writes = any(op.writes for op in oplist)
+            if self._log_is_read(writes):
+                with self.commit_scope(writes=writes):
+                    return self.execute_batch(oplist)
         results: list[Any] = [None] * len(oplist)
         errors = 0
-        with self._commit_scope(writes=any(op.writes for op in oplist)) as log:
-            for positions, operation, grouped in planned_operations(oplist):
-                if log is not None:
-                    # Groups dispatch out of submission order; the monitor
-                    # puts its samples back in it.
-                    log.positions = positions
-                try:
-                    result = self.execute(operation)
-                except ValueNotFoundError:
-                    errors += 1
-                    continue
-                errors += place_results(
-                    results, positions, operation, grouped, result
-                )
+        offset = 0
+        if log is not None:
+            # Earlier batches of the same call took the positions before
+            # this one's.
+            offset = log.submitted
+            log.submitted = offset + len(oplist)
+        for positions, operation, grouped in planned_operations(oplist):
+            if log is not None:
+                # Groups dispatch out of submission order; the monitor
+                # puts its samples back in it.
+                log.positions = np.add(positions, offset) if offset else positions
+            try:
+                result = self.execute(operation)
+            except ValueNotFoundError:
+                errors += 1
+                continue
+            errors += place_results(results, positions, operation, grouped, result)
         return results, errors

@@ -14,6 +14,10 @@ So the recovered state must equal the oracle after ``j`` batches for some
 ``j`` in ``{acked, applied}``.  Workload keys are unique by construction
 (initial keys even, generated keys odd and monotonic), which removes the
 duplicate-key delete/update victim ambiguity from the equality check.
+
+:class:`TestSessionCallCrashMatrix` holds a session call to the same
+contract: a call is one commit, so a crash at any pass it makes through a
+crash point recovers to the state before the call or after it.
 """
 
 import tempfile
@@ -32,10 +36,12 @@ from wal_model import (
 )
 
 from repro.api.database import Database
+from repro.api.policies import SerialPolicy, VectorizedPolicy
 from repro.durability.faults import CRASH_POINTS, FaultInjector, InjectedCrash
 from repro.durability.manager import DurabilityConfig
 from repro.durability.recovery import recover, replay
 from repro.durability.wal import scan_segment, segment_first_lsn
+from repro.workload.operations import Delete, Insert
 
 #: A workload spec: batches of (op kind, choice index).  The index picks
 #: the delete/update victim from the live key set, so specs stay valid
@@ -208,3 +214,93 @@ class TestCrashMatrix:
         )
         assert crashed, f"crash point {crash_point} never fired"
         assert recovered in allowed
+
+
+#: One session call of three writes: insert, delete, insert.
+SESSION_CALL = (
+    Insert(1_001, tuple(payload_for([1_001])[0].tolist())),
+    Delete(0),
+    Insert(1_003, tuple(payload_for([1_003])[0].tolist())),
+)
+
+
+def run_call_crash(root, policy, crash_point, power_loss, hit):
+    """Run :data:`SESSION_CALL` as one session call, crashing at the call's
+    ``hit``-th pass through ``crash_point`` (``0``: never), then reopen
+    ``root``.
+
+    Returns ``(hits, recovered, allowed)``: the passes the call made
+    through ``crash_point``, the recovered canonical state, and the states
+    before and after the call.
+    """
+    faults = FaultInjector(power_loss=power_loss)
+    config = DurabilityConfig(root=root, faults=faults, retry_backoff_s=0.0)
+    initial = np.arange(0, 100, 2, dtype=np.int64)
+    db = Database.from_rows(
+        initial,
+        payload_for(initial),
+        chunk_size=32,
+        payload_names=("a", "b"),
+        durability=config,
+    )
+    model = {
+        int(key): tuple(row)
+        for key, row in zip(
+            initial.tolist(), payload_for(initial).tolist(), strict=True
+        )
+    }
+    before = canonical_model(model)
+    first_insert, delete, second_insert = SESSION_CALL
+    model[first_insert.key] = first_insert.payload
+    model.pop(delete.key)
+    model[second_insert.key] = second_insert.payload
+    after = canonical_model(model)
+
+    # Arm the injector only now: the baseline snapshot above must land.
+    first = faults.hits[crash_point]
+    if hit:
+        faults.crash_at = crash_point
+        faults.crash_hit = first + hit
+    try:
+        with db.session(execution=policy) as session:
+            session.execute(SESSION_CALL)
+    except InjectedCrash:
+        pass
+    else:
+        db.close()
+    hits = faults.hits[crash_point] - first
+
+    recovered_db = Database.open(root)
+    try:
+        recovered = canonical_table(recovered_db.table)
+        recovered_db.table.check_invariants()
+    finally:
+        recovered_db.close()
+    return hits, recovered, [before, after]
+
+
+class TestSessionCallCrashMatrix:
+    """One session call is one commit: a crash at any pass the call makes
+    through a crash point recovers to the state before the call or the
+    state after it, never to a part of the call."""
+
+    @pytest.mark.parametrize(
+        "policy", [SerialPolicy(), VectorizedPolicy(1)], ids=["serial", "sliced"]
+    )
+    @pytest.mark.parametrize("power_loss", [False, True], ids=["kill", "power"])
+    @pytest.mark.parametrize("crash_point", CRASH_POINTS)
+    def test_every_hit_recovers_the_whole_call_or_none(
+        self, tmp_path, crash_point, power_loss, policy
+    ):
+        hits, recovered, (before, after) = run_call_crash(
+            tmp_path / "clean", policy, crash_point, power_loss, 0
+        )
+        # Uncrashed, the call recovers whole; the WAL points fire inside
+        # it, the snapshot points never do (the call takes no checkpoint).
+        assert recovered == after
+        assert (hits > 0) == crash_point.startswith("wal.")
+        for hit in range(1, hits + 1):
+            _, recovered, allowed = run_call_crash(
+                tmp_path / f"hit{hit}", policy, crash_point, power_loss, hit
+            )
+            assert recovered in allowed, f"crash at hit {hit} of {hits}"

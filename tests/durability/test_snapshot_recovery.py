@@ -8,6 +8,7 @@ from wal_model import payload_for
 
 from repro.api.database import Database
 from repro.api.policies import SerialPolicy, VectorizedPolicy
+from repro.api.reorganizer import Reorganizer
 from repro.durability import snapshot as snapshot_module
 from repro.durability.errors import ReadOnlyError, WalUnavailableError
 from repro.durability.faults import FaultInjector
@@ -137,7 +138,25 @@ class TestWriteRecover:
         assert (read.commit_lsn, read.durable) == (None, True)
         interval.close()
 
-    def test_multi_slice_call_commits_one_record_per_slice(self, tmp_path):
+    def test_commit_lsn_is_the_calls_own_record(self, tmp_path):
+        db = make_db(tmp_path)
+        other = db.session()
+
+        class Interleaving(Reorganizer):
+            # Runs after the call's scope closed and before it returns: a
+            # stand-in for a concurrent session committing in between.
+            def after_execute(self, database):
+                other.execute(MultiInsert((2_001,), ((0, 0),)))
+                return super().after_execute(database)
+
+        with db.session(reorg=Interleaving()) as s:
+            outcome = s.execute(MultiInsert((1_001,), ((0, 0),)))
+        assert db.durability.last_lsn == 2
+        assert (outcome.commit_lsn, outcome.durable) == (1, True)
+        other.close()
+        db.close()
+
+    def test_multi_slice_call_commits_one_record(self, tmp_path):
         fresh = np.arange(1_001, 1_141, 2, dtype=np.int64)
         writes = [
             Insert(key, tuple(row)) for key, row in zip(
@@ -149,13 +168,13 @@ class TestWriteRecover:
         with db.session(execution=VectorizedPolicy(batch_size=32)) as s:
             outcome = s.execute(writes)
         assert outcome.batch_sizes == [32, 32, 6]
-        assert len(wal_records(tmp_path)) == 3
-        assert outcome.commit_lsn == 3
+        assert len(wal_records(tmp_path)) == 1
+        assert outcome.commit_lsn == 1
         before = fingerprint(db.table)
         db.close()
 
         reopened = Database.open(tmp_path)
-        assert reopened.recovery.batches_replayed == 3
+        assert reopened.recovery.batches_replayed == 1
         assert fingerprint(reopened.table) == before
         reopened.close()
 
@@ -415,10 +434,10 @@ class TestCommitScope:
         engine.execute(Insert(1_007, (5, 6)))
         engine.execute(Delete(4))
         # ... and one issued while a scope is open joins that scope.
-        with engine._commit_scope() as deltas:
+        with engine.commit_scope() as deltas:
             engine.execute(Insert(1_009, (7, 8)))
             engine.execute(Update(6, 1_011))
-            with engine._commit_scope() as inner:
+            with engine.commit_scope() as inner:
                 assert inner is deltas
         assert deltas.lsn == 4
         assert delta_kinds(tmp_path) == [
@@ -435,16 +454,16 @@ class TestCommitScope:
         reopened.close()
 
     def test_serial_miss_is_recorded_like_a_batched_one(self, tmp_path):
-        # Odd keys are absent, so both writes miss.  A serial miss appends
-        # its record and runs the fsync policy, as a batched miss does;
-        # replaying it is a no-op, and the monitor attributes it the same
-        # way on both paths.
+        # Odd keys are absent, so both writes miss.  A serial miss is
+        # recorded in its call's one record, which is appended and synced
+        # as a batched call's is; replaying it is a no-op, and the monitor
+        # attributes it the same way on both paths.
         misses = [Delete(1), Update(3, 1_001)]
         serial = make_db(tmp_path / "serial", monitor=True)
         with serial.session(execution=SerialPolicy()) as s:
             assert s.execute(misses).errors == 2
-        assert delta_kinds(tmp_path / "serial") == [["delete"], ["update"]]
-        assert serial.durability.durable_lsn == 2
+        assert delta_kinds(tmp_path / "serial") == [["delete", "update"]]
+        assert serial.durability.durable_lsn == 1
         batched = make_db(tmp_path / "batched", monitor=True)
         with batched.session(execution=VectorizedPolicy(batch_size=256)) as s:
             assert s.execute(misses).errors == 2
@@ -458,7 +477,7 @@ class TestCommitScope:
         serial.close()
         batched.close()
         reopened = Database.open(tmp_path / "serial")
-        assert reopened.recovery.batches_replayed == 2
+        assert reopened.recovery.batches_replayed == 1
         assert fingerprint(reopened.table) == expected
         reopened.close()
 
