@@ -128,11 +128,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"loaded {db.table.num_rows} rows; baseline snapshot taken")
 
         # Arm the injector only now, so the baseline snapshot lands; the
-        # second hit of the point crashes mid-run (the manifest is hit
-        # once per checkpoint, so its first hit is the mid-run one).
+        # second hit of the point crashes mid-run (the payload segment and
+        # the manifest are hit once per checkpoint, so their first hit is
+        # the mid-run one).
         faults.crash_at = args.crash_at
         faults.crash_hit = faults.hits[args.crash_at] + (
-            1 if args.crash_at == "snapshot.manifest" else 2
+            1 if args.crash_at in ("snapshot.segment", "snapshot.manifest") else 2
         )
         print(f"armed crash point {args.crash_at!r} (power_loss={args.power_loss})")
 

@@ -8,7 +8,8 @@ Layered bottom-up:
   of encoded batch deltas with group-commit fsync and torn-tail
   truncation on open;
 * :mod:`~repro.durability.snapshot` -- chunk-level snapshots (consistent
-  ``Table.snapshot_chunk`` copies) committed by atomic directory rename;
+  ``Table.snapshot_chunk`` copies) over immutable payload segments,
+  committed by atomic directory rename;
 * :mod:`~repro.durability.manager` -- the commit lock, fsync policies,
   checkpoints, segment rotation/GC and read-only degradation;
 * :mod:`~repro.durability.recovery` -- latest snapshot + idempotent WAL

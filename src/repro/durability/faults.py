@@ -13,6 +13,7 @@ crash point                  the process dies ...
 ``wal.append.partial``       mid-body -- a torn record with a valid header
 ``wal.append.full``          after the full record, before the commit returns
 ``wal.fsync``                during the fsync that would make the tail durable
+``snapshot.segment``         after a new payload segment, before any chunk file
 ``snapshot.chunk``           while writing a snapshot chunk file
 ``snapshot.manifest``        after chunk files, before the manifest commits
 ===========================  ====================================================
@@ -47,6 +48,7 @@ CRASH_POINTS = (
     "wal.append.partial",
     "wal.append.full",
     "wal.fsync",
+    "snapshot.segment",
     "snapshot.chunk",
     "snapshot.manifest",
 )

@@ -4,7 +4,8 @@ One :class:`DurabilityManager` owns a log directory::
 
     <root>/
       wal/        wal-<first lsn>.log segments (rotated at checkpoints)
-      snapshots/  snap-<lsn>/ chunk snapshots (see snapshot.py)
+      snapshots/  snap-<lsn>/ chunk snapshots and payload/ segments
+                  (see snapshot.py)
 
 and exposes the three verbs the engine needs:
 
@@ -23,8 +24,10 @@ and exposes the three verbs the engine needs:
   leaves flushing to the OS (fastest, loses the un-synced tail on power
   failure -- never on a mere process kill).
 * ``checkpoint(table)`` -- snapshot every chunk at the current LSN,
-  rotate to a fresh WAL segment and garbage-collect snapshots beyond
-  ``keep_snapshots`` plus every segment fully covered by the oldest kept
+  writing only the payload rows appended since the manager's previous
+  payload segment, rotate to a fresh WAL segment and garbage-collect
+  snapshots beyond ``keep_snapshots``, every payload segment no kept
+  manifest names, and every WAL segment fully covered by the oldest kept
   snapshot.
 
 Failure handling: when the WAL writer exhausts its bounded I/O retries
@@ -41,6 +44,7 @@ from __future__ import annotations
 import os
 import shutil
 import time
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -48,11 +52,14 @@ from typing import TYPE_CHECKING
 from repro import discipline
 from repro.discipline import guarded_class, requires_lock
 
-from .errors import ReadOnlyError, WalUnavailableError
+from .errors import ReadOnlyError, SnapshotCorruptionError, WalUnavailableError
 from .faults import FaultInjector, InjectedCrash
 from .snapshot import (
+    PAYLOAD_DIR,
+    PayloadSegment,
     SnapshotInfo,
     list_snapshots,
+    read_manifest,
     snapshot_lsn,
     write_snapshot,
 )
@@ -126,6 +133,11 @@ class DurabilityManager:
         self._pins: dict[str, int] = {}
         self._read_only = False
         self._closed = False
+        # Payload segments this manager wrote for one live table (row ids
+        # are per table incarnation): the next checkpoint of that table
+        # reuses them and writes only the rows after them.
+        self._segments: tuple[PayloadSegment, ...] = ()
+        self._segments_table = None
         self._last_checkpoint = self._latest_snapshot_lsn()
         segments = self.segments()
         if segments:
@@ -276,6 +288,7 @@ class DurabilityManager:
         with self._commit_lock:
             self.require_writable()
             lsn = self.wal.appended_lsn
+            owner = self._segments_table() if self._segments_table else None
             try:
                 self.wal.sync()
                 info = write_snapshot(
@@ -283,6 +296,7 @@ class DurabilityManager:
                     table,
                     lsn,
                     self.meta,
+                    segments=self._segments if owner is table else (),
                     faults=self.config.faults,
                     max_retries=self.config.max_retries,
                     retry_backoff_s=self.config.retry_backoff_s,
@@ -300,13 +314,17 @@ class DurabilityManager:
             except WalUnavailableError:
                 self._read_only = True
                 raise
+            if info.written:
+                self._segments = info.segments
+                self._segments_table = weakref.ref(table)
             self._last_checkpoint = info.lsn
             self._collect_garbage(info.lsn)
             return info
 
     def _collect_garbage(self, newest_lsn: int) -> None:
-        """Drop snapshots beyond ``keep_snapshots`` (plus stale partials)
-        and WAL segments fully covered by the oldest *kept* snapshot.
+        """Drop snapshots beyond ``keep_snapshots`` (plus stale partials),
+        payload segments no kept manifest names and WAL segments fully
+        covered by the oldest *kept* snapshot.
 
         Registered replication cursors lower the deletion floor to their
         lowest pinned LSN, and ``keep_segments`` additionally exempts the
@@ -321,6 +339,7 @@ class DurabilityManager:
             if snapshot_lsn(Path(str(partial)[: -len(".partial")])) <= newest_lsn:
                 shutil.rmtree(partial, ignore_errors=True)
         kept = list_snapshots(self.snapshot_dir)
+        self._collect_payload(kept)
         floor = snapshot_lsn(kept[-1]) if kept else 0
         pin_floor = self.retention_floor()
         if pin_floor is not None:
@@ -334,6 +353,24 @@ class DurabilityManager:
         for index in range(max(0, stop)):
             if segment_first_lsn(segments[index + 1]) <= floor + 1:
                 segments[index].unlink(missing_ok=True)
+
+    def _collect_payload(self, kept: list[Path]) -> None:
+        """Delete every payload segment no kept manifest names (segments of
+        dropped snapshots, of earlier incarnations and crash orphans).  A
+        kept manifest that cannot be read might name any segment, so it
+        skips this pass; retention drops its snapshot in time."""
+        named: set[str] = set()
+        for snapshot in kept:
+            try:
+                manifest = read_manifest(snapshot)
+            except SnapshotCorruptionError:
+                return
+            named.update(entry["file"] for entry in manifest["segments"])
+        payload_dir = self.snapshot_dir / PAYLOAD_DIR
+        if payload_dir.is_dir():
+            for segment in payload_dir.iterdir():
+                if segment.name not in named:
+                    segment.unlink(missing_ok=True)
 
     # -- lifecycle ------------------------------------------------------ #
 

@@ -1,20 +1,45 @@
-"""Chunk-level table snapshots: the WAL's replay floor.
+"""Table snapshots: chunk files plus immutable payload segments.
 
-A snapshot is a directory ``snapshots/snap-<lsn>/`` holding one ``.npz``
-file per column chunk -- the ``values``/``rowids`` arrays of a consistent
-:meth:`~repro.storage.table.Table.snapshot_chunk` view plus the payload
-rows those rowids address -- and a ``MANIFEST.json`` written *last* with
-the snapshot LSN, per-file CRCs and the table's reconstruction metadata
-(chunk size, payload names, layout spec).  Commit protocol:
+Layout under the snapshot root (``<log dir>/snapshots/``)::
 
-1. everything is written into ``snap-<lsn>.partial/`` and fsynced;
-2. the manifest is written and fsynced inside the partial directory;
-3. the directory is renamed to its final name and the parent fsynced.
+    payload/seg-<lsn>-<start>-<stop>.npy   payload rows [start, stop)
+    snap-<lsn>/chunk-<i>.npz               one chunk's ``values``/``rowids``
+    snap-<lsn>/MANIFEST.json               written last
 
-A crash at any point leaves either a ``.partial`` directory (ignored and
-reclaimed by the next checkpoint's GC) or a complete snapshot -- never a
-half-visible one.  The loader validates every chunk file against its
-manifest CRC and falls back to the next older snapshot on any mismatch.
+Payload rows are append-only and never change once written (updates and
+moves carry row ids), so a checkpoint stores them by *row-id range*: it
+streams one new segment holding the rows appended since the previous
+checkpoint's segments, ``[previous stop, next row id)``, and reuses the
+older segments as they are.  Each chunk file holds only the keys and row
+ids of a consistent :meth:`~repro.storage.table.Table.snapshot_chunk`
+view.  The manifest (version 2) records the snapshot LSN, the chunk files
+and every segment covering ``[0, next_rowid)``, each with its CRC, plus
+the table's reconstruction metadata (chunk size, payload names, layout
+spec).  Version-1 manifests (payload inside the chunk files) are refused.
+
+Commit protocol:
+
+1. the new segment is streamed to ``payload/`` block by block (never
+   staged whole in memory) and fsynced, then the directory;
+2. the chunk files are written into ``snap-<lsn>.partial/`` and fsynced;
+3. the manifest is written and fsynced inside the partial directory;
+4. the directory is renamed to its final name and the parent fsynced.
+
+A crash at any point leaves a complete snapshot or garbage nobody reads:
+an unreferenced segment, a ``.partial`` directory.  The manager's GC
+works *by reference*: it deletes snapshots beyond its retention count,
+then every segment that no kept manifest names, crash orphans included.
+
+The loader validates every chunk file and every referenced segment
+against its manifest CRC and gathers the payload by row id.  A segment
+is shared by every later snapshot of the same table, so a corrupt
+segment fails every snapshot naming it: the loader falls back to an
+older snapshot that does not name it, and when none is left recovery
+fails loudly rather than load wrong rows.
+
+Row ids are renumbered by recovery, so segments are only valid for the
+table incarnation that wrote them: a reopened table's first checkpoint
+writes a full segment under a new name.
 
 Chunks are captured one at a time under their shared latches (the PR 5
 consistent off-latch copy), *not* under a table-wide freeze; the manager
@@ -31,9 +56,9 @@ import os
 import shutil
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -45,8 +70,14 @@ if TYPE_CHECKING:
 
 MANIFEST_NAME = "MANIFEST.json"
 
+#: Subdirectory of the snapshot root holding the payload segments.
+PAYLOAD_DIR = "payload"
+
 #: Manifest format version, bumped on layout changes.
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
+
+#: Bytes per block when streaming a segment to or from disk.
+_BLOCK_BYTES = 1 << 22
 
 
 def snapshot_dir_name(lsn: int) -> str:
@@ -62,14 +93,36 @@ def snapshot_lsn(path: str | os.PathLike) -> int:
     return int(name[5:])
 
 
+def segment_file_name(lsn: int, start: int, stop: int) -> str:
+    """File name of the payload segment ``[start, stop)`` written at ``lsn``."""
+    return f"seg-{lsn:020d}-{start:020d}-{stop:020d}.npy"
+
+
+@dataclass(frozen=True)
+class PayloadSegment:
+    """One immutable payload segment: rows ``[start, stop)`` in ``file``."""
+
+    file: str
+    start: int
+    stop: int
+    crc: int
+
+
 @dataclass(frozen=True)
 class SnapshotInfo:
-    """Summary of one committed snapshot."""
+    """Summary of one committed snapshot.
+
+    ``segments`` are the payload segments its manifest names, in row-id
+    order; ``written`` is false when the snapshot already existed and was
+    returned untouched.
+    """
 
     lsn: int
     path: Path
     rows: int
     chunks: int
+    segments: tuple[PayloadSegment, ...]
+    written: bool
 
 
 @dataclass(frozen=True)
@@ -96,12 +149,34 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
+def _stream_segment(path: Path, rows: np.ndarray) -> int:
+    """Write ``rows`` as a ``.npy`` file block by block, fsync it and
+    return the file's CRC."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, np.lib.format.header_data_from_array_1_0(rows)
+    )
+    head = header.getvalue()
+    crc = zlib.crc32(head)
+    data = np.ascontiguousarray(rows).reshape(-1).view(np.uint8)
+    with open(path, "wb") as handle:
+        handle.write(head)
+        for offset in range(0, data.size, _BLOCK_BYTES):
+            block = data[offset : offset + _BLOCK_BYTES]
+            crc = zlib.crc32(block, crc)
+            handle.write(block)
+        handle.flush()
+        os.fsync(handle.fileno())
+    return crc
+
+
 def write_snapshot(
     root: str | os.PathLike,
     table: "Table",
     lsn: int,
     meta: dict,
     *,
+    segments: Sequence[PayloadSegment] = (),
     faults: FaultInjector | None = None,
     max_retries: int = 4,
     retry_backoff_s: float = 0.002,
@@ -109,22 +184,36 @@ def write_snapshot(
 ) -> SnapshotInfo:
     """Write (or find) the snapshot of ``table`` at ``lsn`` under ``root``.
 
-    Idempotent per LSN: if ``snap-<lsn>`` already committed, it is
-    returned untouched (a checkpoint with no intervening writes).  The
-    caller must hold the commit lock so no durable write lands between
-    the chunk captures and the LSN stamp.
+    ``segments`` are payload segments already durable for *this* table's
+    row ids, contiguous from row id 0; only the rows after the last of
+    them are written, as one new segment.  Idempotent per LSN: if
+    ``snap-<lsn>`` already committed, it is returned untouched (a
+    checkpoint with no intervening writes).  The caller must hold the
+    commit lock so no durable write lands between the captures and the
+    LSN stamp.
     """
     root = Path(root)
     final = root / snapshot_dir_name(lsn)
     if final.exists():
         manifest = json.loads((final / MANIFEST_NAME).read_text())
         return SnapshotInfo(
-            lsn=lsn, path=final, rows=manifest["rows"], chunks=len(manifest["chunks"])
+            lsn=lsn,
+            path=final,
+            rows=manifest["rows"],
+            chunks=len(manifest["chunks"]),
+            segments=tuple(PayloadSegment(**entry) for entry in manifest["segments"]),
+            written=False,
         )
-    partial = Path(str(final) + ".partial")
-    if partial.exists():
-        shutil.rmtree(partial)
-    partial.mkdir(parents=True)
+
+    def _with_retry(fn):
+        return retry_io(
+            fn,
+            point="snapshot.write",
+            faults=faults,
+            max_retries=max_retries,
+            backoff_s=retry_backoff_s,
+            sleep=sleep,
+        )
 
     def _write_file(path: Path, data: bytes) -> None:
         def attempt() -> None:
@@ -133,24 +222,32 @@ def write_snapshot(
                 handle.flush()
                 os.fsync(handle.fileno())
 
-        retry_io(
-            attempt,
-            point="snapshot.write",
-            faults=faults,
-            max_retries=max_retries,
-            backoff_s=retry_backoff_s,
-            sleep=sleep,
-        )
+        _with_retry(attempt)
 
+    segments = list(segments)
+    start = segments[-1].stop if segments else 0
+    rows = table.payload_since(start)
+    stop = start + int(rows.shape[0])
+    if stop > start:
+        payload_dir = root / PAYLOAD_DIR
+        payload_dir.mkdir(parents=True, exist_ok=True)
+        name = segment_file_name(lsn, start, stop)
+        crc = _with_retry(lambda: _stream_segment(payload_dir / name, rows))
+        _fsync_dir(payload_dir)
+        segments.append(PayloadSegment(file=name, start=start, stop=stop, crc=crc))
+        if faults is not None:
+            faults.hit("snapshot.segment")
+
+    partial = Path(str(final) + ".partial")
+    if partial.exists():
+        shutil.rmtree(partial)
+    partial.mkdir(parents=True)
     chunk_entries = []
     total_rows = 0
     for chunk_index in range(table.num_chunks):
         view = table.snapshot_chunk(chunk_index)
-        payload_rows = table.payload_rows(view.rowids)
         buffer = io.BytesIO()
-        np.savez(
-            buffer, values=view.values, rowids=view.rowids, payload=payload_rows
-        )
+        np.savez(buffer, values=view.values, rowids=view.rowids)
         data = buffer.getvalue()
         file_name = f"chunk-{chunk_index:05d}.npz"
         _write_file(partial / file_name, data)
@@ -169,7 +266,9 @@ def write_snapshot(
         "version": MANIFEST_VERSION,
         "lsn": int(lsn),
         "rows": total_rows,
+        "next_rowid": stop,
         "chunks": chunk_entries,
+        "segments": [asdict(segment) for segment in segments],
         "meta": meta,
     }
     _write_file(
@@ -181,7 +280,12 @@ def write_snapshot(
     os.rename(partial, final)
     _fsync_dir(root)
     return SnapshotInfo(
-        lsn=lsn, path=final, rows=total_rows, chunks=len(chunk_entries)
+        lsn=lsn,
+        path=final,
+        rows=total_rows,
+        chunks=len(chunk_entries),
+        segments=tuple(segments),
+        written=True,
     )
 
 
@@ -200,10 +304,9 @@ def list_snapshots(root: str | os.PathLike) -> list[Path]:
     return sorted(dirs, key=snapshot_lsn, reverse=True)
 
 
-def load_snapshot(path: str | os.PathLike) -> LoadedSnapshot:
-    """Read one snapshot back, validating every chunk file's CRC."""
-    path = Path(path)
-    manifest_path = path / MANIFEST_NAME
+def read_manifest(path: str | os.PathLike) -> dict:
+    """The parsed version-2 manifest of snapshot directory ``path``."""
+    manifest_path = Path(path) / MANIFEST_NAME
     if not manifest_path.is_file():
         raise SnapshotCorruptionError(f"missing manifest in {path}")
     try:
@@ -214,8 +317,63 @@ def load_snapshot(path: str | os.PathLike) -> LoadedSnapshot:
         raise SnapshotCorruptionError(
             f"unsupported snapshot version {manifest.get('version')!r} in {path}"
         )
+    return manifest
+
+
+def _scatter_segment(
+    path: Path,
+    segment: PayloadSegment,
+    slots: np.ndarray,
+    payload: np.ndarray,
+) -> int:
+    """Stream one segment file into ``payload`` rows, block by block.
+
+    ``slots[r]`` is the output row of row id ``r`` (-1: not live).  The
+    file's header and length are checked against the manifest entry and
+    its CRC against ``segment.crc``.  Returns the number of rows placed.
+    """
+    width = payload.shape[1]
+    expected = (segment.stop - segment.start, width)
+    try:
+        with open(path, "rb") as handle:
+            if np.lib.format.read_magic(handle) != (1, 0):
+                raise ValueError("unexpected .npy format version")
+            shape, fortran, dtype = np.lib.format.read_array_header_1_0(handle)
+            if shape != expected or fortran or dtype != np.dtype("<i8"):
+                raise ValueError(f"header {shape} {dtype} does not match {expected}")
+            header_bytes = handle.tell()
+            handle.seek(0)
+            crc = zlib.crc32(handle.read(header_bytes))
+            block_rows = max(1, _BLOCK_BYTES // max(1, 8 * width))
+            block = np.empty((block_rows, width), dtype=np.int64)
+            placed = 0
+            for first in range(segment.start, segment.stop, block_rows):
+                count = min(block_rows, segment.stop - first)
+                rows = block[:count]
+                raw = rows.reshape(-1).view(np.uint8)
+                if handle.readinto(raw) != raw.size:
+                    raise ValueError("segment file is short")
+                crc = zlib.crc32(raw, crc)
+                targets = slots[first : first + count]
+                live = targets >= 0
+                payload[targets[live]] = rows[live]
+                placed += int(np.count_nonzero(live))
+            if handle.read(1):
+                raise ValueError("segment file is long")
+    except (OSError, ValueError) as exc:
+        raise SnapshotCorruptionError(f"bad payload segment {path}: {exc}") from exc
+    if crc != segment.crc:
+        raise SnapshotCorruptionError(f"CRC mismatch in {path}")
+    return placed
+
+
+def load_snapshot(path: str | os.PathLike) -> LoadedSnapshot:
+    """Read one snapshot back, validating every chunk file's and every
+    referenced payload segment's CRC, and gather the payload by row id."""
+    path = Path(path)
+    manifest = read_manifest(path)
     key_pieces: list[np.ndarray] = []
-    payload_pieces: list[np.ndarray] = []
+    rowid_pieces: list[np.ndarray] = []
     for entry in manifest["chunks"]:
         chunk_path = path / entry["file"]
         try:
@@ -228,20 +386,37 @@ def load_snapshot(path: str | os.PathLike) -> LoadedSnapshot:
             raise SnapshotCorruptionError(f"CRC mismatch in {chunk_path}")
         with np.load(io.BytesIO(data), allow_pickle=False) as arrays:
             values = np.asarray(arrays["values"], dtype=np.int64)
-            payload = np.asarray(arrays["payload"], dtype=np.int64)
-        if values.shape[0] != entry["rows"] or payload.shape[0] != values.shape[0]:
+            rowids = np.asarray(arrays["rowids"], dtype=np.int64)
+        if values.shape[0] != entry["rows"] or rowids.shape != values.shape:
             raise SnapshotCorruptionError(f"row-count mismatch in {chunk_path}")
         key_pieces.append(values)
-        payload_pieces.append(payload)
-    width = payload_pieces[0].shape[1] if payload_pieces else 0
-    keys = (
-        np.concatenate(key_pieces) if key_pieces else np.empty(0, dtype=np.int64)
-    )
-    payload = (
-        np.concatenate(payload_pieces)
-        if payload_pieces
-        else np.empty((0, width), dtype=np.int64)
-    )
+        rowid_pieces.append(rowids)
+    keys = np.concatenate(key_pieces) if key_pieces else np.empty(0, np.int64)
+    rowids = np.concatenate(rowid_pieces) if rowid_pieces else np.empty(0, np.int64)
+    del key_pieces, rowid_pieces
+
+    segments = [PayloadSegment(**entry) for entry in manifest["segments"]]
+    next_rowid = int(manifest["next_rowid"])
+    covered = 0
+    for segment in segments:
+        if segment.start != covered or segment.stop <= segment.start:
+            raise SnapshotCorruptionError(f"payload segments do not tile in {path}")
+        covered = segment.stop
+    if covered != next_rowid:
+        raise SnapshotCorruptionError(f"payload segments do not tile in {path}")
+    if rowids.size and (int(rowids.min()) < 0 or int(rowids.max()) >= next_rowid):
+        raise SnapshotCorruptionError(f"row id outside the payload in {path}")
+    slots = np.full(next_rowid, -1, dtype=np.int64)
+    slots[rowids] = np.arange(rowids.size, dtype=np.int64)
+    width = len(manifest["meta"].get("payload_names") or ())
+    payload = np.empty((rowids.size, width), dtype=np.int64)
+    placed = 0
+    for segment in segments:
+        placed += _scatter_segment(
+            path.parent / PAYLOAD_DIR / segment.file, segment, slots, payload
+        )
+    if placed != rowids.size:
+        raise SnapshotCorruptionError(f"duplicate row ids in {path}")
     return LoadedSnapshot(
         lsn=int(manifest["lsn"]),
         path=path,

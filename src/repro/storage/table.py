@@ -382,8 +382,25 @@ class Table:
             self._next_rowid = needed
         return np.arange(start, needed, dtype=np.int64)
 
+    def payload_since(self, start: int) -> np.ndarray:
+        """Read-only view of the payload rows with row ids ``[start, next)``.
+
+        Payload rows are append-only and never change once written, so the
+        view stays valid across later appends (a growth reallocation leaves
+        it on the old buffer).  A checkpoint streams these rows as its new
+        payload segment.
+        """
+        with self._payload_lock:
+            stop = self._next_rowid
+            payload = self._payload
+        if not 0 <= start <= stop:
+            raise LayoutError(f"row id {start} outside the payload [0, {stop}]")
+        view = payload[start:stop]
+        view.flags.writeable = False
+        return view
+
     def payload_rows(self, rowids: np.ndarray | Sequence[int]) -> np.ndarray:
-        """Copy the payload rows addressed by ``rowids`` (snapshot path).
+        """Copy the payload rows addressed by ``rowids``.
 
         Returns a ``(len(rowids), num_payload_columns)`` array aligned with
         the input.  Unlocked, like every payload read: a row id is only
@@ -392,7 +409,7 @@ class Table:
         see :data:`repro.discipline.GUARDED_BY`).
         """
         rowids = np.asarray(rowids, dtype=np.int64)
-        return self._payload[rowids].copy()
+        return self._payload[rowids]
 
     def _payload_cells(
         self, rowids: np.ndarray, indices: list[int]

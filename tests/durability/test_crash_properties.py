@@ -205,10 +205,11 @@ class TestCrashMatrix:
     @pytest.mark.parametrize("power_loss", [False, True], ids=["kill", "power"])
     @pytest.mark.parametrize("crash_point", CRASH_POINTS)
     def test_every_crash_point_recovers(self, tmp_path, crash_point, power_loss):
-        # The manifest is written once per checkpoint and only one
-        # checkpoint runs after the injector is armed; every other point
-        # fires repeatedly, so the second hit exercises a mid-run crash.
-        offset = 1 if crash_point == "snapshot.manifest" else 2
+        # The payload segment and the manifest are written once per
+        # checkpoint and only one checkpoint runs after the injector is
+        # armed; every other point fires repeatedly, so the second hit
+        # exercises a mid-run crash.
+        offset = 1 if crash_point in ("snapshot.segment", "snapshot.manifest") else 2
         crashed, recovered, allowed = run_crash_scenario(
             tmp_path, self.SPEC, crash_point, power_loss, offset
         )

@@ -1,5 +1,6 @@
 """Snapshot + recovery tests: checkpoints, rotation/GC, oracle equality."""
 
+import json
 import threading
 
 import numpy as np
@@ -10,11 +11,23 @@ from repro.api.database import Database
 from repro.api.policies import SerialPolicy, VectorizedPolicy
 from repro.api.reorganizer import Reorganizer
 from repro.durability import snapshot as snapshot_module
-from repro.durability.errors import ReadOnlyError, WalUnavailableError
-from repro.durability.faults import FaultInjector
+from repro.durability.errors import (
+    ReadOnlyError,
+    RecoveryError,
+    SnapshotCorruptionError,
+    WalUnavailableError,
+)
+from repro.durability.faults import FaultInjector, InjectedCrash
 from repro.durability.manager import DurabilityConfig
 from repro.durability.recovery import recover, replay
-from repro.durability.snapshot import list_snapshots, load_snapshot
+from repro.durability.snapshot import (
+    MANIFEST_NAME,
+    PAYLOAD_DIR,
+    list_snapshots,
+    load_snapshot,
+    read_manifest,
+    segment_file_name,
+)
 from repro.durability.wal import (
     decode_delta_log,
     scan_segment,
@@ -609,3 +622,210 @@ class TestConcurrentDurability:
         assert fingerprint(reopened.table) == before
         reopened.table.check_invariants()
         reopened.close()
+
+
+def segment_names(root):
+    """Names of the payload segment files under log directory ``root``."""
+    return {path.name for path in (root / "snapshots" / PAYLOAD_DIR).iterdir()}
+
+
+def newest_manifest(root):
+    return read_manifest(list_snapshots(root / "snapshots")[0])
+
+
+def flip_last_byte(path):
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+def insert_round(db, keys):
+    keys = np.asarray(keys, dtype=np.int64)
+    with db.session() as s:
+        s.execute(MultiInsert(tuple(keys.tolist()), tuple(map(tuple, payload_for(keys)))))
+
+
+class TestPayloadSegments:
+    """Checkpoints store payload as immutable row-id-range segments and
+    write each payload row once per table incarnation."""
+
+    def test_checkpoint_writes_one_segment_of_the_new_rows(self, tmp_path):
+        db = make_db(tmp_path)
+        baseline = newest_manifest(tmp_path)["segments"]
+        assert [(s["file"], s["start"], s["stop"]) for s in baseline] == [
+            (segment_file_name(0, 0, 200), 0, 200)
+        ]
+        insert_round(db, [1001, 1003, 1005])
+        before = segment_names(tmp_path)
+        info = db.checkpoint()
+        assert segment_names(tmp_path) - before == {
+            segment_file_name(info.lsn, 200, 203)
+        }
+        manifest = read_manifest(info.path)
+        assert manifest["segments"][0] == baseline[0]
+        assert [(s["start"], s["stop"]) for s in manifest["segments"]] == [
+            (0, 200),
+            (200, 203),
+        ]
+        assert manifest["next_rowid"] == 203
+        # Deletes and key updates append no payload: no new segment.
+        with db.session() as s:
+            s.execute(MultiDelete((0, 1001)))
+            s.execute(MultiUpdate(((2, 3),)))
+        before = segment_names(tmp_path)
+        info = db.checkpoint()
+        assert segment_names(tmp_path) == before
+        assert read_manifest(info.path)["segments"] == manifest["segments"]
+        expected = fingerprint(db.table)
+        db.close()
+        reopened = Database.open(tmp_path)
+        assert reopened.recovery.batches_replayed == 0
+        assert fingerprint(reopened.table) == expected
+        reopened.close()
+
+    def test_checkpoint_creates_only_chunks_new_rows_and_manifest(self, tmp_path):
+        db = make_db(tmp_path)
+        snapshots = tmp_path / "snapshots"
+        before = {path for path in snapshots.rglob("*") if path.is_file()}
+        new_keys = [1001, 1003, 1005, 1007, 1009]
+        insert_round(db, new_keys)
+        info = db.checkpoint()
+        created = [
+            path for path in snapshots.rglob("*") if path.is_file() and path not in before
+        ]
+        chunk_bytes = sum(path.stat().st_size for path in info.path.glob("chunk-*.npz"))
+        manifest_bytes = (info.path / MANIFEST_NAME).stat().st_size
+        # 16 bytes per payload row (two int64 columns) plus the 128-byte
+        # .npy header of the one new segment.
+        row_bytes = len(new_keys) * 16 + 128
+        total = sum(path.stat().st_size for path in created)
+        assert total <= chunk_bytes + manifest_bytes + row_bytes
+        db.close()
+
+    def test_reopened_table_writes_a_full_segment_under_a_new_name(self, tmp_path):
+        db = make_db(tmp_path)
+        insert_round(db, [1001, 1003])
+        db.checkpoint()
+        with db.session() as s:
+            s.execute(MultiDelete((0, 2, 4)))
+        db.close()
+        old = segment_names(tmp_path)
+
+        reopened = Database.open(tmp_path)
+        assert reopened.table.num_rows == 199
+        insert_round(reopened, [2001])
+        info = reopened.checkpoint()
+        segments = read_manifest(info.path)["segments"]
+        # Recovery renumbered the row ids: nothing from before is reused.
+        # The 202 snapshot rows load as row ids 0..201 (the replayed
+        # deletes keep theirs), and the insert takes row id 202.
+        assert [(s["start"], s["stop"]) for s in segments] == [(0, 203)]
+        assert segments[0]["file"] == segment_file_name(info.lsn, 0, 203)
+        assert segments[0]["file"] not in old
+        # The pre-restart snapshot is still kept, and with it its segments.
+        assert old <= segment_names(tmp_path)
+        insert_round(reopened, [2003])
+        info = reopened.checkpoint()
+        assert not old & segment_names(tmp_path)
+        assert [(s["start"], s["stop"]) for s in read_manifest(info.path)["segments"]] == [
+            (0, 203),
+            (203, 204),
+        ]
+        expected = fingerprint(reopened.table)
+        reopened.close()
+
+        again = Database.open(tmp_path)
+        assert fingerprint(again.table) == expected
+        again.close()
+        again = Database.open(tmp_path)
+        assert fingerprint(again.table) == expected
+        again.close()
+
+    def test_existing_snapshot_path_reuses_no_segment(self, tmp_path):
+        db = make_db(tmp_path)
+        db.close()
+        reopened = Database.open(tmp_path)
+        info = reopened.checkpoint()
+        assert not info.written
+        insert_round(reopened, [1001])
+        info = reopened.checkpoint()
+        assert [(s["start"], s["stop"]) for s in read_manifest(info.path)["segments"]] == [
+            (0, 201)
+        ]
+        reopened.close()
+
+    def test_segments_are_reused_only_for_the_table_that_wrote_them(self, tmp_path):
+        db = make_db(tmp_path)
+        other = make_db(tmp_path / "other", rows=150)
+        insert_round(db, [1001])
+        info = db.durability.checkpoint(other.table)
+        assert [(s["start"], s["stop"]) for s in read_manifest(info.path)["segments"]] == [
+            (0, 150)
+        ]
+        other.close()
+        db.close()
+
+    def test_corrupt_newest_segment_falls_back_to_older(self, tmp_path):
+        db = make_db(tmp_path)
+        insert_round(db, [501])
+        info = db.checkpoint()
+        insert_round(db, [503])
+        before = fingerprint(db.table)
+        db.close()
+
+        newest = read_manifest(info.path)["segments"][-1]["file"]
+        flip_last_byte(tmp_path / "snapshots" / PAYLOAD_DIR / newest)
+        with pytest.raises(SnapshotCorruptionError):
+            load_snapshot(info.path)
+
+        reopened = Database.open(tmp_path)
+        assert reopened.recovery.base_lsn == 0
+        assert reopened.recovery.batches_replayed == 2
+        assert fingerprint(reopened.table) == before
+        reopened.close()
+
+    def test_corrupt_baseline_segment_fails_loudly(self, tmp_path):
+        db = make_db(tmp_path)
+        insert_round(db, [501])
+        db.checkpoint()
+        db.close()
+        # Both kept snapshots name the baseline segment.
+        flip_last_byte(tmp_path / "snapshots" / PAYLOAD_DIR / segment_file_name(0, 0, 200))
+        with pytest.raises(RecoveryError):
+            Database.open(tmp_path)
+
+    def test_version_one_manifest_is_refused(self, tmp_path):
+        db = make_db(tmp_path)
+        db.close()
+        snapshot = list_snapshots(tmp_path / "snapshots")[0]
+        manifest_path = snapshot / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["version"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotCorruptionError, match="version 1"):
+            load_snapshot(snapshot)
+        with pytest.raises(RecoveryError):
+            Database.open(tmp_path)
+
+    def test_next_checkpoint_collects_a_crash_orphan_segment(self, tmp_path):
+        faults = FaultInjector()
+        config = DurabilityConfig(root=tmp_path, faults=faults, retry_backoff_s=0.0)
+        db = make_db(tmp_path, durability=config)
+        baseline = segment_names(tmp_path)
+        insert_round(db, [1001, 1003])
+        faults.crash_at = "snapshot.segment"
+        with pytest.raises(InjectedCrash):
+            db.checkpoint()
+        orphans = segment_names(tmp_path) - baseline
+        assert len(orphans) == 1
+        assert len(list_snapshots(tmp_path / "snapshots")) == 1
+
+        reopened = Database.open(tmp_path)
+        assert reopened.recovery.batches_replayed == 1
+        expected = fingerprint(reopened.table)
+        reopened.checkpoint()
+        assert not orphans & segment_names(tmp_path)
+        reopened.close()
+        again = Database.open(tmp_path)
+        assert fingerprint(again.table) == expected
+        again.close()
