@@ -1,10 +1,12 @@
 """Figure 12 benchmark: normalized throughput across six workloads and layouts.
 
-Also includes three fast-path smoke checks, the first two on a 1M-row,
+Also includes four fast-path smoke checks, the first three on a 1M-row,
 16-chunk table:
 
 * batched point queries must beat per-operation dispatch by >= 3x wall-clock
-  (the PR-1 read fast path),
+  (the read fast path), both on the freshly loaded table, whose partitions
+  are still in load order, and after one insert per partition, when every
+  probe scans its partition,
 * a write-heavy Fig. 12-style workload (50% insert/delete, recent-skewed,
   ``batch_size=256``) must beat per-operation dispatch by >= 3x wall-clock on
   the bulk-write fast path, with the result trajectory emitted to
@@ -14,7 +16,7 @@ Also includes three fast-path smoke checks, the first two on a 1M-row,
   <= 0.3x the time of the same keys inserted one by one (key
   ``bulk_insert_rippled`` of the same file).
 
-CI runs all three at full scale (the table builds in well under a second); set
+CI runs all four at full scale (the table builds in well under a second); set
 ``REPRO_BENCH_ROWS`` to scale the table down on constrained machines.
 """
 
@@ -75,12 +77,10 @@ def test_fig12_normalized_throughput(benchmark, results):
     assert norm("read_only_uniform", LayoutKind.CASPER) >= 0.9
 
 
-def test_fig12_batch_point_query_speedup(benchmark):
-    """Batched point queries beat per-op dispatch >= 3x on a 16-chunk table."""
-    benchmark.pedantic(lambda: None, iterations=1, rounds=1)
+def point_query_table() -> tuple[Table, np.ndarray]:
+    """The 16-chunk Equi table of the point-query gates and its keys."""
     num_rows = int(os.environ.get("REPRO_BENCH_ROWS", 1_048_576))
     num_chunks = 16
-    num_queries = 4_096
     block_values = 4_096
     keys = np.arange(num_rows, dtype=np.int64) * 2
     spec = LayoutSpec(kind=LayoutKind.EQUI, partitions=16, block_values=block_values)
@@ -93,7 +93,12 @@ def test_fig12_batch_point_query_speedup(benchmark):
     )
     if num_rows % num_chunks == 0:
         assert table.num_chunks == num_chunks
-    num_chunks = table.num_chunks
+    return table, keys
+
+
+def assert_batch_point_query_speedup(table: Table, keys: np.ndarray, label: str):
+    """Batched point queries beat per-op dispatch >= 3x on ``table``."""
+    num_queries = 4_096
     rng = np.random.default_rng(11)
     query_keys = rng.choice(keys, size=num_queries, replace=True)
     operations = [PointQuery(key=int(key)) for key in query_keys]
@@ -119,12 +124,36 @@ def test_fig12_batch_point_query_speedup(benchmark):
     assert batch_results == sequential_results
     speedup = sequential_seconds / batch_seconds
     print(
-        f"\nbatch point-query fast path: {num_queries} ops on "
-        f"{num_rows} rows / {num_chunks} chunks -> per-op "
+        f"\nbatch point-query fast path ({label}): {num_queries} ops on "
+        f"{table.num_rows} rows / {table.num_chunks} chunks -> per-op "
         f"{sequential_seconds * 1e3:.1f}ms, batch {batch_seconds * 1e3:.1f}ms "
         f"({speedup:.1f}x)"
     )
     assert speedup >= 3.0
+
+
+def test_fig12_batch_point_query_speedup(benchmark):
+    """Batched point queries beat per-op dispatch >= 3x on a 16-chunk table
+    whose partitions are all still in load order."""
+    benchmark.pedantic(lambda: None, iterations=1, rounds=1)
+    table, keys = point_query_table()
+    assert_batch_point_query_speedup(table, keys, "sorted partitions")
+
+
+def test_fig12_batch_point_query_speedup_unsorted(benchmark):
+    """The same gate after one insert per partition, so no partition is in
+    load order and every probe scans its partition (the layout a table has
+    once it takes writes)."""
+    benchmark.pedantic(lambda: None, iterations=1, rounds=1)
+    table, keys = point_query_table()
+    for chunk in table.chunks:
+        # One odd key just above each partition's first value lands at that
+        # partition's tail, below its maximum.
+        firsts = [int(meta.low) for meta in chunk.partition_metadata()]
+        for key in firsts:
+            table.insert(key + 1)
+    assert not any(chunk._load_order.any() for chunk in table.chunks)
+    assert_batch_point_query_speedup(table, keys, "unsorted partitions")
 
 
 def test_fig12_write_heavy_batch_speedup(benchmark):

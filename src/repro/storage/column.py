@@ -13,6 +13,9 @@ Supported operations mirror the paper's storage-engine repertoire:
 
 * point queries (scan the single candidate partition),
 * range queries (filter the first/last partition, blindly consume the middle),
+* their batched forms (``multi_point_query`` / ``multi_range_count``: route
+  and charge the whole batch with array arithmetic, then one contiguous scan
+  per probe),
 * inserts (use local ghost slack or ripple an empty slot from a later
   partition, Fig. 4a),
 * deletes (swap the victim to the partition tail; in dense mode the hole is
@@ -22,6 +25,13 @@ Supported operations mirror the paper's storage-engine repertoire:
 Every operation charges an :class:`~repro.storage.cost_accounting.AccessCounter`
 with the block accesses it performs, which is what the benchmark harness uses
 as the simulated latency.
+
+A column is always built from sorted values, so until a write moves values
+in it a partition is still in *load order*.  One flag per partition records
+that; every data-moving primitive clears it for each partition it writes.
+The batched read kernels and the range filters binary-search a flagged
+partition instead of masking it -- a wall-clock shortcut only: the charges
+are the full-partition scan's either way.
 """
 
 from __future__ import annotations
@@ -256,11 +266,10 @@ class PartitionedColumn:
                 self._rowids[offset : offset + counts[i]] = rowids[lo:hi]
             offset += int(capacities[i])
 
-        #: Lazily-built sorted views per partition for the batch read probes:
-        #: partition -> (sorted_segment, order) where ``order`` maps sorted
-        #: slots back to local positions (``None`` when the live segment is
-        #: already sorted).  Any write to a partition invalidates its entry.
-        self._sorted_views: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
+        #: Per partition: the live segment is still in load order (sorted),
+        #: so the read kernels may binary-search it.  Every data-moving
+        #: primitive clears the flag of each partition it writes.
+        self._load_order = np.ones(k, dtype=bool)
         self._fences = np.zeros(k, dtype=np.int64)
         self._mins = np.zeros(k, dtype=np.int64)
         self._maxs = np.zeros(k, dtype=np.int64)
@@ -367,40 +376,8 @@ class PartitionedColumn:
             return 0
         return blocks_spanned(0, count, self.block_values)
 
-    def _invalidate_sorted(self, partition: int) -> None:
-        self._sorted_views.pop(partition, None)
-
-    def _sorted_view(
-        self, partition: int, probe_count: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray | None] | None:
-        """Sorted live segment of ``partition`` plus its position mapping.
-
-        Returns ``(sorted_segment, order)`` where ``order`` maps sorted
-        slots back to local positions; ``order`` is ``None`` when the live
-        segment is already sorted.  Views are cached until the partition is
-        written (every data-moving primitive invalidates its entry), which
-        keeps repeated batch probes from re-sorting unchanged partitions.
-
-        ``probe_count`` is the number of probes the caller wants to resolve
-        against the view: when building one would require an argsort that
-        costs more than that many linear scans, ``None`` is returned (and
-        nothing cached) so the caller can fall back to per-probe scans.
-        """
-        cached = self._sorted_views.get(partition)
-        if cached is not None:
-            return cached
-        start = int(self._starts[partition])
-        count = int(self._counts[partition])
-        segment = self._data[start : start + count]
-        if count > 1 and np.any(segment[1:] < segment[:-1]):
-            if probe_count is not None and probe_count * 16 < count:
-                return None
-            order = np.argsort(segment, kind="stable")
-            cached = (segment[order], order)
-        else:
-            cached = (segment, None)
-        self._sorted_views[partition] = cached
-        return cached
+    def _clear_load_order(self, partition: int) -> None:
+        self._load_order[partition] = False
 
     # ------------------------------------------------------------------ #
     # Read operations
@@ -449,14 +426,16 @@ class PartitionedColumn:
 
         Returns ``(hits, counts)``: ``counts[i]`` is the number of matches of
         ``values[i]`` and ``hits`` is the flat concatenation of the matching
-        positions (or row ids), grouped by input value in input order.
+        positions (or row ids), grouped by input value in input order and in
+        physical order within a value -- exactly what one :meth:`point_query`
+        per value returns, concatenated.
 
-        Values are routed with one ``searchsorted`` over the fences, grouped
-        by partition, and each touched partition is resolved through a sorted
-        view (built once per partition, or reused directly when the live
-        segment is already sorted).  The charged accesses are identical to
-        issuing each point query individually: one index probe plus one
-        random read and ``blocks - 1`` sequential reads per value.
+        The batch is routed with one ``searchsorted`` over the fences and
+        charged with array arithmetic: one index probe plus one random read
+        and ``blocks - 1`` sequential reads per value, as issuing each point
+        query individually charges.  Then each value does one contiguous
+        scan of its partition: a mask, or a ``searchsorted`` pair while the
+        partition is still in load order.
         """
         values = np.asarray(values, dtype=np.int64)
         m = int(values.size)
@@ -470,74 +449,47 @@ class PartitionedColumn:
             np.searchsorted(self._index.fences, values, side="left"),
             self.num_partitions - 1,
         )
-        counts_out = np.zeros(m, dtype=np.int64)
-        owner_pieces: list[np.ndarray] = []
-        hit_pieces: list[np.ndarray] = []
-        order = np.argsort(partitions, kind="stable")
-        unique_parts, group_starts, group_counts = np.unique(
-            partitions[order], return_index=True, return_counts=True
-        )
-        random_reads = 0
-        seq_reads = 0
-        for partition, group_lo, group_size in zip(
-            unique_parts.tolist(),
-            group_starts.tolist(),
-            group_counts.tolist(),
-            strict=True,
-        ):
-            sel = order[group_lo : group_lo + group_size]
-            blocks = self._partition_blocks(partition)
-            if blocks > 0:
-                random_reads += group_size
-                seq_reads += (blocks - 1) * group_size
-            start = int(self._starts[partition])
-            count = int(self._counts[partition])
-            wanted = values[sel]
-            view = self._sorted_view(partition, probe_count=group_size)
-            if view is None:
-                # Small probe group on an unindexed partition: per-value
-                # linear scans beat building a sorted view.
-                segment = self._data[start : start + count]
-                for owner, value in zip(sel.tolist(), wanted.tolist(), strict=True):
-                    local = np.nonzero(segment == value)[0]
-                    if local.size:
-                        counts_out[owner] = local.size
-                        owner_pieces.append(
-                            np.full(local.size, owner, dtype=np.int64)
-                        )
-                        positions = local + start
-                        hit_pieces.append(
-                            self._rowids[positions]
-                            if return_rowids
-                            else positions
-                        )
-                continue
-            seg_sorted, seg_order = view
-            lo = np.searchsorted(seg_sorted, wanted, side="left")
-            hi = np.searchsorted(seg_sorted, wanted, side="right")
-            hits_per_value = (hi - lo).astype(np.int64)
-            if not np.any(hits_per_value):
-                continue
-            local = expand_ranges(lo, hits_per_value)
-            if seg_order is not None:
-                # Stable argsort keeps equal values in physical order, so the
-                # per-value hit order matches the per-op partition scan.
-                local = seg_order[local]
-            positions = local + start
-            counts_out[sel] = hits_per_value
-            owner_pieces.append(np.repeat(sel, hits_per_value))
-            hit_pieces.append(
-                self._rowids[positions] if return_rowids else positions
-            )
+        counts = self._counts[partitions]
+        blocks = -(-counts // self.block_values)
+        random_reads = int(np.count_nonzero(blocks))
         if random_reads:
             self.counter.random_read(random_reads)
-        if seq_reads:
-            self.counter.seq_read(seq_reads)
-        if not owner_pieces:
-            return empty, counts_out
-        owners = np.concatenate(owner_pieces)
-        hits = np.concatenate(hit_pieces)
-        return hits[np.argsort(owners, kind="stable")], counts_out
+            seq_reads = int(blocks.sum()) - random_reads
+            if seq_reads:
+                self.counter.seq_read(seq_reads)
+
+        starts = self._starts[partitions]
+        data = self._data
+        source = self._rowids if return_rowids else None
+        hit_counts: list[int] = []
+        pieces: list[np.ndarray] = []
+        for value, start, stop, in_order in zip(
+            values.tolist(),
+            starts.tolist(),
+            (starts + counts).tolist(),
+            self._load_order[partitions].tolist(),
+            strict=True,
+        ):
+            segment = data[start:stop]
+            if in_order:
+                lo = start + int(segment.searchsorted(value, side="left"))
+                hi = start + int(segment.searchsorted(value, side="right"))
+                hit_counts.append(hi - lo)
+                if hi > lo:
+                    pieces.append(
+                        source[lo:hi]
+                        if source is not None
+                        else np.arange(lo, hi, dtype=np.int64)
+                    )
+                continue
+            local = (segment == value).nonzero()[0]
+            hit_counts.append(local.size)
+            if local.size:
+                pieces.append(
+                    source[start:stop][local] if source is not None else local + start
+                )
+        hits = np.concatenate(pieces) if pieces else empty
+        return hits, np.asarray(hit_counts, dtype=np.int64)
 
     @requires_latch("shared")
     def multi_range_count(
@@ -545,11 +497,13 @@ class PartitionedColumn:
     ) -> np.ndarray:
         """Vectorized range counts for aligned ``lows``/``highs`` arrays.
 
-        Boundary partitions are resolved through per-partition sorted views;
-        fully covered middle partitions contribute their live counts through
-        a prefix sum (they are blindly consumed, exactly like
-        :meth:`range_query`).  Charged accesses match issuing each range
-        query individually with ``materialize=False``.
+        Charges are array arithmetic and fully covered middle partitions
+        contribute their live counts through a prefix sum (they are blindly
+        consumed, exactly like :meth:`range_query`).  Each range then
+        resolves its one or two boundary partitions with one mask count
+        each, or a ``searchsorted`` pair while the partition is still in
+        load order.  Charged accesses match issuing each range query
+        individually with ``materialize=False``.
         """
         lows = np.asarray(lows, dtype=np.int64)
         highs = np.asarray(highs, dtype=np.int64)
@@ -561,56 +515,72 @@ class PartitionedColumn:
         first, last = self._index.locate_range_batch(lows, highs, spanning=False)
         self.counter.index_probe(m)
 
-        counts = self._counts.astype(np.int64)
-        blocks = np.where(
-            counts > 0, (counts + self.block_values - 1) // self.block_values, 0
-        )
+        counts = self._counts
+        blocks = -(-counts // self.block_values)
         blocks_cum = np.concatenate(([0], np.cumsum(blocks)))
         counts_cum = np.concatenate(([0], np.cumsum(counts)))
-        first_blocks = blocks[first]
-        random_reads = int(np.count_nonzero(first_blocks > 0))
-        seq_reads = int(np.sum(np.where(first_blocks > 0, first_blocks - 1, 0)))
-        seq_reads += int(np.sum(blocks_cum[last + 1] - blocks_cum[first + 1]))
+        random_reads = int(np.count_nonzero(blocks[first]))
+        seq_reads = int((blocks_cum[last + 1] - blocks_cum[first]).sum()) - random_reads
         if random_reads:
             self.counter.random_read(random_reads)
         if seq_reads:
             self.counter.seq_read(seq_reads)
 
-        totals = np.zeros(m, dtype=np.int64)
-        spanning = last > first
-        totals[spanning] = (
-            counts_cum[last[spanning]] - counts_cum[first[spanning] + 1]
-        )
-        # Boundary partitions, grouped by partition: each touched partition is
-        # sorted (or reused directly) once and resolves all of its ranges
-        # with a single searchsorted pair.
-        boundary_parts = np.concatenate((first, last[spanning]))
-        owners = np.concatenate(
-            (np.arange(m, dtype=np.int64), np.nonzero(spanning)[0])
-        )
-        for partition in np.unique(boundary_parts):
-            partition = int(partition)
-            sel = owners[boundary_parts == partition]
-            view = self._sorted_view(partition, probe_count=int(sel.size))
-            if view is None:
-                # Small range group on an unindexed partition: per-range
-                # mask counts beat building a sorted view.
-                start = int(self._starts[partition])
-                count = int(self._counts[partition])
-                segment = self._data[start : start + count]
-                for owner in sel.tolist():
-                    totals[owner] += int(
-                        (
-                            (segment >= lows[owner]) & (segment <= highs[owner])
-                        ).sum()
-                    )
-                continue
-            segment, _ = view
-            totals[sel] += (
-                np.searchsorted(segment, highs[sel], side="right")
-                - np.searchsorted(segment, lows[sel], side="left")
+        middles = np.where(last > first, counts_cum[last] - counts_cum[first + 1], 0)
+        boundary_counts = [
+            self._boundary_count(lo_part, low, high)
+            + (self._boundary_count(hi_part, low, high) if hi_part > lo_part else 0)
+            for low, high, lo_part, hi_part in zip(
+                lows.tolist(), highs.tolist(), first.tolist(), last.tolist(),
+                strict=True,
             )
-        return totals
+        ]
+        return middles + np.asarray(boundary_counts, dtype=np.int64)
+
+    def _locate_range(self, low: int, high: int) -> tuple[int, int, list[int]]:
+        """Route and charge one range (Fig. 3c): ``(first, last, counts)``
+        with the live counts of partitions ``first..last``.  The first
+        partition costs one random read plus sequential reads, every later
+        one sequential reads."""
+        if low > high:
+            raise ValueError("low must be <= high")
+        self.counter.index_probe()
+        # Boundaries are snapped to duplicate runs and inserts route to the
+        # first candidate partition, so no run straddles a partition
+        # boundary: the tight span is exact and matches the cost model.
+        first, last = self._index.locate_range(low, high, spanning=False)
+        counts = self._counts[first : last + 1].tolist()
+        seq_reads = sum(-(-count // self.block_values) for count in counts)
+        if counts[0] > 0:
+            self.counter.random_read(1)
+            seq_reads -= 1
+        if seq_reads:
+            self.counter.seq_read(seq_reads)
+        return first, last, counts
+
+    def _boundary_positions(self, partition: int, low: int, high: int) -> np.ndarray:
+        """Positions of ``partition``'s live values in ``[low, high]``, in
+        physical order: one mask, or a ``searchsorted`` pair while the
+        partition is still in load order."""
+        start = int(self._starts[partition])
+        segment = self._data[start : start + int(self._counts[partition])]
+        if self._load_order[partition]:
+            return np.arange(
+                start + int(segment.searchsorted(low, side="left")),
+                start + int(segment.searchsorted(high, side="right")),
+                dtype=np.int64,
+            )
+        return ((segment >= low) & (segment <= high)).nonzero()[0] + start
+
+    def _boundary_count(self, partition: int, low: int, high: int) -> int:
+        """Number of ``partition``'s live values in ``[low, high]``."""
+        start = int(self._starts[partition])
+        segment = self._data[start : start + int(self._counts[partition])]
+        if self._load_order[partition]:
+            return int(segment.searchsorted(high, side="right")) - int(
+                segment.searchsorted(low, side="left")
+            )
+        return int(np.count_nonzero((segment >= low) & (segment <= high)))
 
     @requires_latch("shared")
     def range_query(
@@ -626,62 +596,54 @@ class PartitionedColumn:
         The first and last overlapping partitions are filtered; intermediate
         partitions are blindly consumed (Fig. 3c).  When ``materialize`` is
         ``False`` only the qualifying count is computed (still charging the
-        same accesses, as the engine must touch the blocks either way).
+        same accesses, as the engine must touch the blocks either way): the
+        middle partitions count from their live counts.
         """
-        if low > high:
-            raise ValueError("low must be <= high")
-        self.counter.index_probe()
-        # Boundaries are snapped to duplicate runs and inserts route to the
-        # first candidate partition, so no run straddles a partition
-        # boundary: the tight span is exact and matches the cost model.
-        first, last = self._index.locate_range(int(low), int(high), spanning=False)
-
-        total = 0
-        position_chunks: list[np.ndarray] = []
-        for partition in range(first, last + 1):
-            blocks = self._partition_blocks(partition)
-            if blocks > 0:
-                if partition == first:
-                    self.counter.random_read(1)
-                    if blocks > 1:
-                        self.counter.seq_read(blocks - 1)
-                else:
-                    self.counter.seq_read(blocks)
-            start = int(self._starts[partition])
-            count = int(self._counts[partition])
-            if count == 0:
-                continue
-            segment = self._data[start : start + count]
-            if partition in (first, last):
-                mask = (segment >= low) & (segment <= high)
-                qualifying = np.nonzero(mask)[0] + start
-            else:
-                qualifying = np.arange(start, start + count, dtype=np.int64)
-            total += int(qualifying.shape[0])
-            if materialize:
-                position_chunks.append(qualifying)
-
-        positions = None
-        values = None
-        if materialize:
-            positions = (
-                np.concatenate(position_chunks)
-                if position_chunks
-                else np.empty(0, dtype=np.int64)
+        low, high = int(low), int(high)
+        first, last, counts = self._locate_range(low, high)
+        if not materialize:
+            total = self._boundary_count(first, low, high)
+            if last > first:
+                total += sum(counts[1:-1]) + self._boundary_count(last, low, high)
+            return RangeResult(count=total)
+        pieces = [self._boundary_positions(first, low, high)]
+        if last > first:
+            pieces.append(
+                expand_ranges(self._starts[first + 1 : last], counts[1:-1])
             )
-            if return_rowids:
-                if not self._track_rowids:
-                    raise LayoutError("row-id tracking is disabled for this column")
-                values = self._rowids[positions]
-            else:
-                values = self._data[positions]
-        return RangeResult(count=total, positions=positions, values=values)
+            pieces.append(self._boundary_positions(last, low, high))
+        positions = np.concatenate(pieces)
+        if return_rowids:
+            if not self._track_rowids:
+                raise LayoutError("row-id tracking is disabled for this column")
+            values = self._rowids[positions]
+        else:
+            values = self._data[positions]
+        return RangeResult(
+            count=int(positions.size), positions=positions, values=values
+        )
 
     @requires_latch("shared")
     def range_rowids(self, low: int, high: int) -> np.ndarray:
-        """Row ids of live entries whose value lies in ``[low, high]``."""
-        result = self.range_query(low, high, materialize=True, return_rowids=True)
-        return result.values if result.values is not None else np.empty(0, dtype=np.int64)
+        """Row ids of live entries whose value lies in ``[low, high]``.
+
+        Charged like :meth:`range_query`; the middle partitions' row ids
+        are sliced directly.
+        """
+        if not self._track_rowids:
+            raise LayoutError("row-id tracking is disabled for this column")
+        low, high = int(low), int(high)
+        first, last, counts = self._locate_range(low, high)
+        rowids = self._rowids
+        pieces = [rowids[self._boundary_positions(first, low, high)]]
+        if last > first:
+            starts = self._starts[first + 1 : last].tolist()
+            pieces.extend(
+                rowids[start : start + count]
+                for start, count in zip(starts, counts[1:-1], strict=True)
+            )
+            pieces.append(rowids[self._boundary_positions(last, low, high)])
+        return np.concatenate(pieces)
 
     @requires_latch("shared")
     def full_scan(self) -> np.ndarray:
@@ -726,7 +688,7 @@ class PartitionedColumn:
         if self._track_rowids:
             self._rowids[position] = rowid
         self._counts[target] += 1
-        self._invalidate_sorted(target)
+        self._clear_load_order(target)
         self.counter.random_read(1)
         self.counter.random_write(1)
         self._refresh_minmax_on_insert(target, value)
@@ -823,7 +785,7 @@ class PartitionedColumn:
         if self._track_rowids:
             self._rowids[position] = rowid if rowid is not None else self._next_rowid
         self._counts[target] += 1
-        self._invalidate_sorted(target)
+        self._clear_load_order(target)
         self.counter.random_read(1)
         self.counter.random_write(1)
         self._refresh_minmax_on_insert(target, new_value)
@@ -983,11 +945,9 @@ class PartitionedColumn:
         ):
             self._fences[partition] = high
             self._index.update_fence(partition, high)
-        # A cached view of a sorted segment is a slice of ``_data``: drop
-        # the view of every partition that was shifted or appended to.
-        if self._sorted_views:
-            for partition in np.concatenate((touched, unique_targets)).tolist():
-                self._invalidate_sorted(partition)
+        # Every partition that was shifted or appended to leaves load order.
+        self._load_order[touched] = False
+        self._load_order[unique_targets] = False
         return out
 
     @requires_latch("exclusive")
@@ -1102,7 +1062,7 @@ class PartitionedColumn:
                         ids = np.concatenate((ids[-rotation:], ids[:-rotation]))
                     self._rowids[start - holes : start - holes + count] = ids
         self._starts[partition] = start - holes
-        self._invalidate_sorted(partition)
+        self._clear_load_order(partition)
 
     def _bulk_delete_partition(
         self,
@@ -1216,7 +1176,7 @@ class PartitionedColumn:
             self.counter.random_write(random_writes)
         if removed:
             self._counts[partition] = live
-            self._invalidate_sorted(partition)
+            self._clear_load_order(partition)
             if live > 0:
                 # The zonemap is exact, so only losing a copy of the stored
                 # min or max can move it.
@@ -1258,9 +1218,6 @@ class PartitionedColumn:
             self._rowids = np.concatenate(
                 (self._rowids, np.full(extra, -1, dtype=np.int64))
             )
-        # Cached sorted views slice the replaced buffers; drop them so they
-        # do not pin the pre-growth array generations in memory.
-        self._sorted_views.clear()
         self.counter.seq_write(self.GROWTH_BLOCKS)
 
     # The two scalar ripples stay Python loops on purpose.  Written as a
@@ -1287,7 +1244,7 @@ class PartitionedColumn:
                 if self._track_rowids:
                     self._rowids[free_slot] = self._rowids[start]
             self._starts[partition] = start + 1
-            self._invalidate_sorted(partition)
+            self._clear_load_order(partition)
             self.counter.random_read(1)
             self.counter.random_write(1)
 
@@ -1307,7 +1264,7 @@ class PartitionedColumn:
                 if self._track_rowids:
                     self._rowids[hole] = self._rowids[last]
             self._starts[follower] = start - 1
-            self._invalidate_sorted(follower)
+            self._clear_load_order(follower)
             self.counter.random_read(1)
             self.counter.random_write(1)
 
@@ -1321,7 +1278,7 @@ class PartitionedColumn:
         if self._track_rowids:
             self._rowids[position] = self._rowids[last]
         self._counts[partition] = count - 1
-        self._invalidate_sorted(partition)
+        self._clear_load_order(partition)
         self.counter.random_write(1)
         # The zonemap is exact, so only losing a copy of the stored min or
         # max can move it; an emptied partition keeps its last value.
@@ -1373,6 +1330,9 @@ class PartitionedColumn:
             )
             assert int(self._mins[i]) == segment.min(), f"stale min at partition {i}"
             assert int(self._maxs[i]) == segment.max(), f"stale max at partition {i}"
+            assert not self._load_order[i] or np.all(segment[1:] >= segment[:-1]), (
+                f"partition {i} is flagged in load order but unsorted"
+            )
             previous_max = segment.max()
         if self._track_rowids:
             live_rowids = self.rowids()

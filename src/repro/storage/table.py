@@ -48,7 +48,7 @@ replacement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -68,15 +68,6 @@ from .partition_index import PartitionIndex
 
 #: Per-chunk column builder: (sorted chunk keys, global rowids, counter) -> chunk.
 ChunkBuilder = Callable[[np.ndarray, np.ndarray, AccessCounter], ColumnLike]
-
-#: Below this many probes per chunk, batched point/range resolution falls
-#: back to per-value dispatch: the vectorized machinery's fixed per-call
-#: overhead (partition grouping, expansion arrays) only amortizes once a
-#: chunk receives a reasonable number of probes.  Both paths charge
-#: identical simulated accesses, so the cutover is invisible to the cost
-#: model -- it is purely a wall-clock adaptation for batches that scatter
-#: thinly across many chunks.
-SMALL_PROBE_FALLBACK = 16
 
 
 def layout_chunk_builder(spec: LayoutSpec) -> ChunkBuilder:
@@ -479,15 +470,34 @@ class Table:
             [key] * int(rowids.size), rowids, columns, indices
         )
 
+    def _probes_by_chunk(
+        self, first: np.ndarray, last: np.ndarray
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """``(chunk, probe positions)`` per touched chunk, chunks ascending.
+
+        A probe appears once per chunk of its ``first..last`` span; one
+        stable argsort groups the probes, so each chunk's positions keep
+        input order.
+        """
+        spans = last - first + 1
+        owners = np.repeat(np.arange(first.size, dtype=np.int64), spans)
+        chunks = expand_ranges(first, spans)
+        order = np.argsort(chunks, kind="stable")
+        grouped = chunks[order]
+        bounds = [0, *(np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()]
+        for lo, hi in zip(bounds, [*bounds[1:], int(order.size)], strict=True):
+            yield int(grouped[lo]), owners[order[lo:hi]]
+
     def multi_point_query(
         self, keys: np.ndarray | Sequence[int], columns: Sequence[str] | None = None
     ) -> list[list[Row]]:
         """Vectorized Q1 batch: one row list per input key, in input order.
 
-        Keys are routed with a single ``searchsorted`` over the chunk fences,
-        grouped by chunk and resolved with vectorized per-chunk probes; the
-        simulated block accesses are identical to issuing each point query
-        individually.
+        Keys are routed with a single ``searchsorted`` over the chunk fences
+        and grouped by chunk; each touched chunk resolves its keys with one
+        :meth:`~repro.storage.column.PartitionedColumn.multi_point_query`
+        call.  The simulated block accesses are identical to issuing each
+        point query individually.
         """
         keys_arr = np.asarray(keys, dtype=np.int64)
         if keys_arr.ndim != 1:
@@ -498,48 +508,25 @@ class Table:
         if m == 0:
             return []
         self.counter.index_probe(m)
-        first, last = self._router.locate_batch(keys_arr)
-        spans = (last - first + 1).astype(np.int64)
-        expanded_pos = np.repeat(np.arange(m, dtype=np.int64), spans)
-        expanded_chunks = expand_ranges(first, spans)
         counts_per_key = np.zeros(m, dtype=np.int64)
         owner_pieces: list[np.ndarray] = []
         hit_pieces: list[np.ndarray] = []
         # Chunks are visited in ascending order, so the stable owner sort
         # below reproduces the per-op candidate-chunk probing order.
-        for chunk_index in np.unique(expanded_chunks):
-            positions = expanded_pos[expanded_chunks == chunk_index]
-            chunk_keys = keys_arr[positions]
-            self._latches.acquire_read(int(chunk_index))
+        for chunk_index, positions in self._probes_by_chunk(
+            *self._router.locate_batch(keys_arr)
+        ):
+            self._latches.acquire_read(chunk_index)
             try:
-                chunk = self._chunks[int(chunk_index)]
-                if chunk_keys.size >= SMALL_PROBE_FALLBACK:
-                    hits, counts = chunk.multi_point_query(
-                        chunk_keys, return_rowids=True
-                    )
-                else:
-                    found = [
-                        np.asarray(
-                            chunk.point_query(int(value), return_rowids=True),
-                            dtype=np.int64,
-                        )
-                        for value in chunk_keys
-                    ]
-                    counts = np.asarray(
-                        [hit.size for hit in found], dtype=np.int64
-                    )
-                    hits = (
-                        np.concatenate(found)
-                        if found
-                        else np.empty(0, dtype=np.int64)
-                    )
+                hits, counts = self._chunks[chunk_index].multi_point_query(
+                    keys_arr[positions], return_rowids=True
+                )
             finally:
-                self._latches.release_read(int(chunk_index))
-            if not int(counts.sum()):
-                continue
-            counts_per_key[positions] += counts
-            owner_pieces.append(np.repeat(positions, counts))
-            hit_pieces.append(hits)
+                self._latches.release_read(chunk_index)
+            if hits.size:
+                counts_per_key[positions] += counts
+                owner_pieces.append(np.repeat(positions, counts))
+                hit_pieces.append(hits)
         total_hits = int(counts_per_key.sum())
         if total_hits and columns:
             self.counter.random_read(total_hits * len(columns))
@@ -582,9 +569,9 @@ class Table:
         """Vectorized Q2 batch: one count per ``(low, high)`` pair.
 
         Ranges are routed with one ``searchsorted`` pass over the chunk
-        fences and resolved per chunk with vectorized fence lookups; the
-        simulated accesses are identical to issuing each range count
-        individually.
+        fences and grouped by chunk; each touched chunk counts its ranges
+        with one ``multi_range_count`` call.  The simulated accesses are
+        identical to issuing each range count individually.
         """
         bounds_arr = np.asarray(bounds, dtype=np.int64)
         if bounds_arr.size == 0:
@@ -597,32 +584,17 @@ class Table:
             raise ValueError("low must be <= high")
         m = int(bounds_arr.shape[0])
         self.counter.index_probe(m)
-        first, last = self._router.locate_range_batch(lows, highs)
         totals = np.zeros(m, dtype=np.int64)
-        spans = (last - first + 1).astype(np.int64)
-        expanded_pos = np.repeat(np.arange(m, dtype=np.int64), spans)
-        expanded_chunks = expand_ranges(first, spans)
-        for chunk_index in np.unique(expanded_chunks):
-            positions = expanded_pos[expanded_chunks == chunk_index]
-            self._latches.acquire_read(int(chunk_index))
+        for chunk_index, positions in self._probes_by_chunk(
+            *self._router.locate_range_batch(lows, highs)
+        ):
+            self._latches.acquire_read(chunk_index)
             try:
-                chunk = self._chunks[int(chunk_index)]
-                if positions.size >= SMALL_PROBE_FALLBACK:
-                    counts = chunk.multi_range_count(
-                        lows[positions], highs[positions]
-                    )
-                else:
-                    counts = np.asarray(
-                        [
-                            chunk.range_query(
-                                int(lows[pos]), int(highs[pos]), materialize=False
-                            ).count
-                            for pos in positions
-                        ],
-                        dtype=np.int64,
-                    )
+                counts = self._chunks[chunk_index].multi_range_count(
+                    lows[positions], highs[positions]
+                )
             finally:
-                self._latches.release_read(int(chunk_index))
+                self._latches.release_read(chunk_index)
             # Each range appears once per chunk it spans, so ``positions``
             # holds no repeats and the buffered add is exact.
             totals[positions] += counts

@@ -226,7 +226,7 @@ def reference_bulk_insert(column, values, rowids=None):
                 array[start + shift : start + shift + count] = np.roll(
                     array[start : start + count], -(shift % count)
                 )
-        column._invalidate_sorted(int(partition))
+        column._clear_load_order(int(partition))
     column._starts += through
 
     for partition in sorted(set(targets)):
@@ -238,7 +238,7 @@ def reference_bulk_insert(column, values, rowids=None):
         counter.random_write(blocks)
         column._data[tail : tail + arrivals] = sorted_values[lo : lo + arrivals]
         column._rowids[tail : tail + arrivals] = sorted_rowids[lo : lo + arrivals]
-        column._invalidate_sorted(partition)
+        column._clear_load_order(partition)
         column._counts[partition] = previous + arrivals
         low, high = int(sorted_values[lo]), int(sorted_values[lo + arrivals - 1])
         if previous == 0:
@@ -308,7 +308,7 @@ class TestBulkInsertSweepReference:
         expected = reference_bulk_insert(reference, batch, rowids)
         assert np.array_equal(bulk.bulk_insert(batch, rowids), expected)
         for name in ("_data", "_rowids", "_starts", "_counts", "_fences",
-                     "_mins", "_maxs"):
+                     "_mins", "_maxs", "_load_order"):
             assert np.array_equal(getattr(reference, name), getattr(bulk, name)), name
         assert bulk._next_rowid == reference._next_rowid
         for field in COUNTER_FIELDS:
@@ -316,9 +316,9 @@ class TestBulkInsertSweepReference:
             assert getattr(bulk.counter, field) == getattr(reference.counter, field)
         bulk.check_invariants()
 
-    def test_rippled_partitions_drop_their_cached_views(self):
-        """A cached view of a sorted segment is a slice of ``_data``: the
-        sweep must drop it for every partition it shifts."""
+    def test_rippled_partitions_lose_the_load_order_flag(self):
+        """A rippled or appended-to partition is no longer sorted: the sweep
+        must clear its load-order flag."""
         base = np.arange(64, dtype=np.int64) * 10
         ghosts = [0] * 7 + [8]
         column = PartitionedColumn(
@@ -331,13 +331,13 @@ class TestBulkInsertSweepReference:
         )
         probes = base[::4]
         column.multi_point_query(probes)
-        assert sorted(column._sorted_views) == list(range(8))
-        column.bulk_insert([1, 2, 3, 3, 85])  # no growth: views are not cleared
+        assert column._load_order.all()
+        column.bulk_insert([1, 2, 3, 3, 85])  # no growth
         assert column.physical_size == 72
-        for partition, (view, _) in column._sorted_views.items():
-            start = int(column._starts[partition])
-            live = column._data[start : start + int(column._counts[partition])]
-            assert np.array_equal(view, np.sort(live))
+        # Partitions 0 and 1 take the batch; 1..7 ripple slots back from
+        # partition 7's ghost slack.
+        assert not column._load_order.any()
+        column.check_invariants()
         probes = np.concatenate((probes, [1, 3, 85, 7]))
         hits, counts = column.multi_point_query(probes, return_rowids=True)
         per_key = [column.point_query(int(v), return_rowids=True) for v in probes]
