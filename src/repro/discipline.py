@@ -97,8 +97,8 @@ LOCK_ORDER: dict[str, int] = {
     "shard_channel": -30,
     "wal_commit": -20,
     "wal_sync": -10,
-    # Replication tier: the follower's applier lock is held across WAL
-    # replay into the replica table (which takes chunk latches), so it
+    # Replication tier: the log tail's apply lock is held across WAL
+    # replay into the tail's table (which takes chunk latches), so it
     # sits outside the chunk tier; the cursor-pin registry may be taken
     # under the commit lock (checkpoint GC) *or* under the applier lock
     # (watermark exchange), so it is the innermost durability lock.
@@ -134,7 +134,7 @@ LOCK_ATTRIBUTES: dict[tuple[str | None, str], str] = {
     ("DurabilityManager", "_commit_lock"): "wal_commit",
     ("DurabilityManager", "_pins_lock"): "replica_pins",
     ("WalWriter", "_sync_lock"): "wal_sync",
-    ("Follower", "_apply_lock"): "replica_apply",
+    ("LogTail", "_apply_lock"): "replica_apply",
     ("ShardCluster", "_lock"): "shard_state",
     ("ShardedDatabase", "_lock"): "shard_state",
     ("ShardChannel", "_lock"): "shard_channel",
@@ -262,15 +262,19 @@ GUARDED_BY: dict[str, dict[str, tuple[str, str]]] = {
         "_channels": ("shard_state", "rw"),
         "_processes": ("shard_state", "rw"),
     },
-    "Follower": {
+    "LogTail": {
         # The cursor and the replay accounting move only under the
-        # applier lock; the applied/target watermarks are read unlocked
-        # by lag introspection (monotonic scalars within an incarnation).
+        # tail's apply lock (a follower's poll thread and direct catch-up
+        # callers share one tail); the applied/target watermarks and the
+        # counters are read unlocked by lag introspection and recovery's
+        # report (monotonic scalars within an incarnation).
         "_cursor": ("replica_apply", "rw"),
-        "_applied_lsn": ("replica_apply", "write"),
-        "_target_lsn": ("replica_apply", "write"),
-        "_batches_applied": ("replica_apply", "write"),
-        "_operations_applied": ("replica_apply", "write"),
+        "applied_lsn": ("replica_apply", "write"),
+        "target_lsn": ("replica_apply", "write"),
+        "batches_applied": ("replica_apply", "write"),
+        "operations_applied": ("replica_apply", "write"),
+        "torn_bytes": ("replica_apply", "write"),
+        "segments_scanned": ("replica_apply", "write"),
     },
 }
 

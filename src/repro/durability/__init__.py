@@ -12,8 +12,10 @@ Layered bottom-up:
   committed by atomic directory rename;
 * :mod:`~repro.durability.manager` -- the commit lock, fsync policies,
   checkpoints, segment rotation/GC and read-only degradation;
-* :mod:`~repro.durability.recovery` -- latest snapshot + idempotent WAL
-  replay back to an oracle-equal table.
+* :mod:`~repro.durability.recovery` -- the one log reader,
+  :class:`LogTail`: latest snapshot + idempotent WAL replay back to an
+  oracle-equal table, run to the end of the log by :func:`recover` and
+  tailed by the replication follower.
 
 The storage engine integrates through
 :meth:`StorageEngine.attach_durability`; most callers go through
@@ -31,10 +33,9 @@ from .errors import (
 from .faults import CRASH_POINTS, FaultInjector, InjectedCrash, retry_io
 from .manager import FSYNC_POLICIES, DurabilityConfig, DurabilityManager
 from .recovery import (
+    LogTail,
     RecoveryReport,
-    apply_delta_log,
     recover,
-    replay,
     spec_to_meta,
     table_from_snapshot,
 )
@@ -63,6 +64,7 @@ __all__ = [
     "FaultInjector",
     "InjectedCrash",
     "LoadedSnapshot",
+    "LogTail",
     "ReadOnlyError",
     "RecoveryError",
     "RecoveryReport",
@@ -72,14 +74,12 @@ __all__ = [
     "WalCorruptionError",
     "WalUnavailableError",
     "WalWriter",
-    "apply_delta_log",
     "decode_delta_log",
     "encode_delta_log",
     "list_snapshots",
     "load_latest_snapshot",
     "load_snapshot",
     "recover",
-    "replay",
     "retry_io",
     "scan_segment",
     "spec_to_meta",

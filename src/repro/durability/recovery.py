@@ -1,25 +1,39 @@
-"""Recovery: latest intact snapshot + WAL replay to an oracle-equal state.
+"""One log reader: a :class:`LogTail` runs a table forward along the WAL.
 
-``recover(root)`` rebuilds a :class:`~repro.storage.table.Table` from a
-log directory:
+``recover(root)`` is a tail run to the end of the log, and the
+replication follower is a tail behind its primary's durable gate.  A
+:class:`LogTail`
 
-1. load the newest snapshot that passes CRC validation (falling back to
-   older ones -- a corrupt snapshot costs replay length, not data);
-2. rebuild the table from the concatenated chunk rows, using the layout
-   spec recorded in the manifest (a table whose chunks a planner built
-   records none and recovers under the sorted builder);
-3. scan every WAL segment in LSN order, truncate a CRC-rejected torn
-   tail off the *last* segment, decode each record with
-   ``lsn > snapshot lsn`` into the engine's per-call log type
-   (:class:`~repro.storage.access_log.CallLog`, the same records the
-   live write path logged) and replay it through the table's bulk-write
-   paths.
+1. bootstraps from the newest snapshot that passes CRC validation
+   (falling back to older ones -- a corrupt snapshot costs replay length,
+   not data), rebuilt under the layout spec its manifest records (a table
+   whose chunks a planner built records none and recovers under the
+   sorted builder);
+2. locates the segment holding ``applied + 1`` (the greatest first LSN
+   at or below it), so segments wholly below the snapshot are never read;
+3. re-scans that segment from its cursor's byte offset and runs each
+   write record of every new WAL record as the batched operation it
+   logged (:data:`repro.workload.operations.REPLAYED_AS`) through its
+   ``run(table)`` -- never re-logged.  Move-protocol markers mutate
+   nothing: a cross-shard move's delete/insert ride as ordinary records,
+   and the markers only matter to the sharded dispatcher's
+   move-resolution scan (:mod:`repro.sharding.database`);
+4. hands off at a cleanly consumed segment end to the successor, which
+   must start at ``applied + 1``.
 
-Replay is **idempotent below the watermark**: records at or below the
-snapshot LSN are skipped, so replaying a prefix twice is a no-op past the
-snapshot -- the property test in ``tests/durability`` pins this down.
+The log's two rules, stated once for both readers:
 
-Two documented equivalences rather than identities:
+* **gap** -- the next record applied is always ``applied + 1``; anything
+  else is lost history: :class:`RecoveryError`;
+* **torn tail** -- only the live (last) segment may end short or corrupt
+  (an append in flight or cut off by a crash, repaired by more bytes or
+  the writer's truncation on reopen), so the tail stops there.  A rotated
+  segment's bytes are final: a tail still torn after one re-scan is
+  :class:`WalCorruptionError`.
+
+Records at or below the applied LSN are skipped, so a second run over
+the same log applies nothing.  Two documented equivalences rather than
+identities:
 
 * global row ids are renumbered (rows reload in snapshot order), so
   recovery preserves the logical row multiset ``{(key, payload)}``, not
@@ -39,16 +53,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
-import numpy as np
+from repro import discipline
+from repro.discipline import guarded_class, requires_lock
 
-from ..storage.access_log import MOVE_MARKER_KINDS, CallLog
 from ..storage.layouts import LayoutKind, LayoutSpec
 from ..storage.table import Table, layout_chunk_builder
+from ..workload.operations import REPLAYED_AS
 from .errors import RecoveryError, WalCorruptionError
 from .snapshot import LoadedSnapshot, load_latest_snapshot
-from .wal import decode_delta_log, scan_segment, segment_first_lsn
+from .wal import MAGIC, SegmentScan, decode_delta_log, scan_segment, segment_first_lsn
 
 
 @dataclass(frozen=True)
@@ -59,8 +73,11 @@ class RecoveryReport:
     last_lsn: int
     batches_replayed: int
     operations_replayed: int
+    #: Bytes past the valid record prefix of the live segment: the torn
+    #: tail the reopened writer truncates.
     truncated_bytes: int
     snapshot_path: Path
+    #: WAL segments the replay read (none wholly below the snapshot).
     segments_scanned: int
     #: The recovered snapshot's manifest metadata (chunk size, payload
     #: names, layout spec), for the snapshots a reopened database takes.
@@ -122,90 +139,231 @@ def table_from_snapshot(snapshot: LoadedSnapshot) -> Table:
     )
 
 
-def apply_delta_log(table: Table, deltas: CallLog) -> int:
-    """Apply one decoded call log through the bulk-write paths; returns
-    the number of operations applied.  Never touches the WAL -- replay
-    must not re-log what it replays.  Move-protocol markers
-    (``move_intent`` / ``move_commit`` / ``move_forget``) mutate nothing:
-    the delete/insert a cross-shard move performs ride as ordinary records
-    in the same bodies, and the markers only matter to the sharded
-    dispatcher's move-resolution scan (:mod:`repro.sharding.database`)."""
-    applied = 0
-    for record in deltas.records:
-        if record.kind == "insert":
-            table.bulk_insert(record.keys, record.payloads)
-        elif record.kind == "delete":
-            table.bulk_delete(record.keys)
-        elif record.kind == "update":
-            pairs = np.stack([record.keys, record.highs], axis=1)
-            table.bulk_update(pairs)
-        elif record.kind not in MOVE_MARKER_KINDS:
-            raise RecoveryError(f"unreplayable delta kind {record.kind!r}")
-        applied += record.operations
-    return applied
+@dataclass
+class ReplicationCursor:
+    """A log tail's position in the WAL.
 
-
-def replay(
-    table: Table,
-    records: Sequence[tuple[int, bytes]],
-    *,
-    after_lsn: int,
-) -> tuple[int, int, int]:
-    """Replay scanned ``(lsn, body)`` records with ``lsn > after_lsn``.
-
-    Returns ``(batches, operations, last_lsn)``.  Records at or below the
-    watermark are skipped -- the idempotence contract -- and a gap above
-    it raises :class:`RecoveryError` (a missing segment means lost
-    history, not a torn tail).
+    ``segment`` is the file currently being tailed (``None`` before the
+    first locate and after the segment vanished), ``offset`` the absolute
+    byte offset of the next unapplied record, and ``scan_lsn`` the LSN of
+    the last record scanned *in this segment* -- the ``previous_lsn`` seed
+    that carries the monotonicity check across incremental re-scans of a
+    growing file (0 at a fresh segment start, where the first record's
+    LSN is trusted to the segment name instead).
     """
-    batches = operations = 0
-    last = after_lsn
-    for lsn, body in records:
-        if lsn <= last:
-            continue
-        if lsn != last + 1:
-            raise RecoveryError(
-                f"WAL gap: expected lsn {last + 1}, found {lsn} "
-                "(a segment between them is missing or corrupt)"
+
+    segment: Path | None = None
+    offset: int = 0
+    scan_lsn: int = 0
+
+
+@guarded_class
+class LogTail:
+    """A table kept current along the WAL under log directory ``root``.
+
+    ``table`` holds the state of every record up to ``lsn``; each
+    :meth:`advance` applies the records after it.  :meth:`bootstrap`
+    builds one from the newest intact snapshot.  Every advance runs under
+    the tail's ``replica_apply`` lock (declared *outside* the chunk
+    latches in :data:`repro.discipline.LOCK_ORDER`), so a follower's poll
+    thread and direct catch-up callers share one tail while read sessions
+    on the table interleave under its ordinary chunk latches.
+    """
+
+    def __init__(self, root: str | Path, table: Table, lsn: int) -> None:
+        self.root = Path(root)
+        self.table = table
+        #: LSN of the snapshot (or given state) the tail started from.
+        self.base_lsn = lsn
+        #: Set by :meth:`bootstrap`: the loaded snapshot's directory and
+        #: manifest metadata.
+        self.snapshot_path: Path | None = None
+        self.meta: dict = {}
+        # Moved only by advances (see GUARDED_BY), read unlocked.
+        #: LSN of the last record applied to the table.
+        self.applied_lsn = lsn
+        #: Highest LSN the tail knows it should reach: the largest
+        #: ``limit`` it was given, or else the last LSN it applied.
+        self.target_lsn = lsn
+        #: WAL records (commit scopes) and write operations applied.
+        self.batches_applied = 0
+        self.operations_applied = 0
+        #: Bytes past the valid record prefix in the last segment scan --
+        #: after a run to the end of the log, the live segment's torn tail.
+        self.torn_bytes = 0
+        #: Segments the cursor moved onto.
+        self.segments_scanned = 0
+        self._apply_lock = discipline.make_lock("replica_apply")
+        self._cursor = ReplicationCursor()
+
+    @classmethod
+    def bootstrap(cls, root: str | Path) -> "LogTail":
+        """A tail at the newest intact snapshot under ``root``."""
+        root = Path(root)
+        snapshot = load_latest_snapshot(root / "snapshots")
+        if snapshot is None:
+            raise RecoveryError(f"no intact snapshot under {root / 'snapshots'}")
+        tail = cls(root, table_from_snapshot(snapshot), snapshot.lsn)
+        tail.snapshot_path = snapshot.path
+        tail.meta = dict(snapshot.meta)
+        return tail
+
+    def raise_target(self, lsn: int) -> None:
+        """Note a watermark the tail should reach without applying."""
+        with self._apply_lock:
+            self.target_lsn = max(self.target_lsn, lsn)
+
+    def advance(self, limit: int | None = None) -> int:
+        """Apply the log's records up to ``limit`` (``None``: every valid
+        record, to the end of the log); returns the batches applied."""
+        with self._apply_lock:
+            if limit is not None:
+                self.target_lsn = max(self.target_lsn, limit)
+            batches = self._advance(limit)
+            self.target_lsn = max(self.target_lsn, self.applied_lsn)
+            return batches
+
+    @requires_lock("replica_apply")
+    def _advance(self, limit: int | None) -> int:
+        batches = 0
+        relocations = 0
+        rescanned = False
+        while limit is None or self.applied_lsn < limit:
+            cursor = self._cursor
+            if cursor.segment is None or not cursor.segment.exists():
+                if relocations > 2 or not self._locate():
+                    break
+                relocations += 1
+                cursor = self._cursor
+            try:
+                if cursor.segment.stat().st_size < len(MAGIC):
+                    # A segment file whose magic is still in flight: only
+                    # the live segment can be one.
+                    if self._rotated():
+                        raise WalCorruptionError(
+                            f"rotated segment {cursor.segment.name} ends "
+                            "inside its magic"
+                        )
+                    break
+                scan = scan_segment(
+                    cursor.segment,
+                    start_offset=cursor.offset,
+                    previous_lsn=cursor.scan_lsn,
+                )
+            except FileNotFoundError:
+                # Vanished between locate and scan -- checkpoint GC took it
+                # (a follower's retention pin makes this rare): relocate.
+                self._cursor = ReplicationCursor()
+                continue
+            self.torn_bytes = scan.file_bytes - scan.valid_bytes
+            progressed = self._apply(scan, limit)
+            batches += progressed
+            if progressed:
+                continue
+            if not self._rotated():
+                # The live segment: a torn tail waits for more bytes or the
+                # writer's reopen truncation, a clean one is the log's end.
+                break
+            if scan.tail_status == "clean":
+                # Consumed: hand off to the successor, which must continue
+                # at ``applied + 1``.
+                self._locate()
+                if self._cursor.segment == cursor.segment:
+                    raise RecoveryError(
+                        f"WAL gap: consumed {cursor.segment.name} through lsn "
+                        f"{self.applied_lsn}, the next segment starts later"
+                    )
+                continue
+            # The writer closed this segment, so its bytes are final: one
+            # re-scan covers a scan that raced its last append, and a torn
+            # tail that survives it is lost history.
+            if not rescanned:
+                rescanned = True
+                continue
+            raise WalCorruptionError(
+                f"rotated segment {cursor.segment.name} has a "
+                f"{scan.tail_status} tail mid-history (only the live "
+                "segment may be torn)"
             )
-        operations += apply_delta_log(table, decode_delta_log(body))
-        batches += 1
-        last = lsn
-    return batches, operations, last
+        return batches
+
+    @requires_lock("replica_apply")
+    def _apply(self, scan: SegmentScan, limit: int | None) -> int:
+        """Apply a scan's records up to ``limit``; advance the cursor only
+        over records applied or already covered."""
+        cursor = self._cursor
+        batches = 0
+        for (lsn, body), end in zip(scan.records, scan.ends):
+            if limit is not None and lsn > limit:
+                # Withheld: do NOT advance the cursor -- a primary power
+                # loss may replace these exact bytes.
+                break
+            if lsn > self.applied_lsn:
+                if lsn != self.applied_lsn + 1:
+                    raise RecoveryError(
+                        f"WAL gap: expected lsn {self.applied_lsn + 1}, "
+                        f"found {lsn} in {cursor.segment.name}"
+                    )
+                for record in decode_delta_log(body).records:
+                    replay = REPLAYED_AS.get(record.kind)
+                    if replay is not None:  # markers mutate nothing
+                        replay(record).run(self.table)
+                    self.operations_applied += record.operations
+                self.applied_lsn = lsn
+                self.batches_applied += 1
+                batches += 1
+            cursor.offset = end
+            cursor.scan_lsn = lsn
+        return batches
+
+    @requires_lock("replica_apply")
+    def _locate(self) -> bool:
+        """Point the cursor at the segment holding ``applied + 1``: the one
+        with the greatest first LSN at or below it.  No segment at all
+        means none was created yet (stop); segments that all start above
+        it mean the records in between are gone."""
+        segments = self._segments()
+        needed = self.applied_lsn + 1
+        best = None
+        for segment in segments:
+            if segment_first_lsn(segment) > needed:
+                break
+            best = segment
+        if best is None:
+            if segments:
+                raise RecoveryError(
+                    f"WAL gap: records from lsn {needed} are gone (the oldest "
+                    f"surviving segment starts at "
+                    f"{segment_first_lsn(segments[0])})"
+                )
+            return False
+        self._cursor = ReplicationCursor(segment=best, offset=len(MAGIC))
+        self.segments_scanned += 1
+        return True
+
+    @requires_lock("replica_apply")
+    def _rotated(self) -> bool:
+        """Whether the cursor's segment has a successor (is not live)."""
+        segments = self._segments()
+        return bool(segments) and self._cursor.segment != segments[-1]
+
+    def _segments(self) -> list[Path]:
+        return sorted((self.root / "wal").glob("wal-*.log"), key=segment_first_lsn)
 
 
 def recover(root: str | Path) -> tuple[Table, RecoveryReport]:
-    """Rebuild the table stored under log directory ``root``."""
-    root = Path(root)
-    snapshot = load_latest_snapshot(root / "snapshots")
-    if snapshot is None:
-        raise RecoveryError(
-            f"no intact snapshot under {root / 'snapshots'}; cannot recover"
-        )
-    table = table_from_snapshot(snapshot)
-    segments = sorted((root / "wal").glob("wal-*.log"), key=segment_first_lsn)
-    batches = operations = truncated = 0
-    last = snapshot.lsn
-    for index, segment in enumerate(segments):
-        scan = scan_segment(segment)
-        if scan.torn:
-            if index != len(segments) - 1:
-                raise WalCorruptionError(
-                    f"segment {segment.name} is corrupt mid-history "
-                    "(only the final segment may have a torn tail)"
-                )
-            truncated = scan.file_bytes - scan.valid_bytes
-        replayed, ops, last = replay(table, scan.records, after_lsn=last)
-        batches += replayed
-        operations += ops
+    """Rebuild the table stored under log directory ``root``: the newest
+    intact snapshot, advanced to the end of the log."""
+    tail = LogTail.bootstrap(root)
+    tail.advance()
     report = RecoveryReport(
-        base_lsn=snapshot.lsn,
-        last_lsn=last,
-        batches_replayed=batches,
-        operations_replayed=operations,
-        truncated_bytes=truncated,
-        snapshot_path=snapshot.path,
-        segments_scanned=len(segments),
-        meta=dict(snapshot.meta),
+        base_lsn=tail.base_lsn,
+        last_lsn=tail.applied_lsn,
+        batches_replayed=tail.batches_applied,
+        operations_replayed=tail.operations_applied,
+        truncated_bytes=tail.torn_bytes,
+        snapshot_path=tail.snapshot_path,
+        segments_scanned=tail.segments_scanned,
+        meta=tail.meta,
     )
-    return table, report
+    return tail.table, report

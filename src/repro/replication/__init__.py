@@ -3,10 +3,11 @@
 The subsystem turns one durable database into a primary with read
 replicas at bounded LSN lag:
 
-* :class:`Follower` -- bootstraps a replica table from the newest
-  snapshot, then tails the live WAL segments incrementally (byte-offset
-  cursor, rotation handoff at checkpoints), applying only fsync-covered
-  records;
+* :class:`Follower` -- a :class:`~repro.durability.recovery.LogTail`
+  (the log reader crash recovery runs to the end of the WAL: snapshot
+  bootstrap, byte-offset cursor, rotation handoff at checkpoints) plus
+  the durable gate, the retention pin and a polling thread, so it
+  applies only fsync-covered records;
 * :class:`Primary` -- the watermark/retention endpoint on an existing
   :class:`~repro.durability.manager.DurabilityManager`;
 * :class:`PrimaryServer` / :class:`RemotePrimary` -- the same endpoint
@@ -19,7 +20,8 @@ The api layer wraps a follower as a read-only database:
 :class:`~repro.api.session.FollowerSession`.
 """
 
-from .cursor import CursorExchange, ReplicationCursor
+from ..durability.recovery import ReplicationCursor
+from .cursor import CursorExchange
 from .errors import ReplicationError, RetentionGapError, TransportError
 from .follower import Follower
 from .primary import Primary

@@ -1,8 +1,11 @@
-"""The replication cursor: where a follower is in the primary's log.
+"""The cursor protocol: where a follower is in the primary's log.
 
-A :class:`ReplicationCursor` is deliberately minimal -- one segment path,
-one byte offset, one LSN -- because the whole tailing protocol rests on a
-single invariant the durability layer already provides:
+The cursor itself -- one segment path, one byte offset, one LSN -- is a
+:class:`~repro.durability.recovery.ReplicationCursor` owned by the
+follower's :class:`~repro.durability.recovery.LogTail`, the log reader
+crash recovery runs too.  It is deliberately minimal because the whole
+tailing protocol rests on a single invariant the durability layer
+already provides:
 
     **a follower never advances its cursor past a record it has not
     applied, and never applies a record above the primary's durable
@@ -29,25 +32,6 @@ frame on the socket transport.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-
-
-@dataclass
-class ReplicationCursor:
-    """A follower's position in the primary's WAL.
-
-    ``segment`` is the file currently being tailed (``None`` before the
-    first locate and after the segment vanished), ``offset`` the absolute
-    byte offset of the next unapplied record, and ``scan_lsn`` the LSN of
-    the last record scanned *in this segment* -- the ``previous_lsn`` seed
-    that carries the monotonicity check across incremental re-scans of a
-    growing file (0 at a fresh segment start, where the first record's
-    LSN is trusted to the segment name instead).
-    """
-
-    segment: Path | None = None
-    offset: int = 0
-    scan_lsn: int = 0
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,8 @@ scalar, five batched) *is*.  Every class states, once:
     ``(tag, array_fields)`` for the shard codec: the named fields travel as
     ``int64`` arrays, every other field as a JSON scalar.
 
+:data:`REPLAYED_AS` states the way back from a logged write record.
+
 Engine dispatch (``StorageEngine.execute`` runs ``run`` and logs
 ``attribution()``), the engine's batch plan and the question whether a
 batch needs a commit scope (``writes``), the monitor's offline seeding (one
@@ -456,6 +458,20 @@ Operation = (
 #: Kinds that mutate table state; the durability layer opens a commit
 #: scope (WAL append + fsync policy) exactly when a dispatch contains one.
 WRITE_KINDS = frozenset(cls.kind for cls in get_args(Operation) if cls.writes)
+
+
+#: The batched write a logged write record replays as -- the inverse of
+#: the batched write kinds' ``attribution()``.  A decoded WAL record
+#: ``(kind, keys, highs, payloads)`` runs as ``REPLAYED_AS[kind](record)``
+#: through its ``run(table)``, the call live dispatch measures; the
+#: move-protocol marker kinds have no entry because they mutate nothing.
+REPLAYED_AS = {
+    "insert": lambda record: MultiInsert(record.keys, record.payloads),
+    "delete": lambda record: MultiDelete(record.keys),
+    "update": lambda record: MultiUpdate(
+        np.stack([record.keys, record.highs], axis=1)
+    ),
+}
 
 
 def is_write(operation: Operation) -> bool:

@@ -39,8 +39,7 @@ from repro.api.database import Database
 from repro.api.policies import SerialPolicy, VectorizedPolicy
 from repro.durability.faults import CRASH_POINTS, FaultInjector, InjectedCrash
 from repro.durability.manager import DurabilityConfig
-from repro.durability.recovery import recover, replay
-from repro.durability.wal import scan_segment, segment_first_lsn
+from repro.durability.recovery import LogTail, recover
 from repro.workload.operations import Delete, Insert
 
 #: A workload spec: batches of (op kind, choice index).  The index picks
@@ -175,18 +174,12 @@ class TestCrashRecoveryProperties:
             table, report = recover(root)
             before = canonical_table(table)
             assert before == canonical_model(model)
-            segments = sorted(
-                (root / "wal").glob("wal-*.log"),
-                key=lambda p: segment_first_lsn(p.name),
-            )
-            records = []
-            for segment in segments:
-                records.extend(scan_segment(segment).records)
-            batches, operations, last = replay(
-                table, records, after_lsn=report.last_lsn
-            )
-            assert (batches, operations) == (0, 0)
-            assert last == report.last_lsn
+            # A second catch-up from the recovered watermark re-reads the
+            # log and applies nothing.
+            tail = LogTail(root, table, report.last_lsn)
+            assert tail.advance() == 0
+            assert (tail.batches_applied, tail.operations_applied) == (0, 0)
+            assert tail.applied_lsn == report.last_lsn
             assert canonical_table(table) == before
 
 

@@ -1,0 +1,280 @@
+"""The one log reader: recovery and the follower run the same log tail.
+
+``Database.open`` is a :class:`~repro.durability.recovery.LogTail` run to
+the end of the WAL and a follower's catch-up is the same tail behind the
+durable gate, so the log's rules hold from both entry points, each under
+its own error names: a gap above the snapshot, a torn rotated segment
+replay needs and a byte flipped mid-record in a rotated segment fail
+loudly; a torn segment wholly below the loaded snapshot is never read.
+The property at the bottom drives random histories with checkpoints, cuts
+the live segment at a random byte and asks both readers for the same
+applied LSN, the same counts and the same table.
+"""
+
+import shutil
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from wal_model import (
+    OP_KINDS,
+    build_batch,
+    canonical_model,
+    canonical_table,
+    payload_for,
+)
+
+from repro.api.database import Database
+from repro.durability.errors import RecoveryError, WalCorruptionError
+from repro.durability.manager import DurabilityConfig
+from repro.durability.snapshot import list_snapshots
+from repro.durability.wal import MAGIC, scan_segment, segment_name
+from repro.replication import ReplicationError, RetentionGapError
+from repro.workload.operations import MultiInsert
+
+
+def make_db(root, **config):
+    initial = np.arange(0, 100, 2, dtype=np.int64)
+    return Database.from_rows(
+        initial,
+        payload_for(initial),
+        chunk_size=32,
+        payload_names=("a", "b"),
+        durability=DurabilityConfig(root=root, **config),
+    )
+
+
+def insert_batch(db, first_key, rows=5):
+    keys = tuple(range(first_key, first_key + 2 * rows, 2))
+    db.engine.execute_batch(
+        [MultiInsert(keys, tuple(map(tuple, payload_for(keys).tolist())))]
+    )
+
+
+def three_segment_log(root):
+    """Snapshots at lsn 0, 3 and 6 over segments ``wal-1`` (lsn 1-3),
+    ``wal-4`` (4-6) and the live ``wal-7`` (7-8), all kept.  Returns the
+    final table's canonical rows."""
+    db = make_db(root, keep_snapshots=3)
+    key = 1_000_001
+    for lsn in range(1, 9):
+        insert_batch(db, key)
+        key += 10
+        if lsn in (3, 6):
+            db.checkpoint()
+    expected = canonical_table(db.table)
+    db.close()
+    return expected
+
+
+def drop_newest_snapshot(root):
+    """Lose snapshot 6, so a reader starts from snapshot 3 and needs
+    ``wal-4``."""
+    newest = list_snapshots(root / "snapshots")[0]
+    assert newest.name.endswith("6")
+    shutil.rmtree(newest)
+
+
+def segment(root, first_lsn):
+    return root / "wal" / segment_name(first_lsn)
+
+
+def open_database(root):
+    Database.open(root).close()
+
+
+def follow(root):
+    Database.follow(root, start=False, catch_up=False).follower.catch_up()
+
+
+#: Each entry point with the errors it raises for (gap, torn rotated).
+ENTRY_POINTS = [
+    pytest.param(open_database, RecoveryError, WalCorruptionError, id="open"),
+    pytest.param(follow, RetentionGapError, ReplicationError, id="follow"),
+]
+
+
+class TestTornLiveTail:
+    @pytest.mark.parametrize("torn", [1, 16, 100])
+    def test_truncated_bytes_is_the_torn_tail(self, tmp_path, torn):
+        db = make_db(tmp_path)
+        for i in range(3):
+            insert_batch(db, 1_000_001 + 10 * i)
+        db.close()
+        live = segment(tmp_path, 1)
+        ends = scan_segment(live).ends
+        valid = ends[-2]  # the third record is cut `torn` bytes in
+        assert torn < ends[-1] - valid
+        with open(live, "r+b") as handle:
+            handle.truncate(valid + torn)
+
+        reopened = Database.open(tmp_path)
+        assert reopened.recovery.truncated_bytes == torn
+        assert reopened.recovery.last_lsn == 2
+        # The reopened writer cut the log back to its valid prefix.
+        assert live.stat().st_size == valid
+        assert scan_segment(live).tail_status == "clean"
+        reopened.close()
+
+    def test_clean_log_truncates_nothing(self, tmp_path):
+        expected = three_segment_log(tmp_path)
+        reopened = Database.open(tmp_path)
+        report = reopened.recovery
+        assert (report.base_lsn, report.last_lsn) == (6, 8)
+        assert report.truncated_bytes == 0
+        assert canonical_table(reopened.table) == expected
+        reopened.close()
+
+
+class TestLogRules:
+    @pytest.mark.parametrize("enter, gap_error, torn_error", ENTRY_POINTS)
+    def test_gap_above_the_snapshot(self, tmp_path, enter, gap_error, torn_error):
+        three_segment_log(tmp_path)
+        drop_newest_snapshot(tmp_path)
+        segment(tmp_path, 4).unlink()
+        with pytest.raises(gap_error, match="gap"):
+            enter(tmp_path)
+
+    @pytest.mark.parametrize("enter, gap_error, torn_error", ENTRY_POINTS)
+    def test_torn_rotated_segment_replay_needs(
+        self, tmp_path, enter, gap_error, torn_error
+    ):
+        three_segment_log(tmp_path)
+        drop_newest_snapshot(tmp_path)
+        needed = segment(tmp_path, 4)
+        with open(needed, "r+b") as handle:
+            handle.truncate(needed.stat().st_size - 30)
+        with pytest.raises(torn_error, match="mid-history"):
+            enter(tmp_path)
+
+    @pytest.mark.parametrize("enter, gap_error, torn_error", ENTRY_POINTS)
+    def test_flipped_byte_mid_rotated_segment(
+        self, tmp_path, enter, gap_error, torn_error
+    ):
+        three_segment_log(tmp_path)
+        drop_newest_snapshot(tmp_path)
+        needed = segment(tmp_path, 4)
+        ends = scan_segment(needed).ends
+        middle = (ends[0] + ends[1]) // 2  # inside the lsn-5 record
+        data = bytearray(needed.read_bytes())
+        data[middle] ^= 0xFF
+        needed.write_bytes(bytes(data))
+        with pytest.raises(torn_error, match="mid-history"):
+            enter(tmp_path)
+
+    @pytest.mark.parametrize("enter, gap_error, torn_error", ENTRY_POINTS)
+    def test_rotated_segment_cut_inside_its_magic(
+        self, tmp_path, enter, gap_error, torn_error
+    ):
+        three_segment_log(tmp_path)
+        drop_newest_snapshot(tmp_path)
+        with open(segment(tmp_path, 4), "r+b") as handle:
+            handle.truncate(len(MAGIC) // 2)
+        with pytest.raises(torn_error, match="magic"):
+            enter(tmp_path)
+
+    def test_live_segment_without_its_magic_is_still_being_created(
+        self, tmp_path
+    ):
+        # A kill between creating a rotated-to segment and writing its
+        # magic leaves an empty live segment; the writer starts it afresh.
+        expected = three_segment_log(tmp_path)
+        db = Database.open(tmp_path)
+        db.checkpoint()
+        db.close()
+        live = segment(tmp_path, 9)
+        live.write_bytes(b"")
+        reopened = Database.open(tmp_path)
+        assert reopened.recovery.last_lsn == 8
+        assert canonical_table(reopened.table) == expected
+        insert_batch(reopened, 3_000_001)
+        reopened.close()
+        assert [lsn for lsn, _ in scan_segment(live).records] == [9]
+
+    def test_torn_segment_below_the_snapshot_is_never_read(self, tmp_path):
+        expected = three_segment_log(tmp_path)
+        for first in (1, 4):
+            below = segment(tmp_path, first)
+            with open(below, "r+b") as handle:
+                handle.truncate(below.stat().st_size - 30)
+        reopened = Database.open(tmp_path)
+        assert reopened.recovery.base_lsn == 6
+        assert reopened.recovery.batches_replayed == 2
+        assert reopened.recovery.segments_scanned == 1  # wal-7 only
+        assert canonical_table(reopened.table) == expected
+        reopened.close()
+        replica = Database.follow(tmp_path, start=False, catch_up=False)
+        assert replica.follower.catch_up() == 2
+        assert canonical_table(replica.table) == expected
+        replica.close()
+
+
+#: A history: batches of (op kind, choice index), each optionally
+#: followed by a checkpoint.
+HISTORIES = st.lists(
+    st.tuples(
+        st.lists(
+            st.tuples(st.sampled_from(OP_KINDS), st.integers(0, 99)),
+            min_size=1,
+            max_size=3,
+        ),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def write_history(root, history):
+    """Run ``history`` against a durable database; returns the canonical
+    model after every batch prefix.  No power loss is simulated, so the
+    log needs no fsync to survive the close."""
+    db = make_db(root, fsync="os")
+    initial = np.arange(0, 100, 2)
+    model = dict(zip(initial.tolist(), map(tuple, payload_for(initial).tolist())))
+    prefixes = [canonical_model(model)]
+    next_key = [1_000_001]
+    for spec_batch, checkpoint in history:
+        ops, model = build_batch(spec_batch, model, next_key)
+        db.engine.execute_batch(ops)
+        prefixes.append(canonical_model(model))
+        if checkpoint:
+            db.checkpoint()
+    db.close()
+    return prefixes
+
+
+class TestRecoveryIsTheFollowersCatchUp:
+    @settings(max_examples=20, deadline=None)
+    @given(history=HISTORIES, cut=st.floats(0.0, 1.0))
+    @example(
+        history=[([("insert", 0)], True), ([("update", 0), ("delete", 1)], False)],
+        cut=1.0,
+    )
+    def test_open_and_catch_up_agree(self, history, cut):
+        with tempfile.TemporaryDirectory() as scratch:
+            image = Path(scratch) / "image"
+            prefixes = write_history(image, history)
+            live = sorted((image / "wal").glob("wal-*.log"))[-1]
+            size = live.stat().st_size
+            with open(live, "r+b") as handle:
+                handle.truncate(len(MAGIC) + int(cut * (size - len(MAGIC))))
+
+            # The follower only reads the image; the open truncates it.
+            replica = Database.follow(image, start=False, catch_up=False)
+            follower = replica.follower
+            batches = follower.catch_up()
+            recovered = Database.open(image)
+            report = recovered.recovery
+            assert batches == report.batches_replayed
+            assert follower.applied_lsn == report.last_lsn
+            assert follower.batches_applied == report.batches_replayed
+            assert follower.operations_applied == report.operations_replayed
+            state = canonical_table(recovered.table)
+            assert canonical_table(replica.table) == state
+            assert state in prefixes
+            recovered.close()
+            replica.close()

@@ -19,7 +19,7 @@ from repro.durability.errors import (
 )
 from repro.durability.faults import FaultInjector, InjectedCrash
 from repro.durability.manager import DurabilityConfig
-from repro.durability.recovery import recover, replay
+from repro.durability.recovery import LogTail, recover
 from repro.durability.snapshot import (
     MANIFEST_NAME,
     PAYLOAD_DIR,
@@ -281,15 +281,13 @@ class TestReplaySemantics:
 
         table, report = recover(tmp_path)
         before = fingerprint(table)
-        records = wal_records(tmp_path)
-        assert records
-        # Replaying the already-applied prefix again is a no-op.
-        batches, operations, last = replay(
-            table, records, after_lsn=report.last_lsn
-        )
-        assert batches == 0
-        assert operations == 0
-        assert last == report.last_lsn
+        assert wal_records(tmp_path)
+        # A second catch-up from the recovered watermark is a no-op.
+        tail = LogTail(tmp_path, table, report.last_lsn)
+        assert tail.advance() == 0
+        assert tail.batches_applied == 0
+        assert tail.operations_applied == 0
+        assert tail.applied_lsn == report.last_lsn
         assert fingerprint(table) == before
 
     def test_corrupt_snapshot_falls_back_to_older(self, tmp_path):
