@@ -4,8 +4,8 @@ One :class:`DurabilityManager` owns a log directory::
 
     <root>/
       wal/        wal-<first lsn>.log segments (rotated at checkpoints)
-      snapshots/  snap-<lsn>/ chunk snapshots and payload/ segments
-                  (see snapshot.py)
+      snapshots/  snap-<lsn>/ chunk snapshots, payload/ segments and
+                  the .free/ pool (see snapshot.py)
 
 and exposes the three verbs the engine needs:
 
@@ -28,7 +28,10 @@ and exposes the three verbs the engine needs:
   payload segment, rotate to a fresh WAL segment and garbage-collect
   snapshots beyond ``keep_snapshots``, every payload segment no kept
   manifest names, and every WAL segment fully covered by the oldest kept
-  snapshot.
+  snapshot.  A dropped snapshot directory is not deleted but renamed to
+  the pool ``snapshots/.free/``, whose files the next checkpoint
+  overwrites in place: on a disk where every block free is a discard,
+  the checkpoint then frees no snapshot blocks at all.
 
 Failure handling: when the WAL writer exhausts its bounded I/O retries
 (the log directory became unwritable), the manager trips into *read-only
@@ -55,6 +58,7 @@ from repro.discipline import guarded_class, requires_lock
 from .errors import ReadOnlyError, SnapshotCorruptionError, WalUnavailableError
 from .faults import FaultInjector, InjectedCrash
 from .snapshot import (
+    FREE_DIR,
     PAYLOAD_DIR,
     PayloadSegment,
     SnapshotInfo,
@@ -324,7 +328,9 @@ class DurabilityManager:
     def _collect_garbage(self, newest_lsn: int) -> None:
         """Drop snapshots beyond ``keep_snapshots`` (plus stale partials),
         payload segments no kept manifest names and WAL segments fully
-        covered by the oldest *kept* snapshot.
+        covered by the oldest *kept* snapshot.  The first dropped snapshot
+        directory is kept as the pool (``snapshots/.free/``) when there is
+        none; any others are deleted.
 
         Registered replication cursors lower the deletion floor to their
         lowest pinned LSN, and ``keep_segments`` additionally exempts the
@@ -332,12 +338,19 @@ class DurabilityManager:
         or merely configured for -- never lands on a deleted segment.
         """
         keep = max(1, int(self.config.keep_snapshots))
-        snapshots = list_snapshots(self.snapshot_dir)
-        for stale in snapshots[keep:]:
-            shutil.rmtree(stale, ignore_errors=True)
-        for partial in self.snapshot_dir.glob("snap-*.partial"):
-            if snapshot_lsn(Path(str(partial)[: -len(".partial")])) <= newest_lsn:
-                shutil.rmtree(partial, ignore_errors=True)
+        dropped = list_snapshots(self.snapshot_dir)[keep:] + [
+            partial
+            for partial in self.snapshot_dir.glob("snap-*.partial")
+            if snapshot_lsn(Path(str(partial)[: -len(".partial")])) <= newest_lsn
+        ]
+        # The first dropped directory becomes the pool the next checkpoint
+        # writes over: a rename frees no disk block, an rmtree does.
+        pool = self.snapshot_dir / FREE_DIR
+        for stale in dropped:
+            if pool.exists():
+                shutil.rmtree(stale, ignore_errors=True)
+            else:
+                os.rename(stale, pool)
         kept = list_snapshots(self.snapshot_dir)
         self._collect_payload(kept)
         floor = snapshot_lsn(kept[-1]) if kept else 0

@@ -5,6 +5,8 @@ Layout under the snapshot root (``<log dir>/snapshots/``)::
     payload/seg-<lsn>-<start>-<stop>.npy   payload rows [start, stop)
     snap-<lsn>/chunk-<i>.npz               one chunk's ``values``/``rowids``
     snap-<lsn>/MANIFEST.json               written last
+    .free/                                 the pool: a dropped snapshot
+                                           directory, never read
 
 Payload rows are append-only and never change once written (updates and
 moves carry row ids), so a checkpoint stores them by *row-id range*: it
@@ -15,23 +17,43 @@ ids of a consistent :meth:`~repro.storage.table.Table.snapshot_chunk`
 view.  The manifest (version 2) records the snapshot LSN, the chunk files
 and every segment covering ``[0, next_rowid)``, each with its CRC, plus
 the table's reconstruction metadata (chunk size, payload names, layout
-spec).  Version-1 manifests (payload inside the chunk files) are refused.
+spec).  Each chunk entry also records ``bytes``, the length of its
+content: the CRC covers exactly that prefix of the file.  Version-1
+manifests (payload inside the chunk files) are refused.
+
+Snapshot directories are recycled, because on a disk that discards freed
+blocks a free is what a checkpoint pays for (measured on a 2-core
+virtual machine whose ext4 is mounted with ``discard``: about 60 ms plus
+40 ms per MB for any ``unlink`` or shrinking ``ftruncate``, against
+0.04 ms for a ``rename``).  The manager's GC renames the first snapshot directory it
+drops to ``.free/`` when there is none, and the next checkpoint renames
+``.free/`` to its partial directory instead of creating one.  Files are
+written in place without ``O_TRUNC`` and only ever grow: a chunk file
+may be longer than its ``bytes``, the manifest is padded with spaces
+(JSON whitespace) to the length of the file it overwrites, and recycled
+files the new manifest does not name stay in the directory unread.
 
 Commit protocol:
 
 1. the new segment is streamed to ``payload/`` block by block (never
    staged whole in memory) and fsynced, then the directory;
-2. the chunk files are written into ``snap-<lsn>.partial/`` and fsynced;
+2. ``.free/`` (when present) becomes ``snap-<lsn>.partial/`` (a stale
+   partial of the same LSN is written over as it is); the chunk files
+   are written into the partial directory and fsynced;
 3. the manifest is written and fsynced inside the partial directory;
 4. the directory is renamed to its final name and the parent fsynced.
 
 A crash at any point leaves a complete snapshot or garbage nobody reads:
-an unreferenced segment, a ``.partial`` directory.  The manager's GC
-works *by reference*: it deletes snapshots beyond its retention count,
-then every segment that no kept manifest names, crash orphans included.
+an unreferenced segment, a ``.partial`` directory, the pool.  A partly
+overwritten recycled file fails its CRC exactly like a partly written
+new one, and the rename in step 4 is still the only commit.  The
+manager's GC works *by reference*: it drops snapshots beyond its
+retention count (the first into the pool), then deletes every segment
+that no kept manifest names, crash orphans included.
 
-The loader validates every chunk file and every referenced segment
-against its manifest CRC and gathers the payload by row id.  A segment
+The loader validates every chunk file's ``bytes`` prefix (the whole file
+when the entry has no ``bytes``) and every referenced segment against
+its manifest CRC and gathers the payload by row id.  A segment
 is shared by every later snapshot of the same table, so a corrupt
 segment fails every snapshot naming it: the loader falls back to an
 older snapshot that does not name it, and when none is left recovery
@@ -53,7 +75,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import shutil
 import time
 import zlib
 from dataclasses import asdict, dataclass
@@ -72,6 +93,10 @@ MANIFEST_NAME = "MANIFEST.json"
 
 #: Subdirectory of the snapshot root holding the payload segments.
 PAYLOAD_DIR = "payload"
+
+#: The pool: one dropped snapshot directory kept for the next checkpoint
+#: to write over.  Sorts before ``payload`` and ``snap-``.
+FREE_DIR = ".free"
 
 #: Manifest format version, bumped on layout changes.
 MANIFEST_VERSION = 2
@@ -216,8 +241,10 @@ def write_snapshot(
         )
 
     def _write_file(path: Path, data: bytes) -> None:
+        # In place, without O_TRUNC: a recycled file is overwritten and
+        # never shrunk, because freeing blocks is what costs.
         def attempt() -> None:
-            with open(path, "wb") as handle:
+            with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o644), "wb") as handle:
                 handle.write(data)
                 handle.flush()
                 os.fsync(handle.fileno())
@@ -239,9 +266,10 @@ def write_snapshot(
             faults.hit("snapshot.segment")
 
     partial = Path(str(final) + ".partial")
-    if partial.exists():
-        shutil.rmtree(partial)
-    partial.mkdir(parents=True)
+    pool = root / FREE_DIR
+    if pool.exists() and not partial.exists():
+        os.rename(pool, partial)
+    partial.mkdir(parents=True, exist_ok=True)
     chunk_entries = []
     total_rows = 0
     for chunk_index in range(table.num_chunks):
@@ -257,6 +285,7 @@ def write_snapshot(
             {
                 "file": file_name,
                 "rows": int(view.values.size),
+                "bytes": len(data),
                 "crc": zlib.crc32(data),
             }
         )
@@ -271,10 +300,10 @@ def write_snapshot(
         "segments": [asdict(segment) for segment in segments],
         "meta": meta,
     }
-    _write_file(
-        partial / MANIFEST_NAME,
-        json.dumps(manifest, indent=2, sort_keys=True).encode(),
-    )
+    manifest_path = partial / MANIFEST_NAME
+    recycled = manifest_path.stat().st_size if manifest_path.exists() else 0
+    text = json.dumps(manifest, indent=2, sort_keys=True).encode()
+    _write_file(manifest_path, text.ljust(recycled, b" "))
     if faults is not None:
         faults.hit("snapshot.manifest")
     os.rename(partial, final)
@@ -376,12 +405,16 @@ def load_snapshot(path: str | os.PathLike) -> LoadedSnapshot:
     rowid_pieces: list[np.ndarray] = []
     for entry in manifest["chunks"]:
         chunk_path = path / entry["file"]
+        size = entry.get("bytes", -1)
         try:
-            data = chunk_path.read_bytes()
+            with open(chunk_path, "rb") as handle:
+                data = handle.read(size)
         except OSError as exc:
             raise SnapshotCorruptionError(
                 f"missing chunk file {chunk_path}: {exc}"
             ) from exc
+        if len(data) < size:
+            raise SnapshotCorruptionError(f"short chunk file {chunk_path}")
         if zlib.crc32(data) != entry["crc"]:
             raise SnapshotCorruptionError(f"CRC mismatch in {chunk_path}")
         with np.load(io.BytesIO(data), allow_pickle=False) as arrays:
@@ -432,10 +465,16 @@ def load_latest_snapshot(root: str | os.PathLike) -> LoadedSnapshot | None:
     Falls back across corrupt snapshots newest-to-oldest -- a damaged
     latest snapshot costs a longer WAL replay, not data loss, as long as
     the covering segments were retained (see the manager's GC policy).
+    The directory is listed again after each failure: a snapshot a
+    concurrent checkpoint dropped and recycled fails its CRCs, and the
+    snapshots committed meanwhile are the ones left to load.
     """
-    for candidate in list_snapshots(root):
+    failed: set[Path] = set()
+    while True:
+        candidates = [path for path in list_snapshots(root) if path not in failed]
+        if not candidates:
+            return None
         try:
-            return load_snapshot(candidate)
+            return load_snapshot(candidates[0])
         except SnapshotCorruptionError:
-            continue
-    return None
+            failed.add(candidates[0])

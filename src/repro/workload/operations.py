@@ -418,6 +418,12 @@ class MultiUpdate:
     wire = ("mu", ("pairs",))
 
     def __post_init__(self) -> None:
+        # A replayed update record is an (n, 2) array: check its shape
+        # once instead of one Python call per pair.
+        if isinstance(self.pairs, np.ndarray):
+            if self.pairs.ndim != 2 or self.pairs.shape[1] != 2:
+                raise ValueError("pairs must be an (n, 2) array of key pairs")
+            return
         for pair in self.pairs:
             if len(pair) != 2:
                 raise ValueError("pairs must be (old_key, new_key) tuples")

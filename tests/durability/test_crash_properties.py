@@ -40,6 +40,7 @@ from repro.api.policies import SerialPolicy, VectorizedPolicy
 from repro.durability.faults import CRASH_POINTS, FaultInjector, InjectedCrash
 from repro.durability.manager import DurabilityConfig
 from repro.durability.recovery import LogTail, recover
+from repro.durability.snapshot import FREE_DIR
 from repro.workload.operations import Delete, Insert
 
 #: A workload spec: batches of (op kind, choice index).  The index picks
@@ -298,3 +299,81 @@ class TestSessionCallCrashMatrix:
                 tmp_path / f"hit{hit}", policy, crash_point, power_loss, hit
             )
             assert recovered in allowed, f"crash at hit {hit} of {hits}"
+
+
+def run_recycled_partial_crash(root, crash_point, power_loss):
+    """Crash a checkpoint whose partial directory is the recycled pool.
+
+    Two checkpoints leave the baseline snapshot in ``snapshots/.free/``;
+    the third takes it as its partial directory and crashes at
+    ``crash_point``.  Returns the oracle state, which is every batch's
+    (each was acknowledged before the checkpoint).
+    """
+    faults = FaultInjector(power_loss=power_loss)
+    config = DurabilityConfig(root=root, faults=faults, retry_backoff_s=0.0)
+    initial = np.arange(0, 100, 2, dtype=np.int64)
+    db = Database.from_rows(
+        initial,
+        payload_for(initial),
+        chunk_size=32,
+        payload_names=("a", "b"),
+        durability=config,
+    )
+    model = {
+        int(key): tuple(row)
+        for key, row in zip(
+            initial.tolist(), payload_for(initial).tolist(), strict=True
+        )
+    }
+    next_key = [1_000_001]
+    for index, spec_batch in enumerate(TestCrashMatrix.SPEC[:3]):
+        ops, model = build_batch(spec_batch, model, next_key)
+        db.engine.execute_batch(ops)
+        if index < 2:
+            db.checkpoint()
+    pool = root / "snapshots" / FREE_DIR
+    pooled = {path.name: path.stat().st_ino for path in pool.iterdir()}
+
+    # Crash mid-way through the chunk files, or before the manifest commits.
+    faults.crash_at = crash_point
+    faults.crash_hit = faults.hits[crash_point] + (
+        2 if crash_point == "snapshot.chunk" else 1
+    )
+    with pytest.raises(InjectedCrash):
+        db.checkpoint()
+    (partial,) = (root / "snapshots").glob("snap-*.partial")
+    assert not pool.exists()
+    assert {path.name: path.stat().st_ino for path in partial.iterdir()} == pooled
+    return canonical_model(model), partial
+
+
+class TestRecycledPartialCrashMatrix:
+    """A checkpoint crashing inside a partial directory taken from the
+    pool recovers exactly like one crashing inside a fresh directory: the
+    half-overwritten files are never committed, recovery equals the WAL
+    model, and the next checkpoint succeeds."""
+
+    @pytest.mark.parametrize("power_loss", [False, True], ids=["kill", "power"])
+    @pytest.mark.parametrize("crash_point", ["snapshot.chunk", "snapshot.manifest"])
+    def test_recycled_partial_crash_recovers(self, tmp_path, crash_point, power_loss):
+        expected, partial = run_recycled_partial_crash(
+            tmp_path, crash_point, power_loss
+        )
+        recovered = Database.open(tmp_path)
+        assert canonical_table(recovered.table) == expected
+        recovered.table.check_invariants()
+        # The next checkpoint commits, and its GC drops the stale partial.
+        batch = [("insert", 0), ("delete", 3)]
+        model = {key: (a, b) for key, a, b in expected}
+        ops, model = build_batch(batch, model, [2_000_001])
+        recovered.engine.execute_batch(ops)
+        info = recovered.checkpoint()
+        assert info.written
+        assert not partial.exists()
+        assert not list((tmp_path / "snapshots").glob("snap-*.partial"))
+        recovered.close()
+
+        again = Database.open(tmp_path)
+        assert again.recovery.base_lsn == info.lsn
+        assert canonical_table(again.table) == canonical_model(model)
+        again.close()

@@ -2,6 +2,7 @@
 
 import json
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.durability.faults import FaultInjector, InjectedCrash
 from repro.durability.manager import DurabilityConfig
 from repro.durability.recovery import LogTail, recover
 from repro.durability.snapshot import (
+    FREE_DIR,
     MANIFEST_NAME,
     PAYLOAD_DIR,
     list_snapshots,
@@ -33,6 +35,7 @@ from repro.durability.wal import (
     scan_segment,
     segment_first_lsn,
 )
+from repro.replication.follower import Follower
 from repro.storage.layouts import LayoutKind, LayoutSpec
 from repro.workload.operations import (
     Delete,
@@ -827,3 +830,218 @@ class TestPayloadSegments:
         again = Database.open(tmp_path)
         assert fingerprint(again.table) == expected
         again.close()
+
+
+def chunk_inodes(directory):
+    """``chunk file name -> inode`` of a snapshot (or pool) directory."""
+    return {path.name: path.stat().st_ino for path in directory.glob("chunk-*.npz")}
+
+
+class TestRecycledSnapshotDirectory:
+    """Checkpoint GC keeps the first snapshot directory it drops as the
+    pool ``snapshots/.free/``; the next checkpoint writes over its files in
+    place, and each chunk entry's ``bytes`` says how much of a file is the
+    snapshot's."""
+
+    @staticmethod
+    def pooled_db(root, **kwargs):
+        """A database whose snapshots are the baseline plus two checkpoints:
+        the second dropped the baseline into the pool."""
+        db = make_db(root, **kwargs)
+        insert_round(db, [1, 3, 5])
+        db.checkpoint()
+        insert_round(db, [7, 9])
+        db.checkpoint()
+        assert (root / "snapshots" / FREE_DIR).is_dir()
+        return db
+
+    def test_third_checkpoint_reuses_the_dropped_directory(self, tmp_path):
+        db = self.pooled_db(tmp_path)
+        pool = tmp_path / "snapshots" / FREE_DIR
+        pooled = chunk_inodes(pool)
+        assert pooled
+        kept = list_snapshots(tmp_path / "snapshots")
+        insert_round(db, [11, 13])
+        info = db.checkpoint()
+        # The new snapshot's chunk files are the pooled files, overwritten.
+        assert chunk_inodes(info.path) == pooled
+        # The oldest kept snapshot took the pool's place.
+        assert list_snapshots(tmp_path / "snapshots") == [info.path, kept[0]]
+        assert not kept[1].exists()
+        assert pool.is_dir() and chunk_inodes(pool)
+        expected = fingerprint(db.table)
+        db.close()
+        reopened = Database.open(tmp_path)
+        assert reopened.recovery.base_lsn == info.lsn
+        assert fingerprint(reopened.table) == expected
+        reopened.close()
+
+    def test_recycled_file_larger_than_its_content_loads_through_bytes(
+        self, tmp_path
+    ):
+        db = self.pooled_db(tmp_path)
+        pool = tmp_path / "snapshots" / FREE_DIR
+        # Grow every pooled chunk file: the tail past the new content must
+        # never be read.
+        for path in pool.glob("chunk-*.npz"):
+            with open(path, "ab") as handle:
+                handle.write(b"\xa5" * 4096)
+        insert_round(db, [11])
+        info = db.checkpoint()
+        for entry in read_manifest(info.path)["chunks"]:
+            assert (info.path / entry["file"]).stat().st_size > entry["bytes"]
+        loaded = load_snapshot(info.path)
+        assert loaded.keys.size == db.table.num_rows
+        expected = fingerprint(db.table)
+        db.close()
+        reopened = Database.open(tmp_path)
+        assert reopened.recovery.base_lsn == info.lsn
+        assert fingerprint(reopened.table) == expected
+        reopened.close()
+
+    def test_padded_manifest_parses(self, tmp_path):
+        db = self.pooled_db(tmp_path)
+        pooled = tmp_path / "snapshots" / FREE_DIR / MANIFEST_NAME
+        pooled.write_bytes(b"\x00garbage" * 8192)
+        insert_round(db, [11])
+        info = db.checkpoint()
+        raw = (info.path / MANIFEST_NAME).read_bytes()
+        # Never shrunk: the garbage is overwritten by JSON whitespace.
+        assert len(raw) == 8 * 8192
+        assert raw.endswith(b" ") and b"garbage" not in raw
+        manifest = read_manifest(info.path)
+        assert manifest["lsn"] == info.lsn
+        db.close()
+        reopened = Database.open(tmp_path)
+        assert reopened.recovery.base_lsn == info.lsn
+        reopened.close()
+
+    def test_chunk_file_shorter_than_bytes_falls_back(self, tmp_path):
+        db = make_db(tmp_path)
+        insert_round(db, [501])
+        info = db.checkpoint()
+        insert_round(db, [503])
+        before = fingerprint(db.table)
+        db.close()
+
+        entry = read_manifest(info.path)["chunks"][0]
+        chunk = info.path / entry["file"]
+        chunk.write_bytes(chunk.read_bytes()[: entry["bytes"] - 1])
+        with pytest.raises(SnapshotCorruptionError, match="short chunk file"):
+            load_snapshot(info.path)
+        reopened = Database.open(tmp_path)
+        assert reopened.recovery.base_lsn == 0
+        assert reopened.recovery.batches_replayed == 2
+        assert fingerprint(reopened.table) == before
+        reopened.close()
+
+    def test_manifest_without_bytes_still_opens(self, tmp_path):
+        db = make_db(tmp_path)
+        insert_round(db, [501])
+        info = db.checkpoint()
+        expected = fingerprint(db.table)
+        db.close()
+        # A directory written before chunk entries carried ``bytes``: its
+        # files are read whole.
+        manifest_path = info.path / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        for entry in manifest["chunks"]:
+            del entry["bytes"]
+        manifest_path.write_text(json.dumps(manifest))
+        assert load_snapshot(info.path).keys.size == 201
+        reopened = Database.open(tmp_path)
+        assert reopened.recovery.base_lsn == info.lsn
+        assert fingerprint(reopened.table) == expected
+        reopened.close()
+
+    def test_pool_is_never_read(self, tmp_path, monkeypatch):
+        db = self.pooled_db(tmp_path)
+        db.close()
+        pool = tmp_path / "snapshots" / FREE_DIR
+        # The pool holds the intact baseline snapshot; nothing may load it.
+        assert read_manifest(pool)["lsn"] == 0
+        opened = []
+        real_open = open
+        real_read_manifest = snapshot_module.read_manifest
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        def recording_read_manifest(path):
+            opened.append(str(path))
+            return real_read_manifest(path)
+
+        monkeypatch.setattr(snapshot_module, "open", recording_open, raising=False)
+        monkeypatch.setattr(snapshot_module, "read_manifest", recording_read_manifest)
+        for snapshot in list_snapshots(tmp_path / "snapshots"):
+            flip_last_byte(sorted(snapshot.glob("chunk-*.npz"))[0])
+        with pytest.raises(RecoveryError):
+            Database.open(tmp_path)
+        with pytest.raises(RecoveryError):
+            LogTail.bootstrap(tmp_path)
+        assert opened
+        assert not [name for name in opened if FREE_DIR in name]
+
+    def test_gc_dropping_two_snapshots_keeps_one_pool(self, tmp_path):
+        db = make_db(
+            tmp_path, durability=DurabilityConfig(root=tmp_path, keep_snapshots=3)
+        )
+        insert_round(db, [1])
+        db.checkpoint()
+        insert_round(db, [3])
+        db.checkpoint()
+        db.close()
+        assert len(list_snapshots(tmp_path / "snapshots")) == 3
+
+        reopened = Database.open(DurabilityConfig(root=tmp_path, keep_snapshots=1))
+        insert_round(reopened, [5])
+        info = reopened.checkpoint()
+        entries = sorted(path.name for path in (tmp_path / "snapshots").iterdir())
+        assert entries == sorted([FREE_DIR, PAYLOAD_DIR, info.path.name])
+        expected = fingerprint(reopened.table)
+        reopened.close()
+        again = Database.open(tmp_path)
+        assert fingerprint(again.table) == expected
+        again.close()
+
+    def test_follower_falls_back_when_its_snapshot_is_recycled(
+        self, tmp_path, monkeypatch
+    ):
+        db = make_db(tmp_path)
+        insert_round(db, [1, 3])
+        target = db.checkpoint().path
+        real_open = open
+        real_load = snapshot_module.load_snapshot
+        failures = []
+
+        def recycle_on_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            if mode == "rb" and Path(file).parent == target and target.exists():
+                # The follower holds the chunk file open while the primary
+                # checkpoints three times: the third writes its own chunk
+                # files over this one in place.
+                for keys in ([5], [7], [9]):
+                    insert_round(db, keys)
+                    db.checkpoint()
+            return handle
+
+        def recording_load(path):
+            try:
+                return real_load(path)
+            except SnapshotCorruptionError as exc:
+                failures.append((Path(path), str(exc)))
+                raise
+
+        monkeypatch.setattr(snapshot_module, "open", recycle_on_open, raising=False)
+        monkeypatch.setattr(snapshot_module, "load_snapshot", recording_load)
+        follower = Follower(tmp_path)
+        # The recycled file failed its CRC; the follower loaded the newest
+        # snapshot committed meanwhile instead.
+        assert not target.exists()
+        assert failures[0][0] == target
+        assert "CRC mismatch" in failures[0][1]
+        assert follower.snapshot_lsn == db.durability.last_checkpoint_lsn
+        follower.catch_up()
+        assert fingerprint(follower.table) == fingerprint(db.table)
+        db.close()

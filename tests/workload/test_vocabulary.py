@@ -310,6 +310,35 @@ def test_take_restricts_every_row_aligned_field():
     )
 
 
+class TestMultiUpdatePairs:
+    """``pairs`` is a tuple of pairs (checked pair by pair) or an ``(n, 2)``
+    array, as a replayed update record carries (checked by shape)."""
+
+    PAIRS = ((40, 41), (43, 45), (41, 47), (398, 1))
+
+    def test_array_and_tuple_pairs_run_alike(self):
+        by_tuple = fresh_database().table
+        by_array = fresh_database().table
+        expected = MultiUpdate(self.PAIRS).run(by_tuple)
+        result = MultiUpdate(np.array(self.PAIRS, dtype=np.int64)).run(by_array)
+        assert result.tolist() == expected.tolist()
+        assert np.array_equal(by_array.scan(), by_tuple.scan())
+        assert MultiUpdate(np.empty((0, 2), dtype=np.int64)).run(by_array).size == 0
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [np.arange(4), np.zeros((2, 3)), np.zeros((2, 2, 1)), np.zeros((2, 1))],
+        ids=lambda pairs: str(pairs.shape),
+    )
+    def test_array_of_a_bad_shape_raises(self, pairs):
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            MultiUpdate(pairs)
+
+    def test_tuple_pair_of_a_bad_length_raises(self):
+        with pytest.raises(ValueError, match="tuples"):
+            MultiUpdate(((1, 2), (3, 4, 5)))
+
+
 def test_mixed_payload_insert_run_pads_with_zero_rows():
     run = [Insert(key=1, payload=(4, 5)), Insert(key=2)]
     assert Insert.batched(run) == MultiInsert(
