@@ -1,6 +1,6 @@
 """Figure 12 benchmark: normalized throughput across six workloads and layouts.
 
-Also includes four fast-path smoke checks, the first three on a 1M-row,
+Also includes five fast-path smoke checks, the first three on a 1M-row,
 16-chunk table:
 
 * batched point queries must beat per-operation dispatch by >= 3x wall-clock
@@ -10,13 +10,17 @@ Also includes four fast-path smoke checks, the first three on a 1M-row,
 * a write-heavy Fig. 12-style workload (50% insert/delete, recent-skewed,
   ``batch_size=256``) must beat per-operation dispatch by >= 3x wall-clock on
   the bulk-write fast path, with the result trajectory emitted to
-  ``BENCH_fig12_writes.json``, and
+  ``BENCH_fig12_writes.json``,
 * the ``bulk_insert`` kernel alone, on one Equi-GV chunk whose ghost slack is
   used up so every batch ripples through most of its 64 partitions, must take
   <= 0.3x the time of the same keys inserted one by one (key
-  ``bulk_insert_rippled`` of the same file).
+  ``bulk_insert_rippled`` of the same file), and
+* the ``bulk_delete`` kernel alone, on one 64-partition Equi-GV chunk with
+  every call deleting 1/8 of every partition, must take <= 0.8x the time of
+  the same keys deleted one by one in ascending order (key
+  ``bulk_delete_grouped``).
 
-CI runs all four at full scale (the table builds in well under a second); set
+CI runs all five at full scale (the table builds in well under a second); set
 ``REPRO_BENCH_ROWS`` to scale the table down on constrained machines.
 """
 
@@ -282,7 +286,7 @@ def test_fig12_bulk_insert_rippled_kernel(benchmark):
         kind=LayoutKind.EQUI_GV, partitions=64, ghost_fraction=0.01, block_values=1_024
     )
     base = np.arange(size, dtype=np.int64) * 64
-    bulk, sequential = (build_column(spec, base, track_rowids=True) for _ in range(2))
+    bulk, sequential = (build_column(spec, base) for _ in range(2))
     slack = int(bulk.ghost_counts().sum())
     rng = np.random.default_rng(11)
     fresh = rng.choice(size * 64, 2 * (slack + calls * keys_per_call), replace=False)
@@ -333,3 +337,65 @@ def test_fig12_bulk_insert_rippled_kernel(benchmark):
         }
     )
     assert ratio <= 0.3
+
+
+def test_fig12_bulk_delete_grouped_kernel(benchmark):
+    """The ``bulk_delete`` kernel where its groups are large: one
+    65,536-value Equi-GV chunk of 64 partitions, each call deleting 1/8 of
+    every partition's loaded values, so each partition replays a
+    128-victim cascade.  Median wall time per call <= 0.8x the same keys
+    through ascending per-value ``delete``."""
+    benchmark.pedantic(lambda: None, iterations=1, rounds=1)
+    partitions, per_partition, calls = 64, 1_024, 6
+    per_call = per_partition // 8
+    spec = LayoutSpec(
+        kind=LayoutKind.EQUI_GV,
+        partitions=partitions,
+        ghost_fraction=0.01,
+        block_values=1_024,
+    )
+    base = np.arange(partitions * per_partition, dtype=np.int64) * 64
+    bulk, sequential = (build_column(spec, base) for _ in range(2))
+    rng = np.random.default_rng(11)
+    victims = rng.permuted(base.reshape(partitions, per_partition), axis=1)
+
+    bulk_ms, sequential_ms = [], []
+    for call in range(calls):
+        batch = victims[:, call * per_call : (call + 1) * per_call].ravel()
+        start = time.perf_counter()
+        bulk.bulk_delete(batch)
+        bulk_ms.append((time.perf_counter() - start) * 1e3)
+        ascending = np.sort(batch).tolist()
+        start = time.perf_counter()
+        for key in ascending:
+            sequential.delete(key)
+        sequential_ms.append((time.perf_counter() - start) * 1e3)
+
+    assert np.array_equal(bulk.partition_counts(), sequential.partition_counts())
+    assert np.array_equal(bulk.values(), sequential.values())
+    assert np.array_equal(bulk.rowids(), sequential.rowids())
+    assert bulk.counter.snapshot() == sequential.counter.snapshot()
+    bulk.check_invariants()
+    bulk_median = statistics.median(bulk_ms)
+    sequential_median = statistics.median(sequential_ms)
+    ratio = bulk_median / sequential_median
+    print(
+        f"\ngrouped bulk_delete: {calls} calls x {per_call} keys per partition "
+        f"on a {base.size}-value equi_gv chunk / {partitions} partitions -> bulk "
+        f"{bulk_median:.1f}ms, sequential {sequential_median:.1f}ms per call "
+        f"({ratio:.2f}x)"
+    )
+    emit_writes_json(
+        {
+            "bulk_delete_grouped": {
+                "chunk_values": int(base.size),
+                "partitions": partitions,
+                "calls": calls,
+                "keys_per_call": partitions * per_call,
+                "bulk_median_ms": bulk_median,
+                "sequential_median_ms": sequential_median,
+                "ratio": ratio,
+            }
+        }
+    )
+    assert ratio <= 0.8

@@ -50,10 +50,6 @@ class LayoutSolution:
         offsets[-1] = self.chunk_size
         return np.unique(offsets)
 
-    def partition_widths_blocks(self) -> np.ndarray:
-        """Width of every partition in blocks."""
-        return self.result.partition_widths()
-
 
 def optimize_layout(
     frequency_model: FrequencyModel,

@@ -248,7 +248,6 @@ class CasperPlanner:
             block_values=self.block_values,
             ghost_allocation=ghosts,
             dense=ghosts is None,
-            track_rowids=True,
             rowids=rowids,
             counter=counter,
         )

@@ -31,7 +31,10 @@ and exposes the three verbs the engine needs:
   snapshot.  A dropped snapshot directory is not deleted but renamed to
   the pool ``snapshots/.free/``, whose files the next checkpoint
   overwrites in place: on a disk where every block free is a discard,
-  the checkpoint then frees no snapshot blocks at all.
+  the checkpoint then frees no snapshot blocks at all.  The garbage is
+  chosen under the commit lock but deleted after it is released, so
+  durable writers never wait for a block free; only the checkpoint's
+  caller does.
 
 Failure handling: when the WAL writer exhausts its bounded I/O retries
 (the log directory became unwritable), the manager trips into *read-only
@@ -283,11 +286,13 @@ class DurabilityManager:
     def checkpoint(self, table: "Table") -> SnapshotInfo:
         """Snapshot ``table``, rotate the WAL and collect garbage.
 
-        Runs under the commit lock, so the snapshot captures exactly the
-        state described by WAL records ``<= lsn`` -- durable writers are
-        excluded for the duration (reads are not).  The tail of the old
-        segment is fsynced before the snapshot commits, then appends
-        continue into a fresh ``wal-<lsn + 1>.log`` segment.
+        The snapshot, the rotation and the choice of garbage run under the
+        commit lock, so the snapshot captures exactly the state described
+        by WAL records ``<= lsn`` -- durable writers are excluded for that
+        part (reads are not).  The tail of the old segment is fsynced
+        before the snapshot commits, then appends continue into a fresh
+        ``wal-<lsn + 1>.log`` segment.  The chosen garbage is deleted after
+        the lock is released, before this call returns.
         """
         with self._commit_lock:
             self.require_writable()
@@ -322,15 +327,26 @@ class DurabilityManager:
                 self._segments = info.segments
                 self._segments_table = weakref.ref(table)
             self._last_checkpoint = info.lsn
-            self._collect_garbage(info.lsn)
-            return info
+            garbage = self._collect_garbage(info.lsn)
+        # A checkpoint that starts meanwhile may choose some of this garbage
+        # again; both deletions tolerate a vanished path.  It never renames
+        # any of it to the pool: the pool is missing only once it wrote a
+        # snapshot of its own, and then it drops a newer directory first.
+        for path in garbage:
+            if path.is_dir():
+                shutil.rmtree(path, ignore_errors=True)
+            else:
+                path.unlink(missing_ok=True)
+        return info
 
-    def _collect_garbage(self, newest_lsn: int) -> None:
-        """Drop snapshots beyond ``keep_snapshots`` (plus stale partials),
-        payload segments no kept manifest names and WAL segments fully
-        covered by the oldest *kept* snapshot.  The first dropped snapshot
-        directory is kept as the pool (``snapshots/.free/``) when there is
-        none; any others are deleted.
+    @requires_lock("wal_commit")
+    def _collect_garbage(self, newest_lsn: int) -> list[Path]:
+        """Choose the garbage: snapshots beyond ``keep_snapshots`` (plus
+        stale partials), payload segments no kept manifest names and WAL
+        segments fully covered by the oldest *kept* snapshot.  The first
+        dropped snapshot directory becomes the pool
+        (``snapshots/.free/``) when there is none; every other path is
+        returned for :meth:`checkpoint` to delete outside the lock.
 
         Registered replication cursors lower the deletion floor to their
         lowest pinned LSN, and ``keep_segments`` additionally exempts the
@@ -338,21 +354,23 @@ class DurabilityManager:
         or merely configured for -- never lands on a deleted segment.
         """
         keep = max(1, int(self.config.keep_snapshots))
-        dropped = list_snapshots(self.snapshot_dir)[keep:] + [
+        snapshots = list_snapshots(self.snapshot_dir)
+        kept = snapshots[:keep]
+        dropped = snapshots[keep:] + [
             partial
             for partial in self.snapshot_dir.glob("snap-*.partial")
             if snapshot_lsn(Path(str(partial)[: -len(".partial")])) <= newest_lsn
         ]
+        garbage = []
         # The first dropped directory becomes the pool the next checkpoint
         # writes over: a rename frees no disk block, an rmtree does.
         pool = self.snapshot_dir / FREE_DIR
         for stale in dropped:
             if pool.exists():
-                shutil.rmtree(stale, ignore_errors=True)
+                garbage.append(stale)
             else:
                 os.rename(stale, pool)
-        kept = list_snapshots(self.snapshot_dir)
-        self._collect_payload(kept)
+        garbage.extend(self._collect_payload(kept))
         floor = snapshot_lsn(kept[-1]) if kept else 0
         pin_floor = self.retention_floor()
         if pin_floor is not None:
@@ -365,10 +383,11 @@ class DurabilityManager:
         stop = len(segments) - 1 - max(0, int(self.config.keep_segments))
         for index in range(max(0, stop)):
             if segment_first_lsn(segments[index + 1]) <= floor + 1:
-                segments[index].unlink(missing_ok=True)
+                garbage.append(segments[index])
+        return garbage
 
-    def _collect_payload(self, kept: list[Path]) -> None:
-        """Delete every payload segment no kept manifest names (segments of
+    def _collect_payload(self, kept: list[Path]) -> list[Path]:
+        """Every payload segment no kept manifest names (segments of
         dropped snapshots, of earlier incarnations and crash orphans).  A
         kept manifest that cannot be read might name any segment, so it
         skips this pass; retention drops its snapshot in time."""
@@ -377,13 +396,16 @@ class DurabilityManager:
             try:
                 manifest = read_manifest(snapshot)
             except SnapshotCorruptionError:
-                return
+                return []
             named.update(entry["file"] for entry in manifest["segments"])
         payload_dir = self.snapshot_dir / PAYLOAD_DIR
-        if payload_dir.is_dir():
-            for segment in payload_dir.iterdir():
-                if segment.name not in named:
-                    segment.unlink(missing_ok=True)
+        if not payload_dir.is_dir():
+            return []
+        return [
+            segment
+            for segment in payload_dir.iterdir()
+            if segment.name not in named
+        ]
 
     # -- lifecycle ------------------------------------------------------ #
 

@@ -36,7 +36,6 @@ are the full-partition scan's either way.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,8 +181,9 @@ class PartitionedColumn:
         If ``True`` the column keeps partitions dense: holes created by
         deletes are rippled to the end of the column instead of remaining in
         the partition as ghost slots.
-    track_rowids:
-        If ``True`` a parallel row-id array mirrors all data movement so a
+    rowids:
+        Row ids aligned with ``sorted_values``; ``None`` means load order
+        ``0..n-1``.  A parallel row-id array mirrors all data movement so a
         table can keep payload columns positionally addressable.
     counter:
         Access counter to charge; a private one is created when omitted.
@@ -199,7 +199,6 @@ class PartitionedColumn:
         block_values: int = DEFAULT_BLOCK_VALUES,
         ghost_allocation: np.ndarray | list[int] | None = None,
         dense: bool | None = None,
-        track_rowids: bool = False,
         rowids: np.ndarray | None = None,
         counter: AccessCounter | None = None,
     ) -> None:
@@ -243,17 +242,13 @@ class PartitionedColumn:
         physical_size = int(capacities.sum())
 
         self._data = np.zeros(physical_size, dtype=np.int64)
-        self._track_rowids = bool(track_rowids)
-        if self._track_rowids:
-            if rowids is None:
-                rowids = np.arange(values.size, dtype=np.int64)
-            else:
-                rowids = np.asarray(rowids, dtype=np.int64)
-                if rowids.shape[0] != values.size:
-                    raise LayoutError("rowids must align with sorted_values")
-            self._rowids = np.full(physical_size, -1, dtype=np.int64)
+        if rowids is None:
+            rowids = np.arange(values.size, dtype=np.int64)
         else:
-            self._rowids = None
+            rowids = np.asarray(rowids, dtype=np.int64)
+            if rowids.shape[0] != values.size:
+                raise LayoutError("rowids must align with sorted_values")
+        self._rowids = np.full(physical_size, -1, dtype=np.int64)
 
         self._starts = np.zeros(k, dtype=np.int64)
         self._counts = counts.astype(np.int64)
@@ -262,8 +257,7 @@ class PartitionedColumn:
             self._starts[i] = offset
             lo, hi = int(starts_data[i]), int(boundaries[i])
             self._data[offset : offset + counts[i]] = values[lo:hi]
-            if self._track_rowids:
-                self._rowids[offset : offset + counts[i]] = rowids[lo:hi]
+            self._rowids[offset : offset + counts[i]] = rowids[lo:hi]
             offset += int(capacities[i])
 
         #: Per partition: the live segment is still in load order (sorted),
@@ -319,10 +313,6 @@ class PartitionedColumn:
         """Live value count per partition."""
         return self._counts.copy()
 
-    def partition_capacities(self) -> np.ndarray:
-        """Physical capacity (live + ghost) per partition."""
-        return self._capacities()
-
     def ghost_counts(self) -> np.ndarray:
         """Ghost (empty) slots per partition."""
         return self._capacities() - self._counts
@@ -352,8 +342,6 @@ class PartitionedColumn:
 
     def rowids(self) -> np.ndarray:
         """Materialize live row ids (aligned with :meth:`values`)."""
-        if not self._track_rowids:
-            raise LayoutError("row-id tracking is disabled for this column")
         pieces = [
             self._rowids[s : s + c]
             for s, c in zip(self._starts, self._counts, strict=True)
@@ -413,8 +401,6 @@ class PartitionedColumn:
         local = np.nonzero(segment == value)[0]
         positions = local + start
         if return_rowids:
-            if not self._track_rowids:
-                raise LayoutError("row-id tracking is disabled for this column")
             return self._rowids[positions]
         return positions
 
@@ -442,8 +428,6 @@ class PartitionedColumn:
         empty = np.empty(0, dtype=np.int64)
         if m == 0:
             return empty, empty
-        if return_rowids and not self._track_rowids:
-            raise LayoutError("row-id tracking is disabled for this column")
         self.counter.index_probe(m)
         partitions = np.minimum(
             np.searchsorted(self._index.fences, values, side="left"),
@@ -613,12 +597,7 @@ class PartitionedColumn:
             )
             pieces.append(self._boundary_positions(last, low, high))
         positions = np.concatenate(pieces)
-        if return_rowids:
-            if not self._track_rowids:
-                raise LayoutError("row-id tracking is disabled for this column")
-            values = self._rowids[positions]
-        else:
-            values = self._data[positions]
+        values = (self._rowids if return_rowids else self._data)[positions]
         return RangeResult(
             count=int(positions.size), positions=positions, values=values
         )
@@ -630,8 +609,6 @@ class PartitionedColumn:
         Charged like :meth:`range_query`; the middle partitions' row ids
         are sliced directly.
         """
-        if not self._track_rowids:
-            raise LayoutError("row-id tracking is disabled for this column")
         low, high = int(low), int(high)
         first, last, counts = self._locate_range(low, high)
         rowids = self._rowids
@@ -685,8 +662,7 @@ class PartitionedColumn:
         start = int(self._starts[target])
         position = start + int(self._counts[target])
         self._data[position] = value
-        if self._track_rowids:
-            self._rowids[position] = rowid
+        self._rowids[position] = rowid
         self._counts[target] += 1
         self._clear_load_order(target)
         self.counter.random_read(1)
@@ -720,10 +696,9 @@ class PartitionedColumn:
         them) removes the oldest surviving copy of a duplicated value,
         so which physical copy dies is a deterministic function of the
         operation history -- serial and sharded executions agree exactly,
-        payloads included.  Columns without row-id tracking fall back to
-        physical scan order (their copies are indistinguishable).
+        payloads included.
         """
-        if not self._track_rowids or positions.shape[0] < 2:
+        if positions.shape[0] < 2:
             return positions
         return positions[np.argsort(self._rowids[positions], kind="stable")]
 
@@ -735,15 +710,15 @@ class PartitionedColumn:
         return 1
 
     @requires_latch("exclusive")
-    def remove_one(self, value: int) -> int | None:
+    def remove_one(self, value: int) -> int:
         """Delete the oldest copy of ``value`` (:meth:`_oldest_first`) and
-        return its row id (``None`` when row ids are untracked), so callers
-        moving a row between chunks keep global row ids consistent.  Raises
+        return its row id, so callers moving a row between chunks keep
+        global row ids consistent.  Raises
         :class:`ValueNotFoundError` when the value is absent."""
         value = int(value)
         partition, positions = self._charged_point_scan(value)
         position = int(self._oldest_first(positions)[0])
-        rowid = int(self._rowids[position]) if self._track_rowids else None
+        rowid = int(self._rowids[position])
         self._remove_at(partition, position)
         if self.dense:
             self._ripple_hole_forward(partition, self.num_partitions - 1)
@@ -764,7 +739,7 @@ class PartitionedColumn:
         new_value = int(new_value)
         source, positions = self._charged_point_scan(old_value)
         victim = int(self._oldest_first(positions)[0])
-        rowid = int(self._rowids[victim]) if self._track_rowids else None
+        rowid = int(self._rowids[victim])
         self._remove_at(source, victim)
         # Moving the hole to the end of the source partition: one extra
         # read/write pair on top of the delete's write (Eq. 12/14).
@@ -782,8 +757,7 @@ class PartitionedColumn:
         start = int(self._starts[target])
         position = start + int(self._counts[target])
         self._data[position] = new_value
-        if self._track_rowids:
-            self._rowids[position] = rowid if rowid is not None else self._next_rowid
+        self._rowids[position] = rowid
         self._counts[target] += 1
         self._clear_load_order(target)
         self.counter.random_read(1)
@@ -908,8 +882,7 @@ class PartitionedColumn:
             src = first + local
             dst = first + by + (local - by) % count[owner]
             self._data[dst] = self._data[src]
-            if self._track_rowids:
-                self._rowids[dst] = self._rowids[src]
+            self._rowids[dst] = self._rowids[src]
             self._starts += through
 
         # Tail placements: one scatter for the batch, grouped by the
@@ -927,8 +900,7 @@ class PartitionedColumn:
         self.counter.random_write(blocks)
         dst = np.repeat(tails - group_starts, group_counts) + np.arange(m)
         self._data[dst] = sorted_values
-        if self._track_rowids:
-            self._rowids[dst] = sorted_rowids
+        self._rowids[dst] = sorted_rowids
         self._counts[unique_targets] = previous + group_counts
         lows = sorted_values[group_starts]
         highs = sorted_values[group_ends - 1]
@@ -957,16 +929,16 @@ class PartitionedColumn:
         Equivalent to calling ``delete(value)`` once per value in
         ascending (stable) value order, except that absent values are
         reported as ``0`` in the returned per-value count array instead of
-        raising.  Each touched partition is scanned once for all of its
-        victims, the sequential swap-with-last cascade is replayed in
-        place, and in dense mode all holes ripple to the end of the
-        column in one forward rotation sweep (the batched Fig. 4b).  The
-        live layout -- every partition's start, count, live values and row
-        ids, plus fences and min/max metadata -- is identical to the
-        sequential path's; only dead slots (ghost slack and rippled-out
-        holes, which no read ever touches) may retain different stale
-        bytes, because the coalesced sweep does not rewrite slots it
-        immediately abandons.  Charged accesses are at most the
+        raising.  The batch is routed with one ``searchsorted``, each
+        touched partition replays the sequential swap-with-last cascade in
+        place (:meth:`_bulk_delete_partition`), and in dense mode all holes
+        ripple to the end of the column in one forward rotation sweep (the
+        batched Fig. 4b).  The live layout -- every partition's start,
+        count, live values and row ids, plus fences and min/max metadata
+        -- is identical to the sequential path's; only dead slots (ghost
+        slack and rippled-out holes, which no read ever touches) may retain
+        different stale bytes, because the coalesced sweep does not rewrite
+        slots it immediately abandons.  Charged accesses are at most the
         ascending-order sequential path's and exactly equal when at most
         one hole passes through any partition.  (Relative to some *other*
         submission order the totals can differ slightly: a missed delete's
@@ -1041,26 +1013,16 @@ class PartitionedColumn:
                 # ``holes`` leaves all but the last ``holes`` elements at
                 # their absolute positions: only the rotated suffix moves (to
                 # the new front).
-                self._data[start - holes : start] = self._data[
-                    start + count - holes : start + count
-                ]
-                if self._track_rowids:
-                    self._rowids[start - holes : start] = self._rowids[
+                for array in (self._data, self._rowids):
+                    array[start - holes : start] = array[
                         start + count - holes : start + count
                     ]
             else:
                 rotation = holes % count
-                segment = self._data[start : start + count]
-                if rotation:
-                    segment = np.concatenate(
-                        (segment[-rotation:], segment[:-rotation])
+                for array in (self._data, self._rowids):
+                    array[start - holes : start - holes + count] = np.roll(
+                        array[start : start + count], rotation
                     )
-                self._data[start - holes : start - holes + count] = segment
-                if self._track_rowids:
-                    ids = self._rowids[start : start + count]
-                    if rotation:
-                        ids = np.concatenate((ids[-rotation:], ids[:-rotation]))
-                    self._rowids[start - holes : start - holes + count] = ids
         self._starts[partition] = start - holes
         self._clear_load_order(partition)
 
@@ -1074,33 +1036,17 @@ class PartitionedColumn:
     ) -> int:
         """Delete ``sorted_values[lo : lo + cnt]`` from one partition.
 
-        One scan finds every victim candidate; the sequential swap-with-last
-        cascade is then replayed in place on the live segment (lazy
-        oldest-copy heaps track values re-exposed by swaps), charging
-        each delete the same partition scan and swap write it would pay on
-        the per-value path.  The per-value victim is the oldest surviving
-        copy (smallest row id -- the rule :meth:`_oldest_first` pins for
-        the sequential path; physical scan order when row ids are
-        untracked).  Returns the number of removed entries.
+        The sequential swap-with-last cascade is replayed in place on the
+        live segment: each value scans the segment as it stands at its
+        turn and removes its oldest surviving copy (smallest row id -- the
+        rule :meth:`_oldest_first` pins for the per-value path), charging
+        the same partition scan and swap write the per-value path pays.
+        Returns the number of removed entries.
         """
         start = int(self._starts[partition])
         count = int(self._counts[partition])
         segment = self._data[start : start + count]
-        ids = self._rowids[start : start + count] if self._track_rowids else None
-
-        def sort_key(position: int) -> int:
-            return int(ids[position]) if ids is not None else position
-
-        small_group = cnt * 16 < count
-        positions_by_value: dict[int, list[tuple[int, int]]] = {}
-        if count and not small_group:
-            wanted = sorted_values[lo : lo + cnt]
-            for position in np.nonzero(np.isin(segment, wanted))[0].tolist():
-                positions_by_value.setdefault(int(segment[position]), []).append(
-                    (sort_key(position), position)
-                )
-            for heap in positions_by_value.values():
-                heapq.heapify(heap)
+        ids = self._rowids[start : start + count]
         live = count
         removed = 0
         last_victim = 0
@@ -1116,53 +1062,18 @@ class PartitionedColumn:
             if blocks > 0:
                 random_reads += 1
                 seq_reads += blocks - 1
-            if small_group:
-                # Few victims in a large partition: a per-value scan of the
-                # (in-place mutated) live segment replays the sequential
-                # oldest-copy choice without the candidate index.
-                local = np.nonzero(segment[:live] == value)[0]
-                if local.size:
-                    position = int(
-                        local[int(np.argmin(ids[local]))]
-                        if ids is not None
-                        else local[0]
-                    )
-                else:
-                    position = None
+            local = (segment[:live] == value).nonzero()[0]
+            if local.size == 1:
+                position = int(local[0])
+            elif local.size:
+                position = int(local[ids[local].argmin()])
             else:
-                heap = positions_by_value.get(value)
-                position = None
-                while heap:
-                    key, candidate = heap[0]
-                    # Lazy invalidation: a candidate slot is stale once it
-                    # fell off the live segment, holds another value, or
-                    # (after a same-value swap) holds a different copy.
-                    if (
-                        candidate >= live
-                        or int(segment[candidate]) != value
-                        or sort_key(candidate) != key
-                    ):
-                        heapq.heappop(heap)
-                        continue
-                    position = heapq.heappop(heap)[1]
-                    break
-            if position is None:
                 continue
             last = live - 1
-            moved = int(segment[last])
-            segment[position] = moved
-            if ids is not None:
-                ids[position] = ids[last]
+            segment[position] = segment[last]
+            ids[position] = ids[last]
             random_writes += 1
             live -= 1
-            if (
-                not small_group
-                and position < live
-                and moved in positions_by_value
-            ):
-                heapq.heappush(
-                    positions_by_value[moved], (sort_key(position), position)
-                )
             deleted_sorted[i] = 1
             removed += 1
             last_victim = value
@@ -1214,10 +1125,9 @@ class PartitionedColumn:
         self._data = np.concatenate(
             (self._data, np.zeros(extra, dtype=np.int64))
         )
-        if self._track_rowids:
-            self._rowids = np.concatenate(
-                (self._rowids, np.full(extra, -1, dtype=np.int64))
-            )
+        self._rowids = np.concatenate(
+            (self._rowids, np.full(extra, -1, dtype=np.int64))
+        )
         self.counter.seq_write(self.GROWTH_BLOCKS)
 
     # The two scalar ripples stay Python loops on purpose.  Written as a
@@ -1241,8 +1151,7 @@ class PartitionedColumn:
             if count > 0:
                 free_slot = start + count
                 self._data[free_slot] = self._data[start]
-                if self._track_rowids:
-                    self._rowids[free_slot] = self._rowids[start]
+                self._rowids[free_slot] = self._rowids[start]
             self._starts[partition] = start + 1
             self._clear_load_order(partition)
             self.counter.random_read(1)
@@ -1261,8 +1170,7 @@ class PartitionedColumn:
             if count > 0:
                 last = start + count - 1
                 self._data[hole] = self._data[last]
-                if self._track_rowids:
-                    self._rowids[hole] = self._rowids[last]
+                self._rowids[hole] = self._rowids[last]
             self._starts[follower] = start - 1
             self._clear_load_order(follower)
             self.counter.random_read(1)
@@ -1275,8 +1183,7 @@ class PartitionedColumn:
         last = start + count - 1
         victim = self._data[position]
         self._data[position] = self._data[last]
-        if self._track_rowids:
-            self._rowids[position] = self._rowids[last]
+        self._rowids[position] = self._rowids[last]
         self._counts[partition] = count - 1
         self._clear_load_order(partition)
         self.counter.random_write(1)
@@ -1334,8 +1241,7 @@ class PartitionedColumn:
                 f"partition {i} is flagged in load order but unsorted"
             )
             previous_max = segment.max()
-        if self._track_rowids:
-            live_rowids = self.rowids()
-            assert np.unique(live_rowids).shape[0] == live_rowids.shape[0], (
-                "duplicate row ids"
-            )
+        live_rowids = self.rowids()
+        assert np.unique(live_rowids).shape[0] == live_rowids.shape[0], (
+            "duplicate row ids"
+        )

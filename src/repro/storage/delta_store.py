@@ -48,7 +48,6 @@ class DeltaStoreColumn:
         merge_threshold: float = 0.05,
         merge_entries: int | None = None,
         counter: AccessCounter | None = None,
-        track_rowids: bool = False,
         rowids: np.ndarray | None = None,
     ) -> None:
         values = np.asarray(sorted_values, dtype=np.int64)
@@ -60,7 +59,6 @@ class DeltaStoreColumn:
         #: scans always see (almost) fully merged, sorted data.
         self.merge_entries = int(merge_entries) if merge_entries is not None else None
         self.counter = counter if counter is not None else AccessCounter()
-        self._track_rowids = bool(track_rowids)
         self._merges = 0
         if rowids is None:
             rowids = np.arange(values.size, dtype=np.int64)
@@ -84,8 +82,7 @@ class DeltaStoreColumn:
             boundaries,
             block_values=self.block_values,
             dense=True,
-            track_rowids=self._track_rowids,
-            rowids=rowids if self._track_rowids else None,
+            rowids=rowids,
             counter=self.counter,
         )
 
@@ -154,8 +151,6 @@ class DeltaStoreColumn:
 
     def rowids(self) -> np.ndarray:
         """Live row ids, aligned with :meth:`values`."""
-        if not self._track_rowids:
-            raise LayoutError("row-id tracking is disabled for this column")
         main_rowids = self._main.rowids()
         keep = self._live_main_mask(self._main.values())
         if keep is not None:
@@ -326,8 +321,6 @@ class DeltaStoreColumn:
         tracked per value, not per row id); the HAP benchmark deletes by
         unique primary key so this does not affect its results.
         """
-        if not self._track_rowids:
-            raise ValueNotFoundError("row-id tracking is disabled for this column")
         main = self._main.range_query(low, high, materialize=True, return_rowids=True)
         self._charge_delta_scan()
         delta = [
@@ -364,10 +357,9 @@ class DeltaStoreColumn:
         return 1
 
     @requires_latch("exclusive")
-    def remove_one(self, value: int) -> int | None:
-        """Delete one occurrence of ``value`` and return its row id
-        (``None`` when untracked), so callers moving a row elsewhere keep
-        global row ids consistent.
+    def remove_one(self, value: int) -> int:
+        """Delete one occurrence of ``value`` and return its row id, so
+        callers moving a row elsewhere keep global row ids consistent.
 
         Victim rule: delta-buffer copies die first (insertion order), then
         main-area copies in scan order via count-based tombstones -- a
@@ -386,11 +378,11 @@ class DeltaStoreColumn:
                 rowid = self._delta_rowids.pop(i)
                 self.counter.random_write(1)
                 return int(rowid)
-        hits = self._main.point_query(value, return_rowids=self._track_rowids)
+        hits = self._main.point_query(value, return_rowids=True)
         suppressed = self._tombstones.get(value, 0)
         if hits.shape[0] - suppressed <= 0:
             raise ValueNotFoundError(f"value {value} not found")
-        rowid = int(hits[suppressed]) if self._track_rowids else None
+        rowid = int(hits[suppressed])
         self._tombstones[value] = suppressed + 1
         self.counter.random_write(1)
         return rowid
@@ -532,26 +524,10 @@ class DeltaStoreColumn:
 
     def merge(self) -> None:
         """Fold the delta buffer and tombstones back into the sorted main."""
-        merged = self.values()
-        if self._track_rowids:
-            main_rowids = self._main.rowids()
-            main_values = self._main.values()
-            pairs = list(zip(main_values.tolist(), main_rowids.tolist(), strict=True))
-            remaining = dict(self._tombstones)
-            kept = []
-            for value, rid in pairs:
-                count = remaining.get(value, 0)
-                if count > 0:
-                    remaining[value] = count - 1
-                    continue
-                kept.append((value, rid))
-            kept.extend(zip(self._delta_values, self._delta_rowids, strict=True))
-            kept.sort(key=lambda pair: pair[0])
-            merged = np.asarray([pair[0] for pair in kept], dtype=np.int64)
-            rowids = np.asarray([pair[1] for pair in kept], dtype=np.int64)
-        else:
-            merged = np.sort(merged)
-            rowids = np.arange(merged.size, dtype=np.int64)
+        values = self.values()
+        order = np.argsort(values, kind="stable")
+        merged = values[order]
+        rowids = self.rowids()[order]
         blocks = blocks_spanned(0, merged.size, self.block_values)
         self.counter.seq_read(blocks)
         self.counter.seq_write(blocks)

@@ -144,7 +144,6 @@ def build_column(
     sorted_values: np.ndarray | list[int],
     *,
     counter: AccessCounter | None = None,
-    track_rowids: bool = False,
     rowids: np.ndarray | None = None,
 ) -> ColumnLike:
     """Build a column chunk for ``sorted_values`` under layout ``spec``.
@@ -152,17 +151,13 @@ def build_column(
     ``sorted_values`` must be non-decreasing; the No-Order mode nevertheless
     behaves like an insertion-order heap because its single partition is
     scanned in full by every query and appends land at its tail.  ``rowids``
-    optionally supplies the (global) row ids aligned with ``sorted_values``.
+    supplies the (global) row ids aligned with ``sorted_values``; ``None``
+    means load order ``0..n-1``.
     """
     values = np.asarray(sorted_values, dtype=np.int64)
     size = int(values.shape[0])
     block_values = spec.block_values
-    common = dict(
-        block_values=block_values,
-        counter=counter,
-        track_rowids=track_rowids,
-        rowids=rowids if track_rowids else None,
-    )
+    common = dict(block_values=block_values, counter=counter, rowids=rowids)
 
     if spec.kind is LayoutKind.NO_ORDER:
         return PartitionedColumn(
@@ -182,8 +177,7 @@ def build_column(
             merge_threshold=spec.merge_threshold,
             merge_entries=spec.merge_entries,
             counter=counter,
-            track_rowids=track_rowids,
-            rowids=rowids if track_rowids else None,
+            rowids=rowids,
         )
 
     if spec.kind is LayoutKind.EQUI:

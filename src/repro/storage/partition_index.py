@@ -3,11 +3,12 @@
 Casper keeps per-partition metadata: the minimum and maximum value covered by
 each partition plus positional information inside the chunk.  Searching this
 metadata uses a shallow k-ary tree; when the number of partitions is small the
-metadata behaves like Zonemaps and can simply be scanned.
+metadata behaves like Zonemaps and can simply be scanned.  Lookups are
+implemented with ``numpy.searchsorted`` over the fences.
 
-The index cost is charged through ``AccessCounter.index_probe`` and, per the
-paper, is *shared* by every operation and therefore excluded from the layout
-optimization objective.
+The index cost is charged through ``AccessCounter.index_probe`` as one probe
+per lookup and, per the paper, is *shared* by every operation and therefore
+excluded from the layout optimization objective.
 
 Fence-maintenance invariants
 ----------------------------
@@ -50,7 +51,7 @@ class PartitionMetadata:
 
 
 class PartitionIndex:
-    """k-ary search tree over partition upper fences.
+    """Search structure over partition upper fences.
 
     The index maps a value to the partition(s) that may contain it: the first
     partition whose upper fence is >= the value, plus -- when duplicate runs
@@ -58,18 +59,9 @@ class PartitionIndex:
     partitions immediately after it (see :meth:`locate_all`).  Values larger
     than every fence map to the last partition (which is where inserts of new
     maxima land).
-
-    Parameters
-    ----------
-    fanout:
-        Arity of the search tree.  Purely affects the simulated probe depth;
-        lookups are implemented with ``numpy.searchsorted`` for speed.
     """
 
-    def __init__(self, fanout: int = 16) -> None:
-        if fanout < 2:
-            raise ValueError("fanout must be at least 2")
-        self.fanout = fanout
+    def __init__(self) -> None:
         self._fences = np.empty(0, dtype=np.int64)
 
     def __len__(self) -> int:
@@ -92,19 +84,6 @@ class PartitionIndex:
     def update_fence(self, partition: int, fence: int) -> None:
         """Update the upper fence of a single partition."""
         self._fences[partition] = fence
-
-    @property
-    def depth(self) -> int:
-        """Depth of the k-ary tree (number of node visits per probe)."""
-        n = len(self)
-        if n <= 1:
-            return 1
-        depth = 1
-        span = self.fanout
-        while span < n:
-            span *= self.fanout
-            depth += 1
-        return depth
 
     def locate(self, value: int) -> int:
         """First partition id that may contain ``value``.

@@ -76,9 +76,7 @@ def layout_chunk_builder(spec: LayoutSpec) -> ChunkBuilder:
     def builder(
         sorted_keys: np.ndarray, rowids: np.ndarray, counter: AccessCounter
     ) -> ColumnLike:
-        return build_column(
-            spec, sorted_keys, counter=counter, track_rowids=True, rowids=rowids
-        )
+        return build_column(spec, sorted_keys, counter=counter, rowids=rowids)
 
     return builder
 

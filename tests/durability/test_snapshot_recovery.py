@@ -624,6 +624,62 @@ class TestConcurrentDurability:
         reopened.table.check_invariants()
         reopened.close()
 
+    def test_durable_write_commits_while_checkpoint_deletes_garbage(
+        self, tmp_path, monkeypatch
+    ):
+        # keep_snapshots=1: the checkpoint after a write round unlinks the
+        # WAL segment its snapshot covers.
+        db = make_db(
+            tmp_path, durability=DurabilityConfig(root=tmp_path, keep_snapshots=1)
+        )
+        insert_round(db, [1, 3])
+        in_gc, release = threading.Event(), threading.Event()
+        unlink = Path.unlink
+
+        def blocking_unlink(path, *args, **kwargs):
+            if threading.current_thread().name == "checkpoint":
+                in_gc.set()
+                release.wait(timeout=10)
+            return unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", blocking_unlink)
+        outcome = {}
+
+        def run(name, fn):
+            try:
+                outcome[name] = fn()
+            except Exception as exc:  # pragma: no cover - diagnostic
+                outcome[name] = exc
+
+        checkpointer = threading.Thread(
+            target=run, args=("checkpoint", db.checkpoint), name="checkpoint"
+        )
+        checkpointer.start()
+        writer = threading.Thread(
+            target=run, args=("write", lambda: insert_round(db, [5, 7]))
+        )
+        try:
+            assert in_gc.wait(timeout=10), "the checkpoint unlinked nothing"
+            writer.start()
+            writer.join(timeout=5)
+            committed_during_gc = not writer.is_alive()
+        finally:
+            release.set()
+            checkpointer.join()
+            if writer.ident is not None:
+                writer.join()
+        assert committed_during_gc
+        assert outcome["write"] is None
+        info = outcome["checkpoint"]
+        assert db.durability.durable_lsn == info.lsn + 1
+        assert [segment_first_lsn(p.name) for p in (tmp_path / "wal").iterdir()] == [
+            info.lsn + 1
+        ]
+        db.close()
+        reopened = Database.open(tmp_path)
+        assert reopened.table.point_query(5) and reopened.table.point_query(3)
+        reopened.close()
+
 
 def segment_names(root):
     """Names of the payload segment files under log directory ``root``."""

@@ -32,7 +32,7 @@ def column(rng):
     values = np.sort(rng.integers(0, 5_000, 4_096)) * 2
     boundaries = np.arange(256, 4_097, 256)
     return PartitionedColumn(
-        values, boundaries, block_values=64, track_rowids=True
+        values, boundaries, block_values=64
     )
 
 

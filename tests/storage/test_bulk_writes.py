@@ -60,11 +60,10 @@ def assert_same_live_layout(reference: PartitionedColumn, bulk: PartitionedColum
             reference._data[start : start + count],
             bulk._data[start : start + count],
         )
-        if reference._rowids is not None:
-            assert np.array_equal(
-                reference._rowids[start : start + count],
-                bulk._rowids[start : start + count],
-            )
+        assert np.array_equal(
+            reference._rowids[start : start + count],
+            bulk._rowids[start : start + count],
+        )
 
 
 def make_column_pair(rng, *, ghost_mode: bool, size=400, domain=2_000):
@@ -77,7 +76,6 @@ def make_column_pair(rng, *, ghost_mode: bool, size=400, domain=2_000):
         boundaries,
         ghost_allocation=ghosts,
         block_values=32,
-        track_rowids=True,
     )
     return base, build(), build()
 
@@ -150,7 +148,7 @@ class TestColumnBulkInsert:
     def test_growth_matches_sequential(self, rng):
         base = np.arange(64, dtype=np.int64) * 2
         build = lambda: PartitionedColumn(
-            base, [16, 32, 64], block_values=16, track_rowids=True
+            base, [16, 32, 64], block_values=16
         )
         sequential, bulk = build(), build()
         batch = rng.integers(0, 200, 300)
@@ -293,7 +291,6 @@ class TestBulkInsertSweepReference:
                 np.cumsum(sizes),
                 ghost_allocation=ghosts,
                 block_values=4,
-                track_rowids=True,
             )
             for _ in range(2)
         ]
@@ -327,7 +324,6 @@ class TestBulkInsertSweepReference:
             ghost_allocation=ghosts,
             dense=False,
             block_values=4,
-            track_rowids=True,
         )
         probes = base[::4]
         column.multi_point_query(probes)
@@ -370,7 +366,7 @@ class TestZonemapAfterRemovals:
 
     def build(self):
         return PartitionedColumn(
-            self.VALUES, [5, 10, 11], block_values=4, track_rowids=True
+            self.VALUES, [5, 10, 11], block_values=4
         )
 
     def assert_exact(self, column):
@@ -406,7 +402,7 @@ class TestZonemapAfterRemovals:
             column = self.build()
             column.bulk_delete(batch)
             self.assert_exact(column)
-        # Few victims in a large partition take the per-value scan branch.
+        # One victim in a large partition.
         for victim in (0, 17, 39):
             column = PartitionedColumn(np.arange(40), [40], block_values=4)
             column.bulk_delete([victim])
@@ -435,7 +431,11 @@ class TestColumnBulkDelete:
             deleted = bulk.bulk_delete(batch)
             assert np.array_equal(deleted[order], np.asarray(expected))
             assert_same_live_layout(sequential, bulk)
-            assert_charges_bounded(bulk.counter, sequential.counter)
+            if bulk.dense:
+                assert_charges_bounded(bulk.counter, sequential.counter)
+            else:
+                # No hole ripples, so nothing coalesces: every field equal.
+                assert bulk.counter.snapshot() == sequential.counter.snapshot()
             bulk.check_invariants()
 
     def test_single_delete_charges_exactly_sequential(self, rng):
@@ -451,7 +451,7 @@ class TestColumnBulkDelete:
 
     def test_duplicate_requests_drain_duplicates(self):
         values = np.asarray([2, 2, 2, 4, 6, 8, 10, 12], dtype=np.int64)
-        column = PartitionedColumn(values, [4, 8], track_rowids=True)
+        column = PartitionedColumn(values, [4, 8])
         deleted = column.bulk_delete([2, 2, 2, 2])
         assert deleted.tolist() == [1, 1, 1, 0]
         assert column.point_query(2).size == 0
@@ -462,7 +462,7 @@ class TestDeltaStoreBulk:
     def make_pair(self, rng, **kwargs):
         base = np.sort(rng.integers(0, 500, 256)) * 2
         build = lambda: DeltaStoreColumn(
-            base, block_values=32, track_rowids=True, **kwargs
+            base, block_values=32, **kwargs
         )
         return base, build(), build()
 

@@ -141,15 +141,10 @@ class TestPointQuery:
         column = build_column(small_values, partitions=8)
         assert column.point_query(int(small_values[10]) + 1).shape[0] == 0
 
-    def test_returns_rowids_when_tracked(self, small_values):
-        column = build_column(small_values, partitions=8, track_rowids=True)
+    def test_returns_rowids(self, small_values):
+        column = build_column(small_values, partitions=8)
         rowids = column.point_query(int(small_values[5]), return_rowids=True)
         assert rowids.tolist() == [5]
-
-    def test_rowids_require_tracking(self, small_values):
-        column = build_column(small_values, partitions=8)
-        with pytest.raises(LayoutError):
-            column.point_query(int(small_values[5]), return_rowids=True)
 
     def test_charges_one_random_read_for_single_block_partition(self, small_values):
         column = build_column(small_values, partitions=32, block_values=64)
@@ -205,7 +200,7 @@ class TestRangeQuery:
         assert column.counter.seq_reads >= 7
 
     def test_range_rowids(self, small_values):
-        column = build_column(small_values, partitions=8, track_rowids=True)
+        column = build_column(small_values, partitions=8)
         rowids = column.range_rowids(int(small_values[3]), int(small_values[7]))
         assert sorted(rowids.tolist()) == [3, 4, 5, 6, 7]
 
@@ -249,7 +244,7 @@ class TestInsert:
         assert metadata[-1].high == value
 
     def test_insert_returns_sequential_rowids(self, small_values):
-        column = build_column(small_values, partitions=4, track_rowids=True, ghosts=16)
+        column = build_column(small_values, partitions=4, ghosts=16)
         first = column.insert(int(small_values[4]) + 1)
         second = column.insert(int(small_values[8]) + 1)
         assert second == first + 1
@@ -336,7 +331,7 @@ class TestUpdate:
             column.update(int(small_values[0]) + 1, 10)
 
     def test_update_preserves_rowid(self, small_values):
-        column = build_column(small_values, partitions=8, ghosts=16, track_rowids=True)
+        column = build_column(small_values, partitions=8, ghosts=16)
         old = int(small_values[42])
         new = int(small_values[-1]) + 1
         column.update(old, new)

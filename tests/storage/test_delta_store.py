@@ -36,7 +36,7 @@ class TestReads:
         assert column.range_query(low, high).count == baseline - 1
 
     def test_range_rowids(self, small_values):
-        column = DeltaStoreColumn(small_values, block_values=64, track_rowids=True)
+        column = DeltaStoreColumn(small_values, block_values=64)
         rowids = column.range_rowids(int(small_values[3]), int(small_values[5]))
         assert sorted(rowids.tolist()) == [3, 4, 5]
 
@@ -109,7 +109,7 @@ class TestMerge:
 
     def test_merge_preserves_rowids(self, small_values):
         column = DeltaStoreColumn(
-            small_values, block_values=64, merge_threshold=0.5, track_rowids=True
+            small_values, block_values=64, merge_threshold=0.5
         )
         column.insert(400_001)
         column.merge()

@@ -94,7 +94,6 @@ class TestBuildColumn:
         column = build_column(
             LayoutSpec(kind=LayoutKind.EQUI, partitions=4, block_values=64),
             values,
-            track_rowids=True,
             rowids=rowids,
         )
         assert column.point_query(int(values[0]), return_rowids=True).tolist() == [100]

@@ -10,7 +10,7 @@ from repro.storage.partition_index import PartitionIndex
 
 @pytest.fixture
 def index():
-    idx = PartitionIndex(fanout=4)
+    idx = PartitionIndex()
     idx.rebuild([10, 20, 30, 40, 50])
     return idx
 
@@ -53,7 +53,7 @@ class TestDuplicateFences:
 
     @pytest.fixture
     def dup_index(self):
-        idx = PartitionIndex(fanout=4)
+        idx = PartitionIndex()
         idx.rebuild([5, 5, 5, 9, 12])
         return idx
 
@@ -104,20 +104,9 @@ class TestStructure:
         with pytest.raises(ValueError):
             index.rebuild([3, 2, 5])
 
-    def test_depth_grows_with_partitions(self):
-        index = PartitionIndex(fanout=4)
-        index.rebuild(list(range(4)))
-        shallow = index.depth
-        index.rebuild(list(range(64)))
-        assert index.depth > shallow
-
     def test_update_fence(self, index):
         index.update_fence(4, 99)
         assert index.locate(75) == 4
-
-    def test_fanout_validation(self):
-        with pytest.raises(ValueError):
-            PartitionIndex(fanout=1)
 
     def test_len(self, index):
         assert len(index) == 5

@@ -129,7 +129,6 @@ def build(case):
         ghost_allocation=ghosts,
         dense=dense,
         block_values=4,
-        track_rowids=True,
     )
     for kind, value, other in writes:
         try:
@@ -296,7 +295,6 @@ def flag_column(ghosts, *, dense=None):
         ghost_allocation=ghosts,
         dense=dense,
         block_values=4,
-        track_rowids=True,
     )
     assert column._load_order.all()
     return column
