@@ -146,6 +146,21 @@ class TestPointQuery:
         rowids = column.point_query(int(small_values[5]), return_rowids=True)
         assert rowids.tolist() == [5]
 
+    def test_returns_caller_supplied_rowids(self, small_values):
+        rowids = np.arange(small_values.size, dtype=np.int64)[::-1] * 3
+        column = build_column(small_values, partitions=8, rowids=rowids)
+        found = column.point_query(int(small_values[5]), return_rowids=True)
+        assert found.tolist() == [int(rowids[5])]
+
+    def test_charges_one_index_probe_at_any_partition_count(self, small_values):
+        # The partition index is charged one probe per lookup, however many
+        # partitions it routes between.
+        for partitions in (1, 4, 64):
+            column = build_column(small_values, partitions=partitions)
+            column.counter.reset()
+            column.point_query(int(small_values[-1]))
+            assert column.counter.index_probes == 1
+
     def test_charges_one_random_read_for_single_block_partition(self, small_values):
         column = build_column(small_values, partitions=32, block_values=64)
         column.counter.reset()
@@ -267,6 +282,14 @@ class TestDelete:
         column.delete(int(small_values[17]))
         assert column.point_query(int(small_values[17])).shape[0] == 0
         assert column.size == small_values.size - 1
+        column.check_invariants()
+
+    def test_remove_one_takes_the_oldest_duplicate_copy(self):
+        column = PartitionedColumn(
+            np.array([1, 7, 7, 7, 9]), rowids=np.array([0, 30, 10, 20, 4])
+        )
+        assert [column.remove_one(7) for _ in range(3)] == [10, 20, 30]
+        assert column.values().tolist() == [1, 9]
         column.check_invariants()
 
     def test_delete_missing_value_raises(self, small_values):
