@@ -13,8 +13,10 @@ class WalCorruptionError(DurabilityError):
 
     A *torn tail* -- an incomplete or CRC-rejected final record -- is not an
     error: it is the expected shape of a crash mid-append and is silently
-    truncated on open.  This exception marks corruption the torn-tail rule
-    cannot explain, i.e. data loss in the middle of the committed history.
+    truncated on open; so are a recycled segment's stale records past its
+    own.  This exception marks corruption the torn-tail and successor
+    rules cannot explain, i.e. data loss in the middle of the committed
+    history.
     """
 
 

@@ -4,6 +4,7 @@ One :class:`DurabilityManager` owns a log directory::
 
     <root>/
       wal/        wal-<first lsn>.log segments (rotated at checkpoints)
+                  and the .free segment pool (see wal.py)
       snapshots/  snap-<lsn>/ chunk snapshots, payload/ segments and
                   the .free/ pool (see snapshot.py)
 
@@ -25,16 +26,20 @@ and exposes the three verbs the engine needs:
   failure -- never on a mere process kill).
 * ``checkpoint(table)`` -- snapshot every chunk at the current LSN,
   writing only the payload rows appended since the manager's previous
-  payload segment, rotate to a fresh WAL segment and garbage-collect
+  payload segment, rotate to a new WAL segment and garbage-collect
   snapshots beyond ``keep_snapshots``, every payload segment no kept
   manifest names, and every WAL segment fully covered by the oldest kept
-  snapshot.  A dropped snapshot directory is not deleted but renamed to
-  the pool ``snapshots/.free/``, whose files the next checkpoint
-  overwrites in place: on a disk where every block free is a discard,
-  the checkpoint then frees no snapshot blocks at all.  The garbage is
-  chosen under the commit lock but deleted after it is released, so
-  durable writers never wait for a block free; only the checkpoint's
-  caller does.
+  snapshot.  The first snapshot directory and the first WAL segment a
+  checkpoint drops are not deleted but renamed to the pools
+  ``snapshots/.free/`` and ``wal/.free``; the next checkpoint writes its
+  snapshot over the pooled directory's files and rotates the WAL into the
+  pooled segment, in place both times.  On a disk where every block free
+  is a discard, a steady-state checkpoint then frees no block at all.
+  Further garbage (several segments freed at once when a retention pin
+  is released, the payload segments dropped after a reopen) is chosen
+  under the commit lock but deleted after it is released, so durable
+  writers never wait for a block free; only the checkpoint's caller
+  does.
 
 Failure handling: when the WAL writer exhausts its bounded I/O retries
 (the log directory became unwritable), the manager trips into *read-only
@@ -70,7 +75,13 @@ from .snapshot import (
     snapshot_lsn,
     write_snapshot,
 )
-from .wal import WalWriter, encode_delta_log, segment_first_lsn, segment_name
+from .wal import (
+    FREE_SEGMENT,
+    WalWriter,
+    encode_delta_log,
+    segment_first_lsn,
+    segment_name,
+)
 
 if TYPE_CHECKING:
     from ..storage.access_log import CallLog
@@ -156,9 +167,10 @@ class DurabilityManager:
 
     # -- construction helpers ------------------------------------------ #
 
-    def _open_writer(self, path: Path) -> WalWriter:
+    def _open_writer(self, path: Path, *, recycled: bool = False) -> WalWriter:
         return WalWriter(
             path,
+            recycled=recycled,
             faults=self.config.faults,
             max_retries=self.config.max_retries,
             retry_backoff_s=self.config.retry_backoff_s,
@@ -290,9 +302,10 @@ class DurabilityManager:
         commit lock, so the snapshot captures exactly the state described
         by WAL records ``<= lsn`` -- durable writers are excluded for that
         part (reads are not).  The tail of the old segment is fsynced
-        before the snapshot commits, then appends continue into a fresh
-        ``wal-<lsn + 1>.log`` segment.  The chosen garbage is deleted after
-        the lock is released, before this call returns.
+        before the snapshot commits, then appends continue into segment
+        ``wal-<lsn + 1>.log`` (the pooled segment, when there is one).  The
+        chosen garbage is deleted after the lock is released, before this
+        call returns.
         """
         with self._commit_lock:
             self.require_writable()
@@ -311,10 +324,7 @@ class DurabilityManager:
                     retry_backoff_s=self.config.retry_backoff_s,
                     sleep=self._sleep,
                 )
-                self.wal.close()
-                self.wal = self._open_writer(
-                    self.wal_dir / segment_name(lsn + 1)
-                )
+                self._rotate(lsn + 1)
             except InjectedCrash:
                 # Simulated process death mid-checkpoint: release the fd
                 # (what the OS would do) and let the "kill" propagate.
@@ -330,8 +340,11 @@ class DurabilityManager:
             garbage = self._collect_garbage(info.lsn)
         # A checkpoint that starts meanwhile may choose some of this garbage
         # again; both deletions tolerate a vanished path.  It never renames
-        # any of it to the pool: the pool is missing only once it wrote a
-        # snapshot of its own, and then it drops a newer directory first.
+        # a directory of it to the pool: the pool is missing only once it
+        # wrote a snapshot of its own, and then it drops a newer directory
+        # first.  It may rename a WAL segment of it to the emptied segment
+        # pool; whichever of the rename and the unlink comes second finds
+        # the path gone.
         for path in garbage:
             if path.is_dir():
                 shutil.rmtree(path, ignore_errors=True)
@@ -340,13 +353,30 @@ class DurabilityManager:
         return info
 
     @requires_lock("wal_commit")
+    def _rotate(self, first_lsn: int) -> None:
+        """Continue the log in segment ``wal-<first_lsn>.log``: the pooled
+        segment renamed, or a new file without a pool.  A checkpoint with
+        no record since the last one finds that segment live already and
+        keeps its writer."""
+        path = self.wal_dir / segment_name(first_lsn)
+        if path == self.wal.path:
+            return
+        self.wal.close()
+        pool = self.wal_dir / FREE_SEGMENT
+        recycled = pool.exists()
+        if recycled:
+            os.rename(pool, path)
+        self.wal = self._open_writer(path, recycled=recycled)
+
+    @requires_lock("wal_commit")
     def _collect_garbage(self, newest_lsn: int) -> list[Path]:
         """Choose the garbage: snapshots beyond ``keep_snapshots`` (plus
         stale partials), payload segments no kept manifest names and WAL
         segments fully covered by the oldest *kept* snapshot.  The first
-        dropped snapshot directory becomes the pool
-        (``snapshots/.free/``) when there is none; every other path is
-        returned for :meth:`checkpoint` to delete outside the lock.
+        dropped snapshot directory and the first dropped WAL segment
+        become the pools (``snapshots/.free/``, ``wal/.free``) where there
+        is none; every other path is returned for :meth:`checkpoint` to
+        delete outside the lock.
 
         Registered replication cursors lower the deletion floor to their
         lowest pinned LSN, and ``keep_segments`` additionally exempts the
@@ -381,9 +411,17 @@ class DurabilityManager:
         # live segment and the ``keep_segments`` newest rotated ones are
         # never candidates.
         stop = len(segments) - 1 - max(0, int(self.config.keep_segments))
+        pool = self.wal_dir / FREE_SEGMENT
         for index in range(max(0, stop)):
-            if segment_first_lsn(segments[index + 1]) <= floor + 1:
+            if segment_first_lsn(segments[index + 1]) > floor + 1:
+                continue
+            if pool.exists():
                 garbage.append(segments[index])
+                continue
+            try:
+                os.rename(segments[index], pool)
+            except FileNotFoundError:
+                pass  # an earlier checkpoint, outside the lock, deleted it
         return garbage
 
     def _collect_payload(self, kept: list[Path]) -> list[Path]:

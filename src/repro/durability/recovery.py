@@ -18,18 +18,24 @@ replication follower is a tail behind its primary's durable gate.  A
    nothing: a cross-shard move's delete/insert ride as ordinary records,
    and the markers only matter to the sharded dispatcher's
    move-resolution scan (:mod:`repro.sharding.database`);
-4. hands off at a cleanly consumed segment end to the successor, which
-   must start at ``applied + 1``.
+4. hands off to the successor once it has applied the successor's first
+   LSN - 1.
 
-The log's two rules, stated once for both readers:
+The log's rules, stated once for both readers:
 
 * **gap** -- the next record applied is always ``applied + 1``; anything
   else is lost history: :class:`RecoveryError`;
+* **successor** -- a rotated segment (one with a successor) ends at its
+  successor's first LSN - 1, whatever bytes follow: a recycled file (see
+  :mod:`repro.durability.wal`) keeps records of its previous life past
+  its own, and :func:`~repro.durability.wal.scan_segment` stops at them
+  because their LSNs lie below the segment's name.  A rotated segment's
+  bytes are final, so one whose valid records stop earlier, torn or
+  corrupt after one re-scan, is :class:`WalCorruptionError`;
 * **torn tail** -- only the live (last) segment may end short or corrupt
-  (an append in flight or cut off by a crash, repaired by more bytes or
-  the writer's truncation on reopen), so the tail stops there.  A rotated
-  segment's bytes are final: a tail still torn after one re-scan is
-  :class:`WalCorruptionError`.
+  (an append in flight or cut off by a crash, or a recycled file's stale
+  bytes, repaired by more bytes or the writer's truncation on reopen), so
+  the tail stops there.
 
 Records at or below the applied LSN are skipped, so a second run over
 the same log applies nothing.  Two documented equivalences rather than
@@ -74,7 +80,9 @@ class RecoveryReport:
     batches_replayed: int
     operations_replayed: int
     #: Bytes past the valid record prefix of the live segment: the torn
-    #: tail the reopened writer truncates.
+    #: tail the reopened writer truncates.  After a clean close of a
+    #: recycled live segment, also the stale bytes of its previous life
+    #: past the last record, which that writer truncates too.
     truncated_bytes: int
     snapshot_path: Path
     #: WAL segments the replay read (none wholly below the snapshot).
@@ -148,8 +156,9 @@ class ReplicationCursor:
     byte offset of the next unapplied record, and ``scan_lsn`` the LSN of
     the last record scanned *in this segment* -- the ``previous_lsn`` seed
     that carries the monotonicity check across incremental re-scans of a
-    growing file (0 at a fresh segment start, where the first record's
-    LSN is trusted to the segment name instead).
+    growing file (0 at a fresh segment start, where the segment name seeds
+    it instead: the first record must carry the LSN the segment is named
+    for, so a recycled file's stale records are never taken for it).
     """
 
     segment: Path | None = None
@@ -189,7 +198,8 @@ class LogTail:
         self.batches_applied = 0
         self.operations_applied = 0
         #: Bytes past the valid record prefix in the last segment scan --
-        #: after a run to the end of the log, the live segment's torn tail.
+        #: after a run to the end of the log, the live segment's torn tail
+        #: (or a recycled live segment's stale bytes).
         self.torn_bytes = 0
         #: Segments the cursor moved onto.
         self.segments_scanned = 0
@@ -239,7 +249,7 @@ class LogTail:
                 if cursor.segment.stat().st_size < len(MAGIC):
                     # A segment file whose magic is still in flight: only
                     # the live segment can be one.
-                    if self._rotated():
+                    if self._successor_lsn() is not None:
                         raise WalCorruptionError(
                             f"rotated segment {cursor.segment.name} ends "
                             "inside its magic"
@@ -258,22 +268,24 @@ class LogTail:
             self.torn_bytes = scan.file_bytes - scan.valid_bytes
             progressed = self._apply(scan, limit)
             batches += progressed
+            successor = self._successor_lsn()
+            if successor is not None and self.applied_lsn + 1 >= successor:
+                # Applied through the successor's first LSN - 1: whatever
+                # bytes follow (a recycled file's stale records) are not
+                # this segment's.  Hand off.
+                self._locate()
+                continue
             if progressed:
                 continue
-            if not self._rotated():
+            if successor is None:
                 # The live segment: a torn tail waits for more bytes or the
                 # writer's reopen truncation, a clean one is the log's end.
                 break
             if scan.tail_status == "clean":
-                # Consumed: hand off to the successor, which must continue
-                # at ``applied + 1``.
-                self._locate()
-                if self._cursor.segment == cursor.segment:
-                    raise RecoveryError(
-                        f"WAL gap: consumed {cursor.segment.name} through lsn "
-                        f"{self.applied_lsn}, the next segment starts later"
-                    )
-                continue
+                raise RecoveryError(
+                    f"WAL gap: consumed {cursor.segment.name} through lsn "
+                    f"{self.applied_lsn}, the next segment starts at {successor}"
+                )
             # The writer closed this segment, so its bytes are final: one
             # re-scan covers a scan that raced its last append, and a torn
             # tail that survives it is lost history.
@@ -342,10 +354,15 @@ class LogTail:
         return True
 
     @requires_lock("replica_apply")
-    def _rotated(self) -> bool:
-        """Whether the cursor's segment has a successor (is not live)."""
-        segments = self._segments()
-        return bool(segments) and self._cursor.segment != segments[-1]
+    def _successor_lsn(self) -> int | None:
+        """First LSN of the segment after the cursor's (``None``: the
+        cursor's segment is the live one)."""
+        first = segment_first_lsn(self._cursor.segment)
+        for segment in self._segments():
+            lsn = segment_first_lsn(segment)
+            if lsn > first:
+                return lsn
+        return None
 
     def _segments(self) -> list[Path]:
         return sorted((self.root / "wal").glob("wal-*.log"), key=segment_first_lsn)

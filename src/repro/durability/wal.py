@@ -18,16 +18,31 @@ gives the same record type back.  No pickle anywhere: a corrupted log can
 at worst fail a CRC, never execute.
 
 A segment file starts with the 8-byte magic ``RPROWAL1`` and is named
-``wal-<first lsn>.log``; the manager rotates to a fresh segment at every
+``wal-<first lsn>.log``; the manager rotates to a new segment at every
 checkpoint so segments fully covered by a retained snapshot can be
-garbage-collected as whole files.
+garbage-collected as whole files.  The new segment is usually a
+*recycled* one: the first segment a checkpoint drops is renamed to the
+pool ``wal/.free``, and the next rotation renames the pool to its new
+name and writes the magic and its records over the old bytes in place
+(no truncation, so no disk block is freed).  Past the last record
+written there, such a file still holds records of its previous life.
+Every one of them carries an LSN below the segment's name, so the two
+reader rules below tell them apart from the segment's own records:
+
+* :func:`scan_segment` seeds its LSN check from the segment name at a
+  fresh start -- the first record must carry the LSN the segment is
+  named for, every later one the next LSN -- so a stale record ends the
+  valid prefix however well it passes its CRC;
+* a rotated segment ends at its successor's first LSN - 1, whatever
+  bytes follow (:class:`repro.durability.recovery.LogTail`).
 
 Crash safety on the write path:
 
 * records are appended with ``os.write`` on an unbuffered descriptor, so a
   simulated crash leaves exactly the bytes that were written -- including
-  torn tails, which :func:`scan_segment` detects by CRC and the writer
-  truncates away on reopen;
+  torn tails, which :func:`scan_segment` detects by CRC (or, over a
+  recycled file's stale bytes, by LSN) and the writer truncates away on
+  reopen;
 * ``sync`` implements *group commit*: it latches the current appended
   offset, fsyncs once under the sync lock and publishes the durable
   watermark, so every record appended before the fsync -- possibly by many
@@ -59,6 +74,11 @@ from .faults import FaultInjector, InjectedCrash, retry_io
 
 #: Segment file magic: format name + version, bumped on layout changes.
 MAGIC = b"RPROWAL1"
+
+#: The WAL segment pool under ``wal/``: the first segment a checkpoint
+#: drops, which the next rotation renames to its new segment.  The name
+#: is no ``wal-*.log``, so no reader ever opens it.
+FREE_SEGMENT = ".free"
 
 #: Record frame: LSN, body length, CRC-32 of (lsn || length || body).
 _FRAME = struct.Struct("<QII")
@@ -233,10 +253,16 @@ def scan_segment(
 
     Walks records front-to-back, stopping at the first frame that is
     incomplete, fails its CRC or breaks LSN monotonicity; everything from
-    that point on is the *torn tail* a crash mid-append leaves behind
-    (``tail_status`` tells an incomplete tail apart from a corrupt one).
-    Raises :class:`WalCorruptionError` only for a bad file magic (the file
-    is not a WAL segment at all).
+    that point on is the *torn tail* a crash mid-append leaves behind, or
+    the stale records of a recycled file's previous life (``tail_status``
+    tells an incomplete tail apart from a corrupt one).  Raises
+    :class:`WalCorruptionError` only for a bad file magic (the file is not
+    a WAL segment at all).
+
+    A scan from the first record with no ``previous_lsn`` takes the
+    segment name as its seed: the first record must carry the LSN the
+    segment is named for.  Stale records carry LSNs below the name, so a
+    recycled segment with no record of its own yet scans as empty.
 
     Tailing: pass ``start_offset`` (a previous scan's ``resume_offset``
     or record end) to resume parsing a *growing* live segment without
@@ -255,6 +281,12 @@ def scan_segment(
             )
         handle.seek(start)
         data = handle.read()
+    if previous_lsn:
+        expected = previous_lsn + 1
+    elif start == len(MAGIC):
+        expected = segment_first_lsn(path)
+    else:
+        expected = None  # resumed mid-segment without a seed
     records: list[tuple[int, bytes]] = []
     ends: list[int] = []
     offset = 0
@@ -275,12 +307,12 @@ def scan_segment(
         if zlib.crc32(_CRC_PREFIX.pack(lsn, length) + body) != crc:
             status = "corrupt"
             break
-        if previous_lsn and lsn != previous_lsn + 1:
+        if expected is not None and lsn != expected:
             status = "corrupt"
             break
         records.append((lsn, body))
         ends.append(start + body_end)
-        previous_lsn = lsn
+        expected = lsn + 1
         offset = body_end
         valid = offset
     return SegmentScan(
@@ -308,12 +340,17 @@ class WalWriter:
     lock, so group commit never blocks the next committer's append, and
     the durable watermark (``synced_lsn``) trails the appended watermark
     (``appended_lsn``) by exactly the un-fsynced tail.
+
+    ``recycled=True`` opens a file that holds a dropped segment's bytes
+    (renamed to ``path`` from the pool): the writer starts the segment
+    afresh and writes over the old bytes in place, never truncating them.
     """
 
     def __init__(
         self,
         path: str | os.PathLike,
         *,
+        recycled: bool = False,
         faults: FaultInjector | None = None,
         max_retries: int = 4,
         retry_backoff_s: float = 0.002,
@@ -327,8 +364,13 @@ class WalWriter:
         self._sync_lock = discipline.make_lock("wal_sync")
         self._failed = False
         first_lsn = segment_first_lsn(self.path)
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
+        fresh = recycled or not self.path.exists() or self.path.stat().st_size == 0
         self._fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
+        # The recycled file's old bytes, kept only under a fault injector:
+        # they are what a power loss leaves past the synced offset.
+        self._stale = (
+            self.path.read_bytes() if recycled and faults is not None else b""
+        )
         if fresh:
             os.write(self._fd, MAGIC)
             self._offset = len(MAGIC)
@@ -377,13 +419,17 @@ class WalWriter:
     def _die(self) -> None:
         """Simulate this process's death: close the fd (what the OS would
         do), first dropping the un-fsynced tail when the injector models
-        power loss rather than a mere kill."""
+        power loss rather than a mere kill.  On a recycled file the disk
+        never saw the un-fsynced overwrite either, so the old bytes past
+        the synced offset come back."""
         if self._fd < 0:
             return
         faults = self._faults
         if faults is not None and faults.power_loss:
+            stale = self._stale[self._synced_offset :]
             try:
-                os.ftruncate(self._fd, self._synced_offset)
+                os.ftruncate(self._fd, max(self._synced_offset, len(self._stale)))
+                os.pwrite(self._fd, stale, self._synced_offset)
             except OSError:
                 pass
         os.close(self._fd)

@@ -13,8 +13,9 @@ already provides:
 
 The second half is what makes the first half safe.  Bytes at or below the
 primary's ``synced_offset`` are never rewritten: a process kill preserves
-them verbatim and a power-loss crash truncates only *above* them (see
-``WalWriter._die``).  Since every applied record is durable, the cursor's
+them verbatim and a power-loss crash loses only the bytes *above* them
+(a new file is cut back to the synced offset, a recycled one holds its
+old bytes there again; see ``WalWriter._die``).  Since every applied record is durable, the cursor's
 offset always sits at or below the synced offset, so re-scanning from it
 after any primary restart reads exactly the bytes it read before -- even
 though the un-synced tail beyond it may have been truncated and replaced

@@ -4,9 +4,9 @@ current against a live primary.
 A :class:`Follower` keeps a read-only replica
 :class:`~repro.storage.table.Table` current against a primary's log
 directory.  The tail does the reading -- snapshot bootstrap, cursor,
-segment locate and rotation hand-off, the gap and torn-tail rules and the
-apply, the same code crash recovery runs to the end of the log.  The
-follower adds what replication needs on top:
+segment locate and rotation hand-off, the gap, successor and torn-tail
+rules and the apply, the same code crash recovery runs to the end of the
+log.  The follower adds what replication needs on top:
 
 1. **register** -- announce the tail's applied LSN to the primary
    endpoint, which pins WAL retention there so checkpoint GC can never

@@ -18,6 +18,9 @@ duplicate-key delete/update victim ambiguity from the equality check.
 :class:`TestSessionCallCrashMatrix` holds a session call to the same
 contract: a call is one commit, so a crash at any pass it makes through a
 crash point recovers to the state before the call or after it.
+:class:`TestRecycledPartialCrashMatrix` and
+:class:`TestRecycledSegmentCrashMatrix` crash writes over the pooled
+snapshot directory and over the pooled WAL segment.
 """
 
 import tempfile
@@ -41,6 +44,7 @@ from repro.durability.faults import CRASH_POINTS, FaultInjector, InjectedCrash
 from repro.durability.manager import DurabilityConfig
 from repro.durability.recovery import LogTail, recover
 from repro.durability.snapshot import FREE_DIR
+from repro.durability.wal import FREE_SEGMENT, scan_segment, segment_name
 from repro.workload.operations import Delete, Insert
 
 #: A workload spec: batches of (op kind, choice index).  The index picks
@@ -373,6 +377,107 @@ class TestRecycledPartialCrashMatrix:
         assert not list((tmp_path / "snapshots").glob("snap-*.partial"))
         recovered.close()
 
+        again = Database.open(tmp_path)
+        assert again.recovery.base_lsn == info.lsn
+        assert canonical_table(again.table) == canonical_model(model)
+        again.close()
+
+
+def run_recycled_segment_crash(root, crash_point, power_loss):
+    """Crash an append into a recycled live segment.
+
+    Four batches fill ``wal-1``; three checkpoints pool it and rotate into
+    it as ``wal-7``, whose file then still holds ``wal-1``'s four records
+    -- each passing its CRC, each with an LSN below the segment's name --
+    where the next append writes.  One more batch crashes at
+    ``crash_point``.  Returns the oracle states before and after that
+    batch and the pooled file's bytes.
+    """
+    faults = FaultInjector(power_loss=power_loss)
+    config = DurabilityConfig(root=root, faults=faults, retry_backoff_s=0.0)
+    initial = np.arange(0, 100, 2, dtype=np.int64)
+    db = Database.from_rows(
+        initial,
+        payload_for(initial),
+        chunk_size=32,
+        payload_names=("a", "b"),
+        durability=config,
+    )
+    model = {
+        int(key): tuple(row)
+        for key, row in zip(
+            initial.tolist(), payload_for(initial).tolist(), strict=True
+        )
+    }
+    next_key = [1_000_001]
+
+    def write(spec_batch):
+        nonlocal model
+        ops, model = build_batch(spec_batch, model, next_key)
+        db.engine.execute_batch(ops)
+
+    for spec_batch in TestCrashMatrix.SPEC:
+        write(spec_batch)
+    first = root / "wal" / segment_name(1)
+    assert [lsn for lsn, _ in scan_segment(first).records] == [1, 2, 3, 4]
+    inode = first.stat().st_ino
+    db.checkpoint()
+    write(TestCrashMatrix.SPEC[0])
+    db.checkpoint()
+    pooled = (root / "wal" / FREE_SEGMENT).read_bytes()
+    write(TestCrashMatrix.SPEC[1])
+    db.checkpoint()
+    live = root / "wal" / segment_name(7)
+    assert db.durability.wal.path == live and live.stat().st_ino == inode
+    assert scan_segment(live).records == []
+
+    before = canonical_model(model)
+    faults.crash_at = crash_point
+    faults.crash_hit = faults.hits[crash_point] + 1
+    with pytest.raises(InjectedCrash):
+        write(TestCrashMatrix.SPEC[2])
+    return before, canonical_model(model), pooled
+
+
+class TestRecycledSegmentCrashMatrix:
+    """A crash appending into a recycled segment recovers like one
+    appending into a new file: the torn record over the stale bytes is
+    never applied, nor is any stale record, and both readers equal the WAL
+    model.  A power loss leaves the pooled file's old bytes past the
+    synced offset, the bytes a disk that never saw the overwrite holds."""
+
+    @pytest.mark.parametrize("power_loss", [False, True], ids=["kill", "power"])
+    @pytest.mark.parametrize(
+        "crash_point", [point for point in CRASH_POINTS if point.startswith("wal.")]
+    )
+    def test_recycled_segment_crash_recovers(self, tmp_path, crash_point, power_loss):
+        before, after, pooled = run_recycled_segment_crash(
+            tmp_path, crash_point, power_loss
+        )
+        live = tmp_path / "wal" / segment_name(7)
+        landed = not power_loss and crash_point in ("wal.append.full", "wal.fsync")
+        expected = after if landed else before
+        if power_loss:
+            # Nothing of the new segment was synced past its magic.
+            assert live.read_bytes() == pooled
+
+        # The follower only reads the log; the open truncates it.
+        replica = Database.follow(tmp_path, start=False, catch_up=False)
+        replica.follower.catch_up()
+        assert canonical_table(replica.table) == expected
+        replica.close()
+        recovered = Database.open(tmp_path)
+        assert recovered.recovery.last_lsn == (7 if landed else 6)
+        assert canonical_table(recovered.table) == expected
+        recovered.table.check_invariants()
+
+        # The next checkpoint commits, and the log reopens onto it.
+        model = {key: (a, b) for key, a, b in expected}
+        ops, model = build_batch([("insert", 0), ("delete", 3)], model, [2_000_001])
+        recovered.engine.execute_batch(ops)
+        info = recovered.checkpoint()
+        assert info.written
+        recovered.close()
         again = Database.open(tmp_path)
         assert again.recovery.base_lsn == info.lsn
         assert canonical_table(again.table) == canonical_model(model)

@@ -31,7 +31,14 @@ from repro.api.database import Database
 from repro.durability.errors import RecoveryError, WalCorruptionError
 from repro.durability.manager import DurabilityConfig
 from repro.durability.snapshot import list_snapshots
-from repro.durability.wal import MAGIC, scan_segment, segment_name
+from repro.durability import wal as wal_module
+from repro.durability.wal import (
+    _FRAME,
+    MAGIC,
+    frame_record,
+    scan_segment,
+    segment_name,
+)
 from repro.replication import ReplicationError, RetentionGapError
 from repro.workload.operations import MultiInsert
 
@@ -210,6 +217,169 @@ class TestLogRules:
         assert replica.follower.catch_up() == 2
         assert canonical_table(replica.table) == expected
         replica.close()
+
+
+def recycled_log(root, last_lsn=12):
+    """Segments in their second life, under the default two kept
+    snapshots.  Checkpoints at lsn 6, 8, 9 and 11 pool ``wal-1`` (records
+    1-6) and ``wal-7`` (7-8) and rotate into them as ``wal-10`` and
+    ``wal-12``.  Every batch frames to the same length, so behind
+    ``wal-10``'s records 10-11 its file still holds records 3-6, and
+    behind the live ``wal-12``'s record 12 record 8, all passing their
+    CRC.  Returns the final table's canonical rows."""
+    db = make_db(root)
+    key = 1_000_001
+    for lsn in range(1, last_lsn + 1):
+        insert_batch(db, key)
+        key += 10
+        if lsn in (6, 8, 9, 11):
+            db.checkpoint()
+    expected = canonical_table(db.table)
+    db.close()
+    return expected
+
+
+def drop_newest(root):
+    shutil.rmtree(list_snapshots(root / "snapshots")[0])
+
+
+def stale_records(path):
+    """LSNs of the CRC-valid frames behind a segment's valid prefix."""
+    data = path.read_bytes()
+    offset = scan_segment(path).valid_bytes
+    lsns = []
+    while offset + _FRAME.size <= len(data):
+        lsn, length, _crc = _FRAME.unpack_from(data, offset)
+        end = offset + _FRAME.size + length
+        if frame_record(lsn, data[offset + _FRAME.size : end]) != data[offset:end]:
+            break
+        lsns.append(lsn)
+        offset = end
+    return lsns
+
+
+class TestRecycledSegments:
+    """The successor rule: a rotated segment ends at its successor's first
+    LSN - 1 whatever bytes follow, and the segment name seeds every scan,
+    so a recycled file's stale records are never applied."""
+
+    def test_recycled_layout(self, tmp_path):
+        recycled_log(tmp_path)
+        for first, own, stale in ((10, [10, 11], [3, 4, 5, 6]), (12, [12], [8])):
+            path = segment(tmp_path, first)
+            assert [lsn for lsn, _ in scan_segment(path).records] == own
+            assert stale_records(path) == stale
+
+    @pytest.mark.parametrize("enter", ["open", "follow"])
+    def test_rotated_segment_with_a_stale_tail_hands_off(self, tmp_path, enter):
+        expected = recycled_log(tmp_path)
+        drop_newest(tmp_path)  # the reader starts at lsn 9 and needs wal-10
+        live = segment(tmp_path, 12)
+        stale = live.stat().st_size - scan_segment(live).valid_bytes
+        if enter == "open":
+            reader = Database.open(tmp_path)
+            report = reader.recovery
+            assert (report.base_lsn, report.last_lsn) == (9, 12)
+            assert report.batches_replayed == 3
+            # The live segment's stale record counts as its torn tail.
+            assert report.truncated_bytes == stale
+        else:
+            reader = Database.follow(tmp_path, start=False, catch_up=False)
+            assert reader.follower.catch_up() == 3
+            assert reader.follower.applied_lsn == 12
+        assert canonical_table(reader.table) == expected
+        reader.close()
+
+    @pytest.mark.parametrize("enter, gap_error, torn_error", ENTRY_POINTS)
+    def test_rotated_segment_ending_before_its_successor_raises(
+        self, tmp_path, enter, gap_error, torn_error
+    ):
+        recycled_log(tmp_path)
+        drop_newest(tmp_path)
+        needed = segment(tmp_path, 10)
+        ends = scan_segment(needed).ends
+        data = bytearray(needed.read_bytes())
+        data[(ends[0] + ends[1]) // 2] ^= 0xFF  # inside record 11
+        needed.write_bytes(bytes(data))
+        with pytest.raises(torn_error, match="mid-history"):
+            enter(tmp_path)
+
+    def test_live_recycled_segment_without_records(self, tmp_path):
+        expected = recycled_log(tmp_path, last_lsn=9)
+        live = segment(tmp_path, 10)
+        size = live.stat().st_size
+        assert scan_segment(live).records == []
+        assert stale_records(live) == [1, 2, 3, 4, 5, 6]
+        replica = Database.follow(tmp_path, start=False, catch_up=False)
+        assert replica.follower.catch_up() == 0
+        assert canonical_table(replica.table) == expected
+        replica.close()
+        reopened = Database.open(tmp_path)
+        assert reopened.recovery.last_lsn == 9
+        assert reopened.recovery.truncated_bytes == size - len(MAGIC)
+        assert canonical_table(reopened.table) == expected
+        # The reopened writer truncated the stale records and writes lsn 10.
+        assert live.stat().st_size == len(MAGIC)
+        insert_batch(reopened, 3_000_001)
+        reopened.close()
+        assert [lsn for lsn, _ in scan_segment(live).records] == [10]
+
+    @pytest.mark.parametrize("applied", [2, 4], ids=["before", "through"])
+    def test_follower_whose_segment_is_recycled_under_it(
+        self, tmp_path, monkeypatch, applied
+    ):
+        # The follower opens wal-3 while the primary recycles it as wal-7
+        # and writes record 7 over record 3; record 4 stays behind it.
+        db = make_db(tmp_path)
+        key = [1_000_001]
+
+        def write():
+            insert_batch(db, key[0])
+            key[0] += 10
+
+        for _ in range(2):
+            write()
+        db.checkpoint()
+        replica = Database.follow(tmp_path, start=False, catch_up=False)
+        follower = replica.follower
+        for _ in range(2):
+            write()
+        if applied == 4:
+            # Caught up through wal-3 and pinned there, as a registered
+            # follower would be: wal-3 may go, wal-5 may not.
+            follower.catch_up()
+            db.durability.pin_lsn("replica", 4)
+        assert follower.applied_lsn == applied
+        state = canonical_table(replica.table)
+        tailed = segment(tmp_path, 3)
+        inode = tailed.stat().st_ino
+        real_open = open
+
+        def recycle_on_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            if Path(file) == tailed and tailed.exists():
+                for lsn in (4, 5, 6):
+                    if lsn > 4:
+                        write()
+                    db.checkpoint()
+                write()
+                assert segment(tmp_path, 7).stat().st_ino == inode
+            return handle
+
+        monkeypatch.setattr(wal_module, "open", recycle_on_open, raising=False)
+        if applied == 2:
+            # Records 3-4 are gone: a gap, and no stale record applied.
+            with pytest.raises(RetentionGapError):
+                follower.catch_up()
+            assert follower.applied_lsn == 2
+            assert canonical_table(replica.table) == state
+        else:
+            # Applied through wal-5's first LSN - 1: relocate to it.
+            assert follower.catch_up() == 3
+            assert follower.applied_lsn == 7
+            assert canonical_table(replica.table) == canonical_table(db.table)
+        replica.close()
+        db.close()
 
 
 #: A history: batches of (op kind, choice index), each optionally

@@ -1,6 +1,7 @@
 """Snapshot + recovery tests: checkpoints, rotation/GC, oracle equality."""
 
 import json
+import os
 import threading
 from pathlib import Path
 
@@ -31,9 +32,11 @@ from repro.durability.snapshot import (
     segment_file_name,
 )
 from repro.durability.wal import (
+    FREE_SEGMENT,
     decode_delta_log,
     scan_segment,
     segment_first_lsn,
+    segment_name,
 )
 from repro.replication.follower import Follower
 from repro.storage.layouts import LayoutKind, LayoutSpec
@@ -627,12 +630,20 @@ class TestConcurrentDurability:
     def test_durable_write_commits_while_checkpoint_deletes_garbage(
         self, tmp_path, monkeypatch
     ):
-        # keep_snapshots=1: the checkpoint after a write round unlinks the
-        # WAL segment its snapshot covers.
+        # keep_snapshots=1 and a retention pin at the baseline: two
+        # checkpoints keep every segment, then the pin is released and the
+        # next checkpoint frees three at once.  The first becomes the
+        # segment pool; the other two are unlinked outside the lock.
         db = make_db(
             tmp_path, durability=DurabilityConfig(root=tmp_path, keep_snapshots=1)
         )
-        insert_round(db, [1, 3])
+        db.durability.pin_lsn("held", 0)
+        for keys in ([1, 3], [9, 11]):
+            insert_round(db, keys)
+            db.checkpoint()
+        assert len(db.durability.segments()) == 3
+        db.durability.release_pin("held")
+        insert_round(db, [13, 15])
         in_gc, release = threading.Event(), threading.Event()
         unlink = Path.unlink
 
@@ -672,8 +683,9 @@ class TestConcurrentDurability:
         assert outcome["write"] is None
         info = outcome["checkpoint"]
         assert db.durability.durable_lsn == info.lsn + 1
-        assert [segment_first_lsn(p.name) for p in (tmp_path / "wal").iterdir()] == [
-            info.lsn + 1
+        assert sorted(path.name for path in (tmp_path / "wal").iterdir()) == [
+            FREE_SEGMENT,
+            segment_name(info.lsn + 1),
         ]
         db.close()
         reopened = Database.open(tmp_path)
@@ -886,6 +898,79 @@ class TestPayloadSegments:
         again = Database.open(tmp_path)
         assert fingerprint(again.table) == expected
         again.close()
+
+
+class TestRecycledWalSegment:
+    """Checkpoint GC keeps the first WAL segment it drops as the pool
+    ``wal/.free``; the next rotation renames it to the new segment and
+    writes over it in place, so a steady-state checkpoint unlinks no
+    segment and truncates nothing."""
+
+    def test_checkpoints_after_the_second_unlink_no_segment(
+        self, tmp_path, monkeypatch
+    ):
+        db = make_db(tmp_path)
+        wal_dir = tmp_path / "wal"
+        pool = wal_dir / FREE_SEGMENT
+        for keys in ([1, 3, 5], [7, 9]):
+            insert_round(db, keys)
+            db.checkpoint()
+        assert pool.is_file()
+        unlinked, truncated = [], []
+        real_unlink, real_os_unlink = Path.unlink, os.unlink
+        real_ftruncate = os.ftruncate
+
+        def recording_unlink(path, *args, **kwargs):
+            unlinked.append(Path(path))
+            return real_unlink(path, *args, **kwargs)
+
+        def recording_os_unlink(path, *args, **kwargs):
+            unlinked.append(Path(path))
+            return real_os_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", recording_unlink)
+        monkeypatch.setattr(os, "unlink", recording_os_unlink)
+        monkeypatch.setattr(
+            os, "ftruncate", lambda fd, n: (truncated.append(n), real_ftruncate(fd, n))[1]
+        )
+        for round_no in range(4):
+            pooled = pool.stat().st_ino
+            insert_round(db, [11 + 4 * round_no, 13 + 4 * round_no])
+            info = db.checkpoint()
+            live = wal_dir / segment_name(info.lsn + 1)
+            # The live segment is the pooled file, and a dropped segment
+            # took the pool's place.
+            assert db.durability.wal.path == live
+            assert live.stat().st_ino == pooled
+            assert pool.is_file() and pool.stat().st_ino != pooled
+            assert len(db.durability.segments()) == 2
+        monkeypatch.undo()
+        assert not [path for path in unlinked if path.parent == wal_dir]
+        assert truncated == []
+        expected = fingerprint(db.table)
+        db.close()
+        reopened = Database.open(tmp_path)
+        assert fingerprint(reopened.table) == expected
+        reopened.close()
+
+    def test_checkpoint_without_writes_keeps_the_live_writer(self, tmp_path):
+        db = make_db(tmp_path)
+        for keys in ([1], [3], [5]):
+            insert_round(db, keys)
+            db.checkpoint()
+        writer = db.durability.wal
+        size = writer.path.stat().st_size
+        db.checkpoint()
+        # No record since the last rotation: the live (recycled) segment
+        # keeps its writer, and its stale bytes stay in place.
+        assert db.durability.wal is writer
+        assert writer.path.stat().st_size == size
+        insert_round(db, [7])
+        expected = fingerprint(db.table)
+        db.close()
+        reopened = Database.open(tmp_path)
+        assert fingerprint(reopened.table) == expected
+        reopened.close()
 
 
 def chunk_inodes(directory):

@@ -391,3 +391,123 @@ class TestCrashPoints:
         with pytest.raises(InjectedCrash):
             writer.sync()
         assert scan_segment(path).records == []
+
+
+def intent_body(move_id):
+    """A one-record body of fixed length: a move intent for ``move_id``."""
+    log = CallLog()
+    log.record_move_intent(move_id, 3, 41, [10, 11])
+    return encode_delta_log(log)
+
+
+def pool_segment(tmp_path, bodies):
+    """A closed segment ``wal-1`` holding ``bodies`` as records 1, 2, ...,
+    as checkpoint GC leaves a dropped segment in the pool."""
+    path = tmp_path / segment_name(1)
+    writer = WalWriter(path)
+    for lsn, body in enumerate(bodies, start=1):
+        append(writer, lsn, body)
+    writer.close()
+    return path
+
+
+def recycle(old, first_lsn, **kwargs):
+    """Rename ``old`` to segment ``first_lsn`` and open it recycled, as the
+    rotation into the pool does."""
+    path = old.with_name(segment_name(first_lsn))
+    os.rename(old, path)
+    return WalWriter(path, recycled=True, **kwargs)
+
+
+class TestRecycledSegment:
+    """A recycled segment is written over in place; the records of its
+    previous life stay behind its own and still pass their CRC, but carry
+    LSNs below its name, so no scan takes them for the segment's."""
+
+    BODIES = [b"old-record-%02d" % lsn for lsn in range(1, 7)]
+
+    def test_scan_returns_only_the_new_records(self, tmp_path, monkeypatch):
+        old = pool_segment(tmp_path, self.BODIES)
+        size = old.stat().st_size
+        truncations = []
+        real_ftruncate = os.ftruncate
+        monkeypatch.setattr(
+            "repro.durability.wal.os.ftruncate",
+            lambda fd, n: (truncations.append(n), real_ftruncate(fd, n))[1],
+        )
+        writer = recycle(old, 20)
+        assert writer.appended_lsn == 19
+        for lsn in (20, 21):
+            append(writer, lsn, b"new-record-%d" % lsn)
+        writer.close()
+        assert truncations == []
+        path = writer.path
+        assert path.stat().st_size == size
+        scan = scan_segment(path)
+        assert [lsn for lsn, _ in scan.records] == [20, 21]
+        assert scan.tail_status == "corrupt"
+        # Records 3-6 of the previous life are intact behind them.
+        stale = scan_segment(path, start_offset=scan.valid_bytes, previous_lsn=2)
+        assert [lsn for lsn, _ in stale.records] == [3, 4, 5, 6]
+        assert stale.tail_status == "clean"
+
+    def test_no_new_record_scans_empty(self, tmp_path):
+        writer = recycle(pool_segment(tmp_path, self.BODIES), 20)
+        writer.close()
+        scan = scan_segment(writer.path)
+        assert scan.records == []
+        assert scan.valid_bytes == len(MAGIC)
+        assert scan.tail_status == "corrupt"
+        # Reopened, the writer truncates the stale bytes and starts at 20.
+        reopened = WalWriter(writer.path)
+        assert reopened.appended_lsn == 19
+        assert writer.path.stat().st_size == len(MAGIC)
+        append(reopened, 20, b"first")
+        reopened.close()
+        assert [lsn for lsn, _ in scan_segment(writer.path).records] == [20]
+
+    def test_reopen_truncates_the_stale_tail(self, tmp_path):
+        writer = recycle(pool_segment(tmp_path, self.BODIES), 20)
+        append(writer, 20, b"new-record-20")
+        writer.close()
+        valid = scan_segment(writer.path).valid_bytes
+        reopened = WalWriter(writer.path)
+        assert reopened.appended_lsn == 20
+        assert writer.path.stat().st_size == valid
+        reopened.close()
+
+    def test_power_loss_leaves_the_old_bytes_past_the_synced_offset(
+        self, tmp_path
+    ):
+        old = pool_segment(tmp_path, self.BODIES)
+        before = old.read_bytes()
+        faults = FaultInjector(
+            crash_at="wal.append.full", crash_hit=3, power_loss=True
+        )
+        writer = recycle(old, 20, faults=faults)
+        append(writer, 20, b"durable-rec-20")
+        writer.sync()
+        synced = scan_segment(writer.path).ends[0]
+        append(writer, 21, b"volatile-r-21")
+        with pytest.raises(InjectedCrash):
+            append(writer, 22, b"volatile-r-22" * 40)
+        after = writer.path.read_bytes()
+        # The disk never saw the un-fsynced overwrite (nor the growth).
+        assert len(after) == len(before)
+        assert after[synced:] == before[synced:]
+        assert [lsn for lsn, _ in scan_segment(writer.path).records] == [20]
+
+    @pytest.mark.parametrize("new_records", [0, 1])
+    def test_move_marker_scan_ignores_stale_intents(self, tmp_path, new_records):
+        from repro.sharding.database import _scan_move_markers
+
+        (tmp_path / "wal").mkdir()
+        old = pool_segment(tmp_path / "wal", [intent_body(5), intent_body(7)])
+        writer = recycle(old, 10)
+        for lsn in range(10, 10 + new_records):
+            # The same length as record 1: record 2 stays intact behind it.
+            append(writer, lsn, intent_body(8))
+        writer.close()
+        intents, commits, forgets = _scan_move_markers(str(tmp_path))
+        assert sorted(intents) == ([8] if new_records else [])
+        assert (commits, forgets) == (set(), set())
