@@ -1,45 +1,31 @@
-"""``repro-lint`` entry point: discovery, caching, driving the checkers.
+"""``repro-lint`` entry point: discovery, driving the checkers.
 
-``python -m repro.analysis [paths] [--format text|json] [--no-cache]``
+``python -m repro.analysis [paths] [--format text|json]``
 
-Two passes over the file set:
+Two passes over the file set, each file parsed once:
 
 1. collect the ``@requires_latch`` registry contributed by every file's
    decorators (merged with the seed table
    ``repro.discipline.CHUNK_METHOD_MODES``);
 2. analyze each file against the merged registry.
 
-Both passes are cached per file (keyed on path, mtime, size, analyzer
-version and a digest of the declaration tables + merged registry), so a
-warm run re-parses only changed files -- the CI job stays well under its
-30s budget.
+A run over ``src`` takes about a second, so nothing is cached between
+runs and the analyzer writes no file.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import hashlib
 import os
-import pickle
 import re
-import sys
 from pathlib import Path
 
-from repro.discipline import (
-    CHUNK_METHOD_MODES,
-    GUARDED_BY,
-    LOCK_ATTRIBUTES,
-    LOCK_ORDER,
-    SOLVER_CALL_NAMES,
-)
+from repro.discipline import CHUNK_METHOD_MODES
 
 from . import checks
 from .report import Violation, format_json, format_text
 from .walker import analyze_function, decorator_requirements, iter_functions
-
-#: Bump to invalidate every cache entry on analyzer changes.
-ANALYSIS_VERSION = 1
 
 #: Implementation modules exempt from analysis: they *are* the latch /
 #: discipline machinery the rules describe.
@@ -152,133 +138,30 @@ def analyze_source(
 
 
 # --------------------------------------------------------------------- #
-# Cache
-# --------------------------------------------------------------------- #
-
-
-def _default_cache_path() -> str:
-    return os.path.join(".repro-lint-cache", "cache.pickle")
-
-
-def _file_sig(path: str) -> tuple[int, int]:
-    stat = os.stat(path)
-    return (stat.st_mtime_ns, stat.st_size)
-
-
-def _tables_digest(registry: dict[str, str]) -> str:
-    blob = repr(
-        (
-            ANALYSIS_VERSION,
-            sorted(registry.items()),
-            sorted(LOCK_ORDER.items()),
-            sorted(LOCK_ATTRIBUTES.items(), key=repr),
-            sorted((k, sorted(v.items())) for k, v in GUARDED_BY.items()),
-            sorted(SOLVER_CALL_NAMES),
-        )
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-class AnalysisCache:
-    """Pickle-backed per-file cache of registry contributions and
-    violations (invalidated by mtime/size, analyzer version and the
-    declaration-table digest)."""
-
-    def __init__(self, path: "str | None") -> None:
-        self.path = path
-        self.entries: dict[str, dict] = {}
-        self.dirty = False
-        if path is not None and os.path.exists(path):
-            try:
-                with open(path, "rb") as fh:
-                    data = pickle.load(fh)
-                if data.get("version") == ANALYSIS_VERSION:
-                    self.entries = data.get("entries", {})
-            except Exception:
-                self.entries = {}
-
-    def entry(self, path: str) -> "dict | None":
-        entry = self.entries.get(os.path.abspath(path))
-        if entry is None:
-            return None
-        try:
-            if entry["sig"] != _file_sig(path):
-                return None
-        except OSError:
-            return None
-        return entry
-
-    def store(self, path: str, **fields) -> None:
-        key = os.path.abspath(path)
-        entry = self.entries.setdefault(key, {"sig": _file_sig(path)})
-        entry["sig"] = _file_sig(path)
-        entry.update(fields)
-        self.dirty = True
-
-    def save(self) -> None:
-        if self.path is None or not self.dirty:
-            return
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(self.path, "wb") as fh:
-            pickle.dump(
-                {"version": ANALYSIS_VERSION, "entries": self.entries}, fh
-            )
-
-
-# --------------------------------------------------------------------- #
 # Driver
 # --------------------------------------------------------------------- #
 
 
-def analyze_paths(
-    paths: list[str], *, cache_path: "str | None" = None
-) -> list[Violation]:
+def analyze_paths(paths: list[str]) -> list[Violation]:
     """Analyze every Python file under ``paths``; return all violations."""
     files = [f for f in discover(paths) if not _is_exempt(f)]
-    cache = AnalysisCache(cache_path)
-
     parsed: dict[str, tuple[str, ast.Module]] = {}
-
-    def parse(path: str) -> tuple[str, ast.Module]:
-        if path not in parsed:
-            with open(path, "r", encoding="utf-8") as fh:
-                source = fh.read()
-            parsed[path] = (source, ast.parse(source, filename=path))
-        return parsed[path]
+    for path in files:
+        with open(path, "r", encoding="utf-8") as fh:
+            source = fh.read()
+        parsed[path] = (source, ast.parse(source, filename=path))
 
     # Pass 1: registry contributions.
-    contribs: list[dict[str, dict[str, str]]] = []
-    for path in files:
-        entry = cache.entry(path)
-        if entry is not None and "registry" in entry:
-            contribs.append(entry["registry"])
-            continue
-        _, tree = parse(path)
-        contrib = collect_registry(tree)
-        cache.store(path, registry=contrib)
-        contribs.append(contrib)
-    registry, class_registry = merge_registry(contribs)
-    digest = _tables_digest(registry)
+    registry, class_registry = merge_registry(
+        [collect_registry(tree) for _, tree in parsed.values()]
+    )
 
     # Pass 2: per-file checks.
     violations: list[Violation] = []
-    for path in files:
-        entry = cache.entry(path)
-        if (
-            entry is not None
-            and entry.get("digest") == digest
-            and "violations" in entry
-        ):
-            violations.extend(entry["violations"])
-            continue
-        source, tree = parse(path)
-        found = analyze_source(path, source, tree, registry, class_registry)
-        cache.store(path, digest=digest, violations=found)
-        violations.extend(found)
-
-    cache.save()
+    for path, (source, tree) in parsed.items():
+        violations.extend(
+            analyze_source(path, source, tree, registry, class_registry)
+        )
     return violations
 
 
@@ -303,20 +186,9 @@ def main(argv: "list[str] | None" = None) -> int:
         default="text",
         help="report format",
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the per-file analysis cache",
-    )
-    parser.add_argument(
-        "--cache-path",
-        default=_default_cache_path(),
-        help="cache file location (default: .repro-lint-cache/cache.pickle)",
-    )
     args = parser.parse_args(argv)
 
-    cache_path = None if args.no_cache else args.cache_path
-    violations = analyze_paths(args.paths or ["src"], cache_path=cache_path)
+    violations = analyze_paths(args.paths or ["src"])
     formatter = format_json if args.format == "json" else format_text
     print(formatter(violations))
     return 1 if violations else 0

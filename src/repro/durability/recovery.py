@@ -319,7 +319,7 @@ class LogTail:
                 for record in decode_delta_log(body).records:
                     replay = REPLAYED_AS.get(record.kind)
                     if replay is not None:  # markers mutate nothing
-                        replay(record).run(self.table)
+                        replay(record, self.table.payload_names).run(self.table)
                     self.operations_applied += record.operations
                 self.applied_lsn = lsn
                 self.batches_applied += 1

@@ -12,10 +12,11 @@ workload monitor reads -- framed as::
 with ``crc = crc32(lsn || length || body)``.  The body packs the log's
 write and move-marker records (reads never reach the WAL): a ``u32``
 record count (high bit = the scope was one atomic transaction commit),
-then per record a ``u8`` kind code, a ``u32`` run length and the key /
-payload / target-key arrays as little-endian ``int64`` bytes.  Decoding
-gives the same record type back.  No pickle anywhere: a corrupted log can
-at worst fail a CRC, never execute.
+then per record a ``u8`` kind code, a ``u32`` run length, a ``u32``
+payload width and the key / target-key / payload arrays as little-endian
+``int64`` bytes.  Decoding gives the same record type back.  No pickle
+anywhere: a corrupted log can at worst fail a CRC, never execute.  A shard
+request is a body too (:func:`encode_batch`), which may hold read records.
 
 A segment file starts with the 8-byte magic ``RPROWAL1`` and is named
 ``wal-<first lsn>.log``; the manager rotates to a new segment at every
@@ -92,6 +93,16 @@ _RECORD = struct.Struct("<BII")
 
 _COUNT = struct.Struct("<I")
 
+#: Kinds a batch body carries, coded by position: the WAL's, then the read
+#: kinds of a shard request, which :func:`decode_delta_log` rejects.
+BATCH_KINDS = DELTA_KINDS + ("point_query", "range_count", "range_sum")
+_BATCH_CODES = {kind: code for code, kind in enumerate(BATCH_KINDS)}
+
+#: Kinds with a ``highs`` array; kinds with one payload row however many
+#: keys they hold (a move intent's row, a read's column indices).
+_HIGHS_KINDS = frozenset({"update", "range_count", "range_sum"})
+_ONE_ROW_KINDS = frozenset({"move_intent", "point_query", "range_sum"})
+
 #: High bit of the body's record-count word: set when the body is one
 #: atomic commit unit (an MVCC transaction's write set).  Old readers
 #: never saw the bit set, so the encoding stays backward compatible.
@@ -116,30 +127,30 @@ def segment_first_lsn(path: str | os.PathLike) -> int:
 # --------------------------------------------------------------------- #
 
 
+def encode_batch(records, atomic: bool = False) -> bytes:
+    """Pack records of :data:`BATCH_KINDS` into one body."""
+    count = len(records)
+    if atomic:
+        count |= _ATOMIC_FLAG
+    parts = [_COUNT.pack(count)]
+    for record in records:
+        kind = record.kind
+        rows = kind == "insert" or kind in _ONE_ROW_KINDS
+        width = int(record.payloads.shape[1]) if rows else 0
+        parts.append(_RECORD.pack(_BATCH_CODES[kind], int(record.keys.shape[0]), width))
+        parts.append(record.keys.astype("<i8", copy=False).tobytes())
+        if kind in _HIGHS_KINDS:
+            parts.append(record.highs.astype("<i8", copy=False).tobytes())
+        if rows:
+            parts.append(record.payloads.astype("<i8", copy=False).tobytes())
+    return b"".join(parts)
+
+
 def encode_delta_log(log: CallLog) -> bytes:
     """Pack the write and marker records of a call log into one WAL
     record body (its read records are skipped)."""
     records = [record for record in log.records if record.kind in DELTA_KIND_CODES]
-    count = len(records)
-    if log.atomic:
-        count |= _ATOMIC_FLAG
-    parts = [_COUNT.pack(count)]
-    for record in records:
-        code = DELTA_KIND_CODES[record.kind]
-        n = int(record.keys.shape[0])
-        if record.kind in ("insert", "move_intent"):
-            width = int(record.payloads.shape[1])
-            parts.append(_RECORD.pack(code, n, width))
-            parts.append(record.keys.astype("<i8", copy=False).tobytes())
-            parts.append(record.payloads.astype("<i8", copy=False).tobytes())
-        elif record.kind == "update":
-            parts.append(_RECORD.pack(code, n, 0))
-            parts.append(record.keys.astype("<i8", copy=False).tobytes())
-            parts.append(record.highs.astype("<i8", copy=False).tobytes())
-        else:  # "delete", "move_commit", "move_forget": bare key arrays
-            parts.append(_RECORD.pack(code, n, 0))
-            parts.append(record.keys.astype("<i8", copy=False).tobytes())
-    return b"".join(parts)
+    return encode_batch(records, log.atomic)
 
 
 def _take(body: bytes, offset: int, count: int) -> tuple[np.ndarray, int]:
@@ -151,13 +162,7 @@ def _take(body: bytes, offset: int, count: int) -> tuple[np.ndarray, int]:
     ), end
 
 
-def decode_delta_log(body: bytes) -> CallLog:
-    """Unpack one WAL record body (inverse of :func:`encode_delta_log`).
-
-    Raises :class:`WalCorruptionError` on structural mismatch; in practice
-    the frame CRC rejects damaged bodies before they reach the decoder, so
-    this guards against format bugs, not disk corruption.
-    """
+def _decode(body: bytes, kinds: tuple[str, ...]) -> CallLog:
     if len(body) < _COUNT.size:
         raise WalCorruptionError("delta body shorter than its record count")
     (count,) = _COUNT.unpack_from(body, 0)
@@ -170,24 +175,37 @@ def decode_delta_log(body: bytes) -> CallLog:
             raise WalCorruptionError("delta body shorter than its record headers")
         code, n, width = _RECORD.unpack_from(body, offset)
         offset += _RECORD.size
-        if code >= len(DELTA_KINDS):
+        if code >= len(kinds):
             raise WalCorruptionError(f"unknown delta kind code {code}")
-        kind = DELTA_KINDS[code]
+        kind = kinds[code]
         keys, offset = _take(body, offset, n)
         highs = payloads = None
-        if kind == "insert":
-            flat, offset = _take(body, offset, n * width)
-            payloads = flat.reshape(n, width)
-        elif kind == "move_intent":
-            # One payload row however many protocol keys the marker holds.
-            flat, offset = _take(body, offset, width)
-            payloads = flat.reshape(1, width)
-        elif kind == "update":
+        if kind in _HIGHS_KINDS:
             highs, offset = _take(body, offset, n)
+        if kind == "insert" or kind in _ONE_ROW_KINDS:
+            rows = n if kind == "insert" else 1
+            flat, offset = _take(body, offset, rows * width)
+            payloads = flat.reshape(rows, width)
         log.records.append(LogRecord(kind, keys, highs, payloads))
     if offset != len(body):
         raise WalCorruptionError("delta body has trailing bytes")
     return log
+
+
+def decode_delta_log(body: bytes) -> CallLog:
+    """Unpack one WAL record body (inverse of :func:`encode_delta_log`).
+
+    Raises :class:`WalCorruptionError` on structural mismatch (a read
+    kind included); in practice the frame CRC rejects damaged bodies
+    before they reach the decoder, so this guards against format bugs,
+    not disk corruption.
+    """
+    return _decode(body, DELTA_KINDS)
+
+
+def decode_batch(body: bytes) -> CallLog:
+    """Unpack a body of any kind (inverse of :func:`encode_batch`)."""
+    return _decode(body, BATCH_KINDS)
 
 
 def frame_record(lsn: int, body: bytes) -> bytes:

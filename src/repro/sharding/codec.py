@@ -1,17 +1,21 @@
 """Wire codec for shard dispatch: operations out, results back.
 
 Frames (:mod:`repro.ipc.framing`) carry only small JSON descriptors; every
-``int64`` array -- point-query key batches, range bounds, insert payload
-rows, result row ids and payload gathers -- is appended to the channel's
-shared-memory arena (:class:`repro.ipc.shm.ShmArena`) and referenced by
-``{"o": byte_offset, "n": element_count}``.  Arrays that do not fit the
-arena (or when no arena is attached) fall back to inline JSON lists:
-capacity bounds performance, never correctness.
+``int64`` array -- a request body, result row ids and payload gathers --
+is appended to the channel's shared-memory arena
+(:class:`repro.ipc.shm.ShmArena`) and referenced by ``{"o": byte_offset,
+"n": element_count}``.  Arrays that do not fit the arena (or when no
+arena is attached) fall back to inline JSON lists: capacity bounds
+performance, never correctness.
 
-Operations encode generically: the codec knows no operation kind.  Each
-class of :mod:`repro.workload.operations` declares ``wire = (tag,
-array_fields)``; a descriptor is the tag plus every field by name, the
-array fields through the arena (with their shape), the rest as JSON.
+Operations travel in the one batch format, the WAL record body
+(:func:`repro.durability.wal.encode_batch`): each operation is one record
+of its attribution -- keys, range bounds or update pairs as the record's
+keys and highs, an insert's payload rows, a read's payload column indices
+as one payload row -- and the whole per-shard list is one body, shipped
+as ``int64`` words with its byte length.  The worker runs each decoded
+record as the operation :data:`repro.workload.operations.REPLAYED_AS`
+names, the table recovery replays the log through.
 
 The result encoding covers what the operations the shard router sends
 (the batched kinds and SUM ranges of the engine's batch plan) return;
@@ -34,12 +38,12 @@ ids by the shard's base (load-order global ids).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import get_args
 
 import numpy as np
 
+from ..durability.wal import decode_batch, encode_batch
 from ..ipc.shm import ShmArena
+from ..storage.access_log import CallLog
 from ..storage.table import Row
 from ..workload import operations as ops
 from .errors import ShardError
@@ -93,54 +97,37 @@ class ArenaReader:
 # --------------------------------------------------------------------- #
 
 
-#: Wire tag -> operation class; each class declares its own ``wire`` facts.
-_WIRE_TYPES = {cls.wire[0]: cls for cls in get_args(ops.Operation)}
-
-
-def encode_ops(oplist, writer: ArenaWriter) -> list[dict]:
-    """Encode a per-shard operation list into frame descriptors.
-
-    One descriptor per operation: its wire tag under ``"k"`` plus every
-    field by name -- the class's array fields through ``writer`` (with
-    their shape, ``None`` omitted), the rest as JSON scalars.
-    """
-    encoded: list[dict] = []
+def encode_ops(oplist, writer: ArenaWriter) -> dict:
+    """Encode a per-shard list of resolved operations
+    (:func:`repro.sharding.database.resolve`) as one request body, one
+    record per operation: its attribution, plus an insert's payload rows
+    or a read's column indices as payloads.  The body rides ``writer`` as
+    ``int64`` words; ``"b"`` is its byte length."""
+    log = CallLog()
     for op in oplist:
         if not isinstance(op, ops.Operation):
             raise ShardError(f"cannot encode operation {type(op)!r}")
-        tag, array_fields = op.wire
-        entry = {"k": tag}
-        for name, value in vars(op).items():
-            if name not in array_fields:
-                if isinstance(value, Enum):
-                    value = value.value
-                elif isinstance(value, np.integer):
-                    value = int(value)  # JSON knows no numpy scalars
-                entry[name] = value
-            elif value is not None:
-                rows = np.asarray(value, dtype=_I64)
-                entry[name] = {**writer.put(rows.reshape(-1)), "s": rows.shape}
-        encoded.append(entry)
-    return encoded
+        kind, keys, highs = op.attribution()
+        payloads = None
+        if kind == "insert":
+            payloads = op.payloads if isinstance(op, ops.MultiInsert) else (op.payload,)
+        elif kind in ("point_query", "range_sum"):
+            payloads = (op.columns,)
+        log.record(kind, keys, highs, payloads)
+    body = encode_batch(log.records)
+    words = np.frombuffer(body + bytes(-len(body) % 8), dtype=_I64)
+    return {**writer.put(words), "b": len(body)}
 
 
-def decode_ops(encoded: list[dict], reader: ArenaReader) -> list:
-    """Rebuild operation objects from :func:`encode_ops` descriptors."""
-    oplist = []
-    for entry in encoded:
-        cls = _WIRE_TYPES.get(entry["k"])
-        if cls is None:
-            raise ShardError(f"cannot decode operation kind {entry['k']!r}")
-        fields = {}
-        for name, value in entry.items():
-            if name == "k":
-                continue
-            if name in cls.wire[1]:
-                rows = reader.get(value).reshape(value["s"]).tolist()
-                value = tuple(map(tuple, rows)) if len(value["s"]) > 1 else rows
-            fields[name] = tuple(value) if isinstance(value, list) else value
-        oplist.append(cls(**fields))
-    return oplist
+def decode_operations(descriptor: dict, reader: ArenaReader, payload_names) -> list:
+    """The operations of an :func:`encode_ops` body: each record as the
+    operation :data:`~repro.workload.operations.REPLAYED_AS` names, which
+    is how recovery replays a logged write too."""
+    body = reader.get(descriptor).tobytes()[: int(descriptor["b"])]
+    return [
+        ops.REPLAYED_AS[record.kind](record, payload_names)
+        for record in decode_batch(body).records
+    ]
 
 
 # --------------------------------------------------------------------- #

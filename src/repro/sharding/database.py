@@ -84,6 +84,7 @@ import numpy as np
 from ..api.session import SessionResult
 from ..storage.cost_accounting import AccessCounter
 from ..storage.engine import place_results, planned_operations
+from ..storage.table import default_payload_names
 from ..workload import operations as ops
 from ..workload.operations import Operation, Workload
 from . import codec
@@ -93,6 +94,25 @@ from .errors import ShardError
 from .shard_map import ShardMap
 
 _MANIFEST = "manifest.json"
+
+
+def resolve(op, payload_names):
+    """``op`` as its request record states it: a read's ``columns`` as
+    payload column indices (``None``: every column), a missing insert
+    payload as the zero rows the table pads.  Only the dispatcher knows
+    ``payload_names``, so it resolves what it hands
+    :func:`~repro.sharding.codec.encode_ops`."""
+    if hasattr(op, "columns"):
+        names = payload_names if op.columns is None else op.columns
+        if not set(names) <= set(payload_names):
+            raise ShardError(f"unknown payload column in {names!r}")
+        return replace(op, columns=tuple(map(payload_names.index, names)))
+    if isinstance(op, ops.MultiInsert) and op.payloads is None:
+        rows = np.zeros((len(op.keys), len(payload_names)), dtype=np.int64)
+        return replace(op, payloads=rows)
+    if isinstance(op, ops.Insert) and op.payload is None:
+        return replace(op, payload=(0,) * len(payload_names))
+    return op
 
 
 def _shard_dir(root: "str | os.PathLike", shard: int) -> str:
@@ -250,8 +270,8 @@ class ShardedDatabase:
         width = 0 if sorted_payload is None else int(sorted_payload.shape[1])
         if arena_bytes is None:
             # Room for the largest load slice (keys + payload) or a large
-            # dispatch batch, whichever is bigger; overflow degrades to
-            # inline JSON, so this only has to be usually-big-enough.
+            # request body, whichever is bigger; an overflowing array travels
+            # as inline JSON, so this only has to be usually-big-enough.
             largest = int(np.diff(positions).max(initial=0))
             arena_bytes = max(
                 DEFAULT_ARENA_BYTES, (largest * (1 + width) * 8) + (1 << 16)
@@ -262,7 +282,7 @@ class ShardedDatabase:
             "partitions": int(partitions),
             "chunk_size": int(chunk_size),
             "block_values": int(block_values),
-            "payload_names": list(payload_names) if payload_names else None,
+            "payload_names": list(payload_names or default_payload_names(width)),
             "fsync": fsync,
             "reorg": bool(reorg),
         }
@@ -290,8 +310,9 @@ class ShardedDatabase:
                 # Explicit width: an empty slice cannot infer it.
                 request["width"] = width
             if plan is not None:
+                names = config["payload_names"]
                 request["plan"] = codec.encode_ops(
-                    list(plan.operations), writer
+                    [resolve(op, names) for op in plan.operations], writer
                 )
             if durability is not None:
                 request["durability"] = _shard_dir(durability, shard)
@@ -704,9 +725,10 @@ class _Batch:
     # -- plumbing ------------------------------------------------------- #
 
     def _push(self, shard: int, op) -> int:
-        """Queue ``op`` on ``shard``; returns its sub-batch position."""
+        """Queue ``op``, resolved for its request record, on ``shard``;
+        returns its sub-batch position."""
         sub = self._pending.setdefault(shard, [])
-        sub.append(op)
+        sub.append(resolve(op, self.database.payload_names))
         return len(sub) - 1
 
     def flush(self) -> None:
@@ -952,13 +974,9 @@ class _Batch:
             if not overlap.any():
                 continue
             positions = np.nonzero(overlap)[0]
-            clipped = tuple(
-                (int(max(lo, low)), int(min(hi, high)))
-                for lo, hi in bounds[positions]
-            )
-            pieces.append(
-                (shard, positions, ops.MultiRangeCount(bounds=clipped))
-            )
+            # An overlapping range clips to the shard at both ends.
+            clipped = np.clip(bounds[positions], low, high)
+            pieces.append((shard, positions, ops.MultiRangeCount(clipped)))
         self._scatter(index, len(op.bounds), pieces, "counts")
 
     def _route_multi_update(self, index: int, op) -> None:

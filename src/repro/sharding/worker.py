@@ -16,10 +16,11 @@ speaks (:mod:`repro.ipc.framing`):
     :class:`~repro.api.reorganizer.Reorganizer`, so each shard
     reorganizes independently off the other shards' paths.
 ``execute``
-    Decode a per-shard operation list -- the batched kinds and SUM
-    ranges of the dispatcher's batch plan, none of which raises a miss --
-    run it through the session, and reply with the encoded results plus
-    the batch's access tally and durability watermarks.  Writes commit through this shard's
+    Decode a per-shard request body (WAL body format, one record per
+    operation: the batched kinds and SUM ranges of the dispatcher's batch
+    plan, none of which raises a miss), run it through the session, and
+    reply with the encoded results plus the batch's access tally and
+    durability watermarks.  Writes commit through this shard's
     *own* :class:`~repro.durability.manager.DurabilityManager` -- the
     per-shard WALs are what unserializes durable write batches that a
     single-process database would funnel through one ``wal_commit`` lock.
@@ -103,7 +104,8 @@ def _build_database(request: dict, reader: codec.ArenaReader):
     plan = request.get("plan")
     if plan is not None:
         sample = Workload(
-            operations=codec.decode_ops(plan, reader), name="shard-sample"
+            operations=codec.decode_operations(plan, reader, common["payload_names"]),
+            name="shard-sample",
         )
         return Database.plan_for(sample, keys, payload, **common)
     return Database.from_rows(
@@ -183,8 +185,11 @@ def worker_main(host: str, port: int, shard: int, token: str) -> None:
                     reply["payload_names"] = list(database.table.payload_names)
                 elif verb == "execute":
                     die_at("exit_before_apply", verb)
-                    reader = codec.ArenaReader(arena)
-                    oplist = codec.decode_ops(request["ops"], reader)
+                    oplist = codec.decode_operations(
+                        request["ops"],
+                        codec.ArenaReader(arena),
+                        database.table.payload_names,
+                    )
                     outcome = session.execute(oplist)
                     # Simulates a crash after the WAL append + fsync but
                     # before the dispatcher hears back: recovery must

@@ -81,6 +81,11 @@ def layout_chunk_builder(spec: LayoutSpec) -> ChunkBuilder:
     return builder
 
 
+def default_payload_names(width: int) -> list[str]:
+    """The names a table gives ``width`` payload columns loaded unnamed."""
+    return [f"a{i + 1}" for i in range(width)]
+
+
 @dataclass
 class Row:
     """A materialized row: the key plus the requested payload attributes."""
@@ -162,7 +167,7 @@ class Table:
             raise LayoutError("payload must have one row per key")
         num_payload = payload.shape[1]
         if payload_names is None:
-            payload_names = [f"a{i + 1}" for i in range(num_payload)]
+            payload_names = default_payload_names(num_payload)
         if len(payload_names) != num_payload:
             raise LayoutError("payload_names must match payload width")
         self.payload_names = list(payload_names)

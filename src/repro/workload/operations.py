@@ -42,12 +42,9 @@ scalar, five batched) *is*.  Every class states, once:
     (one batched operation for a group sharing a group key); batched kinds
     add ``scalar_results(result)``, which splits the batched engine result
     (row lists, or an ``int64`` array of counts / row ids) into the
-    per-scalar results and the error count serial dispatch reports;
-``wire``
-    ``(tag, array_fields)`` for the shard codec: the named fields travel as
-    ``int64`` arrays, every other field as a JSON scalar.
+    per-scalar results and the error count serial dispatch reports.
 
-:data:`REPLAYED_AS` states the way back from a logged write record.
+:data:`REPLAYED_AS` states the way back from a logged or shard-request record.
 
 Engine dispatch (``StorageEngine.execute`` runs ``run`` and logs
 ``attribution()``), the engine's batch plan and the question whether a
@@ -55,15 +52,16 @@ batch needs a commit scope (``writes``), the monitor's offline seeding (one
 log of these access records through ``observe_batch``, the way engine
 dispatch gets there too), the Frequency Model's sample reader
 (``sample_columns``, which the planner's chunk filter works behind), the
-wire codec and the shard router's scatter are loops over these facts.  The
-shard router routes the engine's batch plan, so it sees a scalar kind only
-inside its batched form; its ``route`` (how a kind splits across shards)
-names the batched kinds again, plus the SUM range, which has none.
+shard request codec and the shard router's scatter are loops over these
+facts.  The shard router routes the engine's batch plan, so it sees a
+scalar kind only inside its batched form; its ``route`` (how a kind splits
+across shards) names the batched kinds again, plus the SUM range, which
+has none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Any, Sequence, get_args
 
@@ -107,7 +105,6 @@ class PointQuery:
 
     kind = OperationKind.POINT_QUERY
     writes = False
-    wire = ("pq", ())
 
     @property
     def group_key(self) -> tuple:
@@ -140,12 +137,11 @@ class RangeQuery:
 
     kind = OperationKind.RANGE_QUERY
     writes = False
-    wire = ("rq", ())
 
     def __post_init__(self) -> None:
         if self.low > self.high:
             raise ValueError("range query low must be <= high")
-        # The wire form carries the aggregate by value.
+        # The aggregate may be given by value ("count" or "sum").
         object.__setattr__(self, "aggregate", Aggregate(self.aggregate))
 
     @property
@@ -180,7 +176,6 @@ class Insert:
     kind = OperationKind.INSERT
     writes = True
     group_key = ("insert",)
-    wire = ("in", ())
 
     @property
     def written_keys(self) -> tuple[int, ...]:
@@ -223,7 +218,6 @@ class Delete:
     kind = OperationKind.DELETE
     writes = True
     group_key = ("delete",)
-    wire = ("de", ())
 
     @property
     def written_keys(self) -> tuple[int, ...]:
@@ -253,7 +247,6 @@ class Update:
     kind = OperationKind.UPDATE
     writes = True
     group_key = ("update",)
-    wire = ("up", ())
 
     @property
     def written_keys(self) -> tuple[int, ...]:
@@ -283,7 +276,6 @@ class MultiPointQuery:
     kind = OperationKind.MULTI_POINT_QUERY
     writes = False
     group_key = None
-    wire = ("mpq", ("keys",))
 
     def attribution(self) -> tuple:
         return "point_query", self.keys, None
@@ -307,9 +299,16 @@ class MultiRangeCount:
     kind = OperationKind.MULTI_RANGE_COUNT
     writes = False
     group_key = None
-    wire = ("mrc", ("bounds",))
 
     def __post_init__(self) -> None:
+        # A decoded range-count record is an (n, 2) array: check its shape
+        # and its bounds once instead of one Python call per pair.
+        if isinstance(self.bounds, np.ndarray):
+            if self.bounds.ndim != 2 or self.bounds.shape[1] != 2:
+                raise ValueError("bounds must be an (n, 2) array of ranges")
+            if not (self.bounds[:, 0] <= self.bounds[:, 1]).all():
+                raise ValueError("range low must be <= high")
+            return
         for low, high in self.bounds:
             if low > high:
                 raise ValueError("range low must be <= high")
@@ -345,7 +344,6 @@ class MultiInsert:
     kind = OperationKind.MULTI_INSERT
     writes = True
     group_key = None
-    wire = ("mi", ("keys", "payloads"))
 
     def __post_init__(self) -> None:
         if self.payloads is not None and len(self.payloads) != len(self.keys):
@@ -383,7 +381,6 @@ class MultiDelete:
     kind = OperationKind.MULTI_DELETE
     writes = True
     group_key = None
-    wire = ("md", ("keys",))
 
     def attribution(self) -> tuple:
         return "delete", self.keys, None
@@ -415,7 +412,6 @@ class MultiUpdate:
     kind = OperationKind.MULTI_UPDATE
     writes = True
     group_key = None
-    wire = ("mu", ("pairs",))
 
     def __post_init__(self) -> None:
         # A replayed update record is an (n, 2) array: check its shape
@@ -466,16 +462,30 @@ Operation = (
 WRITE_KINDS = frozenset(cls.kind for cls in get_args(Operation) if cls.writes)
 
 
-#: The batched write a logged write record replays as -- the inverse of
-#: the batched write kinds' ``attribution()``.  A decoded WAL record
-#: ``(kind, keys, highs, payloads)`` runs as ``REPLAYED_AS[kind](record)``
-#: through its ``run(table)``, the call live dispatch measures; the
-#: move-protocol marker kinds have no entry because they mutate nothing.
+def _pairs(record) -> np.ndarray:
+    return np.stack([record.keys, record.highs], axis=1)
+
+
+def _columns(record, payload_names) -> tuple[str, ...]:
+    return tuple(payload_names[index] for index in record.payloads[0].tolist())
+
+
+#: The operation a decoded record ``(kind, keys, highs, payloads)`` runs as,
+#: ``REPLAYED_AS[kind](record, payload_names)``, whose ``run(table)`` is
+#: the call live dispatch measures: a logged write replays as the batched
+#: write whose ``attribution()`` it is, a read of a shard request (its one
+#: payload row: column indices into ``payload_names``) runs as its batched
+#: read or SUM range.  The move-protocol markers mutate nothing: no entry.
 REPLAYED_AS = {
-    "insert": lambda record: MultiInsert(record.keys, record.payloads),
-    "delete": lambda record: MultiDelete(record.keys),
-    "update": lambda record: MultiUpdate(
-        np.stack([record.keys, record.highs], axis=1)
+    "insert": lambda record, _names: MultiInsert(record.keys, record.payloads),
+    "delete": lambda record, _names: MultiDelete(record.keys),
+    "update": lambda record, _names: MultiUpdate(_pairs(record)),
+    "point_query": lambda record, names: MultiPointQuery(
+        record.keys, _columns(record, names)
+    ),
+    "range_count": lambda record, _names: MultiRangeCount(_pairs(record)),
+    "range_sum": lambda record, names: RangeQuery(
+        *_pairs(record)[0].tolist(), Aggregate.SUM, _columns(record, names)
     ),
 }
 
@@ -488,14 +498,14 @@ def is_write(operation: Operation) -> bool:
 def take(operation: Operation, positions: Sequence[int]) -> Operation:
     """A batched operation restricted to its rows at ``positions``.
 
-    Every array field of a batched kind is row-aligned, so the shard router
-    splits any of them with this one function.
+    Every field of a batched kind but ``columns`` is row-aligned, so the
+    shard router splits any of them with this one function.
     """
     rows = {}
-    for name in operation.wire[1]:
-        values = getattr(operation, name)
-        if values is not None:
-            rows[name] = tuple(values[position] for position in positions)
+    for item in fields(operation):
+        values = getattr(operation, item.name)
+        if item.name != "columns" and values is not None:
+            rows[item.name] = tuple(values[position] for position in positions)
     return replace(operation, **rows)
 
 

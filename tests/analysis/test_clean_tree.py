@@ -13,16 +13,14 @@ from repro.analysis import analyze_paths
 REPO = Path(__file__).parents[2]
 
 
-def test_src_tree_is_clean(tmp_path):
-    violations = analyze_paths(
-        [str(REPO / "src")], cache_path=tmp_path / "cache.pickle"
-    )
+def test_src_tree_is_clean():
+    violations = analyze_paths([str(REPO / "src")])
     assert violations == [], "\n".join(
         f"{v.path}:{v.line}: {v.check} {v.message}" for v in violations
     )
 
 
-def test_cli_exits_zero_on_src(tmp_path):
+def test_cli_exits_zero_on_src():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
     result = subprocess.run(
@@ -31,8 +29,6 @@ def test_cli_exits_zero_on_src(tmp_path):
             "-m",
             "repro.analysis",
             "src",
-            "--cache-path",
-            str(tmp_path / "cache.pickle"),
         ],
         cwd=REPO,
         env=env,
@@ -44,7 +40,7 @@ def test_cli_exits_zero_on_src(tmp_path):
     assert "0 violations" in result.stdout
 
 
-def test_cli_exits_nonzero_on_fixtures(tmp_path):
+def test_cli_exits_nonzero_on_fixtures():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
     result = subprocess.run(
@@ -53,7 +49,6 @@ def test_cli_exits_nonzero_on_fixtures(tmp_path):
             "-m",
             "repro.analysis",
             "tests/analysis/fixtures",
-            "--no-cache",
         ],
         cwd=REPO,
         env=env,
@@ -66,10 +61,3 @@ def test_cli_exits_nonzero_on_fixtures(tmp_path):
                   "GS01", "GS02", "SL01", "GC01"):
         assert check in result.stdout, f"{check} missing from CLI report"
 
-
-def test_warm_cache_reanalysis_matches(tmp_path):
-    cache = tmp_path / "cache.pickle"
-    cold = analyze_paths([str(REPO / "src")], cache_path=cache)
-    assert cache.exists()
-    warm = analyze_paths([str(REPO / "src")], cache_path=cache)
-    assert warm == cold

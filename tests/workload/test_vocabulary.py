@@ -15,13 +15,9 @@ import pytest
 from repro.api import Database
 from repro.durability.wal import decode_delta_log, scan_segment, segment_first_lsn
 from repro.ipc.shm import ShmArena
-from repro.sharding.codec import (
-    ArenaReader,
-    ArenaWriter,
-    decode_ops,
-    encode_ops,
-)
-from repro.storage.access_log import ATTRIBUTION_KINDS, PAIRED_UPDATE_KIND
+from repro.sharding.codec import ArenaReader, ArenaWriter, decode_operations, encode_ops
+from repro.sharding.database import resolve
+from repro.storage.access_log import ATTRIBUTION_KINDS, PAIRED_UPDATE_KIND, CallLog
 from repro.storage.engine import StorageEngine
 from repro.storage.errors import ValueNotFoundError
 from repro.storage.layouts import LayoutKind
@@ -100,13 +96,23 @@ def count_level(result):
 
 @pytest.mark.parametrize("op", EXAMPLES, ids=repr)
 class TestEveryKind:
-    def test_wire_round_trip(self, op):
-        assert decode_ops(
-            encode_ops([op], ArenaWriter(None)), ArenaReader(None)
-        ) == [op]
-        with ShmArena.create(1 << 12) as arena:
-            encoded = encode_ops([op], ArenaWriter(arena))
-            assert decode_ops(encoded, ArenaReader(arena)) == [op]
+    def test_request_record_round_trip(self, op):
+        # One record per operation: the worker runs the batched kind its
+        # attribution replays as, with the same keys, bounds, payload rows
+        # and (resolved) columns.
+        for arena in (None, ShmArena.create(1 << 12)):
+            encoded = encode_ops([resolve(op, ("a", "b"))], ArenaWriter(arena))
+            [decoded] = decode_operations(encoded, ArenaReader(arena), ("a", "b"))
+            if arena is not None:
+                arena.close()
+            log = CallLog()
+            log.record(*decoded.attribution())
+            [record] = log.records
+            assert_is_attribution(record, op)
+            if record.kind == "insert":
+                assert decoded.payloads.tolist() == inserted_rows(op)
+            if record.kind in ("point_query", "range_sum"):
+                assert decoded.columns == (op.columns or ("a", "b"))
 
     def test_write_flag_agrees_with_write_kinds(self, op):
         assert is_write(op) == (op.kind in WRITE_KINDS)
@@ -337,6 +343,38 @@ class TestMultiUpdatePairs:
     def test_tuple_pair_of_a_bad_length_raises(self):
         with pytest.raises(ValueError, match="tuples"):
             MultiUpdate(((1, 2), (3, 4, 5)))
+
+
+class TestMultiRangeCountBounds:
+    """``bounds`` is a tuple of pairs (checked pair by pair) or an ``(n, 2)``
+    array, as a decoded range-count record carries (checked by shape and
+    one vectorised comparison)."""
+
+    BOUNDS = ((0, 10), (7, 7), (50, 390), (391, 500))
+
+    def test_array_and_tuple_bounds_run_alike(self):
+        table = fresh_database().table
+        expected = MultiRangeCount(self.BOUNDS).run(table)
+        result = MultiRangeCount(np.array(self.BOUNDS, dtype=np.int64)).run(table)
+        assert result.tolist() == expected.tolist()
+        empty = MultiRangeCount(np.empty((0, 2), dtype=np.int64))
+        assert empty.run(table).size == 0
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [np.arange(4), np.zeros((2, 3)), np.zeros((2, 2, 1)), np.zeros((2, 1))],
+        ids=lambda bounds: str(bounds.shape),
+    )
+    def test_array_of_a_bad_shape_raises(self, bounds):
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            MultiRangeCount(bounds)
+
+    @pytest.mark.parametrize(
+        "bounds", [((5, 4),), np.array([[0, 1], [5, 4]])], ids=["tuple", "array"]
+    )
+    def test_inverted_range_raises(self, bounds):
+        with pytest.raises(ValueError, match="low must be <= high"):
+            MultiRangeCount(bounds)
 
 
 def test_mixed_payload_insert_run_pads_with_zero_rows():
