@@ -28,7 +28,13 @@ Serial-oracle equality is asserted *in the bench*: every shard count's
 results are compared against a single-process database replaying the
 same sequence (insert row ids excepted -- a documented divergence).
 
-Results land in ``BENCH_shard.json`` before the gate asserts.  Set
+A fourth gate times the client's row materializer alone: on a 96-key x
+8-column row block (the shape of a ``sharded_htap`` read call's point
+lookups), the median :meth:`RowBlock.rows` call must take **<= 0.6x** the
+per-cell ``int()`` loop it replaced, which the bench writes out as its
+reference (``reference_materialize``); both must build equal rows.
+
+Results land in ``BENCH_shard.json`` before the gates assert.  Set
 ``REPRO_BENCH_ROWS`` to scale the table on constrained machines.
 """
 
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 
 import numpy as np
@@ -43,6 +50,7 @@ import numpy as np
 from repro.api.database import Database
 from repro.storage.cost_accounting import constants_for_block_values
 from repro.storage.layouts import LayoutKind
+from repro.storage.table import Row, RowBlock
 from repro.workload.operations import (
     MultiDelete,
     MultiInsert,
@@ -62,6 +70,9 @@ WRITE_GATE = 1.5
 #: Frames one distinct-key ``MultiUpdate`` may cost each involved shard.
 FRAME_GATE = 4
 MIXES = ("read", "write", "update")
+#: Row-block shape of the materializer gate, and its bound.
+ROWS_KEYS, ROWS_COLUMNS, ROWS_REPEATS = 96, 8, 400
+ROWS_GATE = 0.6
 
 
 def payload_for(keys: np.ndarray) -> np.ndarray:
@@ -309,11 +320,95 @@ def test_shard_scaling(benchmark):
             "update_frames_per_shard": FRAME_GATE,
         },
     }
-    out_path = os.environ.get("REPRO_BENCH_SHARD_JSON", "BENCH_shard.json")
-    with open(out_path, "w") as handle:
+    with open(shard_json_path(), "w") as handle:
         json.dump(payload_json, handle, indent=2)
 
     assert speedups["read"][4] >= READ_GATE
     assert speedups["write"][4] >= WRITE_GATE
     for n in SHARD_COUNTS:
         assert runs[n]["update"]["max_frames_per_shard"] <= FRAME_GATE
+
+
+def shard_json_path() -> str:
+    return os.environ.get("REPRO_BENCH_SHARD_JSON", "BENCH_shard.json")
+
+
+def reference_materialize(block: RowBlock, keys, columns, base: int):
+    """The client's row rebuild before :meth:`RowBlock.rows`: one
+    numpy-scalar ``int()`` per key, row id and cell."""
+    width = len(columns)
+    out = []
+    cursor = 0
+    for key, count in zip(keys, block.counts, strict=True):
+        key = int(key)
+        rows = []
+        for i in range(cursor, cursor + int(count)):
+            values = block.cells[i * width:(i + 1) * width]
+            rows.append(
+                Row(
+                    key=key,
+                    rowid=int(block.rowids[i]) + base,
+                    payload={
+                        name: int(value)
+                        for name, value in zip(columns, values, strict=True)
+                    },
+                )
+            )
+        out.append(rows)
+        cursor += int(count)
+    return out
+
+
+def test_row_block_materializer(benchmark):
+    """Median ``RowBlock.rows`` <= 0.6x the per-cell ``int()`` loop on a
+    96-key x 8-column block; both build equal rows."""
+    benchmark.pedantic(lambda: None, iterations=1, rounds=1)
+    rng = np.random.default_rng(45)
+    keys = tuple(rng.integers(0, 1 << 20, ROWS_KEYS).tolist())
+    # Mostly one hit per key, some absent, some duplicated.
+    counts = rng.choice([0, 1, 1, 1, 1, 1, 2], ROWS_KEYS).astype(np.int64)
+    hits = int(counts.sum())
+    block = RowBlock(
+        counts=counts,
+        rowids=rng.integers(0, 1 << 20, hits),
+        cells=rng.integers(-(1 << 30), 1 << 30, hits * ROWS_COLUMNS),
+    )
+    columns = [f"a{i + 1}" for i in range(ROWS_COLUMNS)]
+    base = 1 << 20
+    assert block.rows(keys, columns, base) == reference_materialize(
+        block, keys, columns, base
+    )
+    block_us, reference_us = [], []
+    for _ in range(ROWS_REPEATS):
+        start = time.perf_counter()
+        block.rows(keys, columns, base)
+        block_us.append((time.perf_counter() - start) * 1e6)
+        start = time.perf_counter()
+        reference_materialize(block, keys, columns, base)
+        reference_us.append((time.perf_counter() - start) * 1e6)
+    block_median = statistics.median(block_us)
+    reference_median = statistics.median(reference_us)
+    ratio = block_median / reference_median
+    print(
+        f"\nrow materializer: {ROWS_KEYS} keys x {ROWS_COLUMNS} columns, "
+        f"{hits} rows -> RowBlock.rows {block_median:.0f}us, per-cell int() "
+        f"loop {reference_median:.0f}us ({ratio:.2f}x, gate {ROWS_GATE}x)"
+    )
+    path = shard_json_path()
+    payload_json = {}
+    if os.path.exists(path):
+        with open(path) as handle:
+            payload_json = json.load(handle)
+    payload_json["row_block_rows"] = {
+        "keys": ROWS_KEYS,
+        "columns": ROWS_COLUMNS,
+        "rows": hits,
+        "repeats": ROWS_REPEATS,
+        "block_median_us": block_median,
+        "reference_median_us": reference_median,
+        "ratio": ratio,
+        "gate": ROWS_GATE,
+    }
+    with open(path, "w") as handle:
+        json.dump(payload_json, handle, indent=2)
+    assert ratio <= ROWS_GATE

@@ -34,10 +34,13 @@ import struct
 
 _LENGTH = struct.Struct("<I")
 
-#: Default upper bound on a frame.  Control frames are < 200 bytes; the
-#: sharding dispatch frames carry per-operation descriptors and may reach
-#: a few hundred KiB on large mixed batches, so the shared default leaves
-#: headroom while still refusing garbage lengths outright.
+#: Default upper bound on a frame.  Control frames are < 200 bytes, and so
+#: is a sharding dispatch frame while its arrays -- the request body, the
+#: result arrays -- ride the shared-memory arena as ``{"o", "n"}``
+#: descriptors.  An array that overflows the arena, or any array when no
+#: arena is attached, travels inline as a JSON list instead; the shared
+#: default leaves headroom for that fallback while still refusing garbage
+#: lengths outright.
 DEFAULT_MAX_FRAME = 1 << 22
 
 

@@ -21,30 +21,32 @@ The result encoding covers what the operations the shard router sends
 (the batched kinds and SUM ranges of the engine's batch plan) return;
 none of them reports a miss as ``None``:
 
-========================  =============================================
-worker result entry        wire form
-========================  =============================================
-``int`` (range sum)        ``{"t": "i", "v": ...}``
-``int64`` array            ``{"t": "a", "v": <array>}``
-``list[list[Row]]``        ``{"t": "rr", "c": .., "r": .., "p": ..}``
-========================  =============================================
+==========================  ===========================================
+worker result entry          wire form
+==========================  ===========================================
+``int`` (range sum)          ``{"t": "i", "v": ...}``
+``int64`` array              ``{"t": "a", "v": <array>}``
+:class:`RowBlock` (Q1)       ``{"t": "rr", "c": .., "r": .., "p": ..}``
+==========================  ===========================================
 
-Row blocks ship ``(counts, rowids, payload_values)`` -- the dispatcher
-rebuilds :class:`~repro.storage.table.Row` objects with the keys it
-already knows from the submitted operation, after offsetting local row
-ids by the shard's base (load-order global ids).
+Row blocks ship straight from :meth:`Table.point_rows
+<repro.storage.table.Table.point_rows>` (a decoded point read runs as
+:class:`~repro.workload.operations.PointRowsQuery`): its three arrays
+``(counts, rowids, cells)``, so the worker builds no
+:class:`~repro.storage.table.Row`.  The dispatcher builds each one once
+(:meth:`RowBlock.rows`), with the keys it already knows from the
+submitted operation, after offsetting local row ids by the shard's base
+(load-order global ids).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..durability.wal import decode_batch, encode_batch
 from ..ipc.shm import ShmArena
 from ..storage.access_log import CallLog
-from ..storage.table import Row
+from ..storage.table import Row, RowBlock
 from ..workload import operations as ops
 from .errors import ShardError
 
@@ -135,64 +137,23 @@ def decode_operations(descriptor: dict, reader: ArenaReader, payload_names) -> l
 # --------------------------------------------------------------------- #
 
 
-@dataclass
-class RowBlock:
-    """Decoded row-result block: per-key hit counts plus flat arrays."""
-
-    counts: np.ndarray
-    rowids: np.ndarray
-    payload: np.ndarray  # flat, len(rowids) * len(columns)
-
-
-def _encode_rows(row_lists, columns, writer: ArenaWriter) -> dict:
-    counts = np.fromiter(
-        (len(rows) for rows in row_lists), dtype=_I64, count=len(row_lists)
-    )
-    rowids = np.fromiter(
-        (row.rowid for rows in row_lists for row in rows),
-        dtype=_I64,
-        count=int(counts.sum()),
-    )
-    payload = np.fromiter(
-        (
-            row.payload[name]
-            for rows in row_lists
-            for row in rows
-            for name in columns
-        ),
-        dtype=_I64,
-        count=int(counts.sum()) * len(columns),
-    )
-    return {
-        "t": "rr",
-        "c": writer.put(counts),
-        "r": writer.put(rowids),
-        "p": writer.put(payload),
-    }
-
-
-def encode_results(
-    oplist, results, writer: ArenaWriter, payload_names
-) -> list[dict]:
-    """Encode a session's per-operation results for the wire.
-
-    ``oplist`` provides the context the row blocks need (requested
-    columns); entries must align one-to-one with ``results``.  A row
-    result is a ``MultiPointQuery``'s list of per-key row lists.
-    """
+def encode_results(results, writer: ArenaWriter) -> list[dict]:
+    """Encode a session's per-operation results for the wire."""
     encoded: list[dict] = []
-    for op, result in zip(oplist, results, strict=True):
+    for result in results:
         if isinstance(result, (int, np.integer)):
             encoded.append({"t": "i", "v": int(result)})
         elif isinstance(result, np.ndarray):
             encoded.append({"t": "a", "v": writer.put(result)})
-        elif isinstance(result, list):
-            columns = (
-                list(op.columns)
-                if op.columns is not None
-                else list(payload_names)
+        elif isinstance(result, RowBlock):
+            encoded.append(
+                {
+                    "t": "rr",
+                    "c": writer.put(result.counts),
+                    "r": writer.put(result.rowids),
+                    "p": writer.put(result.cells),
+                }
             )
-            encoded.append(_encode_rows(result, columns, writer))
         else:
             raise ShardError(f"cannot encode result {type(result)!r}")
     return encoded
@@ -217,7 +178,7 @@ def decode_results(encoded: list[dict], reader: ArenaReader) -> list:
                 RowBlock(
                     counts=reader.get(entry["c"]),
                     rowids=reader.get(entry["r"]),
-                    payload=reader.get(entry["p"]),
+                    cells=reader.get(entry["p"]),
                 )
             )
         else:
@@ -228,31 +189,8 @@ def decode_results(encoded: list[dict], reader: ArenaReader) -> list:
 def materialize_rows(
     block: RowBlock, keys, columns, base: int
 ) -> list[list[Row]]:
-    """Rebuild per-key ``list[Row]`` results from a decoded block.
-
-    ``keys`` aligns with ``block.counts``; local row ids are offset by
-    the shard's ``base`` so load-order ids match the serial table's.
-    """
-    width = len(columns)
-    out: list[list[Row]] = []
-    cursor = 0
-    payload = block.payload
-    rowids = block.rowids
-    for key, count in zip(keys, block.counts, strict=True):
-        key = int(key)
-        rows = []
-        for i in range(cursor, cursor + int(count)):
-            values = payload[i * width:(i + 1) * width]
-            rows.append(
-                Row(
-                    key=key,
-                    rowid=int(rowids[i]) + base,
-                    payload={
-                        name: int(value)
-                        for name, value in zip(columns, values, strict=True)
-                    },
-                )
-            )
-        out.append(rows)
-        cursor += int(count)
-    return out
+    """Per-key ``list[Row]`` results of a decoded block
+    (:meth:`RowBlock.rows`): ``keys`` aligns with ``block.counts``; local
+    row ids are offset by the shard's ``base`` so load-order ids match the
+    serial table's."""
+    return block.rows(keys, columns, base)

@@ -20,7 +20,9 @@ speaks (:mod:`repro.ipc.framing`):
     operation: the batched kinds and SUM ranges of the dispatcher's batch
     plan, none of which raises a miss), run it through the session, and
     reply with the encoded results plus the batch's access tally and
-    durability watermarks.  Writes commit through this shard's
+    durability watermarks.  A point read answers with the row block
+    ``Table.point_rows`` returns (``counts``, ``rowids``, ``cells``), and
+    the worker ships those arrays as they are: no ``Row`` is built here.  Writes commit through this shard's
     *own* :class:`~repro.durability.manager.DurabilityManager` -- the
     per-shard WALs are what unserializes durable write batches that a
     single-process database would funnel through one ``wal_commit`` lock.
@@ -196,10 +198,7 @@ def worker_main(host: str, port: int, shard: int, token: str) -> None:
                     # replay this batch from the shard's log.
                     die_at("exit_before_ack", verb)
                     reply["results"] = codec.encode_results(
-                        oplist,
-                        outcome.results,
-                        codec.ArenaWriter(arena),
-                        database.table.payload_names,
+                        outcome.results, codec.ArenaWriter(arena)
                     )
                     reply["accesses"] = _counter_meta(outcome.accesses)
                     reply["wall_ns"] = float(outcome.wall_ns)

@@ -95,6 +95,41 @@ class Row:
     payload: dict[str, int]
 
 
+@dataclass
+class RowBlock:
+    """A batched Q1 answer as arrays: what :meth:`Table.point_rows` returns
+    and what a shard worker ships back unchanged.
+
+    ``counts[i]`` is the number of hits of the ``i``-th key; ``rowids`` and
+    the rows of ``cells`` (row-major, one value per requested column) are
+    grouped by key in key order, physical order within a key.
+    """
+
+    counts: np.ndarray
+    rowids: np.ndarray
+    cells: np.ndarray  # flat, len(rowids) * len(columns)
+
+    def rows(
+        self, keys: np.ndarray | Sequence[int], columns: Sequence[str], base: int = 0
+    ) -> list[list[Row]]:
+        """One ``list[Row]`` per key, its row ids offset by ``base``.
+
+        ``keys`` and ``columns`` are the ones the block answers; the only
+        place a :class:`Row` is built.  One flat pass over Python lists,
+        then split by ``counts``.
+        """
+        columns = tuple(columns)
+        rowids = self.rowids + base if base else self.rowids
+        owners = np.repeat(np.asarray(keys, dtype=np.int64), self.counts).tolist()
+        values = self.cells.reshape(len(owners), len(columns)).tolist()
+        flat = [
+            Row(key, rowid, dict(zip(columns, cells)))
+            for key, rowid, cells in zip(owners, rowids.tolist(), values)
+        ]
+        ends = np.cumsum(self.counts).tolist()
+        return [flat[start:end] for start, end in zip([0, *ends], ends)]
+
+
 @dataclass(frozen=True)
 class ChunkSnapshot:
     """A pinned, consistent view of one chunk's live data.
@@ -330,6 +365,10 @@ class Table:
     # Payload access
     # ------------------------------------------------------------------ #
 
+    def _columns(self, columns: Sequence[str] | None) -> list[str]:
+        """The requested payload columns; ``None`` means all, in table order."""
+        return list(columns) if columns is not None else list(self.payload_names)
+
     def _payload_indices(self, columns: Sequence[str]) -> list[int]:
         try:
             return [self.payload_names.index(name) for name in columns]
@@ -420,25 +459,15 @@ class Table:
             cells = cells[:, indices]
         return cells
 
-    def _materialize_rows(
-        self,
-        keys: list[int],
-        rowids: np.ndarray,
-        columns: list[str],
-        indices: list[int],
-    ) -> list[Row]:
-        """One :class:`Row` per ``(key, rowid)`` pair, in order.
-
-        The payload cells of the whole batch are gathered once and the rows
-        are built from Python lists -- not one numpy scalar read per cell.
-        """
-        cells = self._payload_cells(rowids, indices).tolist()
-        return [
-            Row(key=key, rowid=rowid, payload=dict(zip(columns, values, strict=True)))
-            for key, rowid, values in zip(
-                keys, rowids.tolist(), cells, strict=True
-            )
-        ]
+    def _row_block(
+        self, counts: np.ndarray, rowids: np.ndarray, indices: list[int]
+    ) -> RowBlock:
+        """The answer of keys with ``counts`` hits at ``rowids``: charges
+        one random read per payload cell and gathers the cells."""
+        if rowids.size and indices:
+            self.counter.random_read(int(rowids.size) * len(indices))
+        cells = self._payload_cells(rowids, indices)
+        return RowBlock(counts, rowids, cells.reshape(-1))
 
     # ------------------------------------------------------------------ #
     # HAP-style operations
@@ -450,7 +479,7 @@ class Table:
         """Q1: return the rows whose key equals ``key`` with payload columns."""
         key = int(key)
         first, last = self._route_key(key)
-        columns = list(columns) if columns is not None else list(self.payload_names)
+        columns = self._columns(columns)
         indices = self._payload_indices(columns)
         pieces: list[np.ndarray] = []
         for chunk_index in range(first, last + 1):
@@ -467,11 +496,9 @@ class Table:
         rowids = (
             np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
         )
-        if rowids.size and columns:
-            self.counter.random_read(int(rowids.size) * len(columns))
-        return self._materialize_rows(
-            [key] * int(rowids.size), rowids, columns, indices
-        )
+        counts = np.array([rowids.size], dtype=np.int64)
+        block = self._row_block(counts, rowids, indices)
+        return block.rows([key], columns)[0]
 
     def _probes_by_chunk(
         self, first: np.ndarray, last: np.ndarray
@@ -494,22 +521,31 @@ class Table:
     def multi_point_query(
         self, keys: np.ndarray | Sequence[int], columns: Sequence[str] | None = None
     ) -> list[list[Row]]:
-        """Vectorized Q1 batch: one row list per input key, in input order.
+        """Vectorized Q1 batch: one row list per input key, in input order
+        (:meth:`point_rows`, materialized)."""
+        columns = self._columns(columns)
+        return self.point_rows(keys, columns).rows(keys, columns)
+
+    def point_rows(
+        self, keys: np.ndarray | Sequence[int], columns: Sequence[str] | None = None
+    ) -> RowBlock:
+        """Vectorized Q1 batch as a :class:`RowBlock`, no :class:`Row` built.
 
         Keys are routed with a single ``searchsorted`` over the chunk fences
         and grouped by chunk; each touched chunk resolves its keys with one
         :meth:`~repro.storage.column.PartitionedColumn.multi_point_query`
-        call.  The simulated block accesses are identical to issuing each
-        point query individually.
+        call, and the payload cells of every hit are gathered at once.  The
+        simulated block accesses are identical to issuing each point query
+        individually.
         """
         keys_arr = np.asarray(keys, dtype=np.int64)
         if keys_arr.ndim != 1:
             raise LayoutError("keys must be one-dimensional")
-        columns = list(columns) if columns is not None else list(self.payload_names)
-        indices = self._payload_indices(columns)
+        indices = self._payload_indices(self._columns(columns))
         m = int(keys_arr.size)
         if m == 0:
-            return []
+            empty = np.empty(0, dtype=np.int64)
+            return RowBlock(empty, empty, empty)
         self.counter.index_probe(m)
         counts_per_key = np.zeros(m, dtype=np.int64)
         owner_pieces: list[np.ndarray] = []
@@ -530,26 +566,13 @@ class Table:
                 counts_per_key[positions] += counts
                 owner_pieces.append(np.repeat(positions, counts))
                 hit_pieces.append(hits)
-        total_hits = int(counts_per_key.sum())
-        if total_hits and columns:
-            self.counter.random_read(total_hits * len(columns))
         if owner_pieces:
             owners = np.concatenate(owner_pieces)
             hits_flat = np.concatenate(hit_pieces)
             hits_flat = hits_flat[np.argsort(owners, kind="stable")]
         else:
             hits_flat = np.empty(0, dtype=np.int64)
-        rows = self._materialize_rows(
-            np.repeat(keys_arr, counts_per_key).tolist(),
-            hits_flat,
-            columns,
-            indices,
-        )
-        ends = np.cumsum(counts_per_key).tolist()
-        return [
-            rows[start:end]
-            for start, end in zip([0, *ends], ends, strict=False)
-        ]
+        return self._row_block(counts_per_key, hits_flat, indices)
 
     def range_count(self, low: int, high: int) -> int:
         """Q2: ``SELECT count(*) WHERE key BETWEEN low AND high``."""
@@ -607,8 +630,7 @@ class Table:
         self, low: int, high: int, columns: Sequence[str] | None = None
     ) -> int:
         """Q3: sum payload attributes over rows whose key is in ``[low, high]``."""
-        columns = list(columns) if columns is not None else list(self.payload_names)
-        indices = self._payload_indices(columns)
+        indices = self._payload_indices(self._columns(columns))
         first, last = self._route_range(int(low), int(high))
         total = 0
         for chunk_index in range(first, last + 1):

@@ -470,17 +470,27 @@ def _columns(record, payload_names) -> tuple[str, ...]:
     return tuple(payload_names[index] for index in record.payloads[0].tolist())
 
 
+class PointRowsQuery(MultiPointQuery):
+    """A shard request's point read: a :class:`MultiPointQuery` answered by
+    ``Table.point_rows``, a row block the worker ships as it is (the
+    dispatcher builds the ``Row`` objects)."""
+
+    def run(self, table):
+        return table.point_rows(self.keys, self.columns)
+
+
 #: The operation a decoded record ``(kind, keys, highs, payloads)`` runs as,
 #: ``REPLAYED_AS[kind](record, payload_names)``, whose ``run(table)`` is
 #: the call live dispatch measures: a logged write replays as the batched
 #: write whose ``attribution()`` it is, a read of a shard request (its one
 #: payload row: column indices into ``payload_names``) runs as its batched
-#: read or SUM range.  The move-protocol markers mutate nothing: no entry.
+#: read or SUM range, a point read as :class:`PointRowsQuery`.  The
+#: move-protocol markers mutate nothing: no entry.
 REPLAYED_AS = {
     "insert": lambda record, _names: MultiInsert(record.keys, record.payloads),
     "delete": lambda record, _names: MultiDelete(record.keys),
     "update": lambda record, _names: MultiUpdate(_pairs(record)),
-    "point_query": lambda record, names: MultiPointQuery(
+    "point_query": lambda record, names: PointRowsQuery(
         record.keys, _columns(record, names)
     ),
     "range_count": lambda record, _names: MultiRangeCount(_pairs(record)),

@@ -29,7 +29,7 @@ from repro.sharding.codec import (
     materialize_rows,
 )
 from repro.sharding.database import resolve
-from repro.storage.table import Row
+from repro.storage.table import Row, RowBlock
 from repro.workload.operations import (
     Aggregate,
     Delete,
@@ -40,6 +40,7 @@ from repro.workload.operations import (
     MultiRangeCount,
     MultiUpdate,
     PointQuery,
+    PointRowsQuery,
     RangeQuery,
     Update,
 )
@@ -48,25 +49,26 @@ NAMES = ("a", "b")
 SUM = Aggregate.SUM
 
 #: Every kind the router sends, and what the worker decodes it to: reads
-#: name their columns, ``None`` as every column; inserts carry rows.
+#: name their columns, ``None`` as every column; inserts carry rows; a
+#: point read runs as ``PointRowsQuery``, which answers with a row block.
 ROUTED = [
     (
         MultiPointQuery(keys=(3, 1, 4, 1, 5)),
-        MultiPointQuery(keys=(3, 1, 4, 1, 5), columns=NAMES),
+        PointRowsQuery(keys=(3, 1, 4, 1, 5), columns=NAMES),
     ),
     (
         MultiPointQuery(keys=(7,), columns=("b",)),
-        MultiPointQuery(keys=(7,), columns=("b",)),
+        PointRowsQuery(keys=(7,), columns=("b",)),
     ),
     (
         MultiPointQuery(keys=(7, 8), columns=("b", "a")),
-        MultiPointQuery(keys=(7, 8), columns=("b", "a")),
+        PointRowsQuery(keys=(7, 8), columns=("b", "a")),
     ),
     (
         MultiPointQuery(keys=(7, 8), columns=()),
-        MultiPointQuery(keys=(7, 8), columns=()),
+        PointRowsQuery(keys=(7, 8), columns=()),
     ),
-    (MultiPointQuery(keys=()), MultiPointQuery(keys=(), columns=NAMES)),
+    (MultiPointQuery(keys=()), PointRowsQuery(keys=(), columns=NAMES)),
     (
         MultiRangeCount(bounds=((0, 10), (-7, 3), (5, 5))),
         MultiRangeCount(bounds=((0, 10), (-7, 3), (5, 5))),
@@ -213,24 +215,22 @@ class TestOperationRoundTrip:
             ArenaReader(None).get({"o": 0, "n": 4})
 
 
-def rows(*specs):
-    return [
-        Row(key=key, rowid=rowid, payload={"a": a, "b": b})
-        for key, rowid, a, b in specs
-    ]
+def block(*specs) -> RowBlock:
+    """A row block of ``(hits, [(rowid, a, b), ...])`` per key."""
+    hits = [row for _count, rows in specs for row in rows]
+    return RowBlock(
+        counts=np.asarray([len(rows) for _count, rows in specs], dtype=np.int64),
+        rowids=np.asarray([rowid for rowid, _a, _b in hits], dtype=np.int64),
+        cells=np.asarray(
+            [value for _rowid, a, b in hits for value in (a, b)], dtype=np.int64
+        ),
+    )
 
 
 class TestResultRoundTrip:
     def test_scalar_and_array_results(self):
-        oplist = [
-            Delete(key=1),
-            RangeQuery(low=0, high=9),
-            MultiRangeCount(bounds=((0, 1),)),
-        ]
         results = [1, 17, np.asarray([4, 0, 9], dtype=np.int64)]
-        encoded = encode_results(
-            oplist, results, ArenaWriter(None), ("a", "b")
-        )
+        encoded = encode_results(results, ArenaWriter(None))
         decoded = decode_results(encoded, ArenaReader(None))
         assert decoded[0] == 1
         assert decoded[1] == 17
@@ -241,28 +241,28 @@ class TestResultRoundTrip:
         arena = ShmArena.create(arena_bytes) if arena_bytes else None
         try:
             op = MultiPointQuery(keys=(5, 6, 5))
-            result = [
-                rows((5, 0, 36, 5), (5, 3, 36, 5)),
-                [],
-                rows((5, 0, 36, 5), (5, 3, 36, 5)),
-            ]
-            encoded = encode_results(
-                [op], [result], ArenaWriter(arena), ("a", "b")
+            result = block(
+                (2, [(0, 36, 5), (3, 36, 5)]),
+                (0, []),
+                (2, [(0, 36, 5), (3, 36, 5)]),
             )
-            [block] = decode_results(encoded, ArenaReader(arena))
-            rebuilt = materialize_rows(block, op.keys, ["a", "b"], base=100)
+            encoded = encode_results([result], ArenaWriter(arena))
+            [decoded] = decode_results(encoded, ArenaReader(arena))
+            rebuilt = materialize_rows(decoded, op.keys, ["a", "b"], base=100)
             assert [len(r) for r in rebuilt] == [2, 0, 2]
             assert [r.rowid for r in rebuilt[0]] == [100, 103]
             assert all(r.key == 5 for r in rebuilt[0])
             assert rebuilt[0][0].payload == {"a": 36, "b": 5}
+            assert rebuilt[2] == [
+                Row(key=5, rowid=100, payload={"a": 36, "b": 5}),
+                Row(key=5, rowid=103, payload={"a": 36, "b": 5}),
+            ]
         finally:
             if arena is not None:
                 arena.close()
 
     def test_unknown_result_rejected(self):
         with pytest.raises(ShardError):
-            encode_results(
-                [Delete(key=1)], [{"nope": 1}], ArenaWriter(None), ()
-            )
+            encode_results([{"nope": 1}], ArenaWriter(None))
         with pytest.raises(ShardError):
             decode_results([{"t": "??"}], ArenaReader(None))

@@ -33,7 +33,7 @@ is why mixed random workloads still need Variant B's count-level regime.
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from shard_helpers import (
     encoded_operations,
@@ -66,7 +66,10 @@ READ_SPECS = ("pq", "rq", "sum", "mpq", "mrc")
 WRITE_SPECS = ("in", "mi", "de", "md")
 UPDATE_SPECS = ("up", "mu")
 
-spec = st.tuples(st.sampled_from(READ_SPECS + WRITE_SPECS), KEY, KEY)
+#: A point read's columns: every one, reordered, single and none.
+COLUMNS = st.sampled_from((None, ("b", "a"), ("a",), ("b",), ()))
+
+spec = st.tuples(st.sampled_from(READ_SPECS + WRITE_SPECS), KEY, KEY, COLUMNS)
 #: Variant B draws no SUM: a SUM adds payload columns, so under arbitrary
 #: payloads it sees *which* copy of a duplicated key an update took, and a
 #: row carried by a cross-shard move ages differently per path (README
@@ -79,19 +82,20 @@ spec_b = st.tuples(
     ),
     KEY,
     KEY,
+    COLUMNS,
 )
 
 
-def build_op(kind: str, a: int, b: int, *, pure_payload: bool):
+def build_op(kind: str, a: int, b: int, columns=None, *, pure_payload: bool):
     low, high = min(a, b), max(a, b)
     if kind == "pq":
-        return PointQuery(key=a)
+        return PointQuery(key=a, columns=columns)
     if kind == "rq":
         return RangeQuery(low=low, high=high)
     if kind == "sum":
         return RangeQuery(low=low, high=high, aggregate=Aggregate.SUM)
     if kind == "mpq":
-        return MultiPointQuery(keys=(a, b, a))
+        return MultiPointQuery(keys=(a, b, a), columns=columns)
     if kind == "mrc":
         return MultiRangeCount(bounds=((low, high), (b, b), (0, 9)))
     if kind == "in":
@@ -135,6 +139,13 @@ def counts_view(op, result):
     return result
 
 
+def payload_columns(result):
+    """The payload column names of every row of a point read, in order."""
+    if isinstance(result, list):
+        return [payload_columns(rows) for rows in result]
+    return list(result.payload)
+
+
 BATCHED = (MultiPointQuery, MultiRangeCount, MultiInsert, MultiDelete, MultiUpdate)
 
 
@@ -167,10 +178,20 @@ class TestVariantA:
     """No updates, ``payload = f(key)``: full exact equality."""
 
     @given(keys=loaded_keys, specs=st.lists(spec, min_size=1, max_size=25))
+    @example(
+        # Every column choice, on duplicated and absent keys across shards.
+        keys=[0, 2, 2, 2, 5, 5, 5, 5, 5, 5, 9],
+        specs=[
+            (kind, a, b, columns)
+            for columns in (None, ("b", "a"), ("a",), ("b",), ())
+            for kind, a, b in (("pq", 5, 0), ("mpq", 2, 7), ("mpq", 5, 9))
+        ],
+    )
     @common
     def test_results_and_errors_match_exactly(self, cluster3, keys, specs):
         oplist = [
-            build_op(kind, a, b, pure_payload=True) for kind, a, b in specs
+            build_op(kind, a, b, columns, pure_payload=True)
+            for kind, a, b, columns in specs
         ]
         want, got = run_both(cluster3, keys, oplist)
         assert got.errors == want.errors
@@ -183,6 +204,8 @@ class TestVariantA:
                 assert (ours is None) == (theirs is None)
             else:
                 assert normalize(ours) == normalize(theirs), op
+            if isinstance(op, (PointQuery, MultiPointQuery)):
+                assert payload_columns(ours) == payload_columns(theirs), op
 
 
 class TestVariantB:
@@ -192,7 +215,8 @@ class TestVariantB:
     @common
     def test_counts_and_errors_match(self, cluster3, keys, specs):
         oplist = [
-            build_op(kind, a, b, pure_payload=False) for kind, a, b in specs
+            build_op(kind, a, b, columns, pure_payload=False)
+            for kind, a, b, columns in specs
         ]
         want, got = run_both(cluster3, keys, oplist)
         assert got.errors == want.errors
@@ -200,6 +224,8 @@ class TestVariantB:
             oplist, want.results, got.results, strict=True
         ):
             assert counts_view(op, ours) == counts_view(op, theirs), op
+            if isinstance(op, (PointQuery, MultiPointQuery)):
+                assert payload_columns(ours) == payload_columns(theirs), op
 
     def test_moved_row_ages_differently_but_counts_agree(self, cluster3):
         """The smallest case that failed while ``spec_b`` drew ``sum``
@@ -240,6 +266,7 @@ wave_step = st.one_of(
         st.sampled_from(("in", "mi", "de", "md", "pq", "mpq", "rq")),
         WAVE_KEY,
         WAVE_KEY,
+        COLUMNS,
     ).map(lambda spec: [build_op(*spec, pure_payload=False)]),
 )
 
