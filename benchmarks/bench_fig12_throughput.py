@@ -1,6 +1,6 @@
 """Figure 12 benchmark: normalized throughput across six workloads and layouts.
 
-Also includes five fast-path smoke checks, the first three on a 1M-row,
+Also includes six fast-path smoke checks, the first three on a 1M-row,
 16-chunk table:
 
 * batched point queries must beat per-operation dispatch by >= 3x wall-clock
@@ -18,9 +18,12 @@ Also includes five fast-path smoke checks, the first three on a 1M-row,
 * the ``bulk_delete`` kernel alone, on one 64-partition Equi-GV chunk with
   every call deleting 1/8 of every partition, must take <= 0.8x the time of
   the same keys deleted one by one in ascending order (key
-  ``bulk_delete_grouped``).
+  ``bulk_delete_grouped``), and
+* the same kernel where its groups are tiny (the ``oltp_durable`` shape:
+  4 victims per call on the same chunk shape with scattered ghost slack)
+  must be no slower than the per-value loop (key ``bulk_delete_sparse``).
 
-CI runs all five at full scale (the table builds in well under a second); set
+CI runs all six at full scale (the table builds in well under a second); set
 ``REPRO_BENCH_ROWS`` to scale the table down on constrained machines.
 """
 
@@ -399,3 +402,67 @@ def test_fig12_bulk_delete_grouped_kernel(benchmark):
         }
     )
     assert ratio <= 0.8
+
+
+def test_fig12_bulk_delete_sparse_kernel(benchmark):
+    """The ``bulk_delete`` kernel where its groups are tiny, as on
+    ``oltp_durable``: one 65,536-value Equi-GV chunk of 64 partitions whose
+    ghost slack a first insert batch has scattered, 400 calls of 4 victims
+    each.  Its fixed cost per call (routing, grouping, visiting partitions)
+    is what remains, so the median per call must be no slower than the
+    same keys through ascending per-value ``delete``, with layout, row ids
+    and every counter field equal."""
+    benchmark.pedantic(lambda: None, iterations=1, rounds=1)
+    size, calls, keys_per_call = 65_536, 400, 4
+    spec = LayoutSpec(
+        kind=LayoutKind.EQUI_GV, partitions=64, ghost_fraction=0.01, block_values=1_024
+    )
+    base = np.arange(size, dtype=np.int64) * 64
+    bulk, sequential = (build_column(spec, base) for _ in range(2))
+    rng = np.random.default_rng(11)
+    slack = int(bulk.ghost_counts().sum())
+    fresh = rng.choice(size * 64, slack, replace=False)
+    fresh = fresh[fresh % 64 != 0][: slack // 2]
+    bulk.bulk_insert(fresh)
+    sequential.bulk_insert(fresh)
+    victims = rng.choice(base, calls * keys_per_call, replace=False)
+
+    bulk_us, sequential_us = [], []
+    for call in range(calls):
+        batch = victims[call * keys_per_call : (call + 1) * keys_per_call]
+        start = time.perf_counter()
+        bulk.bulk_delete(batch)
+        bulk_us.append((time.perf_counter() - start) * 1e6)
+        ascending = np.sort(batch).tolist()
+        start = time.perf_counter()
+        for key in ascending:
+            sequential.delete(key)
+        sequential_us.append((time.perf_counter() - start) * 1e6)
+
+    assert np.array_equal(bulk.partition_counts(), sequential.partition_counts())
+    assert np.array_equal(bulk.values(), sequential.values())
+    assert np.array_equal(bulk.rowids(), sequential.rowids())
+    assert bulk.counter.snapshot() == sequential.counter.snapshot()
+    bulk.check_invariants()
+    bulk_median = statistics.median(bulk_us)
+    sequential_median = statistics.median(sequential_us)
+    ratio = bulk_median / sequential_median
+    print(
+        f"\nsparse bulk_delete: {calls} calls x {keys_per_call} keys on a "
+        f"{size}-value equi_gv chunk / 64 partitions -> bulk {bulk_median:.0f}us, "
+        f"sequential {sequential_median:.0f}us per call ({ratio:.2f}x)"
+    )
+    emit_writes_json(
+        {
+            "bulk_delete_sparse": {
+                "chunk_values": size,
+                "partitions": 64,
+                "calls": calls,
+                "keys_per_call": keys_per_call,
+                "bulk_median_us": bulk_median,
+                "sequential_median_us": sequential_median,
+                "ratio": ratio,
+            }
+        }
+    )
+    assert ratio <= 1.0

@@ -936,16 +936,8 @@ class _Batch:
 
     def _route_keys(self, index: int, op, form: str) -> None:
         """A batched keyed operation splits by the shard of each key."""
-        shards = self.database.shard_map.shard_of_batch(
-            np.asarray(op.keys, dtype=np.int64)
-        )
-        pieces = []
-        for shard in np.unique(shards):
-            positions = np.nonzero(shards == shard)[0]
-            pieces.append(
-                (int(shard), positions, ops.take(op, positions.tolist()))
-            )
-        self._scatter(index, len(op.keys), pieces, form)
+        shards = self.database.shard_map.shard_of_batch(op.keys)
+        self._scatter(index, len(op.keys), ops.split(op, shards), form)
 
     def _route_range(self, index: int, op) -> None:
         pieces = self.database.shard_map.split_range(op.low, op.high)

@@ -777,10 +777,13 @@ class PartitionedColumn:
         Equivalent to calling :meth:`insert` once per value in ascending
         (stable) value order: the final layout, row ids and fences are
         byte-identical.  The batch is routed with a single ``searchsorted``
-        over the fences, slack donors are consumed in the same greedy order
-        as the sequential path, and all ripples are folded into one gather
-        and one scatter over all touched partitions, each rotated once (the
-        batched Fig. 4a); the batch itself lands with one more scatter.
+        over the fences (:meth:`PartitionIndex.locate_first_batch`), the
+        sequential path's greedy donor choice is replayed in closed form
+        over the partitions' slack slots (one ``searchsorted`` and a running
+        maximum, however the slack is spread), and all ripples are folded
+        into one gather and one scatter over all touched partitions, each
+        rotated once (the batched Fig. 4a); the batch itself lands with one
+        more scatter.
         Charged accesses are at most the sequential path's: the per-partition
         ripple and tail placements charge each touched block once instead of
         once per insert, and are exactly equal when no partition is rippled
@@ -800,57 +803,32 @@ class PartitionedColumn:
 
         self.counter.index_probe(m)
         k = self.num_partitions
-        # First-candidate (insert) routing is locate_batch's `first` array.
-        targets, _ = self._index.locate_batch(sorted_values)
+        targets = self._index.locate_first_batch(sorted_values)
 
-        # Replay the sequential donor selection on metadata only: slack is
-        # consumed greedily from the first partition >= target, with a
-        # next-nonzero pointer chain standing in for the per-insert scan.
-        slack = (self._capacities() - self._counts).astype(np.int64).tolist()
-        nxt = list(range(k + 1))
-
-        def find_slack(partition: int) -> int:
-            cursor = partition
-            path = []
-            while cursor < k and slack[cursor] == 0:
-                path.append(cursor)
-                cursor = nxt[cursor] if nxt[cursor] > cursor else cursor + 1
-            for node in path:
-                nxt[node] = cursor
-            return cursor
-
-        grow_extra = self.GROWTH_BLOCKS * self.block_values
-        growths = 0
-        if k == 1 or not any(slack[:-1]):
-            # Dense columns keep all slack at the tail (holes ripple to the
-            # end of the column), so every donor is the last partition and
-            # the greedy replay collapses to closed forms: ripples through
-            # partition p are the inserts targeting partitions before it.
-            tail_slack = slack[k - 1]
-            if m > tail_slack:
-                growths = -(-(m - tail_slack) // grow_extra)
-            donor_pairs = int(np.count_nonzero(targets != k - 1))
-            through = np.searchsorted(targets, np.arange(k), side="left")
-            through[0] = 0
-        else:
-            donor_pairs = 0
-            ripple_diff = np.zeros(k + 1, dtype=np.int64)
-            for target in targets.tolist():
-                donor = find_slack(target)
-                if donor == k:
-                    # Only the last partition ever regains slack (via growth).
-                    if slack[k - 1] > 0:
-                        donor = k - 1
-                    else:
-                        growths += 1
-                        slack[k - 1] += grow_extra
-                        donor = k - 1
-                if donor != target:
-                    donor_pairs += 1
-                    ripple_diff[target + 1] += 1
-                    ripple_diff[donor + 1] -= 1
-                slack[donor] -= 1
-            through = np.cumsum(ripple_diff)[:k]
+        # Replay the sequential donor selection on metadata only.  Each
+        # insert takes one slack unit (free slot) from the first partition
+        # at or after its target that still has one.  With the units laid
+        # out in partition order, sorted targets take them in increasing
+        # order, so insert i gets unit i + max over j <= i of (u_j - j),
+        # u_j being the first unit at or after target j.  Inserts past the
+        # last real unit grow the tail and take its new slots: the last
+        # partition lists m units whatever its slack, and the ones past its
+        # real slack are the grown ones.
+        per_partition = np.minimum(self._capacities() - self._counts, m)
+        real_end = int(per_partition.sum())
+        per_partition[-1] = m
+        partitions = np.arange(k)
+        units = partitions.repeat(per_partition)
+        steps = np.arange(m)
+        taken = np.maximum.accumulate(units.searchsorted(targets) - steps)
+        taken += steps
+        donors = units[taken]
+        grown = m - int(taken.searchsorted(real_end))
+        growths = -(-grown // (self.GROWTH_BLOCKS * self.block_values))
+        donor_pairs = int(np.count_nonzero(donors != targets))
+        # Ripples through partition p: inserts whose target is before p and
+        # whose donor is not (both arrays are sorted).
+        through = targets.searchsorted(partitions) - donors.searchsorted(partitions)
 
         for _ in range(growths):
             self._grow()
@@ -929,11 +907,14 @@ class PartitionedColumn:
         Equivalent to calling ``delete(value)`` once per value in
         ascending (stable) value order, except that absent values are
         reported as ``0`` in the returned per-value count array instead of
-        raising.  The batch is routed with one ``searchsorted``, each
-        touched partition replays the sequential swap-with-last cascade in
-        place (:meth:`_bulk_delete_partition`), and in dense mode all holes
-        ripple to the end of the column in one forward rotation sweep (the
-        batched Fig. 4b).  The live layout -- every partition's start,
+        raising.  The batch is routed with one ``searchsorted``
+        (:meth:`PartitionIndex.locate_first_batch`) and cut into one slice
+        of the sorted order per touched partition; only those partitions
+        are visited, each replaying the sequential swap-with-last cascade in
+        place (:meth:`_bulk_delete_partition`).  In dense mode all holes
+        then ripple to the end of the column in one forward rotation sweep
+        over every partition after the first touched one (the batched
+        Fig. 4b).  The live layout -- every partition's start,
         count, live values and row ids, plus fences and min/max metadata
         -- is identical to the sequential path's; only dead slots (ghost
         slack and rippled-out holes, which no read ever touches) may retain
@@ -958,36 +939,34 @@ class PartitionedColumn:
         order = np.argsort(values, kind="stable")
         sorted_values = values[order]
         self.counter.index_probe(m)
-        k = self.num_partitions
         # Deletes scan the first candidate partition, like locate().
-        targets, _ = self._index.locate_batch(sorted_values)
+        targets = self._index.locate_first_batch(sorted_values).tolist()
+        keys = sorted_values.tolist()
         deleted_sorted = np.zeros(m, dtype=np.int64)
-
-        unique_targets, group_starts, group_counts = np.unique(
-            targets, return_index=True, return_counts=True
-        )
-        groups = {
-            int(partition): (int(lo), int(cnt))
-            for partition, lo, cnt in zip(
-                unique_targets, group_starts, group_counts, strict=True
-            )
-        }
-        first_touched = int(unique_targets[0])
-        last_touched = int(unique_targets[-1])
-        sweep_end = k if self.dense else last_touched + 1
-        holes = 0
-        for partition in range(first_touched, sweep_end):
-            if holes:
-                self._apply_hole_rotation(partition, holes)
-            group = groups.get(partition)
-            if group is None:
-                continue
-            lo, cnt = group
-            removed = self._bulk_delete_partition(
-                partition, sorted_values, deleted_sorted, lo, cnt
-            )
-            if self.dense:
-                holes += removed
+        # The sorted targets cut the batch into one slice per touched
+        # partition: (partition, first index, end index).
+        groups = []
+        lo = 0
+        for i in range(1, m):
+            if targets[i] != targets[lo]:
+                groups.append((targets[lo], lo, i))
+                lo = i
+        groups.append((targets[lo], lo, m))
+        if not self.dense:
+            for partition, lo, end in groups:
+                self._bulk_delete_partition(partition, keys, deleted_sorted, lo, end)
+        else:
+            # Every hole ripples to the end of the column: each partition
+            # after the first touched one rotates by the holes before it.
+            spans = {partition: (lo, end) for partition, lo, end in groups}
+            holes = 0
+            for partition in range(groups[0][0], self.num_partitions):
+                if holes:
+                    self._apply_hole_rotation(partition, holes)
+                if partition in spans:
+                    holes += self._bulk_delete_partition(
+                        partition, keys, deleted_sorted, *spans[partition]
+                    )
         deleted[order] = deleted_sorted
         return deleted
 
@@ -1029,12 +1008,12 @@ class PartitionedColumn:
     def _bulk_delete_partition(
         self,
         partition: int,
-        sorted_values: np.ndarray,
+        keys: list[int],
         deleted_sorted: np.ndarray,
         lo: int,
-        cnt: int,
+        end: int,
     ) -> int:
-        """Delete ``sorted_values[lo : lo + cnt]`` from one partition.
+        """Delete ``keys[lo:end]`` (ascending) from one partition.
 
         The sequential swap-with-last cascade is replayed in place on the
         live segment: each value scans the segment as it stands at its
@@ -1056,8 +1035,8 @@ class PartitionedColumn:
         random_reads = 0
         seq_reads = 0
         random_writes = 0
-        for i in range(lo, lo + cnt):
-            value = int(sorted_values[i])
+        for i in range(lo, end):
+            value = keys[i]
             blocks = blocks_spanned(0, live, self.block_values)
             if blocks > 0:
                 random_reads += 1

@@ -73,7 +73,11 @@ class PartitionIndex:
         return self._fences
 
     def rebuild(self, fences: np.ndarray | list[int]) -> None:
-        """Rebuild the index from a non-decreasing array of upper fences."""
+        """Rebuild the index from a non-decreasing array of upper fences.
+
+        Always installs a fresh copy, so a caller that routed over
+        :attr:`fences` can tell a later rebuild by the array's identity.
+        """
         fences = np.asarray(fences, dtype=np.int64)
         if fences.ndim != 1:
             raise ValueError("fences must be one-dimensional")
@@ -151,6 +155,20 @@ class PartitionIndex:
         if last < first:
             last = first
         return first, last
+
+    def locate_first_batch(self, values: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`locate`: the first candidate partition of each
+        value, with one ``searchsorted``.
+
+        The routing of every write that lands in (or scans) only its first
+        candidate -- inserts, and deletes before they retry the rest of a
+        span -- which need not pay for the ``side="right"`` pass of
+        :meth:`locate_batch`.
+        """
+        if len(self) == 0:
+            raise IndexError("index is empty")
+        first = np.searchsorted(self._fences, values, side="left")
+        return np.minimum(first, len(self) - 1, out=first)
 
     def locate_batch(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized :meth:`locate_all` over an array of values.

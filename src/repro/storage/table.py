@@ -736,14 +736,22 @@ class Table:
         """Batched Q4: insert many rows on the vectorized bulk-write path.
 
         Payload rows are appended (and global row ids assigned) in *input*
-        order with one array write; the keys are then routed with a single
-        ``searchsorted`` over the chunk fences and handed to each receiving
-        chunk's :meth:`~repro.storage.column.PartitionedColumn.bulk_insert`
-        in ascending key order.  The resulting table state is identical to
-        inserting the same (key, row id) pairs sequentially in ascending key
-        order; chunk bounds never change on insert (the last fence is
-        ``int64 max``), so the router is left untouched.  Returns the new
-        global row ids aligned with the input order.
+        order with one array write; the keys are then sorted once, routed
+        with a single ``searchsorted`` over the chunk fences, and each
+        receiving chunk gets its slice of the sorted order through
+        :meth:`~repro.storage.column.PartitionedColumn.bulk_insert`.  The
+        resulting table state is identical to inserting the same (key, row
+        id) pairs sequentially in ascending key order; chunk bounds never
+        change on insert (the last fence is ``int64 max``), so the router is
+        left untouched.  Returns the new global row ids aligned with the
+        input order.
+
+        Routes are revalidated under each chunk's exclusive latch by the
+        rule every bulk write shares: re-route only when the router's
+        fence array is no longer the one routing used (a publish rebuilds
+        the router with a fresh array, and only a publish of *this* chunk,
+        which needs its latch, can move its keys elsewhere).  Keys a
+        rebuild re-routed retry in a later pass.
         """
         keys = np.asarray(keys, dtype=np.int64)
         if keys.ndim != 1:
@@ -762,37 +770,30 @@ class Table:
         if m == 0:
             return rowids
         self.counter.index_probe(m)
-        pending = np.arange(m, dtype=np.int64)
+        pending = np.argsort(keys, kind="stable")
         while pending.size:
-            # First-candidate (insert) routing is locate_batch's `first`
-            # array.  Each group revalidates its routes under the chunk's
-            # exclusive latch (a concurrent publish may have tightened the
-            # fence since routing); re-routed keys retry on the next pass.
-            chunk_ids, _ = self._router.locate_batch(keys[pending])
-            perm = np.argsort(keys[pending], kind="stable")
-            order = pending[perm]
-            sorted_chunks = chunk_ids[perm]
-            unique_chunks, group_starts, group_counts = np.unique(
-                sorted_chunks, return_index=True, return_counts=True
-            )
+            fences = self._router.fences
+            sorted_keys = keys[pending]
+            sorted_rowids = rowids[pending]
+            chunk_ids = self._router.locate_first_batch(sorted_keys)
             stale_pieces: list[np.ndarray] = []
-            for chunk_index, lo, count in zip(
-                unique_chunks.tolist(),
-                group_starts.tolist(),
-                group_counts.tolist(),
-                strict=True,
-            ):
-                sel = order[lo : lo + count]
+            for chunk_index, lo, hi in _slices(chunk_ids):
+                chunk_keys = sorted_keys[lo:hi]
+                chunk_rowids = sorted_rowids[lo:hi]
                 self._latches.acquire_write(chunk_index)
                 try:
-                    fresh, _ = self._router.locate_batch(keys[sel])
-                    valid = sel[fresh == chunk_index]
-                    stale = sel[fresh != chunk_index]
-                    if stale.size:
-                        stale_pieces.append(stale)
-                    if valid.size == 0:
-                        continue
-                    self._chunks[chunk_index].bulk_insert(keys[valid], rowids[valid])
+                    if self._router.fences is not fences:
+                        moved = (
+                            self._router.locate_first_batch(chunk_keys)
+                            != chunk_index
+                        )
+                        if moved.any():
+                            stale_pieces.append(pending[lo:hi][moved])
+                            chunk_keys = chunk_keys[~moved]
+                            chunk_rowids = chunk_rowids[~moved]
+                            if not chunk_keys.size:
+                                continue
+                    self._chunks[chunk_index].bulk_insert(chunk_keys, chunk_rowids)
                     self._bump_generation(chunk_index)
                 finally:
                     self._latches.release_write(chunk_index)
@@ -806,14 +807,17 @@ class Table:
     def bulk_delete(self, keys: np.ndarray | Sequence[int]) -> np.ndarray:
         """Batched Q5: delete one row per key on the vectorized bulk path.
 
-        Keys are routed with one ``searchsorted`` pass over the chunk fences
-        and resolved in ascending key order; keys that miss their first
-        candidate chunk retry the next chunk of their candidate span, so
-        duplicate runs straddling a chunk boundary stay reachable exactly as
-        on the per-key path.  Chunk bounds are left stale-high (deletes only
-        widen routing), so the router is never rebuilt.  Returns an array
-        aligned with the input: 1 where a row was deleted, 0 where the key
-        was absent.
+        Keys are sorted once, routed to their first candidate chunk with one
+        ``searchsorted`` over the chunk fences, and each chunk gets its
+        slice of the sorted order; a key that misses a chunk whose fence it
+        equals (a duplicate run may straddle the boundary) is carried into
+        the next chunk's group, so straddling runs stay reachable exactly as
+        on the per-key path.  Routes are revalidated under each chunk's
+        latch by :meth:`bulk_insert`'s rule; a key whose first candidate a
+        rebuild moved past the chunk retries in a later pass.  Chunk bounds
+        are left stale-high (deletes only widen routing), so the router is
+        never rebuilt.  Returns an array aligned with the input: 1 where a
+        row was deleted, 0 where the key was absent.
         """
         keys = np.asarray(keys, dtype=np.int64)
         if keys.ndim != 1:
@@ -823,31 +827,63 @@ class Table:
         if m == 0:
             return deleted
         self.counter.index_probe(m)
-        first, last = self._router.locate_batch(keys)
-        order = np.argsort(keys, kind="stable")
-        attempt = first[order].copy()
-        span_last = last[order]
-        unresolved = np.ones(m, dtype=bool)
-        for chunk_index in range(int(attempt.min()), int(span_last.max()) + 1):
-            group = np.nonzero(unresolved & (attempt == chunk_index))[0]
-            if group.size == 0:
-                continue
-            sel = order[group]
-            self._latches.acquire_write(chunk_index)
-            try:
-                counts = self._chunks[chunk_index].bulk_delete(keys[sel])
-                hit = counts > 0
-                if np.any(hit):
-                    self._bump_generation(chunk_index)
-            finally:
-                self._latches.release_write(chunk_index)
-            deleted[sel[hit]] = counts[hit]
-            unresolved[group[hit]] = False
-            missed = group[~hit]
-            retriable = missed[span_last[missed] > chunk_index]
-            unresolved[missed] = False
-            unresolved[retriable] = True
-            attempt[retriable] = chunk_index + 1
+        last_chunk = len(self._chunks) - 1
+        pending = np.argsort(keys, kind="stable")
+        while pending.size:
+            fences = self._router.fences
+            sorted_keys = keys[pending]
+            slices = _slices(self._router.locate_first_batch(sorted_keys))
+            stale_pieces: list[np.ndarray] = []
+            # Sorted positions carried from the previous chunk: they equal
+            # its fence, so they sort before every key routed here.
+            carried = None
+            cursor = 0
+            while cursor < len(slices) or carried is not None:
+                if carried is None:
+                    chunk_index = slices[cursor][0]
+                if cursor < len(slices) and slices[cursor][0] == chunk_index:
+                    _, lo, hi = slices[cursor]
+                    cursor += 1
+                    sel = pending[lo:hi]
+                    chunk_keys = sorted_keys[lo:hi]
+                    if carried is not None:
+                        sel = np.concatenate((carried, sel))
+                        chunk_keys = keys[sel]
+                else:
+                    sel = carried
+                    chunk_keys = keys[sel]
+                carried = None
+                self._latches.acquire_write(chunk_index)
+                try:
+                    bounds = self._router.fences
+                    if bounds is not fences:
+                        moved = (
+                            self._router.locate_first_batch(chunk_keys)
+                            > chunk_index
+                        )
+                        if moved.any():
+                            stale_pieces.append(sel[moved])
+                            sel = sel[~moved]
+                            chunk_keys = chunk_keys[~moved]
+                    if sel.size:
+                        counts = self._chunks[chunk_index].bulk_delete(chunk_keys)
+                        if counts.any():
+                            self._bump_generation(chunk_index)
+                finally:
+                    self._latches.release_write(chunk_index)
+                if sel.size:
+                    deleted[sel] = counts
+                    fence = bounds[chunk_index]
+                    if chunk_index < last_chunk and chunk_keys[-1] == fence:
+                        onward = (counts == 0) & (chunk_keys == fence)
+                        if onward.any():
+                            carried = sel[onward]
+                chunk_index += 1
+            pending = (
+                np.concatenate(stale_pieces)
+                if stale_pieces
+                else np.empty(0, dtype=np.int64)
+            )
         return deleted
 
     def bulk_update(
@@ -859,13 +895,15 @@ class Table:
         for the source spans and one for the insert targets, charging the
         same two index probes per pair as :meth:`update_key` -- but the pairs
         themselves are applied *in submission order* with the exact per-pair
-        logic of :meth:`update_key`.  Updates never move chunk fences, so the
-        pre-computed routes stay valid throughout the batch and the resulting
-        table state, results and simulated access counts are identical to
-        dispatching each update individually (unlike the insert/delete bulk
-        paths, nothing is reordered or coalesced).  Returns an array aligned
-        with the input: 1 where a row was updated, 0 where ``old_key`` was
-        absent (no :class:`ValueNotFoundError` is raised on the bulk path).
+        logic of :meth:`update_key`.  Updates never move chunk fences; a
+        pair re-routes only when a publish rebuilt the router since the
+        batch was routed (:meth:`bulk_insert`'s rule, checked under the
+        pair's latches).  The resulting table state, results and simulated
+        access counts are identical to dispatching each update individually
+        (unlike the insert/delete bulk paths, nothing is reordered or
+        coalesced).  Returns an array aligned with the input: 1 where a row
+        was updated, 0 where ``old_key`` was absent (no
+        :class:`ValueNotFoundError` is raised on the bulk path).
         """
         pairs_arr = np.asarray(pairs, dtype=np.int64)
         if pairs_arr.size == 0:
@@ -873,23 +911,33 @@ class Table:
         if pairs_arr.ndim != 2 or pairs_arr.shape[1] != 2:
             raise LayoutError("pairs must be a sequence of (old, new) tuples")
         m = int(pairs_arr.shape[0])
+        fences = self._router.fences
         self.counter.index_probe(m)
         first, last = self._router.locate_batch(pairs_arr[:, 0])
         self.counter.index_probe(m)
-        targets, _ = self._router.locate_batch(pairs_arr[:, 1])
-        updated = np.zeros(m, dtype=np.int64)
-        for i in range(m):
-            updated[i] = self._apply_update(
-                int(pairs_arr[i, 0]),
-                int(pairs_arr[i, 1]),
-                int(first[i]),
-                int(last[i]),
-                int(targets[i]),
-            )
-        return updated
+        targets = self._router.locate_first_batch(pairs_arr[:, 1])
+        return np.asarray(
+            [
+                self._apply_update(old_key, new_key, lo, hi, target, fences)
+                for old_key, new_key, lo, hi, target in zip(
+                    pairs_arr[:, 0].tolist(),
+                    pairs_arr[:, 1].tolist(),
+                    first.tolist(),
+                    last.tolist(),
+                    targets.tolist(),
+                )
+            ],
+            dtype=np.int64,
+        )
 
     def _apply_update(
-        self, old_key: int, new_key: int, first: int, last: int, target: int
+        self,
+        old_key: int,
+        new_key: int,
+        first: int,
+        last: int,
+        target: int,
+        fences: np.ndarray,
     ) -> int:
         """One ``old_key -> new_key`` correction over pre-computed routes.
 
@@ -897,10 +945,10 @@ class Table:
         ascending order, the deadlock-free multi-chunk protocol) so a
         cross-chunk move -- remove from the source, insert into the target
         -- is atomic with respect to concurrent readers and writers.  The
-        target route is revalidated under the latches (a concurrent
-        publish may have tightened its fence since routing; the source
-        span needs no revalidation -- fences only tighten, which keeps a
-        stale span covering).  Returns 1 when a row was updated, 0 when
+        routes were computed over ``fences``; if the router holds another
+        array by the time the latches are held, a publish rebuilt it in
+        between, so the span and the target are routed again and the
+        latches retaken.  Returns 1 when a row was updated, 0 when
         ``old_key`` was absent.
         """
         while True:
@@ -908,8 +956,8 @@ class Table:
                 list(range(first, last + 1)) + [target]
             )
             try:
-                fresh_target = self._router.locate(new_key)
-                if fresh_target == target:
+                current = self._router.fences
+                if current is fences:
                     for chunk_index in range(first, last + 1):
                         try:
                             if chunk_index == target:
@@ -931,7 +979,9 @@ class Table:
                     return 0
             finally:
                 self._latches.release_write_many(latched)
-            target = fresh_target
+            fences = current
+            first, last = self._router.locate_all(old_key)
+            target = self._router.locate(new_key)
 
     def update_key(self, old_key: int, new_key: int) -> None:
         """Q6: correct a primary-key value (update ``old_key`` -> ``new_key``).
@@ -943,13 +993,14 @@ class Table:
         the global row id, so the payload never moves.
         """
         old_key, new_key = int(old_key), int(new_key)
+        fences = self._router.fences
         first, last = self._route_key(old_key)
         target = self._route_insert(new_key)
         # Same-chunk updates rewrite in place via the column's ripple update
         # (which performs and charges the single source scan, per Eq. 12/14);
         # cross-chunk moves preserve the global row id via remove_one, so the
         # payload never moves.  Both run under the span+target latches.
-        if not self._apply_update(old_key, new_key, first, last, target):
+        if not self._apply_update(old_key, new_key, first, last, target, fences):
             raise ValueNotFoundError(f"key {old_key} not found")
 
     def scan(self) -> np.ndarray:
@@ -1110,6 +1161,14 @@ class Table:
             assert np.unique(merged).shape[0] == merged.shape[0], (
                 "duplicate row ids across chunks"
             )
+
+
+def _slices(chunk_ids: np.ndarray) -> list[tuple[int, int, int]]:
+    """``(chunk, lo, hi)`` for each run of equal ids in a sorted routing."""
+    cuts = (np.flatnonzero(chunk_ids[1:] != chunk_ids[:-1]) + 1).tolist()
+    starts = [0, *cuts]
+    ends = [*cuts, int(chunk_ids.size)]
+    return list(zip(chunk_ids[starts].tolist(), starts, ends, strict=True))
 
 
 def require_key(rows: list[Row], key: int) -> Row:

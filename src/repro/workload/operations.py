@@ -505,18 +505,32 @@ def is_write(operation: Operation) -> bool:
     return operation.writes
 
 
-def take(operation: Operation, positions: Sequence[int]) -> Operation:
-    """A batched operation restricted to its rows at ``positions``.
+def split(
+    operation: Operation, labels: np.ndarray
+) -> list[tuple[int, np.ndarray, Operation]]:
+    """A batched operation cut by a label per row (a shard id, say).
 
-    Every field of a batched kind but ``columns`` is row-aligned, so the
-    shard router splits any of them with this one function.
+    Returns one ``(label, positions, sub-operation)`` per distinct label,
+    in ascending label order.  Every field of a batched kind but
+    ``columns`` is row-aligned; each is converted to an ``int64`` array
+    once and every sub-operation holds its rows as a slice of it, so the
+    shard router splits any batched kind with this one function and the
+    request codec reads the arrays as they are.
     """
-    rows = {}
-    for item in fields(operation):
-        values = getattr(operation, item.name)
-        if item.name != "columns" and values is not None:
-            rows[item.name] = tuple(values[position] for position in positions)
-    return replace(operation, **rows)
+    rows = {
+        item.name: np.asarray(values, dtype=np.int64)
+        for item in fields(operation)
+        if item.name != "columns"
+        and (values := getattr(operation, item.name)) is not None
+    }
+    pieces = []
+    for label in np.unique(labels).tolist():
+        positions = np.flatnonzero(labels == label)
+        sub = replace(
+            operation, **{name: array[positions] for name, array in rows.items()}
+        )
+        pieces.append((label, positions, sub))
+    return pieces
 
 
 @dataclass

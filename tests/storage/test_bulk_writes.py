@@ -341,6 +341,153 @@ class TestBulkInsertSweepReference:
         assert np.array_equal(hits, np.concatenate(per_key))
 
 
+def reference_bulk_delete(column, values):
+    """``bulk_delete`` as one Python step per victim, partition and slot.
+
+    Each touched partition replays the swap-with-last cascade value by
+    value (a scan of the live segment as the earlier victims left it, the
+    oldest copy dies), and in dense mode the holes ripple to the end of the
+    column as one rotation per partition after the first touched one.  The
+    rotation writes only the partition's new region, so the slots it
+    abandons keep their stale bytes -- this pins ``bulk_delete``'s layout
+    (dead slots included) and its charges exactly.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    m = int(values.size)
+    order = np.argsort(values, kind="stable")
+    sorted_values = values[order].tolist()
+    counter, block_values = column.counter, column.block_values
+    counter.index_probe(m)
+    k = column.num_partitions
+    targets = [column._index.locate(value) for value in sorted_values]
+    deleted_sorted = [0] * m
+    sweep_end = k if column.dense else max(targets) + 1
+    holes = 0
+    for partition in range(min(targets), sweep_end):
+        start = int(column._starts[partition])
+        count = int(column._counts[partition])
+        if holes:
+            counter.random_read(
+                blocks_spanned(start + count - holes, holes, block_values)
+            )
+            counter.random_write(blocks_spanned(start - holes, holes, block_values))
+            for array in (column._data, column._rowids):
+                segment = array[start : start + count].copy()
+                for j in range(count):
+                    array[start - holes + (j + holes) % count] = segment[j]
+            start -= holes
+            column._starts[partition] = start
+            column._clear_load_order(partition)
+        live = count
+        victims = []
+        for i in range(m):
+            if targets[i] != partition:
+                continue
+            value = sorted_values[i]
+            blocks = blocks_spanned(0, live, block_values)
+            if blocks > 0:
+                counter.random_read(1)
+                counter.seq_read(blocks - 1)
+            copies = [
+                j for j in range(live) if column._data[start + j] == value
+            ]
+            if not copies:
+                continue
+            position = start + min(copies, key=lambda j: column._rowids[start + j])
+            last = start + live - 1
+            column._data[position] = column._data[last]
+            column._rowids[position] = column._rowids[last]
+            counter.random_write(1)
+            live -= 1
+            deleted_sorted[i] = 1
+            victims.append(value)
+        if victims:
+            column._counts[partition] = live
+            column._clear_load_order(partition)
+            survivors = column._data[start : start + live]
+            # An emptied partition keeps its last victim as min and max.
+            column._mins[partition] = survivors.min() if live else victims[-1]
+            column._maxs[partition] = survivors.max() if live else victims[-1]
+            if column.dense:
+                holes += len(victims)
+    deleted = np.zeros(m, dtype=np.int64)
+    deleted[order] = deleted_sorted
+    return deleted
+
+
+@st.composite
+def delete_cases(draw):
+    """(value offsets per partition, ghosts per partition or None, keys
+    bulk-inserted first, batch keys).  Partition ``i`` holds ``100 * i + 10
+    * offset`` for each of its offsets, so small offset ranges make
+    duplicates; ``None`` ghosts make a dense column."""
+    k = draw(st.integers(1, 8))
+    offsets = [
+        sorted(draw(st.lists(st.integers(0, 4), min_size=1, max_size=6)))
+        for _ in range(k)
+    ]
+    ghosts = draw(
+        st.none() | st.lists(st.integers(0, 3), min_size=k, max_size=k)
+    )
+    pre = draw(st.lists(st.integers(0, 100 * k + 50), max_size=8))
+    present = [100 * i + 10 * o for i, part in enumerate(offsets) for o in part]
+    batch = draw(
+        st.lists(
+            st.sampled_from(present) | st.integers(0, 100 * k + 50),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    return offsets, ghosts, pre, batch
+
+
+class TestBulkDeleteCascadeReference:
+    @settings(max_examples=40, deadline=None)
+    @given(case=delete_cases())
+    # Duplicates in one partition, drained oldest first.
+    @example(case=([[0, 1], [0, 0, 0, 1], [2, 3]], [1, 1, 1], [], [100, 100, 110, 100]))
+    # Misses: below the first value, a spent duplicate, past the last fence.
+    @example(case=([[0, 1, 2], [0, 3]], None, [], [5, 10, 999, 130, 130]))
+    # Min and max victims of several partitions.
+    @example(case=([[0, 2, 4], [0, 2, 4], [1, 3]], [0, 2, 0], [], [0, 40, 100, 140, 110]))
+    # Every partition emptied.
+    @example(case=([[0], [0, 1], [3]], [1, 0, 2], [], [0, 100, 110, 230]))
+    # Dense: four holes rotate partitions of one and two values (holes >=
+    # count), after inserts that scramble the row ids.
+    @example(case=([[0, 1, 2, 3, 4], [0], [0, 1]], None, [15, 205], [0, 10, 20, 30]))
+    # Victims in the last partition only.
+    @example(case=([[0, 1], [0, 1, 1, 2]], [2, 3], [], [110, 120, 110, 999]))
+    def test_equals_the_per_victim_cascade(self, case):
+        offsets, ghosts, pre, batch = case
+        base = np.asarray(
+            [100 * i + 10 * o for i, part in enumerate(offsets) for o in part]
+        )
+        columns = [
+            PartitionedColumn(
+                base,
+                np.cumsum([len(part) for part in offsets]),
+                ghost_allocation=ghosts,
+                block_values=4,
+            )
+            for _ in range(2)
+        ]
+        for column in columns:
+            if pre:
+                column.bulk_insert(pre)
+        reference, bulk = columns
+        expected = reference_bulk_delete(reference, batch)
+        assert np.array_equal(bulk.bulk_delete(batch), expected)
+        for name in ("_data", "_rowids", "_starts", "_counts", "_fences",
+                     "_mins", "_maxs", "_load_order"):
+            assert np.array_equal(getattr(reference, name), getattr(bulk, name)), name
+        assert np.array_equal(reference._index.fences, bulk._index.fences)
+        assert bulk._next_rowid == reference._next_rowid
+        for field in COUNTER_FIELDS:
+            assert type(getattr(bulk.counter, field)) is int, field
+            assert getattr(bulk.counter, field) == getattr(reference.counter, field)
+        bulk.check_invariants()
+
+
 def exact_zonemap(column):
     """``(_mins, _maxs)`` of the non-empty partitions, recomputed from scratch."""
     segments = [

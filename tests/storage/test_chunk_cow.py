@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.storage.errors import ValueNotFoundError
 from repro.storage.latches import ChunkLatches, RWLatch
 from repro.storage.layouts import LayoutKind, LayoutSpec
 from repro.storage.table import Table, layout_chunk_builder
@@ -372,16 +373,19 @@ class TestInsertRouteRevalidation:
     """
 
     @staticmethod
-    def _arm_publish_on_write(table, chunk_index):
-        """Instrument chunk 0's latch to publish (tightening the fence)
-        right before the next exclusive acquisition."""
+    def _arm_publish_on_write(table, chunk_index, published=None):
+        """Instrument chunk ``chunk_index``'s latch to publish chunk
+        ``published`` (by default the same one), tightening its fence and
+        rebuilding the router, right before the next exclusive
+        acquisition."""
         state = {"armed": True}
+        published = chunk_index if published is None else published
 
         class WriteHookLatch(RWLatch):
             def acquire_write(self):
                 if state["armed"]:
                     state["armed"] = False
-                    snap = table.snapshot_chunk(chunk_index)
+                    snap = table.snapshot_chunk(published)
                     rebuilt = table.build_chunk_replacement(snap)
                     assert table.publish_chunk(snap, rebuilt)
                 super().acquire_write()
@@ -427,4 +431,112 @@ class TestInsertRouteRevalidation:
         assert not state["armed"]
         assert len(table.point_query(top)) == 1
         assert len(table.point_query(source)) == 0
+        table.check_invariants()
+
+    def test_bulk_insert_revalidates_every_group_after_another_chunks_publish(self):
+        table = make_table()
+        top = int(table.chunk_bounds[1])
+        table.delete(top)  # chunk 1's fence goes stale-high at `top`
+        # Routing puts 10 in chunk 0 and `top` in chunk 1; latching chunk 0
+        # publishes chunk 1, so the router is rebuilt after routing and
+        # before either group is latched.  Chunk 0's group still belongs
+        # there, but `top` is now above chunk 1's fence: its group must
+        # re-route it too (to chunk 2), although the rebuild was noticed
+        # at the earlier group.
+        state = self._arm_publish_on_write(table, 0, published=1)
+        rowids = table.bulk_insert([top, 10])
+        assert not state["armed"], "the racing publish must have fired"
+        assert int(table.chunk_bounds[1]) < top
+        for key, rowid in zip((top, 10), rowids.tolist()):
+            assert rowid in [row.rowid for row in table.point_query(key)]
+        assert table.chunks[2].point_query(top).size == 1
+        table.check_invariants()
+
+    def test_bulk_delete_misses_retry_across_a_three_chunk_run(self):
+        # 50 fills the tail of chunk 0, all of chunk 1 and the head of
+        # chunk 2: fences 50, 50, ... so a miss carries on twice.
+        keys = np.concatenate(
+            (np.arange(10), np.full(150, 50), np.arange(60, 120))
+        ).astype(np.int64)
+
+        def build():
+            return Table(
+                keys,
+                (keys * 3).reshape(-1, 1),
+                chunk_size=CHUNK_SIZE,
+                chunk_builder=SORTED_BUILDER,
+                block_values=BLOCK_VALUES,
+            )
+
+        table, serial = build(), build()
+        assert table.chunk_bounds[:2].tolist() == [50, 50]
+        # Latching chunk 1 (with the carried keys) publishes chunk 0, whose
+        # 50s are gone by then: its fence tightens to 9 and the router is
+        # rebuilt while the batch is under way.
+        state = self._arm_publish_on_write(table, 1, published=0)
+        batch = [50] * 152 + [5, 100, 200]
+        deleted = table.bulk_delete(batch)
+        assert not state["armed"]
+        assert int(table.chunk_bounds[0]) == 9
+        expected = []
+        for key in sorted(batch):
+            try:
+                expected.append(serial.delete(key))
+            except ValueNotFoundError:
+                expected.append(0)
+        order = np.argsort(batch, kind="stable")
+        assert deleted[order].tolist() == expected
+        assert deleted.tolist() == [1] * 150 + [0, 0, 1, 1, 0]
+        assert table.point_query(50) == []
+        assert sorted(table.keys().tolist()) == sorted(serial.keys().tolist())
+        table.check_invariants()
+
+    def test_bulk_update_reroutes_pairs_after_a_mid_batch_rebuild(self):
+        table = make_table()
+        top = int(table.chunk_bounds[0])
+        table.delete(top)
+        source = int(table.chunks[2].values()[0])
+        rowid = table.point_query(source)[0].rowid
+        # Both pairs are routed up front; the second one's target is chunk
+        # 0 under its stale fence.  Latching the first pair (chunk 1)
+        # publishes chunk 0, so by the time the second pair holds its
+        # latches the router is another array and the target is chunk 1.
+        state = self._arm_publish_on_write(table, 1, published=0)
+        updated = table.bulk_update([(200, 201), (source, top)])
+        assert not state["armed"]
+        assert updated.tolist() == [1, 1]
+        assert [row.rowid for row in table.point_query(top)] == [rowid]
+        assert table.chunks[1].point_query(top).size == 1
+        assert len(table.point_query(source)) == 0
+        assert len(table.point_query(201)) == 1
+        table.check_invariants()
+
+    def test_bulk_delete_follows_a_key_the_rebuild_moved_on(self):
+        table = make_table()
+        top = int(table.chunk_bounds[0])
+        victim = top - 2
+        table.delete(top)
+        table.delete(victim)  # chunk 0's fence is stale-high above `victim`
+        fired = []
+
+        class PublishThenInsertLatch(RWLatch):
+            def acquire_write(self):
+                if not fired:
+                    fired.append(True)
+                    # Tighten chunk 0's fence below `victim`, then insert
+                    # it: it now routes to chunk 1.
+                    snap = table.snapshot_chunk(0)
+                    assert table.publish_chunk(
+                        snap, table.build_chunk_replacement(snap)
+                    )
+                    table.insert(victim)
+                super().acquire_write()
+
+        table.latches.replace(0, PublishThenInsertLatch())
+        # Routed to chunk 0 under the stale fence, whose span ends there;
+        # under the latch the router is another array, so the key re-routes
+        # to chunk 1 and finds the row inserted there.
+        assert table.bulk_delete([victim]).tolist() == [1]
+        assert fired
+        assert table.point_query(victim) == []
         table.check_invariants()

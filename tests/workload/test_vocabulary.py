@@ -37,7 +37,7 @@ from repro.workload.operations import (
     Update,
     Workload,
     is_write,
-    take,
+    split,
 )
 
 #: At least one example per member of the union; keys 0, 2, .. 398 are
@@ -302,18 +302,29 @@ def test_scalar_writes_state_their_written_keys():
         assert op.group_key is not None
 
 
-def test_take_restricts_every_row_aligned_field():
+def test_split_slices_every_row_aligned_field():
     op = MultiInsert(keys=(1, 2, 3), payloads=((1, 1), (2, 2), (3, 3)))
-    assert take(op, [2, 0]) == MultiInsert(
-        keys=(3, 1), payloads=((3, 3), (1, 1))
+    pieces = split(op, np.asarray([1, 0, 1]))
+    assert [(label, positions.tolist()) for label, positions, _ in pieces] == [
+        (0, [1]),
+        (1, [0, 2]),
+    ]
+    (_, _, low), (_, _, high) = pieces
+    assert isinstance(high, MultiInsert)
+    assert high.keys.dtype == np.int64 and high.keys.tolist() == [1, 3]
+    assert high.payloads.tolist() == [[1, 1], [3, 3]]
+    assert low.keys.tolist() == [2] and low.payloads.tolist() == [[2, 2]]
+    ((_, _, sub),) = split(MultiInsert(keys=(1, 2)), np.asarray([4, 4]))
+    assert sub.keys.tolist() == [1, 2] and sub.payloads is None
+    (_, (_, _, sub)) = split(
+        MultiPointQuery(keys=(5, 6, 7), columns=("a",)), np.asarray([0, 1, 0])
     )
-    assert take(MultiInsert(keys=(1, 2)), [1]) == MultiInsert(keys=(2,))
-    assert take(
-        MultiPointQuery(keys=(5, 6, 7), columns=("a",)), [1]
-    ) == MultiPointQuery(keys=(6,), columns=("a",))
-    assert take(MultiUpdate(pairs=((1, 2), (3, 4))), [1]) == MultiUpdate(
-        pairs=((3, 4),)
+    assert sub.keys.tolist() == [6] and sub.columns == ("a",)
+    (_, (_, _, sub)) = split(
+        MultiUpdate(pairs=((1, 2), (3, 4))), np.asarray([0, 1])
     )
+    assert sub.pairs.tolist() == [[3, 4]]
+    assert sub.attribution()[1].tolist() == [3]
 
 
 class TestMultiUpdatePairs:
