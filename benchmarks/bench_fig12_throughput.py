@@ -1,6 +1,6 @@
 """Figure 12 benchmark: normalized throughput across six workloads and layouts.
 
-Also includes six fast-path smoke checks, the first three on a 1M-row,
+Also includes seven fast-path smoke checks, the first three on a 1M-row,
 16-chunk table:
 
 * batched point queries must beat per-operation dispatch by >= 3x wall-clock
@@ -21,9 +21,14 @@ Also includes six fast-path smoke checks, the first three on a 1M-row,
   ``bulk_delete_grouped``), and
 * the same kernel where its groups are tiny (the ``oltp_durable`` shape:
   4 victims per call on the same chunk shape with scattered ghost slack)
-  must be no slower than the per-value loop (key ``bulk_delete_sparse``).
+  must be no slower than the per-value loop (key ``bulk_delete_sparse``),
+  and
+* ``Table.bulk_insert`` in the ``oltp_durable`` shape (1M rows, 16 Equi-GV
+  chunks of 64 partitions, 160 keys per call), one cross-chunk kernel
+  call, must take <= 0.6x one column ``bulk_insert`` call per chunk (key
+  ``table_bulk_insert``).
 
-CI runs all six at full scale (the table builds in well under a second); set
+CI runs all seven at full scale (the table builds in well under a second); set
 ``REPRO_BENCH_ROWS`` to scale the table down on constrained machines.
 """
 
@@ -340,6 +345,101 @@ def test_fig12_bulk_insert_rippled_kernel(benchmark):
         }
     )
     assert ratio <= 0.3
+
+
+def reference_table_bulk_insert(table: Table, keys: np.ndarray) -> np.ndarray:
+    """``Table.bulk_insert`` as one ``PartitionedColumn.bulk_insert`` call
+    per receiving chunk (no payload, no concurrent publish): the per-chunk
+    loop the cross-chunk kernel replaced."""
+    rowids = table._append_payload_batch(
+        np.zeros((keys.size, len(table.payload_names)), dtype=np.int64)
+    )
+    table.counter.index_probe(int(keys.size))
+    order = np.argsort(keys, kind="stable")
+    sorted_keys, sorted_rowids = keys[order], rowids[order]
+    chunk_ids = table.router.locate_first_batch(sorted_keys)
+    for chunk_index in np.unique(chunk_ids).tolist():
+        group = chunk_ids == chunk_index
+        with table.latches.exclusive(chunk_index):
+            table.chunks[chunk_index].bulk_insert(sorted_keys[group], sorted_rowids[group])
+            table._bump_generation(chunk_index)
+    return rowids
+
+
+def test_fig12_table_bulk_insert_across_chunks(benchmark):
+    """``Table.bulk_insert`` in ``oltp_durable``'s shape: 1M rows in 16
+    Equi-GV chunks of 64 partitions, 160 uniform fresh keys per call, so
+    every call touches every chunk with about 10 keys.  One cross-chunk
+    kernel call must take <= 0.6x the median time of one
+    ``PartitionedColumn.bulk_insert`` call per chunk on a twin table, with
+    equal end state (layout, row ids, metadata, generations, counters)."""
+    benchmark.pedantic(lambda: None, iterations=1, rounds=1)
+    num_rows = int(os.environ.get("REPRO_BENCH_ROWS", 1_048_576))
+    num_chunks, calls, keys_per_call = 16, 300, 160
+    block_values = 1_024
+    spec = LayoutSpec(
+        kind=LayoutKind.EQUI_GV,
+        partitions=64,
+        ghost_fraction=0.01,
+        block_values=block_values,
+    )
+    keys = np.arange(num_rows, dtype=np.int64) * 64
+
+    def build() -> Table:
+        return Table(
+            keys,
+            chunk_size=-(-num_rows // num_chunks),
+            chunk_builder=layout_chunk_builder(spec),
+            block_values=block_values,
+        )
+
+    table, twin = build(), build()
+    rng = np.random.default_rng(11)
+    fresh = rng.choice(num_rows * 64, 2 * calls * keys_per_call, replace=False)
+    fresh = fresh[fresh % 64 != 0][: calls * keys_per_call]
+
+    table_us, reference_us = [], []
+    for call in range(calls):
+        batch = fresh[call * keys_per_call : (call + 1) * keys_per_call]
+        start = time.perf_counter()
+        table.bulk_insert(batch)
+        table_us.append((time.perf_counter() - start) * 1e6)
+        start = time.perf_counter()
+        reference_table_bulk_insert(twin, batch)
+        reference_us.append((time.perf_counter() - start) * 1e6)
+
+    for name in ("_data", "_rowids", "_starts", "_counts", "_fences", "_mins",
+                 "_maxs", "_load_order"):
+        for chunk, other in zip(table.chunks, twin.chunks):
+            assert np.array_equal(getattr(chunk, name), getattr(other, name)), name
+    assert [c._next_rowid for c in table.chunks] == [c._next_rowid for c in twin.chunks]
+    assert table._generations == twin._generations
+    assert table.counter.snapshot() == twin.counter.snapshot()
+    table.check_invariants()
+    table_median = statistics.median(table_us)
+    reference_median = statistics.median(reference_us)
+    ratio = table_median / reference_median
+    print(
+        f"\ntable bulk_insert: {calls} calls x {keys_per_call} keys over "
+        f"{num_chunks} equi_gv chunks / 64 partitions -> one kernel "
+        f"{table_median:.0f}us, per-chunk calls {reference_median:.0f}us "
+        f"({ratio:.2f}x)"
+    )
+    emit_writes_json(
+        {
+            "table_bulk_insert": {
+                "num_rows": num_rows,
+                "num_chunks": num_chunks,
+                "partitions": 64,
+                "calls": calls,
+                "keys_per_call": keys_per_call,
+                "table_median_us": table_median,
+                "reference_median_us": reference_median,
+                "ratio": ratio,
+            }
+        }
+    )
+    assert ratio <= 0.6
 
 
 def test_fig12_bulk_delete_grouped_kernel(benchmark):

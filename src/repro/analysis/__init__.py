@@ -7,9 +7,9 @@ checks it against the concurrency model declared in
 ===========  ==========================================================
 Check        Rule
 ===========  ==========================================================
-``LB01``     A chunk-touching method registered via ``@requires_latch``
-             may only be called while holding a chunk latch of at least
-             the declared mode.
+``LB01``     A chunk-touching method (or module-level function)
+             registered via ``@requires_latch`` may only be called while
+             holding a chunk latch of at least the declared mode.
 ``LB02``     Raw ``self._chunks[...]`` access outside a latch bracket
              (loads need a shared latch, stores an exclusive one).
 ``LB03``     A latch acquired in a function must be released on every

@@ -97,27 +97,38 @@ def check_latch_bracketing(
     if func_name in CONSTRUCTOR_NAMES:
         return
     class_methods = set(class_registry.get(analysis.class_name or "", ()))
+    # Module-level functions (registry key "") have no receiver: every
+    # call to one by its bare name needs the declared latch.
+    module_functions = class_registry.get("", {})
 
     flagged_receivers: set[int] = set()
     for node in ast.walk(analysis.func):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        if not isinstance(func, ast.Attribute):
+        if isinstance(func, ast.Name):
+            name = func.id
+            mode = module_functions.get(name)
+        elif isinstance(func, ast.Attribute):
+            name = func.attr
+            mode = registry.get(name)
+            if mode is not None and not _call_receiver_is_chunk(
+                node, analysis, class_methods
+            ):
+                continue
+        else:
             continue
-        mode = registry.get(func.attr)
         if mode is None:
-            continue
-        if not _call_receiver_is_chunk(node, analysis, class_methods):
             continue
         held = _held(analysis, node)
         if not held.has_chunk(mode):
-            flagged_receivers.add(id(func.value))
+            if isinstance(func, ast.Attribute):
+                flagged_receivers.add(id(func.value))
             yield _violation(
                 "LB01",
                 path,
                 node,
-                f"call to chunk method {func.attr}() requires a {mode} "
+                f"call to chunk method {name}() requires a {mode} "
                 f"chunk latch; held here: {_describe(held)}",
                 analysis,
             )

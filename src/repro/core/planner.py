@@ -29,7 +29,7 @@ from ..storage.cost_accounting import (
     AccessCounter,
     CostConstants,
 )
-from ..storage.ghost_values import ghost_budget_from_fraction
+from ..storage.ghost_values import fold_onto_snapped, ghost_budget_from_fraction
 from ..workload.operations import Workload
 from .constraints import SLAConstraints
 from .cost_model import CostModel, boundaries_to_vector
@@ -197,21 +197,10 @@ class CasperPlanner:
         if per_partition.shape[0] != boundaries.shape[0]:
             # Boundary snapping (duplicate runs) may have merged partitions;
             # re-aggregate the block-level allocation onto the final layout.
-            per_partition = self._reaggregate(
+            per_partition = fold_onto_snapped(
                 allocation.per_partition, solution.boundary_offsets(), boundaries
             )
         return GhostAllocation(per_partition=per_partition, total=allocation.total)
-
-    @staticmethod
-    def _reaggregate(
-        allocation: np.ndarray, original_offsets: np.ndarray, final_offsets: np.ndarray
-    ) -> np.ndarray:
-        result = np.zeros(final_offsets.shape[0], dtype=np.int64)
-        for original_index, end in enumerate(original_offsets):
-            target = int(np.searchsorted(final_offsets, end, side="left"))
-            target = min(target, final_offsets.shape[0] - 1)
-            result[target] += int(allocation[original_index])
-        return result
 
     # ------------------------------------------------------------------ #
     # Table integration

@@ -174,6 +174,8 @@ CHUNK_METHOD_MODES: dict[str, str] = {
     "remove_one": "exclusive",
     "bulk_insert": "exclusive",
     "bulk_delete": "exclusive",
+    # Module-level kernel over several chunks (every one latched).
+    "bulk_insert_chunks": "exclusive",
 }
 
 #: Latch-mode strength: exclusive satisfies a shared requirement.

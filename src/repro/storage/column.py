@@ -36,7 +36,10 @@ are the full-partition scan's either way.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -142,12 +145,17 @@ def expand_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts, lengths) + offsets
 
 
-def _blocks_spanned_sum(
-    starts: np.ndarray, lengths: np.ndarray, block_values: int
-) -> int:
-    """Sum of :func:`blocks_spanned` over aligned spans of positive length."""
+def _blocks_spanned_sums(
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    block_values: int | np.ndarray,
+    cuts: list[int],
+) -> list[int]:
+    """Sums of :func:`blocks_spanned` over aligned spans of positive length,
+    one per segment ``cuts[i]:cuts[i + 1]`` (the last runs to the end;
+    every segment non-empty)."""
     last_blocks = (starts + lengths - 1) // block_values
-    return int((last_blocks - starts // block_values + 1).sum())
+    return np.add.reduceat(last_blocks - starts // block_values + 1, cuts).tolist()
 
 
 def equal_width_boundaries(size: int, partitions: int) -> np.ndarray:
@@ -205,7 +213,7 @@ class PartitionedColumn:
         values = np.asarray(sorted_values, dtype=np.int64)
         if values.ndim != 1:
             raise LayoutError("sorted_values must be one-dimensional")
-        if values.size > 1 and np.any(np.diff(values) < 0):
+        if np.any(values[1:] < values[:-1]):
             raise LayoutError("sorted_values must be non-decreasing")
         if block_values <= 0:
             raise LayoutError("block_values must be positive")
@@ -776,18 +784,11 @@ class PartitionedColumn:
 
         Equivalent to calling :meth:`insert` once per value in ascending
         (stable) value order: the final layout, row ids and fences are
-        byte-identical.  The batch is routed with a single ``searchsorted``
-        over the fences (:meth:`PartitionIndex.locate_first_batch`), the
-        sequential path's greedy donor choice is replayed in closed form
-        over the partitions' slack slots (one ``searchsorted`` and a running
-        maximum, however the slack is spread), and all ripples are folded
-        into one gather and one scatter over all touched partitions, each
-        rotated once (the batched Fig. 4a); the batch itself lands with one
-        more scatter.
-        Charged accesses are at most the sequential path's: the per-partition
-        ripple and tail placements charge each touched block once instead of
-        once per insert, and are exactly equal when no partition is rippled
-        through or appended to more than once.
+        byte-identical.  This is the one-column call of the cross-chunk
+        kernel (:func:`bulk_insert_chunks`, which documents the method);
+        charged accesses are at most the sequential path's and exactly
+        equal when no partition is rippled through or appended to more
+        than once.
 
         Returns the row ids of the inserted values, aligned with the *input*
         order.  When ``rowids`` is omitted, fresh row ids are assigned in
@@ -796,108 +797,8 @@ class PartitionedColumn:
         _, sorted_values, sorted_rowids, out = sort_batch_with_rowids(
             values, rowids, self._next_rowid
         )
-        m = int(sorted_values.size)
-        if m == 0:
-            return out
-        self._next_rowid = max(self._next_rowid, int(sorted_rowids.max()) + 1)
-
-        self.counter.index_probe(m)
-        k = self.num_partitions
-        targets = self._index.locate_first_batch(sorted_values)
-
-        # Replay the sequential donor selection on metadata only.  Each
-        # insert takes one slack unit (free slot) from the first partition
-        # at or after its target that still has one.  With the units laid
-        # out in partition order, sorted targets take them in increasing
-        # order, so insert i gets unit i + max over j <= i of (u_j - j),
-        # u_j being the first unit at or after target j.  Inserts past the
-        # last real unit grow the tail and take its new slots: the last
-        # partition lists m units whatever its slack, and the ones past its
-        # real slack are the grown ones.
-        per_partition = np.minimum(self._capacities() - self._counts, m)
-        real_end = int(per_partition.sum())
-        per_partition[-1] = m
-        partitions = np.arange(k)
-        units = partitions.repeat(per_partition)
-        steps = np.arange(m)
-        taken = np.maximum.accumulate(units.searchsorted(targets) - steps)
-        taken += steps
-        donors = units[taken]
-        grown = m - int(taken.searchsorted(real_end))
-        growths = -(-grown // (self.GROWTH_BLOCKS * self.block_values))
-        donor_pairs = int(np.count_nonzero(donors != targets))
-        # Ripples through partition p: inserts whose target is before p and
-        # whose donor is not (both arrays are sorted).
-        through = targets.searchsorted(partitions) - donors.searchsorted(partitions)
-
-        for _ in range(growths):
-            self._grow()
-        if donor_pairs:
-            self.counter.random_read(donor_pairs)
-            self.counter.random_write(donor_pairs)
-
-        # Coalesced backward ripple sweep: rippling through a partition n
-        # times rotates it left by n and shifts its start right by n.  Only
-        # the first min(n, count) elements change absolute position, so all
-        # touched partitions move in one gather and one scatter: the gather
-        # reads every source before any write, and the destinations lie in
-        # the partitions' final (disjoint) regions.
-        touched = np.nonzero(through > 0)[0]
-        if touched.size:
-            shift = through[touched]
-            start = self._starts[touched]
-            count = self._counts[touched]
-            self.counter.random_read(
-                _blocks_spanned_sum(start, shift, self.block_values)
-            )
-            self.counter.random_write(
-                _blocks_spanned_sum(start + count, shift, self.block_values)
-            )
-            moved = np.minimum(shift, count)
-            owner = np.repeat(np.arange(touched.size), moved)
-            local = np.arange(owner.size) - (np.cumsum(moved) - moved)[owner]
-            first, by = start[owner], shift[owner]
-            src = first + local
-            dst = first + by + (local - by) % count[owner]
-            self._data[dst] = self._data[src]
-            self._rowids[dst] = self._rowids[src]
-            self._starts += through
-
-        # Tail placements: one scatter for the batch, grouped by the
-        # (already sorted) target partition.
-        group_starts = np.nonzero(
-            np.concatenate(([True], targets[1:] != targets[:-1]))
-        )[0]
-        group_ends = np.concatenate((group_starts[1:], [m]))
-        group_counts = group_ends - group_starts
-        unique_targets = targets[group_starts]
-        previous = self._counts[unique_targets]
-        tails = self._starts[unique_targets] + previous
-        blocks = _blocks_spanned_sum(tails, group_counts, self.block_values)
-        self.counter.random_read(blocks)
-        self.counter.random_write(blocks)
-        dst = np.repeat(tails - group_starts, group_counts) + np.arange(m)
-        self._data[dst] = sorted_values
-        self._rowids[dst] = sorted_rowids
-        self._counts[unique_targets] = previous + group_counts
-        lows = sorted_values[group_starts]
-        highs = sorted_values[group_ends - 1]
-        empty = previous == 0
-        self._mins[unique_targets] = np.where(
-            empty, lows, np.minimum(self._mins[unique_targets], lows)
-        )
-        self._maxs[unique_targets] = np.where(
-            empty, highs, np.maximum(self._maxs[unique_targets], highs)
-        )
-        raised = (unique_targets < k - 1) & (highs > self._fences[unique_targets])
-        for partition, high in zip(
-            unique_targets[raised].tolist(), highs[raised].tolist(), strict=True
-        ):
-            self._fences[partition] = high
-            self._index.update_fence(partition, high)
-        # Every partition that was shifted or appended to leaves load order.
-        self._load_order[touched] = False
-        self._load_order[unique_targets] = False
+        if sorted_values.size:
+            _insert_sorted_batches([self], [sorted_values], [sorted_rowids])
         return out
 
     @requires_latch("exclusive")
@@ -1224,3 +1125,226 @@ class PartitionedColumn:
         assert np.unique(live_rowids).shape[0] == live_rowids.shape[0], (
             "duplicate row ids"
         )
+
+
+# ---------------------------------------------------------------------- #
+# Bulk insert across chunks
+# ---------------------------------------------------------------------- #
+
+
+@requires_latch("exclusive")
+def bulk_insert_chunks(
+    columns: Sequence[PartitionedColumn],
+    values: Sequence[np.ndarray],
+    rowids: Sequence[np.ndarray],
+) -> None:
+    """Insert one sorted batch into each of several chunks in one pass.
+
+    ``values[c]`` (non-empty, ascending) and the aligned ``rowids[c]`` go
+    into ``columns[c]``; the columns are distinct and share one access
+    counter.  The result, chunk by chunk, is byte-identical to
+    ``columns[c].bulk_insert(values[c], rowids[c])`` (layout and dead
+    slots, row ids, fences, zonemaps, load-order flags, ``_next_rowid``),
+    and the charges are their sum.  The caller holds every column's
+    exclusive latch.
+
+    The chunks' partitions are stacked chunk-major into one numbering, so
+    routing aside, the closed-form ripple replay runs once for the whole
+    batch: one donor replay, one ``through`` vector, one gather/scatter
+    plan for the ripples and one for the tail placements.  Only the
+    fancy-indexing of each chunk's own value and row-id arrays, growths
+    and the metadata write-back run per chunk.
+    """
+    _insert_sorted_batches(columns, values, rowids)
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """One chunk's array itself (updated in place), or a stacked copy."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _insert_sorted_batches(
+    columns: Sequence[PartitionedColumn],
+    values: Sequence[np.ndarray],
+    rowids: Sequence[np.ndarray],
+) -> None:
+    """The kernel behind :func:`bulk_insert_chunks` and
+    :meth:`PartitionedColumn.bulk_insert` (see the former).
+
+    Stacked partition ``p`` of chunk ``c`` is ``offsets[c] + p``; chunk
+    ``c``'s inserts are batch positions ``cuts[c]:cuts[c + 1]``.  With one
+    chunk the stacked arrays are the chunk's own, updated in place.
+    The column method calls this body, not the latch-declared entry
+    point: its own declaration already covers its one column (which, in
+    debug mode, a column touched by a single thread does not latch).
+    """
+    counter = columns[0].counter
+    single = len(columns) == 1
+    sizes = [batch.size for batch in values]
+    widths = [column._starts.size for column in columns]
+    offsets = [0, *accumulate(widths)]
+    cuts = [0, *accumulate(sizes)]
+    m, k = cuts[-1], offsets[-1]
+    sorted_values = _stack(values)
+    highest = np.maximum.reduceat(_stack(rowids), cuts[:-1]).tolist()
+    for column, rowid in zip(columns, highest, strict=True):
+        column._next_rowid = max(column._next_rowid, rowid + 1)
+    counter.index_probe(m)
+
+    # Each chunk routes its own keys (the last fence is int64 max, so the
+    # left insertion point is always a partition), then the targets move
+    # into the stacked numbering.
+    targets = _stack(
+        [
+            column._index.fences.searchsorted(batch)
+            for column, batch in zip(columns, values, strict=True)
+        ]
+    )
+    starts = _stack([column._starts for column in columns])
+    counts = _stack([column._counts for column in columns])
+    lasts = np.asarray(offsets[1:]) - 1
+    slack = np.empty_like(starts)
+    slack[:-1] = starts[1:]
+    slack[lasts] = [column._data.shape[0] for column in columns]
+    slack -= starts
+    slack -= counts
+    if single:
+        caps = m
+    else:
+        targets += np.repeat(offsets[:-1], sizes)
+        caps = np.repeat(sizes, widths)
+
+    # Replay the sequential donor selection on metadata only.  Each
+    # insert takes one slack unit (free slot) from the first partition
+    # at or after its target that still has one.  With the units laid
+    # out in partition order, sorted targets take them in increasing
+    # order, so insert i gets unit i + max over j <= i of (u_j - j),
+    # u_j being the first unit at or after target j.  Inserts past the
+    # last real unit of their chunk grow its tail and take the new slots:
+    # each chunk's last partition lists as many units as the chunk has
+    # inserts, whatever its slack, and the ones past its real slack are
+    # the grown ones.  The running maximum needs no reset between chunks:
+    # a chunk's first insert finds every earlier insert's unit before its
+    # own first unit, and its last partition's units outlast its inserts,
+    # so no insert takes a unit outside its own chunk.
+    per_partition = np.minimum(slack, caps)
+    first_grown = per_partition[lasts]
+    per_partition[lasts] = sizes
+    unit_ends = per_partition.cumsum()
+    first_grown += unit_ends[lasts]
+    first_grown -= sizes
+    partitions = np.arange(k + 1)
+    units = partitions[:-1].repeat(per_partition)
+    steps = np.arange(m)
+    taken = np.maximum.accumulate(units.searchsorted(targets) - steps)
+    taken += steps
+    donors = units[taken]
+    grown = (cuts[1:] - taken.searchsorted(first_grown)).tolist()
+    donor_pairs = int(np.count_nonzero(donors != targets))
+    # firsts[p]: inserts whose target is before partition p (p <= k).
+    # Ripples through p: inserts whose target is before p and whose donor
+    # is not (both arrays are sorted).
+    firsts = targets.searchsorted(partitions)
+    through = firsts[:-1] - donors.searchsorted(partitions[:-1])
+    arrivals = firsts[1:] - firsts[:-1]
+
+    for column, extra in zip(columns, grown, strict=True):
+        for _ in range(-(-extra // (column.GROWTH_BLOCKS * column.block_values))):
+            column._grow()
+    block_values = [column.block_values for column in columns]
+    if block_values.count(block_values[0]) == len(block_values):
+        block_values = block_values[0]
+    else:
+        block_values = np.repeat(block_values, widths)
+
+    # Coalesced backward ripple sweep: rippling through a partition n
+    # times rotates it left by n and shifts its start right by n.  Only
+    # the first min(n, count) elements change absolute position, so all
+    # touched partitions move in one gather and one scatter per chunk: the
+    # gather reads every source before any write, and the destinations
+    # lie in the partitions' final (disjoint) regions.
+    touched = through.nonzero()[0]
+    ripples = int(touched.size)
+    shift = through[touched]
+    start = starts[touched]
+    count = counts[touched]
+    if ripples:
+        moved = np.minimum(shift, count)
+        moved_ends = moved.cumsum()
+        owner = np.repeat(np.arange(ripples), moved)
+        local = np.arange(owner.size) - (moved_ends - moved)[owner]
+        first, by = start[owner], shift[owner]
+        src = first + local
+        dst = first + by + (local - by) % count[owner]
+        if single:
+            moves = [0, owner.size]
+        else:
+            moves = np.append(0, moved_ends)[touched.searchsorted(offsets)].tolist()
+        for column, lo, hi in zip(columns, moves[:-1], moves[1:], strict=True):
+            if lo < hi:
+                source, target = src[lo:hi], dst[lo:hi]
+                column._data[target] = column._data[source]
+                column._rowids[target] = column._rowids[source]
+        starts += through
+
+    # Tail placements: one scatter per chunk for its batch, grouped by the
+    # (already sorted) target partition.
+    unique_targets = arrivals.nonzero()[0]
+    group_starts = firsts[unique_targets]
+    group_counts = arrivals[unique_targets]
+    previous = counts[unique_targets]
+    tails = starts[unique_targets] + previous
+    dst = np.repeat(tails - group_starts, group_counts) + steps
+    for column, batch, ids, lo, hi in zip(
+        columns, values, rowids, cuts[:-1], cuts[1:], strict=True
+    ):
+        column._data[dst[lo:hi]] = batch
+        column._rowids[dst[lo:hi]] = ids
+
+    # Charges: a read/write pair per donor, the ripples' reads at the
+    # rippled partitions' fronts and writes past their old tails, and the
+    # placements' read/write at the new tails, each span's blocks once.
+    if not np.isscalar(block_values):
+        block_values = np.concatenate(
+            (block_values[touched], block_values[touched], block_values[unique_targets])
+        )
+    blocks = _blocks_spanned_sums(
+        np.concatenate((start, start + count, tails)),
+        np.concatenate((shift, shift, group_counts)),
+        block_values,
+        [0, ripples, 2 * ripples] if ripples else [0],
+    )
+    ripple_reads, ripple_writes = blocks[:2] if ripples else (0, 0)
+    counter.random_read(donor_pairs + ripple_reads + blocks[-1])
+    counter.random_write(donor_pairs + ripple_writes + blocks[-1])
+    counts[unique_targets] = previous + group_counts
+    lows = sorted_values[group_starts]
+    highs = sorted_values[group_starts + group_counts - 1]
+    empty = previous == 0
+    mins = _stack([column._mins for column in columns])
+    maxs = _stack([column._maxs for column in columns])
+    mins[unique_targets] = np.where(empty, lows, np.minimum(mins[unique_targets], lows))
+    maxs[unique_targets] = np.where(empty, highs, np.maximum(maxs[unique_targets], highs))
+    # A last partition's fence is int64 max, so only inner fences rise.
+    fences = _stack([column._fences for column in columns])
+    raised = (highs > fences[unique_targets]).nonzero()[0]
+    if raised.size:
+        for partition, high in zip(
+            unique_targets[raised].tolist(), highs[raised].tolist(), strict=True
+        ):
+            c = bisect_right(offsets, partition) - 1
+            column, partition = columns[c], partition - offsets[c]
+            column._fences[partition] = high
+            column._index.update_fence(partition, high)
+    # Every partition that was shifted or appended to leaves load order.
+    load_order = _stack([column._load_order for column in columns])
+    load_order[touched] = False
+    load_order[unique_targets] = False
+    if not single:
+        # Each chunk's metadata becomes its slice of the stacked arrays.
+        for column, lo, hi in zip(columns, offsets[:-1], offsets[1:], strict=True):
+            column._starts = starts[lo:hi]
+            column._counts = counts[lo:hi]
+            column._mins = mins[lo:hi]
+            column._maxs = maxs[lo:hi]
+            column._load_order = load_order[lo:hi]

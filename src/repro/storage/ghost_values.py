@@ -30,6 +30,25 @@ def spread_evenly(total: int, partitions: int) -> np.ndarray:
     return allocation
 
 
+def fold_onto_snapped(
+    allocation: np.ndarray, original_ends: np.ndarray, snapped_ends: np.ndarray
+) -> np.ndarray:
+    """Re-aggregate a per-partition allocation after boundary snapping.
+
+    Snapping (:func:`~repro.storage.column.snap_boundaries_to_duplicates`)
+    may merge partitions whose boundaries split a duplicate run; each
+    original partition's slots go to the snapped partition that holds its
+    end offset.
+    """
+    targets = np.minimum(
+        np.searchsorted(snapped_ends, original_ends, side="left"),
+        snapped_ends.shape[0] - 1,
+    )
+    result = np.zeros(snapped_ends.shape[0], dtype=np.int64)
+    np.add.at(result, targets, np.asarray(allocation, dtype=np.int64))
+    return result
+
+
 def spread_proportionally(weights: np.ndarray | list[float], total: int) -> np.ndarray:
     """Distribute ``total`` slots proportionally to non-negative ``weights``.
 

@@ -27,11 +27,15 @@ from enum import Enum
 
 import numpy as np
 
-from .column import PartitionedColumn, equal_width_boundaries
+from .column import (
+    PartitionedColumn,
+    equal_width_boundaries,
+    snap_boundaries_to_duplicates,
+)
 from .cost_accounting import DEFAULT_BLOCK_VALUES, AccessCounter, blocks_spanned
 from .delta_store import DeltaStoreColumn
 from .errors import LayoutError
-from .ghost_values import ghost_budget_from_fraction, spread_evenly
+from .ghost_values import fold_onto_snapped, ghost_budget_from_fraction, spread_evenly
 
 
 class DataOrganization(Enum):
@@ -189,7 +193,11 @@ def build_column(
         )
 
     if spec.kind is LayoutKind.EQUI_GV:
+        # Snap first: the budget is spread over the partitions the column
+        # will really have once no duplicate run straddles a boundary.
         boundaries = equal_width_boundaries(size, spec.partitions)
+        if size:
+            boundaries = snap_boundaries_to_duplicates(values, boundaries)
         budget = ghost_budget_from_fraction(size, spec.ghost_fraction)
         ghosts = spread_evenly(budget, boundaries.shape[0])
         return PartitionedColumn(
@@ -212,6 +220,13 @@ def build_column(
             if spec.ghost_allocation is not None
             else None
         )
+        if size and ghosts is not None:
+            # Ghosts given per partition of boundaries that snapping merges
+            # follow their partition's end offset.
+            snapped = snap_boundaries_to_duplicates(values, boundaries)
+            if snapped.shape[0] < ghosts.shape[0] == boundaries.shape[0]:
+                ghosts = fold_onto_snapped(ghosts, boundaries, snapped)
+                boundaries = snapped
         return PartitionedColumn(
             values,
             boundaries,

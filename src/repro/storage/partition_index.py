@@ -81,7 +81,9 @@ class PartitionIndex:
         fences = np.asarray(fences, dtype=np.int64)
         if fences.ndim != 1:
             raise ValueError("fences must be one-dimensional")
-        if fences.size > 1 and np.any(np.diff(fences) < 0):
+        # Pairwise, not np.diff: the difference between a negative fence
+        # and the int64-max last fence overflows.
+        if np.any(fences[1:] < fences[:-1]):
             raise ValueError("fences must be non-decreasing")
         self._fences = fences.copy()
 

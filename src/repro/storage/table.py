@@ -27,9 +27,9 @@ is *chunk-granular*: every chunk visit is bracketed by that chunk's
 writes -- so reads share chunks freely, writes to different chunks run in
 parallel, and only writers (or a publish) targeting the *same* chunk
 serialize.  Operations spanning several chunks latch them one at a time (or,
-for cross-chunk key moves, all at once in ascending order), so a multi-chunk
-read observes each chunk atomically but not the whole span -- the documented
-unit of read consistency is the chunk.
+for cross-chunk key moves and bulk inserts, all at once in ascending order),
+so a multi-chunk read observes each chunk atomically but not the whole span
+-- the documented unit of read consistency is the chunk.
 
 Online reorganization is copy-on-write: :meth:`Table.snapshot_chunk` pins a
 consistent (values, rowids, generation) snapshot under the shared latch, the
@@ -60,7 +60,7 @@ from .cost_accounting import (
     AccessCounter,
     blocks_spanned,
 )
-from .column import expand_ranges
+from .column import PartitionedColumn, bulk_insert_chunks, expand_ranges
 from .errors import LayoutError, ValueNotFoundError
 from .latches import ChunkLatches
 from .layouts import ColumnLike, LayoutKind, LayoutSpec, build_column
@@ -736,22 +736,25 @@ class Table:
         """Batched Q4: insert many rows on the vectorized bulk-write path.
 
         Payload rows are appended (and global row ids assigned) in *input*
-        order with one array write; the keys are then sorted once, routed
-        with a single ``searchsorted`` over the chunk fences, and each
-        receiving chunk gets its slice of the sorted order through
-        :meth:`~repro.storage.column.PartitionedColumn.bulk_insert`.  The
-        resulting table state is identical to inserting the same (key, row
-        id) pairs sequentially in ascending key order; chunk bounds never
-        change on insert (the last fence is ``int64 max``), so the router is
-        left untouched.  Returns the new global row ids aligned with the
-        input order.
+        order with one array write; the keys are then sorted once and
+        routed with a single ``searchsorted`` over the chunk fences, every
+        receiving chunk is latched exclusively with one ascending
+        :meth:`~repro.storage.latches.ChunkLatches.acquire_write_many`, and
+        one :func:`~repro.storage.column.bulk_insert_chunks` call inserts
+        every chunk's slice of the sorted order (chunks of another type
+        take theirs through their own ``bulk_insert``).  The resulting
+        table state is identical to inserting the same (key, row id) pairs
+        sequentially in ascending key order; chunk bounds never change on
+        insert (the last fence is ``int64 max``), so the router is left
+        untouched.  Returns the new global row ids aligned with the input
+        order.
 
-        Routes are revalidated under each chunk's exclusive latch by the
-        rule every bulk write shares: re-route only when the router's
-        fence array is no longer the one routing used (a publish rebuilds
-        the router with a fresh array, and only a publish of *this* chunk,
-        which needs its latch, can move its keys elsewhere).  Keys a
-        rebuild re-routed retry in a later pass.
+        The routes are revalidated once all latches are held, by the rule
+        every bulk write shares: they stand unless the router's fence
+        array is no longer the one routing used (a publish rebuilds the
+        router with a fresh array, and only a publish of a latched chunk
+        could move its keys elsewhere).  If it was rebuilt, every latch is
+        released and the whole batch is routed and latched again.
         """
         keys = np.asarray(keys, dtype=np.int64)
         if keys.ndim != 1:
@@ -770,39 +773,37 @@ class Table:
         if m == 0:
             return rowids
         self.counter.index_probe(m)
-        pending = np.argsort(keys, kind="stable")
-        while pending.size:
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        sorted_rowids = rowids[order]
+        while True:
             fences = self._router.fences
-            sorted_keys = keys[pending]
-            sorted_rowids = rowids[pending]
-            chunk_ids = self._router.locate_first_batch(sorted_keys)
-            stale_pieces: list[np.ndarray] = []
-            for chunk_index, lo, hi in _slices(chunk_ids):
-                chunk_keys = sorted_keys[lo:hi]
-                chunk_rowids = sorted_rowids[lo:hi]
-                self._latches.acquire_write(chunk_index)
-                try:
-                    if self._router.fences is not fences:
-                        moved = (
-                            self._router.locate_first_batch(chunk_keys)
-                            != chunk_index
-                        )
-                        if moved.any():
-                            stale_pieces.append(pending[lo:hi][moved])
-                            chunk_keys = chunk_keys[~moved]
-                            chunk_rowids = chunk_rowids[~moved]
-                            if not chunk_keys.size:
-                                continue
-                    self._chunks[chunk_index].bulk_insert(chunk_keys, chunk_rowids)
-                    self._bump_generation(chunk_index)
-                finally:
-                    self._latches.release_write(chunk_index)
-            pending = (
-                np.concatenate(stale_pieces)
-                if stale_pieces
-                else np.empty(0, dtype=np.int64)
+            slices = _slices(self._router.locate_first_batch(sorted_keys))
+            latched = self._latches.acquire_write_many(
+                [chunk_index for chunk_index, _, _ in slices]
             )
-        return rowids
+            try:
+                if self._router.fences is fences:
+                    columns, values, ids = [], [], []
+                    for chunk_index, lo, hi in slices:
+                        chunk = self._chunks[chunk_index]
+                        # The kernel charges one counter: the table's.
+                        if (
+                            isinstance(chunk, PartitionedColumn)
+                            and chunk.counter is self.counter
+                        ):
+                            columns.append(chunk)
+                            values.append(sorted_keys[lo:hi])
+                            ids.append(sorted_rowids[lo:hi])
+                        else:
+                            chunk.bulk_insert(sorted_keys[lo:hi], sorted_rowids[lo:hi])
+                    if columns:
+                        bulk_insert_chunks(columns, values, ids)
+                    for chunk_index in latched:
+                        self._bump_generation(chunk_index)
+                    return rowids
+            finally:
+                self._latches.release_write_many(latched)
 
     def bulk_delete(self, keys: np.ndarray | Sequence[int]) -> np.ndarray:
         """Batched Q5: delete one row per key on the vectorized bulk path.
@@ -1133,7 +1134,7 @@ class Table:
         """
         bounds = np.asarray(self._chunk_bounds, dtype=np.int64)
         assert bounds.shape[0] == len(self._chunks), "bounds/chunks mismatch"
-        assert bounds.size == 0 or np.all(np.diff(bounds) >= 0), (
+        assert np.all(bounds[1:] >= bounds[:-1]), (
             "chunk bounds must be non-decreasing"
         )
         assert bounds.size and bounds[-1] == np.iinfo(np.int64).max, (

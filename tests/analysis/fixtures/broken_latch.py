@@ -1,5 +1,7 @@
 """Latch-bracketing violations (LB01 / LB02 / LB03)."""
 
+from repro.discipline import requires_latch
+
 
 class BrokenTable:
     def unlatched_probe(self, chunk_index, key):
@@ -42,3 +44,23 @@ class BrokenTable:
         # Clean: with-scope bracketing.
         with self._latches.exclusive(chunk_index):
             self._chunks[chunk_index] = rebuilt
+
+
+@requires_latch("exclusive")
+def insert_across(columns, batches):
+    for column, batch in zip(columns, batches):
+        column.bulk_insert(batch)
+
+
+class BrokenKernelCaller:
+    def unlatched_kernel(self, chunk_indices, batches):
+        # LB01: a module-level exclusive kernel called with no latch held.
+        return insert_across(self.columns, batches)
+
+    def latched_kernel(self, chunk_indices, batches):
+        # Clean: every chunk latched before the kernel runs.
+        latched = self._latches.acquire_write_many(chunk_indices)
+        try:
+            insert_across(self.columns, batches)
+        finally:
+            self._latches.release_write_many(latched)

@@ -42,6 +42,11 @@ class TestFixtureViolations:
             for v in found
         ), "shared-held exclusive-required call must flag the held mode"
 
+    def test_lb01_checks_module_level_kernels(self, fixture_violations):
+        found = findings(fixture_violations, "LB01", "broken_latch.py")
+        kernel = [v for v in found if "insert_across" in v.message]
+        assert [v.function.split(".")[-1] for v in kernel] == ["unlatched_kernel"]
+
     def test_lb02_raw_chunk_access_fires(self, fixture_violations):
         found = findings(fixture_violations, "LB02", "broken_latch.py")
         assert any(v.function.endswith("unlatched_subscript") for v in found)

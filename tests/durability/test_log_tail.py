@@ -13,6 +13,7 @@ applied LSN, the same counts and the same table.
 
 import shutil
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -358,11 +359,29 @@ class TestRecycledSegments:
         def recycle_on_open(file, mode="r", *args, **kwargs):
             handle = real_open(file, mode, *args, **kwargs)
             if Path(file) == tailed and tailed.exists():
-                for lsn in (4, 5, 6):
-                    if lsn > 4:
+                # The primary's writes and checkpoints run on a thread of
+                # their own, as they would in a real deployment: this hook
+                # runs on the follower's thread, which holds its apply
+                # lock, and the primary's commit lock ranks outside it.
+                # Joining keeps the whole recycle inside this open.
+                failures = []
+
+                def primary():
+                    try:
+                        for lsn in (4, 5, 6):
+                            if lsn > 4:
+                                write()
+                            db.checkpoint()
                         write()
-                    db.checkpoint()
-                write()
+                    except BaseException as exc:  # re-raised on this thread
+                        failures.append(exc)
+
+                worker = threading.Thread(target=primary)
+                worker.start()
+                worker.join(timeout=60)
+                assert not worker.is_alive(), "the primary's recycle hung"
+                if failures:
+                    raise failures[0]
                 assert segment(tmp_path, 7).stat().st_ino == inode
             return handle
 

@@ -23,7 +23,7 @@ from repro.storage.cost_accounting import blocks_spanned
 from repro.storage.delta_store import DeltaStoreColumn
 from repro.storage.engine import StorageEngine
 from repro.storage.errors import LayoutError, ValueNotFoundError
-from repro.storage.layouts import LayoutKind, LayoutSpec
+from repro.storage.layouts import LayoutKind, LayoutSpec, build_column
 from repro.storage.table import Table, layout_chunk_builder
 from repro.workload.operations import (
     Delete,
@@ -798,6 +798,195 @@ class TestTableBulkWrites:
         table = make_table(keys, payload)
         with pytest.raises(LayoutError):
             table.bulk_insert([3, 5], [[1], [2, 3]])
+
+
+def reference_table_bulk_insert(table, keys, payload=None):
+    """``Table.bulk_insert`` as one ``PartitionedColumn.bulk_insert`` call
+    per receiving chunk: the per-chunk loop the cross-chunk kernel
+    replaced (without its retry for a concurrent publish, which a serial
+    test never meets)."""
+    keys = np.asarray(keys, dtype=np.int64)
+    if payload is None:
+        payload = np.zeros((keys.size, len(table.payload_names)), dtype=np.int64)
+    rowids = table._append_payload_batch(np.asarray(payload, dtype=np.int64))
+    if keys.size == 0:
+        return rowids
+    table.counter.index_probe(int(keys.size))
+    order = np.argsort(keys, kind="stable")
+    sorted_keys, sorted_rowids = keys[order], rowids[order]
+    chunk_ids = table.router.locate_first_batch(sorted_keys)
+    for chunk_index in np.unique(chunk_ids).tolist():
+        group = chunk_ids == chunk_index
+        with table.latches.exclusive(chunk_index):
+            table.chunks[chunk_index].bulk_insert(
+                sorted_keys[group], sorted_rowids[group]
+            )
+            table._bump_generation(chunk_index)
+    return rowids
+
+
+CHUNK_STATE = (
+    "_data", "_rowids", "_starts", "_counts", "_mins", "_maxs", "_fences",
+    "_load_order",
+)
+
+
+def mixed_chunk_builder(specs):
+    """A chunk builder that gives chunk ``i`` the layout ``specs[i % len]``.
+
+    A spec is ``(kind, partitions, ghost_fraction, block_values)``; the
+    CASPER kind builds explicit boundaries (``partitions`` near-equal
+    pieces, so duplicate runs may straddle them) with ``i + 1`` ghosts
+    per partition.
+    """
+    built = []
+
+    def build(sorted_keys, rowids, counter):
+        kind, partitions, ghost_fraction, block_values = specs[len(built) % len(specs)]
+        size = int(sorted_keys.size)
+        if kind is LayoutKind.CASPER and size:
+            boundaries = tuple(
+                sorted({max(1, size * (p + 1) // partitions) for p in range(partitions)})
+            )
+            spec = LayoutSpec(
+                kind=kind,
+                boundaries=boundaries,
+                ghost_allocation=(len(built) + 1,) * len(boundaries),
+                block_values=block_values,
+            )
+        else:
+            spec = LayoutSpec(
+                kind=LayoutKind.EQUI_GV if kind is LayoutKind.CASPER else kind,
+                partitions=partitions,
+                ghost_fraction=ghost_fraction,
+                block_values=block_values,
+            )
+        built.append(spec)
+        return build_column(spec, sorted_keys, counter=counter, rowids=rowids)
+
+    return build
+
+
+CHUNK_KINDS = (
+    LayoutKind.SORTED,
+    LayoutKind.EQUI,
+    LayoutKind.EQUI_GV,
+    LayoutKind.CASPER,
+    LayoutKind.STATE_OF_ART,
+)
+
+
+@st.composite
+def table_insert_cases(draw):
+    """(table keys, chunk size, chunk specs, insert batches).  A small key
+    domain makes duplicate runs that straddle chunk fences; small blocks
+    (growth = 4 blocks) and ghost budgets make chunks grow mid-batch."""
+    domain = draw(st.sampled_from([6, 40, 1_000]))
+    keys = draw(st.lists(st.integers(0, domain), min_size=8, max_size=160))
+    chunk_size = draw(st.integers(2, 24))
+    specs = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(CHUNK_KINDS),
+                st.integers(1, 6),
+                st.sampled_from([0.0, 0.05, 0.3]),
+                st.sampled_from([2, 4, 8]),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    batches = draw(
+        st.lists(
+            st.lists(st.integers(-1, domain + 1), min_size=2, max_size=60),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return keys, chunk_size, specs, batches
+
+
+GV = (LayoutKind.EQUI_GV, 4, 0.05, 2)
+
+
+class TestTableBulkInsertReference:
+    """``Table.bulk_insert`` (one cross-chunk kernel call) against
+    :func:`reference_table_bulk_insert` (one column call per chunk): every
+    chunk's arrays (dead slots too), metadata, row ids, generations and
+    all five counter fields are equal."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=table_insert_cases())
+    # Duplicate runs straddling chunk fences, inserted again.
+    @example(case=([5] * 30 + [1, 2, 9], 8, [GV], [[5] * 12 + [1, 9, 10]]))
+    # Slack used up: several chunks grow in one call.
+    @example(
+        case=(
+            list(range(0, 120, 2)),
+            12,
+            [(LayoutKind.EQUI_GV, 3, 0.05, 2), (LayoutKind.EQUI, 2, 0.0, 4)],
+            [list(range(1, 120, 2)), list(range(0, 120, 3))],
+        )
+    )
+    # One key per chunk over many chunks (the sharded put shape).
+    @example(
+        case=(
+            list(range(100)),
+            4,
+            [(LayoutKind.SORTED, 1, 0.0, 2), GV, (LayoutKind.CASPER, 3, 0.0, 4)],
+            [[4 * c + 1 for c in range(25)]],
+        )
+    )
+    # A STATE_OF_ART table.
+    @example(
+        case=(
+            list(range(0, 60, 3)),
+            7,
+            [(LayoutKind.STATE_OF_ART, 1, 0.0, 4)],
+            [[1, 2, 30, 31, 59, 61], [0, 3]],
+        )
+    )
+    # Mixed block sizes and explicit specs over a duplicate-heavy domain.
+    @example(
+        case=(
+            [0, 0, 1, 1, 1, 2, 2, 3, 3, 3, 3, 4] * 4,
+            5,
+            [(LayoutKind.CASPER, 2, 0.0, 2), (LayoutKind.EQUI_GV, 3, 0.3, 8)],
+            [[3, 3, 3, 0, 4, 5], [1] * 9],
+        )
+    )
+    def test_equals_one_column_call_per_chunk(self, case):
+        keys, chunk_size, specs, batches = case
+
+        def build():
+            return Table(
+                np.asarray(keys, dtype=np.int64),
+                np.arange(2 * len(keys)).reshape(-1, 2),
+                chunk_size=chunk_size,
+                chunk_builder=mixed_chunk_builder(specs),
+                block_values=4,
+            )
+
+        table, reference = build(), build()
+        for batch in batches:
+            payload = np.arange(2 * len(batch)).reshape(-1, 2) + 7
+            expected = reference_table_bulk_insert(reference, batch, payload)
+            assert np.array_equal(table.bulk_insert(batch, payload), expected)
+        assert table._generations == reference._generations
+        assert table._next_rowid == reference._next_rowid
+        for field in COUNTER_FIELDS:
+            assert type(getattr(table.counter, field)) is int, field
+            assert getattr(table.counter, field) == getattr(reference.counter, field)
+        for chunk, twin in zip(table.chunks, reference.chunks, strict=True):
+            assert type(chunk) is type(twin)
+            assert np.array_equal(chunk.values(), twin.values())
+            assert np.array_equal(chunk.rowids(), twin.rowids())
+            assert chunk._next_rowid == twin._next_rowid
+            if isinstance(chunk, PartitionedColumn):
+                for name in CHUNK_STATE:
+                    assert np.array_equal(getattr(chunk, name), getattr(twin, name)), name
+                assert np.array_equal(chunk._index.fences, twin._index.fences)
+        table.check_invariants()
 
 
 class TestEngineBatchWrites:

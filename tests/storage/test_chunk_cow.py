@@ -452,6 +452,31 @@ class TestInsertRouteRevalidation:
         assert table.chunks[2].point_query(top).size == 1
         table.check_invariants()
 
+    def test_bulk_insert_retries_when_a_key_moves_outside_the_latched_chunks(self):
+        table = make_table()
+        top = int(table.chunk_bounds[0])
+        table.delete(top)  # chunk 0's fence goes stale-high at `top`
+        other = int(table.chunks[2].values()[0]) + 1
+        generations = [table.chunk_generation(i) for i in range(table.num_chunks)]
+        # The batch latches chunks 0 and 2; taking chunk 0's latch publishes
+        # chunk 0, which moves `top` to chunk 1, outside the latched set.
+        # The batch must release both latches, route again and land `top`
+        # in chunk 1 (and `other` in chunk 2 exactly once).
+        state = self._arm_publish_on_write(table, 0)
+        rowids = table.bulk_insert([other, top])
+        assert not state["armed"], "the racing publish must have fired"
+        assert int(table.chunk_bounds[0]) < top
+        assert table.chunks[0].point_query(top).size == 0
+        assert table.chunks[1].point_query(top).size == 1
+        assert table.chunks[2].point_query(other).size == 1
+        assert [row.rowid for row in table.point_query(top)] == [rowids[1]]
+        assert [row.rowid for row in table.point_query(other)] == [rowids[0]]
+        # Chunk 0 moved once (the publish), 1 and 2 once each (the insert).
+        assert [
+            table.chunk_generation(i) - generations[i] for i in range(4)
+        ] == [1, 1, 1, 0]
+        table.check_invariants()
+
     def test_bulk_delete_misses_retry_across_a_three_chunk_run(self):
         # 50 fills the tail of chunk 0, all of chunk 1 and the head of
         # chunk 2: fences 50, 50, ... so a miss carries on twice.

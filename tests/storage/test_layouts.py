@@ -17,6 +17,7 @@ from repro.storage.layouts import (
     UpdatePolicy,
     build_column,
 )
+from repro.storage.table import Table, layout_chunk_builder
 
 
 @pytest.fixture
@@ -88,6 +89,49 @@ class TestBuildColumn:
         column = build_column(spec, values)
         assert column.num_partitions == 3
         assert column.ghost_counts().tolist() == [4, 4, 8]
+
+    def test_equi_gv_spreads_ghosts_over_snapped_partitions(self):
+        # The first two equal-width boundaries split the run of 1s; the
+        # snapped column has three partitions and the budget spreads there.
+        column = build_column(
+            LayoutSpec(
+                kind=LayoutKind.EQUI_GV,
+                partitions=4,
+                ghost_fraction=0.2,
+                block_values=8,
+            ),
+            [1] * 8 + [2, 3, 4, 5],
+        )
+        assert column.partition_counts().tolist() == [8, 1, 3]
+        assert column.ghost_counts().tolist() == [1, 1, 0]
+        column.check_invariants()
+
+    def test_casper_ghosts_follow_snapped_boundaries(self):
+        # Boundaries 3 and 6 fall inside the run of 1s: both partitions
+        # merge into the one ending at 8, and so do their ghosts.
+        spec = LayoutSpec(
+            kind=LayoutKind.CASPER,
+            block_values=8,
+            boundaries=(3, 6, 9, 12),
+            ghost_allocation=(1, 2, 3, 4),
+        )
+        column = build_column(spec, [1] * 8 + [2, 3, 4, 5])
+        assert column.partition_counts().tolist() == [8, 1, 3]
+        assert column.ghost_counts().tolist() == [3, 3, 4]
+        column.check_invariants()
+
+    def test_equi_gv_table_over_duplicate_heavy_keys(self):
+        keys = np.repeat(np.arange(40, dtype=np.int64), 25)
+        spec = LayoutSpec(
+            kind=LayoutKind.EQUI_GV, partitions=16, ghost_fraction=0.05, block_values=8
+        )
+        table = Table(
+            keys, chunk_size=300, chunk_builder=layout_chunk_builder(spec), block_values=8
+        )
+        table.bulk_insert(np.arange(0, 80, 3))
+        table.bulk_delete(np.arange(0, 40, 2))
+        assert table.num_rows == keys.size + 27 - 20
+        table.check_invariants()
 
     def test_rowids_passthrough(self, values):
         rowids = np.arange(100, 100 + values.size)

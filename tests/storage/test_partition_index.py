@@ -120,3 +120,22 @@ class TestStructure:
             expected = int(np.searchsorted(fences, value, side="left"))
             expected = min(expected, len(fences) - 1)
             assert index.locate(int(value)) == expected
+
+
+class TestNegativeKeys:
+    def test_negative_fence_before_the_int64_max_last_fence(self):
+        index = PartitionIndex()
+        index.rebuild([-5, -1, np.iinfo(np.int64).max])
+        assert index.locate(-3) == 1
+        with pytest.raises(ValueError):
+            index.rebuild([-1, -5])
+
+    def test_table_over_negative_keys_takes_bulk_inserts(self):
+        from repro.storage.layouts import LayoutKind, LayoutSpec
+        from repro.storage.table import Table, layout_chunk_builder
+
+        spec = LayoutSpec(kind=LayoutKind.STATE_OF_ART, block_values=2)
+        table = Table([0], chunk_size=2, chunk_builder=layout_chunk_builder(spec))
+        table.bulk_insert([-1, -1])
+        assert sorted(table.keys().tolist()) == [-1, -1, 0]
+        table.check_invariants()
